@@ -7,6 +7,18 @@
 //! sparse rows; combined with the reverse Cuthill–McKee ordering from
 //! [`crate::ordering`] it keeps fill-in low for every circuit in this
 //! workspace while staying simple enough to verify against the dense path.
+//!
+//! Elimination keeps the rows not yet used as pivots bucketed by their
+//! leading column. Before step `k` those rows hold no column below `k`,
+//! so column `k`'s bucket is exactly the set of rows holding column `k`:
+//! the pivot search and the elimination sweep visit only them, instead of
+//! probing all `n` rows per step. The pivot rule is the plain one: the
+//! largest `|a_ik|` among rows not yet eliminated, ties going to the
+//! lowest elimination position.
+//!
+//! [`StampMap`] serves Newton loops that re-stamp the same triplet
+//! sequence with new values: it sorts once, then scatters each new set of
+//! values straight into the permuted, assembled matrix.
 
 use crate::{NumError, Result};
 
@@ -105,7 +117,7 @@ impl Triplets {
             out.rows[r].push((c, v));
         }
         for row in &mut out.rows {
-            row.sort_unstable_by_key(|&(c, _)| c);
+            sort_by_col(row);
             // Sum duplicates in place.
             let mut w = 0usize;
             for i in 0..row.len() {
@@ -285,7 +297,13 @@ impl SparseRows {
         // position k (row swaps are done on this indirection).
         let mut row_of: Vec<usize> = (0..n).collect();
         let mut scratch: Vec<(usize, f64)> = Vec::new();
-        eliminate(n, &mut rows, &mut l_rows, &mut row_of, &mut scratch)?;
+        eliminate(
+            &mut rows,
+            &mut l_rows,
+            &mut row_of,
+            &mut LeadIndex::default(),
+            &mut scratch,
+        )?;
 
         // Collect U rows in elimination order.
         let mut u_rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n);
@@ -386,45 +404,60 @@ impl SparseLu {
 /// arithmetic-identical by construction. The pivot *search* runs on
 /// every call — reusing a previously recorded pivot order would change
 /// rounding whenever values move enough to select a different pivot.
+///
+/// `row_of` must be a permutation on entry (both callers pass the
+/// identity). Before step `k` no row at position >= k holds a column
+/// below `k`, so the rows holding column `k` are exactly those whose
+/// *first* entry is in column `k`. `index` keeps the rows bucketed by
+/// that leading column, and step `k` visits only its bucket: a step
+/// costs the rows holding column `k`, not `n` probes.
 fn eliminate(
-    n: usize,
     rows: &mut [Vec<(usize, f64)>],
     l_rows: &mut [Vec<(usize, f64)>],
     row_of: &mut [usize],
+    index: &mut LeadIndex,
     scratch: &mut Vec<(usize, f64)>,
 ) -> Result<()> {
+    let n = rows.len();
+    index.reset(rows, row_of);
+    let LeadIndex { head, next, pos_of } = index;
     for k in 0..n {
-        // Find the pivot: the row at position >= k with the largest
-        // magnitude entry in column k.
+        // Find the pivot: the largest |a_ik| among rows at position >= k,
+        // ties going to the lowest position — the row a strict-`>` scan
+        // in position order keeps. Zero and NaN magnitudes never win.
         let mut pivot_pos = usize::MAX;
         let mut pivot_mag = 0.0f64;
-        for (p, &ri) in row_of.iter().enumerate().skip(k) {
-            if let Ok(idx) = rows[ri].binary_search_by_key(&k, |&(c, _)| c) {
-                let mag = rows[ri][idx].1.abs();
-                if mag > pivot_mag {
-                    pivot_mag = mag;
-                    pivot_pos = p;
-                }
+        let mut ri = head[k];
+        while ri != NONE {
+            debug_assert_eq!(rows[ri][0].0, k, "row {ri} is in the wrong bucket");
+            let p = pos_of[ri];
+            let mag = rows[ri][0].1.abs();
+            if mag > pivot_mag || (mag == pivot_mag && mag > 0.0 && p < pivot_pos) {
+                pivot_mag = mag;
+                pivot_pos = p;
             }
+            ri = next[ri];
         }
         if pivot_pos == usize::MAX || pivot_mag < f64::MIN_POSITIVE * 1e4 {
             return Err(NumError::SingularMatrix { step: k });
         }
         row_of.swap(k, pivot_pos);
+        pos_of[row_of[k]] = k;
+        pos_of[row_of[pivot_pos]] = pivot_pos;
         let pivot_row_idx = row_of[k];
-        let pivot_val = {
-            let row = &rows[pivot_row_idx];
-            let idx = row.binary_search_by_key(&k, |&(c, _)| c).unwrap();
-            row[idx].1
-        };
+        let pivot_val = rows[pivot_row_idx][0].1;
 
-        // Eliminate column k from every later row that has it.
-        for &ri in row_of.iter().skip(k + 1) {
-            let idx = match rows[ri].binary_search_by_key(&k, |&(c, _)| c) {
-                Ok(i) => i,
-                Err(_) => continue,
-            };
-            let factor = rows[ri][idx].1 / pivot_val;
+        // Eliminate column k from every other row in the bucket. A row's
+        // update reads only itself and the pivot row, so visiting rows in
+        // bucket order rather than position order changes no bits.
+        let mut ri = std::mem::replace(&mut head[k], NONE);
+        while ri != NONE {
+            let following = next[ri];
+            if ri == pivot_row_idx {
+                ri = following;
+                continue;
+            }
+            let factor = rows[ri][0].1 / pivot_val;
             l_rows[ri].push((k, factor));
             // rows[ri] -= factor * rows[pivot]; merge the two sorted rows.
             scratch.clear();
@@ -466,9 +499,69 @@ fn eliminate(
                 }
             }
             std::mem::swap(target, scratch);
+            // Re-bucket under the new leading column. A row left empty
+            // holds no column and will surface as a singular step.
+            if let Some(&(lead, _)) = target.first() {
+                next[ri] = head[lead];
+                head[lead] = ri;
+            }
+            ri = following;
         }
     }
     Ok(())
+}
+
+/// End of a bucket list in [`LeadIndex`].
+const NONE: usize = usize::MAX;
+
+/// Sorts one row's `(col, value)` pairs by column. Every assembly path
+/// sorts through this one function: an unstable sort's permutation
+/// depends only on the keys and the element type, so [`StampMap`] can
+/// replay the exact order in which [`Triplets::assemble_into`] sums
+/// duplicates by sorting the same `(usize, f64)` pairs with triplet
+/// indices in the value bits.
+fn sort_by_col(row: &mut [(usize, f64)]) {
+    row.sort_unstable_by_key(|&(c, _)| c);
+}
+
+/// The rows not yet used as pivots, bucketed by leading column, as
+/// intrusive singly linked lists: `eliminate` walks one bucket per step
+/// instead of scanning every row. Each row sits in exactly one bucket
+/// (none once it is a pivot or empty), so the index is `O(n)` whatever
+/// the fill, and keeping it costs one relink per row update.
+#[derive(Debug, Clone, Default)]
+struct LeadIndex {
+    /// `head[c]`: first row whose leading entry is in column `c`, or
+    /// [`NONE`].
+    head: Vec<usize>,
+    /// `next[row]`: the following row in the same bucket, or [`NONE`].
+    next: Vec<usize>,
+    /// `pos_of[row]`: the row's current elimination position, the
+    /// inverse of `row_of`.
+    pos_of: Vec<usize>,
+}
+
+impl LeadIndex {
+    /// Buckets `rows` (reusing the allocations) with positions taken
+    /// from `row_of`.
+    fn reset(&mut self, rows: &[Vec<(usize, f64)>], row_of: &[usize]) {
+        let n = rows.len();
+        self.head.clear();
+        self.head.resize(n, NONE);
+        self.next.clear();
+        self.next.resize(n, NONE);
+        for (ri, row) in rows.iter().enumerate() {
+            if let Some(&(lead, _)) = row.first() {
+                self.next[ri] = self.head[lead];
+                self.head[lead] = ri;
+            }
+        }
+        self.pos_of.clear();
+        self.pos_of.resize(n, 0);
+        for (p, &ri) in row_of.iter().enumerate() {
+            self.pos_of[ri] = p;
+        }
+    }
 }
 
 /// Reusable buffers for repeated factor-and-solve calls on matrices of
@@ -481,7 +574,8 @@ fn eliminate(
 /// `LuWorkspace::factor_solve` performs the *same arithmetic* (pivot
 /// search included, see `eliminate`) entirely inside recycled buffers:
 /// results are bitwise-identical to `factor()` + `solve()`, only the
-/// allocations disappear after the first call.
+/// allocations (the pivot-search index included) disappear after the
+/// first call.
 ///
 /// ```
 /// use mtk_num::sparse::{LuWorkspace, Triplets};
@@ -499,6 +593,7 @@ pub struct LuWorkspace {
     rows: Vec<Vec<(usize, f64)>>,
     l_rows: Vec<Vec<(usize, f64)>>,
     row_of: Vec<usize>,
+    index: LeadIndex,
     scratch: Vec<(usize, f64)>,
     y: Vec<f64>,
 }
@@ -542,10 +637,10 @@ impl LuWorkspace {
         self.row_of.extend(0..n);
 
         eliminate(
-            n,
             &mut self.rows[..n],
             &mut self.l_rows[..n],
             &mut self.row_of,
+            &mut self.index,
             &mut self.scratch,
         )?;
 
@@ -577,6 +672,156 @@ impl LuWorkspace {
             x[i] = s / diag;
         }
         Ok(())
+    }
+}
+
+/// A cached assembly plan for one triplet `(row, col)` sequence: where
+/// each triplet's value lands in the symmetrically permuted, assembled
+/// matrix, and in which order duplicates are summed.
+///
+/// A Newton loop stamps the same `(row, col)` sequence at every
+/// iteration; only the values change. [`StampMap::new`] sorts once, and
+/// [`StampMap::scatter`] then fills the permuted matrix in one pass over
+/// the triplets. The result is bitwise what [`Triplets::assemble_into`]
+/// followed by [`SparseRows::permute_symmetric_into`] produces:
+/// duplicates are summed in the order the assembly sort leaves them,
+/// starting from the first value rather than from `0.0` (so a lone
+/// `-0.0` survives), and exact zeros stay structural.
+///
+/// ```
+/// use mtk_num::sparse::{StampMap, Triplets};
+///
+/// let mut t = Triplets::new(2);
+/// t.add(0, 1, 1.0);
+/// t.add(1, 1, 2.0);
+/// t.add(1, 1, 0.5);
+/// let pos = [1, 0]; // the two unknowns trade places
+/// let (map, mut perm) = StampMap::new(&t, &pos);
+/// assert_eq!(perm, t.to_rows().permute_symmetric(&[1, 0]));
+///
+/// // The same stamps with new values: scatter instead of re-sorting.
+/// let mut next = Triplets::new(2);
+/// next.add(0, 1, 3.0);
+/// next.add(1, 1, 4.0);
+/// next.add(1, 1, -4.0);
+/// assert!(map.matches(&next));
+/// map.scatter(&next, &mut perm);
+/// assert_eq!(perm, next.to_rows().permute_symmetric(&[1, 0]));
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct StampMap {
+    /// The `(row, col)` sequence the map was built for.
+    keys: Vec<(u32, u32)>,
+    /// Triplet indices grouped by slot of the permuted matrix (slots in
+    /// row-major order), each group in summation order.
+    gather: Vec<u32>,
+    /// `ends[s]`: where slot `s`'s group ends in `gather`.
+    ends: Vec<u32>,
+}
+
+impl StampMap {
+    /// Builds the map for `t` under the inverse permutation `pos`
+    /// (`pos[orig] = new position`, a permutation of `0..n`), and returns
+    /// it with the permuted, assembled matrix of `t`'s values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos.len() != t.n()`, or if the dimension or the number
+    /// of triplets does not fit in `u32`.
+    pub fn new(t: &Triplets, pos: &[usize]) -> (StampMap, SparseRows) {
+        let n = t.n;
+        assert_eq!(pos.len(), n, "pos must have length n");
+        assert!(
+            u32::try_from(n.max(t.entries.len())).is_ok(),
+            "stamp map indices must fit in u32"
+        );
+        // Each original row's triplets, filed under its permuted row in
+        // triplet order with the triplet index in the value bits: the
+        // sequence `assemble_into` sorts, so the same sort replays its
+        // summation order. One flat counting-sorted buffer holds them all.
+        let mut starts = vec![0usize; n + 1];
+        for &(r, _, _) in &t.entries {
+            starts[pos[r] + 1] += 1;
+        }
+        for p in 0..n {
+            starts[p + 1] += starts[p];
+        }
+        let mut cursor = starts[..n].to_vec();
+        let mut flat = vec![(0usize, 0.0f64); t.entries.len()];
+        for (i, &(r, c, _)) in t.entries.iter().enumerate() {
+            flat[cursor[pos[r]]] = (c, f64::from_bits(i as u64));
+            cursor[pos[r]] += 1;
+        }
+        let mut map = StampMap {
+            keys: t
+                .entries
+                .iter()
+                .map(|&(r, c, _)| (r as u32, c as u32))
+                .collect(),
+            gather: Vec::with_capacity(t.entries.len()),
+            ends: Vec::new(),
+        };
+        let mut out = SparseRows::empty(n);
+        // Per row: (permuted col, start, end) of each run of duplicates.
+        let mut runs = Vec::new();
+        for (p, out_row) in out.rows.iter_mut().enumerate() {
+            let row = &mut flat[starts[p]..starts[p + 1]];
+            sort_by_col(row);
+            runs.clear();
+            let mut start = 0;
+            for dup in row.chunk_by(|a, b| a.0 == b.0) {
+                runs.push((pos[dup[0].0], start, start + dup.len()));
+                start += dup.len();
+            }
+            // Columns within a row are distinct, so any sort agrees with
+            // `permute_symmetric_into`'s.
+            runs.sort_unstable_by_key(|&(c, _, _)| c);
+            for &(c, start, end) in &runs {
+                let indices = row[start..end].iter().map(|&(_, i)| i.to_bits() as u32);
+                map.gather.extend(indices);
+                map.ends.push(map.gather.len() as u32);
+                out_row.push((c, 0.0));
+            }
+        }
+        map.scatter(t, &mut out);
+        (map, out)
+    }
+
+    /// Whether `t` has exactly the `(row, col)` sequence this map was
+    /// built for, so [`StampMap::scatter`] applies to it.
+    pub fn matches(&self, t: &Triplets) -> bool {
+        self.keys.len() == t.entries.len()
+            && self
+                .keys
+                .iter()
+                .zip(&t.entries)
+                .all(|(&(r, c), &(tr, tc, _))| r as usize == tr && c as usize == tc)
+    }
+
+    /// Writes `t`'s assembled, permuted values into `out`, which must hold
+    /// the pattern [`StampMap::new`] returned. `t` must
+    /// [match](StampMap::matches) the map.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` has a different number of entries than the map
+    /// has slots.
+    pub fn scatter(&self, t: &Triplets, out: &mut SparseRows) {
+        debug_assert!(self.matches(t), "scatter on a different stamp sequence");
+        let values = &t.entries;
+        let mut slots = self.ends.iter();
+        let mut start = 0;
+        for entry in out.rows.iter_mut().flatten() {
+            let end = *slots.next().expect("out has more entries than the map") as usize;
+            let run = &self.gather[start..end];
+            let mut v = values[run[0] as usize].2;
+            for &i in &run[1..] {
+                v += values[i as usize].2;
+            }
+            entry.1 = v;
+            start = end;
+        }
+        assert!(slots.next().is_none(), "out has fewer entries than the map");
     }
 }
 
@@ -870,5 +1115,419 @@ mod tests {
                 assert!((a - bb).abs() < 1e-8);
             }
         }
+    }
+
+    /// The elimination kernel before the leading-column buckets: the
+    /// pivot search and the elimination sweep probe every row at position
+    /// >= k. Kept as the oracle `eliminate` must match bit for bit.
+    fn eliminate_dense_scan(
+        n: usize,
+        rows: &mut [Vec<(usize, f64)>],
+        l_rows: &mut [Vec<(usize, f64)>],
+        row_of: &mut [usize],
+        scratch: &mut Vec<(usize, f64)>,
+    ) -> Result<()> {
+        for k in 0..n {
+            let mut pivot_pos = usize::MAX;
+            let mut pivot_mag = 0.0f64;
+            for (p, &ri) in row_of.iter().enumerate().skip(k) {
+                if let Ok(idx) = rows[ri].binary_search_by_key(&k, |&(c, _)| c) {
+                    let mag = rows[ri][idx].1.abs();
+                    if mag > pivot_mag {
+                        pivot_mag = mag;
+                        pivot_pos = p;
+                    }
+                }
+            }
+            if pivot_pos == usize::MAX || pivot_mag < f64::MIN_POSITIVE * 1e4 {
+                return Err(NumError::SingularMatrix { step: k });
+            }
+            row_of.swap(k, pivot_pos);
+            let pivot_row_idx = row_of[k];
+            let pivot_val = {
+                let row = &rows[pivot_row_idx];
+                let idx = row.binary_search_by_key(&k, |&(c, _)| c).unwrap();
+                row[idx].1
+            };
+            for &ri in row_of.iter().skip(k + 1) {
+                let idx = match rows[ri].binary_search_by_key(&k, |&(c, _)| c) {
+                    Ok(i) => i,
+                    Err(_) => continue,
+                };
+                let factor = rows[ri][idx].1 / pivot_val;
+                l_rows[ri].push((k, factor));
+                scratch.clear();
+                let (target, pivot_row) = if pivot_row_idx < ri {
+                    let (lo, hi) = rows.split_at_mut(ri);
+                    (&mut hi[0], &lo[pivot_row_idx])
+                } else {
+                    let (lo, hi) = rows.split_at_mut(pivot_row_idx);
+                    (&mut lo[ri], &hi[0])
+                };
+                let mut ti = 0usize;
+                let mut pi = 0usize;
+                while ti < target.len() || pi < pivot_row.len() {
+                    let tc = target.get(ti).map(|&(c, _)| c).unwrap_or(usize::MAX);
+                    let pc = pivot_row.get(pi).map(|&(c, _)| c).unwrap_or(usize::MAX);
+                    if tc < pc {
+                        if tc > k {
+                            scratch.push(target[ti]);
+                        }
+                        ti += 1;
+                    } else if pc < tc {
+                        if pc > k {
+                            scratch.push((pc, -factor * pivot_row[pi].1));
+                        }
+                        pi += 1;
+                    } else {
+                        if tc > k {
+                            let v = target[ti].1 - factor * pivot_row[pi].1;
+                            if v != 0.0 {
+                                scratch.push((tc, v));
+                            }
+                        }
+                        ti += 1;
+                        pi += 1;
+                    }
+                }
+                std::mem::swap(target, scratch);
+            }
+        }
+        Ok(())
+    }
+
+    /// `a` factored by the oracle, as a `SparseLu` built the way
+    /// `SparseRows::factor` builds one.
+    fn oracle_factor(a: &SparseRows) -> Result<SparseLu> {
+        let n = a.n;
+        let mut rows = a.rows.clone();
+        let mut l_rows = vec![Vec::new(); n];
+        let mut row_of: Vec<usize> = (0..n).collect();
+        eliminate_dense_scan(n, &mut rows, &mut l_rows, &mut row_of, &mut Vec::new())?;
+        Ok(SparseLu {
+            n,
+            u_rows: row_of
+                .iter()
+                .map(|&r| std::mem::take(&mut rows[r]))
+                .collect(),
+            l_rows: row_of
+                .iter()
+                .map(|&r| std::mem::take(&mut l_rows[r]))
+                .collect(),
+            row_of,
+        })
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    type RowBits = Vec<Vec<(usize, u64)>>;
+
+    fn rows_bits(rows: &[Vec<(usize, f64)>]) -> RowBits {
+        rows.iter()
+            .map(|r| r.iter().map(|&(c, v)| (c, v.to_bits())).collect())
+            .collect()
+    }
+
+    fn factor_bits(lu: &SparseLu) -> (RowBits, RowBits, &[usize]) {
+        (rows_bits(&lu.u_rows), rows_bits(&lu.l_rows), &lu.row_of)
+    }
+
+    fn triplets(n: usize, entries: &[(usize, usize, f64)]) -> Triplets {
+        let mut t = Triplets::new(n);
+        for &(r, c, v) in entries {
+            t.add(r, c, v);
+        }
+        t
+    }
+
+    /// Checks both production paths against the oracle on `f64::to_bits`:
+    /// the solution, the factors and `u_nnz`, or the `SingularMatrix`
+    /// step. Returns whether the matrix factored.
+    fn assert_matches_oracle(ws: &mut LuWorkspace, a: &SparseRows, b: &[f64], label: &str) -> bool {
+        let mut x_ws = Vec::new();
+        let ws_result = ws.factor_solve(a, b, &mut x_ws);
+        let lu_result = a.clone().factor();
+        match oracle_factor(a) {
+            Ok(want) => {
+                let x_want = want.solve(b).unwrap();
+                let lu = lu_result.unwrap_or_else(|e| panic!("{label}: factor() failed: {e}"));
+                assert_eq!(factor_bits(&lu), factor_bits(&want), "{label}: factors");
+                assert_eq!(lu.u_nnz(), want.u_nnz(), "{label}: u_nnz");
+                assert_eq!(bits(&lu.solve(b).unwrap()), bits(&x_want), "{label}: x");
+                ws_result.unwrap_or_else(|e| panic!("{label}: factor_solve failed: {e}"));
+                assert_eq!(bits(&x_ws), bits(&x_want), "{label}: workspace x");
+                true
+            }
+            Err(want) => {
+                assert_eq!(lu_result.unwrap_err(), want, "{label}: factor() error");
+                assert_eq!(ws_result.unwrap_err(), want, "{label}: workspace error");
+                false
+            }
+        }
+    }
+
+    /// A random `n × n` pattern with roughly `density` of the off-diagonal
+    /// slots filled by `value`, assembled from triplets (so duplicates
+    /// are summed exactly as in production).
+    fn random_matrix(
+        rng: &mut Xoshiro256pp,
+        n: usize,
+        density: f64,
+        mut value: impl FnMut(&mut Xoshiro256pp) -> f64,
+        diagonal: impl Fn(f64) -> Option<f64>,
+    ) -> SparseRows {
+        let mut t = Triplets::new(n);
+        let mut row_abs = vec![0.0f64; n];
+        for (r, sum) in row_abs.iter_mut().enumerate() {
+            for c in 0..n {
+                if r != c && rng.next_f64() < density {
+                    let v = value(rng);
+                    t.add(r, c, v);
+                    *sum += v.abs();
+                }
+            }
+        }
+        for (i, &ra) in row_abs.iter().enumerate() {
+            if let Some(d) = diagonal(ra) {
+                t.add(i, i, d);
+            }
+        }
+        t.to_rows()
+    }
+
+    fn random_rhs(rng: &mut Xoshiro256pp, n: usize) -> Vec<f64> {
+        (0..n).map(|_| rng.next_f64_in(-10.0, 10.0)).collect()
+    }
+
+    /// Random diagonally dominant systems (always nonsingular) of up to
+    /// 48 unknowns and varied density, one workspace reused across every
+    /// dimension.
+    #[test]
+    fn indexed_elimination_matches_oracle_on_dominant_systems() {
+        let mut rng = Xoshiro256pp::seed_from_u64(0x0EAC_1E01);
+        let mut ws = LuWorkspace::new();
+        for trial in 0..200 {
+            let n = 1 + rng.next_index(48);
+            let density = rng.next_f64_in(0.02, 0.5);
+            let a = random_matrix(
+                &mut rng,
+                n,
+                density,
+                |rng| rng.next_f64_in(-2.0, 2.0),
+                |ra| Some(ra + 1.0),
+            );
+            let b = random_rhs(&mut rng, n);
+            assert!(assert_matches_oracle(
+                &mut ws,
+                &a,
+                &b,
+                &format!("trial {trial}")
+            ));
+        }
+    }
+
+    /// Entries from {±1, ±2} (plus the odd signed structural zero) force
+    /// pivot-magnitude ties, exact cancellations, refills of cancelled
+    /// slots, and numerically singular matrices.
+    #[test]
+    fn indexed_elimination_matches_oracle_under_ties_and_cancellation() {
+        let mut rng = Xoshiro256pp::seed_from_u64(0x0EAC_1E02);
+        let mut ws = LuWorkspace::new();
+        let (mut factored, mut singular) = (0, 0);
+        for trial in 0..400 {
+            let n = 1 + rng.next_index(14);
+            let density = rng.next_f64_in(0.1, 0.7);
+            let pick = |rng: &mut Xoshiro256pp| match rng.next_index(20) {
+                0 => 0.0,
+                1 => -0.0,
+                i => [1.0, -1.0, 2.0, -2.0][i % 4],
+            };
+            let with_diag = rng.next_index(4) != 0;
+            let a = random_matrix(&mut rng, n, density, pick, |_| with_diag.then_some(1.0));
+            let b = random_rhs(&mut rng, n);
+            if assert_matches_oracle(&mut ws, &a, &b, &format!("trial {trial}")) {
+                factored += 1;
+            } else {
+                singular += 1;
+            }
+        }
+        assert!(
+            factored > 100 && singular > 20,
+            "{factored} factored, {singular} singular"
+        );
+    }
+
+    /// A hand-built cancel-then-refill: step 0 cancels (1, 2) exactly, so
+    /// row 1's leading column jumps from 0 to 1; step 1 (pivot row 3)
+    /// refills (1, 2), and step 2 must find row 1 in column 2's bucket.
+    #[test]
+    fn cancelled_slot_refills_and_matches_oracle() {
+        let t = triplets(
+            4,
+            &[
+                (0, 0, 1.0),
+                (0, 2, 1.0),
+                (1, 0, 1.0),
+                (1, 1, 1.0),
+                (1, 2, 1.0),
+                (2, 2, 1.0),
+                (2, 3, 2.0),
+                (3, 1, 2.0),
+                (3, 2, 1.0),
+                (3, 3, 1.0),
+            ],
+        );
+        let mut ws = LuWorkspace::new();
+        let b = [1.0, 2.0, 3.0, 4.0];
+        assert!(assert_matches_oracle(&mut ws, &t.to_rows(), &b, "refill"));
+    }
+
+    /// Structurally singular matrices fail at the same step as the
+    /// oracle: empty columns, empty rows, rows sharing a single column,
+    /// and random patterns with no diagonal.
+    #[test]
+    fn indexed_elimination_matches_oracle_on_singular_matrices() {
+        let mut ws = LuWorkspace::new();
+        let fixed = [
+            triplets(3, &[(0, 0, 1.0), (1, 0, 1.0), (2, 2, 1.0)]),
+            triplets(3, &[(0, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0), (1, 2, 1.0)]),
+            triplets(4, &[(0, 3, 1.0), (1, 3, 2.0), (2, 3, -1.0), (3, 0, 1.0)]),
+            triplets(2, &[(0, 0, 0.0), (1, 1, 1.0)]),
+        ];
+        for (i, t) in fixed.iter().enumerate() {
+            let b = vec![1.0; t.n()];
+            let label = format!("fixed {i}");
+            assert!(
+                !assert_matches_oracle(&mut ws, &t.to_rows(), &b, &label),
+                "{label}"
+            );
+        }
+        let mut rng = Xoshiro256pp::seed_from_u64(0x0EAC_1E03);
+        let mut singular = 0;
+        for trial in 0..200 {
+            let n = 2 + rng.next_index(12);
+            let a = random_matrix(
+                &mut rng,
+                n,
+                0.15,
+                |rng| rng.next_f64_in(-2.0, 2.0),
+                |_| None,
+            );
+            let b = random_rhs(&mut rng, n);
+            singular += usize::from(!assert_matches_oracle(
+                &mut ws,
+                &a,
+                &b,
+                &format!("trial {trial}"),
+            ));
+        }
+        assert!(singular > 50, "only {singular} singular trials");
+    }
+
+    /// One workspace across growing and shrinking dimensions, with a
+    /// singular matrix in between, stays bit-identical to the oracle.
+    #[test]
+    fn workspace_reuse_across_dimensions_matches_oracle() {
+        let mut rng = Xoshiro256pp::seed_from_u64(0x0EAC_1E04);
+        let mut ws = LuWorkspace::new();
+        for (i, &n) in [30usize, 3, 17, 1, 64, 2, 40, 40, 5].iter().enumerate() {
+            let a = random_matrix(
+                &mut rng,
+                n,
+                0.2,
+                |rng| rng.next_f64_in(-2.0, 2.0),
+                |ra| Some(ra + 0.5),
+            );
+            let b = random_rhs(&mut rng, n);
+            assert!(assert_matches_oracle(
+                &mut ws,
+                &a,
+                &b,
+                &format!("size {n} #{i}")
+            ));
+            let mut sing = Triplets::new(n + 1);
+            sing.add(0, 0, 1.0);
+            assert!(!assert_matches_oracle(
+                &mut ws,
+                &sing.to_rows(),
+                &vec![1.0; n + 1],
+                "singular"
+            ));
+        }
+    }
+
+    /// `StampMap` reproduces `assemble_into` + `permute_symmetric_into` on
+    /// `to_bits` for random stamp sequences with heavy duplication and
+    /// signed zeros, both when built and when scattering new values.
+    #[test]
+    fn stamp_map_matches_assemble_then_permute() {
+        let mut rng = Xoshiro256pp::seed_from_u64(0x57A3);
+        for trial in 0..100 {
+            let n = 1 + rng.next_index(30);
+            let mut keys: Vec<(usize, usize)> = (0..rng.next_index(8 * n) + 1)
+                .map(|_| (rng.next_index(n), rng.next_index(n)))
+                .collect();
+            // A rail row that every device stamps: long enough that the
+            // unstable sort reorders duplicates, so the summation order
+            // must be replayed, not assumed stable.
+            let rail = rng.next_index(n);
+            for _ in 0..rng.next_index(80) {
+                keys.push((rail, rng.next_index(n.min(3))));
+            }
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                order.swap(i, rng.next_index(i + 1));
+            }
+            let mut pos = vec![0; n];
+            for (k, &o) in order.iter().enumerate() {
+                pos[o] = k;
+            }
+            let stamp = |rng: &mut Xoshiro256pp| {
+                let mut t = Triplets::new(n);
+                for &(r, c) in &keys {
+                    let v = match rng.next_index(6) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => rng.next_f64_in(-1e3, 1e3),
+                    };
+                    t.add(r, c, v);
+                }
+                t
+            };
+            let first = stamp(&mut rng);
+            let (map, mut perm) = StampMap::new(&first, &pos);
+            let want = first.to_rows().permute_symmetric(&order);
+            let build = rows_bits(&perm.rows);
+            assert_eq!(build, rows_bits(&want.rows), "trial {trial}: build");
+            for _ in 0..3 {
+                let next = stamp(&mut rng);
+                assert!(map.matches(&next));
+                map.scatter(&next, &mut perm);
+                let want = next.to_rows().permute_symmetric(&order);
+                let scattered = rows_bits(&perm.rows);
+                assert_eq!(scattered, rows_bits(&want.rows), "trial {trial}: scatter");
+            }
+            let mut longer = stamp(&mut rng);
+            longer.add(0, 0, 1.0);
+            assert!(!map.matches(&longer), "trial {trial}: extra stamp");
+            if n > 1 {
+                let mut moved = Triplets::new(n);
+                moved.add(keys[0].0, (keys[0].1 + 1) % n, 1.0);
+                for &(r, c) in &keys[1..] {
+                    moved.add(r, c, 1.0);
+                }
+                assert!(!map.matches(&moved), "trial {trial}: moved stamp");
+            }
+        }
+    }
+
+    #[test]
+    fn lone_negative_zero_survives_the_stamp_map() {
+        let mut t = Triplets::new(1);
+        t.add(0, 0, -0.0);
+        let (_, perm) = StampMap::new(&t, &[0]);
+        assert_eq!(perm.get(0, 0).to_bits(), (-0.0f64).to_bits());
     }
 }

@@ -1,7 +1,7 @@
 //! DC operating-point analysis.
 
 use crate::circuit::{Circuit, DeviceKind, NodeId};
-use crate::solver::{branch_indices, NewtonOptions, NewtonSolver, StampMode};
+use crate::solver::{NewtonOptions, NewtonSolver, StampMode};
 use crate::Result;
 
 /// Options for the operating-point solve.
@@ -149,7 +149,6 @@ pub fn operating_point(circuit: &Circuit, opts: &DcOptions) -> Result<DcResult> 
         .filter(|d| matches!(d.kind, DeviceKind::Vsource { .. }))
         .map(|d| d.name.clone())
         .collect();
-    let _ = branch_indices(circuit);
     Ok(DcResult {
         x,
         n_nodes: circuit.node_count() - 1,

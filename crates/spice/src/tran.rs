@@ -361,8 +361,8 @@ pub fn transient(circuit: &Circuit, opts: &TranOptions) -> Result<TranResult> {
             caps: &dyn_caps,
             cap_states: &cap_states,
         };
-        let ctx = format!("transient @ t={target:.4e}");
-        match solver.solve(circuit, &x, mode, &opts.newton, &ctx) {
+        let ctx = format_args!("transient @ t={target:.4e}");
+        match solver.solve(circuit, &x, mode, &opts.newton, ctx) {
             Ok((x_new, iters)) => {
                 result.total_newton_iterations += iters;
                 result.steps += 1;
@@ -735,6 +735,45 @@ mod tests {
         // Degraded stepping still reaches the right settled state.
         let w_out = res.waveform(out).unwrap();
         assert!(w_out.final_value().unwrap() < 0.05);
+    }
+
+    /// With halving ruled out, a failed step surfaces the Newton failure
+    /// with the step's context text, formatted only on that failure.
+    #[test]
+    fn failed_step_names_its_time_in_the_error() {
+        let mut c = Circuit::new();
+        let vdd_n = c.node("vdd");
+        let out = c.node("out");
+        let inp = c.node("in");
+        let nm = c.add_model(MosModel::nmos(0.35, 100e-6));
+        let pm = c.add_model(MosModel::pmos(0.35, 40e-6));
+        c.vsource("vdd", vdd_n, Circuit::GND, 1.2);
+        c.vsource(
+            "vin",
+            inp,
+            Circuit::GND,
+            SourceWave::ramp(1e-10, 1e-11, 0.0, 1.2),
+        );
+        c.mosfet("mp", out, inp, vdd_n, vdd_n, pm, 8.0);
+        c.mosfet("mn", out, inp, Circuit::GND, Circuit::GND, nm, 4.0);
+        c.capacitor("cl", out, Circuit::GND, 50e-15);
+        let mut opts = TranOptions::to(3e-9).with_dt(5e-11);
+        opts.dt_min = opts.dt;
+        opts.newton = NewtonOptions {
+            max_iter: 2,
+            max_dv: 0.005,
+            ..NewtonOptions::default()
+        };
+        match transient(&c, &opts) {
+            Err(SpiceError::NewtonFailed {
+                context,
+                iterations,
+            }) => {
+                assert_eq!(context, "transient @ t=1.1000e-10");
+                assert_eq!(iterations, 2);
+            }
+            other => panic!("expected a Newton failure, got {other:?}"),
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@ cargo fmt --check
 echo "== tier 1: release build =="
 cargo build --release
 
-echo "== tier 1: test suite =="
-cargo test -q
+echo "== test suite: every crate in the workspace =="
+cargo test -q --workspace
 
 echo "== fault-tolerance contract (quarantine/panic isolation) =="
 cargo test -q --test fault_injection
@@ -229,5 +229,8 @@ else
     --no-spice --samples 3 --warmup 1 \
     --json "$bench_json" --check-against BENCH_speed.json
 fi
+
+echo "== benchmark smoke: builds, unit tests, every workload's gates =="
+benchmark/check.sh
 
 echo "ci: all green"
