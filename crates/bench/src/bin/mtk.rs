@@ -70,27 +70,24 @@
 //! `--trace-deterministic` behave as in every `ext_*` binary.
 
 use mtk_bench::cli::{
-    bool_flag, emit_trace, f64_flag, failure_policy, flag, str_flag, threads_label, trace_config,
+    bool_flag, emit_trace, f64_flag, flag, str_flag, threads_label, trace_config,
 };
 use mtk_bench::design_transitions;
+use mtk_bench::job::{Job, JobCtx, JobKind, JobOpts, JobOutput};
 use mtk_bench::report::{ns, pct, print_table};
 use mtk_bench::serve::{self, ServeConfig, Server};
 use mtk_circuits::golden::{generator_catalog, golden_designs};
-use mtk_core::cluster::{
-    exclusive_partition, size_clusters_for_target, ClusterReport, ClusterSizing,
-};
 use mtk_core::health::FaultPlan;
-use mtk_core::hybrid::{run_hybrid, HybridOptions, SpiceRunConfig};
+use mtk_core::hybrid::SpiceRunConfig;
 use mtk_core::mc::{run_mc, McOptions};
-use mtk_core::sizing::{
-    screen_vectors_par_quarantined, size_for_target_cached, ScreeningCache, Transition,
-};
+use mtk_core::sizing::{ScreeningCache, Transition};
 use mtk_core::sta::Sta;
 use mtk_core::vbsim::{Engine, VbsimOptions};
 use mtk_fe::interop::{export_deck, import_deck, Imported};
 use mtk_fe::Design;
+use mtk_store::Store;
 use mtk_trace::{CounterId, PhaseTrace, SpanRecorder, TraceReport};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
@@ -132,13 +129,12 @@ fn main() {
     match cmd {
         "lint" => cmd_lint(&design),
         "sta" => cmd_sta(&design),
-        "screen" => cmd_screen(&design),
-        "size" => cmd_size(&design),
-        "cluster" => cmd_cluster(&design),
-        "hybrid" => cmd_hybrid(&design),
         "mc" => cmd_mc(&design),
         "export" => cmd_export(&design),
-        _ => usage(),
+        _ => match JobKind::parse(cmd) {
+            Some(kind) => cmd_job(kind, design),
+            None => usage(),
+        },
     }
 }
 
@@ -209,12 +205,10 @@ fn cmd_sta(design: &Design) {
             .collect::<Vec<_>>(),
     );
     if str_flag("--raw").is_some() || str_flag("--vcd").is_some() {
-        let (transitions, _) = transitions_of(design);
-        export_waves(
-            design,
-            transitions.first(),
-            Some(f64_flag("--w-over-l", 10.0)),
-        );
+        // The vector sourcing and sleep size of a screen job.
+        let o = JobOpts::from_flags(JobOpts::default());
+        let (transitions, _) = design_transitions(design, o.stride, o.samples);
+        export_waves(design, transitions.first(), Some(o.w_over_l));
     }
 }
 
@@ -288,322 +282,222 @@ fn count_waves(phase: &mut PhaseTrace, raw_points: u64, vcd_changes: u64) {
     phase.counters.add(CounterId::WaveVcdChanges, vcd_changes);
 }
 
-/// The transitions a flow command runs, per the documented precedence,
-/// plus a human label for where they came from (the CLI face of
-/// [`design_transitions`], shared with `mtk serve`).
-fn transitions_of(design: &Design) -> (Vec<Transition>, String) {
-    design_transitions(design, flag("--stride", 1), flag("--samples", 256))
-}
-
-fn cmd_screen(design: &Design) {
-    warn_lint(design);
-    let threads = flag("--threads", 1);
-    let w_over_l = f64_flag("--w-over-l", 10.0);
-    let top = flag("--top", 10);
-    let policy = failure_policy();
-    let (transitions, label) = transitions_of(design);
-    println!(
-        "mtk screen: {} under {} — {label}, sleep W/L={w_over_l}, {} thread(s)",
-        design.netlist.name(),
-        design.tech.name,
-        threads_label(threads)
-    );
-    let mut trace = TraceReport::new("mtk_screen");
-    let mut spans = SpanRecorder::new(trace_config().spans);
-    spans.begin("screen");
-    let (screened, report) = match screen_vectors_par_quarantined(
-        &design.netlist,
-        &design.tech,
-        &transitions,
-        None,
-        w_over_l,
-        &VbsimOptions::default(),
-        threads,
-        policy,
-        &FaultPlan::none(),
-    ) {
-        Ok(r) => r,
-        Err(e) => die(e),
-    };
-    spans.end();
-    println!(
-        "screened {} transition(s) in {:.2} s wall; {} switch an output",
-        transitions.len(),
-        report.wall,
-        screened.len()
-    );
-    print_table(
-        &format!("worst {} of the screened ranking", top.min(screened.len())),
-        &["rank", "vector", "degradation"],
-        &screened
-            .iter()
-            .take(top)
-            .enumerate()
-            .map(|(k, e)| {
-                vec![
-                    format!("{}", k + 1),
-                    format!("#{}", e.index),
-                    pct(e.delays.degradation()),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    let worst = screened
-        .first()
-        .map(|e| &transitions[e.index])
-        .or_else(|| transitions.first());
-    let (rp, vc) = export_waves(design, worst, Some(w_over_l));
-    let mut phase = report.to_phase("screen");
-    count_waves(&mut phase, rp, vc);
-    trace.push_phase(phase);
-    trace.spans = spans.finish();
-    emit_trace(&trace);
-}
-
-fn cmd_size(design: &Design) {
-    // `--clusters N` routes the whole run through the cluster
-    // co-optimizer — one code path, so the two commands can't drift.
-    if str_flag("--clusters").is_some() {
-        return cmd_cluster(design);
-    }
-    warn_lint(design);
-    let target = f64_flag("--target", 0.05);
-    let lo = f64_flag("--lo", 1.0);
-    let hi = f64_flag("--hi", 2000.0);
-    let (transitions, label) = transitions_of(design);
-    println!(
-        "mtk size: {} under {} — bisect sleep W/L in [{lo}, {hi}] to ≤{} degradation over {label}",
-        design.netlist.name(),
-        design.tech.name,
-        pct(target)
-    );
-    let engine = Engine::new(&design.netlist, &design.tech);
-    // `--store PATH` makes warm reruns free across processes: every
-    // simulated leg is written through to the crash-safe log and a
-    // later `mtk size` over the same design replays it bit-identically.
-    let cache = match str_flag("--store") {
-        Some(path) => match ScreeningCache::persistent(&path) {
-            Ok(c) => c,
-            Err(e) => die(format!("--store {path}: {e}")),
-        },
-        None => ScreeningCache::new(),
-    };
-    let t0 = Instant::now();
-    let (w_over_l, health) = match size_for_target_cached(
-        &engine,
-        &transitions,
-        None,
-        target,
-        (lo, hi),
-        &VbsimOptions::default(),
-        &cache,
-    ) {
-        Ok(r) => r,
-        Err(e) => die(e),
-    };
-    let wall = t0.elapsed().as_secs_f64();
-    println!("sleep transistor W/L = {w_over_l:.2} ({:.2} s wall)", wall);
-    if cache.store().is_some() {
-        let snap = cache.snapshot();
-        println!(
-            "store: {} leg(s) replayed, {} simulated and written through",
-            snap.store_hits, snap.misses
-        );
-    }
-    let (rp, vc) = export_waves(design, transitions.first(), Some(w_over_l));
-    let mut trace = TraceReport::new("mtk_size");
-    let mut phase = PhaseTrace::new("size").with_wall(wall);
-    phase.counters = health.counters();
-    count_waves(&mut phase, rp, vc);
-    trace.push_phase(phase);
-    emit_trace(&trace);
-}
-
-/// The shared cluster co-optimization behind `mtk cluster`, `mtk size
-/// --clusters` and `mtk hybrid --clusters`: partition by
-/// mutually-exclusive switching, size one device per cluster, apply the
-/// never-worse rule. Returns the sizing, the execution report and the
-/// wall-clock label of the vector source.
-fn run_cluster(design: &Design) -> (ClusterSizing, ClusterReport, String, usize) {
-    let smoke = bool_flag("--smoke");
-    let max_clusters = flag("--clusters", 8).max(1);
-    let threads = flag("--threads", 1);
-    let target = f64_flag("--target", 0.05);
-    let lo = f64_flag("--lo", 1.0);
-    let hi = f64_flag("--hi", 2000.0);
-    // `--smoke` thins sampled vector sets so the CI run stays fast;
-    // explicit `vector` lines in the file always run in full.
-    let stride = flag("--stride", if smoke { 64 } else { 1 });
-    let samples = flag("--samples", if smoke { 8 } else { 256 });
-    let (transitions, label) = design_transitions(design, stride, samples);
-    println!(
-        "mtk cluster: {} under {} — ≤{max_clusters} cluster(s) over {label}, target {}, W/L in [{lo}, {hi}], {} thread(s)",
-        design.netlist.name(),
-        design.tech.name,
-        pct(target),
-        threads_label(threads)
-    );
-    let partition = match exclusive_partition(&design.netlist, &transitions, max_clusters) {
-        Ok(p) => p,
-        Err(e) => die(e),
-    };
-    println!(
-        "partitioned {} cell(s) into {} cluster(s) ({} conflict edge(s), {} cell(s) folded by the cap)",
-        design.netlist.cells().len(),
-        partition.n_clusters,
-        partition.conflict_edges,
-        partition.folded
-    );
-    let store = str_flag("--store").map(|path| match mtk_store::Store::open(&path) {
+/// Opens `--store PATH` for the commands that write through it; an
+/// unopenable store is a diagnostic and exit 2.
+fn open_store() -> Option<Store> {
+    str_flag("--store").map(|path| match Store::open(&path) {
         Ok(s) => s,
         Err(e) => die(format!("--store {path}: {e}")),
-    });
-    let n_transitions = transitions.len();
-    let (sizing, report) = match size_clusters_for_target(
-        &design.netlist,
-        &design.tech,
-        &transitions,
-        None,
-        &partition,
-        target,
-        (lo, hi),
-        &VbsimOptions::default(),
-        threads,
-        failure_policy(),
-        &FaultPlan::none(),
-        store.as_ref(),
-    ) {
-        Ok(r) => r,
-        Err(e) => die(e),
-    };
-    if store.is_some() {
-        println!(
-            "store: {} evaluation(s) replayed, {} simulated and written through",
-            report.health.runs.cache_hits, report.health.runs.cache_misses
-        );
-    }
-    (sizing, report, label, n_transitions)
+    })
 }
 
-fn cmd_cluster(design: &Design) {
-    warn_lint(design);
-    let (sizing, report, _, n_transitions) = run_cluster(design);
-    print_table(
-        "per-cluster sleep devices of the returned solution",
-        &["cluster", "W/L"],
-        &sizing
-            .w_over_ls
-            .iter()
-            .enumerate()
-            .map(|(g, wl)| vec![format!("{g}"), format!("{wl:.2}")])
-            .collect::<Vec<_>>(),
-    );
-    let single = sizing
-        .single_w_over_l
-        .map_or("infeasible".to_string(), |w| format!("{w:.2}"));
-    println!(
-        "clustered total W/L = {:.2} over {n_transitions} transition(s); single-device W/L = {single}; returned the {} solution ({:.2} s wall)",
-        sizing.clustered_width,
-        if sizing.fell_back { "single-device" } else { "clustered" },
-        report.wall
-    );
-    let mut trace = TraceReport::new("mtk_cluster");
+/// `mtk screen|size|cluster|hybrid`: one [`Job`] from the flags (the
+/// same one `mtk client` sends and `mtk serve` runs), rendered as text
+/// plus the §10 footer/JSON. `hybrid --clusters N` is composed as a
+/// cluster job, then a hybrid job at the clustered total width — a
+/// conservative lumping (one device of equal width sinks at least the
+/// current of the split devices), so the verification stays meaningful
+/// without teaching the SPICE netlister about partitions.
+fn cmd_job(kind: JobKind, design: Design) {
+    warn_lint(&design);
+    let mut job = Job::from_flags(kind, design);
     let mut spans = SpanRecorder::new(trace_config().spans);
-    spans.begin("cluster");
-    spans.end();
-    trace.push_phase(report.to_phase("cluster", &sizing));
+    let mut cluster_phases = Vec::new();
+    if job.kind == JobKind::Hybrid && str_flag("--clusters").is_some() {
+        let cluster = Job::from_flags(JobKind::Cluster, job.design().clone());
+        let (out, _) = run_job(&cluster, &mut spans);
+        if let JobOutput::Cluster { sizing, .. } = &out {
+            let total = sizing.total_width();
+            println!("hybrid verifies at the clustered total W/L = {total:.2}");
+            job.opts.w_over_l = total;
+        }
+        cluster_phases = out.trace().phases;
+    }
+    let (out, transitions) = run_job(&job, &mut spans);
+    let (design, o) = (job.design(), &job.opts);
+    let mut trace = out.trace();
+    match &out {
+        JobOutput::Screen {
+            screened, report, ..
+        } => {
+            println!(
+                "screened {} transition(s) in {:.2} s wall; {} switch an output",
+                transitions.len(),
+                report.wall,
+                screened.len()
+            );
+            print_table(
+                &format!(
+                    "worst {} of the screened ranking",
+                    o.top.min(screened.len())
+                ),
+                &["rank", "vector", "degradation"],
+                &screened
+                    .iter()
+                    .take(o.top)
+                    .enumerate()
+                    .map(|(k, e)| {
+                        vec![
+                            format!("{}", k + 1),
+                            format!("#{}", e.index),
+                            pct(e.delays.degradation()),
+                        ]
+                    })
+                    .collect::<Vec<_>>(),
+            );
+            let worst = screened.first().map(|e| &transitions[e.index]);
+            let (rp, vc) = export_waves(design, worst.or(transitions.first()), Some(o.w_over_l));
+            count_waves(&mut trace.phases[0], rp, vc);
+        }
+        JobOutput::Size { w_over_l, .. } => {
+            let (rp, vc) = export_waves(design, transitions.first(), Some(*w_over_l));
+            count_waves(&mut trace.phases[0], rp, vc);
+        }
+        JobOutput::Cluster { sizing, report } => {
+            print_table(
+                "per-cluster sleep devices of the returned solution",
+                &["cluster", "W/L"],
+                &sizing
+                    .w_over_ls
+                    .iter()
+                    .enumerate()
+                    .map(|(g, wl)| vec![format!("{g}"), format!("{wl:.2}")])
+                    .collect::<Vec<_>>(),
+            );
+            let single = sizing
+                .single_w_over_l
+                .map_or("infeasible".to_string(), |w| format!("{w:.2}"));
+            println!(
+                "clustered total W/L = {:.2} over {} transition(s); single-device W/L = {single}; returned the {} solution ({:.2} s wall)",
+                sizing.clustered_width,
+                transitions.len(),
+                if sizing.fell_back { "single-device" } else { "clustered" },
+                report.wall
+            );
+        }
+        JobOutput::Hybrid(report) => {
+            println!(
+                "screened {} transition(s) ({} switch an output) in {:.2} s; verified {} in {:.2} s",
+                transitions.len(),
+                report.survivors,
+                report.screen_wall,
+                report.findings.len(),
+                report.verify_wall
+            );
+            print_table(
+                "screened top-k, SPICE-verified",
+                &["rank", "vector", "simulator degr", "SPICE degr", "delta"],
+                &report
+                    .findings
+                    .iter()
+                    .enumerate()
+                    .map(|(k, f)| {
+                        vec![
+                            format!("{}", k + 1),
+                            format!("#{}", f.index),
+                            pct(f.screened.degradation()),
+                            f.verified
+                                .map_or("quarantined".to_string(), |v| pct(v.degradation())),
+                            f.delta.map_or("-".to_string(), pct),
+                        ]
+                    })
+                    .collect::<Vec<_>>(),
+            );
+            let worst = report.findings.first().map(|f| &transitions[f.index]);
+            let (rp, vc) = export_waves(design, worst.or(transitions.first()), Some(o.w_over_l));
+            if rp + vc > 0 {
+                let mut phase = PhaseTrace::new("wave");
+                count_waves(&mut phase, rp, vc);
+                trace.push_phase(phase);
+            }
+        }
+    }
+    trace.phases.extend(cluster_phases);
     trace.spans = spans.finish();
     emit_trace(&trace);
 }
 
-fn cmd_hybrid(design: &Design) {
-    warn_lint(design);
-    let threads = flag("--threads", 1);
-    let top_k = flag("--top-k", 10);
-    // `--clusters N` co-optimizes per-cluster devices first, then
-    // SPICE-verifies at a single device of the same *total* width — a
-    // conservative lumping (one device of equal width sinks at least
-    // the current of the split devices), so the verification stays
-    // meaningful without teaching the SPICE netlister about partitions.
-    let cluster_phase = if str_flag("--clusters").is_some() {
-        let (sizing, report, _, _) = run_cluster(design);
-        println!(
-            "hybrid verifies at the clustered total W/L = {:.2}",
-            sizing.total_width()
-        );
-        Some((sizing.total_width(), report.to_phase("cluster", &sizing)))
-    } else {
-        None
+/// Prints a job's header, runs it inside a wall-clock span named after
+/// its kind (a failed run is a diagnostic and exit 2), and prints what
+/// the run reports before any table: the size result, the partition, and
+/// the `--store` traffic. Returns the output and the job's transitions.
+fn run_job(job: &Job, spans: &mut SpanRecorder) -> (JobOutput, Vec<Transition>) {
+    let (design, o) = (job.design(), &job.opts);
+    let (name, tech) = (design.netlist.name(), &design.tech.name);
+    let (transitions, label) = job.transitions();
+    let threads = threads_label(o.threads);
+    match job.kind {
+        JobKind::Screen => println!(
+            "mtk screen: {name} under {tech} — {label}, sleep W/L={}, {threads} thread(s)",
+            o.w_over_l
+        ),
+        JobKind::Size => println!(
+            "mtk size: {name} under {tech} — bisect sleep W/L in [{}, {}] to ≤{} degradation over {label}",
+            o.lo,
+            o.hi,
+            pct(o.target)
+        ),
+        JobKind::Cluster => println!(
+            "mtk cluster: {name} under {tech} — ≤{} cluster(s) over {label}, target {}, W/L in [{}, {}], {threads} thread(s)",
+            o.clusters,
+            pct(o.target),
+            o.lo,
+            o.hi
+        ),
+        JobKind::Hybrid => println!(
+            "mtk hybrid: {name} under {tech} — screen {label}, SPICE-verify the top {}, {threads} thread(s)",
+            o.top_k
+        ),
+    }
+    // `--store PATH` makes warm reruns free across processes: a size job
+    // writes every simulated leg through to the crash-safe log, a cluster
+    // job every evaluation, and a later run replays them bit-identically.
+    let store = matches!(job.kind, JobKind::Size | JobKind::Cluster)
+        .then(open_store)
+        .flatten();
+    let ctx = match job.kind {
+        JobKind::Size => JobCtx {
+            cache: store.map_or_else(ScreeningCache::new, ScreeningCache::with_store),
+            store: None,
+        },
+        _ => JobCtx {
+            store,
+            ..JobCtx::default()
+        },
     };
-    let w_over_l = match &cluster_phase {
-        Some((total, _)) => *total,
-        None => f64_flag("--w-over-l", 10.0),
-    };
-    let policy = failure_policy();
-    let (transitions, label) = transitions_of(design);
-    println!(
-        "mtk hybrid: {} under {} — screen {label}, SPICE-verify the top {top_k}, {} thread(s)",
-        design.netlist.name(),
-        design.tech.name,
-        threads_label(threads)
-    );
-    let opts = HybridOptions {
-        top_k,
-        threads,
-        policy,
-        ..HybridOptions::at_size(w_over_l, SpiceRunConfig::window(80e-9))
-    };
-    let report = match run_hybrid(&design.netlist, &design.tech, &transitions, &opts) {
-        Ok(r) => r,
+    let out = match spans.time(job.kind.name(), || job.run(&ctx)) {
+        Ok(out) => out,
         Err(e) => die(e),
     };
-    println!(
-        "screened {} transition(s) ({} switch an output) in {:.2} s; verified {} in {:.2} s",
-        transitions.len(),
-        report.survivors,
-        report.screen_wall,
-        report.findings.len(),
-        report.verify_wall
-    );
-    print_table(
-        "screened top-k, SPICE-verified",
-        &["rank", "vector", "simulator degr", "SPICE degr", "delta"],
-        &report
-            .findings
-            .iter()
-            .enumerate()
-            .map(|(k, f)| {
-                vec![
-                    format!("{}", k + 1),
-                    format!("#{}", f.index),
-                    pct(f.screened.degradation()),
-                    f.verified
-                        .map_or("quarantined".to_string(), |v| pct(v.degradation())),
-                    f.delta.map_or("-".to_string(), pct),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    let worst = report
-        .findings
-        .first()
-        .map(|f| &transitions[f.index])
-        .or_else(|| transitions.first());
-    let (rp, vc) = export_waves(design, worst, Some(w_over_l));
-    let mut trace = report.to_trace("mtk_hybrid");
-    if rp + vc > 0 {
-        let mut phase = PhaseTrace::new("wave");
-        count_waves(&mut phase, rp, vc);
-        trace.push_phase(phase);
+    match &out {
+        JobOutput::Size { w_over_l, wall, .. } => {
+            println!("sleep transistor W/L = {w_over_l:.2} ({wall:.2} s wall)");
+            if ctx.cache.store().is_some() {
+                let snap = ctx.cache.snapshot();
+                println!(
+                    "store: {} leg(s) replayed, {} simulated and written through",
+                    snap.store_hits, snap.misses
+                );
+            }
+        }
+        JobOutput::Cluster { report, .. } => {
+            println!(
+                "partitioned {} cell(s) into {} cluster(s) ({} conflict edge(s), {} cell(s) folded by the cap)",
+                design.netlist.cells().len(),
+                report.n_clusters,
+                report.conflict_edges,
+                report.folded
+            );
+            if ctx.store.is_some() {
+                println!(
+                    "store: {} evaluation(s) replayed, {} simulated and written through",
+                    report.health.runs.cache_hits, report.health.runs.cache_misses
+                );
+            }
+        }
+        JobOutput::Screen { .. } | JobOutput::Hybrid(_) => {}
     }
-    if let Some((_, phase)) = cluster_phase {
-        trace.push_phase(phase);
-    }
-    let mut spans = SpanRecorder::new(trace_config().spans);
-    spans.begin("hybrid");
-    spans.end();
-    trace.spans = spans.finish();
-    emit_trace(&trace);
+    (out, transitions)
 }
 
 /// `mtk mc`: Monte Carlo yield analysis under process variation. The
@@ -615,9 +509,16 @@ fn cmd_mc(design: &Design) {
     warn_lint(design);
     let smoke = bool_flag("--smoke");
     let trials = flag("--trials", if smoke { 64 } else { 256 });
-    let threads = flag("--threads", 1);
-    let w_over_l = f64_flag("--w-over-l", 10.0);
-    let target = f64_flag("--target", 0.05);
+    // The job options mc shares (`--threads`, `--w-over-l`, `--target`,
+    // `--stride`, `--samples`, the failure policy); `--smoke` thins the
+    // exhaustive transition space so the CI sweep stays fast, and an
+    // explicit `--stride` still wins.
+    let mut defaults = JobOpts::default();
+    if smoke {
+        defaults.stride = 256;
+    }
+    let o = JobOpts::from_flags(defaults);
+    let (threads, w_over_l, target) = (o.threads, o.w_over_l, o.target);
     let widths: Vec<f64> = match str_flag("--widths") {
         Some(list) => list
             .split(',')
@@ -644,10 +545,7 @@ fn cmd_mc(design: &Design) {
     tech.sigma_vt = f64_flag("--sigma-vt", tech.sigma_vt);
     tech.sigma_kp = f64_flag("--sigma-kp", tech.sigma_kp);
     tech.sigma_w = f64_flag("--sigma-w", tech.sigma_w);
-    // `--smoke` thins the exhaustive transition space so the CI sweep
-    // stays fast; an explicit `--stride` still wins.
-    let stride = flag("--stride", if smoke { 256 } else { 1 });
-    let (transitions, label) = design_transitions(design, stride, flag("--samples", 256));
+    let (transitions, label) = design_transitions(design, o.stride, o.samples);
     let opts = McOptions {
         trials,
         seed: flag("--seed", 0x4D43) as u64,
@@ -655,7 +553,7 @@ fn cmd_mc(design: &Design) {
         widths,
         target,
         threads,
-        policy: failure_policy(),
+        policy: o.policy,
         base: VbsimOptions::default(),
     };
     println!(
@@ -666,19 +564,20 @@ fn cmd_mc(design: &Design) {
         pct(target),
         threads_label(threads)
     );
-    let store = str_flag("--store").map(|path| match mtk_store::Store::open(&path) {
-        Ok(s) => s,
-        Err(e) => die(format!("--store {path}: {e}")),
+    let store = open_store();
+    let mut spans = SpanRecorder::new(trace_config().spans);
+    let report = spans.time("mc", || {
+        run_mc(
+            &design.netlist,
+            &tech,
+            &transitions,
+            None,
+            &opts,
+            store.as_ref(),
+            &FaultPlan::none(),
+        )
     });
-    let report = match run_mc(
-        &design.netlist,
-        &tech,
-        &transitions,
-        None,
-        &opts,
-        store.as_ref(),
-        &FaultPlan::none(),
-    ) {
+    let report = match report {
         Ok(r) => r,
         Err(e) => die(e),
     };
@@ -709,9 +608,6 @@ fn cmd_mc(design: &Design) {
         );
     }
     let mut trace = TraceReport::new("mtk_mc");
-    let mut spans = SpanRecorder::new(trace_config().spans);
-    spans.begin("mc");
-    spans.end();
     trace.push_phase(report.to_phase("mc"));
     trace.spans = spans.finish();
     emit_trace(&trace);
@@ -771,7 +667,7 @@ fn cmd_export(design: &Design) {
     let sleep = if bool_flag("--cmos") {
         None
     } else {
-        Some(f64_flag("--w-over-l", 10.0))
+        Some(f64_flag("--w-over-l", JobOpts::default().w_over_l))
     };
     let deck = match export_deck(design, sleep) {
         Ok(d) => d,
@@ -1005,40 +901,16 @@ fn cmd_client(rest: &[String]) {
             ])
             .to_compact()
         }
-        "screen" | "size" | "cluster" | "hybrid" => {
-            let path = match rest.get(2) {
-                Some(p) if !p.starts_with("--") => p,
-                _ => usage(),
-            };
-            let design = load(path);
-            let mut fields = vec![
-                (
-                    "cmd".to_string(),
-                    mtk_trace::json::JsonValue::String(cmd.to_string()),
-                ),
-                (
-                    "design".to_string(),
-                    mtk_trace::json::JsonValue::String(design.to_mtk()),
-                ),
-            ];
-            let numbers = [
-                ("threads", flag("--threads", 1) as f64),
-                ("w_over_l", f64_flag("--w-over-l", 10.0)),
-                ("top_k", flag("--top-k", 10) as f64),
-                ("target", f64_flag("--target", 0.05)),
-                ("lo", f64_flag("--lo", 1.0)),
-                ("hi", f64_flag("--hi", 2000.0)),
-                ("stride", flag("--stride", 1) as f64),
-                ("samples", flag("--samples", 256) as f64),
-                ("top", flag("--top", 10) as f64),
-                ("clusters", flag("--clusters", 8) as f64),
-            ];
-            for (name, value) in numbers {
-                fields.push((name.to_string(), mtk_trace::json::JsonValue::Number(value)));
+        cmd => match JobKind::parse(cmd) {
+            Some(kind) => {
+                let path = match rest.get(2) {
+                    Some(p) if !p.starts_with("--") => p,
+                    _ => usage(),
+                };
+                Job::from_flags(kind, load(path)).to_request()
             }
-            mtk_trace::json::JsonValue::Object(fields).to_compact()
-        }
-        _ => usage(),
+            None => usage(),
+        },
     };
     let timeout = Duration::from_millis(flag("--timeout-ms", 120_000) as u64);
     let response = match serve::request(&addr, &line, timeout) {

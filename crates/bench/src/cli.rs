@@ -8,14 +8,11 @@
 use mtk_core::health::FailurePolicy;
 use mtk_trace::{TraceConfig, TraceReport};
 
-/// Value of `--<name> N`, or `default` when absent/unparsable.
+/// Value of `--<name> N`, or `default` when absent. A present flag
+/// whose value is missing or not a non-negative integer is a usage
+/// error: message on stderr, exit 2.
 pub fn flag(name: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    parsed_flag(name, "a non-negative integer", |v| v.parse().ok()).unwrap_or(default)
 }
 
 /// True when `--<name>` is present.
@@ -23,15 +20,33 @@ pub fn bool_flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
 }
 
-/// Value of `--<name> X` as a float, or `default` when
-/// absent/unparsable.
+/// Value of `--<name> X` as a float, or `default` when absent. A
+/// present flag whose value is missing or not a finite number exits 2
+/// like [`flag`].
 pub fn f64_flag(name: &str, default: f64) -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    parsed_flag(name, "a finite number", |v| {
+        v.parse().ok().filter(|x: &f64| x.is_finite())
+    })
+    .unwrap_or(default)
+}
+
+/// The parsed value of `--<name>`, `None` when the flag is absent; a
+/// missing or unparsable value exits 2 with
+/// ``error: --<name>: `<value>` is not <what>``.
+fn parsed_flag<T>(name: &str, what: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
+    if !bool_flag(name) {
+        return None;
+    }
+    let value = str_flag(name);
+    let parsed = value.as_deref().and_then(parse);
+    if parsed.is_none() {
+        match value {
+            Some(v) => eprintln!("error: {name}: `{v}` is not {what}"),
+            None => eprintln!("error: {name}: missing value (want {what})"),
+        }
+        std::process::exit(2);
+    }
+    parsed
 }
 
 /// Value of `--<name> <string>`, when present.

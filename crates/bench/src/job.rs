@@ -1,0 +1,506 @@
+//! The one job model behind `mtk screen|size|cluster|hybrid`, `mtk
+//! client` and `mtk serve`: a [`Job`] built from CLI flags or a serve
+//! request keys the store, serializes to a request line, and runs once
+//! into a typed [`JobOutput`] that each front end renders — text on the
+//! CLI, the `{"result","trace"}` payload over the wire.
+
+use crate::cli::{bool_flag, f64_flag, failure_policy, flag, str_flag};
+use crate::design_transitions;
+use mtk_core::cluster::{
+    exclusive_partition, size_clusters_for_target, ClusterReport, ClusterSizing,
+};
+use mtk_core::health::{FailurePolicy, FaultPlan, RunHealth};
+use mtk_core::hybrid::{run_hybrid, HybridOptions, HybridReport, SpiceRunConfig};
+use mtk_core::sizing::{
+    screen_vectors_par_quarantined, size_for_target_cached, ScreenReport, ScreenedVector,
+    ScreeningCache, Transition,
+};
+use mtk_core::vbsim::{Engine, VbsimOptions};
+use mtk_core::CoreError;
+use mtk_fe::Design;
+use mtk_store::Store;
+use mtk_trace::json::JsonValue;
+use mtk_trace::{PhaseTrace, TraceReport};
+use std::time::Instant;
+
+/// Tag prefix of request-level records in the store, versioned
+/// separately from the container: bump when the request fingerprint or
+/// payload layout changes so stale records read as misses.
+const REQUEST_RECORD_TAG: &[u8; 5] = b"req2:";
+
+/// Which flow a job runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobKind {
+    /// Parallel switch-level screening of the vector set.
+    Screen,
+    /// Bisect one sleep device to the target degradation.
+    Size,
+    /// Per-cluster sleep devices, co-optimized to the target.
+    Cluster,
+    /// Screen, then SPICE-verify the top-k survivors.
+    Hybrid,
+}
+
+impl JobKind {
+    /// The kind named by a CLI command or request `cmd`.
+    pub fn parse(cmd: &str) -> Option<JobKind> {
+        use JobKind::*;
+        [Screen, Size, Cluster, Hybrid]
+            .into_iter()
+            .find(|k| k.name() == cmd)
+    }
+
+    /// The command / request `cmd` name (also the CLI span name).
+    pub fn name(self) -> &'static str {
+        match self {
+            JobKind::Screen => "screen",
+            JobKind::Size => "size",
+            JobKind::Cluster => "cluster",
+            JobKind::Hybrid => "hybrid",
+        }
+    }
+}
+
+/// Every option of a job. The first nine key the result (and the store);
+/// `threads` and `policy` only affect execution. Each keyed field is the
+/// request field of the same name and the CLI flag `--<name>` with `_`
+/// spelled `-` (DESIGN.md §13.2).
+#[derive(Debug, Clone, Copy)]
+pub struct JobOpts {
+    /// Sleep W/L of screening and hybrid verification.
+    pub w_over_l: f64,
+    /// Survivors SPICE-verified by a hybrid job.
+    pub top_k: usize,
+    /// Degradation target of size and cluster jobs.
+    pub target: f64,
+    /// Lower end of the sizing bracket.
+    pub lo: f64,
+    /// Upper end of the sizing bracket.
+    pub hi: f64,
+    /// Subsampling stride of an exhaustive transition space.
+    pub stride: usize,
+    /// Seeded random samples when the space is too large to enumerate.
+    pub samples: usize,
+    /// Ranked vectors a screen job reports.
+    pub top: usize,
+    /// Cluster cap of a cluster job (at least 1).
+    pub clusters: usize,
+    /// Worker threads (0 = all cores).
+    pub threads: usize,
+    /// Failure routing of the parallel sweeps.
+    pub policy: FailurePolicy,
+}
+
+impl Default for JobOpts {
+    fn default() -> Self {
+        JobOpts {
+            w_over_l: 10.0,
+            top_k: 10,
+            target: 0.05,
+            lo: 1.0,
+            hi: 2000.0,
+            stride: 1,
+            samples: 256,
+            top: 10,
+            clusters: 8,
+            threads: 1,
+            policy: FailurePolicy::quarantine(32),
+        }
+    }
+}
+
+impl JobOpts {
+    /// Reads every numeric option by field name, falling back to
+    /// `defaults`. The first failing field's error wins (`threads` first).
+    fn read<E>(
+        defaults: JobOpts,
+        num: impl Fn(&str, f64) -> Result<f64, E>,
+        int: impl Fn(&str, usize) -> Result<usize, E>,
+    ) -> Result<JobOpts, E> {
+        Ok(JobOpts {
+            threads: int("threads", defaults.threads)?,
+            w_over_l: num("w_over_l", defaults.w_over_l)?,
+            top_k: int("top_k", defaults.top_k)?,
+            target: num("target", defaults.target)?,
+            lo: num("lo", defaults.lo)?,
+            hi: num("hi", defaults.hi)?,
+            stride: int("stride", defaults.stride)?,
+            samples: int("samples", defaults.samples)?,
+            top: int("top", defaults.top)?,
+            clusters: int("clusters", defaults.clusters)?.max(1),
+            policy: defaults.policy,
+        })
+    }
+
+    /// The options of a CLI invocation: each `--<field>` flag (`_`
+    /// spelled `-`) over `defaults`, and the `--max-failures` /
+    /// `--fail-fast` policy. A malformed numeric flag exits 2
+    /// ([`crate::cli::flag`]).
+    pub fn from_flags(defaults: JobOpts) -> JobOpts {
+        let flag_name = |k: &str| format!("--{}", k.replace('_', "-"));
+        let Ok(opts) = JobOpts::read::<std::convert::Infallible>(
+            defaults,
+            |k, d| Ok(f64_flag(&flag_name(k), d)),
+            |k, d| Ok(flag(&flag_name(k), d)),
+        );
+        JobOpts {
+            policy: failure_policy(),
+            ..opts
+        }
+    }
+}
+
+/// What a job runs against: the leg `cache` size jobs share (optionally
+/// store-backed), and the optional `store` cluster jobs write their
+/// evaluations through.
+#[derive(Default)]
+pub struct JobCtx {
+    pub cache: ScreeningCache,
+    pub store: Option<Store>,
+}
+
+/// One validated job: the flow `kind`, the parsed design with its
+/// canonical `.mtk` text (what keys the store and what the client sends;
+/// private so the two cannot disagree), and every option.
+#[derive(Debug, Clone)]
+pub struct Job {
+    pub kind: JobKind,
+    design: Design,
+    canonical: String,
+    pub opts: JobOpts,
+}
+
+/// A JSON object from `(key, value)` pairs, in order.
+fn object<'a>(fields: impl IntoIterator<Item = (&'a str, JsonValue)>) -> JsonValue {
+    JsonValue::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
+
+impl Job {
+    /// A job over `design`; the canonical text is derived from it.
+    fn new(kind: JobKind, design: Design, opts: JobOpts) -> Job {
+        let canonical = design.to_mtk();
+        Job {
+            kind,
+            design,
+            canonical,
+            opts,
+        }
+    }
+
+    /// The job of a serve request: `cmd`, the `design` text, and the
+    /// optional numeric fields; `threads` defaults to the server's.
+    ///
+    /// # Errors
+    ///
+    /// The message of a missing or unparsable design, a non-job `cmd`,
+    /// or the first malformed numeric field.
+    pub fn from_json(req: &JsonValue, default_threads: usize) -> Result<Job, String> {
+        let kind = req
+            .get("cmd")
+            .and_then(JsonValue::as_str)
+            .and_then(JobKind::parse)
+            .ok_or("not a job (want screen|size|cluster|hybrid)")?;
+        let text = req
+            .get("design")
+            .and_then(JsonValue::as_str)
+            .ok_or("missing `design` (the .mtk netlist text)")?;
+        let design = mtk_fe::parse_str(text, "<request>").map_err(|e| e.to_string())?;
+        let defaults = JobOpts {
+            threads: default_threads,
+            ..JobOpts::default()
+        };
+        let num = |key: &str, default: f64| match req.get(key) {
+            None => Ok(default),
+            Some(v) => (v.as_f64().filter(|x| x.is_finite()))
+                .ok_or_else(|| format!("field `{key}` must be a finite number")),
+        };
+        let int = |key: &str, default: usize| match req.get(key) {
+            None => Ok(default),
+            Some(v) => (v.as_u64().map(|x| x as usize))
+                .ok_or_else(|| format!("field `{key}` must be a non-negative integer")),
+        };
+        let opts = JobOpts::read(defaults, num, int)?;
+        Ok(Job::new(kind, design, opts))
+    }
+
+    /// The job of a CLI invocation (`mtk <kind>` or `mtk client … <kind>`)
+    /// from the process flags ([`JobOpts::from_flags`]). `size --clusters
+    /// N` is a cluster job, and `--smoke` thins a cluster job's sampled
+    /// vector set (stride 64, 8 samples) unless `--stride`/`--samples`
+    /// say otherwise.
+    pub fn from_flags(kind: JobKind, design: Design) -> Job {
+        let kind = match kind {
+            JobKind::Size if str_flag("--clusters").is_some() => JobKind::Cluster,
+            k => k,
+        };
+        let mut defaults = JobOpts::default();
+        if kind == JobKind::Cluster && bool_flag("--smoke") {
+            defaults.stride = 64;
+            defaults.samples = 8;
+        }
+        Job::new(kind, design, JobOpts::from_flags(defaults))
+    }
+
+    /// `cmd`, the canonical design, optionally `threads`, then the nine
+    /// keyed fields in store-key order.
+    fn fields(&self, threads: bool) -> JsonValue {
+        let (o, n) = (&self.opts, JsonValue::Number);
+        let mut fields = vec![
+            ("cmd", JsonValue::String(self.kind.name().into())),
+            ("design", JsonValue::String(self.canonical.clone())),
+        ];
+        fields.extend(threads.then(|| ("threads", n(o.threads as f64))));
+        fields.extend([
+            ("w_over_l", n(o.w_over_l)),
+            ("top_k", n(o.top_k as f64)),
+            ("target", n(o.target)),
+            ("lo", n(o.lo)),
+            ("hi", n(o.hi)),
+            ("stride", n(o.stride as f64)),
+            ("samples", n(o.samples as f64)),
+            ("top", n(o.top as f64)),
+            ("clusters", n(o.clusters as f64)),
+        ]);
+        object(fields)
+    }
+
+    /// Content-addressed request fingerprint: tag + compact JSON of the
+    /// canonical design and every result-determining option, `threads`
+    /// deliberately excluded (results are thread-count invariant).
+    pub fn store_key(&self) -> Vec<u8> {
+        let mut key = REQUEST_RECORD_TAG.to_vec();
+        key.extend_from_slice(self.fields(false).to_compact().as_bytes());
+        key
+    }
+
+    /// The serve request line of this job (what `mtk client` sends).
+    pub fn to_request(&self) -> String {
+        self.fields(true).to_compact()
+    }
+
+    /// The parsed design.
+    pub fn design(&self) -> &Design {
+        &self.design
+    }
+
+    /// The transitions this job runs plus a label of their source
+    /// ([`design_transitions`]).
+    pub fn transitions(&self) -> (Vec<Transition>, String) {
+        design_transitions(&self.design, self.opts.stride, self.opts.samples)
+    }
+
+    /// Runs the job.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the flow's [`CoreError`].
+    pub fn run(&self, ctx: &JobCtx) -> Result<JobOutput, CoreError> {
+        let (transitions, _) = self.transitions();
+        let (netlist, tech) = (&self.design.netlist, &self.design.tech);
+        let o = &self.opts;
+        let base = VbsimOptions::default();
+        Ok(match self.kind {
+            JobKind::Screen => {
+                let (screened, report) = screen_vectors_par_quarantined(
+                    netlist,
+                    tech,
+                    &transitions,
+                    None,
+                    o.w_over_l,
+                    &base,
+                    o.threads,
+                    o.policy,
+                    &FaultPlan::none(),
+                )?;
+                JobOutput::Screen {
+                    top: o.top,
+                    screened,
+                    report,
+                }
+            }
+            JobKind::Size => {
+                let engine = Engine::new(netlist, tech);
+                let t0 = Instant::now();
+                let (w_over_l, health) = size_for_target_cached(
+                    &engine,
+                    &transitions,
+                    None,
+                    o.target,
+                    (o.lo, o.hi),
+                    &base,
+                    &ctx.cache,
+                )?;
+                JobOutput::Size {
+                    w_over_l,
+                    health,
+                    wall: t0.elapsed().as_secs_f64(),
+                }
+            }
+            JobKind::Cluster => {
+                let partition = exclusive_partition(netlist, &transitions, o.clusters)?;
+                let (sizing, report) = size_clusters_for_target(
+                    netlist,
+                    tech,
+                    &transitions,
+                    None,
+                    &partition,
+                    o.target,
+                    (o.lo, o.hi),
+                    &base,
+                    o.threads,
+                    o.policy,
+                    &FaultPlan::none(),
+                    ctx.store.as_ref(),
+                )?;
+                JobOutput::Cluster { sizing, report }
+            }
+            JobKind::Hybrid => {
+                let opts = HybridOptions {
+                    top_k: o.top_k,
+                    threads: o.threads,
+                    policy: o.policy,
+                    ..HybridOptions::at_size(o.w_over_l, SpiceRunConfig::window(80e-9))
+                };
+                JobOutput::Hybrid(run_hybrid(netlist, tech, &transitions, &opts)?)
+            }
+        })
+    }
+}
+
+/// The typed result of one [`Job::run`].
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)] // one value per run, never stored in bulk
+pub enum JobOutput {
+    /// The vectors that switch an output, worst first, of which the
+    /// result reports the `top`.
+    Screen {
+        top: usize,
+        screened: Vec<ScreenedVector>,
+        report: ScreenReport,
+    },
+    /// The smallest single-device W/L meeting the target, with the
+    /// bisection's simulator/cache counters and wall seconds.
+    Size {
+        w_over_l: f64,
+        health: RunHealth,
+        wall: f64,
+    },
+    /// The returned per-cluster sizing (never worse than one device).
+    Cluster {
+        sizing: ClusterSizing,
+        report: ClusterReport,
+    },
+    /// The screened and SPICE-verified top-k findings.
+    Hybrid(HybridReport),
+}
+
+impl JobOutput {
+    /// The `result` object of a serve response.
+    pub fn result_json(&self) -> JsonValue {
+        let num = JsonValue::Number;
+        let opt_num = |v: Option<f64>| v.map_or(JsonValue::Null, JsonValue::Number);
+        match self {
+            JobOutput::Screen {
+                top,
+                screened,
+                report,
+            } => {
+                let top = screened
+                    .iter()
+                    .take(*top)
+                    .map(|s| {
+                        object([
+                            ("index", num(s.index as f64)),
+                            ("degradation", num(s.delays.degradation())),
+                        ])
+                    })
+                    .collect();
+                object([
+                    ("transitions", num(report.health.items as f64)),
+                    ("switching", num(screened.len() as f64)),
+                    ("top", JsonValue::Array(top)),
+                ])
+            }
+            JobOutput::Size { w_over_l, .. } => object([("w_over_l", num(*w_over_l))]),
+            JobOutput::Cluster { sizing, report } => object([
+                ("clusters", num(report.n_clusters as f64)),
+                ("conflict_edges", num(report.conflict_edges as f64)),
+                ("folded", num(report.folded as f64)),
+                (
+                    "w_over_ls",
+                    JsonValue::Array(sizing.w_over_ls.iter().map(|&w| num(w)).collect()),
+                ),
+                ("clustered_width", num(sizing.clustered_width)),
+                ("single_w_over_l", opt_num(sizing.single_w_over_l)),
+                ("fell_back", JsonValue::Bool(sizing.fell_back)),
+                ("total_width", num(sizing.total_width())),
+            ]),
+            JobOutput::Hybrid(report) => {
+                let findings = report
+                    .findings
+                    .iter()
+                    .map(|f| {
+                        object([
+                            ("index", num(f.index as f64)),
+                            ("screened", num(f.screened.degradation())),
+                            ("verified", opt_num(f.verified.map(|v| v.degradation()))),
+                            ("delta", opt_num(f.delta)),
+                        ])
+                    })
+                    .collect();
+                object([
+                    ("transitions", num(report.screen_health.items as f64)),
+                    ("survivors", num(report.survivors as f64)),
+                    ("findings", JsonValue::Array(findings)),
+                ])
+            }
+        }
+    }
+
+    /// The run's trace report (tool `mtk_<kind>`), without spans.
+    pub fn trace(&self) -> TraceReport {
+        let single = |tool: &str, phase: PhaseTrace| {
+            let mut trace = TraceReport::new(tool);
+            trace.push_phase(phase);
+            trace
+        };
+        match self {
+            JobOutput::Screen { report, .. } => single("mtk_screen", report.to_phase("screen")),
+            JobOutput::Size { health, wall, .. } => {
+                let mut phase = PhaseTrace::new("size").with_wall(*wall);
+                phase.counters = health.counters();
+                single("mtk_size", phase)
+            }
+            JobOutput::Cluster { sizing, report } => {
+                single("mtk_cluster", report.to_phase("cluster", sizing))
+            }
+            JobOutput::Hybrid(report) => report.to_trace("mtk_hybrid"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const CHAIN: &str = "mtk 1\ncircuit chain\ntech l07\nnet a\nnet y\ninput a\noutput y\n\
+                         cell i1 inv a -> y\nend\n";
+
+    #[test]
+    fn store_key_is_the_documented_golden() {
+        let design = JsonValue::String(CHAIN.into()).to_compact();
+        let req = mtk_trace::json::parse(&format!(
+            "{{\"cmd\":\"screen\",\"design\":{design},\"threads\":4,\"top\":3}}"
+        ))
+        .unwrap();
+        let job = Job::from_json(&req, 1).unwrap();
+        let key = String::from_utf8(job.store_key()).unwrap();
+        assert_eq!(
+            key,
+            "req2:{\"cmd\":\"screen\",\"design\":\"mtk 1\\ncircuit chain\\ntech l07\\nnet a\\n\
+             net y\\ninput a\\noutput y\\ncell i1 inv a -> y\\nend\\n\",\"w_over_l\":10,\
+             \"top_k\":10,\"target\":0.05,\"lo\":1,\"hi\":2000,\"stride\":1,\"samples\":256,\
+             \"top\":3,\"clusters\":8}"
+        );
+    }
+}

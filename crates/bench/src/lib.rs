@@ -8,6 +8,7 @@
 //! statistics used to compare the two engines, and the timing harness.
 
 pub mod cli;
+pub mod job;
 pub mod report;
 pub mod serve;
 pub mod speedfile;

@@ -7,13 +7,13 @@
 //! One JSON object per line in each direction. Requests:
 //!
 //! * `{"cmd":"screen"|"size"|"cluster"|"hybrid","design":"<.mtk text>",
-//!   ...}` — run a job. Optional numeric fields: `threads`, `w_over_l`,
-//!   `top_k`, `target`, `lo`, `hi`, `stride`, `samples`, `top`,
-//!   `clusters`.
+//!   ...}` — run a [`Job`]. Optional numeric fields: `threads`,
+//!   `w_over_l`, `top_k`, `target`, `lo`, `hi`, `stride`, `samples`,
+//!   `top`, `clusters` ([`crate::job::JobOpts`]).
 //! * `{"cmd":"import","deck":"<SPICE text>"}` — standard-format import:
 //!   flatten subcircuits, recognize gates, return canonical `.mtk` (or
 //!   `recognized:false` with the reason — the SPICE-only fallback).
-//! * `{"cmd":"status"}` — health snapshot: serve counters as a schema-v3
+//! * `{"cmd":"status"}` — health snapshot: serve counters as a schema-v6
 //!   trace report, cache occupancy, store stats, connection gauges.
 //! * `{"cmd":"shutdown"}` — begin a graceful drain.
 //!
@@ -44,12 +44,8 @@
 //! the same design+options served at any parallelism dedups to one
 //! record.
 
-use mtk_core::cluster::{exclusive_partition, size_clusters_for_target};
-use mtk_core::health::{FailurePolicy, FaultPlan};
-use mtk_core::hybrid::{run_hybrid, HybridOptions, SpiceRunConfig};
-use mtk_core::sizing::{screen_vectors_par_quarantined, size_for_target_cached, ScreeningCache};
-use mtk_core::vbsim::{Engine, VbsimOptions};
-use mtk_fe::Design;
+use crate::job::{Job, JobCtx, JobOutput};
+use mtk_core::sizing::ScreeningCache;
 use mtk_store::{Store, StoreStats};
 use mtk_trace::json::{parse, JsonValue};
 use mtk_trace::{CounterId, CounterSet, PhaseTrace, TraceMode, TraceReport};
@@ -59,11 +55,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-
-/// Tag prefix of request-level records in the store, versioned
-/// separately from the container: bump when the request fingerprint or
-/// payload layout changes so stale records read as misses.
-const REQUEST_RECORD_TAG: &[u8; 5] = b"req2:";
 
 /// Knobs of one server instance. `Default` is tuned for tests and the
 /// CI smoke; production raises the timeouts and slots.
@@ -132,12 +123,11 @@ impl Inflight {
     }
 }
 
-/// Shared state behind one server: counters, the screening cache, the
-/// persistent store, in-flight dedup, and the drain flag.
+/// Shared state behind one server: counters, the job context (screening
+/// cache and persistent store), in-flight dedup, and the drain flag.
 pub struct ServerState {
     counters: Mutex<CounterSet>,
-    cache: ScreeningCache,
-    store: Option<Store>,
+    jobs: JobCtx,
     inflight: Mutex<HashMap<Vec<u8>, Arc<Inflight>>>,
     slots_free: Mutex<usize>,
     draining: AtomicBool,
@@ -169,7 +159,7 @@ impl ServerState {
 
     /// Serves the stored payload for a request key, counting the hit.
     fn store_lookup(&self, key: &[u8]) -> Option<String> {
-        let store = self.store.as_ref()?;
+        let store = self.jobs.store.as_ref()?;
         let payload = String::from_utf8(store.get(key)?).ok()?;
         self.count(CounterId::StoreHits, 1);
         Some(payload)
@@ -232,8 +222,7 @@ impl Server {
         };
         let state = Arc::new(ServerState {
             counters: Mutex::new(CounterSet::new()),
-            cache,
-            store,
+            jobs: JobCtx { cache, store },
             inflight: Mutex::new(HashMap::new()),
             slots_free: Mutex::new(cfg.job_slots),
             draining: AtomicBool::new(false),
@@ -409,9 +398,9 @@ fn handle_request(state: &Arc<ServerState>, line: &str) -> (String, bool) {
             state.request_drain();
             (r#"{"status":"ok","draining":true}"#.to_string(), true)
         }
-        Some(cmd @ ("screen" | "size" | "cluster" | "hybrid")) => {
-            match JobSpec::from_request(cmd, &request, state.default_threads) {
-                Ok(spec) => (handle_job(state, &spec), false),
+        Some("screen" | "size" | "cluster" | "hybrid") => {
+            match Job::from_json(&request, state.default_threads) {
+                Ok(job) => (handle_job(state, &job), false),
                 Err(msg) => {
                     state.count(CounterId::RequestsRejected, 1);
                     (error_line(&msg), false)
@@ -482,12 +471,12 @@ fn handle_import(state: &Arc<ServerState>, request: &JsonValue) -> String {
 }
 
 /// Store tier → in-flight dedup → bounded execution, in that order.
-fn handle_job(state: &Arc<ServerState>, spec: &JobSpec) -> String {
+fn handle_job(state: &Arc<ServerState>, job: &Job) -> String {
     if state.draining() {
         state.count(CounterId::RequestsRejected, 1);
         return r#"{"status":"busy"}"#.to_string();
     }
-    let key = spec.store_key();
+    let key = job.store_key();
     if let Some(payload) = state.store_lookup(&key) {
         return ok_line(true, &payload);
     }
@@ -538,11 +527,14 @@ fn handle_job(state: &Arc<ServerState>, spec: &JobSpec) -> String {
                 drop(guard);
                 return ok_line(true, &payload);
             }
-            if state.store.is_some() {
+            if state.jobs.store.is_some() {
                 state.count(CounterId::StoreMisses, 1);
             }
-            let outcome = execute(state, spec);
-            if let (Ok(payload), Some(store)) = (&outcome, &state.store) {
+            let outcome = job
+                .run(&state.jobs)
+                .map_err(|e| e.to_string())
+                .and_then(|out| payload(&out));
+            if let (Ok(payload), Some(store)) = (&outcome, &state.jobs.store) {
                 if store.put(&key, payload.as_bytes()).is_err() {
                     state.store_put_errors.fetch_add(1, Relaxed);
                 }
@@ -558,265 +550,14 @@ fn handle_job(state: &Arc<ServerState>, spec: &JobSpec) -> String {
     }
 }
 
-/// One validated job: canonicalized design plus every option that keys
-/// the result. `threads` is execution-only and excluded from the key.
-struct JobSpec {
-    cmd: &'static str,
-    design: Design,
-    canonical: String,
-    threads: usize,
-    w_over_l: f64,
-    top_k: usize,
-    target: f64,
-    lo: f64,
-    hi: f64,
-    stride: usize,
-    samples: usize,
-    top: usize,
-    clusters: usize,
-}
-
-fn field_f64(req: &JsonValue, key: &str, default: f64) -> Result<f64, String> {
-    match req.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_f64()
-            .filter(|x| x.is_finite())
-            .ok_or_else(|| format!("field `{key}` must be a finite number")),
-    }
-}
-
-fn field_usize(req: &JsonValue, key: &str, default: usize) -> Result<usize, String> {
-    match req.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_u64()
-            .map(|x| x as usize)
-            .ok_or_else(|| format!("field `{key}` must be a non-negative integer")),
-    }
-}
-
-impl JobSpec {
-    fn from_request(cmd: &str, req: &JsonValue, default_threads: usize) -> Result<JobSpec, String> {
-        let cmd = match cmd {
-            "screen" => "screen",
-            "size" => "size",
-            "cluster" => "cluster",
-            _ => "hybrid",
-        };
-        let text = req
-            .get("design")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing `design` (the .mtk netlist text)")?;
-        let design = mtk_fe::parse_str(text, "<request>").map_err(|e| e.to_string())?;
-        let canonical = design.to_mtk();
-        Ok(JobSpec {
-            cmd,
-            design,
-            canonical,
-            threads: field_usize(req, "threads", default_threads)?,
-            w_over_l: field_f64(req, "w_over_l", 10.0)?,
-            top_k: field_usize(req, "top_k", 10)?,
-            target: field_f64(req, "target", 0.05)?,
-            lo: field_f64(req, "lo", 1.0)?,
-            hi: field_f64(req, "hi", 2000.0)?,
-            stride: field_usize(req, "stride", 1)?,
-            samples: field_usize(req, "samples", 256)?,
-            top: field_usize(req, "top", 10)?,
-            clusters: field_usize(req, "clusters", 8)?.max(1),
-        })
-    }
-
-    /// Content-addressed request fingerprint: tag + compact JSON of the
-    /// canonical design and every result-determining option, `threads`
-    /// deliberately excluded (results are thread-count invariant).
-    fn store_key(&self) -> Vec<u8> {
-        let obj = JsonValue::Object(vec![
-            ("cmd".into(), JsonValue::String(self.cmd.into())),
-            ("design".into(), JsonValue::String(self.canonical.clone())),
-            ("w_over_l".into(), JsonValue::Number(self.w_over_l)),
-            ("top_k".into(), JsonValue::Number(self.top_k as f64)),
-            ("target".into(), JsonValue::Number(self.target)),
-            ("lo".into(), JsonValue::Number(self.lo)),
-            ("hi".into(), JsonValue::Number(self.hi)),
-            ("stride".into(), JsonValue::Number(self.stride as f64)),
-            ("samples".into(), JsonValue::Number(self.samples as f64)),
-            ("top".into(), JsonValue::Number(self.top as f64)),
-            ("clusters".into(), JsonValue::Number(self.clusters as f64)),
-        ]);
-        let mut key = REQUEST_RECORD_TAG.to_vec();
-        key.extend_from_slice(obj.to_compact().as_bytes());
-        key
-    }
-}
-
-/// Runs one job and serializes its payload:
-/// `{"result":...,"trace":<deterministic trace>}` — the unit the store
-/// persists and identical requests replay byte-for-byte.
-fn execute(state: &ServerState, spec: &JobSpec) -> Result<String, String> {
-    let (transitions, _label) = crate::design_transitions(&spec.design, spec.stride, spec.samples);
-    let policy = FailurePolicy::quarantine(32);
-    let (result, trace) = match spec.cmd {
-        "screen" => {
-            let (screened, report) = screen_vectors_par_quarantined(
-                &spec.design.netlist,
-                &spec.design.tech,
-                &transitions,
-                None,
-                spec.w_over_l,
-                &VbsimOptions::default(),
-                spec.threads,
-                policy,
-                &FaultPlan::none(),
-            )
-            .map_err(|e| e.to_string())?;
-            let mut trace = TraceReport::new("mtk_screen");
-            trace.push_phase(report.to_phase("screen"));
-            let top: Vec<JsonValue> = screened
-                .iter()
-                .take(spec.top)
-                .map(|s| {
-                    JsonValue::Object(vec![
-                        ("index".into(), JsonValue::Number(s.index as f64)),
-                        (
-                            "degradation".into(),
-                            JsonValue::Number(s.delays.degradation()),
-                        ),
-                    ])
-                })
-                .collect();
-            let result = JsonValue::Object(vec![
-                (
-                    "transitions".into(),
-                    JsonValue::Number(transitions.len() as f64),
-                ),
-                ("switching".into(), JsonValue::Number(screened.len() as f64)),
-                ("top".into(), JsonValue::Array(top)),
-            ]);
-            (result, trace)
-        }
-        "size" => {
-            let engine = Engine::new(&spec.design.netlist, &spec.design.tech);
-            let (w_over_l, health) = size_for_target_cached(
-                &engine,
-                &transitions,
-                None,
-                spec.target,
-                (spec.lo, spec.hi),
-                &VbsimOptions::default(),
-                &state.cache,
-            )
-            .map_err(|e| e.to_string())?;
-            let mut trace = TraceReport::new("mtk_size");
-            let mut phase = PhaseTrace::new("size");
-            phase.counters = health.counters();
-            trace.push_phase(phase);
-            let result = JsonValue::Object(vec![("w_over_l".into(), JsonValue::Number(w_over_l))]);
-            (result, trace)
-        }
-        "cluster" => {
-            let partition = exclusive_partition(&spec.design.netlist, &transitions, spec.clusters)
-                .map_err(|e| e.to_string())?;
-            let (sizing, report) = size_clusters_for_target(
-                &spec.design.netlist,
-                &spec.design.tech,
-                &transitions,
-                None,
-                &partition,
-                spec.target,
-                (spec.lo, spec.hi),
-                &VbsimOptions::default(),
-                spec.threads,
-                policy,
-                &FaultPlan::none(),
-                state.store.as_ref(),
-            )
-            .map_err(|e| e.to_string())?;
-            let mut trace = TraceReport::new("mtk_cluster");
-            trace.push_phase(report.to_phase("cluster", &sizing));
-            let widths: Vec<JsonValue> = sizing
-                .w_over_ls
-                .iter()
-                .map(|&w| JsonValue::Number(w))
-                .collect();
-            let result = JsonValue::Object(vec![
-                (
-                    "clusters".into(),
-                    JsonValue::Number(report.n_clusters as f64),
-                ),
-                (
-                    "conflict_edges".into(),
-                    JsonValue::Number(report.conflict_edges as f64),
-                ),
-                ("folded".into(), JsonValue::Number(report.folded as f64)),
-                ("w_over_ls".into(), JsonValue::Array(widths)),
-                (
-                    "clustered_width".into(),
-                    JsonValue::Number(sizing.clustered_width),
-                ),
-                (
-                    "single_w_over_l".into(),
-                    sizing
-                        .single_w_over_l
-                        .map_or(JsonValue::Null, JsonValue::Number),
-                ),
-                ("fell_back".into(), JsonValue::Bool(sizing.fell_back)),
-                (
-                    "total_width".into(),
-                    JsonValue::Number(sizing.total_width()),
-                ),
-            ]);
-            (result, trace)
-        }
-        _ => {
-            let opts = HybridOptions {
-                top_k: spec.top_k,
-                threads: spec.threads,
-                policy,
-                ..HybridOptions::at_size(spec.w_over_l, SpiceRunConfig::window(80e-9))
-            };
-            let report = run_hybrid(&spec.design.netlist, &spec.design.tech, &transitions, &opts)
-                .map_err(|e| e.to_string())?;
-            let findings: Vec<JsonValue> = report
-                .findings
-                .iter()
-                .map(|f| {
-                    JsonValue::Object(vec![
-                        ("index".into(), JsonValue::Number(f.index as f64)),
-                        (
-                            "screened".into(),
-                            JsonValue::Number(f.screened.degradation()),
-                        ),
-                        (
-                            "verified".into(),
-                            f.verified
-                                .map_or(JsonValue::Null, |v| JsonValue::Number(v.degradation())),
-                        ),
-                        (
-                            "delta".into(),
-                            f.delta.map_or(JsonValue::Null, JsonValue::Number),
-                        ),
-                    ])
-                })
-                .collect();
-            let result = JsonValue::Object(vec![
-                (
-                    "transitions".into(),
-                    JsonValue::Number(transitions.len() as f64),
-                ),
-                (
-                    "survivors".into(),
-                    JsonValue::Number(report.survivors as f64),
-                ),
-                ("findings".into(), JsonValue::Array(findings)),
-            ]);
-            (result, report.to_trace("mtk_hybrid"))
-        }
-    };
-    let trace_value = parse(&trace.to_json(TraceMode::Deterministic))
+/// Serializes a job's output as `{"result":...,"trace":<deterministic
+/// trace>}` — the unit the store persists and identical requests replay
+/// byte-for-byte.
+fn payload(out: &JobOutput) -> Result<String, String> {
+    let trace_value = parse(&out.trace().to_json(TraceMode::Deterministic))
         .map_err(|e| format!("internal: trace serialization failed: {e}"))?;
     let payload = JsonValue::Object(vec![
-        ("result".into(), result),
+        ("result".into(), out.result_json()),
         ("trace".into(), trace_value),
     ]);
     Ok(payload.to_compact())
@@ -864,10 +605,10 @@ fn store_stats_value(stats: StoreStats) -> JsonValue {
 
 /// The status response: connection gauges, cache occupancy
 /// ([`ScreeningCache::snapshot`]), store health, and the serve counters
-/// as a validating schema-v3 trace report.
+/// as a validating schema-v6 trace report.
 fn status_line(state: &ServerState) -> String {
     let mut counters = state.counter_snapshot();
-    if let Some(store) = &state.store {
+    if let Some(store) = &state.jobs.store {
         counters.add(
             CounterId::StoreCorruptRecords,
             store.stats().corrupt_records as u64,
@@ -878,7 +619,7 @@ fn status_line(state: &ServerState) -> String {
     phase.counters = counters;
     report.push_phase(phase);
     let trace = parse(&report.to_json(TraceMode::Deterministic)).unwrap_or(JsonValue::Null);
-    let snap = state.cache.snapshot();
+    let snap = state.jobs.cache.snapshot();
     let cache = JsonValue::Object(vec![
         ("legs".into(), JsonValue::Number(snap.legs as f64)),
         ("hits".into(), JsonValue::Number(snap.hits as f64)),
@@ -917,6 +658,7 @@ fn status_line(state: &ServerState) -> String {
         (
             "store".into(),
             state
+                .jobs
                 .store
                 .as_ref()
                 .map_or(JsonValue::Null, |s| store_stats_value(s.stats())),

@@ -10,6 +10,10 @@
 //! * `mtk screen --trace-deterministic` writes byte-identical JSON at
 //!   thread counts 1, 2 and 8 on a golden example.
 //! * `mtk gen <stem>` reproduces the checked-in golden file exactly.
+//! * A malformed or missing numeric flag value exits 2 with a message —
+//!   on the flow commands and on `mtk client` alike — instead of
+//!   silently running with the default.
+//! * `mtk size` records a top-level `size` span around the actual run.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -204,4 +208,80 @@ fn gen_reproduces_the_checked_in_goldens() {
     let out = mtk(&["gen", "nope"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("unknown golden design"));
+}
+
+#[test]
+fn malformed_numeric_flags_exit_two_with_a_message() {
+    let path = golden("adder3");
+    let path = path.to_str().unwrap();
+    let out = mtk(&["screen", path, "--threads", "garbage"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        stderr(&out).contains("error: --threads: `garbage` is not a non-negative integer"),
+        "stderr: {}",
+        stderr(&out)
+    );
+    let out = mtk(&["screen", path, "--w-over-l", "wide"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        stderr(&out).contains("error: --w-over-l: `wide` is not a finite number"),
+        "stderr: {}",
+        stderr(&out)
+    );
+    // A trailing flag with no value is the same usage error.
+    let out = mtk(&["screen", path, "--stride"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        stderr(&out).contains("error: --stride: missing value"),
+        "stderr: {}",
+        stderr(&out)
+    );
+    // The client validates its flags before it connects anywhere.
+    let out = mtk(&[
+        "client",
+        "127.0.0.1:9",
+        "screen",
+        path,
+        "--threads",
+        "garbage",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        stderr(&out).contains("error: --threads: `garbage` is not a non-negative integer"),
+        "stderr: {}",
+        stderr(&out)
+    );
+    let out = mtk(&["client", "127.0.0.1:9", "size", path, "--target", "-inf"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        stderr(&out).contains("error: --target: `-inf` is not a finite number"),
+        "stderr: {}",
+        stderr(&out)
+    );
+}
+
+#[test]
+fn size_trace_has_a_span_around_the_run() {
+    let path = golden("invtree");
+    let json = std::env::temp_dir().join(format!("mtk_cli_{}_size_span.json", std::process::id()));
+    let json = json.to_str().unwrap().to_string();
+    let out = mtk(&["size", path.to_str().unwrap(), "--trace-json", &json]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let text = std::fs::read_to_string(&json).expect("trace artifact");
+    let _ = std::fs::remove_file(&json);
+    let trace = mtk_trace::json::parse(&text).expect("trace parses");
+    let spans = trace
+        .get("timing")
+        .and_then(|t| t.get("spans"))
+        .and_then(mtk_trace::json::JsonValue::as_array)
+        .expect("timing.spans");
+    let size = spans
+        .iter()
+        .find(|s| s.get("name").and_then(mtk_trace::json::JsonValue::as_str) == Some("size"))
+        .unwrap_or_else(|| panic!("no top-level `size` span: {text}"));
+    let wall = size
+        .get("wall_s")
+        .and_then(mtk_trace::json::JsonValue::as_f64)
+        .expect("wall_s");
+    assert!(wall > 0.0, "the size span must time the run: {text}");
 }

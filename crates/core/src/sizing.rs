@@ -82,48 +82,16 @@ pub fn vbsim_delay_pair(
     sleep: SleepNetwork,
     base: &VbsimOptions,
 ) -> Result<Option<DelayPair>, CoreError> {
-    vbsim_delay_pair_stats(engine, tr, probes, sleep, base).map(|(pair, _)| pair)
-}
-
-/// [`vbsim_delay_pair`] plus the number of breakpoints the two runs
-/// solved — the cost counter the parallel screening/search engines report
-/// per worker.
-///
-/// # Errors
-///
-/// As [`vbsim_delay_pair`].
-pub fn vbsim_delay_pair_stats(
-    engine: &Engine<'_>,
-    tr: &Transition,
-    probes: Option<&[NetId]>,
-    sleep: SleepNetwork,
-    base: &VbsimOptions,
-) -> Result<(Option<DelayPair>, u64), CoreError> {
-    vbsim_delay_pair_health(engine, tr, probes, sleep, base)
-        .map(|(pair, health)| (pair, health.breakpoints as u64))
+    vbsim_delay_pair_health_with(engine, tr, probes, sleep, base, &mut VbsimScratch::new())
+        .map(|(pair, _)| pair)
 }
 
 /// [`vbsim_delay_pair`] plus the summed [`RunHealth`] of the CMOS and
 /// MTCMOS runs — the telemetry the quarantining sweeps aggregate into
-/// [`SweepHealth`].
-///
-/// # Errors
-///
-/// As [`vbsim_delay_pair`].
-pub fn vbsim_delay_pair_health(
-    engine: &Engine<'_>,
-    tr: &Transition,
-    probes: Option<&[NetId]>,
-    sleep: SleepNetwork,
-    base: &VbsimOptions,
-) -> Result<(Option<DelayPair>, RunHealth), CoreError> {
-    vbsim_delay_pair_health_with(engine, tr, probes, sleep, base, &mut VbsimScratch::new())
-}
-
-/// [`vbsim_delay_pair_health`] with caller-owned simulator scratch (see
+/// [`SweepHealth`] — with caller-owned simulator scratch (see
 /// [`Engine::run_with`]): a sweep measuring many transitions reuses one
 /// scratch so the warm simulator loop allocates nothing. Results are
-/// bit-identical to the scratch-free call.
+/// bit-identical to a fresh scratch.
 ///
 /// # Errors
 ///
@@ -613,7 +581,7 @@ fn count_cache_legs(health: &mut RunHealth, leg_hits: &[bool]) {
     }
 }
 
-/// [`vbsim_delay_pair_health`] through a [`ScreeningCache`]: each of the
+/// [`vbsim_delay_pair_health_with`] through a [`ScreeningCache`]: each of the
 /// two legs is served from the cache when an identical leg was measured
 /// before. The returned pair is bit-identical to the uncached call; the
 /// returned health additionally carries [`RunHealth::cache_hits`] /

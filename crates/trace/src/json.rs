@@ -370,13 +370,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
+                    // Consume the run up to the next quote or backslash,
+                    // validating it once: validating the whole remaining
+                    // input per character made parsing quadratic in the
+                    // string's length (a `.mtk` design in a serve request
+                    // is one string of up to megabytes).
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -645,6 +650,32 @@ mod tests {
             JsonValue::Array(vec![]).to_compact(),
             "[]",
             "empty array compact form"
+        );
+    }
+
+    #[test]
+    fn long_strings_with_multibyte_text_and_escapes_round_trip() {
+        let long: String = (0..20_000)
+            .map(|i| match i % 7 {
+                0 => "Ω≤ ",
+                1 => "\"q\"",
+                2 => "a\\b",
+                3 => "\n",
+                4 => "→\u{1F600}",
+                5 => "\u{8}\u{c}\t\r",
+                _ => "plain text ",
+            })
+            .collect();
+        let v = JsonValue::Object(vec![("design".into(), JsonValue::String(long.clone()))]);
+        let parsed = parse(&v.to_compact()).unwrap();
+        assert_eq!(
+            parsed.get("design").and_then(JsonValue::as_str),
+            Some(&long[..])
+        );
+        assert_eq!(parse(&v.to_pretty()).unwrap(), v);
+        assert_eq!(
+            parse(r#""éx\/y""#).unwrap(),
+            JsonValue::String("éx/y".into())
         );
     }
 

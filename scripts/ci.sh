@@ -61,6 +61,12 @@ cargo run --release -p mtk-bench --bin mtk -- lint examples/adder3.mtk
 cargo run --release -p mtk-bench --bin mtk -- screen examples/adder3.mtk \
   --stride 16 --threads 2 --trace-deterministic --trace-json "$mtk_trace"
 
+# A malformed numeric flag is a usage error (exit 2), never a silent
+# fallback to the default.
+rc=0
+target/release/mtk screen examples/adder3.mtk --threads garbage >/dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || { echo "ci: 'mtk screen --threads garbage' exited $rc, want 2"; exit 1; }
+
 echo "== mtk smoke trace validates against the documented schema =="
 cargo run --release -p mtk-bench --bin trace_check -- "$mtk_trace"
 
@@ -138,7 +144,8 @@ cargo run --release -p mtk-bench --bin trace_check -- "$trace_json"
 echo "== serve smoke: store-backed replay + graceful SIGTERM drain =="
 # Starts `mtk serve` with a persistent store on an ephemeral port, runs
 # the same hybrid job twice (the second must be a byte-identical store
-# replay, visible in the trace counters), then TERMs the server and
+# replay, visible in the trace counters), checks that the client routes
+# `size --clusters` to the cluster job, then TERMs the server and
 # requires a clean drain (exit 0). Corruption recovery is covered by
 # `cargo test` (crates/store/tests/corruption.rs, tests/store_persistence.rs).
 serve_log="$(mktemp /tmp/ci_serve.XXXXXX.log)"
@@ -163,6 +170,12 @@ fi
 serve_status="$(target/release/mtk client "$serve_addr" status)"
 grep -q '"store_hits":1' <<<"$serve_status" || {
   echo "ci: serve trace counters do not show the store hit: $serve_status"
+  exit 1
+}
+# The client builds the CLI's job: `size --clusters N` is a cluster job.
+clu_resp="$(target/release/mtk client "$serve_addr" size examples/invtree.mtk --clusters 2)"
+grep -q '"clustered_width"' <<<"$clu_resp" || {
+  echo "ci: client size --clusters did not run the cluster job: $clu_resp"
   exit 1
 }
 kill -TERM "$serve_pid"
