@@ -18,10 +18,13 @@
 //!
 //! Two secondary workloads probe how the kernels scale with circuit
 //! size and switching activity: the 8×8 array multiplier (384 cells)
-//! under whole-vector transitions (glitch-heavy, most gates switch, both
-//! kernels bound by the shared bit-pinned Vₓ solver) and under
-//! single-bit input toggles (small activity cone, the event kernel's
-//! best case).
+//! under whole-vector transitions (glitch-heavy, most gates switch) and
+//! under single-bit input toggles (small activity cone, the event
+//! kernel's best case). The whole-vector sweep is also timed through
+//! `Engine::run_summary_with` — the crossings-only recording every
+//! sizing, screening, clustering and Monte Carlo leg uses — so the gap
+//! between it and the waveform-recording event run is the cost of
+//! building waveforms.
 //!
 //! Flags:
 //!
@@ -124,26 +127,35 @@ fn main() {
             (x, y, x ^ (1 << (i % 8)), y)
         })
         .collect();
-    let mut time_mult = |pairs: &[(u64, u64, u64, u64)], dense_kernel: bool| {
+    let probes = mult.netlist.primary_outputs().to_vec();
+    let mut time_mult = |pairs: &[(u64, u64, u64, u64)], how: MultRun| {
         measure(warmup, samples, || {
             for &(x0, y0, x1, y1) in pairs {
                 let from = mult.input_values(x0, y0);
                 let to = mult.input_values(x1, y1);
-                if dense_kernel {
-                    meng.run(&from, &to, &dense_opts).expect("mult dense run");
-                } else {
-                    let run = meng
-                        .run_with(&from, &to, &opts, &mut scratch)
-                        .expect("mult event run");
-                    scratch.recycle(run);
+                match how {
+                    MultRun::Dense => {
+                        meng.run(&from, &to, &dense_opts).expect("mult dense run");
+                    }
+                    MultRun::Event => {
+                        let run = meng
+                            .run_with(&from, &to, &opts, &mut scratch)
+                            .expect("mult event run");
+                        scratch.recycle(run);
+                    }
+                    MultRun::Summary => {
+                        meng.run_summary_with(&from, &to, None, &probes, &opts, &mut scratch)
+                            .expect("mult summary run");
+                    }
                 }
             }
         })
     };
-    let mult_event = time_mult(&mult_pairs, false);
-    let mult_dense = time_mult(&mult_pairs, true);
-    let bit_event = time_mult(&bit_pairs, false);
-    let bit_dense = time_mult(&bit_pairs, true);
+    let mult_event = time_mult(&mult_pairs, MultRun::Event);
+    let mult_dense = time_mult(&mult_pairs, MultRun::Dense);
+    let mult_summary = time_mult(&mult_pairs, MultRun::Summary);
+    let bit_event = time_mult(&bit_pairs, MultRun::Event);
+    let bit_dense = time_mult(&bit_pairs, MultRun::Dense);
 
     // SPICE: sample (or full), extrapolated to the 4096-vector total.
     let spice_total = if no_spice {
@@ -204,6 +216,15 @@ fn main() {
             "-".into(),
         ],
         vec![
+            "mult 8x8, 64 vectors: crossings-only summary".into(),
+            format!(
+                "{:.3} s ({:.1}x the waveform event run)",
+                mult_summary.median,
+                mult_event.median / mult_summary.median
+            ),
+            "-".into(),
+        ],
+        vec![
             "mult 8x8, 64 one-bit toggles: event / dense".into(),
             format!(
                 "{:.3} s / {:.3} s ({:.1}x)",
@@ -248,6 +269,7 @@ fn main() {
     file.push("adder4096_dense", dense);
     file.push("mult8x8_64vec_event", mult_event);
     file.push("mult8x8_64vec_dense", mult_dense);
+    file.push("mult8x8_64vec_summary", mult_summary);
     file.push("mult8x8_1bit_event", bit_event);
     file.push("mult8x8_1bit_dense", bit_dense);
     file.push_derived("event_vs_dense_speedup", speedup);
@@ -278,4 +300,15 @@ fn main() {
             std::process::exit(1);
         }
     }
+}
+
+/// How one multiplier sweep runs its transitions.
+#[derive(Clone, Copy)]
+enum MultRun {
+    /// The dense-scan kernel, recording waveforms.
+    Dense,
+    /// The event kernel, recording waveforms (recycled into the scratch).
+    Event,
+    /// The event kernel through the crossings-only summary recorder.
+    Summary,
 }

@@ -36,7 +36,10 @@ use crate::health::{
 };
 use crate::par::{try_parallel_map_with, WorkerStats};
 use crate::sizing::Transition;
-use crate::vbsim::{Engine, PartitionedSleep, SleepNetwork, VbsimOptions, VbsimScratch};
+use crate::vbsim::{
+    latest_crossing, worst_delay_vs_baseline, Engine, PartitionedSleep, SleepNetwork, VbsimOptions,
+    VbsimScratch,
+};
 use crate::CoreError;
 use mtk_netlist::logic::Logic;
 use mtk_netlist::netlist::{NetId, Netlist};
@@ -385,14 +388,21 @@ fn eval_worst(
         let mut worst = 0.0f64;
         for tr in transitions {
             stats.vectors += 1;
-            let cmos = engine.run_with(&tr.from, &tr.to, &cmos_opts, scratch)?;
+            let cmos =
+                engine.run_summary_with(&tr.from, &tr.to, None, outputs, &cmos_opts, scratch)?;
             local.absorb(&cmos.health);
             stats.breakpoints += cmos.health.breakpoints as u64;
-            let Some(d_cmos) = cmos.delay_over(outputs) else {
+            let Some(d_cmos) = latest_crossing(&cmos.crossings) else {
                 continue;
             };
-            let mt =
-                engine.run_partitioned_with(&tr.from, &tr.to, Some(&partition), base, scratch)?;
+            let mt = engine.run_summary_with(
+                &tr.from,
+                &tr.to,
+                Some(&partition),
+                outputs,
+                base,
+                scratch,
+            )?;
             local.absorb(&mt.health);
             stats.breakpoints += mt.health.breakpoints as u64;
             let d_mt = if mt.stalled || mt.truncated {
@@ -401,7 +411,7 @@ fn eval_worst(
                 // Per-probe against the baseline: an output that
                 // switched in CMOS but never under MTCMOS stalled
                 // (infinite delay), it is not a probe to skip.
-                mt.delay_over_baseline(outputs, &cmos).unwrap_or(d_cmos)
+                worst_delay_vs_baseline(&cmos.crossings, &mt.crossings).unwrap_or(d_cmos)
             };
             worst = worst.max((d_mt - d_cmos) / d_cmos);
         }

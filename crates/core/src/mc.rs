@@ -45,7 +45,10 @@ use crate::health::{
 };
 use crate::par::{try_parallel_map_with, WorkerStats};
 use crate::sizing::{DelayPair, Transition};
-use crate::vbsim::{worst_delay_vs_baseline, Engine, SleepNetwork, VbsimOptions, VbsimScratch};
+use crate::vbsim::{
+    latest_crossing, worst_delay_vs_baseline, Engine, RunSummary, SleepNetwork, VbsimOptions,
+    VbsimScratch,
+};
 use crate::CoreError;
 use mtk_netlist::logic::Logic;
 use mtk_netlist::netlist::{NetId, Netlist};
@@ -302,14 +305,6 @@ fn decode_trial(bytes: &[u8]) -> Option<(TrialSample, bool, RunHealth)> {
     ))
 }
 
-/// Everything one simulator leg contributes to a trial.
-struct TrialLeg {
-    crossings: Vec<Option<f64>>,
-    stalled: bool,
-    truncated: bool,
-    bounce: f64,
-}
-
 /// Runs one leg, accumulating health/worker counters exactly like the
 /// screening path (an overflowing run's cost is still counted).
 fn run_trial_leg(
@@ -320,17 +315,12 @@ fn run_trial_leg(
     scratch: &mut VbsimScratch,
     run: &mut RunHealth,
     stats: &mut WorkerStats,
-) -> Result<TrialLeg, CoreError> {
-    match engine.run_with(&tr.from, &tr.to, opts, scratch) {
-        Ok(r) => {
-            run.absorb(&r.health);
-            stats.breakpoints += r.health.breakpoints as u64;
-            Ok(TrialLeg {
-                crossings: outputs.iter().map(|&n| r.last_crossing_time(n)).collect(),
-                stalled: r.stalled,
-                truncated: r.truncated,
-                bounce: r.peak_vgnd(),
-            })
+) -> Result<RunSummary, CoreError> {
+    match engine.run_summary_with(&tr.from, &tr.to, None, outputs, opts, scratch) {
+        Ok(leg) => {
+            run.absorb(&leg.health);
+            stats.breakpoints += leg.health.breakpoints as u64;
+            Ok(leg)
         }
         Err(e) => {
             if let CoreError::EventOverflow { events, .. } = e {
@@ -343,20 +333,9 @@ fn run_trial_leg(
     }
 }
 
-/// Worst (latest) baseline crossing, `None` when nothing switched.
-fn worst_crossing(crossings: &[Option<f64>]) -> Option<f64> {
-    crossings
-        .iter()
-        .flatten()
-        .copied()
-        .fold(None, |acc: Option<f64>, t| {
-            Some(acc.map_or(t, |a| a.max(t)))
-        })
-}
-
 /// Degradation of one MTCMOS leg against its CMOS baseline, with the
 /// same stall semantics as the screening path.
-fn leg_degradation(d_cmos: f64, baseline: &[Option<f64>], mt: &TrialLeg) -> f64 {
+fn leg_degradation(d_cmos: f64, baseline: &[Option<f64>], mt: &RunSummary) -> f64 {
     let d_mt = if mt.stalled || mt.truncated {
         f64::INFINITY
     } else {
@@ -419,7 +398,7 @@ fn trial_attempt(
             run,
             stats,
         )?;
-        let Some(d_cmos) = worst_crossing(&cmos.crossings) else {
+        let Some(d_cmos) = latest_crossing(&cmos.crossings) else {
             // The transition never switches a probe; nothing to degrade.
             continue;
         };
@@ -434,7 +413,7 @@ fn trial_attempt(
         )?;
         let d_nominal = leg_degradation(d_cmos, &cmos.crossings, &nominal);
         fold(&mut worst_nominal, d_nominal);
-        worst_bounce = worst_bounce.max(nominal.bounce);
+        worst_bounce = worst_bounce.max(nominal.peak_vgnd);
         for (i, &w) in opts.widths.iter().enumerate() {
             // The nominal-width leg doubles as its curve point.
             let d = if w == opts.w_over_l {

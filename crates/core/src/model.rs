@@ -86,17 +86,49 @@ pub fn solve_vx_tracked(
     discharging_betas: &[f64],
     opts: VxOptions,
 ) -> Result<(f64, bool), CoreError> {
-    if r_sleep <= 0.0 || discharging_betas.is_empty() {
+    solve_eq5(tech, r_sleep, discharging_betas, opts, |beta| {
+        discharge_scale(tech, beta)
+    })
+}
+
+/// [`solve_vx_tracked`] for gates given by their [`discharge_scale`]
+/// instead of their β: bit-identical to solving the βs the scales were
+/// computed from, without recomputing each scale on every evaluation.
+/// Gates with equal scales are interchangeable, so the scale list alone
+/// determines the result.
+///
+/// # Errors
+///
+/// As [`solve_vx_tracked`].
+pub fn solve_vx_scaled(
+    tech: &Technology,
+    r_sleep: f64,
+    scales: &[f64],
+    opts: VxOptions,
+) -> Result<(f64, bool), CoreError> {
+    solve_eq5(tech, r_sleep, scales, opts, |scale| scale)
+}
+
+/// The Eq. 5 solve behind [`solve_vx_tracked`] and [`solve_vx_scaled`]:
+/// `scale_of` maps each gate entry to its [`discharge_scale`].
+fn solve_eq5(
+    tech: &Technology,
+    r_sleep: f64,
+    gates: &[f64],
+    opts: VxOptions,
+    scale_of: impl Fn(f64) -> f64,
+) -> Result<(f64, bool), CoreError> {
+    if r_sleep <= 0.0 || gates.is_empty() {
         return Ok((0.0, false));
     }
+    // Every gate shares the overdrive at a given vx, so the power is
+    // taken once per evaluation and scaled per gate — the same
+    // expression tree as `nmos_isat` per gate, hence bit-identical.
     let total_current_at = |vx: f64| -> f64 {
-        discharging_betas
+        let drive = discharge_drive(tech, vx, opts.body_effect);
+        gates
             .iter()
-            .map(|&beta| {
-                // nmos_isat works in W/L units; convert β back.
-                let wl_eff = beta / tech.kp_n;
-                tech.nmos_isat(wl_eff, vx, opts.body_effect)
-            })
+            .map(|&g| discharge_current_with(scale_of(g), drive))
             .sum()
     };
     // f(vx) = vx/R − ΣI(vx): negative at 0 (current flows), positive once
@@ -167,6 +199,29 @@ pub fn solve_vx_closed_form_square_law(tech: &Technology, r_sleep: f64, betas: &
 /// virtual-ground voltage `vx` (the I<sub>j</sub> of Eq. 4/5).
 pub fn discharge_current(tech: &Technology, beta: f64, vx: f64, body_effect: bool) -> f64 {
     tech.nmos_isat(beta / tech.kp_n, vx, body_effect)
+}
+
+/// The β-independent factor of [`discharge_current`] at virtual-ground
+/// voltage `vx`: `(Vdd − Vx − Vtn)^α`, `None` when the overdrive is
+/// starved (zero current). Every gate discharging into the same virtual
+/// ground shares it.
+pub fn discharge_drive(tech: &Technology, vx: f64, body_effect: bool) -> Option<f64> {
+    let (vgs, vth) = tech.nmos_bias(vx, body_effect);
+    mtk_spice::mos::alpha_power_drive(vgs, vth, tech.alpha)
+}
+
+/// The per-gate factor of [`discharge_current`]: `β/2` written exactly as
+/// [`Technology::nmos_isat`] forms it (`0.5 · (kp_n · (β / kp_n))`), so
+/// `discharge_current_with(discharge_scale(t, β), discharge_drive(t, vx,
+/// b))` is bit-identical to `discharge_current(t, β, vx, b)`.
+pub fn discharge_scale(tech: &Technology, beta: f64) -> f64 {
+    0.5 * (tech.kp_n * (beta / tech.kp_n))
+}
+
+/// [`discharge_current`] from its two factors ([`discharge_scale`],
+/// [`discharge_drive`]).
+pub fn discharge_current_with(scale: f64, drive: Option<f64>) -> f64 {
+    drive.map_or(0.0, |p| scale * p)
 }
 
 /// Charge (pull-up) current of a gate with effective PMOS β — unaffected
@@ -320,6 +375,116 @@ mod tests {
             // Physical bound: 0 <= vx < vdd.
             assert!(v_r1 >= 0.0 && v_r1 < t.vdd);
         }
+    }
+
+    /// The per-β solver [`solve_vx_tracked`] replaced: `nmos_isat` once
+    /// per gate per evaluation. Kept as the oracle the hoisted solver is
+    /// pinned to.
+    fn solve_vx_tracked_oracle(
+        tech: &Technology,
+        r_sleep: f64,
+        discharging_betas: &[f64],
+        opts: VxOptions,
+    ) -> Result<(f64, bool), CoreError> {
+        if r_sleep <= 0.0 || discharging_betas.is_empty() {
+            return Ok((0.0, false));
+        }
+        let total_current_at = |vx: f64| -> f64 {
+            discharging_betas
+                .iter()
+                .map(|&beta| tech.nmos_isat(beta / tech.kp_n, vx, opts.body_effect))
+                .sum()
+        };
+        let f = |vx: f64| vx / r_sleep - total_current_at(vx);
+        if f(0.0) >= 0.0 {
+            return Ok((0.0, false));
+        }
+        let strict = RootOptions {
+            x_tol: 1e-9,
+            f_tol: 1e-12,
+            max_iter: 200,
+        };
+        match brent(&f, 0.0, tech.vdd, strict) {
+            Ok(vx) => Ok((vx, false)),
+            Err(_) => {
+                let relaxed = RootOptions {
+                    x_tol: 1e-7,
+                    f_tol: 1e-9,
+                    max_iter: 2000,
+                };
+                let vx = brent(&f, 0.0, tech.vdd, relaxed).map_err(CoreError::Numeric)?;
+                Ok((vx, true))
+            }
+        }
+    }
+
+    fn bits(r: &Result<(f64, bool), CoreError>) -> Result<(u64, bool), String> {
+        r.as_ref()
+            .map(|&(vx, fell)| (vx.to_bits(), fell))
+            .map_err(|e| e.to_string())
+    }
+
+    /// The hoisted solver, given βs or their scales, is bit-identical to
+    /// the per-β oracle over
+    /// random β lists, resistances and both body-effect settings. Every
+    /// solve evaluates starved gates (`vov <= 0` at V<sub>x</sub> =
+    /// V<sub>dd</sub>); a threshold above the supply starves them at
+    /// every V<sub>x</sub>; a depletion-mode threshold keeps current
+    /// flowing at V<sub>x</sub> = V<sub>dd</sub>, so a large R leaves no
+    /// bracket, the strict solve fails and the relaxed fallback runs
+    /// (and errors). Values, fallback flags and errors must all agree.
+    #[test]
+    fn hoisted_solver_matches_per_beta_oracle_bitwise() {
+        let mut rng = Xoshiro256pp::seed_from_u64(0x1103);
+        let techs = [
+            Technology::l07(),
+            Technology::l03(),
+            square_law_tech(),
+            Technology {
+                vtn: 1.5,
+                ..Technology::l07()
+            },
+            Technology {
+                vtn: -0.3,
+                ..Technology::l07()
+            },
+        ];
+        let (mut solved, mut relaxed) = (0usize, 0usize);
+        for case in 0..500 {
+            let mut t = techs[case % techs.len()].clone();
+            if case % 3 == 0 {
+                t.alpha = rng.next_f64_in(1.0, 2.0);
+            }
+            let n = rng.next_index(64);
+            let betas: Vec<f64> = (0..n)
+                .map(|_| t.kp_n * rng.next_f64_in(0.2, 40.0))
+                .collect();
+            let r = if case % 11 == 0 {
+                0.0
+            } else {
+                10f64.powf(rng.next_f64_in(0.0, 9.0))
+            };
+            let scales: Vec<f64> = betas.iter().map(|&b| discharge_scale(&t, b)).collect();
+            for body_effect in [false, true] {
+                let o = VxOptions { body_effect };
+                let want = solve_vx_tracked_oracle(&t, r, &betas, o);
+                let got = solve_vx_tracked(&t, r, &betas, o);
+                assert_eq!(bits(&got), bits(&want), "case {case} n={n} r={r}");
+                let scaled = solve_vx_scaled(&t, r, &scales, o);
+                assert_eq!(
+                    bits(&scaled),
+                    bits(&want),
+                    "scaled: case {case} n={n} r={r}"
+                );
+                match want {
+                    Ok((vx, _)) if vx > 0.0 => solved += 1,
+                    Err(_) => relaxed += 1,
+                    Ok(_) => {}
+                }
+            }
+        }
+        assert!(solved > 100, "only {solved} non-trivial solves");
+        assert!(relaxed > 10, "relaxed fallback ran only {relaxed} times");
     }
 
     /// Per-gate delay is monotone non-decreasing as sleep W/L shrinks.

@@ -13,7 +13,7 @@ use crate::health::{
     RETRY_BUDGET_FACTOR,
 };
 use crate::par::{try_parallel_map_with, ItemPanic, WorkerStats};
-use crate::vbsim::{Engine, SleepNetwork, VbsimOptions, VbsimScratch};
+use crate::vbsim::{latest_crossing, Engine, SleepNetwork, VbsimOptions, VbsimScratch};
 use crate::CoreError;
 use mtk_netlist::logic::Logic;
 use mtk_netlist::netlist::{NetId, Netlist};
@@ -112,7 +112,7 @@ pub fn vbsim_delay_pair_health_with(
         &leg_options(SleepNetwork::Cmos, base),
         scratch,
     )?;
-    if baseline_delay(&cmos).is_none() {
+    if latest_crossing(&cmos.crossings).is_none() {
         return Ok((None, cmos.health));
     }
     let mt = run_leg(engine, tr, &outputs, &leg_options(sleep, base), scratch)?;
@@ -153,7 +153,9 @@ struct LegResult {
     health: RunHealth,
 }
 
-/// Runs one leg and condenses it to the measurements sizing needs.
+/// Runs one leg through the simulator's summary recorder: the probes'
+/// crossings, flags and health are all sizing reads, so no waveform is
+/// built.
 fn run_leg(
     engine: &Engine<'_>,
     tr: &Transition,
@@ -161,25 +163,13 @@ fn run_leg(
     opts: &VbsimOptions,
     scratch: &mut VbsimScratch,
 ) -> Result<LegResult, CoreError> {
-    let run = engine.run_with(&tr.from, &tr.to, opts, scratch)?;
+    let run = engine.run_summary_with(&tr.from, &tr.to, None, outputs, opts, scratch)?;
     Ok(LegResult {
-        crossings: outputs.iter().map(|&n| run.last_crossing_time(n)).collect(),
+        crossings: run.crossings,
         stalled: run.stalled,
         truncated: run.truncated,
         health: run.health,
     })
-}
-
-/// The worst baseline delay over the probes, `None` when nothing
-/// switched in the CMOS leg (the transition does not exercise them).
-fn baseline_delay(cmos: &LegResult) -> Option<f64> {
-    cmos.crossings
-        .iter()
-        .flatten()
-        .copied()
-        .fold(None, |acc: Option<f64>, t| {
-            Some(acc.map_or(t, |a| a.max(t)))
-        })
 }
 
 /// Combines a CMOS and an MTCMOS leg into a [`DelayPair`] plus summed
@@ -188,7 +178,7 @@ fn baseline_delay(cmos: &LegResult) -> Option<f64> {
 /// silently dropped — see [`crate::vbsim::worst_delay_vs_baseline`].
 fn pair_from_legs(cmos: &LegResult, mt: &LegResult) -> (Option<DelayPair>, RunHealth) {
     let mut health = cmos.health;
-    let Some(d_cmos) = baseline_delay(cmos) else {
+    let Some(d_cmos) = latest_crossing(&cmos.crossings) else {
         return (None, health);
     };
     health.absorb(&mt.health);
@@ -627,7 +617,7 @@ pub fn vbsim_delay_pair_cached_with(
 ) -> Result<(Option<DelayPair>, RunHealth), CoreError> {
     let outputs = resolve_probes(engine, probes);
     let (cmos, cmos_hit) = cache.leg(engine, tr, &outputs, SleepNetwork::Cmos, base, scratch)?;
-    if baseline_delay(&cmos).is_none() {
+    if latest_crossing(&cmos.crossings).is_none() {
         let mut health = cmos.health;
         count_cache_legs(&mut health, &[cmos_hit]);
         return Ok((None, health));

@@ -22,7 +22,7 @@ use mtk_netlist::logic::Logic;
 use mtk_netlist::netlist::{CellId, NetId, Netlist};
 use mtk_netlist::tech::Technology;
 use mtk_netlist::NetlistError;
-use mtk_num::waveform::Pwl;
+use mtk_num::waveform::{check_point, segment_crossing, Pwl};
 
 /// How the sleep path is modelled.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,12 +72,12 @@ pub struct PartitionedSleep {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VbsimKernel {
     /// Event-driven loop: a deterministic min-reduction over breakpoint
-    /// candidates (`f64::total_cmp` on the time, ties broken on gate
-    /// index — insertion-order free, exactly a one-pop binary-heap
-    /// queue), an active-gate list instead of whole-netlist scans,
-    /// incremental V<sub>x</sub> re-solves touching only sleep groups
-    /// whose drive set changed, and per-run scratch reuse so the warm
-    /// loop allocates nothing.
+    /// candidates (`f64::total_cmp` on the time — insertion-order free,
+    /// exactly a one-pop binary-heap queue), an active-gate list instead
+    /// of whole-netlist scans, incremental V<sub>x</sub> re-solves
+    /// touching only sleep groups whose drive set changed, one overdrive
+    /// power per sleep group instead of one per gate, and per-run
+    /// scratch reuse so the warm loop allocates nothing.
     #[default]
     EventDriven,
     /// The original dense loop: every breakpoint rescans all gates and
@@ -154,9 +154,14 @@ pub struct Engine<'a> {
     cl: Vec<f64>,
     /// Per-cell output net index (hoisted out of the breakpoint loop).
     out_of: Vec<usize>,
-    /// Per-cell pull-up (charge) current — independent of V<sub>x</sub>,
-    /// so it is a pure function of the cell and can be precomputed.
-    i_charge: Vec<f64>,
+    /// Per-cell charging slope, pull-up current over load — independent
+    /// of V<sub>x</sub>, so a pure function of the cell, precomputed with
+    /// the same division the dense kernel performs per breakpoint.
+    rise_slope: Vec<f64>,
+    /// Per-cell β-dependent factor of the discharge current
+    /// ([`model::discharge_scale`]); the V<sub>x</sub>-dependent factor
+    /// is shared by every cell of a sleep group.
+    disch_scale: Vec<f64>,
     /// Per-net list of reading cells (deduplicated).
     fanout: Vec<Vec<CellId>>,
     /// Topological cell order, computed once (`None` = combinational
@@ -179,26 +184,31 @@ impl<'a> Engine<'a> {
         let beta_p;
         let cl;
         let out_of;
-        let i_charge;
+        let rise_slope;
+        let disch_scale;
         {
             let mut bn = Vec::with_capacity(netlist.cells().len());
             let mut bp = Vec::with_capacity(netlist.cells().len());
             let mut c = Vec::with_capacity(netlist.cells().len());
             let mut outs = Vec::with_capacity(netlist.cells().len());
-            let mut ic = Vec::with_capacity(netlist.cells().len());
+            let mut rise = Vec::with_capacity(netlist.cells().len());
+            let mut ds = Vec::with_capacity(netlist.cells().len());
             for cell in netlist.cells() {
                 let eq = equivalent_inverter(cell.kind, cell.drive, tech);
                 bn.push(eq.beta_n);
                 bp.push(eq.beta_p);
-                c.push(netlist.load_cap(cell.output, tech).max(1e-18));
+                let load = netlist.load_cap(cell.output, tech).max(1e-18);
+                c.push(load);
                 outs.push(cell.output.index());
-                ic.push(model::charge_current(tech, eq.beta_p));
+                rise.push(model::charge_current(tech, eq.beta_p) / load);
+                ds.push(model::discharge_scale(tech, eq.beta_n));
             }
             beta_n = bn;
             beta_p = bp;
             cl = c;
             out_of = outs;
-            i_charge = ic;
+            rise_slope = rise;
+            disch_scale = ds;
         }
         let mut fanout: Vec<Vec<CellId>> = vec![Vec::new(); netlist.nets().len()];
         for ni in netlist.net_ids() {
@@ -214,7 +224,8 @@ impl<'a> Engine<'a> {
             beta_p,
             cl,
             out_of,
-            i_charge,
+            rise_slope,
+            disch_scale,
             fanout,
             topo: netlist.topo_order().ok(),
             tech_stamp: tech.fingerprint(),
@@ -320,6 +331,60 @@ impl<'a> Engine<'a> {
             VbsimKernel::DenseScan => self.run_partitioned_dense(from, to, partition, opts),
             VbsimKernel::EventDriven => {
                 self.run_partitioned_event(from, to, partition, opts, scratch)
+            }
+        }
+    }
+
+    /// Runs one transition (like [`Engine::run_partitioned_with`]) but
+    /// records only what delay measurement reads — the last
+    /// V<sub>dd</sub>/2 crossing of each probe, the stall and truncation
+    /// flags, the peak virtual-ground bounce and the health counters —
+    /// instead of every net's waveform. Sizing, screening, clustering and
+    /// Monte Carlo legs read nothing else, so they skip building (and
+    /// then discarding) the waveforms.
+    ///
+    /// The result equals [`VbsimRun::summary`] of the waveform run
+    /// bit-for-bit, errors included; under [`VbsimKernel::DenseScan`] it
+    /// is computed exactly that way. Warm reruns on one scratch reuse
+    /// every buffer; the returned crossing list and new V<sub>x</sub>-memo
+    /// entries are their only allocations.
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::run_partitioned`].
+    ///
+    /// # Panics
+    ///
+    /// When a probe is not a net of the netlist.
+    pub fn run_summary_with(
+        &self,
+        from: &[Logic],
+        to: &[Logic],
+        partition: Option<&PartitionedSleep>,
+        probes: &[NetId],
+        opts: &VbsimOptions,
+        scratch: &mut VbsimScratch,
+    ) -> Result<RunSummary, CoreError> {
+        match opts.kernel {
+            VbsimKernel::DenseScan => Ok(self
+                .run_partitioned_dense(from, to, partition, opts)?
+                .summary(probes)),
+            VbsimKernel::EventDriven => {
+                let mut rec = std::mem::take(&mut scratch.summary);
+                rec.threshold = self.tech.vdd / 2.0;
+                let out = self.run_event(from, to, partition, opts, scratch, &mut rec);
+                let summary = out.map(|out| RunSummary {
+                    crossings: probes
+                        .iter()
+                        .map(|n| rec.nets[n.index()].crossing)
+                        .collect(),
+                    stalled: out.stalled,
+                    truncated: out.truncated,
+                    peak_vgnd: rec.peak_vgnd.unwrap_or(0.0),
+                    health: out.health,
+                });
+                scratch.summary = rec;
+                summary
             }
         }
     }
@@ -692,24 +757,9 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The event-driven breakpoint loop (see [`VbsimKernel::EventDriven`]).
-    ///
-    /// Bit-identity with the dense kernel rests on four invariants:
-    ///
-    /// * The breakpoint queue is rebuilt from fresh `(dt, cell)`
-    ///   candidates every iteration — candidates are *relative* times
-    ///   computed from the current voltages, so the popped minimum is
-    ///   the same value the dense kernel's `min`-fold produces
-    ///   (persisting absolute times across breakpoints would round
-    ///   differently).
-    /// * The active list is kept sorted by cell index, so β lists,
-    ///   current sums, and fire events happen in the same
-    ///   ascending-index order as the dense whole-netlist scans.
-    /// * A group's equilibrium is replayed from its cached solution only
-    ///   while its falling-drive set is unchanged — and
-    ///   [`model::solve_vx_tracked`] is a pure function of `(tech, r,
-    ///   betas, body_effect)`, which is exactly the memo key.
-    /// * Only `Ok` solutions are memoized, so error paths re-execute.
+    /// [`Engine::run_partitioned_with`] for the event kernel: the
+    /// breakpoint loop recording full waveforms, with buffers drawn from
+    /// (and the pool handed back to) the scratch.
     fn run_partitioned_event(
         &self,
         from: &[Logic],
@@ -718,6 +768,65 @@ impl<'a> Engine<'a> {
         opts: &VbsimOptions,
         scratch: &mut VbsimScratch,
     ) -> Result<VbsimRun, CoreError> {
+        let mut rec = WaveRecorder::from_pool(scratch);
+        let out = self.run_event(from, to, partition, opts, scratch, &mut rec);
+        let WaveRecorder {
+            waveforms,
+            vgnd,
+            sleep_current,
+            pool,
+        } = rec;
+        scratch.pwl_pool = pool;
+        let out = out?;
+        Ok(VbsimRun {
+            waveforms,
+            vgnd,
+            sleep_current,
+            breakpoints: out.health.breakpoints,
+            stalled: out.stalled,
+            truncated: out.truncated,
+            max_simultaneous_discharging: out.max_falling,
+            t_end: out.t_end,
+            vdd: self.tech.vdd,
+            health: out.health,
+        })
+    }
+
+    /// The event-driven breakpoint loop (see [`VbsimKernel::EventDriven`]),
+    /// generic over what it records: [`WaveRecorder`] keeps every point,
+    /// [`SummaryRecorder`] only what delay measurement reads. Both see the
+    /// identical point sequence, so the choice changes no result.
+    ///
+    /// Bit-identity with the dense kernel rests on five invariants:
+    ///
+    /// * The breakpoint queue is rebuilt from fresh candidate times
+    ///   every iteration — candidates are *relative* times
+    ///   computed from the current voltages, so the popped minimum is
+    ///   the same value the dense kernel's `min`-fold produces
+    ///   (persisting absolute times across breakpoints would round
+    ///   differently).
+    /// * The active list is kept sorted by cell index, so scale lists,
+    ///   current sums, and fire events happen in the same
+    ///   ascending-index order as the dense whole-netlist scans.
+    /// * A group's equilibrium is replayed from its cached solution only
+    ///   while its falling-drive set is unchanged — and
+    ///   [`model::solve_vx_scaled`] (bit-identical to the dense kernel's
+    ///   [`model::solve_vx_tracked`] on the βs) is a pure function of
+    ///   `(tech, r, scales, body_effect)`, which is exactly the memo key.
+    /// * Only `Ok` solutions are memoized, so error paths re-execute.
+    /// * A discharge current is [`model::discharge_scale`] (per cell,
+    ///   precomputed) times [`model::discharge_drive`] (per group, taken
+    ///   once per distinct V<sub>x</sub>): the expression tree
+    ///   [`model::discharge_current`] evaluates.
+    fn run_event<R: Recorder>(
+        &self,
+        from: &[Logic],
+        to: &[Logic],
+        partition: Option<&PartitionedSleep>,
+        opts: &VbsimOptions,
+        scratch: &mut VbsimScratch,
+        rec: &mut R,
+    ) -> Result<KernelOut, CoreError> {
         if !(opts.t_stop.is_finite() && opts.t_stop > 0.0) {
             return Err(CoreError::InvalidOptions(format!(
                 "t_stop must be positive and finite, got {}",
@@ -770,26 +879,19 @@ impl<'a> Engine<'a> {
         let stamp = self.tech_stamp;
         if scratch.memo_stamp != Some(stamp) {
             scratch.vx_memo.clear();
+            scratch.memo_words = 0;
             scratch.memo_stamp = Some(stamp);
         }
 
         // Settled initial state, converted to booleans/voltages and the
-        // per-net output waveforms in one pass. Waveform buffers come
-        // from the scratch pool when the caller recycles finished runs
-        // ([`VbsimScratch::recycle`]): a warm sweep then allocates
-        // nothing, it just refills retained capacity.
+        // per-net series in one pass.
         self.settle_digital(from, scratch)?;
         let n_nets = nl.nets().len();
         let n_cells = nl.cells().len();
-        let mut wave: Vec<Pwl> = scratch.wave_pool.pop().unwrap_or_default();
-        wave.reserve(n_nets);
+        rec.begin(n_nets);
         {
             let VbsimScratch {
-                logic,
-                digital,
-                v,
-                pwl_pool,
-                ..
+                logic, digital, v, ..
             } = &mut *scratch;
             digital.clear();
             v.clear();
@@ -799,10 +901,7 @@ impl<'a> Engine<'a> {
                         digital.push(b);
                         let vv = if b { vdd } else { 0.0 };
                         v.push(vv);
-                        let mut w = pwl_pool.pop().unwrap_or_default();
-                        w.clear();
-                        w.push(0.0, vv);
-                        wave.push(w);
+                        rec.open_net(vv);
                     }
                     None => return Err(CoreError::UnknownState(nl.nets()[idx].name.clone())),
                 }
@@ -836,20 +935,16 @@ impl<'a> Engine<'a> {
         scratch.dirty.resize(n_groups, true);
         scratch.falling_count.clear();
         scratch.falling_count.resize(n_groups, 0);
-        if scratch.betas.len() < n_groups {
-            scratch.betas.resize_with(n_groups, Vec::new);
+        if scratch.scales.len() < n_groups {
+            scratch.scales.resize_with(n_groups, Vec::new);
         }
-        scratch.disch_bits.clear();
-        scratch.disch_bits.resize(n_cells, u64::MAX);
-        scratch.disch_i.clear();
-        scratch.disch_i.resize(n_cells, 0.0);
+        scratch.drive_bits.clear();
+        scratch.drive_bits.resize(n_groups, u64::MAX);
+        scratch.drive.clear();
+        scratch.drive.resize(n_groups, None);
 
-        let mut vgnd = scratch.pwl_pool.pop().unwrap_or_default();
-        vgnd.clear();
-        vgnd.push(0.0, 0.0);
-        let mut i_total_wave = scratch.pwl_pool.pop().unwrap_or_default();
-        i_total_wave.clear();
-        i_total_wave.push(0.0, 0.0);
+        rec.vgnd(0.0, 0.0);
+        rec.sleep_current(0.0, 0.0);
 
         // Apply the input step.
         if from.len() != to.len() {
@@ -865,9 +960,9 @@ impl<'a> Engine<'a> {
             })?;
             if new != scratch.digital[ni.index()] {
                 let idx = ni.index();
-                wave[idx].push(0.0, scratch.v[idx]);
+                rec.net(idx, 0.0, scratch.v[idx]);
                 scratch.v[idx] = if new { vdd } else { 0.0 };
-                wave[idx].push(0.0, scratch.v[idx]);
+                rec.net(idx, 0.0, scratch.v[idx]);
                 scratch.digital[idx] = new;
                 scratch.reeval.extend(self.fanout[idx].iter().copied());
             }
@@ -908,10 +1003,10 @@ impl<'a> Engine<'a> {
                     dir,
                     group_of,
                     dirty,
-                    betas,
+                    scales,
                     ..
                 } = &mut *scratch;
-                for (g, b) in betas.iter_mut().enumerate().take(n_groups) {
+                for (g, b) in scales.iter_mut().enumerate().take(n_groups) {
                     if dirty[g] {
                         b.clear();
                     }
@@ -920,7 +1015,7 @@ impl<'a> Engine<'a> {
                     if dir[ci] == Some(Dir::Falling) {
                         let g = group_of[ci];
                         if dirty[g] {
-                            betas[g].push(self.beta_n[ci]);
+                            scales[g].push(self.disch_scale[ci]);
                         }
                     }
                 }
@@ -943,8 +1038,8 @@ impl<'a> Engine<'a> {
                 }
                 if (new_vx - scratch.vx[g]).abs() > 1e-12 {
                     if g == 0 {
-                        vgnd.push(t, scratch.vx[g]);
-                        vgnd.push(t, new_vx);
+                        rec.vgnd(t, scratch.vx[g]);
+                        rec.vgnd(t, new_vx);
                     }
                     scratch.vx[g] = new_vx;
                     any_vx_change = true;
@@ -966,23 +1061,22 @@ impl<'a> Engine<'a> {
                         let vxg = vx[group_of[ci]];
                         let out = self.out_of[ci];
                         if !digital[out] && (v[out] - vxg).abs() > 1e-12 && v[out] < vth_sw {
-                            wave[out].push(t, v[out]);
+                            rec.net(out, t, v[out]);
                             v[out] = vxg.min(vth_sw * 0.999);
-                            wave[out].push(t, v[out]);
+                            rec.net(out, t, v[out]);
                         }
                     }
                 }
             }
 
             // (3) Update slopes and pick the next breakpoint: a
-            // deterministic min-reduction over the candidate `(dt, cell)`
-            // pairs. `total_cmp` on the time with ties broken on the
-            // cell index makes the choice insertion-order free — the
-            // strict comparison keeps the earlier candidate on exact
-            // ties, and candidates arrive in ascending cell order, so
-            // this selects exactly what a binary-heap queue would pop.
+            // deterministic min-reduction over the candidate times under
+            // `f64::total_cmp`. Min-selection performs no arithmetic and
+            // equal candidates carry equal bits, so the result is
+            // insertion-order free — exactly what a binary-heap queue
+            // would pop.
             let mut i_total = 0.0f64;
-            let mut next_bp: Option<(f64, usize)> = None;
+            let mut dt_min = f64::INFINITY;
             let any_switching = !scratch.active.is_empty();
             {
                 let VbsimScratch {
@@ -992,80 +1086,71 @@ impl<'a> Engine<'a> {
                     vx,
                     v,
                     slope,
-                    disch_bits,
-                    disch_i,
+                    drive_bits,
+                    drive,
                     ..
                 } = &mut *scratch;
-                let mut consider = |dt: f64, ci: usize| {
-                    let earlier = next_bp.is_none_or(|best| match dt.total_cmp(&best.0) {
-                        std::cmp::Ordering::Less => true,
-                        std::cmp::Ordering::Greater => false,
-                        std::cmp::Ordering::Equal => ci < best.1,
-                    });
-                    if earlier {
-                        next_bp = Some((dt, ci));
+                let mut consider = |dt: f64| {
+                    if dt.total_cmp(&dt_min).is_lt() {
+                        dt_min = dt;
                     }
                 };
                 for &ci in active.iter() {
                     let Some(d) = dir[ci] else { continue };
-                    let vxg = vx[group_of[ci]];
+                    let g = group_of[ci];
+                    let vxg = vx[g];
                     let floor = if opts.reverse_conduction { vxg } else { 0.0 };
                     let out = self.out_of[ci];
                     let (s, target) = match d {
                         Dir::Falling => {
-                            // Per-cell discharge-current memo: Vx moves
-                            // only at breakpoints, so the common case
-                            // replays the previous value.
+                            // Per-group overdrive memo: Vx moves only at
+                            // breakpoints, so the power is taken once
+                            // per group per distinct Vx.
                             let bits = vxg.to_bits();
-                            let i = if disch_bits[ci] == bits {
-                                disch_i[ci]
-                            } else {
-                                let i = model::discharge_current(
-                                    tech,
-                                    self.beta_n[ci],
-                                    vxg,
-                                    opts.body_effect,
-                                );
-                                disch_bits[ci] = bits;
-                                disch_i[ci] = i;
-                                i
-                            };
+                            if drive_bits[g] != bits {
+                                drive[g] = model::discharge_drive(tech, vxg, opts.body_effect);
+                                drive_bits[g] = bits;
+                            }
+                            let i = model::discharge_current_with(self.disch_scale[ci], drive[g]);
                             i_total += i;
                             (-i / self.cl[ci], floor)
                         }
-                        Dir::Rising => (self.i_charge[ci] / self.cl[ci], vdd),
+                        Dir::Rising => (self.rise_slope[ci], vdd),
                     };
                     slope[out] = s;
                     if s == 0.0 {
                         continue; // stalled: waits for vx to drop
                     }
-                    // Threshold crossing still ahead?
-                    let crossing_ahead = match d {
-                        Dir::Falling => v[out] > vth_sw,
-                        Dir::Rising => v[out] < vth_sw,
+                    // Threshold crossing still ahead? When the swing's
+                    // target lies beyond the threshold, the finish time
+                    // is the same division with a numerator no smaller
+                    // in magnitude, so (rounding being monotone) it can
+                    // never undercut the crossing candidate: skip it.
+                    let (crossing_ahead, target_beyond) = match d {
+                        Dir::Falling => (v[out] > vth_sw, target < vth_sw),
+                        Dir::Rising => (v[out] < vth_sw, target > vth_sw),
                     };
                     if crossing_ahead {
                         let dt = (vth_sw - v[out]) / s;
                         if dt >= 0.0 {
-                            consider(dt, ci);
+                            consider(dt);
+                            if target_beyond {
+                                continue;
+                            }
                         }
                     }
                     // Finish.
                     let dt_fin = (target - v[out]) / s;
                     if dt_fin >= 0.0 {
-                        consider(dt_fin, ci);
+                        consider(dt_fin);
                     }
                 }
             }
-            i_total_wave.push(t, i_total);
+            rec.sleep_current(t, i_total);
 
             if !any_switching {
                 break; // settled
             }
-            let dt_min = match next_bp {
-                Some((dt, _)) => dt,
-                None => f64::INFINITY,
-            };
             if !dt_min.is_finite() {
                 // Every active gate is stalled and nothing can unstick
                 // them: the circuit has logically failed at this sizing.
@@ -1094,49 +1179,63 @@ impl<'a> Engine<'a> {
             t = t_next;
             let eps = 1e-15 + vdd * 1e-12;
             let mut any_finished = false;
-            for k in 0..scratch.active.len() {
-                let ci = scratch.active[k];
-                let Some(d) = scratch.dir[ci] else { continue };
-                let out = self.out_of[ci];
-                if scratch.slope[out] == 0.0 {
-                    continue;
-                }
-                scratch.v[out] += scratch.slope[out] * dt_min;
-                wave[out].push(t, scratch.v[out]);
-                let floor = if opts.reverse_conduction {
-                    scratch.vx[scratch.group_of[ci]]
-                } else {
-                    0.0
-                };
-                let (target, rail_digital) = match d {
-                    Dir::Falling => (floor, false),
-                    Dir::Rising => (vdd, true),
-                };
-                // Threshold event.
-                let crossed_now = match d {
-                    Dir::Falling => scratch.v[out] <= vth_sw + eps && scratch.digital[out],
-                    Dir::Rising => scratch.v[out] >= vth_sw - eps && !scratch.digital[out],
-                };
-                if crossed_now {
-                    scratch.digital[out] = rail_digital;
-                    scratch.reeval.extend(self.fanout[out].iter().copied());
-                }
-                // Finish event.
-                let finished = match d {
-                    Dir::Falling => scratch.v[out] <= target + eps,
-                    Dir::Rising => scratch.v[out] >= target - eps,
-                };
-                if finished {
-                    scratch.v[out] = target;
-                    // Re-emit the clamped endpoint to kill rounding drift.
-                    wave[out].push(t, scratch.v[out]);
-                    scratch.dir[ci] = None;
-                    scratch.slope[out] = 0.0;
-                    any_finished = true;
-                    if d == Dir::Falling {
-                        let g = scratch.group_of[ci];
-                        scratch.falling_count[g] -= 1;
-                        scratch.dirty[g] = true;
+            {
+                let VbsimScratch {
+                    active,
+                    dir,
+                    group_of,
+                    vx,
+                    v,
+                    slope,
+                    digital,
+                    reeval,
+                    falling_count,
+                    dirty,
+                    ..
+                } = &mut *scratch;
+                for &ci in active.iter() {
+                    let Some(d) = dir[ci] else { continue };
+                    let out = self.out_of[ci];
+                    if slope[out] == 0.0 {
+                        continue;
+                    }
+                    v[out] += slope[out] * dt_min;
+                    rec.net(out, t, v[out]);
+                    let floor = if opts.reverse_conduction {
+                        vx[group_of[ci]]
+                    } else {
+                        0.0
+                    };
+                    let (target, rail_digital) = match d {
+                        Dir::Falling => (floor, false),
+                        Dir::Rising => (vdd, true),
+                    };
+                    // Threshold event.
+                    let crossed_now = match d {
+                        Dir::Falling => v[out] <= vth_sw + eps && digital[out],
+                        Dir::Rising => v[out] >= vth_sw - eps && !digital[out],
+                    };
+                    if crossed_now {
+                        digital[out] = rail_digital;
+                        reeval.extend(self.fanout[out].iter().copied());
+                    }
+                    // Finish event.
+                    let finished = match d {
+                        Dir::Falling => v[out] <= target + eps,
+                        Dir::Rising => v[out] >= target - eps,
+                    };
+                    if finished {
+                        v[out] = target;
+                        // Re-emit the clamped endpoint to kill rounding drift.
+                        rec.net(out, t, v[out]);
+                        dir[ci] = None;
+                        slope[out] = 0.0;
+                        any_finished = true;
+                        if d == Dir::Falling {
+                            let g = group_of[ci];
+                            falling_count[g] -= 1;
+                            dirty[g] = true;
+                        }
                     }
                 }
             }
@@ -1146,25 +1245,20 @@ impl<'a> Engine<'a> {
             }
         }
 
-        // Final flat segment so every waveform spans [0, t].
-        for (idx, w) in wave.iter_mut().enumerate() {
-            if w.end_time().unwrap_or(0.0) < t {
-                w.push(t, scratch.v[idx]);
+        // Final flat segment so every series spans [0, t].
+        for idx in 0..n_nets {
+            if rec.net_end(idx) < t {
+                rec.net(idx, t, scratch.v[idx]);
             }
         }
-        vgnd.push(t, scratch.vx[0]);
-        i_total_wave.push(t, 0.0);
+        rec.vgnd(t, scratch.vx[0]);
+        rec.sleep_current(t, 0.0);
 
-        Ok(VbsimRun {
-            waveforms: wave,
-            vgnd,
-            sleep_current: i_total_wave,
-            breakpoints,
+        Ok(KernelOut {
             stalled,
             truncated,
-            max_simultaneous_discharging: max_falling,
+            max_falling,
             t_end: t,
-            vdd,
             health: RunHealth {
                 breakpoints,
                 max_events: opts.max_events,
@@ -1217,10 +1311,10 @@ impl<'a> Engine<'a> {
     }
 
     /// Solves one group's equilibrium through the cross-run memo. The
-    /// key is exactly the solver's argument list — `(r, body effect, βs
-    /// in ascending cell order)` — and the technology stamp is checked
-    /// at run start, so a hit replays the identical solution the dense
-    /// kernel would recompute. Only `Ok` solutions are cached.
+    /// key is exactly the solver's argument list — `(r, body effect,
+    /// scales in ascending cell order)` — and the technology stamp is
+    /// checked at run start, so a hit replays the identical solution the
+    /// dense kernel would recompute. Only `Ok` solutions are cached.
     fn solve_group_memoized(
         &self,
         g: usize,
@@ -1229,8 +1323,8 @@ impl<'a> Engine<'a> {
         scratch: &mut VbsimScratch,
     ) -> Result<(f64, bool), CoreError> {
         let r = scratch.rs[g];
-        if r <= 0.0 || scratch.betas[g].is_empty() {
-            // solve_vx_tracked's own fast path; not worth a memo entry.
+        if r <= 0.0 || scratch.scales[g].is_empty() {
+            // The solver's own fast path; not worth a memo entry.
             return Ok((0.0, false));
         }
         scratch.key_buf.clear();
@@ -1238,14 +1332,16 @@ impl<'a> Engine<'a> {
         scratch.key_buf.push(opts.body_effect as u64);
         scratch
             .key_buf
-            .extend(scratch.betas[g].iter().map(|b| b.to_bits()));
+            .extend(scratch.scales[g].iter().map(|b| b.to_bits()));
         if let Some(&hit) = scratch.vx_memo.get(scratch.key_buf.as_slice()) {
             return Ok(hit);
         }
-        let sol = model::solve_vx_tracked(self.tech, r, &scratch.betas[g], vx_opts)?;
-        if scratch.vx_memo.len() >= VX_MEMO_CAP {
+        let sol = model::solve_vx_scaled(self.tech, r, &scratch.scales[g], vx_opts)?;
+        if scratch.memo_words + scratch.key_buf.len() > VX_MEMO_WORDS {
             scratch.vx_memo.clear();
+            scratch.memo_words = 0;
         }
+        scratch.memo_words += scratch.key_buf.len();
         scratch.vx_memo.insert(scratch.key_buf.clone(), sol);
         Ok(sol)
     }
@@ -1310,18 +1406,21 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Upper bound on cross-run V<sub>x</sub>-memo entries; the memo is
-/// cleared (not evicted) at the cap, which keeps hot sweeps cheap while
-/// bounding a pathological workload's footprint.
-const VX_MEMO_CAP: usize = 1 << 16;
+/// Upper bound on the cross-run V<sub>x</sub> memo's key storage, in
+/// `u64` words (512 KiB); the memo is cleared (not evicted) at the cap.
+/// Bounding words rather than entries keeps the memo cache-sized on
+/// large netlists, whose long keys (one word per falling gate) rarely
+/// recur beyond the drive sets of the run in progress, while small
+/// circuits' short keys still fit every recurring drive set.
+const VX_MEMO_WORDS: usize = 1 << 16;
 
 /// Reusable working memory for the event-driven kernel (see
 /// [`Engine::run_with`]). One scratch serves any number of runs of any
 /// engine — buffers are resized to the current netlist at run start, so
 /// the warm breakpoint loop performs no allocation. The scratch also
 /// carries the cross-run V<sub>x</sub>-equilibrium memo, keyed by
-/// `(r_sleep, body effect, β list)` and stamped with the technology
-/// fingerprint.
+/// `(r_sleep, body effect, discharge-scale list)` and stamped with the
+/// technology fingerprint.
 #[derive(Debug, Clone, Default)]
 pub struct VbsimScratch {
     digital: Vec<bool>,
@@ -1343,13 +1442,17 @@ pub struct VbsimScratch {
     /// Whether a group's falling-drive set changed since its last solve.
     dirty: Vec<bool>,
     falling_count: Vec<usize>,
-    betas: Vec<Vec<f64>>,
-    /// Per-cell discharge-current memo: the `vx` bit pattern the current
-    /// was last computed at (`u64::MAX` = never) and the current itself.
-    disch_bits: Vec<u64>,
-    disch_i: Vec<f64>,
+    /// Per group, the [`model::discharge_scale`] of each falling cell in
+    /// ascending cell order: the solver input and the memo key.
+    scales: Vec<Vec<f64>>,
+    /// Per-group overdrive memo: the `vx` bit pattern the drive was last
+    /// taken at (`u64::MAX` = never) and [`model::discharge_drive`] there.
+    drive_bits: Vec<u64>,
+    drive: Vec<Option<f64>>,
     key_buf: Vec<u64>,
     vx_memo: std::collections::HashMap<Vec<u64>, (f64, bool), FnvBuild>,
+    /// Key words held by `vx_memo` (bounded by [`VX_MEMO_WORDS`]).
+    memo_words: usize,
     memo_stamp: Option<u64>,
     /// Settled logic values (the event kernel's zero-alloc stand-in for
     /// [`Netlist::evaluate`]'s return vector).
@@ -1358,6 +1461,8 @@ pub struct VbsimScratch {
     /// run start so warm sweeps reuse capacity instead of allocating.
     pwl_pool: Vec<Pwl>,
     wave_pool: Vec<Vec<Pwl>>,
+    /// The summary recorder's per-net buffers ([`Engine::run_summary_with`]).
+    summary: SummaryRecorder,
 }
 
 impl VbsimScratch {
@@ -1393,6 +1498,173 @@ impl VbsimScratch {
     }
 }
 
+/// What one event-kernel run reports besides its recorded series.
+struct KernelOut {
+    stalled: bool,
+    truncated: bool,
+    max_falling: usize,
+    t_end: f64,
+    health: RunHealth,
+}
+
+/// Where the event kernel sends the points it produces: per-net output
+/// voltages, the group-0 virtual ground and the total sleep current.
+/// Every series starts with a point at `t = 0`.
+trait Recorder {
+    /// Starts a run whose nets will be opened next, in index order.
+    fn begin(&mut self, n_nets: usize);
+    /// Opens the next net's series at `(0, v)`.
+    fn open_net(&mut self, v: f64);
+    /// Appends a point to net `net`'s series.
+    fn net(&mut self, net: usize, t: f64, v: f64);
+    /// The time of net `net`'s last point.
+    fn net_end(&self, net: usize) -> f64;
+    /// Appends a point to the virtual-ground series.
+    fn vgnd(&mut self, t: f64, v: f64);
+    /// Appends a point to the sleep-current series.
+    fn sleep_current(&mut self, t: f64, i: f64);
+}
+
+/// Records every point: the waveforms of a [`VbsimRun`]. Buffers come
+/// from the scratch pool ([`VbsimScratch::recycle`]), so a warm sweep
+/// refills retained capacity instead of allocating.
+struct WaveRecorder {
+    waveforms: Vec<Pwl>,
+    vgnd: Pwl,
+    sleep_current: Pwl,
+    pool: Vec<Pwl>,
+}
+
+impl WaveRecorder {
+    fn from_pool(scratch: &mut VbsimScratch) -> Self {
+        let mut pool = std::mem::take(&mut scratch.pwl_pool);
+        let mut take = || {
+            let mut w = pool.pop().unwrap_or_default();
+            w.clear();
+            w
+        };
+        let (vgnd, sleep_current) = (take(), take());
+        WaveRecorder {
+            waveforms: scratch.wave_pool.pop().unwrap_or_default(),
+            vgnd,
+            sleep_current,
+            pool,
+        }
+    }
+}
+
+impl Recorder for WaveRecorder {
+    fn begin(&mut self, n_nets: usize) {
+        self.waveforms.reserve(n_nets);
+    }
+
+    fn open_net(&mut self, v: f64) {
+        let mut w = self.pool.pop().unwrap_or_default();
+        w.clear();
+        w.push(0.0, v);
+        self.waveforms.push(w);
+    }
+
+    fn net(&mut self, net: usize, t: f64, v: f64) {
+        self.waveforms[net].push(t, v);
+    }
+
+    fn net_end(&self, net: usize) -> f64 {
+        self.waveforms[net].end_time().unwrap_or(0.0)
+    }
+
+    fn vgnd(&mut self, t: f64, v: f64) {
+        self.vgnd.push(t, v);
+    }
+
+    fn sleep_current(&mut self, t: f64, i: f64) {
+        self.sleep_current.push(t, i);
+    }
+}
+
+/// Records per net only the last point and the last crossing of
+/// `threshold`, plus the running maximum of the virtual ground: what
+/// [`VbsimRun::summary`] reads from the full waveforms, computed with
+/// the same arithmetic ([`segment_crossing`], the `max` fold of
+/// [`Pwl::max_value`]). Every point passes [`Pwl::push`]'s check, with
+/// its panic text, so a run that would panic building waveforms panics
+/// here too.
+#[derive(Debug, Clone, Default)]
+struct SummaryRecorder {
+    threshold: f64,
+    nets: Vec<NetTail>,
+    vgnd_end: Option<f64>,
+    peak_vgnd: Option<f64>,
+    current_end: Option<f64>,
+}
+
+/// The summary recorder's state for one net.
+#[derive(Debug, Clone, Copy)]
+struct NetTail {
+    t: f64,
+    v: f64,
+    crossing: Option<f64>,
+}
+
+/// [`Pwl::push`]'s validation of a point after one at `last_t`, with the
+/// formatting and panic kept off the hot path.
+#[inline]
+fn check_push(last_t: Option<f64>, t: f64, v: f64) {
+    if !(t.is_finite() && v.is_finite() && last_t.is_none_or(|last| t >= last)) {
+        reject_point(last_t, t, v);
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn reject_point(last_t: Option<f64>, t: f64, v: f64) {
+    check_point(last_t, t, v).expect("invalid waveform point");
+}
+
+impl Recorder for SummaryRecorder {
+    fn begin(&mut self, n_nets: usize) {
+        self.nets.clear();
+        self.nets.reserve(n_nets);
+        self.vgnd_end = None;
+        self.peak_vgnd = None;
+        self.current_end = None;
+    }
+
+    fn open_net(&mut self, v: f64) {
+        check_push(None, 0.0, v);
+        self.nets.push(NetTail {
+            t: 0.0,
+            v,
+            crossing: None,
+        });
+    }
+
+    fn net(&mut self, net: usize, t: f64, v: f64) {
+        let tail = &mut self.nets[net];
+        check_push(Some(tail.t), t, v);
+        if let Some(c) = segment_crossing((tail.t, tail.v), (t, v), self.threshold) {
+            tail.crossing = Some(c.time);
+        }
+        tail.t = t;
+        tail.v = v;
+    }
+
+    fn net_end(&self, net: usize) -> f64 {
+        self.nets[net].t
+    }
+
+    fn vgnd(&mut self, t: f64, v: f64) {
+        check_push(self.vgnd_end, t, v);
+        self.vgnd_end = Some(t);
+        self.peak_vgnd = Some(self.peak_vgnd.map_or(v, |m| m.max(v)));
+    }
+
+    fn sleep_current(&mut self, t: f64, i: f64) {
+        check_push(self.current_end, t, i);
+        self.current_end = Some(t);
+    }
+}
+
 /// FNV-1a hashing for the V<sub>x</sub> memo: the keys are short
 /// `Vec<u64>` bit patterns hashed once per breakpoint, where SipHash's
 /// per-call setup cost is measurable and its DoS resistance buys
@@ -1417,14 +1689,21 @@ impl std::hash::Hasher for FnvHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
+        // A `[u64]` key arrives here as one byte slice (std hashes
+        // integer slices with a single `write`), so fold it a word at a
+        // time: a byte-wise loop made hashing a 50-gate key cost more
+        // than the equilibrium solve it guards.
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.write_u64(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        for &b in words.remainder() {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
         }
     }
 
     fn write_u64(&mut self, i: u64) {
-        // Whole-word FNV-1a round: the memo keys are u64 sequences, so
-        // this is the only path the hot lookup takes.
+        // Whole-word FNV-1a round.
         self.0 = (self.0 ^ i).wrapping_mul(0x100_0000_01b3);
     }
 
@@ -1506,6 +1785,18 @@ impl VbsimRun {
         worst_delay_vs_baseline(&base, &here)
     }
 
+    /// The measurements [`Engine::run_summary_with`] returns, read off
+    /// this run's waveforms.
+    pub fn summary(&self, probes: &[NetId]) -> RunSummary {
+        RunSummary {
+            crossings: probes.iter().map(|&n| self.last_crossing_time(n)).collect(),
+            stalled: self.stalled,
+            truncated: self.truncated,
+            peak_vgnd: self.peak_vgnd(),
+            health: self.health,
+        }
+    }
+
     /// Peak total discharge current (§4's worst-case current analysis).
     pub fn peak_sleep_current(&self) -> f64 {
         self.sleep_current.max_value().unwrap_or(0.0)
@@ -1515,6 +1806,33 @@ impl VbsimRun {
     pub fn peak_vgnd(&self) -> f64 {
         self.vgnd.max_value().unwrap_or(0.0)
     }
+}
+
+/// What a delay measurement reads from one run
+/// ([`Engine::run_summary_with`], [`VbsimRun::summary`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunSummary {
+    /// Per-probe time of the last V<sub>dd</sub>/2 crossing, index-aligned
+    /// with the probe list; `None` when that probe never crossed.
+    pub crossings: Vec<Option<f64>>,
+    /// As [`VbsimRun::stalled`].
+    pub stalled: bool,
+    /// As [`VbsimRun::truncated`].
+    pub truncated: bool,
+    /// As [`VbsimRun::peak_vgnd`].
+    pub peak_vgnd: f64,
+    /// As [`VbsimRun::health`].
+    pub health: RunHealth,
+}
+
+/// The latest of per-probe crossing times — the worst settling delay
+/// of one run, as [`VbsimRun::delay_over`] computes it from the
+/// waveforms. `None` when no probe crossed.
+pub fn latest_crossing(crossings: &[Option<f64>]) -> Option<f64> {
+    crossings
+        .iter()
+        .flatten()
+        .fold(None, |acc, &t| Some(acc.map_or(t, |a: f64| a.max(t))))
 }
 
 /// The worst settling delay of an observed (possibly degraded) run

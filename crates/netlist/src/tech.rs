@@ -319,13 +319,21 @@ impl Technology {
     /// This is the current term of the paper's Eq. 5:
     /// I = (β/2)(V<sub>dd</sub> − V<sub>x</sub> − V<sub>tn</sub>)^α.
     pub fn nmos_isat(&self, wl_eff: f64, v_source: f64, body_effect: bool) -> f64 {
+        let (vgs, vth) = self.nmos_bias(v_source, body_effect);
+        mtk_spice::mos::alpha_power_isat(self.kp_n * wl_eff, vgs, vth, self.alpha)
+    }
+
+    /// The gate drive and threshold `(vgs, vth)` of a fully-on NMOS
+    /// pull-down whose source sits at `v_source`: the operating point
+    /// [`Technology::nmos_isat`] evaluates, shared by every device of any
+    /// size at that source voltage.
+    pub fn nmos_bias(&self, v_source: f64, body_effect: bool) -> (f64, f64) {
         let vth = if body_effect {
             self.vtn + self.gamma * ((self.phi + v_source.max(0.0)).sqrt() - self.phi.sqrt())
         } else {
             self.vtn
         };
-        let vgs = self.vdd - v_source;
-        mtk_spice::mos::alpha_power_isat(self.kp_n * wl_eff, vgs, vth, self.alpha)
+        (self.vdd - v_source, vth)
     }
 
     /// Saturation current of a PMOS pull-up of effective aspect ratio

@@ -119,18 +119,7 @@ impl Pwl {
     /// Returns [`NumError::InvalidArgument`] on a decreasing time or
     /// non-finite coordinates.
     pub fn try_push(&mut self, t: f64, v: f64) -> Result<()> {
-        if !t.is_finite() || !v.is_finite() {
-            return Err(NumError::InvalidArgument(format!(
-                "waveform point ({t}, {v}) is not finite"
-            )));
-        }
-        if let Some(&(last_t, _)) = self.points.last() {
-            if t < last_t {
-                return Err(NumError::InvalidArgument(format!(
-                    "waveform time {t} precedes previous time {last_t}"
-                )));
-            }
-        }
+        check_point(self.end_time(), t, v)?;
         self.points.push((t, v));
         Ok(())
     }
@@ -218,39 +207,27 @@ impl Pwl {
     /// retreats reports a coincident rising/falling pair, preserving the
     /// alternation invariant.
     pub fn crossings(&self, threshold: f64) -> Vec<Crossing> {
-        let mut out = Vec::new();
-        for w in self.points.windows(2) {
-            let (t0, v0) = w[0];
-            let (t1, v1) = w[1];
-            let below0 = v0 < threshold;
-            let below1 = v1 < threshold;
-            if below0 != below1 {
-                let frac = if v1 == v0 {
-                    0.0
-                } else {
-                    (threshold - v0) / (v1 - v0)
-                };
-                out.push(Crossing {
-                    time: t0 + frac * (t1 - t0),
-                    rising: below0,
-                });
-            }
-        }
-        out
+        self.crossing_iter(threshold).collect()
     }
 
     /// First crossing of `threshold` at or after `t_from` matching `edge`.
     pub fn first_crossing(&self, threshold: f64, edge: Edge, t_from: f64) -> Option<Crossing> {
-        self.crossings(threshold)
-            .into_iter()
+        self.crossing_iter(threshold)
             .find(|c| c.time >= t_from && edge.matches(c.rising))
     }
 
     /// Last crossing of `threshold` matching `edge`.
     pub fn last_crossing(&self, threshold: f64, edge: Edge) -> Option<Crossing> {
-        self.crossings(threshold)
-            .into_iter()
+        self.crossing_iter(threshold)
             .rfind(|c| edge.matches(c.rising))
+    }
+
+    /// [`Pwl::crossings`] as a lazy, double-ended iterator, so the
+    /// first/last queries scan from the matching end without collecting.
+    fn crossing_iter(&self, threshold: f64) -> impl DoubleEndedIterator<Item = Crossing> + '_ {
+        self.points
+            .windows(2)
+            .filter_map(move |w| segment_crossing(w[0], w[1], threshold))
     }
 
     /// Shifts every point in time by `dt`.
@@ -300,6 +277,56 @@ impl FromIterator<(f64, f64)> for Pwl {
     }
 }
 
+/// The check [`Pwl::try_push`] applies to a point `(t, v)` appended
+/// after a point at time `last_t` (`None` = the first point): both
+/// coordinates finite and time non-decreasing. Exposed so recorders that
+/// keep only a summary of a waveform reject exactly the points a
+/// [`Pwl`] would.
+///
+/// # Errors
+///
+/// Returns [`NumError::InvalidArgument`] on a decreasing time or
+/// non-finite coordinates.
+pub fn check_point(last_t: Option<f64>, t: f64, v: f64) -> Result<()> {
+    if !t.is_finite() || !v.is_finite() {
+        return Err(NumError::InvalidArgument(format!(
+            "waveform point ({t}, {v}) is not finite"
+        )));
+    }
+    if let Some(last_t) = last_t {
+        if t < last_t {
+            return Err(NumError::InvalidArgument(format!(
+                "waveform time {t} precedes previous time {last_t}"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// The crossing of `threshold` on the segment `p0 → p1`, if any — the
+/// per-segment rule behind [`Pwl::crossings`] (`below` is strict, and a
+/// jump at one instant crosses at that instant). Exposed so recorders
+/// that keep only the last crossing of a waveform compute it with the
+/// same arithmetic.
+pub fn segment_crossing(p0: (f64, f64), p1: (f64, f64), threshold: f64) -> Option<Crossing> {
+    let (t0, v0) = p0;
+    let (t1, v1) = p1;
+    let below0 = v0 < threshold;
+    let below1 = v1 < threshold;
+    if below0 == below1 {
+        return None;
+    }
+    let frac = if v1 == v0 {
+        0.0
+    } else {
+        (threshold - v0) / (v1 - v0)
+    };
+    Some(Crossing {
+        time: t0 + frac * (t1 - t0),
+        rising: below0,
+    })
+}
+
 /// Measures the 50 %-referenced propagation delay between an input edge
 /// and the *last* output crossing, which is the measurement the paper
 /// reports (the worst path's final settling edge).
@@ -310,11 +337,7 @@ impl FromIterator<(f64, f64)> for Pwl {
 /// Returns `None` when either waveform never crosses the threshold.
 pub fn propagation_delay(input: &Pwl, output: &Pwl, v_ref: f64, t_from: f64) -> Option<f64> {
     let t_in = input.first_crossing(v_ref, Edge::Any, t_from)?.time;
-    let t_out = output
-        .crossings(v_ref)
-        .into_iter()
-        .rfind(|c| c.time >= t_in)?
-        .time;
+    let t_out = output.crossing_iter(v_ref).rfind(|c| c.time >= t_in)?.time;
     Some(t_out - t_in)
 }
 
@@ -583,6 +606,53 @@ mod tests {
                 assert!(pair[0].time <= pair[1].time);
                 assert_ne!(pair[0].rising, pair[1].rising);
             }
+        }
+    }
+
+    /// The scanning first/last queries return exactly the crossing the
+    /// collected list holds at that end, for every edge filter —
+    /// including zero-width jumps and exact touches of the threshold.
+    #[test]
+    fn first_and_last_crossing_match_the_collected_list() {
+        let mut rng = Xoshiro256pp::seed_from_u64(0xBEE4);
+        for _ in 0..256 {
+            let mut w = random_wave(&mut rng, -1.0, 1.0, 1, 24);
+            if rng.next_bool() {
+                // A jump (repeated time) and an exact touch.
+                let t = w.end_time().unwrap();
+                w.push(t, 0.0);
+                w.push(t + 1.0, 0.25);
+            }
+            let all = w.crossings(0.0);
+            for edge in [Edge::Any, Edge::Rising, Edge::Falling] {
+                let want_last = all.iter().rev().find(|c| edge.matches(c.rising));
+                assert_eq!(w.last_crossing(0.0, edge).as_ref(), want_last);
+                let t_from = rng.next_f64_in(-1.0, 26.0);
+                let want_first = all
+                    .iter()
+                    .find(|c| c.time >= t_from && edge.matches(c.rising));
+                assert_eq!(w.first_crossing(0.0, edge, t_from).as_ref(), want_first);
+            }
+        }
+    }
+
+    /// `check_point` is the whole of `try_push`'s validation.
+    #[test]
+    fn check_point_matches_try_push() {
+        for (last, t, v) in [
+            (None, 0.0, 1.0),
+            (None, f64::NAN, 1.0),
+            (Some(1.0), 0.5, 1.0),
+            (Some(1.0), 1.0, f64::INFINITY),
+            (Some(1.0), 1.0, 2.0),
+        ] {
+            let mut w = Pwl::new();
+            if let Some(t0) = last {
+                w.push(t0, 0.0);
+            }
+            let pushed = w.try_push(t, v).map_err(|e| e.to_string());
+            let checked = check_point(last, t, v).map_err(|e| e.to_string());
+            assert_eq!(pushed, checked, "({last:?}, {t}, {v})");
         }
     }
 

@@ -319,11 +319,20 @@ fn eval_normalized(
 /// `beta` is k′·(W/L). With `alpha = 2` this reduces to the square-law
 /// saturation current; short-channel devices have `alpha` between 1 and 2.
 pub fn alpha_power_isat(beta: f64, vgs: f64, vth: f64, alpha: f64) -> f64 {
+    alpha_power_drive(vgs, vth, alpha).map_or(0.0, |p| 0.5 * beta * p)
+}
+
+/// The β-independent factor of [`alpha_power_isat`]: `(vgs − vth)^alpha`,
+/// or `None` when the device is off (`vgs <= vth`, zero current).
+/// Devices that share a gate drive and threshold can take one power and
+/// scale it per device as `0.5 · beta · p`, which is the exact
+/// expression [`alpha_power_isat`] evaluates.
+pub fn alpha_power_drive(vgs: f64, vth: f64, alpha: f64) -> Option<f64> {
     let vov = vgs - vth;
     if vov <= 0.0 {
-        0.0
+        None
     } else {
-        0.5 * beta * vov.powf(alpha)
+        Some(vov.powf(alpha))
     }
 }
 

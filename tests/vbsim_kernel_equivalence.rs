@@ -5,6 +5,10 @@
 //! dense kernel bit-for-bit. These tests pin that contract directly on
 //! engine runs and end-to-end through the fault-tolerant parallel
 //! screener's deterministic trace.
+//!
+//! The summary recorder ([`Engine::run_summary_with`]) is pinned the same
+//! way: its crossings, flags, bounce peak, health and errors must equal
+//! what the waveform run of the same transition reports.
 
 use mtcmos_suite::circuits::adder::RippleAdder;
 use mtcmos_suite::circuits::multiplier::ArrayMultiplier;
@@ -12,9 +16,13 @@ use mtcmos_suite::circuits::random_logic::{RandomLogic, RandomLogicSpec};
 use mtcmos_suite::circuits::vectors::exhaustive_transitions;
 use mtcmos_suite::core::health::{FailurePolicy, FaultPlan};
 use mtcmos_suite::core::sizing::{screen_vectors_par_quarantined, Transition};
-use mtcmos_suite::core::vbsim::{Engine, VbsimKernel, VbsimOptions, VbsimRun, VbsimScratch};
+use mtcmos_suite::core::vbsim::{
+    Engine, PartitionedSleep, RunSummary, SleepNetwork, VbsimKernel, VbsimOptions, VbsimRun,
+    VbsimScratch,
+};
+use mtcmos_suite::core::CoreError;
 use mtcmos_suite::netlist::logic::{bits_lsb_first, Logic};
-use mtcmos_suite::netlist::netlist::Netlist;
+use mtcmos_suite::netlist::netlist::{NetId, Netlist};
 use mtcmos_suite::netlist::tech::Technology;
 use mtcmos_suite::num::waveform::Pwl;
 use mtcmos_suite::trace::{TraceMode, TraceReport};
@@ -54,6 +62,32 @@ fn assert_runs_identical(dense: &VbsimRun, event: &VbsimRun, ctx: &str) {
     assert_eq!(dense.health, event.health, "{ctx}: health counters");
 }
 
+/// Asserts a summary run reports exactly what the waveform run of the
+/// same transition does, compared on `f64` bit patterns.
+fn assert_summary_matches(run: &VbsimRun, summary: &RunSummary, probes: &[NetId], ctx: &str) {
+    let bits = |c: Option<f64>| c.map(f64::to_bits);
+    let want: Vec<_> = probes
+        .iter()
+        .map(|&n| bits(run.last_crossing_time(n)))
+        .collect();
+    let got: Vec<_> = summary.crossings.iter().map(|&c| bits(c)).collect();
+    assert_eq!(got, want, "{ctx}: probe crossings");
+    assert_eq!(summary.stalled, run.stalled, "{ctx}: stalled");
+    assert_eq!(summary.truncated, run.truncated, "{ctx}: truncated");
+    assert_eq!(
+        summary.peak_vgnd.to_bits(),
+        run.peak_vgnd().to_bits(),
+        "{ctx}: peak vgnd"
+    );
+    assert_eq!(summary.health, run.health, "{ctx}: health counters");
+}
+
+/// A run's outcome with errors rendered, so error values (and which
+/// error wins when several apply) compare too.
+fn outcome<T>(r: Result<T, CoreError>) -> Result<T, String> {
+    r.map_err(|e| format!("{e:?}"))
+}
+
 /// The option sets the kernels must agree under: plain CMOS, the paper's
 /// MTCMOS sizes (well- and under-sized), and both §5.3/§2.3 extensions.
 fn option_variants() -> Vec<VbsimOptions> {
@@ -76,13 +110,18 @@ fn option_variants() -> Vec<VbsimOptions> {
 /// the event kernel twice, once with a fresh scratch and once with a
 /// scratch reused (and recycled into) across the whole sweep, so warm
 /// memo tables and pooled buffers are proven not to leak into results.
+/// Each combination is also run through the summary recorder under both
+/// kernels (on its own warm scratch, probing every net) and checked
+/// against the waveform run.
 fn assert_kernels_agree(
     netlist: &Netlist,
     tech: &Technology,
     transitions: &[(Vec<Logic>, Vec<Logic>)],
 ) {
     let engine = Engine::new(netlist, tech);
+    let probes: Vec<NetId> = netlist.net_ids().collect();
     let mut warm = VbsimScratch::new();
+    let mut warm_summary = VbsimScratch::new();
     for (k, opts) in option_variants().iter().enumerate() {
         let dense_opts = VbsimOptions {
             kernel: VbsimKernel::DenseScan,
@@ -98,6 +137,13 @@ fn assert_kernels_agree(
                 .expect("warm event run");
             assert_runs_identical(&dense, &hot, &format!("warm {ctx}"));
             warm.recycle(hot);
+            for kernel_opts in [opts, &dense_opts] {
+                let summary = engine
+                    .run_summary_with(from, to, None, &probes, kernel_opts, &mut warm_summary)
+                    .expect("summary run");
+                let ctx = format!("summary {:?} {ctx}", kernel_opts.kernel);
+                assert_summary_matches(&dense, &summary, &probes, &ctx);
+            }
         }
     }
 }
@@ -150,6 +196,119 @@ fn multiplier_runs_are_bit_identical_across_kernels() {
     .map(|&(x0, y0, x1, y1)| (mult.input_values(x0, y0), mult.input_values(x1, y1)))
     .collect();
     assert_kernels_agree(&mult.netlist, &Technology::l07(), &transitions);
+}
+
+/// A per-module sleep partition: the summary run matches the
+/// partitioned waveform run under both kernels.
+#[test]
+fn partitioned_summary_matches_the_waveform_run() {
+    let add = RippleAdder::paper();
+    let tech = Technology::l07();
+    let engine = Engine::new(&add.netlist, &tech);
+    let partition = PartitionedSleep {
+        assignment: (0..add.netlist.cells().len()).map(|c| c % 2).collect(),
+        networks: vec![
+            SleepNetwork::Transistor { w_over_l: 4.0 },
+            SleepNetwork::Transistor { w_over_l: 12.0 },
+        ],
+    };
+    let probes = add.netlist.primary_outputs().to_vec();
+    let mut scratch = VbsimScratch::new();
+    let mut bounced = 0usize;
+    for kernel in [VbsimKernel::EventDriven, VbsimKernel::DenseScan] {
+        let opts = VbsimOptions {
+            kernel,
+            ..VbsimOptions::default()
+        };
+        for (a0, b0, a1, b1) in [(0u64, 0u64, 7u64, 5u64), (3, 4, 1, 6), (7, 7, 0, 1)] {
+            let (from, to) = (add.input_values(a0, b0), add.input_values(a1, b1));
+            let run = engine
+                .run_partitioned(&from, &to, Some(&partition), &opts)
+                .expect("partitioned run");
+            let summary = engine
+                .run_summary_with(&from, &to, Some(&partition), &probes, &opts, &mut scratch)
+                .expect("partitioned summary");
+            let ctx = format!("{kernel:?} {a0}{b0}->{a1}{b1}");
+            assert_summary_matches(&run, &summary, &probes, &ctx);
+            bounced += usize::from(run.peak_vgnd() > 0.0);
+        }
+    }
+    assert!(bounced > 0, "group 0 never bounced");
+}
+
+/// Failing runs fail identically through the summary recorder: the same
+/// error value, and the same error when several apply at once.
+#[test]
+fn summary_errors_match_the_waveform_run() {
+    let mult = ArrayMultiplier::paper();
+    let tech = Technology::l07();
+    let engine = Engine::new(&mult.netlist, &tech);
+    let probes = mult.netlist.primary_outputs().to_vec();
+    let from = mult.input_values(0, 0);
+    let to = mult.input_values(255, 255);
+    let mut with_x = to.clone();
+    with_x[3] = Logic::X;
+    let short = &to[..to.len() - 1];
+    let mtcmos = VbsimOptions::mtcmos(10.0);
+    let cases: Vec<(&str, &[Logic], &[Logic], VbsimOptions)> = vec![
+        (
+            "event overflow",
+            &from,
+            &to,
+            VbsimOptions {
+                max_events: 5,
+                ..mtcmos.clone()
+            },
+        ),
+        (
+            "bad t_stop",
+            &from,
+            &to,
+            VbsimOptions {
+                t_stop: f64::NAN,
+                ..mtcmos.clone()
+            },
+        ),
+        ("X input", &from, &with_x, mtcmos.clone()),
+        ("X settled state", &with_x, &to, mtcmos.clone()),
+        ("arity mismatch", &from, short, mtcmos.clone()),
+        ("arity mismatch in from", short, &to, mtcmos.clone()),
+        (
+            "bad t_stop and X input",
+            &from,
+            &with_x,
+            VbsimOptions {
+                t_stop: -1.0,
+                ..mtcmos.clone()
+            },
+        ),
+        ("X input and arity mismatch", &with_x, short, mtcmos.clone()),
+    ];
+    let mut scratch = VbsimScratch::new();
+    for (what, from, to, opts) in &cases {
+        let mut seen = Vec::new();
+        for kernel in [VbsimKernel::EventDriven, VbsimKernel::DenseScan] {
+            let opts = VbsimOptions {
+                kernel,
+                ..opts.clone()
+            };
+            let run = outcome(engine.run(from, to, &opts));
+            let summary =
+                outcome(engine.run_summary_with(from, to, None, &probes, &opts, &mut scratch));
+            let (Err(run_err), Err(summary_err)) = (&run, &summary) else {
+                panic!("{what} ({kernel:?}): expected errors, got {run:?} / {summary:?}");
+            };
+            assert_eq!(summary_err, run_err, "{what} ({kernel:?})");
+            seen.push(run_err.clone());
+        }
+        assert_eq!(seen[0], seen[1], "{what}: kernels disagree");
+    }
+    // The scratch survives failed runs: a healthy run afterwards matches.
+    let run = engine.run(&from, &to, &mtcmos).expect("run");
+    let summary = engine
+        .run_summary_with(&from, &to, None, &probes, &mtcmos, &mut scratch)
+        .expect("summary");
+    assert_summary_matches(&run, &summary, &probes, "after errors");
 }
 
 /// End-to-end: the fault-tolerant parallel screener must produce a
