@@ -1,12 +1,11 @@
-//! `mtk` — the unified driver: run the sizing tool on circuits we
-//! didn't generate.
+//! `mtk` — the unified driver: run the sizing tool on `.mtk` netlists,
+//! serve it, and reproduce the paper.
 //!
-//! Every other binary in this crate hard-codes one of the paper's
-//! generators. This one loads a `.mtk` netlist file (grammar in
-//! DESIGN.md §11) and routes it through the same deterministic
-//! machinery, so an externally supplied circuit gets the exact same
-//! flow — and, under `--trace-deterministic`, the byte-identical JSON
-//! trace — as a programmatically built one.
+//! The flow commands load a `.mtk` netlist file (grammar in DESIGN.md
+//! §11) and route it through the same deterministic machinery as the
+//! built-in generators, so an externally supplied circuit gets the exact
+//! same flow — and, under `--trace-deterministic`, the byte-identical
+//! JSON trace — as a programmatically built one.
 //!
 //! Usage: `mtk <command> <file.mtk> [flags]`
 //!
@@ -36,6 +35,14 @@
 //!   technology's `tech.sigma_*` fields set the variation; trial `i`
 //!   draws from PRNG stream `(seed, i)`, so results are bit-identical
 //!   at any `--threads` and a `--store` rerun replays every trial.
+//! * `mtk repro [--list | --all | <id>…] [--full]` — run the paper's
+//!   tables and figures, the ablations and the extensions (the
+//!   `mtk_bench::repro` ledger): each prints its tables, then a check
+//!   table of the paper's claims against committed bands. Exits 1 on a
+//!   `MISS`, or on a `PASS` of a check marked as a known defect; 2 on an
+//!   unknown id. `--full`
+//!   adds the long variants: Table 1 SPICE rows, every FIG14 S2 vector,
+//!   and the FIG5/FIG11 CSV series.
 //! * `mtk gen [--list | --all [--dir D] | <stem>]` — export the
 //!   built-in generators as golden `.mtk` files (the `examples/`
 //!   directory; CI regenerates and diffs them).
@@ -66,15 +73,16 @@
 //! All commands lint on load: findings are printed to stderr as
 //! warnings (only `lint` turns them into an exit code). Parse errors
 //! print a `file:line:col: error[E0xx]` diagnostic and exit 2 — never a
-//! panic. `--max-failures N` / `--fail-fast` and `--trace-json PATH` /
-//! `--trace-deterministic` behave as in every `ext_*` binary.
+//! panic. The flow commands take `--max-failures N` / `--fail-fast` and
+//! `--trace-json PATH` / `--trace-deterministic` (DESIGN.md §10).
 
 use mtk_bench::cli::{
     bool_flag, emit_trace, f64_flag, flag, str_flag, threads_label, trace_config,
 };
 use mtk_bench::design_transitions;
 use mtk_bench::job::{Job, JobCtx, JobKind, JobOpts, JobOutput};
-use mtk_bench::report::{ns, pct, print_table};
+use mtk_bench::report::{ns, pct, print_table, verified_cell};
+use mtk_bench::repro::{self, Ctx, EXPERIMENTS};
 use mtk_bench::serve::{self, ServeConfig, Server};
 use mtk_circuits::golden::{generator_catalog, golden_designs};
 use mtk_core::health::FaultPlan;
@@ -94,6 +102,7 @@ fn usage() -> ! {
         "usage: mtk <lint|sta|screen|size|cluster|hybrid|mc|export> <file.mtk> [flags]\n\
          \x20      mtk import <file.ckt> [--out F] [--tech PRESET] [--raw F]\n\
          \x20      mtk gen [--list | --all [--dir D] | <stem>]\n\
+         \x20      mtk repro [--list | --all | <id>...] [--full]\n\
          \x20      mtk serve [--addr H:P] [--store PATH] [--threads N] [--job-slots N]\n\
          \x20      mtk client <host:port> <status|shutdown|import|screen|size|cluster|hybrid> [file] [flags]\n\
          run `mtk` on a .mtk netlist; grammar and flags in DESIGN.md §11, protocol in §13"
@@ -111,6 +120,9 @@ fn main() {
     let cmd = args.get(1).map(String::as_str).unwrap_or("");
     if cmd == "gen" {
         return cmd_gen(&args[2..]);
+    }
+    if cmd == "repro" {
+        return cmd_repro(&args[2..]);
     }
     if cmd == "serve" {
         return cmd_serve();
@@ -396,8 +408,7 @@ fn cmd_job(kind: JobKind, design: Design) {
                             format!("{}", k + 1),
                             format!("#{}", f.index),
                             pct(f.screened.degradation()),
-                            f.verified
-                                .map_or("quarantined".to_string(), |v| pct(v.degradation())),
+                            verified_cell(report, k),
                             f.delta.map_or("-".to_string(), pct),
                         ]
                     })
@@ -654,6 +665,44 @@ fn cmd_gen(rest: &[String]) {
                 stems.join(", ")
             ));
         }
+    }
+}
+
+/// `mtk repro`: run the chosen experiments (`--all`, or ids in order),
+/// printing each one's tables as it finishes, then one check table.
+/// Exits 1 when any check fails the run, 2 on an unknown id.
+fn cmd_repro(rest: &[String]) {
+    if bool_flag("--list") {
+        for e in EXPERIMENTS {
+            println!("{:<12} {}", e.id, e.paper_section);
+        }
+        return;
+    }
+    let unknown = |id| {
+        die(format!(
+            "unknown experiment `{id}` (see `mtk repro --list`)"
+        ))
+    };
+    let ids = rest.iter().filter(|a| !a.starts_with("--"));
+    let chosen: Vec<&repro::Experiment> = if bool_flag("--all") {
+        EXPERIMENTS.iter().collect()
+    } else {
+        ids.map(|id| repro::find(id).unwrap_or_else(|| unknown(id)))
+            .collect()
+    };
+    if chosen.is_empty() {
+        usage();
+    }
+    let ctx = Ctx::new(bool_flag("--full"));
+    let mut checks = Vec::new();
+    for e in chosen {
+        let out = (e.run)(&ctx);
+        println!("{}", out.text);
+        checks.extend(out.checks.into_iter().map(|c| (e.id, c)));
+    }
+    print!("{}", repro::render_checks(&checks));
+    if checks.iter().any(|(_, c)| c.fails_run()) {
+        std::process::exit(1);
     }
 }
 

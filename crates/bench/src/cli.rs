@@ -1,9 +1,7 @@
-//! Shared command-line plumbing for the experiment binaries: flag
-//! parsing, the failure-policy knob, and the `--trace-json` export.
-//!
-//! Every `ext_*` binary used to hand-roll these (and the copies had
-//! started to drift); they now live here so flags and telemetry behave
-//! identically across tools.
+//! Shared command-line plumbing for the `mtk` driver and
+//! `speed_comparison`: flag parsing, the failure-policy knob, and the
+//! `--trace-json` export, so flags and telemetry behave identically
+//! across tools.
 
 use mtk_core::health::FailurePolicy;
 use mtk_trace::{TraceConfig, TraceReport};

@@ -1,15 +1,17 @@
 //! Experiment harness for the paper reproduction.
 //!
-//! One binary per data-bearing table/figure of the paper (see the
-//! per-experiment index in `DESIGN.md`), plus self-timed benchmarks for
-//! the engine-speed claims (run with
-//! `cargo bench -p mtk-bench --features bench-harness`). This library
-//! holds what the binaries share: plain-text table/series reporting, the
-//! statistics used to compare the two engines, and the timing harness.
+//! [`repro`] holds every data-bearing table and figure of the paper, plus
+//! the ablations and extensions of `DESIGN.md` §5, as one table of typed
+//! experiments that `mtk repro` runs and gates. The crate also holds the
+//! `mtk` driver's job model and server, plain-text table reporting, the
+//! statistics used to compare the two engines, and the timing harness of
+//! the self-timed benchmarks (run with
+//! `cargo bench -p mtk-bench --features bench-harness`).
 
 pub mod cli;
 pub mod job;
 pub mod report;
+pub mod repro;
 pub mod serve;
 pub mod speedfile;
 pub mod stats;

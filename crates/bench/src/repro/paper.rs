@@ -1,0 +1,431 @@
+//! The paper's own data-bearing figures and Table 1.
+
+use super::{Bench, Ctx, Output};
+use crate::report::{ns, pct, series};
+use crate::stats::{mean_abs_rel_error, pearson, spearman};
+use crate::transition_of;
+use mtk_circuits::adder::RippleAdder;
+use mtk_circuits::multiplier::ArrayMultiplier;
+use mtk_circuits::vectors::VectorPair;
+use mtk_circuits::vectors::{exhaustive_transitions, multiplier_vector_a, multiplier_vector_b};
+use mtk_core::hybrid::{spice_delay_pair, spice_transition, SpiceRunConfig};
+use mtk_core::sizing::{peak_current_w_over_l, size_for_target, sum_of_widths_w_over_l};
+use mtk_core::sizing::{vbsim_delay_pair, Transition};
+use mtk_core::vbsim::{Engine, SleepNetwork, VbsimOptions};
+use mtk_netlist::expand::SleepImpl;
+use mtk_netlist::tech::Technology;
+use std::cmp::Ordering;
+
+/// FIG5: the tree's output edge slows as the sleep device shrinks, and
+/// its virtual ground bumps once for the first inverter and harder when
+/// the third stage's nine inverters discharge together.
+pub fn fig5(ctx: &Ctx) -> Output {
+    let t = Bench::tree(Technology::l07());
+    let cfg = SpiceRunConfig::window(60e-9);
+    let mut out = Output::default();
+    let (cells, transistors) = (t.netlist.cells().len(), t.netlist.total_transistors());
+    out.line(format!(
+        "FIG5: MTCMOS inverter tree (Fig 4), input 0->1, Vdd=1.2V, CL=50fF\n\
+         tree: {cells} inverters, {transistors} transistors"
+    ));
+    let d_cmos = t.spice(SleepImpl::AlwaysOn, &cfg).delay.expect("switches");
+    let mut rows = vec![vec!["CMOS".into(), ns(d_cmos), "-".into(), "0.000".into()]];
+    let mut delays = Vec::new();
+    let mut at_wl8 = None;
+    for wl in [20.0, 17.0, 14.0, 11.0, 8.0, 5.0, 2.0] {
+        let res = t.spice(SleepImpl::Transistor { w_over_l: wl }, &cfg);
+        let d = res.delay.expect("switches");
+        let vg = res.vgnd.as_ref().expect("vgnd probed");
+        let degr = format!("{:.1}%", (d - d_cmos) / d_cmos * 100.0);
+        let peak = format!("{:.3}", vg.max_value().unwrap_or(0.0));
+        rows.push(vec![format!("W/L={wl}"), ns(d), degr, peak]);
+        if ctx.full {
+            let out_wave = &res.probe_waveforms[0];
+            out.line(series(&format!("fig5_out_wl{wl}"), out_wave, 200));
+            out.line(series(&format!("fig5_vgnd_wl{wl}"), vg, 200));
+        }
+        delays.push(d);
+        if wl == 8.0 {
+            at_wl8 = Some(res);
+        }
+    }
+    let title = "Fig 5 summary: output H->L delay and peak virtual-ground bounce vs sleep W/L";
+    out.table(title, "sleep, tphl [ns], degradation, peak vgnd [V]", rows);
+
+    // The two-bump signature at W/L=8: the bounce while stage 2 (nine
+    // inverters) discharges exceeds the stage-0 bounce.
+    let res = at_wl8.expect("W/L=8 is in the sweep");
+    let vg = res.vgnd.expect("vgnd probed");
+    let t_mid = res.t_ref + d_cmos; // roughly after stage 0/1, before leaves settle
+    let peak = |late: bool| {
+        let pts = vg.points().iter().filter(|&&(t, _)| (t > t_mid) == late);
+        pts.map(|&(_, v)| v).fold(0.0, f64::max)
+    };
+    let (early, late) = (peak(false), peak(true));
+    let verdict = if late > early {
+        "OK (matches Fig 5)"
+    } else {
+        "MISMATCH"
+    };
+    out.line(format!(
+        "\ntwo-bump check @ W/L=8: first-stage bump {early:.3} V < third-stage bump {late:.3} V \
+         -> {verdict}"
+    ));
+    if ctx.full {
+        out.line(series("fig5_vgnd_wl8_full", &vg, 300));
+    }
+    let slows = delays.windows(2).all(|w| w[1] > w[0]) as u8 as f64;
+    out.check("tphl rises as W/L falls", "yes", slows, (1.0, 1.0));
+    out.check("late/early bump @ W/L=8", "> 1", late / early, (1.25, 1.7));
+    out
+}
+
+/// TAB1 + FIG7 + §4: on the 8×8 multiplier vector A degrades far more
+/// than vector B at equal CMOS delay, sizing from B alone under-sizes A,
+/// and peak-current sizing is ≈3× conservative.
+pub fn tab1(ctx: &Ctx) -> Output {
+    let m = ArrayMultiplier::paper();
+    let tech = Technology::l03();
+    let engine = Engine::new(&m.netlist, &tech);
+    let bits = 2 * m.bits() as u32;
+    let tr_a = transition_of(multiplier_vector_a(), bits);
+    let tr_b = transition_of(multiplier_vector_b(), bits);
+    let mut out = Output::default();
+    out.line(format!(
+        "TAB1/FIG7: 8x8 carry-save multiplier, {} transistors, Vdd=1.0V, Vt=±0.2V, Vt_high=0.7V",
+        m.netlist.total_transistors()
+    ));
+
+    // Fig 7: delay vs W/L for vectors A and B (switch-level).
+    let vb_pair = |tr: &Transition, wl: f64| {
+        let sleep = SleepNetwork::Transistor { w_over_l: wl };
+        let pair = vbsim_delay_pair(&engine, tr, None, sleep, &VbsimOptions::default());
+        pair.expect("vbsim run").expect("outputs switch")
+    };
+    let mut rows = Vec::new();
+    let mut a_at_wl60 = 0.0;
+    let mut a_over_b = f64::INFINITY;
+    for wl in [40.0, 60.0, 100.0, 170.0, 300.0, 500.0, 1000.0] {
+        let (a, b) = (vb_pair(&tr_a, wl), vb_pair(&tr_b, wl));
+        if wl == 60.0 {
+            a_at_wl60 = a.degradation();
+        }
+        a_over_b = a_over_b.min(a.degradation() / b.degradation());
+        let (a_degr, b_degr) = (pct(a.degradation()), pct(b.degradation()));
+        rows.push(vec![
+            format!("{wl}"),
+            ns(a.mtcmos),
+            a_degr,
+            ns(b.mtcmos),
+            b_degr,
+        ]);
+    }
+    let title = "Fig 7 (switch-level): multiplier delay vs sleep W/L for vectors A and B";
+    out.table(
+        title,
+        "W/L, A delay [ns], A degr, B delay [ns], B degr",
+        rows,
+    );
+
+    // Table 1: SPICE on the 2176-transistor multiplier.
+    let mut spice_cmos_a = None;
+    if ctx.full {
+        let cfg = SpiceRunConfig::window(25e-9);
+        let run = |sleep| {
+            let res = spice_transition(&m.netlist, &tech, &tr_a, None, sleep, &cfg);
+            res.expect("spice run").delay.expect("outputs switch")
+        };
+        let d_cmos = run(SleepImpl::AlwaysOn);
+        spice_cmos_a = Some(d_cmos);
+        let mut t1 = Vec::new();
+        // Paper value and the committed band per row.
+        let paper = [
+            (60.0, "18.1%", 8.09, 11.0),
+            (170.0, "4.8%", 3.32, 4.5),
+            (500.0, "1.7%", 1.18, 1.61),
+        ];
+        for (wl, paper, lo, hi) in paper {
+            let d = run(SleepImpl::Transistor { w_over_l: wl });
+            let degr = (d - d_cmos) / d_cmos;
+            t1.push(vec![
+                format!("{wl}"),
+                ns(d_cmos),
+                ns(d),
+                pct(degr),
+                paper.into(),
+            ]);
+            let claim = format!("Table 1 @ W/L={wl} [%]");
+            out.check(&claim, paper, degr * 100.0, (lo, hi));
+        }
+        let title = "Table 1 (SPICE): vector-A degradation vs W/L (paper values right column)";
+        out.table(title, "W/L, CMOS [ns], MTCMOS [ns], degradation, paper", t1);
+    } else {
+        out.line("\n(Table 1 SPICE rows skipped; run with --full)");
+    }
+
+    // §4, the input-vector trap: size for <= 5% on vector B only, then
+    // check vector A at that size.
+    let size_from = |tr: &Transition| {
+        let (trs, base) = (std::slice::from_ref(tr), VbsimOptions::default());
+        size_for_target(&engine, trs, None, 0.05, (10.0, 4000.0), &base).expect("sizing")
+    };
+    let (wl_from_b, wl_from_a) = (size_from(&tr_b), size_from(&tr_a));
+    let a_at_b = vb_pair(&tr_a, wl_from_b).degradation();
+    out.line(format!(
+        "\n== §4: input-vector dependence of sizing ==\n\
+         sizing for <=5% on vector B alone:  W/L = {wl_from_b:.0}\n\
+         sizing for <=5% on vector A:        W/L = {wl_from_a:.0}\n\
+         vector A at the B-derived size:     {} degradation (paper: sizing from B at W/L=60 \
+         leaves A with 18.1%)\n\
+         consistency: A-degradation at W/L=60 was {} in the Fig 7 sweep",
+        pct(a_at_b),
+        pct(a_at_wl60)
+    ));
+
+    // §4, the peak-current and sum-of-widths baselines.
+    let cmos = VbsimOptions::cmos();
+    let i_peak = engine
+        .run(&tr_a.from, &tr_a.to, &cmos)
+        .expect("cmos run")
+        .peak_sleep_current();
+    let wl_peak = peak_current_w_over_l(&tech, i_peak, 0.05);
+    let (ma, over) = (i_peak * 1e3, wl_peak / wl_from_a);
+    let wl_sum = sum_of_widths_w_over_l(&m.netlist, &tech);
+    out.line(format!(
+        "\n== §4: conservative baselines ==\n\
+         peak discharge current (vector A, switch-level): {ma:.3} mA (paper: 1.174 mA)\n\
+         peak-current sizing for a 50 mV budget: W/L = {wl_peak:.0} (paper: >500, ~3x over)\n  \
+         -> {over:.1}x larger than the {wl_from_a:.0} the 5% target actually needs\n\
+         sum-of-internal-NMOS-widths sizing: W/L = {wl_sum:.0} ({:.1}x over)",
+        wl_sum / wl_from_a
+    ));
+    if let Some(d) = spice_cmos_a {
+        out.line(format!(
+            "\n(SPICE CMOS vector-A delay for reference: {} ns)",
+            ns(d)
+        ));
+    }
+
+    // The §4 premise: equal CMOS delays, different MTCMOS behaviour.
+    let (a_cmos, b_cmos) = (vb_pair(&tr_a, 1e6).cmos, vb_pair(&tr_b, 1e6).cmos);
+    out.line(format!(
+        "\npremise check: CMOS delays nearly equal (A {} ns vs B {} ns) yet MTCMOS behaviour \
+         differs strongly",
+        ns(a_cmos),
+        ns(b_cmos)
+    ));
+    out.check("A/B degradation, lowest", "A >> B", a_over_b, (1.76, 2.4));
+    let a_at_b = a_at_b * 100.0;
+    out.check("A at B-derived W/L [%]", "18.1", a_at_b, (8.96, 12.2));
+    out.check("peak current, A [mA]", "1.174", ma, (1.04, 1.42));
+    out.check("peak-current / 5 % W/L", "~3", over, (3.43, 4.65));
+    let premise = (a_cmos - b_cmos).abs() / a_cmos;
+    out.check("|CMOS A - B| / A", "0", premise, (0.0, 0.01));
+    out
+}
+
+/// FIG10: both engines' tree delay falls monotonically with W/L and the
+/// simulator tracks the SPICE trend.
+pub fn fig10(_: &Ctx) -> Output {
+    let mut out = Output::default();
+    out.line("FIG10: inverter-tree delay vs sleep W/L, SPICE vs switch-level simulator");
+    let sizes = [2.0, 5.0, 8.0, 11.0, 14.0, 17.0, 20.0];
+    let title = "Fig 10: delay vs W/L (SPICE vs simulator)";
+    let t = Bench::tree(Technology::l07());
+    t.compare(&mut out, title, &sizes, 60e-9, (0.461, 0.723));
+    out
+}
+
+/// FIG11: the simulator's virtual ground is a staircase (constant-current
+/// gates, no rail capacitance) where SPICE's is smooth; with a very high
+/// sleep resistance the SPICE rail is slow to discharge (§2.2).
+pub fn fig11(ctx: &Ctx) -> Output {
+    let t = Bench::tree(Technology::l07());
+    let engine = t.engine();
+    let mut out = Output::default();
+    out.line("FIG11: virtual-ground transient, SPICE vs switch-level simulator");
+    let mut rows = Vec::new();
+    let mut bounce: f64 = 0.0;
+    let mut jumps = 0;
+    for wl in [8.0, 2.0] {
+        let cfg = SpiceRunConfig::window(80e-9);
+        let sp = t.spice(SleepImpl::Transistor { w_over_l: wl }, &cfg);
+        let vb = engine.run(&t.tr.from, &t.tr.to, &VbsimOptions::mtcmos(wl));
+        let vb = vb.expect("vbsim run");
+        let vg_sp = sp.vgnd.as_ref().expect("vgnd probed");
+        let sp_peak = vg_sp.max_value().unwrap_or(0.0);
+        bounce = bounce.max(vb.peak_vgnd() / sp_peak);
+        let (vb_peak, pts) = (vb.peak_vgnd(), vb.vgnd.len());
+        rows.push(vec![
+            format!("{wl}"),
+            format!("{sp_peak:.3}"),
+            format!("{vb_peak:.3}"),
+            format!("{pts}"),
+        ]);
+        if ctx.full {
+            out.line(series(&format!("fig11_spice_vgnd_wl{wl}"), vg_sp, 250));
+            out.line(series(&format!("fig11_vbsim_vgnd_wl{wl}"), &vb.vgnd, 250));
+        }
+        if wl == 8.0 {
+            // Jump discontinuities are encoded as repeated time points.
+            let steps = vb.vgnd.points().windows(2);
+            jumps = steps
+                .filter(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1)
+                .count();
+        }
+    }
+    let title = "Fig 11: peak virtual-ground bounce (simulator staircase point count shown)";
+    out.table(
+        title,
+        "W/L, SPICE peak [V], simulator peak [V], staircase pts",
+        rows,
+    );
+
+    // High resistance: "the virtual ground is very slow in discharging due
+    // to a larger RC time constant" — SPICE only (the switch-level model
+    // has no rail capacitance).
+    let r_big = t.tech.sleep_resistance(0.5);
+    let cfg = SpiceRunConfig::window(400e-9);
+    let cfg = SpiceRunConfig {
+        vgnd_extra_cap: 200e-15,
+        ..cfg
+    };
+    let vg = t
+        .spice(SleepImpl::Resistor { ohms: r_big }, &cfg)
+        .vgnd
+        .expect("vgnd");
+    let peak = vg.max_value().unwrap_or(0.0);
+    let mut after_peak = vg.points().iter().skip_while(|&&(_, v)| v < peak * 0.999);
+    let decay = after_peak
+        .find(|&&(_, v)| v < peak * 0.1)
+        .map(|&(t, _)| t * 1e9);
+    let decay_text = decay.map_or("never within window".to_string(), |t| format!("{t:.1} ns"));
+    out.line(format!(
+        "\nhigh-R case (R={r_big:.0} ohm, +200fF on vgnd): peak bounce {peak:.3} V, decays to \
+         10% at {decay_text} (slow recovery, matching Fig 11's high-R trace)"
+    ));
+    if ctx.full {
+        out.line(series("fig11_spice_vgnd_highR", &vg, 300));
+    }
+    out.line(format!(
+        "simulator staircase discontinuities @ W/L=8: {jumps} (stepwise, as in Fig 11)"
+    ));
+    out.check("sim/SPICE bounce, max", "close", bounce, (0.903, 1.23));
+    let decay = decay.unwrap_or(f64::NAN);
+    out.check("high-R decay to 10 % [ns]", "slow", decay, (182.0, 248.0));
+    out.check("staircase jumps @ W/L=8", "> 0", jumps as f64, (4.0, 4.0));
+    out
+}
+
+/// FIG13: the adder's delay vs W/L for the paper's vector
+/// `(000001) → (110101)`, SPICE vs the simulator.
+pub fn fig13(_: &Ctx) -> Output {
+    let add = RippleAdder::paper();
+    let probes = add.netlist.primary_outputs().to_vec();
+    // The Fig 13 caption's vector, bits packed (a = low 3, b = high 3).
+    let tr = transition_of(VectorPair::new(0b000001, 0b110101), 6);
+    let (netlist, tech) = (add.netlist, Technology::l07());
+    let t = Bench {
+        netlist,
+        tech,
+        tr,
+        probes,
+    };
+    let mut out = Output::default();
+    out.line(format!(
+        "FIG13: 3-bit mirror ripple adder ({} transistors), vector (000001)->(110101)",
+        t.netlist.total_transistors()
+    ));
+    let sizes = [2.0, 4.0, 6.0, 8.0, 10.0, 15.0, 20.0, 30.0];
+    let title = "Fig 13: adder delay vs W/L (SPICE vs simulator)";
+    t.compare(&mut out, title, &sizes, 80e-9, (0.566, 0.869));
+    out
+}
+
+/// FIG14: % degradation at W/L=10 over the vectors that toggle S2, SPICE
+/// sorted worst-first with the simulator alongside — "significant spread
+/// about the SPICE prediction, [but] the general trend is correct". By
+/// default 60 vectors stratified over the simulator's severity order go
+/// through SPICE; `--full` runs every S2 vector.
+pub fn fig14(ctx: &Ctx) -> Output {
+    const W_OVER_L: f64 = 10.0;
+    let add = RippleAdder::paper();
+    let tech = Technology::l07();
+    let engine = Engine::new(&add.netlist, &tech);
+    let s2 = [add.sum[2]];
+    let mut out = Output::default();
+
+    // Screen the exhaustive space, keeping vectors where S2 switches.
+    let sleep = SleepNetwork::Transistor { w_over_l: W_OVER_L };
+    let mut screened: Vec<(Transition, f64)> = Vec::new();
+    for pair in exhaustive_transitions(6) {
+        let tr = transition_of(pair, 6);
+        let pair = vbsim_delay_pair(&engine, &tr, Some(&s2), sleep, &VbsimOptions::default());
+        if let Some(p) = pair.expect("vbsim run") {
+            screened.push((tr, p.degradation()));
+        }
+    }
+    let found = screened.len();
+    out.line(format!(
+        "FIG14: 3-bit adder degradation at W/L={W_OVER_L}, S2-transition vectors\n\
+         S2-transition vectors found by the simulator: {found} of 4096 (paper plots 800)"
+    ));
+
+    // The SPICE subset, stratified across the simulator's own severity
+    // order so the whole degradation range is covered.
+    let desc = |a: &f64, b: &f64| b.partial_cmp(a).unwrap_or(Ordering::Equal);
+    screened.sort_by(|a, b| desc(&a.1, &b.1));
+    let n = if ctx.full {
+        found
+    } else {
+        60.min(found).max(2)
+    };
+    let pick = |k| {
+        if ctx.full {
+            k
+        } else {
+            k * (found - 1) / (n - 1)
+        }
+    };
+    let cfg = SpiceRunConfig::window(80e-9);
+    let (mut spice_deg, mut vbsim_deg) = (Vec::new(), Vec::new());
+    for (tr, vb_d) in (0..n).map(|k| &screened[pick(k)]) {
+        let pair = spice_delay_pair(&add.netlist, &tech, tr, Some(&s2), W_OVER_L, &cfg);
+        if let Some(pair) = pair.expect("spice run") {
+            spice_deg.push(pair.degradation());
+            vbsim_deg.push(*vb_d);
+        }
+    }
+
+    // Paper presentation: sorted worst-first by SPICE, simulator alongside.
+    let mut order: Vec<usize> = (0..spice_deg.len()).collect();
+    order.sort_by(|&a, &b| desc(&spice_deg[a], &spice_deg[b]));
+    let row = |(rank, &i): (usize, &usize)| {
+        vec![
+            format!("{}", rank + 1),
+            pct(spice_deg[i]),
+            pct(vbsim_deg[i]),
+        ]
+    };
+    let title = "Fig 14: % degradation (SPICE sorted worst-first; simulator alongside)";
+    out.table(
+        title,
+        "rank, SPICE, simulator",
+        order.iter().enumerate().map(row).collect(),
+    );
+    let rho = spearman(&spice_deg, &vbsim_deg);
+    out.line(format!(
+        "\nagreement over {} SPICE-verified vectors: spearman {rho:.3}, pearson {:.3}, mean |rel \
+         err| {:.2}",
+        spice_deg.len(),
+        pearson(&spice_deg, &vbsim_deg),
+        mean_abs_rel_error(&vbsim_deg, &spice_deg)
+    ));
+    let band = if ctx.full {
+        (0.787, 0.887)
+    } else {
+        (0.82, 0.92)
+    };
+    out.check("spearman, SPICE vs sim", "> 0 (trend)", rho, band);
+    out
+}

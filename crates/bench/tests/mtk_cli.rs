@@ -14,6 +14,8 @@
 //!   on the flow commands and on `mtk client` alike — instead of
 //!   silently running with the default.
 //! * `mtk size` records a top-level `size` span around the actual run.
+//! * `mtk repro --list` prints every registered experiment id, and an
+//!   unknown id exits 2.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -284,4 +286,27 @@ fn size_trace_has_a_span_around_the_run() {
         .and_then(mtk_trace::json::JsonValue::as_f64)
         .expect("wall_s");
     assert!(wall > 0.0, "the size span must time the run: {text}");
+}
+
+#[test]
+fn repro_list_prints_every_experiment_id() {
+    let out = mtk(&["repro", "--list"]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let ids: Vec<String> = stdout(&out)
+        .lines()
+        .filter_map(|l| l.split_whitespace().next().map(String::from))
+        .collect();
+    let want: Vec<&str> = mtk_bench::repro::EXPERIMENTS.iter().map(|e| e.id).collect();
+    assert_eq!(ids, want);
+}
+
+#[test]
+fn repro_unknown_id_exits_two() {
+    let out = mtk(&["repro", "nope"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        stderr(&out).contains("unknown experiment `nope`"),
+        "stderr: {}",
+        stderr(&out)
+    );
 }

@@ -131,15 +131,20 @@ grep -q ", 0 simulated" <<<"$clu_warm" || {
   exit 1
 }
 
-echo "== hybrid pipeline smoke (4-bit adder screen + top-2 SPICE verify) =="
+echo "== hybrid pipeline smoke (3-bit adder screen + top-2 SPICE verify) =="
 trace_json="$(mktemp /tmp/ci_trace.XXXXXX.json)"
 trap 'rm -rf "$golden_dir" "$mtk_trace" "$mc_store" "$mc_store.lock" "$mc_trace" "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$trace_json"' EXIT
-cargo run --release -p mtk-bench --bin ext_screening -- \
-  --smoke --adder-bits 4 --stride 259 --top-k 2 --threads 2 \
-  --trace-json "$trace_json"
+cargo run --release -p mtk-bench --bin mtk -- hybrid examples/adder3.mtk \
+  --stride 64 --top-k 2 --threads 2 --trace-json "$trace_json"
 
 echo "== smoke trace validates against the documented schema =="
 cargo run --release -p mtk-bench --bin trace_check -- "$trace_json"
+
+echo "== paper reproduction: every experiment runs and its claims hold =="
+# Runs every experiment of the mtk_bench::repro ledger and prints its
+# tables and a check table; exits 1 when any claim leaves its committed
+# band (a check marked as a known defect must keep missing).
+target/release/mtk repro --all
 
 echo "== serve smoke: store-backed replay + graceful SIGTERM drain =="
 # Starts `mtk serve` with a persistent store on an ephemeral port, runs
