@@ -148,6 +148,25 @@ impl JobOpts {
             ..opts
         }
     }
+
+    /// Checks the options a job of `kind` reads. Size, cluster and hybrid
+    /// jobs (a hybrid job passes its bracket to the cluster job
+    /// `--clusters` composes) need a finite bracket with `0 < lo < hi`.
+    ///
+    /// # Errors
+    ///
+    /// The message naming the bad bracket.
+    pub fn check(&self, kind: JobKind) -> Result<(), String> {
+        let sizes = matches!(kind, JobKind::Size | JobKind::Cluster | JobKind::Hybrid);
+        let bracket_ok = self.lo > 0.0 && self.hi > self.lo && self.hi.is_finite();
+        if sizes && !bracket_ok {
+            return Err(format!(
+                "sizing bracket needs 0 < lo < hi, got lo = {} and hi = {}",
+                self.lo, self.hi
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// What a job runs against: the leg `cache` size jobs share (optionally
@@ -193,7 +212,8 @@ impl Job {
     /// # Errors
     ///
     /// The message of a missing or unparsable design, a non-job `cmd`,
-    /// or the first malformed numeric field.
+    /// the first malformed numeric field, or options [`JobOpts::check`]
+    /// rejects.
     pub fn from_json(req: &JsonValue, default_threads: usize) -> Result<Job, String> {
         let kind = req
             .get("cmd")
@@ -220,6 +240,7 @@ impl Job {
                 .ok_or_else(|| format!("field `{key}` must be a non-negative integer")),
         };
         let opts = JobOpts::read(defaults, num, int)?;
+        opts.check(kind)?;
         Ok(Job::new(kind, design, opts))
     }
 
@@ -227,7 +248,8 @@ impl Job {
     /// from the process flags ([`JobOpts::from_flags`]). `size --clusters
     /// N` is a cluster job, and `--smoke` thins a cluster job's sampled
     /// vector set (stride 64, 8 samples) unless `--stride`/`--samples`
-    /// say otherwise.
+    /// say otherwise. Options [`JobOpts::check`] rejects are a usage
+    /// error: message on stderr, exit 2.
     pub fn from_flags(kind: JobKind, design: Design) -> Job {
         let kind = match kind {
             JobKind::Size if str_flag("--clusters").is_some() => JobKind::Cluster,
@@ -238,7 +260,12 @@ impl Job {
             defaults.stride = 64;
             defaults.samples = 8;
         }
-        Job::new(kind, design, JobOpts::from_flags(defaults))
+        let opts = JobOpts::from_flags(defaults);
+        if let Err(msg) = opts.check(kind) {
+            eprintln!("error: {msg}");
+            std::process::exit(2);
+        }
+        Job::new(kind, design, opts)
     }
 
     /// `cmd`, the canonical design, optionally `threads`, then the nine

@@ -188,6 +188,58 @@ impl Drop for SlotGuard<'_> {
     }
 }
 
+/// Locks `m` even when a panicking thread poisoned it: the guards below
+/// release state while unwinding, and the maps they touch stay valid.
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// RAII connection count: taken on accept, released on drop — also when
+/// the connection's thread unwinds — so a panicking job cannot keep the
+/// drain waiting forever.
+struct ConnGuard(Arc<ServerState>);
+
+impl ConnGuard {
+    fn open(state: &Arc<ServerState>) -> ConnGuard {
+        state.open_conns.fetch_add(1, Relaxed);
+        ConnGuard(Arc::clone(state))
+    }
+}
+
+impl Drop for ConnGuard {
+    fn drop(&mut self) {
+        self.0.open_conns.fetch_sub(1, Relaxed);
+    }
+}
+
+/// RAII in-flight entry of a leader: on drop the key leaves the
+/// in-flight map, and waiters still without an outcome (the leader's job
+/// panicked) are woken with an error instead of waiting out their
+/// timeout.
+struct FlightGuard<'a> {
+    state: &'a ServerState,
+    key: Vec<u8>,
+    flight: Arc<Inflight>,
+}
+
+impl FlightGuard<'_> {
+    /// Leaves the in-flight map, then hands waiters the leader's outcome.
+    fn finish(self, outcome: Result<String, String>) {
+        lock(&self.state.inflight).remove(&self.key);
+        self.flight.publish(outcome);
+    }
+}
+
+impl Drop for FlightGuard<'_> {
+    fn drop(&mut self) {
+        lock(&self.state.inflight).remove(&self.key);
+        if lock(&self.flight.done).is_none() {
+            self.flight
+                .publish(Err("internal: the job ended without a result".into()));
+        }
+    }
+}
+
 /// A bound listener plus its shared state; [`Server::run`] is the
 /// accept/drain loop.
 pub struct Server {
@@ -264,13 +316,9 @@ impl Server {
         while !self.state.draining() {
             match self.listener.accept() {
                 Ok((stream, _)) => {
-                    let state = Arc::clone(&self.state);
+                    let conn = ConnGuard::open(&self.state);
                     let cfg = self.cfg.clone();
-                    state.open_conns.fetch_add(1, Relaxed);
-                    std::thread::spawn(move || {
-                        handle_conn(&state, stream, &cfg);
-                        state.open_conns.fetch_sub(1, Relaxed);
-                    });
+                    std::thread::spawn(move || handle_conn(&conn.0, stream, &cfg));
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(5));
@@ -481,7 +529,7 @@ fn handle_job(state: &Arc<ServerState>, job: &Job) -> String {
         return ok_line(true, &payload);
     }
     enum Role<'a> {
-        Leader(SlotGuard<'a>, Arc<Inflight>),
+        Leader(SlotGuard<'a>, FlightGuard<'a>),
         Waiter(Arc<Inflight>),
     }
     let role = {
@@ -497,6 +545,11 @@ fn handle_job(state: &Arc<ServerState>, job: &Job) -> String {
                 Some(guard) => {
                     let flight = Arc::new(Inflight::default());
                     map.insert(key.clone(), Arc::clone(&flight));
+                    let flight = FlightGuard {
+                        state,
+                        key: key.clone(),
+                        flight,
+                    };
                     Role::Leader(guard, flight)
                 }
             }
@@ -522,8 +575,7 @@ fn handle_job(state: &Arc<ServerState>, job: &Job) -> String {
             // slot. Re-checking here keeps "identical requests run one
             // simulation" exact, not just probable.
             if let Some(payload) = state.store_lookup(&key) {
-                state.inflight.lock().unwrap().remove(&key);
-                flight.publish(Ok(payload.clone()));
+                flight.finish(Ok(payload.clone()));
                 drop(guard);
                 return ok_line(true, &payload);
             }
@@ -539,8 +591,7 @@ fn handle_job(state: &Arc<ServerState>, job: &Job) -> String {
                     state.store_put_errors.fetch_add(1, Relaxed);
                 }
             }
-            state.inflight.lock().unwrap().remove(&key);
-            flight.publish(outcome.clone());
+            flight.finish(outcome.clone());
             drop(guard);
             match outcome {
                 Ok(payload) => ok_line(false, &payload),
@@ -706,5 +757,53 @@ pub fn request(addr: &str, line: &str, timeout: Duration) -> std::io::Result<Str
             ErrorKind::InvalidData,
             "unreadable response",
         )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn state() -> Arc<ServerState> {
+        Server::bind(ServeConfig::default()).expect("bind").state()
+    }
+
+    #[test]
+    fn a_panicking_connection_releases_its_count() {
+        let state = state();
+        let conn = ConnGuard::open(&state);
+        assert_eq!(state.open_conns.load(Relaxed), 1);
+        let crashed = std::thread::spawn(move || {
+            let _conn = conn;
+            panic!("job panicked");
+        })
+        .join();
+        assert!(crashed.is_err());
+        assert_eq!(state.open_conns.load(Relaxed), 0, "the drain can finish");
+    }
+
+    #[test]
+    fn a_panicking_leader_clears_its_flight_and_wakes_waiters() {
+        let state = state();
+        let key = b"req".to_vec();
+        let flight = Arc::new(Inflight::default());
+        lock(&state.inflight).insert(key.clone(), Arc::clone(&flight));
+        let leader = Arc::clone(&state);
+        let waiter = Arc::clone(&flight);
+        let crashed = std::thread::spawn(move || {
+            let _flight = FlightGuard {
+                state: &leader,
+                key,
+                flight: waiter,
+            };
+            panic!("job panicked");
+        })
+        .join();
+        assert!(crashed.is_err());
+        assert!(lock(&state.inflight).is_empty(), "status shows 0 in flight");
+        assert!(
+            matches!(flight.wait(), Some(Err(_))),
+            "waiters get an error"
+        );
     }
 }

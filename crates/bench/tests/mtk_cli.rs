@@ -13,6 +13,7 @@
 //! * A malformed or missing numeric flag value exits 2 with a message —
 //!   on the flow commands and on `mtk client` alike — instead of
 //!   silently running with the default.
+//! * A sizing bracket outside `0 < lo < hi` exits 2 with a message.
 //! * `mtk size` records a top-level `size` span around the actual run.
 //! * `mtk repro --list` prints every registered experiment id, and an
 //!   unknown id exits 2.
@@ -260,6 +261,26 @@ fn malformed_numeric_flags_exit_two_with_a_message() {
         "stderr: {}",
         stderr(&out)
     );
+}
+
+#[test]
+fn a_bad_sizing_bracket_exits_two_with_a_message() {
+    let path = golden("invtree");
+    let path = path.to_str().unwrap();
+    for args in [
+        vec!["size", path, "--lo", "0"],
+        vec!["size", path, "--lo", "50", "--hi", "10"],
+        vec!["cluster", path, "--hi", "-3"],
+        vec!["client", "127.0.0.1:9", "size", path, "--lo", "0"],
+    ] {
+        let out = mtk(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            stderr(&out).contains("error: sizing bracket needs 0 < lo < hi"),
+            "{args:?} stderr: {}",
+            stderr(&out)
+        );
+    }
 }
 
 #[test]

@@ -264,6 +264,39 @@ fn malformed_and_unknown_requests_are_rejected() {
 }
 
 #[test]
+fn a_bad_sizing_bracket_is_an_error_response_not_a_wedged_server() {
+    let (addr, _state, handle) = start(ServeConfig::default());
+    for (cmd, bracket) in [
+        ("size", ",\"lo\":0"),
+        ("size", ",\"lo\":50,\"hi\":10"),
+        ("cluster", ",\"lo\":-1"),
+        ("hybrid", ",\"lo\":5,\"hi\":5"),
+    ] {
+        let resp = request(&addr, &job_line(cmd, bracket), CLIENT_TIMEOUT).expect("responds");
+        assert!(
+            resp.contains("\"status\":\"error\""),
+            "{cmd}{bracket} -> {resp}"
+        );
+        assert!(resp.contains("0 < lo < hi"), "{resp}");
+    }
+    // Nothing is left holding a connection or an in-flight entry: only
+    // the status request's own connection is open.
+    let status = request(&addr, r#"{"cmd":"status"}"#, CLIENT_TIMEOUT).expect("status");
+    let server = parse(&status).expect("parses");
+    let gauge = |name: &str| {
+        server
+            .get("server")
+            .and_then(|s| s.get(name))
+            .and_then(JsonValue::as_u64)
+    };
+    assert_eq!(gauge("open_connections"), Some(1), "{status}");
+    assert_eq!(gauge("in_flight"), Some(0), "{status}");
+    assert_eq!(counter(&status, "requests_rejected"), 4);
+    // And the drain finishes.
+    shutdown(&addr, handle);
+}
+
+#[test]
 fn oversized_request_is_rejected_and_the_connection_closed() {
     let (addr, _state, handle) = start(ServeConfig {
         max_request_bytes: 1024,

@@ -25,7 +25,7 @@
 //!   [`crate::modules::size_modules_for_target`]'s caveat), so clustered
 //!   sizing must not silently regress the area it exists to save.
 //!
-//! Every simulator evaluation can be written through a persistent
+//! Every evaluation decision can be written through a persistent
 //! [`mtk_store::Store`] under its own record tag, so a warm rerun
 //! replays the whole co-optimisation — including its [`RunHealth`]
 //! telemetry, bit-identically — without simulating anything.
@@ -35,7 +35,7 @@ use crate::health::{
     RETRY_BUDGET_FACTOR,
 };
 use crate::par::{try_parallel_map_with, WorkerStats};
-use crate::sizing::Transition;
+use crate::sizing::{log_bisect, move_to_front, stored_leg, Transition};
 use crate::vbsim::{
     latest_crossing, worst_delay_vs_baseline, Engine, PartitionedSleep, SleepNetwork, VbsimOptions,
     VbsimScratch,
@@ -235,8 +235,10 @@ pub fn exclusive_partition(
 /// versioned separately from the store container format: bump when the
 /// key or value encoding changes so stale records read as misses, never
 /// as wrong answers. Distinct from the screening (`leg1`), serve
-/// (`req1:`) and Monte Carlo (`mct1`) namespaces sharing the same log.
-pub const CLUSTER_RECORD_TAG: &[u8; 4] = b"clu1";
+/// (`req2:`) and Monte Carlo (`mct1`) namespaces sharing the same log.
+/// `clu2` records hold a decision against the target the key carries;
+/// `clu1` records held a target-free worst degradation.
+pub const CLUSTER_RECORD_TAG: &[u8; 4] = b"clu2";
 
 /// FNV-1a, the same hash family the netlist fingerprint uses.
 struct Digest(u64);
@@ -256,56 +258,14 @@ impl Digest {
     }
 }
 
-/// The shared store-key prefix of every evaluation of one co-optimise
-/// call at one breakpoint budget: record tag, netlist and technology
-/// fingerprints, then a digest over probes, transitions, assignment and
-/// the [`VbsimOptions`] fields the simulator reads. The per-evaluation
-/// suffix is the sizes vector itself.
-fn eval_prefix(
-    engine: &Engine<'_>,
-    outputs: &[NetId],
-    transitions: &[Transition],
-    assignment: &[usize],
-    base: &VbsimOptions,
-) -> Vec<u8> {
-    let mut d = Digest::new();
-    d.write_u64(outputs.len() as u64);
-    for n in outputs {
-        d.write_u64(n.index() as u64);
-    }
-    let level = |l: &Logic| match l {
-        Logic::Zero => 0u8,
-        Logic::One => 1,
-        Logic::X => 2,
-    };
-    d.write_u64(transitions.len() as u64);
-    for tr in transitions {
-        d.write_u64(tr.from.len() as u64);
-        for l in tr.from.iter().chain(&tr.to) {
-            d.write(&[level(l)]);
-        }
-    }
-    d.write_u64(assignment.len() as u64);
-    for &g in assignment {
-        d.write_u64(g as u64);
-    }
-    d.write(&[base.body_effect as u8, base.reverse_conduction as u8]);
-    d.write_u64(base.t_stop.to_bits());
-    d.write_u64(base.max_events as u64);
-    let mut out = Vec::with_capacity(4 + 24);
-    out.extend_from_slice(CLUSTER_RECORD_TAG);
-    out.extend_from_slice(&engine.fingerprint().to_le_bytes());
-    out.extend_from_slice(&engine.tech().fingerprint().to_le_bytes());
-    out.extend_from_slice(&d.0.to_le_bytes());
-    out
-}
-
-/// Byte encoding of one stored evaluation: the worst degradation and
-/// every [`RunHealth`] counter — the stored health is what makes a warm
-/// rerun's telemetry bit-identical to the cold one.
-fn encode_eval(worst: f64, health: &RunHealth) -> Vec<u8> {
+/// Byte encoding of one stored decision: the index plus one of the
+/// transition that exceeded the target (0 when none did), then every
+/// [`RunHealth`] counter — the stored health is what makes a warm
+/// rerun's telemetry bit-identical to the cold one, and the stored index
+/// lets a replay reorder the transitions exactly as the simulation did.
+fn encode_eval(failed: Option<usize>, health: &RunHealth) -> Vec<u8> {
     let mut out = Vec::with_capacity(56);
-    out.extend_from_slice(&worst.to_bits().to_le_bytes());
+    out.extend_from_slice(&failed.map_or(0, |i| i as u64 + 1).to_le_bytes());
     for v in [
         health.breakpoints,
         health.max_events,
@@ -319,15 +279,21 @@ fn encode_eval(worst: f64, health: &RunHealth) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`encode_eval`]; `None` on any shape mismatch — a
-/// malformed record is a miss, never an answer.
-fn decode_eval(bytes: &[u8]) -> Option<(f64, RunHealth)> {
+/// Inverse of [`encode_eval`] over `n_transitions` transitions; `None`
+/// on any shape mismatch or out-of-range index — a malformed record is
+/// a miss, never an answer.
+fn decode_eval(bytes: &[u8], n_transitions: usize) -> Option<(Option<usize>, RunHealth)> {
     if bytes.len() != 56 {
         return None;
     }
     let word = |i: usize| u64::from_le_bytes(bytes[i * 8..(i + 1) * 8].try_into().unwrap());
+    let failed = match word(0) {
+        0 => None,
+        k if k <= n_transitions as u64 => Some(k as usize - 1),
+        _ => return None,
+    };
     Some((
-        f64::from_bits(word(0)),
+        failed,
         RunHealth {
             breakpoints: word(1) as usize,
             max_events: word(2) as usize,
@@ -339,223 +305,282 @@ fn decode_eval(bytes: &[u8]) -> Option<(f64, RunHealth)> {
     ))
 }
 
-/// Worst degradation over the transitions for one per-cluster sizes
-/// vector, served from the store when an identical evaluation was
-/// recorded before (replaying its stored health), simulated and written
-/// through otherwise.
+/// Adds an overflowing run's breakpoints to the counters: its cost is
+/// real even though it produced no result.
+fn count_overflow(e: &CoreError, max_events: usize, run: &mut RunHealth, stats: &mut WorkerStats) {
+    if let CoreError::EventOverflow { events, .. } = *e {
+        run.breakpoints += events;
+        run.max_events = run.max_events.max(max_events);
+        stats.breakpoints += events as u64;
+    }
+}
+
+/// Each transition's CMOS baseline crossings at `base`'s budget — the
+/// legs every evaluation at that budget shares, whatever the sleep
+/// sizes — read from the store's `leg1` records when there is one
+/// (a hit or miss counted per leg) and simulated otherwise. Their
+/// health goes into `run` once, here.
 #[allow(clippy::too_many_arguments)]
-fn eval_worst(
+fn cmos_baselines(
     engine: &Engine<'_>,
     scratch: &mut VbsimScratch,
     transitions: &[Transition],
     outputs: &[NetId],
-    assignment: &[usize],
-    sizes: &[f64],
     base: &VbsimOptions,
-    prefix: &[u8],
     store: Option<&mtk_store::Store>,
     run: &mut RunHealth,
     stats: &mut WorkerStats,
-) -> Result<f64, CoreError> {
-    let key: Vec<u8> = {
-        let mut k = prefix.to_vec();
-        for &s in sizes {
-            k.extend_from_slice(&s.to_bits().to_le_bytes());
+) -> Result<Vec<Vec<Option<f64>>>, CoreError> {
+    transitions
+        .iter()
+        .map(|tr| {
+            let (leg, hit) = stored_leg(
+                engine,
+                tr,
+                outputs,
+                SleepNetwork::Cmos,
+                base,
+                store,
+                scratch,
+            )
+            .inspect_err(|e| count_overflow(e, base.max_events, run, stats))?;
+            run.absorb(&leg.health);
+            stats.breakpoints += leg.health.breakpoints as u64;
+            if store.is_some() {
+                if hit {
+                    run.cache_hits += 1;
+                } else {
+                    run.cache_misses += 1;
+                }
+            }
+            Ok(leg.crossings)
+        })
+        .collect()
+}
+
+/// Everything the evaluations of one co-optimisation share at one
+/// breakpoint budget and one assignment: the transitions with their
+/// CMOS baselines (simulated once, read-only), the probes, the target,
+/// and the store-key prefix.
+struct Evaluator<'a> {
+    transitions: &'a [Transition],
+    baselines: &'a [Vec<Option<f64>>],
+    outputs: &'a [NetId],
+    assignment: &'a [usize],
+    base: &'a VbsimOptions,
+    target: f64,
+    store: Option<&'a mtk_store::Store>,
+    /// Record tag, netlist and technology fingerprints, a digest over
+    /// probes, transitions, assignment and the [`VbsimOptions`] fields
+    /// the simulator reads, then the target's bits. The per-evaluation
+    /// suffix is the sizes vector itself.
+    prefix: Vec<u8>,
+}
+
+impl Evaluator<'_> {
+    /// This evaluator with its store-key prefix computed for `engine`.
+    fn keyed(mut self, engine: &Engine<'_>) -> Self {
+        let mut d = Digest::new();
+        d.write_u64(self.outputs.len() as u64);
+        for n in self.outputs {
+            d.write_u64(n.index() as u64);
         }
-        k
-    };
-    if let Some(store) = store {
-        if let Some((worst, health)) = store.get(&key).and_then(|b| decode_eval(&b)) {
+        let level = |l: &Logic| match l {
+            Logic::Zero => 0u8,
+            Logic::One => 1,
+            Logic::X => 2,
+        };
+        d.write_u64(self.transitions.len() as u64);
+        for tr in self.transitions {
+            d.write_u64(tr.from.len() as u64);
+            for l in tr.from.iter().chain(&tr.to) {
+                d.write(&[level(l)]);
+            }
+        }
+        d.write_u64(self.assignment.len() as u64);
+        for &g in self.assignment {
+            d.write_u64(g as u64);
+        }
+        d.write(&[
+            self.base.body_effect as u8,
+            self.base.reverse_conduction as u8,
+        ]);
+        d.write_u64(self.base.t_stop.to_bits());
+        d.write_u64(self.base.max_events as u64);
+        let mut out = Vec::with_capacity(4 + 32);
+        out.extend_from_slice(CLUSTER_RECORD_TAG);
+        out.extend_from_slice(&engine.fingerprint().to_le_bytes());
+        out.extend_from_slice(&engine.tech().fingerprint().to_le_bytes());
+        out.extend_from_slice(&d.0.to_le_bytes());
+        out.extend_from_slice(&self.target.to_bits().to_le_bytes());
+        self.prefix = out;
+        self
+    }
+
+    /// Whether the worst degradation over the transitions at one
+    /// per-cluster sizes vector exceeds the target — served from the
+    /// store when the same decision was recorded before (replaying its
+    /// stored health), simulated and written through otherwise.
+    ///
+    /// The same exact early exit as the single-device bisection: the
+    /// answer is `0 > target` or some transition over the target, so the
+    /// simulation stops at the first one and moves it to the front of
+    /// `order` (a replayed record moves the transition it names). A
+    /// passing decision measures every transition.
+    fn exceeds(
+        &self,
+        engine: &Engine<'_>,
+        scratch: &mut VbsimScratch,
+        sizes: &[f64],
+        order: &mut [usize],
+        run: &mut RunHealth,
+        stats: &mut WorkerStats,
+    ) -> Result<bool, CoreError> {
+        if 0.0 > self.target {
+            return Ok(true);
+        }
+        let mut key = self.prefix.clone();
+        for &s in sizes {
+            key.extend_from_slice(&s.to_bits().to_le_bytes());
+        }
+        let stored = self.store.and_then(|store| store.get(&key));
+        if let Some((failed, health)) = stored.and_then(|b| decode_eval(&b, self.transitions.len()))
+        {
             run.absorb(&health);
             run.cache_hits += 1;
             stats.breakpoints += health.breakpoints as u64;
-            return Ok(worst);
-        }
-    }
-    let partition = PartitionedSleep {
-        assignment: assignment.to_vec(),
-        networks: sizes
-            .iter()
-            .map(|&wl| SleepNetwork::Transistor { w_over_l: wl })
-            .collect(),
-    };
-    let cmos_opts = VbsimOptions {
-        sleep: SleepNetwork::Cmos,
-        ..base.clone()
-    };
-    let mut local = RunHealth::default();
-    let mut simulate = || -> Result<f64, CoreError> {
-        let mut worst = 0.0f64;
-        for tr in transitions {
-            stats.vectors += 1;
-            let cmos =
-                engine.run_summary_with(&tr.from, &tr.to, None, outputs, &cmos_opts, scratch)?;
-            local.absorb(&cmos.health);
-            stats.breakpoints += cmos.health.breakpoints as u64;
-            let Some(d_cmos) = latest_crossing(&cmos.crossings) else {
-                continue;
-            };
-            let mt = engine.run_summary_with(
-                &tr.from,
-                &tr.to,
-                Some(&partition),
-                outputs,
-                base,
-                scratch,
-            )?;
-            local.absorb(&mt.health);
-            stats.breakpoints += mt.health.breakpoints as u64;
-            let d_mt = if mt.stalled || mt.truncated {
-                f64::INFINITY
-            } else {
-                // Per-probe against the baseline: an output that
-                // switched in CMOS but never under MTCMOS stalled
-                // (infinite delay), it is not a probe to skip.
-                worst_delay_vs_baseline(&cmos.crossings, &mt.crossings).unwrap_or(d_cmos)
-            };
-            worst = worst.max((d_mt - d_cmos) / d_cmos);
-        }
-        Ok(worst)
-    };
-    let result = simulate();
-    run.absorb(&local);
-    match result {
-        Ok(worst) => {
-            if let Some(store) = store {
-                run.cache_misses += 1;
-                // A failed write degrades to recompute-on-rerun; it is
-                // not an error.
-                let _ = store.put(&key, &encode_eval(worst, &local));
+            if let Some(i) = failed {
+                let k = order.iter().position(|&j| j == i);
+                move_to_front(order, k.expect("order holds every transition"));
             }
-            Ok(worst)
+            return Ok(failed.is_some());
         }
-        Err(e) => {
-            if let CoreError::EventOverflow { events, .. } = e {
-                // The overflowing run's cost is real — count it.
-                run.breakpoints += events;
-                run.max_events = run.max_events.max(base.max_events);
-                stats.breakpoints += events as u64;
+        let partition = PartitionedSleep {
+            assignment: self.assignment.to_vec(),
+            networks: sizes
+                .iter()
+                .map(|&wl| SleepNetwork::Transistor { w_over_l: wl })
+                .collect(),
+        };
+        let mut local = RunHealth::default();
+        let mut simulate = || -> Result<Option<usize>, CoreError> {
+            for k in 0..order.len() {
+                let i = order[k];
+                stats.vectors += 1;
+                let cmos = &self.baselines[i];
+                let Some(d_cmos) = latest_crossing(cmos) else {
+                    continue;
+                };
+                let tr = &self.transitions[i];
+                let mt = engine.run_summary_with(
+                    &tr.from,
+                    &tr.to,
+                    Some(&partition),
+                    self.outputs,
+                    self.base,
+                    scratch,
+                )?;
+                local.absorb(&mt.health);
+                stats.breakpoints += mt.health.breakpoints as u64;
+                let d_mt = if mt.stalled || mt.truncated {
+                    f64::INFINITY
+                } else {
+                    // Per-probe against the baseline: an output that
+                    // switched in CMOS but never under MTCMOS stalled
+                    // (infinite delay), it is not a probe to skip.
+                    worst_delay_vs_baseline(cmos, &mt.crossings).unwrap_or(d_cmos)
+                };
+                if (d_mt - d_cmos) / d_cmos > self.target {
+                    move_to_front(order, k);
+                    return Ok(Some(i));
+                }
             }
-            Err(e)
+            Ok(None)
+        };
+        let result = simulate();
+        run.absorb(&local);
+        let failed = result.inspect_err(|e| count_overflow(e, self.base.max_events, run, stats))?;
+        if let Some(store) = self.store {
+            run.cache_misses += 1;
+            // A failed write degrades to recompute-on-rerun; it is not
+            // an error.
+            let _ = store.put(&key, &encode_eval(failed, &local));
         }
+        Ok(failed.is_some())
     }
 }
 
-/// One bisection attempt for one cluster: fault-injection check, then a
-/// log-space bisection of that cluster's device with every other
-/// cluster pinned at `hi`.
+/// One bisection attempt for one cluster: a log-space bisection of that
+/// cluster's device with every other cluster pinned at `hi`, under its
+/// own transition order.
 #[allow(clippy::too_many_arguments)]
 fn cluster_attempt(
     engine: &Engine<'_>,
     scratch: &mut VbsimScratch,
     g: usize,
     n_clusters: usize,
-    assignment: &[usize],
-    transitions: &[Transition],
-    outputs: &[NetId],
-    target: f64,
+    ev: &Evaluator<'_>,
     (lo, hi): (f64, f64),
-    opts: &VbsimOptions,
-    fault: &FaultPlan,
-    attempt: usize,
-    store: Option<&mtk_store::Store>,
     run: &mut RunHealth,
     stats: &mut WorkerStats,
 ) -> Result<f64, CoreError> {
-    fault.check(g, attempt)?;
-    let prefix = eval_prefix(engine, outputs, transitions, assignment, opts);
-    let (mut glo, mut ghi) = (lo, hi);
-    for _ in 0..24 {
-        let mid = (glo * ghi).sqrt();
+    let mut order: Vec<usize> = (0..ev.transitions.len()).collect();
+    log_bisect((lo, hi), 24, 1.02, |mid| {
         let mut trial = vec![hi; n_clusters];
         trial[g] = mid;
-        let worst = eval_worst(
-            engine,
-            scratch,
-            transitions,
-            outputs,
-            assignment,
-            &trial,
-            opts,
-            &prefix,
-            store,
-            run,
-            stats,
-        )?;
-        if worst > target {
-            glo = mid;
-        } else {
-            ghi = mid;
-        }
-        if ghi / glo < 1.02 {
-            break;
-        }
-    }
-    Ok(ghi)
+        ev.exceeds(engine, scratch, &trial, &mut order, run, stats)
+    })
 }
 
 /// One per-cluster work item under the retry policy: a first attempt at
 /// the caller's breakpoint budget, then — only for
 /// [`CoreError::EventOverflow`] — one retry relaxed by
-/// [`RETRY_BUDGET_FACTOR`].
+/// [`RETRY_BUDGET_FACTOR`], which recomputes its own CMOS baselines (a
+/// run truncated at one budget can differ under a larger one).
 #[allow(clippy::too_many_arguments)]
 fn cluster_item(
     engine: &Engine<'_>,
     scratch: &mut VbsimScratch,
     g: usize,
     n_clusters: usize,
-    assignment: &[usize],
-    transitions: &[Transition],
-    outputs: &[NetId],
-    target: f64,
+    ev: &Evaluator<'_>,
     bracket: (f64, f64),
-    base: &VbsimOptions,
     fault: &FaultPlan,
-    store: Option<&mtk_store::Store>,
     stats: &mut WorkerStats,
 ) -> ItemReport<f64> {
     let mut run = RunHealth::default();
-    let mut value = cluster_attempt(
-        engine,
-        scratch,
-        g,
-        n_clusters,
-        assignment,
-        transitions,
-        outputs,
-        target,
-        bracket,
-        base,
-        fault,
-        0,
-        store,
-        &mut run,
-        stats,
-    );
+    let mut value = fault.check(g, 0).and_then(|()| {
+        cluster_attempt(engine, scratch, g, n_clusters, ev, bracket, &mut run, stats)
+    });
     let mut retried = false;
     if matches!(value, Err(CoreError::EventOverflow { .. })) {
         retried = true;
         let relaxed = VbsimOptions {
-            max_events: base.max_events.saturating_mul(RETRY_BUDGET_FACTOR),
-            ..base.clone()
+            max_events: ev.base.max_events.saturating_mul(RETRY_BUDGET_FACTOR),
+            ..ev.base.clone()
         };
-        value = cluster_attempt(
-            engine,
-            scratch,
-            g,
-            n_clusters,
-            assignment,
-            transitions,
-            outputs,
-            target,
-            bracket,
-            &relaxed,
-            fault,
-            1,
-            store,
-            &mut run,
-            stats,
-        );
+        value = fault.check(g, 1).and_then(|()| {
+            let baselines = cmos_baselines(
+                engine,
+                scratch,
+                ev.transitions,
+                ev.outputs,
+                &relaxed,
+                ev.store,
+                &mut run,
+                stats,
+            )?;
+            let ev = Evaluator {
+                baselines: &baselines,
+                base: &relaxed,
+                prefix: Vec::new(),
+                ..*ev
+            }
+            .keyed(engine);
+            cluster_attempt(
+                engine, scratch, g, n_clusters, &ev, bracket, &mut run, stats,
+            )
+        });
     }
     ItemReport {
         value,
@@ -657,11 +682,16 @@ impl ClusterReport {
 /// uses less total width is returned. A quarantined cluster's device
 /// conservatively stays at `hi`.
 ///
-/// With `store`, every simulator evaluation is written through a
-/// persistent log under [`CLUSTER_RECORD_TAG`]; a warm rerun replays
-/// every evaluation — stored health included — so its deterministic
-/// telemetry is bit-identical to the cold run apart from the
-/// hit/miss counters, and nothing is simulated.
+/// Every evaluation is a decision against `target` that stops at its
+/// first over-target transition, as in
+/// [`crate::sizing::size_for_target_cached`], and each transition's CMOS
+/// baseline is simulated once per call, not once per evaluation.
+///
+/// With `store`, every decision is written through a persistent log
+/// under [`CLUSTER_RECORD_TAG`], and every CMOS baseline as a screening
+/// leg; a warm rerun replays all of them — stored health included — so
+/// its deterministic telemetry is bit-identical to the cold run apart
+/// from the hit/miss counters, and nothing is simulated.
 ///
 /// # Errors
 ///
@@ -671,7 +701,9 @@ impl ClusterReport {
 ///   lowest-indexed failing cluster; under
 ///   [`FailurePolicy::Quarantine`], [`CoreError::TooManyFailures`]
 ///   past the cap.
-/// * Propagates simulator errors.
+/// * Propagates simulator errors of the baselines and of the legs the
+///   decisions run; a leg an earlier over-target transition made
+///   unnecessary never runs and raises nothing.
 ///
 /// # Panics
 ///
@@ -707,35 +739,42 @@ pub fn size_clusters_for_target(
     let mut serial_scratch = VbsimScratch::new();
     let mut serial_run = RunHealth::default();
     let mut serial_stats = WorkerStats::default();
-    let prefix = eval_prefix(&engine, &outputs, transitions, &partition.assignment, base);
-    let serial_eval = |sizes: &[f64],
-                       run: &mut RunHealth,
-                       scratch: &mut VbsimScratch,
-                       stats: &mut WorkerStats|
-     -> Result<f64, CoreError> {
-        eval_worst(
+    let baselines = cmos_baselines(
+        &engine,
+        &mut serial_scratch,
+        transitions,
+        &outputs,
+        base,
+        store,
+        &mut serial_run,
+        &mut serial_stats,
+    )?;
+    let clustered = Evaluator {
+        transitions,
+        baselines: &baselines,
+        outputs: &outputs,
+        assignment: &partition.assignment,
+        base,
+        target,
+        store,
+        prefix: Vec::new(),
+    }
+    .keyed(&engine);
+    // The serial phases each own a transition order, as every parallel
+    // work item does, so the decisions' health is schedule-independent.
+    let mut order: Vec<usize> = (0..transitions.len()).collect();
+    let mut serial_exceeds = |ev: &Evaluator<'_>, sizes: &[f64], order: &mut [usize]| {
+        ev.exceeds(
             &engine,
-            scratch,
-            transitions,
-            &outputs,
-            &partition.assignment,
+            &mut serial_scratch,
             sizes,
-            base,
-            &prefix,
-            store,
-            run,
-            stats,
+            order,
+            &mut serial_run,
+            &mut serial_stats,
         )
     };
     // Feasibility: even with every cluster at hi?
-    let all_hi = vec![hi; n];
-    if serial_eval(
-        &all_hi,
-        &mut serial_run,
-        &mut serial_scratch,
-        &mut serial_stats,
-    )? > target
-    {
+    if serial_exceeds(&clustered, &vec![hi; n], &mut order)? {
         return Err(CoreError::SizingInfeasible {
             target,
             at_w_over_l: hi,
@@ -749,21 +788,7 @@ pub fn size_clusters_for_target(
         &items,
         || (Engine::new(netlist, tech), VbsimScratch::new()),
         |(engine, scratch), _index, &g, stats| {
-            cluster_item(
-                engine,
-                scratch,
-                g,
-                n,
-                &partition.assignment,
-                transitions,
-                &outputs,
-                target,
-                (lo, hi),
-                base,
-                fault,
-                store,
-                stats,
-            )
+            cluster_item(engine, scratch, g, n, &clustered, (lo, hi), fault, stats)
         },
     );
     let (values, mut health) = fold_item_reports(reports, policy)?;
@@ -773,13 +798,7 @@ pub fn size_clusters_for_target(
     // interaction can push the joint worst case past the target.
     let mut joint_ok = false;
     for _ in 0..12 {
-        if serial_eval(
-            &sizes,
-            &mut serial_run,
-            &mut serial_scratch,
-            &mut serial_stats,
-        )? <= target
-        {
+        if !serial_exceeds(&clustered, &sizes, &mut order)? {
             joint_ok = true;
             break;
         }
@@ -796,38 +815,19 @@ pub fn size_clusters_for_target(
     // budget across clusters, so the clustered candidate can genuinely
     // need more total width — in that case the single device wins.
     let single_assignment = vec![0usize; netlist.cells().len()];
-    let single_prefix = eval_prefix(&engine, &outputs, transitions, &single_assignment, base);
-    let mut single_eval = |wl: f64, run: &mut RunHealth, scratch: &mut VbsimScratch| {
-        eval_worst(
-            &engine,
-            scratch,
-            transitions,
-            &outputs,
-            &single_assignment,
-            &[wl],
-            base,
-            &single_prefix,
-            store,
-            run,
-            &mut serial_stats,
-        )
-    };
-    let single_w_over_l = if single_eval(hi, &mut serial_run, &mut serial_scratch)? > target {
+    let single = Evaluator {
+        assignment: &single_assignment,
+        prefix: Vec::new(),
+        ..clustered
+    }
+    .keyed(&engine);
+    let mut order: Vec<usize> = (0..transitions.len()).collect();
+    let single_w_over_l = if serial_exceeds(&single, &[hi], &mut order)? {
         None
     } else {
-        let (mut glo, mut ghi) = (lo, hi);
-        for _ in 0..24 {
-            let mid = (glo * ghi).sqrt();
-            if single_eval(mid, &mut serial_run, &mut serial_scratch)? > target {
-                glo = mid;
-            } else {
-                ghi = mid;
-            }
-            if ghi / glo < 1.02 {
-                break;
-            }
-        }
-        Some(ghi)
+        Some(log_bisect((lo, hi), 24, 1.02, |wl| {
+            serial_exceeds(&single, &[wl], &mut order)
+        })?)
     };
     let fell_back = single_w_over_l.is_some_and(|s| s <= clustered_width);
     let sizing = if fell_back {
@@ -1135,39 +1135,53 @@ mod tests {
             cache_hits: 0,
             cache_misses: 3,
         };
-        let bytes = encode_eval(0.0375, &health);
-        assert_eq!(decode_eval(&bytes), Some((0.0375, health)));
-        assert_eq!(decode_eval(&bytes[..55]), None);
+        for failed in [None, Some(0), Some(5)] {
+            let bytes = encode_eval(failed, &health);
+            assert_eq!(decode_eval(&bytes, 6), Some((failed, health)));
+        }
+        let bytes = encode_eval(Some(5), &health);
+        assert_eq!(decode_eval(&bytes[..55], 6), None);
         let mut long = bytes.clone();
         long.push(0);
-        assert_eq!(decode_eval(&long), None);
-        // Infinity (a stalled evaluation) survives the roundtrip.
-        let inf = encode_eval(f64::INFINITY, &health);
-        assert_eq!(decode_eval(&inf).unwrap().0, f64::INFINITY);
+        assert_eq!(decode_eval(&long, 6), None);
+        // An index past the transition list is malformed, not served.
+        assert_eq!(decode_eval(&bytes, 5), None);
     }
 
-    #[test]
-    fn store_keys_do_not_alias_other_record_namespaces() {
+    fn tree_prefix(assignment: &[usize], target: f64) -> Vec<u8> {
         let tree = InverterTree::paper();
         let tech = Technology::l07();
         let engine = Engine::new(&tree.netlist, &tech);
         let trs = [tr(&[Zero], &[One])];
         let outputs = tree.netlist.primary_outputs().to_vec();
-        let assignment = vec![0usize; tree.netlist.cells().len()];
-        let prefix = eval_prefix(&engine, &outputs, &trs, &assignment, &VbsimOptions::cmos());
+        let base = VbsimOptions::cmos();
+        Evaluator {
+            transitions: &trs,
+            baselines: &[],
+            outputs: &outputs,
+            assignment,
+            base: &base,
+            target,
+            store: None,
+            prefix: Vec::new(),
+        }
+        .keyed(&engine)
+        .prefix
+    }
+
+    #[test]
+    fn store_keys_do_not_alias_other_record_namespaces() {
+        let tree = InverterTree::paper();
+        let flat = vec![0usize; tree.netlist.cells().len()];
+        let prefix = tree_prefix(&flat, 0.2);
         assert_eq!(&prefix[..4], CLUSTER_RECORD_TAG);
-        for other in [b"leg1" as &[u8], b"req1", b"mct1"] {
+        for other in [b"leg1" as &[u8], b"req2", b"mct1", b"clu1"] {
             assert_ne!(&prefix[..4], other, "cluster records need their own tag");
         }
         // Different assignments (clustered vs flat) never share keys.
-        let clustered = exclusive_partition(&tree.netlist, &trs, 4).unwrap();
-        let p2 = eval_prefix(
-            &engine,
-            &outputs,
-            &trs,
-            &clustered.assignment,
-            &VbsimOptions::cmos(),
-        );
-        assert_ne!(prefix, p2);
+        let clustered = exclusive_partition(&tree.netlist, &[tr(&[Zero], &[One])], 4).unwrap();
+        assert_ne!(prefix, tree_prefix(&clustered.assignment, 0.2));
+        // A decision holds at its own target only.
+        assert_ne!(prefix, tree_prefix(&flat, 0.1));
     }
 }

@@ -141,16 +141,16 @@ fn leg_options(sleep: SleepNetwork, base: &VbsimOptions) -> VbsimOptions {
 /// what makes cached reruns bit-identical: a cache hit replays the
 /// original run's telemetry instead of re-measuring it.
 #[derive(Debug, Clone, PartialEq)]
-struct LegResult {
+pub(crate) struct LegResult {
     /// Per-probe last V<sub>dd</sub>/2 crossing time, index-aligned with
     /// the probe list; `None` when that probe never switched.
-    crossings: Vec<Option<f64>>,
+    pub(crate) crossings: Vec<Option<f64>>,
     /// The run stalled (a discharge path was cut off by the sleep device).
     stalled: bool,
     /// The run hit its breakpoint budget before settling.
     truncated: bool,
     /// The run's own health counters.
-    health: RunHealth,
+    pub(crate) health: RunHealth,
 }
 
 /// Runs one leg through the simulator's summary recorder: the probes'
@@ -558,6 +558,43 @@ impl ScreeningCache {
         self.legs.lock().unwrap().insert(key, leg.clone());
         Ok((leg, false))
     }
+}
+
+/// One leg through an optional borrowed store, under the same `leg1`
+/// records a store-backed [`ScreeningCache`] keeps: a decodable record
+/// replays (stored health included), anything else is simulated and
+/// written through, a failed write degrading to recompute-on-rerun. The
+/// boolean reports a store hit.
+pub(crate) fn stored_leg(
+    engine: &Engine<'_>,
+    tr: &Transition,
+    outputs: &[NetId],
+    sleep: SleepNetwork,
+    base: &VbsimOptions,
+    store: Option<&mtk_store::Store>,
+    scratch: &mut VbsimScratch,
+) -> Result<(LegResult, bool), CoreError> {
+    let key = store.map(|_| {
+        LegKey::new(
+            engine.fingerprint(),
+            engine.tech().fingerprint(),
+            outputs,
+            tr,
+            sleep,
+            base,
+        )
+        .store_key()
+    });
+    if let (Some(store), Some(key)) = (store, &key) {
+        if let Some(leg) = store.get(key).and_then(|b| LegResult::decode(&b)) {
+            return Ok((leg, true));
+        }
+    }
+    let leg = run_leg(engine, tr, outputs, &leg_options(sleep, base), scratch)?;
+    if let (Some(store), Some(key)) = (store, &key) {
+        let _ = store.put(key, &leg.encode());
+    }
+    Ok((leg, false))
 }
 
 /// Adds per-leg cache hit/miss counts to a measurement's health.
@@ -994,7 +1031,11 @@ pub fn screen_vectors_par_quarantined(
 /// # Errors
 ///
 /// * [`CoreError::SizingInfeasible`] when even `hi` misses the target.
-/// * Propagates simulator errors.
+/// * Propagates simulator errors, as [`size_for_target_cached`].
+///
+/// # Panics
+///
+/// Panics unless `0 < lo < hi`.
 pub fn size_for_target(
     engine: &Engine<'_>,
     transitions: &[Transition],
@@ -1010,15 +1051,109 @@ pub fn size_for_target(
         .map(|(wl, _)| wl)
 }
 
+/// Log-space bisection of `[lo, hi]` for the smallest size `exceeds`
+/// rejects no more: at most `max_iter` probes, stopping once
+/// `hi / lo < ratio`. Returns the final passing end `hi`, which is never
+/// probed here (the caller has established that `hi` passes).
+///
+/// # Errors
+///
+/// The first error `exceeds` returns.
+pub(crate) fn log_bisect(
+    (lo, hi): (f64, f64),
+    max_iter: usize,
+    ratio: f64,
+    mut exceeds: impl FnMut(f64) -> Result<bool, CoreError>,
+) -> Result<f64, CoreError> {
+    let (mut lo, mut hi) = (lo, hi);
+    for _ in 0..max_iter {
+        let mid = (lo * hi).sqrt();
+        if exceeds(mid)? {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+        if hi / lo < ratio {
+            break;
+        }
+    }
+    Ok(hi)
+}
+
+/// Moves `order[k]` to the front, keeping the rest in their order: the
+/// transition that just failed a probe runs first in the next one.
+pub(crate) fn move_to_front(order: &mut [usize], k: usize) {
+    order[..=k].rotate_right(1);
+}
+
+/// One bisection probe as the decision the bisection reads: does the
+/// worst degradation over `transitions` at `w_over_l` exceed `target`?
+///
+/// Exact early exit: `max(0, d₁, …, dₙ) > target` holds iff `0 > target`
+/// or some `dᵢ > target` (a NaN degradation exceeds nothing, exactly as
+/// `f64::max` skips it), so the probe returns at the first over-target
+/// transition and [`move_to_front`]s it in `order`. A passing probe still
+/// measures every transition.
+#[allow(clippy::too_many_arguments)]
+fn probe_exceeds(
+    engine: &Engine<'_>,
+    transitions: &[Transition],
+    probes: Option<&[NetId]>,
+    target: f64,
+    w_over_l: f64,
+    base: &VbsimOptions,
+    cache: &ScreeningCache,
+    scratch: &mut VbsimScratch,
+    order: &mut [usize],
+    health: &mut RunHealth,
+) -> Result<bool, CoreError> {
+    if 0.0 > target {
+        return Ok(true);
+    }
+    for k in 0..order.len() {
+        let (pair, h) = vbsim_delay_pair_cached_with(
+            engine,
+            &transitions[order[k]],
+            probes,
+            SleepNetwork::Transistor { w_over_l },
+            base,
+            cache,
+            scratch,
+        )?;
+        health.absorb(&h);
+        if pair.is_some_and(|p| p.degradation() > target) {
+            move_to_front(order, k);
+            return Ok(true);
+        }
+    }
+    Ok(false)
+}
+
 /// [`size_for_target`] through a caller-owned [`ScreeningCache`]: the
 /// returned size is bit-identical to the uncached call, each
 /// transition's CMOS baseline is simulated at most once across the whole
 /// bisection, and a repeated run with the same cache re-simulates
 /// nothing. The summed [`RunHealth`] reports the per-leg cache traffic.
 ///
+/// Each probe stops at its first over-target transition, trying the
+/// most recent failer first (`probe_exceeds`): the answer is the one
+/// a full evaluation of every probe gives, with fewer legs simulated. A
+/// passing probe measures every transition, so the returned size's legs
+/// are all in `cache`.
+///
 /// # Errors
 ///
-/// As [`size_for_target`].
+/// * [`CoreError::SizingInfeasible`] when even `hi` misses the target
+///   (at once, simulating nothing, when `target < 0`).
+/// * Propagates simulator errors of the legs the search runs. A leg
+///   that an earlier over-target transition made unnecessary never runs,
+///   so it raises nothing: a transition that would overflow its
+///   breakpoint budget only at sizes another transition already rejects
+///   does not fail the search.
+///
+/// # Panics
+///
+/// Panics unless `0 < lo < hi`.
 pub fn size_for_target_cached(
     engine: &Engine<'_>,
     transitions: &[Transition],
@@ -1031,45 +1166,29 @@ pub fn size_for_target_cached(
     assert!(lo > 0.0 && hi > lo, "invalid sizing bracket");
     let mut health = RunHealth::default();
     let mut scratch = VbsimScratch::new();
-    let worst_degradation =
-        |wl: f64, health: &mut RunHealth, scratch: &mut VbsimScratch| -> Result<f64, CoreError> {
-            let mut worst = 0.0f64;
-            for tr in transitions {
-                let (pair, h) = vbsim_delay_pair_cached_with(
-                    engine,
-                    tr,
-                    probes,
-                    SleepNetwork::Transistor { w_over_l: wl },
-                    base,
-                    cache,
-                    scratch,
-                )?;
-                health.absorb(&h);
-                if let Some(p) = pair {
-                    worst = worst.max(p.degradation());
-                }
-            }
-            Ok(worst)
-        };
-    if worst_degradation(hi, &mut health, &mut scratch)? > target {
+    let mut order: Vec<usize> = (0..transitions.len()).collect();
+    let mut exceeds = |wl: f64| {
+        probe_exceeds(
+            engine,
+            transitions,
+            probes,
+            target,
+            wl,
+            base,
+            cache,
+            &mut scratch,
+            &mut order,
+            &mut health,
+        )
+    };
+    if exceeds(hi)? {
         return Err(CoreError::SizingInfeasible {
             target,
             at_w_over_l: hi,
         });
     }
-    let (mut lo, mut hi) = (lo, hi);
-    for _ in 0..40 {
-        let mid = (lo * hi).sqrt(); // log-space bisection
-        if worst_degradation(mid, &mut health, &mut scratch)? > target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-        if hi / lo < 1.005 {
-            break;
-        }
-    }
-    Ok((hi, health))
+    let wl = log_bisect((lo, hi), 40, 1.005, exceeds)?;
+    Ok((wl, health))
 }
 
 /// The peak-current sizing baseline (§4): size the sleep device so a
@@ -1323,6 +1442,258 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::SizingInfeasible { .. }));
+    }
+
+    /// The full-evaluation reference the early-exit search must match
+    /// bit for bit: every probe measures every transition and compares
+    /// `max(0, …)` with the target. Returns the size and the legs it
+    /// simulated.
+    fn size_for_target_oracle(
+        engine: &Engine<'_>,
+        transitions: &[Transition],
+        target: f64,
+        (lo, hi): (f64, f64),
+        base: &VbsimOptions,
+    ) -> (Result<f64, CoreError>, usize) {
+        let cache = ScreeningCache::new();
+        let mut scratch = VbsimScratch::new();
+        let mut worst_degradation = |wl: f64| -> Result<f64, CoreError> {
+            let mut worst = 0.0f64;
+            for tr in transitions {
+                let (pair, _) = vbsim_delay_pair_cached_with(
+                    engine,
+                    tr,
+                    None,
+                    SleepNetwork::Transistor { w_over_l: wl },
+                    base,
+                    &cache,
+                    &mut scratch,
+                )?;
+                if let Some(p) = pair {
+                    worst = worst.max(p.degradation());
+                }
+            }
+            Ok(worst)
+        };
+        let mut search = || {
+            if worst_degradation(hi)? > target {
+                return Err(CoreError::SizingInfeasible {
+                    target,
+                    at_w_over_l: hi,
+                });
+            }
+            let (mut lo, mut hi) = (lo, hi);
+            for _ in 0..40 {
+                let mid = (lo * hi).sqrt();
+                if worst_degradation(mid)? > target {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+                if hi / lo < 1.005 {
+                    break;
+                }
+            }
+            Ok(hi)
+        };
+        let result = search();
+        (result, cache.misses())
+    }
+
+    /// Sizes `transitions` both ways and requires the same answer to the
+    /// bit (or the same error), with no more legs simulated. Returns the
+    /// early-exit search's health and the two leg counts.
+    fn assert_matches_oracle(
+        engine: &Engine<'_>,
+        transitions: &[Transition],
+        target: f64,
+        bracket: (f64, f64),
+    ) -> (RunHealth, usize, usize) {
+        let base = VbsimOptions::default();
+        let (want, oracle_legs) =
+            size_for_target_oracle(engine, transitions, target, bracket, &base);
+        let cache = ScreeningCache::new();
+        let got = size_for_target_cached(engine, transitions, None, target, bracket, &base, &cache);
+        let health = match (&want, &got) {
+            (Ok(w), Ok((g, health))) => {
+                assert_eq!(w.to_bits(), g.to_bits(), "W/L {g} vs oracle {w}");
+                *health
+            }
+            (Err(w), Err(g)) => {
+                assert_eq!(format!("{w:?}"), format!("{g:?}"));
+                RunHealth::default()
+            }
+            _ => panic!("early exit {got:?} vs oracle {want:?}"),
+        };
+        assert!(cache.misses() <= oracle_legs);
+        (health, cache.misses(), oracle_legs)
+    }
+
+    /// `count` seeded random transitions over `inputs` primary inputs.
+    fn random_transitions(inputs: usize, seed: u64, count: usize) -> Vec<Transition> {
+        let level = |b: bool| if b { Logic::One } else { Logic::Zero };
+        (0..count as u64)
+            .map(|k| {
+                let mut rng = mtk_num::prng::Xoshiro256pp::stream(seed, k);
+                let from = (0..inputs).map(|_| level(rng.next_bool())).collect();
+                let to = (0..inputs).map(|_| level(rng.next_bool())).collect();
+                Transition::new(from, to)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn early_exit_matches_the_oracle_on_the_exhaustive_adder() {
+        use mtk_circuits::adder::RippleAdder;
+        use mtk_circuits::vectors::exhaustive_transitions;
+        use mtk_netlist::logic::bits_lsb_first;
+
+        let add = RippleAdder::paper();
+        let tech = Technology::l07();
+        let engine = Engine::new(&add.netlist, &tech);
+        let transitions: Vec<Transition> = exhaustive_transitions(6)
+            .into_iter()
+            .map(|p| Transition::new(bits_lsb_first(p.from, 6), bits_lsb_first(p.to, 6)))
+            .collect();
+        let (health, legs, oracle_legs) =
+            assert_matches_oracle(&engine, &transitions, 0.05, (1.0, 2000.0));
+        // Glitchy transitions are part of the set, and failing probes
+        // really stopped early.
+        assert!(health.glitch_reversals > 0);
+        assert!(
+            legs < oracle_legs,
+            "{legs} legs vs the oracle's {oracle_legs}"
+        );
+    }
+
+    #[test]
+    fn early_exit_matches_the_oracle_on_multiplier_problems() {
+        use mtk_circuits::multiplier::{ArrayMultiplier, MultiplierSpec};
+
+        let mul = ArrayMultiplier::new(&MultiplierSpec {
+            bits: 16,
+            ..MultiplierSpec::default()
+        })
+        .unwrap();
+        let tech = Technology::l07();
+        let engine = Engine::new(&mul.netlist, &tech);
+        let inputs = mul.netlist.primary_inputs().len();
+        for seed in [1u64, 2] {
+            let transitions = random_transitions(inputs, seed, 6);
+            assert_matches_oracle(&engine, &transitions, 0.05, (1.0, 20000.0));
+        }
+    }
+
+    #[test]
+    fn early_exit_matches_the_oracle_on_random_logic_and_any_target() {
+        use mtk_circuits::random_logic::{RandomLogic, RandomLogicSpec};
+
+        let tech = Technology::l07();
+        for seed in [1u64, 7] {
+            let block = RandomLogic::new(&RandomLogicSpec {
+                seed,
+                ..RandomLogicSpec::default()
+            })
+            .unwrap();
+            let engine = Engine::new(&block.netlist, &tech);
+            let transitions = random_transitions(block.inputs.len(), seed, 48);
+            // Loose, paper and tight targets (an infeasible one
+            // included), and a negative target no size can meet.
+            for target in [0.3, 0.05, 0.01, 1e-6, -0.1] {
+                assert_matches_oracle(&engine, &transitions, target, (1.0, 2000.0));
+            }
+        }
+    }
+
+    #[test]
+    fn a_leg_that_never_runs_raises_nothing() {
+        use mtk_circuits::adder::RippleAdder;
+        use mtk_netlist::logic::bits_lsb_first;
+
+        let add = RippleAdder::paper();
+        let tech = Technology::l07();
+        let engine = Engine::new(&add.netlist, &tech);
+        let outputs = resolve_probes(&engine, None);
+        let wl = 5.0;
+        let generous = VbsimOptions::default();
+        // The larger breakpoint count of a transition's two legs.
+        let events = |tr: &Transition| {
+            [
+                SleepNetwork::Cmos,
+                SleepNetwork::Transistor { w_over_l: wl },
+            ]
+            .into_iter()
+            .map(|sleep| {
+                let opts = leg_options(sleep, &generous);
+                let leg = run_leg(&engine, tr, &outputs, &opts, &mut VbsimScratch::new());
+                leg.unwrap().health.breakpoints
+            })
+            .max()
+            .unwrap()
+        };
+        let adder =
+            |from: u64, to: u64| Transition::new(bits_lsb_first(from, 6), bits_lsb_first(to, 6));
+        // Transition 0 is far over a tight target at this size;
+        // transition 1 takes more breakpoints than transition 0, so a
+        // budget that just fits transition 0 overflows on it.
+        let transitions = [adder(0b000_000, 0b000_001), adder(0b000_000, 0b111_111)];
+        let over = vbsim_delay_pair(
+            &engine,
+            &transitions[0],
+            None,
+            SleepNetwork::Transistor { w_over_l: wl },
+            &generous,
+        );
+        let target = 1e-6;
+        assert!(over.unwrap().unwrap().degradation() > target);
+        let tight = VbsimOptions {
+            max_events: events(&transitions[0]),
+            ..VbsimOptions::default()
+        };
+        assert!(
+            events(&transitions[1]) > tight.max_events,
+            "need a costlier leg"
+        );
+
+        // The full evaluation raises the overflow; the early exit decides
+        // at transition 0 and never runs transition 1's legs.
+        let (oracle, _) = size_for_target_oracle(&engine, &transitions, target, (1.0, wl), &tight);
+        assert!(
+            matches!(oracle, Err(CoreError::EventOverflow { .. })),
+            "{oracle:?}"
+        );
+        let cache = ScreeningCache::new();
+        let mut order = vec![0, 1];
+        let mut health = RunHealth::default();
+        let exceeds = probe_exceeds(
+            &engine,
+            &transitions,
+            None,
+            target,
+            wl,
+            &tight,
+            &cache,
+            &mut VbsimScratch::new(),
+            &mut order,
+            &mut health,
+        );
+        assert!(matches!(exceeds, Ok(true)), "{exceeds:?}");
+        assert_eq!(cache.misses(), 2, "only transition 0's legs ran");
+        // The search as a whole reports the target missed, not the
+        // overflow.
+        let sized = size_for_target_cached(
+            &engine,
+            &transitions,
+            None,
+            target,
+            (1.0, wl),
+            &tight,
+            &ScreeningCache::new(),
+        );
+        assert!(
+            matches!(sized, Err(CoreError::SizingInfeasible { .. })),
+            "{sized:?}"
+        );
     }
 
     #[test]

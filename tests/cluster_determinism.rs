@@ -10,7 +10,9 @@
 //!    single shared device.
 //! 3. With a persistent store, a warm rerun **replays every
 //!    evaluation** — zero simulations — and returns the identical
-//!    sizing.
+//!    sizing; a cold store-backed run at any thread count matches it.
+//! 4. Stored evaluations are decisions at one target: a store shared by
+//!    runs at two targets gives each the answer it gets without one.
 
 use mtcmos_suite::circuits::alu::{AluOp, AluSlice, AluSpec};
 use mtcmos_suite::core::cluster::{
@@ -73,6 +75,16 @@ fn size_alu(
     fault: &FaultPlan,
     store: Option<&Store>,
 ) -> (ClusterSizing, ClusterReport) {
+    size_alu_at(TARGET, threads, policy, fault, store)
+}
+
+fn size_alu_at(
+    target: f64,
+    threads: usize,
+    policy: FailurePolicy,
+    fault: &FaultPlan,
+    store: Option<&Store>,
+) -> (ClusterSizing, ClusterReport) {
     let alu = alu();
     let transitions = alu_transitions(&alu);
     let partition = exclusive_partition(&alu.netlist, &transitions, 6).expect("partition");
@@ -83,7 +95,7 @@ fn size_alu(
         &transitions,
         None,
         &partition,
-        TARGET,
+        target,
         BRACKET,
         &VbsimOptions::default(),
         threads,
@@ -167,4 +179,75 @@ fn warm_store_rerun_replays_every_evaluation() {
         "every cold evaluation replays warm"
     );
     assert_eq!(warm, cold, "warm sizing must be identical");
+}
+
+#[test]
+fn cold_store_runs_at_any_thread_count_match_the_warm_replay() {
+    let paths: Vec<PathBuf> = [1usize, 2, 8]
+        .iter()
+        .map(|t| scratch(&format!("cold{t}")))
+        .collect();
+    let _c: Vec<Cleanup> = paths.iter().cloned().map(Cleanup).collect();
+    let cold: Vec<(ClusterSizing, ClusterReport)> = [1usize, 2, 8]
+        .iter()
+        .zip(&paths)
+        .map(|(&threads, path)| {
+            let store = Store::open(path).expect("open");
+            size_alu(
+                threads,
+                FailurePolicy::FailFast,
+                &FaultPlan::none(),
+                Some(&store),
+            )
+        })
+        .collect();
+    let (sizing, report) = &cold[0];
+    for (s, r) in &cold[1..] {
+        assert_eq!(s, sizing);
+        assert_eq!(r.health.runs, report.health.runs);
+        assert_eq!(
+            r.health.breakpoints_per_item,
+            report.health.breakpoints_per_item
+        );
+    }
+    let store = Store::open(&paths[0]).expect("reopen");
+    let (warm, warm_report) =
+        size_alu(8, FailurePolicy::FailFast, &FaultPlan::none(), Some(&store));
+    assert_eq!(&warm, sizing);
+    let (w, c) = (warm_report.health.runs, report.health.runs);
+    assert_eq!(w.cache_misses, 0, "warm run is free");
+    assert_eq!(
+        (
+            w.breakpoints,
+            w.glitch_reversals,
+            w.vx_fallbacks,
+            w.max_events
+        ),
+        (
+            c.breakpoints,
+            c.glitch_reversals,
+            c.vx_fallbacks,
+            c.max_events
+        ),
+        "replayed telemetry matches the cold run"
+    );
+}
+
+#[test]
+fn one_store_serves_each_target_its_own_answer() {
+    let path = scratch("targets");
+    let _c = Cleanup(path.clone());
+    let store = Store::open(&path).expect("open");
+    // Alternate the targets so each run finds the other's records.
+    for target in [TARGET, 0.35, TARGET, 0.35] {
+        let (stored, _) = size_alu_at(
+            target,
+            2,
+            FailurePolicy::FailFast,
+            &FaultPlan::none(),
+            Some(&store),
+        );
+        let (fresh, _) = size_alu_at(target, 2, FailurePolicy::FailFast, &FaultPlan::none(), None);
+        assert_eq!(stored, fresh, "target {target}");
+    }
 }
