@@ -80,7 +80,7 @@ use mtk_bench::cli::{
     bool_flag, emit_trace, f64_flag, flag, str_flag, threads_label, trace_config,
 };
 use mtk_bench::design_transitions;
-use mtk_bench::job::{Job, JobCtx, JobKind, JobOpts, JobOutput};
+use mtk_bench::job::{Job, JobKind, JobOpts, JobOutput};
 use mtk_bench::report::{ns, pct, print_table, verified_cell};
 use mtk_bench::repro::{self, Ctx, EXPERIMENTS};
 use mtk_bench::serve::{self, ServeConfig, Server};
@@ -466,25 +466,16 @@ fn run_job(job: &Job, spans: &mut SpanRecorder) -> (JobOutput, Vec<Transition>) 
     let store = matches!(job.kind, JobKind::Size | JobKind::Cluster)
         .then(open_store)
         .flatten();
-    let ctx = match job.kind {
-        JobKind::Size => JobCtx {
-            cache: store.map_or_else(ScreeningCache::new, ScreeningCache::with_store),
-            store: None,
-        },
-        _ => JobCtx {
-            store,
-            ..JobCtx::default()
-        },
-    };
-    let out = match spans.time(job.kind.name(), || job.run(&ctx)) {
+    let cache = store.map_or_else(ScreeningCache::new, ScreeningCache::with_store);
+    let out = match spans.time(job.kind.name(), || job.run(&cache)) {
         Ok(out) => out,
         Err(e) => die(e),
     };
     match &out {
         JobOutput::Size { w_over_l, wall, .. } => {
             println!("sleep transistor W/L = {w_over_l:.2} ({wall:.2} s wall)");
-            if ctx.cache.store().is_some() {
-                let snap = ctx.cache.snapshot();
+            if cache.store().is_some() {
+                let snap = cache.snapshot();
                 println!(
                     "store: {} leg(s) replayed, {} simulated and written through",
                     snap.store_hits, snap.misses
@@ -499,7 +490,7 @@ fn run_job(job: &Job, spans: &mut SpanRecorder) -> (JobOutput, Vec<Transition>) 
                 report.conflict_edges,
                 report.folded
             );
-            if ctx.store.is_some() {
+            if cache.store().is_some() {
                 println!(
                     "store: {} evaluation(s) replayed, {} simulated and written through",
                     report.health.runs.cache_hits, report.health.runs.cache_misses

@@ -18,7 +18,6 @@ use mtk_core::sizing::{
 use mtk_core::vbsim::{Engine, VbsimOptions};
 use mtk_core::CoreError;
 use mtk_fe::Design;
-use mtk_store::Store;
 use mtk_trace::json::JsonValue;
 use mtk_trace::{PhaseTrace, TraceReport};
 use std::time::Instant;
@@ -169,15 +168,6 @@ impl JobOpts {
     }
 }
 
-/// What a job runs against: the leg `cache` size jobs share (optionally
-/// store-backed), and the optional `store` cluster jobs write their
-/// evaluations through.
-#[derive(Default)]
-pub struct JobCtx {
-    pub cache: ScreeningCache,
-    pub store: Option<Store>,
-}
-
 /// One validated job: the flow `kind`, the parsed design with its
 /// canonical `.mtk` text (what keys the store and what the client sends;
 /// private so the two cannot disagree), and every option.
@@ -316,12 +306,14 @@ impl Job {
         design_transitions(&self.design, self.opts.stride, self.opts.samples)
     }
 
-    /// Runs the job.
+    /// Runs the job against `cache`, the leg cache size jobs share. Its
+    /// optional store also takes the evaluations cluster jobs write
+    /// through, so one process holds one handle on the log.
     ///
     /// # Errors
     ///
     /// Propagates the flow's [`CoreError`].
-    pub fn run(&self, ctx: &JobCtx) -> Result<JobOutput, CoreError> {
+    pub fn run(&self, cache: &ScreeningCache) -> Result<JobOutput, CoreError> {
         let (transitions, _) = self.transitions();
         let (netlist, tech) = (&self.design.netlist, &self.design.tech);
         let o = &self.opts;
@@ -355,7 +347,7 @@ impl Job {
                     o.target,
                     (o.lo, o.hi),
                     &base,
-                    &ctx.cache,
+                    cache,
                 )?;
                 JobOutput::Size {
                     w_over_l,
@@ -377,7 +369,7 @@ impl Job {
                     o.threads,
                     o.policy,
                     &FaultPlan::none(),
-                    ctx.store.as_ref(),
+                    cache.store(),
                 )?;
                 JobOutput::Cluster { sizing, report }
             }

@@ -44,15 +44,15 @@
 //! the same design+options served at any parallelism dedups to one
 //! record.
 
-use crate::job::{Job, JobCtx, JobOutput};
+use crate::job::{Job, JobOutput};
 use mtk_core::sizing::ScreeningCache;
 use mtk_store::{Store, StoreStats};
 use mtk_trace::json::{parse, JsonValue};
 use mtk_trace::{CounterId, CounterSet, PhaseTrace, TraceMode, TraceReport};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -123,15 +123,20 @@ impl Inflight {
     }
 }
 
-/// Shared state behind one server: counters, the job context (screening
-/// cache and persistent store), in-flight dedup, and the drain flag.
+/// Shared state behind one server: counters, the screening cache (and
+/// through it the persistent store), in-flight dedup, and the drain flag.
 pub struct ServerState {
     counters: Mutex<CounterSet>,
-    jobs: JobCtx,
+    cache: ScreeningCache,
     inflight: Mutex<HashMap<Vec<u8>, Arc<Inflight>>>,
     slots_free: Mutex<usize>,
     draining: AtomicBool,
-    open_conns: AtomicUsize,
+    /// Where [`ServerState::request_drain`] connects to wake the accept
+    /// loop: the listener's address, loopback if it is unspecified.
+    wake_addr: SocketAddr,
+    open_conns: Mutex<usize>,
+    /// Signalled when the last open connection closes.
+    conns_closed: Condvar,
     store_put_errors: AtomicUsize,
     default_threads: usize,
 }
@@ -143,13 +148,25 @@ impl ServerState {
 
     /// Requests a graceful drain: the accept loop closes, in-flight
     /// connections finish, [`Server::run`] returns.
+    ///
+    /// The first call also wakes [`Server::run`] out of its blocking
+    /// `accept` by connecting to the listener once; that connection is
+    /// dropped unserved, like any accepted after the flag is set. Its
+    /// errors are ignored: a listener that is already gone needs no wake.
     pub fn request_drain(&self) {
-        self.draining.store(true, Relaxed);
+        if !self.draining.swap(true, SeqCst) {
+            let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+        }
     }
 
     /// True once a drain was requested.
     pub fn draining(&self) -> bool {
-        self.draining.load(Relaxed)
+        self.draining.load(SeqCst)
+    }
+
+    /// Connections accepted and not yet closed.
+    fn open_connections(&self) -> usize {
+        *lock(&self.open_conns)
     }
 
     /// A copy of the serve counter set (for post-drain summaries).
@@ -159,7 +176,7 @@ impl ServerState {
 
     /// Serves the stored payload for a request key, counting the hit.
     fn store_lookup(&self, key: &[u8]) -> Option<String> {
-        let store = self.jobs.store.as_ref()?;
+        let store = self.cache.store()?;
         let payload = String::from_utf8(store.get(key)?).ok()?;
         self.count(CounterId::StoreHits, 1);
         Some(payload)
@@ -201,14 +218,18 @@ struct ConnGuard(Arc<ServerState>);
 
 impl ConnGuard {
     fn open(state: &Arc<ServerState>) -> ConnGuard {
-        state.open_conns.fetch_add(1, Relaxed);
+        *lock(&state.open_conns) += 1;
         ConnGuard(Arc::clone(state))
     }
 }
 
 impl Drop for ConnGuard {
     fn drop(&mut self) {
-        self.0.open_conns.fetch_sub(1, Relaxed);
+        let mut open = lock(&self.0.open_conns);
+        *open -= 1;
+        if *open == 0 {
+            self.0.conns_closed.notify_all();
+        }
     }
 }
 
@@ -259,26 +280,31 @@ impl Server {
     /// wrong bits later.
     pub fn bind(cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        let (store, cache) = match &cfg.store_path {
-            Some(path) => {
-                let open = |p| {
-                    Store::open(p)
-                        .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))
-                };
-                // Two handles on one log: request-level records and the
-                // screening cache's leg records share the file, writers
-                // serialized by the store's lock.
-                (Some(open(path)?), ScreeningCache::with_store(open(path)?))
-            }
-            None => (None, ScreeningCache::new()),
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        // One handle on the log: request records, the screening cache's
+        // leg records and cluster evaluations all go through it.
+        let cache = match &cfg.store_path {
+            Some(path) => ScreeningCache::with_store(
+                Store::open(path)
+                    .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?,
+            ),
+            None => ScreeningCache::new(),
         };
         let state = Arc::new(ServerState {
             counters: Mutex::new(CounterSet::new()),
-            jobs: JobCtx { cache, store },
+            cache,
             inflight: Mutex::new(HashMap::new()),
             slots_free: Mutex::new(cfg.job_slots),
             draining: AtomicBool::new(false),
-            open_conns: AtomicUsize::new(0),
+            wake_addr,
+            open_conns: Mutex::new(0),
+            conns_closed: Condvar::new(),
             store_put_errors: AtomicUsize::new(0),
             default_threads: cfg.threads,
         });
@@ -307,21 +333,22 @@ impl Server {
     /// [`ServerState::request_drain`] or a `shutdown` request), then
     /// refuses new connections and waits for the open ones to finish.
     ///
+    /// The accept blocks; the drain request wakes it with a connection
+    /// of its own. A connection accepted once the flag is set, that one
+    /// included, is dropped unserved.
+    ///
     /// # Errors
     ///
     /// Propagates fatal listener errors; per-connection errors are
     /// counters, not failures.
     pub fn run(self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
         while !self.state.draining() {
             match self.listener.accept() {
+                Ok(_) if self.state.draining() => break,
                 Ok((stream, _)) => {
                     let conn = ConnGuard::open(&self.state);
                     let cfg = self.cfg.clone();
                     std::thread::spawn(move || handle_conn(&conn.0, stream, &cfg));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -330,8 +357,13 @@ impl Server {
         // Drain: the listener drops here (new connections refused); open
         // connections run to completion, bounded by their timeouts.
         drop(self.listener);
-        while self.state.open_conns.load(Relaxed) > 0 {
-            std::thread::sleep(Duration::from_millis(5));
+        let mut open = lock(&self.state.open_conns);
+        while *open > 0 {
+            open = self
+                .state
+                .conns_closed
+                .wait(open)
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
         Ok(())
     }
@@ -579,14 +611,15 @@ fn handle_job(state: &Arc<ServerState>, job: &Job) -> String {
                 drop(guard);
                 return ok_line(true, &payload);
             }
-            if state.jobs.store.is_some() {
+            let store = state.cache.store();
+            if store.is_some() {
                 state.count(CounterId::StoreMisses, 1);
             }
             let outcome = job
-                .run(&state.jobs)
+                .run(&state.cache)
                 .map_err(|e| e.to_string())
                 .and_then(|out| payload(&out));
-            if let (Ok(payload), Some(store)) = (&outcome, &state.jobs.store) {
+            if let (Ok(payload), Some(store)) = (&outcome, store) {
                 if store.put(&key, payload.as_bytes()).is_err() {
                     state.store_put_errors.fetch_add(1, Relaxed);
                 }
@@ -659,7 +692,7 @@ fn store_stats_value(stats: StoreStats) -> JsonValue {
 /// as a validating schema-v6 trace report.
 fn status_line(state: &ServerState) -> String {
     let mut counters = state.counter_snapshot();
-    if let Some(store) = &state.jobs.store {
+    if let Some(store) = state.cache.store() {
         counters.add(
             CounterId::StoreCorruptRecords,
             store.stats().corrupt_records as u64,
@@ -670,7 +703,7 @@ fn status_line(state: &ServerState) -> String {
     phase.counters = counters;
     report.push_phase(phase);
     let trace = parse(&report.to_json(TraceMode::Deterministic)).unwrap_or(JsonValue::Null);
-    let snap = state.jobs.cache.snapshot();
+    let snap = state.cache.snapshot();
     let cache = JsonValue::Object(vec![
         ("legs".into(), JsonValue::Number(snap.legs as f64)),
         ("hits".into(), JsonValue::Number(snap.hits as f64)),
@@ -692,7 +725,7 @@ fn status_line(state: &ServerState) -> String {
         ("draining".into(), JsonValue::Bool(state.draining())),
         (
             "open_connections".into(),
-            JsonValue::Number(state.open_conns.load(Relaxed) as f64),
+            JsonValue::Number(state.open_connections() as f64),
         ),
         (
             "in_flight".into(),
@@ -709,9 +742,8 @@ fn status_line(state: &ServerState) -> String {
         (
             "store".into(),
             state
-                .jobs
-                .store
-                .as_ref()
+                .cache
+                .store()
                 .map_or(JsonValue::Null, |s| store_stats_value(s.stats())),
         ),
         ("cache".into(), cache),
@@ -772,14 +804,14 @@ mod tests {
     fn a_panicking_connection_releases_its_count() {
         let state = state();
         let conn = ConnGuard::open(&state);
-        assert_eq!(state.open_conns.load(Relaxed), 1);
+        assert_eq!(state.open_connections(), 1);
         let crashed = std::thread::spawn(move || {
             let _conn = conn;
             panic!("job panicked");
         })
         .join();
         assert!(crashed.is_err());
-        assert_eq!(state.open_conns.load(Relaxed), 0, "the drain can finish");
+        assert_eq!(state.open_connections(), 0, "the drain can finish");
     }
 
     #[test]

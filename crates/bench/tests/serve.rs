@@ -7,8 +7,9 @@ use mtk_bench::serve::{request, ServeConfig, Server, ServerState};
 use mtk_trace::json::{parse, JsonValue};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A two-inverter chain with one file vector — small enough that every
 /// job completes in milliseconds.
@@ -279,18 +280,26 @@ fn a_bad_sizing_bracket_is_an_error_response_not_a_wedged_server() {
         );
         assert!(resp.contains("0 < lo < hi"), "{resp}");
     }
-    // Nothing is left holding a connection or an in-flight entry: only
-    // the status request's own connection is open.
-    let status = request(&addr, r#"{"cmd":"status"}"#, CLIENT_TIMEOUT).expect("status");
-    let server = parse(&status).expect("parses");
-    let gauge = |name: &str| {
-        server
-            .get("server")
-            .and_then(|s| s.get(name))
-            .and_then(JsonValue::as_u64)
+    // Nothing is left holding a connection or an in-flight entry: once
+    // the earlier connections finish closing, only the status request's
+    // own connection is open. A wedged one never closes, and fails the
+    // deadline.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let status = loop {
+        let status = request(&addr, r#"{"cmd":"status"}"#, CLIENT_TIMEOUT).expect("status");
+        let server = parse(&status).expect("parses");
+        let gauge = |name: &str| {
+            server
+                .get("server")
+                .and_then(|s| s.get(name))
+                .and_then(JsonValue::as_u64)
+        };
+        if gauge("open_connections") == Some(1) && gauge("in_flight") == Some(0) {
+            break status;
+        }
+        assert!(Instant::now() < deadline, "still open: {status}");
+        std::thread::sleep(Duration::from_millis(10));
     };
-    assert_eq!(gauge("open_connections"), Some(1), "{status}");
-    assert_eq!(gauge("in_flight"), Some(0), "{status}");
     assert_eq!(counter(&status, "requests_rejected"), 4);
     // And the drain finishes.
     shutdown(&addr, handle);
@@ -358,6 +367,96 @@ fn drain_refuses_new_connections_and_run_returns() {
     // New connections are refused once drained (the listener is gone).
     let refused = TcpStream::connect(&addr);
     assert!(refused.is_err(), "listener must be closed after drain");
+}
+
+/// Runs `server` on a thread; the receiver gets `run()`'s result once
+/// it returns.
+fn run_in_background(server: Server) -> mpsc::Receiver<std::io::Result<()>> {
+    let (done, returned) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(server.run());
+    });
+    returned
+}
+
+/// Asserts that `run()` returns cleanly within a deadline: a drain whose
+/// wake is lost leaves the accept loop blocked, and fails here instead
+/// of hanging the suite.
+fn assert_returns(returned: &mpsc::Receiver<std::io::Result<()>>) {
+    match returned.recv_timeout(Duration::from_secs(10)) {
+        Ok(result) => result.expect("run() returns Ok"),
+        Err(_) => panic!("run() still blocked 10 s after the drain request"),
+    }
+}
+
+/// Gives a freshly started `run()` time to block in `accept`, so the
+/// drain that follows has to wake it. The tests hold without the pause;
+/// they would only test the simpler path.
+fn let_it_block() {
+    std::thread::sleep(Duration::from_millis(50));
+}
+
+#[test]
+fn request_drain_wakes_an_idle_server() {
+    let server = Server::bind(ServeConfig::default()).expect("bind");
+    let state = server.state();
+    let returned = run_in_background(server);
+    let_it_block();
+    state.request_drain();
+    assert_returns(&returned);
+}
+
+#[test]
+fn a_shutdown_request_wakes_the_accept_loop() {
+    let server = Server::bind(ServeConfig::default()).expect("bind");
+    let addr = server.local_addr().expect("addr").to_string();
+    let returned = run_in_background(server);
+    let_it_block();
+    let resp = request(&addr, r#"{"cmd":"shutdown"}"#, CLIENT_TIMEOUT).expect("shutdown");
+    assert!(resp.contains("\"draining\":true"), "{resp}");
+    assert_returns(&returned);
+}
+
+#[test]
+fn a_drain_requested_before_run_returns_at_once_unserved() {
+    let server = Server::bind(ServeConfig::default()).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    server.state().request_drain();
+    // A client already queued on the listener is never served.
+    let mut client = TcpStream::connect(addr).expect("connect");
+    client.write_all(b"{\"cmd\":\"status\"}\n").expect("send");
+    let returned = run_in_background(server);
+    assert_returns(&returned);
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut buf = [0u8; 16];
+    match client.read(&mut buf) {
+        Ok(0) | Err(_) => {}
+        Ok(n) => panic!("a draining server must not answer, got {n} bytes"),
+    }
+}
+
+#[test]
+fn a_server_bound_to_the_unspecified_address_wakes_through_loopback() {
+    let server = Server::bind(ServeConfig {
+        addr: "0.0.0.0:0".into(),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let port = server.local_addr().expect("addr").port();
+    let state = server.state();
+    let returned = run_in_background(server);
+    let status = request(
+        &format!("127.0.0.1:{port}"),
+        r#"{"cmd":"status"}"#,
+        CLIENT_TIMEOUT,
+    )
+    .expect("status");
+    assert!(status.starts_with(r#"{"status":"ok""#), "{status}");
+    let_it_block();
+    state.request_drain();
+    assert_returns(&returned);
 }
 
 #[test]

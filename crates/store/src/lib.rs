@@ -40,12 +40,29 @@
 //! * **One writer at a time, readers lock-free.** An exclusive OS
 //!   advisory lock (`flock(2)` via [`std::fs::File::try_lock`]) on a
 //!   sibling `.lock` file serializes writers across processes *and*
-//!   across handles within one process — two `Store`s on one path (the
-//!   `mtk serve` configuration) contend exactly like two processes do.
+//!   across handles within one process — two `Store`s on one path
+//!   contend exactly like two processes do.
 //!   The kernel releases the lock when the holder's descriptor closes,
 //!   crash included, so locks cannot go stale and never need to be
 //!   broken. Readers never touch the lock file — they only ever see the
 //!   log's valid prefix, which appends cannot invalidate.
+//! * **A replaced log is rescanned, not appended to blindly.** A handle
+//!   remembers the identity (`dev`, `ino`) of the file it read and holds
+//!   that file open, so the inode number cannot be reused. Under the
+//!   lock, a changed identity or a shorter file means another handle
+//!   compacted the log: the handle rescans it from the start before
+//!   appending.
+//!
+//! # Memory
+//!
+//! A handle's in-memory form is the log itself: one buffer holding the
+//! file's valid prefix byte for byte, plus an index from each live
+//! key's hash (the handle's own [`RandomState`]) to the offset of the
+//! key's first record. Lookups compare the full key against the buffer;
+//! live keys whose hashes collide go to a small spill map. A record
+//! costs its log bytes and one index slot. Dead and conflicting records
+//! stay in the buffer, unindexed, until [`Store::compact`] drops them.
+//! Open one handle per log per process: two handles each hold a copy.
 //!
 //! # Maintenance
 //!
@@ -56,8 +73,10 @@
 
 #![warn(missing_docs)]
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions, TryLockError};
+use std::hash::{BuildHasher, RandomState};
 use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -168,76 +187,36 @@ pub struct StoreStats {
     pub log_bytes: u64,
 }
 
-/// Outcome of scanning a log image.
-struct Scan {
-    /// Live entries in first-written order.
-    entries: Vec<(Vec<u8>, Vec<u8>)>,
-    /// Key → index into `entries`.
-    index: HashMap<Vec<u8>, usize>,
-    stats: StoreStats,
+/// Total length (length prefix, body and checksum) of the record at the
+/// start of `rest`, or `None` when its length prefix, body bytes,
+/// checksum or key length is invalid. Never panics.
+fn valid_record_len(rest: &[u8]) -> Option<usize> {
+    let body_len = u32::from_le_bytes(rest.get(0..4)?.try_into().unwrap()) as usize;
+    if body_len < 4 || body_len > MAX_BODY_BYTES as usize {
+        return None;
+    }
+    let body = rest.get(4..4 + body_len)?;
+    let sum = rest.get(4 + body_len..4 + body_len + 8)?;
+    if u64::from_le_bytes(sum.try_into().unwrap()) != fnv1a(body) {
+        return None;
+    }
+    // Body: key_len | key | value.
+    let key_len = u32::from_le_bytes(body[0..4].try_into().unwrap()) as usize;
+    (key_len <= body_len - 4).then_some(4 + body_len + 8)
 }
 
-/// Scans record bytes (the region after the header) and produces the
-/// live map plus stats. Never panics: any malformed byte ends the valid
-/// prefix.
-fn scan_records(bytes: &[u8], base_offset: u64) -> Scan {
-    let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-    let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
-    let mut stats = StoreStats::default();
-    let mut off: usize = 0;
-    loop {
-        let rest = &bytes[off..];
-        if rest.is_empty() {
-            break;
-        }
-        // Length prefix.
-        let Some(len_bytes) = rest.get(0..4) else {
-            stats.corrupt_records += 1;
-            break;
-        };
-        let body_len = u32::from_le_bytes(len_bytes.try_into().unwrap()) as usize;
-        if body_len < 4 || body_len > MAX_BODY_BYTES as usize {
-            stats.corrupt_records += 1;
-            break;
-        }
-        let Some(body) = rest.get(4..4 + body_len) else {
-            stats.corrupt_records += 1;
-            break;
-        };
-        let Some(sum_bytes) = rest.get(4 + body_len..4 + body_len + 8) else {
-            stats.corrupt_records += 1;
-            break;
-        };
-        let stored_sum = u64::from_le_bytes(sum_bytes.try_into().unwrap());
-        if stored_sum != fnv1a(body) {
-            stats.corrupt_records += 1;
-            break;
-        }
-        // Body: key_len | key | value.
-        let key_len = u32::from_le_bytes(body[0..4].try_into().unwrap()) as usize;
-        if key_len > body_len - 4 {
-            stats.corrupt_records += 1;
-            break;
-        }
-        let key = body[4..4 + key_len].to_vec();
-        let value = body[4 + key_len..].to_vec();
-        match index.get(&key) {
-            Some(&at) if entries[at].1 == value => stats.dead_records += 1,
-            Some(_) => stats.conflicting_records += 1, // first writer wins
-            None => {
-                index.insert(key.clone(), entries.len());
-                entries.push((key, value));
-            }
-        }
-        off += 4 + body_len + 8;
-    }
-    stats.live_records = entries.len();
-    stats.log_bytes = base_offset + off as u64;
-    Scan {
-        entries,
-        index,
-        stats,
-    }
+/// The record at `off` of a log whose records up to there were already
+/// validated: its key, its value, and the offset just past it.
+fn record_at(log: &[u8], off: usize) -> (&[u8], &[u8], usize) {
+    let field = |at: usize| u32::from_le_bytes(log[at..at + 4].try_into().unwrap()) as usize;
+    let (body_len, key_len) = (field(off), field(off + 4));
+    let key_end = off + 8 + key_len;
+    let body_end = off + 4 + body_len;
+    (
+        &log[off + 8..key_end],
+        &log[key_end..body_end],
+        body_end + 8,
+    )
 }
 
 /// Serializes one record (length prefix + body + checksum).
@@ -265,16 +244,224 @@ fn header_bytes() -> [u8; HEADER_LEN as usize] {
     h
 }
 
-/// In-memory state behind the store's mutex.
+/// `(device, inode)` of a log file: what tells an appended-to log from
+/// one another handle replaced by renaming a compacted copy over it.
+type FileId = (u64, u64);
+
+#[cfg(unix)]
+fn file_id(meta: &std::fs::Metadata) -> FileId {
+    use std::os::unix::fs::MetadataExt;
+    (meta.dev(), meta.ino())
+}
+
+/// Without inode numbers a replaced log is detected only when it is
+/// shorter than the mirror.
+#[cfg(not(unix))]
+fn file_id(_meta: &std::fs::Metadata) -> FileId {
+    (0, 0)
+}
+
+/// The log file a mirror was read from, and its identity. The handle is
+/// held open so that no later file can be given its inode number: equal
+/// identities then mean the same file.
+struct LogFile {
+    _held: File,
+    id: FileId,
+}
+
+impl LogFile {
+    fn new(file: File) -> std::io::Result<LogFile> {
+        let id = file_id(&file.metadata()?);
+        Ok(LogFile { _held: file, id })
+    }
+}
+
+/// Reads the whole log at `path` and the file it read, through one
+/// handle; a missing file is empty and there is no file.
+fn read_log(path: &Path) -> Result<(Vec<u8>, Option<LogFile>), StoreError> {
+    let mut file = match File::open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok((Vec::new(), None)),
+        Err(e) => return Err(StoreError::Io(e)),
+    };
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
+    Ok((bytes, Some(LogFile::new(file)?)))
+}
+
+/// Hashes keys for the index with the store's own [`RandomState`]. A
+/// test build can send every key to one hash, to drive the spill path.
+#[derive(Clone, Default)]
+struct KeyHasher {
+    state: RandomState,
+    #[cfg(test)]
+    collide_all: bool,
+}
+
+impl KeyHasher {
+    fn hash(&self, key: &[u8]) -> u64 {
+        #[cfg(test)]
+        if self.collide_all {
+            return 0;
+        }
+        self.state.hash_one(key)
+    }
+}
+
+/// In-memory state behind the store's mutex: the log itself and an
+/// index into it.
+///
+/// `log` is the file's valid prefix byte for byte, header included
+/// (empty until the header exists). Each live key is found by its hash
+/// at the offset of its first record, and confirmed by comparing the
+/// full key against the bytes there. Dead and conflicting records stay
+/// in `log`, unindexed, until [`Store::compact`] drops them.
 struct Inner {
-    /// Live entries in first-written order (compaction preserves it).
-    entries: Vec<(Vec<u8>, Vec<u8>)>,
-    /// Key → index into `entries`.
-    index: HashMap<Vec<u8>, usize>,
-    /// End offset of the valid log prefix (header included). Appends go
-    /// here; anything beyond is a torn tail awaiting truncation.
-    valid_len: u64,
+    log: Vec<u8>,
+    /// Hash of a live key → offset of the key's first record.
+    index: HashMap<u64, usize>,
+    /// Live keys whose hash another live key already holds in `index`:
+    /// hash → offsets of their first records.
+    spill: HashMap<u64, Vec<usize>>,
+    hasher: KeyHasher,
+    /// The file `log` mirrors; `None` until it exists.
+    file: Option<LogFile>,
+    /// Health counters; `log_bytes` is read off `log` by
+    /// [`Inner::stats`].
     stats: StoreStats,
+}
+
+impl Inner {
+    /// Scans a full file image (header + records) into an index over it,
+    /// keeping `bytes` as the mirror. A torn tail is cut off the mirror
+    /// and counted as one corrupt record; a torn header leaves an empty
+    /// store. Never panics.
+    fn scan(
+        path: &Path,
+        bytes: Vec<u8>,
+        hasher: KeyHasher,
+        file: Option<LogFile>,
+    ) -> Result<Inner, StoreError> {
+        let mut inner = Inner {
+            log: Vec::new(),
+            index: HashMap::new(),
+            spill: HashMap::new(),
+            hasher,
+            file,
+            stats: StoreStats::default(),
+        };
+        if bytes.is_empty() {
+            // Missing or empty file: an empty store whose header is
+            // written by the first put.
+            return Ok(inner);
+        }
+        if bytes.len() < HEADER_LEN as usize {
+            // A crash during initial creation tore the header itself:
+            // nothing is recoverable, but nothing was stored either.
+            inner.stats.corrupt_records = 1;
+            return Ok(inner);
+        }
+        if &bytes[..8] != MAGIC {
+            return Err(StoreError::NotAStore {
+                path: path.to_path_buf(),
+            });
+        }
+        let found = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+        if found != STORE_VERSION {
+            return Err(StoreError::VersionMismatch { found });
+        }
+        inner.log = bytes;
+        inner.index_from(HEADER_LEN as usize);
+        Ok(inner)
+    }
+
+    fn stats(&self) -> StoreStats {
+        StoreStats {
+            log_bytes: self.log.len() as u64,
+            ..self.stats
+        }
+    }
+
+    /// Offset of the first record under `key`, whose hash is `h`.
+    fn find(&self, key: &[u8], h: u64) -> Option<usize> {
+        let first = *self.index.get(&h)?;
+        let holds_key = |&off: &usize| record_at(&self.log, off).0 == key;
+        if holds_key(&first) {
+            return Some(first);
+        }
+        self.spill.get(&h)?.iter().copied().find(holds_key)
+    }
+
+    /// The payload of the first record ever written under `key`.
+    fn value(&self, key: &[u8]) -> Option<&[u8]> {
+        let off = self.find(key, self.hasher.hash(key))?;
+        Some(record_at(&self.log, off).1)
+    }
+
+    /// First writer wins: true when `key` is already stored, counting a
+    /// conflict if its payload differs from `value`.
+    fn settled(&mut self, key: &[u8], value: &[u8]) -> bool {
+        match self.value(key) {
+            Some(stored) => {
+                if stored != value {
+                    self.stats.conflicting_records += 1;
+                }
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Validates and indexes the records of `log` from byte `off` on. The
+    /// first invalid byte ends the valid prefix: the mirror is cut there
+    /// and one corrupt record is counted.
+    fn index_from(&mut self, mut off: usize) {
+        while off < self.log.len() {
+            let Some(len) = valid_record_len(&self.log[off..]) else {
+                self.log.truncate(off);
+                self.stats.corrupt_records += 1;
+                return;
+            };
+            self.index_record(off);
+            off += len;
+        }
+    }
+
+    /// Indexes the valid record at `off`: a new key goes live, a known
+    /// one is a dead record (same payload) or a conflict (first writer
+    /// wins).
+    fn index_record(&mut self, off: usize) {
+        let (key, value, _) = record_at(&self.log, off);
+        let h = self.hasher.hash(key);
+        match self.find(key, h) {
+            Some(first) if record_at(&self.log, first).1 == value => {
+                self.stats.dead_records += 1;
+            }
+            Some(_) => self.stats.conflicting_records += 1,
+            None => {
+                match self.index.entry(h) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(off);
+                    }
+                    Entry::Occupied(_) => self.spill.entry(h).or_default().push(off),
+                }
+                self.stats.live_records += 1;
+            }
+        }
+    }
+
+    /// The live records' bytes in log order, which is first-written
+    /// order: the body of a compacted log.
+    fn live_records(&self) -> Vec<u8> {
+        let mut offsets: Vec<usize> = self.index.values().copied().collect();
+        offsets.extend(self.spill.values().flatten());
+        offsets.sort_unstable();
+        let mut out = Vec::new();
+        for off in offsets {
+            out.extend_from_slice(&self.log[off..record_at(&self.log, off).2]);
+        }
+        out
+    }
 }
 
 /// RAII guard for the writer lock: an exclusively-locked sibling
@@ -350,7 +537,8 @@ fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
 /// crate docs for the format and recovery rules).
 ///
 /// The store is `Sync`: in-process readers and the writer share one
-/// mutex (cheap — lookups are a map probe). The *file* lock only
+/// mutex (cheap — lookups are a hash probe and a key compare). The
+/// *file* lock only
 /// serializes writers across processes; in-process and cross-process
 /// readers never take it.
 pub struct Store {
@@ -381,65 +569,20 @@ impl Store {
     /// [`StoreError::Io`], [`StoreError::NotAStore`],
     /// [`StoreError::VersionMismatch`].
     pub fn open(path: impl AsRef<Path>) -> Result<Store, StoreError> {
-        let path = path.as_ref().to_path_buf();
+        Self::open_with(path.as_ref(), KeyHasher::default())
+    }
+
+    fn open_with(path: &Path, hasher: KeyHasher) -> Result<Store, StoreError> {
+        let path = path.to_path_buf();
         let mut lock_path = path.clone().into_os_string();
         lock_path.push(".lock");
         let lock_path = PathBuf::from(lock_path);
-
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(StoreError::Io(e)),
-        };
-        let inner = Self::scan_image(&path, &bytes)?;
+        let (bytes, file) = read_log(&path)?;
+        let inner = Inner::scan(&path, bytes, hasher, file)?;
         Ok(Store {
             path,
             lock_path,
             inner: Mutex::new(inner),
-        })
-    }
-
-    /// Scans a full file image (header + records) into an [`Inner`].
-    fn scan_image(path: &Path, bytes: &[u8]) -> Result<Inner, StoreError> {
-        if bytes.is_empty() {
-            // Missing or empty file: an empty store whose header is
-            // written by the first put.
-            return Ok(Inner {
-                entries: Vec::new(),
-                index: HashMap::new(),
-                valid_len: 0,
-                stats: StoreStats::default(),
-            });
-        }
-        if bytes.len() < HEADER_LEN as usize {
-            // A crash during initial creation tore the header itself:
-            // nothing is recoverable, but nothing was stored either.
-            let stats = StoreStats {
-                corrupt_records: 1,
-                ..StoreStats::default()
-            };
-            return Ok(Inner {
-                entries: Vec::new(),
-                index: HashMap::new(),
-                valid_len: 0,
-                stats,
-            });
-        }
-        if &bytes[..8] != MAGIC {
-            return Err(StoreError::NotAStore {
-                path: path.to_path_buf(),
-            });
-        }
-        let found = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if found != STORE_VERSION {
-            return Err(StoreError::VersionMismatch { found });
-        }
-        let scan = scan_records(&bytes[HEADER_LEN as usize..], HEADER_LEN);
-        Ok(Inner {
-            entries: scan.entries,
-            index: scan.index,
-            valid_len: scan.stats.log_bytes,
-            stats: scan.stats,
         })
     }
 
@@ -450,7 +593,7 @@ impl Store {
 
     /// Number of distinct keys currently served.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().entries.len()
+        self.inner.lock().unwrap().stats.live_records
     }
 
     /// True when no key is stored.
@@ -461,14 +604,13 @@ impl Store {
     /// Current health counters (as of open plus every write/resync
     /// since).
     pub fn stats(&self) -> StoreStats {
-        self.inner.lock().unwrap().stats
+        self.inner.lock().unwrap().stats()
     }
 
     /// Looks up a key, returning the payload of the *first* record ever
     /// written under it.
     pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        let inner = self.inner.lock().unwrap();
-        inner.index.get(key).map(|&at| inner.entries[at].1.clone())
+        self.inner.lock().unwrap().value(key).map(<[u8]>::to_vec)
     }
 
     /// Appends one record durably (the data is flushed before the call
@@ -480,8 +622,8 @@ impl Store {
     /// Takes the writer lock (exclusive across processes and across
     /// handles) for the duration of the append; before appending it
     /// adopts any records another writer appended since our last scan,
-    /// rescans from scratch if the file shrank under us (a foreign
-    /// `compact`), and truncates any torn tail.
+    /// rescans from scratch if the file was replaced or shrank under us
+    /// (a foreign `compact`), and truncates any torn tail.
     ///
     /// # Errors
     ///
@@ -490,13 +632,8 @@ impl Store {
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
         let record = encode_record(key, value)?;
         let mut inner = self.inner.lock().unwrap();
-        match inner.index.get(key) {
-            Some(&at) if inner.entries[at].1 == value => return Ok(()),
-            Some(_) => {
-                inner.stats.conflicting_records += 1;
-                return Ok(());
-            }
-            None => {}
+        if inner.settled(key, value) {
+            return Ok(());
         }
         let _lock = acquire_lock(&self.lock_path)?;
         let mut file = OpenOptions::new()
@@ -509,23 +646,15 @@ impl Store {
         // A concurrent writer may have stored this key while we waited
         // for the lock; re-apply first-writer-wins against the adopted
         // state.
-        match inner.index.get(key) {
-            Some(&at) if inner.entries[at].1 == value => return Ok(()),
-            Some(_) => {
-                inner.stats.conflicting_records += 1;
-                return Ok(());
-            }
-            None => {}
+        if inner.settled(key, value) {
+            return Ok(());
         }
-        file.seek(SeekFrom::Start(inner.valid_len))?;
+        let off = inner.log.len();
+        file.seek(SeekFrom::Start(off as u64))?;
         file.write_all(&record)?;
         file.sync_data()?;
-        inner.valid_len += record.len() as u64;
-        inner.stats.log_bytes = inner.valid_len;
-        let at = inner.entries.len();
-        inner.entries.push((key.to_vec(), value.to_vec()));
-        inner.index.insert(key.to_vec(), at);
-        inner.stats.live_records = inner.entries.len();
+        inner.log.extend_from_slice(&record);
+        inner.index_record(off);
         Ok(())
     }
 
@@ -534,70 +663,63 @@ impl Store {
     /// the file is new, and physically truncate any torn tail so the
     /// next append lands on a valid boundary.
     fn resync_locked(&self, inner: &mut Inner, file: &mut File) -> Result<(), StoreError> {
-        let disk_len = file.metadata()?.len();
-        if disk_len == 0 {
+        let meta = file.metadata()?;
+        let (disk_len, id) = (meta.len(), file_id(&meta));
+        let valid_len = inner.log.len() as u64;
+        if disk_len == 0 && valid_len == 0 {
             file.write_all(&header_bytes())?;
             file.sync_data()?;
             // Make the just-created log's directory entry durable too.
             sync_parent_dir(&self.path)?;
-            inner.valid_len = HEADER_LEN;
-            inner.stats.log_bytes = HEADER_LEN;
+            inner.log.extend_from_slice(&header_bytes());
+            inner.file = Some(LogFile::new(file.try_clone()?)?);
             return Ok(());
         }
-        if inner.valid_len < HEADER_LEN || disk_len < inner.valid_len {
-            // Full rescan, two causes: we opened on a torn/absent header
-            // but the file is nonempty (a concurrent writer may have
-            // rewritten it), or the file *shrank* past our valid prefix
-            // (another handle compacted it — appending at the stale
-            // offset would punch a zero-filled hole that orphans the
-            // record and poisons every later append).
+        let same_file = inner.file.as_ref().is_some_and(|f| f.id == id);
+        if valid_len < HEADER_LEN || !same_file || disk_len < valid_len {
+            // Full rescan, three causes: we opened on a torn/absent
+            // header but the file is nonempty (a concurrent writer may
+            // have rewritten it); the file is another one (another
+            // handle compacted the log into a new file, which later
+            // appends may have grown past our prefix, so its length
+            // proves nothing); or it *shrank* past our valid prefix.
+            // Appending at the stale offset would land mid-record, or
+            // punch a zero-filled hole, and the next scan would truncate
+            // everything from there.
             let mut bytes = Vec::new();
             file.seek(SeekFrom::Start(0))?;
             file.read_to_end(&mut bytes)?;
             let prior_corrupt = inner.stats.corrupt_records;
-            let mut fresh = Self::scan_image(&self.path, &bytes)?;
-            if fresh.valid_len < HEADER_LEN {
+            let held = Some(LogFile::new(file.try_clone()?)?);
+            let mut fresh = Inner::scan(&self.path, bytes, inner.hasher.clone(), held)?;
+            if fresh.log.len() < HEADER_LEN as usize {
                 // Still torn: reset to an empty, well-formed log.
                 file.set_len(0)?;
                 file.seek(SeekFrom::Start(0))?;
                 file.write_all(&header_bytes())?;
                 file.sync_data()?;
-                fresh.valid_len = HEADER_LEN;
-                fresh.stats.log_bytes = HEADER_LEN;
+                fresh.log = header_bytes().to_vec();
             }
             fresh.stats.corrupt_records += prior_corrupt;
             *inner = fresh;
-        } else if disk_len > inner.valid_len {
-            // Another process appended (or the tail is torn). Scan just
-            // the new region and adopt what parses.
-            let mut tail = vec![0u8; (disk_len - inner.valid_len) as usize];
-            file.seek(SeekFrom::Start(inner.valid_len))?;
-            file.read_exact(&mut tail)?;
-            let scan = scan_records(&tail, inner.valid_len);
-            for (key, value) in scan.entries {
-                match inner.index.get(&key) {
-                    Some(&at) if inner.entries[at].1 == value => {
-                        inner.stats.dead_records += 1;
-                    }
-                    Some(_) => inner.stats.conflicting_records += 1,
-                    None => {
-                        let at = inner.entries.len();
-                        inner.index.insert(key.clone(), at);
-                        inner.entries.push((key, value));
-                    }
-                }
+        } else if disk_len > valid_len {
+            // Another process appended (or the tail is torn). Read just
+            // the new bytes into the mirror and index what parses.
+            let old = inner.log.len();
+            inner.log.resize(disk_len as usize, 0);
+            let read = file
+                .seek(SeekFrom::Start(valid_len))
+                .and_then(|_| file.read_exact(&mut inner.log[old..]));
+            if let Err(e) = read {
+                inner.log.truncate(old);
+                return Err(StoreError::Io(e));
             }
-            inner.stats.dead_records += scan.stats.dead_records;
-            inner.stats.conflicting_records += scan.stats.conflicting_records;
-            inner.stats.corrupt_records += scan.stats.corrupt_records;
-            inner.valid_len = scan.stats.log_bytes;
-            inner.stats.live_records = inner.entries.len();
-            inner.stats.log_bytes = inner.valid_len;
+            inner.index_from(old);
         }
-        if file.metadata()?.len() > inner.valid_len {
+        if file.metadata()?.len() > inner.log.len() as u64 {
             // Whatever is left past the valid prefix is torn: cut it so
             // the next append does not bury a corrupt region.
-            file.set_len(inner.valid_len)?;
+            file.set_len(inner.log.len() as u64)?;
             file.sync_data()?;
         }
         Ok(())
@@ -611,12 +733,8 @@ impl Store {
     ///
     /// As [`Store::open`].
     pub fn verify(&self) -> Result<StoreStats, StoreError> {
-        let bytes = match std::fs::read(&self.path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(StoreError::Io(e)),
-        };
-        Ok(Self::scan_image(&self.path, &bytes)?.stats)
+        let (bytes, file) = read_log(&self.path)?;
+        Ok(Inner::scan(&self.path, bytes, KeyHasher::default(), file)?.stats())
     }
 
     /// Rewrites the log atomically with only the live records (in
@@ -638,33 +756,21 @@ impl Store {
                 .open(&self.path)?;
             self.resync_locked(&mut inner, &mut file)?;
         }
+        let mut log = header_bytes().to_vec();
+        log.extend_from_slice(&inner.live_records());
         let mut tmp_path = self.path.clone().into_os_string();
         tmp_path.push(".tmp");
         let tmp_path = PathBuf::from(tmp_path);
-        {
-            let mut tmp = File::create(&tmp_path)?;
-            tmp.write_all(&header_bytes())?;
-            let mut written = HEADER_LEN;
-            for (key, value) in &inner.entries {
-                let record = encode_record(key, value)?;
-                tmp.write_all(&record)?;
-                written += record.len() as u64;
-            }
-            tmp.sync_all()?;
-            inner.valid_len = written;
-        }
+        let mut tmp = File::create(&tmp_path)?;
+        tmp.write_all(&log)?;
+        tmp.sync_all()?;
         std::fs::rename(&tmp_path, &self.path)?;
         // The rename itself is a directory-entry update; fsync the
         // parent so it survives power loss.
         sync_parent_dir(&self.path)?;
-        inner.stats = StoreStats {
-            live_records: inner.entries.len(),
-            dead_records: 0,
-            conflicting_records: 0,
-            corrupt_records: 0,
-            log_bytes: inner.valid_len,
-        };
-        Ok(inner.stats)
+        let held = Some(LogFile::new(tmp)?);
+        *inner = Inner::scan(&self.path, log, inner.hasher.clone(), held)?;
+        Ok(inner.stats())
     }
 }
 
@@ -842,10 +948,9 @@ mod tests {
     #[test]
     fn same_process_handles_contend_for_the_lock() {
         // Regression for the own-PID staleness bug: handle A holding the
-        // writer lock must exclude handle B *in the same process* (the
-        // `mtk serve` configuration: request tier + screening cache on
-        // one log). With the old PID-file scheme B saw its own PID,
-        // declared the lock stale, broke it, and corrupted the log.
+        // writer lock must exclude handle B *in the same process*. With
+        // the old PID-file scheme B saw its own PID, declared the lock
+        // stale, broke it, and corrupted the log.
         let path = scratch("same_process_contend");
         let _c = Cleanup(path.clone());
         let a = Store::open(&path).unwrap();
@@ -917,6 +1022,310 @@ mod tests {
         assert_eq!(fresh.get(b"new").unwrap(), b"v3");
         assert_eq!(fresh.stats().corrupt_records, 0);
         assert_eq!(fresh.len(), 3);
+    }
+
+    #[test]
+    fn append_after_foreign_compact_rescans_regrown_file() {
+        // After A compacts the log into a new file and appends past the
+        // old length, the file's size no longer tells B anything: only
+        // its identity shows it is not the log B scanned. A put through
+        // B must rescan, not scan the new file from its stale offset
+        // (landing mid-record: one corrupt record, and a truncation
+        // that cuts A's fsynced records and B's own).
+        let path = scratch("regrown_by_compact");
+        let _c = Cleanup(path.clone());
+        let mut bytes = header_bytes().to_vec();
+        bytes.extend_from_slice(&encode_record(b"k", b"v1").unwrap());
+        bytes.extend_from_slice(&encode_record(b"k", b"v1").unwrap()); // dead
+        bytes.extend_from_slice(&encode_record(b"j", b"v2").unwrap());
+        std::fs::write(&path, &bytes).unwrap();
+        let b = Store::open(&path).unwrap(); // mirror spans all 3 records
+        let a = Store::open(&path).unwrap();
+        a.compact().unwrap(); // a new, shorter file
+        a.put(b"a1", &[1; 40]).unwrap();
+        a.put(b"a2", &[2; 40]).unwrap(); // now longer than B's mirror
+        assert!(std::fs::metadata(&path).unwrap().len() > b.stats().log_bytes);
+        b.put(b"new", b"v3").unwrap();
+        let fresh = Store::open(&path).unwrap();
+        assert_eq!(fresh.get(b"k").unwrap(), b"v1");
+        assert_eq!(fresh.get(b"j").unwrap(), b"v2");
+        assert_eq!(fresh.get(b"a1").unwrap(), [1; 40]);
+        assert_eq!(fresh.get(b"a2").unwrap(), [2; 40]);
+        assert_eq!(fresh.get(b"new").unwrap(), b"v3");
+        assert_eq!(fresh.stats().corrupt_records, 0);
+        assert_eq!(fresh.len(), 5);
+        assert_eq!(b.stats(), fresh.stats(), "B rescanned the new file");
+    }
+
+    #[test]
+    fn compact_keeps_first_written_order_across_handles() {
+        // A adopts B's records between its own puts; the compacted log
+        // lists every record where it was first written, byte for byte.
+        let path = scratch("compact_order");
+        let _c = Cleanup(path.clone());
+        let a = Store::open(&path).unwrap();
+        let b = Store::open(&path).unwrap();
+        let records: Vec<(Vec<u8>, Vec<u8>)> = (0..12u8)
+            .map(|i| (vec![b'k', i], vec![i; 3 + i as usize]))
+            .collect();
+        for (i, (key, value)) in records.iter().enumerate() {
+            let writer = if i % 3 == 1 { &b } else { &a };
+            writer.put(key, value).unwrap();
+        }
+        a.put(&records[0].0, b"conflict").unwrap(); // counted, not written
+        let stats = a.compact().unwrap();
+        let mut want = header_bytes().to_vec();
+        for (key, value) in &records {
+            want.extend_from_slice(&encode_record(key, value).unwrap());
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), want);
+        assert_eq!(stats.live_records, records.len());
+        assert_eq!(stats.log_bytes, want.len() as u64);
+    }
+
+    fn colliding() -> KeyHasher {
+        KeyHasher {
+            collide_all: true,
+            ..KeyHasher::default()
+        }
+    }
+
+    #[test]
+    fn colliding_hashes_spill_and_resolve_by_the_full_key() {
+        let path = scratch("spill");
+        let _c = Cleanup(path.clone());
+        let key = |i: u8| vec![b's', i];
+        let store = Store::open_with(&path, colliding()).unwrap();
+        for i in 0..20u8 {
+            store.put(&key(i), &[i; 5]).unwrap();
+        }
+        store.put(&key(7), b"other").unwrap(); // a spilled key still wins
+        {
+            let inner = store.inner.lock().unwrap();
+            assert_eq!(inner.index.len(), 1, "every key hashes to 0");
+            assert_eq!(inner.spill[&0].len(), 19);
+        }
+        for i in 0..20u8 {
+            assert_eq!(store.get(&key(i)).unwrap(), [i; 5]);
+        }
+        assert_eq!(store.get(b"absent"), None);
+        let stats = store.stats();
+        assert_eq!((stats.live_records, stats.conflicting_records), (20, 1));
+        // The same file through the real hasher, and after compaction.
+        let plain = Store::open(&path).unwrap();
+        let compacted = store.compact().unwrap();
+        assert_eq!(compacted.live_records, 20);
+        assert_eq!(plain.verify().unwrap(), compacted);
+        for i in 0..20u8 {
+            assert_eq!(plain.get(&key(i)).unwrap(), [i; 5]);
+            assert_eq!(store.get(&key(i)).unwrap(), [i; 5]);
+        }
+    }
+
+    /// First-writer-wins over a record list: the live map, and the dead
+    /// and conflicting records a scan of it counts.
+    fn tally(records: &[(Vec<u8>, Vec<u8>)]) -> (HashMap<Vec<u8>, Vec<u8>>, usize, usize) {
+        let (mut live, mut dead, mut conflicting) = (HashMap::new(), 0, 0);
+        for (key, value) in records {
+            match live.get(key) {
+                Some(first) if first == value => dead += 1,
+                Some(_) => conflicting += 1,
+                None => {
+                    live.insert(key.clone(), value.clone());
+                }
+            }
+        }
+        (live, dead, conflicting)
+    }
+
+    fn log_image(records: &[(Vec<u8>, Vec<u8>)]) -> Vec<u8> {
+        let mut out = header_bytes().to_vec();
+        for (key, value) in records {
+            out.extend_from_slice(&encode_record(key, value).unwrap());
+        }
+        out
+    }
+
+    /// Drives handle A through a seeded mix of puts, gets, reopens,
+    /// foreign appends and puts, torn tails, and compactions by A and by
+    /// another handle. After every step A's answers, A's `stats()` and
+    /// the file's bytes must match a model: the file as a record list
+    /// plus a torn tail, and A's mirror as the record list it scanned.
+    fn check_against_model(seed: u64, hasher: KeyHasher) {
+        let path = scratch("model");
+        let _c = Cleanup(path.clone());
+        let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut draw = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let key = |k: u64| format!("key{k}:{}", "x".repeat(k as usize * 7)).into_bytes();
+        let value = |k: u64, v: u64| vec![(k * 3 + v) as u8; 1 + (k + v) as usize * 5];
+        const KEYS: u64 = 10;
+
+        // The file: valid records in log order, then torn bytes.
+        let mut disk = vec![(key(0), value(0, 0))];
+        let mut torn: Vec<u8> = Vec::new();
+        // A's mirror, and the counters a scan of it does not give.
+        let mut mirror = disk.clone();
+        let (mut put_conflicts, mut corrupt) = (0, 0);
+        // False once another handle replaced the file A mirrors.
+        let mut same_file = true;
+
+        let mut a = Store::open_with(&path, hasher.clone()).unwrap();
+        a.put(&disk[0].0, &disk[0].1).unwrap();
+        for step in 0..160 {
+            let (k, v) = (draw(KEYS), draw(3));
+            let op = draw(100);
+            // A resync (A's put past its own map, or A's compact): adopt
+            // the file, counting and cutting a torn tail.
+            let resync = |mirror: &mut Vec<_>,
+                          disk: &Vec<_>,
+                          torn: &mut Vec<u8>,
+                          same_file: &mut bool,
+                          put_conflicts: &mut usize,
+                          corrupt: &mut usize| {
+                if !*same_file {
+                    *put_conflicts = 0; // a full rescan starts fresh counts
+                    *same_file = true;
+                }
+                *mirror = disk.clone();
+                *corrupt += usize::from(!torn.is_empty());
+                torn.clear();
+            };
+            match op {
+                0..=34 => {
+                    let (key, value) = (key(k), value(k, v));
+                    let known = tally(&mirror).0.get(&key).cloned();
+                    let stored = known.or_else(|| {
+                        resync(
+                            &mut mirror,
+                            &disk,
+                            &mut torn,
+                            &mut same_file,
+                            &mut put_conflicts,
+                            &mut corrupt,
+                        );
+                        tally(&disk).0.get(&key).cloned()
+                    });
+                    match stored {
+                        Some(first) => put_conflicts += usize::from(first != value),
+                        None => {
+                            disk.push((key.clone(), value.clone()));
+                            mirror = disk.clone();
+                        }
+                    }
+                    a.put(&key, &value).unwrap();
+                }
+                35..=49 => {} // gets are checked after every step
+                50..=57 => {
+                    drop(a);
+                    a = Store::open_with(&path, hasher.clone()).unwrap();
+                    mirror = disk.clone();
+                    put_conflicts = 0;
+                    corrupt = usize::from(!torn.is_empty());
+                    same_file = true;
+                }
+                58..=69 => {
+                    // A writer that neither locks nor resyncs: dead and
+                    // conflicting records reach the log this way.
+                    let record = encode_record(&key(k), &value(k, v)).unwrap();
+                    let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+                    file.write_all(&record).unwrap();
+                    if torn.is_empty() {
+                        disk.push((key(k), value(k, v)));
+                    } else {
+                        torn.extend_from_slice(&record); // buried
+                    }
+                }
+                70..=79 => {
+                    let b = Store::open(&path).unwrap();
+                    b.put(&key(k), &value(k, v)).unwrap();
+                    if !tally(&disk).0.contains_key(&key(k)) {
+                        torn.clear();
+                        disk.push((key(k), value(k, v)));
+                    }
+                }
+                80..=85 => {
+                    // A crash mid-append.
+                    let record = encode_record(&key(k), &value(k, v)).unwrap();
+                    let cut = 1 + draw(record.len() as u64 - 1) as usize;
+                    let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+                    file.write_all(&record[..cut]).unwrap();
+                    torn.extend_from_slice(&record[..cut]);
+                }
+                86..=92 => {
+                    resync(
+                        &mut mirror,
+                        &disk,
+                        &mut torn,
+                        &mut same_file,
+                        &mut put_conflicts,
+                        &mut corrupt,
+                    );
+                    a.compact().unwrap();
+                    let (live, ..) = tally(&disk);
+                    let mut seen = std::collections::HashSet::new();
+                    disk.retain(|(key, value)| live[key] == *value && seen.insert(key.clone()));
+                    mirror = disk.clone();
+                    (put_conflicts, corrupt) = (0, 0);
+                }
+                _ => {
+                    Store::open(&path).unwrap().compact().unwrap();
+                    let (live, ..) = tally(&disk);
+                    let mut seen = std::collections::HashSet::new();
+                    disk.retain(|(key, value)| live[key] == *value && seen.insert(key.clone()));
+                    torn.clear();
+                    same_file = false;
+                }
+            }
+            let (live, dead, conflicting) = tally(&mirror);
+            let want = StoreStats {
+                live_records: live.len(),
+                dead_records: dead,
+                conflicting_records: conflicting + put_conflicts,
+                corrupt_records: corrupt,
+                log_bytes: log_image(&mirror).len() as u64,
+            };
+            assert_eq!(a.stats(), want, "seed {seed} step {step} op {op}");
+            for k in 0..KEYS {
+                assert_eq!(a.get(&key(k)).as_ref(), live.get(&key(k)), "step {step}");
+            }
+            let mut image = log_image(&disk);
+            image.extend_from_slice(&torn);
+            assert!(std::fs::read(&path).unwrap() == image, "step {step} file");
+        }
+        let fresh = Store::open(&path).unwrap();
+        let (live, dead, conflicting) = tally(&disk);
+        for k in 0..KEYS {
+            assert_eq!(fresh.get(&key(k)).as_ref(), live.get(&key(k)));
+        }
+        let stats = fresh.stats();
+        assert_eq!(
+            (
+                stats.live_records,
+                stats.dead_records,
+                stats.conflicting_records
+            ),
+            (live.len(), dead, conflicting)
+        );
+        assert_eq!(stats.corrupt_records, usize::from(!torn.is_empty()));
+    }
+
+    #[test]
+    fn seeded_operations_match_a_first_writer_wins_model() {
+        for seed in 1..=4 {
+            check_against_model(seed, KeyHasher::default());
+        }
+    }
+
+    #[test]
+    fn seeded_operations_match_the_model_when_every_hash_collides() {
+        for seed in 5..=7 {
+            check_against_model(seed, colliding());
+        }
     }
 
     #[test]
