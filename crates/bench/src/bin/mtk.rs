@@ -115,6 +115,18 @@ fn die(msg: impl std::fmt::Display) -> ! {
     std::process::exit(2);
 }
 
+/// A `--w-over-l` sleep size, held to the core screen's rule: one that
+/// is not finite and positive is a usage error.
+fn positive_w_over_l(w_over_l: f64) -> f64 {
+    if w_over_l.is_finite() && w_over_l > 0.0 {
+        w_over_l
+    } else {
+        die(format!(
+            "--w-over-l: sleep W/L must be finite and positive, got {w_over_l}"
+        ))
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let cmd = args.get(1).map(String::as_str).unwrap_or("");
@@ -220,7 +232,11 @@ fn cmd_sta(design: &Design) {
         // The vector sourcing and sleep size of a screen job.
         let o = JobOpts::from_flags(JobOpts::default());
         let (transitions, _) = design_transitions(design, o.stride, o.samples);
-        export_waves(design, transitions.first(), Some(o.w_over_l));
+        export_waves(
+            design,
+            transitions.first(),
+            Some(positive_w_over_l(o.w_over_l)),
+        );
     }
 }
 
@@ -381,7 +397,7 @@ fn cmd_job(kind: JobKind, design: Design) {
                 .map_or("infeasible".to_string(), |w| format!("{w:.2}"));
             println!(
                 "clustered total W/L = {:.2} over {} transition(s); single-device W/L = {single}; returned the {} solution ({:.2} s wall)",
-                sizing.clustered_width,
+                sizing.clustered_width(),
                 transitions.len(),
                 if sizing.fell_back { "single-device" } else { "clustered" },
                 report.wall
@@ -707,7 +723,10 @@ fn cmd_export(design: &Design) {
     let sleep = if bool_flag("--cmos") {
         None
     } else {
-        Some(f64_flag("--w-over-l", JobOpts::default().w_over_l))
+        Some(positive_w_over_l(f64_flag(
+            "--w-over-l",
+            JobOpts::default().w_over_l,
+        )))
     };
     let deck = match export_deck(design, sleep) {
         Ok(d) => d,

@@ -449,7 +449,7 @@ impl JobOutput {
                     "w_over_ls",
                     JsonValue::Array(sizing.w_over_ls.iter().map(|&w| num(w)).collect()),
                 ),
-                ("clustered_width", num(sizing.clustered_width)),
+                ("clustered_width", num(sizing.clustered_width())),
                 ("single_w_over_l", opt_num(sizing.single_w_over_l)),
                 ("fell_back", JsonValue::Bool(sizing.fell_back)),
                 ("total_width", num(sizing.total_width())),

@@ -7,9 +7,10 @@ use crate::transition_of;
 use mtk_circuits::adder::RippleAdder;
 use mtk_circuits::tree::InverterTree;
 use mtk_circuits::vectors::exhaustive_transitions;
+use mtk_core::health::{FailurePolicy, FaultPlan};
 use mtk_core::hybrid::{spice_transition, SpiceRunConfig};
 use mtk_core::model::{n_inverter_delay, solve_vx, VxOptions};
-use mtk_core::sizing::{screen_vectors, vbsim_delay_pair, DelayPair, Transition};
+use mtk_core::sizing::{screen_vectors_par_quarantined, vbsim_delay_pair, DelayPair, Transition};
 use mtk_core::sta::Sta;
 use mtk_core::vbsim::{Engine, SleepNetwork, VbsimOptions};
 use mtk_netlist::expand::SleepImpl;
@@ -264,7 +265,18 @@ pub fn sta(_: &Ctx) -> Output {
         .into_iter()
         .map(|p| transition_of(p, 6))
         .collect();
-    let worst = screen_vectors(&engine, &trs, None, wl, &base).expect("screen")[0];
+    let screened = screen_vectors_par_quarantined(
+        &add.netlist,
+        &tech,
+        &trs,
+        None,
+        wl,
+        &base,
+        1,
+        FailurePolicy::FailFast,
+        &FaultPlan::none(),
+    );
+    let worst = screened.expect("screen").0[0];
     let row =
         |name: String, d: DelayPair| vec![name, ns(d.cmos), ns(d.mtcmos), pct(d.degradation())];
     let worst_name = format!("screened worst ({})", vector_label(worst.index, 6));

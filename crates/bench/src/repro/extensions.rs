@@ -11,15 +11,16 @@ use mtk_circuits::multiplier::ArrayMultiplier;
 use mtk_circuits::nand_adder::{NandAdderSpec, NandRippleAdder};
 use mtk_circuits::tree::InverterTree;
 use mtk_circuits::vectors::{exhaustive_transitions, multiplier_vector_a};
+use mtk_core::cluster::ExclusivePartition;
+use mtk_core::cluster::{size_clusters_for_target, worst_degradation_partitioned};
 use mtk_core::energy::{break_even_idle_time, gated_leakage_current};
 use mtk_core::energy::{sleep_switching_energy, unguarded_leakage_current};
 use mtk_core::health::{FailurePolicy, FaultPlan, RunHealth, SweepHealth};
 use mtk_core::hybrid::SpiceRunConfig;
 use mtk_core::hybrid::{run_hybrid, spice_delay_pair, HybridFinding, HybridOptions};
-use mtk_core::modules::{size_modules_for_target, total_width, worst_degradation_partitioned};
 use mtk_core::search::{search_worst_vector, SearchOptions};
-use mtk_core::sizing::{screen_vectors, screen_vectors_par_quarantined, size_for_target};
-use mtk_core::sizing::{size_for_target_cached, vbsim_delay_pair, ScreeningCache, Transition};
+use mtk_core::sizing::{screen_vectors_par_quarantined, size_for_target_cached};
+use mtk_core::sizing::{vbsim_delay_pair, ScreeningCache, Transition};
 use mtk_core::vbsim::{Engine, SleepNetwork, VbsimOptions};
 use mtk_netlist::expand::{expand, ExpandOptions, SleepImpl};
 use mtk_netlist::hier::Module;
@@ -345,7 +346,18 @@ pub fn search(ctx: &Ctx) -> Output {
     let (add, tech07) = (RippleAdder::paper(), Technology::l07());
     let engine = Engine::new(&add.netlist, &tech07);
     let transitions = exhaustive6();
-    let screened = screen_vectors(&engine, &transitions, None, 10.0, &base).expect("screen");
+    let screened = screen_vectors_par_quarantined(
+        &add.netlist,
+        &tech07,
+        &transitions,
+        None,
+        10.0,
+        &base,
+        1,
+        FailurePolicy::FailFast,
+        &FaultPlan::none(),
+    );
+    let screened = screened.expect("screen").0;
     let mut rows = Vec::new();
     let mut calibrate = SweepHealth::default();
     for (samples, restarts) in [(50, 1), (150, 2), (400, 4)] {
@@ -450,14 +462,27 @@ pub fn style(_: &Ctx) -> Output {
     let mut row = |name: &str, netlist: &Netlist| {
         let engine = Engine::new(netlist, &tech);
         let (trs, base) = (exhaustive6(), VbsimOptions::default());
-        let screened = screen_vectors(&engine, &trs, None, 10.0, &base).expect("screen");
+        let screened = screen_vectors_par_quarantined(
+            netlist,
+            &tech,
+            &trs,
+            None,
+            10.0,
+            &base,
+            1,
+            FailurePolicy::FailFast,
+            &FaultPlan::none(),
+        );
+        let screened = screened.expect("screen").0;
         let (worst, bounds) = (&screened[0], (1.0, 2000.0));
         let worst_10: Vec<Transition> = screened
             .iter()
             .take(10)
             .map(|e| trs[e.index].clone())
             .collect();
-        let wl = size_for_target(&engine, &worst_10, None, 0.05, bounds, &base).expect("sizing");
+        let cache = ScreeningCache::new();
+        let sized = size_for_target_cached(&engine, &worst_10, None, 0.05, bounds, &base, &cache);
+        let wl = sized.expect("sizing").0;
         sizes.push(wl);
         vec![
             name.to_string(),
@@ -483,12 +508,10 @@ pub fn style(_: &Ctx) -> Output {
     out
 }
 
-/// EXT-MODULES (§7, the authors' 1998 follow-up): two Fig 4 trees in one
-/// netlist that never switch together (mutually exclusive discharge) can
-/// share one sleep device sized for a single tree — about half the width
-/// of a device per tree, and of a shared device without the guarantee.
-pub fn modules(_: &Ctx) -> Output {
-    let tech = Technology::l07();
+/// EXT-MODULES' netlist: two Fig 4 trees side by side, each with its own
+/// input and leaves, and the partition that gives each tree its own
+/// cluster.
+fn double_tree() -> (Netlist, Vec<usize>) {
     let tree = Module::new("tree", InverterTree::paper().netlist).expect("tree module");
     let mut nl = Netlist::new("double_tree");
     for k in 0..2 {
@@ -500,30 +523,43 @@ pub fn modules(_: &Ctx) -> Output {
             .unwrap();
         leaves.iter().for_each(|&l| nl.mark_primary_output(l));
     }
-    let engine = Engine::new(&nl, &tech);
     let per_tree = tree.body().cells().len();
-    let assignment: Vec<usize> = (0..nl.cells().len())
+    let assignment = (0..nl.cells().len())
         .map(|c| usize::from(c >= per_tree))
         .collect();
+    (nl, assignment)
+}
+
+/// EXT-MODULES' exclusive workload: one tree rises at a time.
+fn exclusive_trees() -> [Transition; 2] {
+    let (lo, hi) = (Logic::Zero, Logic::One);
+    [
+        Transition::new(vec![lo, lo], vec![hi, lo]),
+        Transition::new(vec![lo, lo], vec![lo, hi]),
+    ]
+}
+
+/// EXT-MODULES (§7, the authors' 1998 follow-up): two Fig 4 trees in one
+/// netlist that never switch together (mutually exclusive discharge) can
+/// share one sleep device sized for a single tree — about half the width
+/// of a device per tree, and of a shared device without the guarantee.
+pub fn modules(_: &Ctx) -> Output {
+    let tech = Technology::l07();
+    let (nl, _) = double_tree();
+    let engine = Engine::new(&nl, &tech);
     let (target, bounds) = (0.10, (0.5, 2000.0));
     // Workloads: exclusive (one tree rises at a time) vs simultaneous.
     let (lo, hi) = (Logic::Zero, Logic::One);
-    let exclusive = [
-        Transition::new(vec![lo, lo], vec![hi, lo]),
-        Transition::new(vec![lo, lo], vec![lo, hi]),
-    ];
     let simultaneous = [Transition::new(vec![lo, lo], vec![hi, hi])];
     let base = VbsimOptions::default();
-    let shared = |trs: &[Transition]| size_for_target(&engine, trs, None, target, bounds, &base);
-    let w_excl = shared(&exclusive).expect("sizing");
-    let w_simul = shared(&simultaneous).expect("sizing");
-    let (cmos, groups) = (VbsimOptions::cmos(), &assignment);
-    let per_module =
-        size_modules_for_target(&engine, &exclusive, None, groups, 2, target, bounds, &cmos);
-    let per_module = per_module.expect("module sizing");
-    let check =
-        worst_degradation_partitioned(&engine, &exclusive, None, groups, &per_module, &cmos);
-    let (check, total) = (check.expect("verify"), total_width(&per_module));
+    let size = |trs: &[Transition]| {
+        let cache = ScreeningCache::new();
+        let sized = size_for_target_cached(&engine, trs, None, target, bounds, &base, &cache);
+        sized.expect("sizing").0
+    };
+    let (w_excl, w_simul) = (size(&exclusive_trees()), size(&simultaneous));
+    let (per_module, check) = per_tree_sizing(&tech);
+    let total: f64 = per_module.iter().sum();
     let shared_row =
         |name: &str, w: f64| vec![name.to_string(), format!("{w:.1}"), format!("{w:.1}")];
     let split = format!("{:.1} + {:.1}", per_module[0], per_module[1]);
@@ -554,4 +590,57 @@ pub fn modules(_: &Ctx) -> Output {
     out.check("shared width saving [%]", "~50", saving, (43.0, 58.2));
     out.check("per-module degr. [%]", "<= 10", check * 100.0, (8.39, 10.0));
     out
+}
+
+/// EXT-MODULES' one-device-per-tree row: the cluster co-optimiser over
+/// the two-tree partition, for the 10 % target on the exclusive
+/// workload. The never-worse rule returns the shared device here, so
+/// the row reads the clustered candidate. Returns its per-tree W/Ls and
+/// their verified worst degradation.
+fn per_tree_sizing(tech: &Technology) -> (Vec<f64>, f64) {
+    let (nl, assignment) = double_tree();
+    let per_tree = ExclusivePartition {
+        assignment,
+        n_clusters: 2,
+        conflict_edges: 0,
+        folded: 0,
+    };
+    let (exclusive, cmos) = (exclusive_trees(), VbsimOptions::cmos());
+    let (policy, fault) = (FailurePolicy::FailFast, FaultPlan::none());
+    let (sizing, _) = size_clusters_for_target(
+        &nl,
+        tech,
+        &exclusive,
+        None,
+        &per_tree,
+        0.10,
+        (0.5, 2000.0),
+        &cmos,
+        1,
+        policy,
+        &fault,
+        None,
+    )
+    .expect("per-tree sizing");
+    let sizes = sizing.clustered_w_over_ls;
+    let engine = Engine::new(&nl, tech);
+    let groups = &per_tree.assignment;
+    let check = worst_degradation_partitioned(&engine, &exclusive, None, groups, &sizes, &cmos);
+    (sizes, check.expect("verify"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The per-tree sizes and verified degradation the per-module sizer
+    /// returned on this netlist before it was folded into the cluster
+    /// co-optimiser, pinned bit for bit: the fold is exact.
+    #[test]
+    fn per_tree_sizing_matches_the_former_per_module_sizer() {
+        let (sizes, check) = per_tree_sizing(&Technology::l07());
+        let bits: Vec<u64> = sizes.iter().map(|w| w.to_bits()).collect();
+        assert_eq!(bits, [0x4047_b4a5_60ae_cd89; 2]);
+        assert_eq!(check.to_bits(), 0x3fb9_4be0_4234_6e92);
+    }
 }

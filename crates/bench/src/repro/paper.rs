@@ -9,8 +9,8 @@ use mtk_circuits::multiplier::ArrayMultiplier;
 use mtk_circuits::vectors::VectorPair;
 use mtk_circuits::vectors::{exhaustive_transitions, multiplier_vector_a, multiplier_vector_b};
 use mtk_core::hybrid::{spice_delay_pair, spice_transition, SpiceRunConfig};
-use mtk_core::sizing::{peak_current_w_over_l, size_for_target, sum_of_widths_w_over_l};
-use mtk_core::sizing::{vbsim_delay_pair, Transition};
+use mtk_core::sizing::{peak_current_w_over_l, sum_of_widths_w_over_l};
+use mtk_core::sizing::{size_for_target_cached, vbsim_delay_pair, ScreeningCache, Transition};
 use mtk_core::vbsim::{Engine, SleepNetwork, VbsimOptions};
 use mtk_netlist::expand::SleepImpl;
 use mtk_netlist::tech::Technology;
@@ -166,8 +166,10 @@ pub fn tab1(ctx: &Ctx) -> Output {
     // §4, the input-vector trap: size for <= 5% on vector B only, then
     // check vector A at that size.
     let size_from = |tr: &Transition| {
-        let (trs, base) = (std::slice::from_ref(tr), VbsimOptions::default());
-        size_for_target(&engine, trs, None, 0.05, (10.0, 4000.0), &base).expect("sizing")
+        let (base, cache) = (VbsimOptions::default(), ScreeningCache::new());
+        let trs = std::slice::from_ref(tr);
+        let sized = size_for_target_cached(&engine, trs, None, 0.05, (10.0, 4000.0), &base, &cache);
+        sized.expect("sizing").0
     };
     let (wl_from_b, wl_from_a) = (size_from(&tr_b), size_from(&tr_a));
     let a_at_b = vb_pair(&tr_a, wl_from_b).degradation();

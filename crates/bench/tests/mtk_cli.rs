@@ -284,6 +284,51 @@ fn a_bad_sizing_bracket_exits_two_with_a_message() {
 }
 
 #[test]
+fn a_non_positive_sleep_size_or_no_transitions_exits_two_without_a_panic() {
+    let (adder, invtree, rand) = (golden("adder3"), golden("invtree"), golden("rand8x40"));
+    let (adder, invtree, rand) = (
+        adder.to_str().unwrap(),
+        invtree.to_str().unwrap(),
+        rand.to_str().unwrap(),
+    );
+    let vcd = std::env::temp_dir().join(format!("mtk_cli_{}_wl0.vcd", std::process::id()));
+    let vcd = vcd.to_str().unwrap();
+    for (args, message) in [
+        (
+            vec!["screen", adder, "--w-over-l", "0"],
+            "finite and positive",
+        ),
+        (
+            vec!["hybrid", invtree, "--w-over-l", "0"],
+            "finite and positive",
+        ),
+        (
+            vec!["export", adder, "--w-over-l", "0"],
+            "finite and positive",
+        ),
+        (
+            vec!["sta", adder, "--vcd", vcd, "--w-over-l", "-1"],
+            "finite and positive",
+        ),
+        (
+            vec!["size", rand, "--samples", "0"],
+            "at least one transition",
+        ),
+        (
+            vec!["cluster", rand, "--samples", "0"],
+            "at least one transition",
+        ),
+    ] {
+        let out = mtk(&args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?} stderr: {err}");
+        assert!(!err.contains("panicked"), "{args:?} stderr: {err}");
+        assert!(err.contains(message), "{args:?} stderr: {err}");
+    }
+    assert!(!std::path::Path::new(vcd).exists(), "nothing exported");
+}
+
+#[test]
 fn size_trace_has_a_span_around_the_run() {
     let path = golden("invtree");
     let json = std::env::temp_dir().join(format!("mtk_cli_{}_size_span.json", std::process::id()));

@@ -306,6 +306,33 @@ fn a_bad_sizing_bracket_is_an_error_response_not_a_wedged_server() {
 }
 
 #[test]
+fn a_non_positive_sleep_size_is_an_error_response_on_a_live_connection() {
+    let (addr, _state, handle) = start(ServeConfig::default());
+    let conn = TcpStream::connect(&addr).expect("connect");
+    conn.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
+    let mut reader = std::io::BufReader::new(conn.try_clone().expect("clone"));
+    let mut ask = |line: &str| {
+        (&conn)
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
+        let mut resp = String::new();
+        std::io::BufRead::read_line(&mut reader, &mut resp).expect("response");
+        resp
+    };
+    for (cmd, w) in [("screen", "0"), ("hybrid", "0"), ("screen", "-2")] {
+        let resp = ask(&job_line(cmd, &format!(",\"w_over_l\":{w}")));
+        assert!(resp.contains("\"status\":\"error\""), "{cmd} {w} -> {resp}");
+        assert!(resp.contains("finite and positive"), "{resp}");
+        // The same connection still answers.
+        let status = ask(r#"{"cmd":"status"}"#);
+        assert!(status.starts_with(r#"{"status":"ok""#), "{status}");
+    }
+    drop(reader);
+    drop(conn);
+    shutdown(&addr, handle);
+}
+
+#[test]
 fn oversized_request_is_rejected_and_the_connection_closed() {
     let (addr, _state, handle) = start(ServeConfig {
         max_request_bytes: 1024,

@@ -13,6 +13,10 @@
 //!   discharges both). A deterministic first-fit colouring in cell-id
 //!   order groups mutually exclusive cells into clusters, folding into
 //!   `max_clusters` when the conflict structure demands more colours.
+//! * [`ExclusivePartition::by_depth`] — a structural partition source
+//!   that reads no vectors: cells grouped by logic depth
+//!   (pipeline-stage style). A caller may also build a partition from
+//!   its own hierarchy, as EXT-MODULES does with one cluster per module.
 //! * [`size_clusters_for_target`] — one virtual-ground sleep device per
 //!   cluster, co-optimised under a shared degradation budget: each
 //!   cluster's device is bisected as an independent, fault-tolerant
@@ -20,26 +24,26 @@
 //!   then the joint solution is verified and uniformly scaled up.
 //!   The **never-worse rule**: the single-device solution for the same
 //!   target is always computed too, and whichever uses less total width
-//!   wins — sequential paths split the delay budget across clusters and
-//!   can genuinely need *more* total width (see
-//!   [`crate::modules::size_modules_for_target`]'s caveat), so clustered
-//!   sizing must not silently regress the area it exists to save.
+//!   wins — clusters on one sequential path split the delay budget and
+//!   can genuinely need *more* total width than one shared device (the
+//!   clustered candidate, [`ClusterSizing::clustered_w_over_ls`], shows
+//!   it), so clustered sizing must not silently regress the area it
+//!   exists to save.
+//! * [`worst_degradation_partitioned`] — the full evaluation of one
+//!   per-cluster sizing, to verify a returned solution.
 //!
 //! Every evaluation decision can be written through a persistent
 //! [`mtk_store::Store`] under its own record tag, so a warm rerun
 //! replays the whole co-optimisation — including its [`RunHealth`]
 //! telemetry, bit-identically — without simulating anything.
 
-use crate::health::{
-    fold_item_reports, FailurePolicy, FaultPlan, ItemReport, RunHealth, SweepHealth,
-    RETRY_BUDGET_FACTOR,
-};
+use crate::health::{charge_overflow, fold_item_reports, retry_item, FailurePolicy, FaultPlan};
+use crate::health::{ItemReport, RunHealth, SweepHealth};
 use crate::par::{try_parallel_map_with, WorkerStats};
-use crate::sizing::{log_bisect, move_to_front, stored_leg, Transition};
-use crate::vbsim::{
-    latest_crossing, worst_delay_vs_baseline, Engine, PartitionedSleep, SleepNetwork, VbsimOptions,
-    VbsimScratch,
-};
+use crate::sizing::{leg_degradation, log_bisect, move_to_front, probe_nets, stored_leg};
+use crate::sizing::{require_transitions, Transition};
+use crate::vbsim::{latest_crossing, Engine, PartitionedSleep, SleepNetwork};
+use crate::vbsim::{VbsimOptions, VbsimScratch};
 use crate::CoreError;
 use mtk_netlist::logic::Logic;
 use mtk_netlist::netlist::{NetId, Netlist};
@@ -73,14 +77,92 @@ impl ExclusivePartition {
     /// Panics when `w_over_ls.len() != self.n_clusters`.
     pub fn to_sleep(&self, w_over_ls: &[f64]) -> PartitionedSleep {
         assert_eq!(w_over_ls.len(), self.n_clusters, "one size per cluster");
-        PartitionedSleep {
-            assignment: self.assignment.clone(),
-            networks: w_over_ls
-                .iter()
-                .map(|&wl| SleepNetwork::Transistor { w_over_l: wl })
-                .collect(),
-        }
+        partitioned(&self.assignment, w_over_ls)
     }
+
+    /// A structural partition source (pipeline-stage style): every cell
+    /// goes to one of `n_groups` clusters by logic depth, so gates that
+    /// switch at different times land in different clusters. It reads no
+    /// vectors, so it has no conflict graph: `conflict_edges` and
+    /// `folded` are 0, and a cluster may be empty.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Netlist`] for cyclic netlists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_groups == 0`.
+    pub fn by_depth(netlist: &Netlist, n_groups: usize) -> Result<Self, CoreError> {
+        assert!(n_groups > 0, "need at least one group");
+        let order = netlist.topo_order().map_err(CoreError::Netlist)?;
+        let mut depth_of_net = vec![0usize; netlist.nets().len()];
+        let mut depth_of_cell = vec![0usize; netlist.cells().len()];
+        let mut max_depth = 1usize;
+        for ci in order {
+            let cell = netlist.cell(ci);
+            let inputs = cell.inputs.iter().map(|&n| depth_of_net[n.index()]);
+            let d = inputs.max().unwrap_or(0) + 1;
+            depth_of_cell[ci.index()] = d;
+            depth_of_net[cell.output.index()] = d;
+            max_depth = max_depth.max(d);
+        }
+        Ok(ExclusivePartition {
+            assignment: depth_of_cell
+                .into_iter()
+                .map(|d| ((d - 1) * n_groups / max_depth).min(n_groups - 1))
+                .collect(),
+            n_clusters: n_groups,
+            conflict_edges: 0,
+            folded: 0,
+        })
+    }
+}
+
+/// One sleep transistor per cluster: cluster `assignment[cell]` of each
+/// cell gets the device of W/L `w_over_ls[cluster]`.
+fn partitioned(assignment: &[usize], w_over_ls: &[f64]) -> PartitionedSleep {
+    PartitionedSleep {
+        assignment: assignment.to_vec(),
+        networks: w_over_ls
+            .iter()
+            .map(|&wl| SleepNetwork::Transistor { w_over_l: wl })
+            .collect(),
+    }
+}
+
+/// Worst degradation over `transitions` of one per-cluster sizing:
+/// cluster `assignment[cell]` of each cell gets the device of W/L
+/// `w_over_ls[cluster]`, against CMOS baselines at the default options.
+/// The full evaluation, every transition simulated, that verifies a
+/// solution the early-exit co-optimisation returned.
+///
+/// # Errors
+///
+/// Propagates simulator errors.
+pub fn worst_degradation_partitioned(
+    engine: &Engine<'_>,
+    transitions: &[Transition],
+    probes: Option<&[NetId]>,
+    assignment: &[usize],
+    w_over_ls: &[f64],
+    base: &VbsimOptions,
+) -> Result<f64, CoreError> {
+    let outputs = probe_nets(engine.netlist(), probes);
+    let partition = partitioned(assignment, w_over_ls);
+    let (cmos_opts, mut scratch) = (VbsimOptions::cmos(), VbsimScratch::new());
+    let mut worst = 0.0f64;
+    for tr in transitions {
+        let (from, to) = (&tr.from, &tr.to);
+        let cmos = engine.run_summary_with(from, to, None, &outputs, &cmos_opts, &mut scratch)?;
+        let Some(d_cmos) = latest_crossing(&cmos.crossings) else {
+            continue;
+        };
+        let mt =
+            engine.run_summary_with(from, to, Some(&partition), &outputs, base, &mut scratch)?;
+        worst = worst.max(leg_degradation(d_cmos, &cmos.crossings, &mt));
+    }
+    Ok(worst)
 }
 
 /// Whether a cell output moving `from → to` may pull current through
@@ -305,16 +387,6 @@ fn decode_eval(bytes: &[u8], n_transitions: usize) -> Option<(Option<usize>, Run
     ))
 }
 
-/// Adds an overflowing run's breakpoints to the counters: its cost is
-/// real even though it produced no result.
-fn count_overflow(e: &CoreError, max_events: usize, run: &mut RunHealth, stats: &mut WorkerStats) {
-    if let CoreError::EventOverflow { events, .. } = *e {
-        run.breakpoints += events;
-        run.max_events = run.max_events.max(max_events);
-        stats.breakpoints += events as u64;
-    }
-}
-
 /// Each transition's CMOS baseline crossings at `base`'s budget — the
 /// legs every evaluation at that budget shares, whatever the sleep
 /// sizes — read from the store's `leg1` records when there is one
@@ -343,7 +415,7 @@ fn cmos_baselines(
                 store,
                 scratch,
             )
-            .inspect_err(|e| count_overflow(e, base.max_events, run, stats))?;
+            .inspect_err(|e| charge_overflow(e, base.max_events, run, stats))?;
             run.absorb(&leg.health);
             stats.breakpoints += leg.health.breakpoints as u64;
             if store.is_some() {
@@ -455,13 +527,7 @@ impl Evaluator<'_> {
             }
             return Ok(failed.is_some());
         }
-        let partition = PartitionedSleep {
-            assignment: self.assignment.to_vec(),
-            networks: sizes
-                .iter()
-                .map(|&wl| SleepNetwork::Transistor { w_over_l: wl })
-                .collect(),
-        };
+        let partition = partitioned(self.assignment, sizes);
         let mut local = RunHealth::default();
         let mut simulate = || -> Result<Option<usize>, CoreError> {
             for k in 0..order.len() {
@@ -482,15 +548,7 @@ impl Evaluator<'_> {
                 )?;
                 local.absorb(&mt.health);
                 stats.breakpoints += mt.health.breakpoints as u64;
-                let d_mt = if mt.stalled || mt.truncated {
-                    f64::INFINITY
-                } else {
-                    // Per-probe against the baseline: an output that
-                    // switched in CMOS but never under MTCMOS stalled
-                    // (infinite delay), it is not a probe to skip.
-                    worst_delay_vs_baseline(cmos, &mt.crossings).unwrap_or(d_cmos)
-                };
-                if (d_mt - d_cmos) / d_cmos > self.target {
+                if leg_degradation(d_cmos, cmos, &mt) > self.target {
                     move_to_front(order, k);
                     return Ok(Some(i));
                 }
@@ -499,7 +557,8 @@ impl Evaluator<'_> {
         };
         let result = simulate();
         run.absorb(&local);
-        let failed = result.inspect_err(|e| count_overflow(e, self.base.max_events, run, stats))?;
+        let failed =
+            result.inspect_err(|e| charge_overflow(e, self.base.max_events, run, stats))?;
         if let Some(store) = self.store {
             run.cache_misses += 1;
             // A failed write degrades to recompute-on-rerun; it is not
@@ -532,11 +591,9 @@ fn cluster_attempt(
     })
 }
 
-/// One per-cluster work item under the retry policy: a first attempt at
-/// the caller's breakpoint budget, then — only for
-/// [`CoreError::EventOverflow`] — one retry relaxed by
-/// [`RETRY_BUDGET_FACTOR`], which recomputes its own CMOS baselines (a
-/// run truncated at one budget can differ under a larger one).
+/// One per-cluster work item under the retry ladder. Its relaxed-budget
+/// attempt recomputes its own CMOS baselines: a run truncated at one
+/// budget can differ under a larger one.
 #[allow(clippy::too_many_arguments)]
 fn cluster_item(
     engine: &Engine<'_>,
@@ -548,45 +605,21 @@ fn cluster_item(
     fault: &FaultPlan,
     stats: &mut WorkerStats,
 ) -> ItemReport<f64> {
-    let mut run = RunHealth::default();
-    let mut value = fault.check(g, 0).and_then(|()| {
-        cluster_attempt(engine, scratch, g, n_clusters, ev, bracket, &mut run, stats)
-    });
-    let mut retried = false;
-    if matches!(value, Err(CoreError::EventOverflow { .. })) {
-        retried = true;
-        let relaxed = VbsimOptions {
-            max_events: ev.base.max_events.saturating_mul(RETRY_BUDGET_FACTOR),
-            ..ev.base.clone()
-        };
-        value = fault.check(g, 1).and_then(|()| {
-            let baselines = cmos_baselines(
-                engine,
-                scratch,
-                ev.transitions,
-                ev.outputs,
-                &relaxed,
-                ev.store,
-                &mut run,
-                stats,
-            )?;
-            let ev = Evaluator {
-                baselines: &baselines,
-                base: &relaxed,
-                prefix: Vec::new(),
-                ..*ev
-            }
-            .keyed(engine);
-            cluster_attempt(
-                engine, scratch, g, n_clusters, &ev, bracket, &mut run, stats,
-            )
-        });
-    }
-    ItemReport {
-        value,
-        retried,
-        run,
-    }
+    retry_item(g, fault, ev.base, |attempt, opts, run| {
+        if attempt == 0 {
+            return cluster_attempt(engine, scratch, g, n_clusters, ev, bracket, run, stats);
+        }
+        let (trs, outputs) = (ev.transitions, ev.outputs);
+        let baselines = cmos_baselines(engine, scratch, trs, outputs, opts, ev.store, run, stats)?;
+        let ev = Evaluator {
+            baselines: &baselines,
+            base: opts,
+            prefix: Vec::new(),
+            ..*ev
+        }
+        .keyed(engine);
+        cluster_attempt(engine, scratch, g, n_clusters, &ev, bracket, run, stats)
+    })
 }
 
 /// The chosen sleep configuration of one [`size_clusters_for_target`]
@@ -599,9 +632,9 @@ pub struct ClusterSizing {
     pub assignment: Vec<usize>,
     /// W/L per cluster of the returned solution.
     pub w_over_ls: Vec<f64>,
-    /// Total sleep width of the clustered candidate (before the
-    /// never-worse comparison).
-    pub clustered_width: f64,
+    /// W/L per cluster of the clustered candidate (before the
+    /// never-worse comparison), whichever solution was returned.
+    pub clustered_w_over_ls: Vec<f64>,
     /// The single shared device sized for the same target, when
     /// feasible — the never-worse comparison baseline.
     pub single_w_over_l: Option<f64>,
@@ -614,6 +647,11 @@ impl ClusterSizing {
     /// Total sleep width of the returned solution.
     pub fn total_width(&self) -> f64 {
         self.w_over_ls.iter().sum()
+    }
+
+    /// Total sleep width of the clustered candidate.
+    pub fn clustered_width(&self) -> f64 {
+        self.clustered_w_over_ls.iter().sum()
     }
 }
 
@@ -695,6 +733,7 @@ impl ClusterReport {
 ///
 /// # Errors
 ///
+/// * [`CoreError::InvalidOptions`] when `transitions` is empty.
 /// * [`CoreError::SizingInfeasible`] when even all-`hi` misses the
 ///   target.
 /// * Under [`FailurePolicy::FailFast`], the error of the
@@ -729,12 +768,10 @@ pub fn size_clusters_for_target(
         "partition must cover a non-empty netlist"
     );
     assert!(lo > 0.0 && hi > lo, "invalid sizing bracket");
+    require_transitions(transitions)?;
     let t0 = Instant::now();
     let n = partition.n_clusters;
-    let outputs: Vec<NetId> = match probes {
-        Some(p) => p.to_vec(),
-        None => netlist.primary_outputs().to_vec(),
-    };
+    let outputs = probe_nets(netlist, probes);
     let engine = Engine::new(netlist, tech);
     let mut serial_scratch = VbsimScratch::new();
     let mut serial_run = RunHealth::default();
@@ -809,7 +846,6 @@ pub fn size_clusters_for_target(
     if !joint_ok {
         sizes = vec![hi; n];
     }
-    let clustered_width: f64 = sizes.iter().sum();
     // The never-worse rule: a single shared device sized for the same
     // target with the same machinery. Sequential paths split the delay
     // budget across clusters, so the clustered candidate can genuinely
@@ -829,23 +865,18 @@ pub fn size_clusters_for_target(
             serial_exceeds(&single, &[wl], &mut order)
         })?)
     };
+    let clustered_width: f64 = sizes.iter().sum();
     let fell_back = single_w_over_l.is_some_and(|s| s <= clustered_width);
-    let sizing = if fell_back {
-        ClusterSizing {
-            assignment: single_assignment,
-            w_over_ls: vec![single_w_over_l.unwrap()],
-            clustered_width,
-            single_w_over_l,
-            fell_back,
-        }
-    } else {
-        ClusterSizing {
-            assignment: partition.assignment.clone(),
-            w_over_ls: sizes,
-            clustered_width,
-            single_w_over_l,
-            fell_back,
-        }
+    let (assignment, w_over_ls) = match single_w_over_l {
+        Some(single) if fell_back => (single_assignment, vec![single]),
+        _ => (partition.assignment.clone(), sizes.clone()),
+    };
+    let sizing = ClusterSizing {
+        assignment,
+        w_over_ls,
+        clustered_w_over_ls: sizes,
+        single_w_over_l,
+        fell_back,
     };
     // Serial phases (feasibility, joint verify, single baseline) are
     // identical at any thread count, so merging their counters after
@@ -970,6 +1001,88 @@ mod tests {
     }
 
     #[test]
+    fn depth_partition_is_valid_and_ordered() {
+        let add = mtk_circuits::adder::RippleAdder::paper();
+        let p = ExclusivePartition::by_depth(&add.netlist, 3).unwrap();
+        assert_eq!(p.assignment.len(), add.netlist.cells().len());
+        assert_eq!((p.n_clusters, p.conflict_edges, p.folded), (3, 0, 0));
+        assert!(p.assignment.iter().all(|&g| g < p.n_clusters));
+        // All groups populated for a deep enough circuit.
+        for g in 0..3 {
+            assert!(p.assignment.contains(&g), "group {g} empty: {p:?}");
+        }
+    }
+
+    #[test]
+    fn tree_stage_partition_decouples_stages() {
+        // In the Fig 4 tree, stage 0 and stage 2 both discharge on a
+        // rising input. With one shared device they interact; with one
+        // device per stage (same per-device size!) each stage sees only
+        // its own current, so the delay improves.
+        let tree = InverterTree::paper();
+        let tech = Technology::l07();
+        let engine = Engine::new(&tree.netlist, &tech);
+        let wl = 5.0;
+        let single = engine
+            .run(&[Zero], &[One], &VbsimOptions::mtcmos(wl))
+            .unwrap();
+        let stages = ExclusivePartition::by_depth(&tree.netlist, 3).unwrap();
+        let partition = stages.to_sleep(&[wl; 3]);
+        let multi = engine
+            .run_partitioned(&[Zero], &[One], Some(&partition), &VbsimOptions::cmos())
+            .unwrap();
+        let d_single = single.delay_over(tree.leaves()).unwrap();
+        let d_multi = multi.delay_over(tree.leaves()).unwrap();
+        assert!(
+            d_multi < d_single,
+            "partitioned {d_multi} should beat shared {d_single}"
+        );
+    }
+
+    #[test]
+    fn per_stage_devices_track_their_stage_current() {
+        let tree = InverterTree::paper();
+        let tech = Technology::l07();
+        let trs = [tr(&[Zero], &[One])];
+        let stages = ExclusivePartition::by_depth(&tree.netlist, 3).unwrap();
+        let base = VbsimOptions::cmos(); // sleep comes from the partition
+        let target = 0.20;
+        let (sizing, _) = size_clusters_for_target(
+            &tree.netlist,
+            &tech,
+            &trs,
+            None,
+            &stages,
+            target,
+            (0.5, 400.0),
+            &base,
+            1,
+            FailurePolicy::FailFast,
+            &FaultPlan::none(),
+            None,
+        )
+        .unwrap();
+        let sizes = &sizing.clustered_w_over_ls;
+        let engine = Engine::new(&tree.netlist, &tech);
+        let assignment = &stages.assignment;
+        let worst = worst_degradation_partitioned(&engine, &trs, None, assignment, sizes, &base);
+        let worst = worst.unwrap();
+        assert!(worst <= target + 1e-9, "worst {worst}");
+        // The allocation must track per-stage current: the third stage
+        // (nine discharging gates) needs the widest device, the first
+        // stage (one gate) the narrowest. The stages lie on one path, so
+        // the delay budget is *split* across them (each local device buys
+        // only part of the 20%) — the sequential-path caveat that makes
+        // the never-worse rule return the single device here.
+        assert!(
+            sizes[2] > sizes[0],
+            "nine-gate stage must be widest: {sizes:?}"
+        );
+        let single = sizing.single_w_over_l.expect("single device feasible");
+        assert!(sizing.fell_back && single < sizing.clustered_width());
+    }
+
+    #[test]
     fn bad_transition_width_is_reported() {
         let nl = two_inverters();
         let err = exclusive_partition(&nl, &[tr(&[Zero], &[One])], 4).unwrap_err();
@@ -1021,7 +1134,7 @@ mod tests {
         let tree = InverterTree::paper();
         let tech = Technology::l07();
         let engine = Engine::new(&tree.netlist, &tech);
-        let worst = crate::modules::worst_degradation_partitioned(
+        let worst = worst_degradation_partitioned(
             &engine,
             &[tr(&[Zero], &[One]), tr(&[One], &[Zero])],
             None,
@@ -1090,6 +1203,27 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::SizingInfeasible { .. }));
+    }
+
+    #[test]
+    fn sizing_over_no_transitions_is_rejected() {
+        let tree = InverterTree::paper();
+        let stages = ExclusivePartition::by_depth(&tree.netlist, 2).unwrap();
+        let err = size_clusters_for_target(
+            &tree.netlist,
+            &Technology::l07(),
+            &[],
+            None,
+            &stages,
+            0.20,
+            (0.5, 400.0),
+            &VbsimOptions::cmos(),
+            1,
+            FailurePolicy::FailFast,
+            &FaultPlan::none(),
+            None,
+        );
+        assert!(matches!(err, Err(CoreError::InvalidOptions(_))), "{err:?}");
     }
 
     #[test]

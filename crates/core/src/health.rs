@@ -17,13 +17,17 @@
 //! * [`FaultPlan`] — a deterministic fault-injection harness, keyed off
 //!   [`mtk_num::prng`] per-index streams, used by tests to drive every
 //!   degraded path without touching the simulator itself.
+//! * `retry_item` — the retry ladder every quarantining sweep runs one
+//!   work item under, and `charge_overflow`, the cost a real
+//!   breakpoint-budget overflow adds to the counters.
 //! * [`fold_item_reports`] — the index-ordered fold that turns per-item
 //!   outcomes into `(survivors, SweepHealth)` under a policy. Because the
 //!   fold runs in item order over results keyed by index, the quarantine
 //!   set and every surviving result are bit-identical at any thread
 //!   count — the same contract [`crate::par`] pins for healthy sweeps.
 
-use crate::par::ItemPanic;
+use crate::par::{ItemPanic, WorkerStats};
+use crate::vbsim::VbsimOptions;
 use crate::CoreError;
 use mtk_num::prng::Xoshiro256pp;
 use mtk_trace::{CounterId, CounterSet, Histogram, PhaseTrace};
@@ -230,6 +234,57 @@ pub struct ItemReport<R> {
     pub retried: bool,
     /// Per-run counters accumulated over every attempt of this item.
     pub run: RunHealth,
+}
+
+/// Runs one work item under the retry ladder (DESIGN.md §9): the fault
+/// plan's check and attempt 0 at `base`'s breakpoint budget, then —
+/// only for [`CoreError::EventOverflow`] — the check and attempt 1 at
+/// that budget relaxed by [`RETRY_BUDGET_FACTOR`]. `attempt` gets the
+/// attempt number, the options of that attempt and the item's run
+/// health, which accumulates over both attempts.
+pub(crate) fn retry_item<R>(
+    index: usize,
+    fault: &FaultPlan,
+    base: &VbsimOptions,
+    mut attempt: impl FnMut(usize, &VbsimOptions, &mut RunHealth) -> Result<R, CoreError>,
+) -> ItemReport<R> {
+    let mut run = RunHealth::default();
+    let mut value = fault
+        .check(index, 0)
+        .and_then(|()| attempt(0, base, &mut run));
+    let retried = matches!(value, Err(CoreError::EventOverflow { .. }));
+    if retried {
+        let relaxed = VbsimOptions {
+            max_events: base.max_events.saturating_mul(RETRY_BUDGET_FACTOR),
+            ..base.clone()
+        };
+        value = fault
+            .check(index, 1)
+            .and_then(|()| attempt(1, &relaxed, &mut run));
+    }
+    ItemReport {
+        value,
+        retried,
+        run,
+    }
+}
+
+/// Charges a simulator run that overflowed its breakpoint budget
+/// `max_events`: the breakpoints it burned are real cost, so they go to
+/// the item's run health and its worker's counters, and the budget to
+/// the run health. Any other error charges nothing — nor does an
+/// injected overflow, which never reaches a simulator.
+pub(crate) fn charge_overflow(
+    e: &CoreError,
+    max_events: usize,
+    run: &mut RunHealth,
+    stats: &mut WorkerStats,
+) {
+    if let CoreError::EventOverflow { events, .. } = *e {
+        run.breakpoints += events;
+        run.max_events = run.max_events.max(max_events);
+        stats.breakpoints += events as u64;
+    }
 }
 
 /// Folds per-item outcomes into `(survivors, SweepHealth)` under a

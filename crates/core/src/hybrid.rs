@@ -122,10 +122,7 @@ pub fn spice_transition(
     // gate-level evaluation already knows every rail.
     let settled = netlist.evaluate(&tr.from).map_err(CoreError::Netlist)?;
     ex.apply_initial_state(&settled);
-    let probe_nets: Vec<NetId> = match probes {
-        Some(p) => p.to_vec(),
-        None => netlist.primary_outputs().to_vec(),
-    };
+    let probe_nets = crate::sizing::probe_nets(netlist, probes);
     let mut probe_nodes: Vec<_> = probe_nets.iter().map(|&n| ex.node_of(n)).collect();
     if let Some(vg) = ex.vgnd {
         probe_nodes.push(vg);
@@ -484,7 +481,9 @@ fn verify_candidate(
 ///
 /// # Errors
 ///
-/// * Screening failures per [`screen_vectors_par_quarantined`].
+/// * Screening failures per [`screen_vectors_par_quarantined`] — among
+///   them [`CoreError::InvalidOptions`] for an `opts.w_over_l` that is
+///   not finite and positive, before anything is simulated or expanded.
 /// * [`CoreError::Netlist`] when the netlist cannot be expanded to the
 ///   transistor level (checked once, before workers spawn).
 /// * Verification failures routed per `opts.policy`, fail-fast errors
@@ -543,10 +542,7 @@ pub fn run_hybrid(
     expand(netlist, tech, &cmos_opts).map_err(CoreError::Netlist)?;
     expand(netlist, tech, &mt_opts).map_err(CoreError::Netlist)?;
 
-    let probe_nets = match &opts.probes {
-        Some(p) => p.clone(),
-        None => netlist.primary_outputs().to_vec(),
-    };
+    let probe_nets = crate::sizing::probe_nets(netlist, opts.probes.as_deref());
     let t0 = Instant::now();
     let (reports, verify_workers) = try_parallel_map_with(
         opts.threads,

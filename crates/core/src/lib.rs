@@ -27,10 +27,11 @@
 //!   per-work-item PRNG streams so results are thread-count-invariant.
 //! * [`par`] — the std-only scoped-thread executor behind the parallel
 //!   screening and search phases, with per-worker cost counters.
+//! * [`cluster`] — one sleep transistor per cluster of cells, from
+//!   mutually exclusive discharge patterns, logic depth or the caller's
+//!   own partition (the paper's future-work direction).
 //! * [`energy`] — sleep-device switching-energy overhead, standby
 //!   leakage savings, and break-even idle time (§2.1's cost triangle).
-//! * [`modules`] — per-module sleep transistors and hierarchical sizing
-//!   (the paper's future-work direction).
 //!
 //! # Example
 //!
@@ -68,7 +69,6 @@ pub mod health;
 pub mod hybrid;
 pub mod mc;
 pub mod model;
-pub mod modules;
 pub mod par;
 pub mod search;
 pub mod sizing;

@@ -24,9 +24,10 @@
 //!
 //! Degraded paths route through the standard machinery: an
 //! `EventOverflow` trial gets one retry at a budget relaxed by
-//! [`RETRY_BUDGET_FACTOR`], failures land in the [`SweepHealth`]
-//! quarantine under the caller's [`FailurePolicy`], and everything
-//! observable flows through the [`mtk_trace`] registry — never stderr.
+//! [`crate::health::RETRY_BUDGET_FACTOR`], failures land in the
+//! [`SweepHealth`] quarantine under the caller's [`FailurePolicy`], and
+//! everything observable flows through the [`mtk_trace`] registry —
+//! never stderr.
 //!
 //! # Persistent store
 //!
@@ -39,16 +40,12 @@
 //! zero simulator work. Store write failures degrade to recompute-only
 //! and are never surfaced as errors.
 
-use crate::health::{
-    fold_item_reports, FailurePolicy, FaultPlan, ItemReport, RunHealth, SweepHealth,
-    RETRY_BUDGET_FACTOR,
-};
+use crate::health::{charge_overflow, fold_item_reports, retry_item, FailurePolicy, FaultPlan};
+use crate::health::{ItemReport, RunHealth, SweepHealth};
 use crate::par::{try_parallel_map_with, WorkerStats};
-use crate::sizing::{DelayPair, Transition};
-use crate::vbsim::{
-    latest_crossing, worst_delay_vs_baseline, Engine, RunSummary, SleepNetwork, VbsimOptions,
-    VbsimScratch,
-};
+use crate::sizing::{leg_degradation, probe_nets, require_sleep_size, Transition};
+use crate::vbsim::{latest_crossing, Engine, RunSummary, SleepNetwork};
+use crate::vbsim::{VbsimOptions, VbsimScratch};
 use crate::CoreError;
 use mtk_netlist::logic::Logic;
 use mtk_netlist::netlist::{NetId, Netlist};
@@ -316,39 +313,16 @@ fn run_trial_leg(
     run: &mut RunHealth,
     stats: &mut WorkerStats,
 ) -> Result<RunSummary, CoreError> {
-    match engine.run_summary_with(&tr.from, &tr.to, None, outputs, opts, scratch) {
-        Ok(leg) => {
-            run.absorb(&leg.health);
-            stats.breakpoints += leg.health.breakpoints as u64;
-            Ok(leg)
-        }
-        Err(e) => {
-            if let CoreError::EventOverflow { events, .. } = e {
-                run.breakpoints += events;
-                run.max_events = run.max_events.max(opts.max_events);
-                stats.breakpoints += events as u64;
-            }
-            Err(e)
-        }
-    }
+    let leg = engine
+        .run_summary_with(&tr.from, &tr.to, None, outputs, opts, scratch)
+        .inspect_err(|e| charge_overflow(e, opts.max_events, run, stats))?;
+    run.absorb(&leg.health);
+    stats.breakpoints += leg.health.breakpoints as u64;
+    Ok(leg)
 }
 
-/// Degradation of one MTCMOS leg against its CMOS baseline, with the
-/// same stall semantics as the screening path.
-fn leg_degradation(d_cmos: f64, baseline: &[Option<f64>], mt: &RunSummary) -> f64 {
-    let d_mt = if mt.stalled || mt.truncated {
-        f64::INFINITY
-    } else {
-        worst_delay_vs_baseline(baseline, &mt.crossings).unwrap_or(d_cmos)
-    };
-    DelayPair {
-        cmos: d_cmos,
-        mtcmos: d_mt,
-    }
-    .degradation()
-}
-
-/// One Monte Carlo trial attempt at one breakpoint budget.
+/// One Monte Carlo trial attempt under `base`, the trial's simulator
+/// options at this attempt's breakpoint budget.
 #[allow(clippy::too_many_arguments)]
 fn trial_attempt(
     netlist: &Netlist,
@@ -356,26 +330,19 @@ fn trial_attempt(
     transitions: &[Transition],
     probes: Option<&[NetId]>,
     opts: &McOptions,
-    budget: usize,
+    base: &VbsimOptions,
     index: usize,
-    attempt: usize,
-    fault: &FaultPlan,
     scratch: &mut VbsimScratch,
     run: &mut RunHealth,
     stats: &mut WorkerStats,
 ) -> Result<TrialSample, CoreError> {
-    fault.check(index, attempt)?;
     let mut rng = Xoshiro256pp::stream(opts.seed, index as u64);
     let (tech_p, w_scale) = perturb_technology(tech, &mut rng);
     let engine = Engine::new(netlist, &tech_p);
-    let outputs: Vec<NetId> = match probes {
-        Some(p) => p.to_vec(),
-        None => netlist.primary_outputs().to_vec(),
-    };
+    let outputs = probe_nets(netlist, probes);
     let leg_opts = |sleep: SleepNetwork| VbsimOptions {
         sleep,
-        max_events: budget,
-        ..opts.base.clone()
+        ..base.clone()
     };
     let mt_opts = |w: f64| {
         leg_opts(SleepNetwork::Transistor {
@@ -436,9 +403,8 @@ fn trial_attempt(
     })
 }
 
-/// One Monte Carlo work item: store lookup, first attempt, and — only
-/// for [`CoreError::EventOverflow`] — one retry at a budget relaxed by
-/// [`RETRY_BUDGET_FACTOR`], with write-through of the result.
+/// One Monte Carlo work item: store lookup, then the trial under the
+/// retry ladder, with write-through of the result.
 #[allow(clippy::too_many_arguments)]
 fn mc_item(
     netlist: &Netlist,
@@ -466,49 +432,27 @@ fn mc_item(
             };
         }
     }
-    let mut run = RunHealth::default();
-    let mut value = trial_attempt(
-        netlist,
-        tech,
-        transitions,
-        probes,
-        opts,
-        opts.base.max_events,
-        index,
-        0,
-        fault,
-        scratch,
-        &mut run,
-        stats,
-    );
-    let mut retried = false;
-    if matches!(value, Err(CoreError::EventOverflow { .. })) {
-        retried = true;
-        value = trial_attempt(
+    let report = retry_item(index, fault, &opts.base, |_, base, run| {
+        trial_attempt(
             netlist,
             tech,
             transitions,
             probes,
             opts,
-            opts.base.max_events.saturating_mul(RETRY_BUDGET_FACTOR),
+            base,
             index,
-            1,
-            fault,
             scratch,
-            &mut run,
+            run,
             stats,
-        );
-    }
-    if let (Some(store), Ok(sample)) = (store, &value) {
+        )
+    });
+    if let (Some(store), Ok(sample)) = (store, &report.value) {
         // A failed write degrades the store to recompute-only; it is
         // never an error for the sweep.
-        let _ = store.put(&key.trial(index), &encode_trial(sample, retried, &run));
+        let record = encode_trial(sample, report.retried, &report.run);
+        let _ = store.put(&key.trial(index), &record);
     }
-    ItemReport {
-        value,
-        retried,
-        run,
-    }
+    report
 }
 
 /// Result of one [`run_mc`] sweep.
@@ -703,11 +647,7 @@ pub fn run_mc(
         )));
     }
     for &w in opts.widths.iter().chain([&opts.w_over_l]) {
-        if !(w.is_finite() && w > 0.0) {
-            return Err(CoreError::InvalidOptions(format!(
-                "mc sleep widths must be finite and positive, got {w}"
-            )));
-        }
+        require_sleep_size(w)?;
     }
     let t0 = Instant::now();
     let key = McKey::new(netlist, tech, transitions, probes, opts);

@@ -15,12 +15,10 @@
 //! transitions — and therefore the result — is a pure function of
 //! [`SearchOptions`], no matter how the work is sharded.
 
-use crate::health::{
-    fold_item_reports, FailurePolicy, FaultPlan, ItemReport, RunHealth, SweepHealth,
-    RETRY_BUDGET_FACTOR,
-};
+use crate::health::{charge_overflow, fold_item_reports, retry_item, FailurePolicy, FaultPlan};
+use crate::health::{ItemReport, RunHealth, SweepHealth};
 use crate::par::{merge_stats, try_parallel_map_with, WorkerStats};
-use crate::sizing::{vbsim_delay_pair_health_with, Transition};
+use crate::sizing::{delay_pair, Transition};
 use crate::vbsim::{Engine, SleepNetwork, VbsimOptions, VbsimScratch};
 use crate::CoreError;
 use mtk_netlist::logic::bits_lsb_first;
@@ -158,57 +156,29 @@ pub fn search_worst_vector(
      -> Result<f64, CoreError> {
         stats.vectors += 1;
         let tr = Transition::new(bits_lsb_first(from, n_bits), bits_lsb_first(to, n_bits));
-        match vbsim_delay_pair_health_with(engine, &tr, probes, opts.sleep, base, scratch) {
-            Ok((pair, health)) => {
-                run.absorb(&health);
-                stats.breakpoints += health.breakpoints as u64;
-                Ok(match pair {
-                    Some(p) => p.degradation(),
-                    None => f64::NEG_INFINITY, // doesn't exercise the probes
-                })
-            }
-            Err(e) => {
-                if let CoreError::EventOverflow { events, .. } = e {
-                    run.breakpoints += events;
-                    run.max_events = run.max_events.max(base.max_events);
-                    stats.breakpoints += events as u64;
-                }
-                Err(e)
-            }
-        }
+        let (pair, health) = delay_pair(engine, &tr, probes, opts.sleep, base, None, scratch)
+            .inspect_err(|e| charge_overflow(e, base.max_events, run, stats))?;
+        run.absorb(&health);
+        stats.breakpoints += health.breakpoints as u64;
+        Ok(match pair {
+            Some(p) => p.degradation(),
+            None => f64::NEG_INFINITY, // doesn't exercise the probes
+        })
     };
 
-    // Runs one whole work item (a sample evaluation or a full climb),
-    // retrying it once at a relaxed breakpoint budget if any evaluation
-    // inside it overflowed. Retry-then-quarantine is decided per item,
-    // so the outcome is a pure function of the item index.
+    // Runs one whole work item (a sample evaluation or a full climb)
+    // under the retry ladder: retried once at a relaxed breakpoint budget
+    // if any evaluation inside it overflowed. Retry-then-quarantine is
+    // decided per item, so the outcome is a pure function of the item
+    // index.
     let run_item = |index: usize,
                     stats: &mut WorkerStats,
                     scratch: &mut VbsimScratch,
                     body: &ItemBody<'_>|
      -> ItemReport<Candidate> {
-        let mut run = RunHealth::default();
-        let mut value = opts
-            .fault
-            .check(index, 0)
-            .and_then(|()| body(&opts.base, &mut run, stats, scratch));
-        let mut retried = false;
-        if matches!(value, Err(CoreError::EventOverflow { .. })) {
-            retried = true;
-            let relaxed = VbsimOptions {
-                max_events: opts.base.max_events.saturating_mul(RETRY_BUDGET_FACTOR),
-                ..opts.base.clone()
-            };
-            value = opts
-                .fault
-                .check(index, 1)
-                .and_then(|()| body(&relaxed, &mut run, stats, scratch));
-        }
-        ItemReport {
-            value,
-            retried,
-            run,
-        }
+        retry_item(index, &opts.fault, &opts.base, |_, base, run| {
+            body(base, run, stats, scratch)
+        })
     };
 
     // Phase 1: random sampling. Sample i draws from stream (seed, i).
@@ -345,7 +315,7 @@ pub fn found_at_least(result: &SearchResult, reference: f64, tolerance: f64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sizing::screen_vectors;
+    use crate::sizing::screen_vectors_par_quarantined;
     use mtk_circuits::adder::RippleAdder;
     use mtk_circuits::vectors::exhaustive_transitions;
     use mtk_netlist::tech::Technology;
@@ -362,8 +332,18 @@ mod tests {
             .into_iter()
             .map(|p| Transition::new(bits_lsb_first(p.from, 6), bits_lsb_first(p.to, 6)))
             .collect();
-        let screened =
-            screen_vectors(&engine, &transitions, None, 10.0, &VbsimOptions::default()).unwrap();
+        let (screened, _) = screen_vectors_par_quarantined(
+            &add.netlist,
+            &tech,
+            &transitions,
+            None,
+            10.0,
+            &VbsimOptions::default(),
+            1,
+            FailurePolicy::FailFast,
+            &FaultPlan::none(),
+        )
+        .unwrap();
         let true_worst = screened[0].delays.degradation();
 
         let result = search_worst_vector(

@@ -7,18 +7,22 @@
 //! criticises are also implemented: sizing from the sum of internal NMOS
 //! widths, and sizing from the worst-case peak current (§4: "almost three
 //! times larger than necessary").
+//!
+//! Five sweep entry points cover the four operations: one delay pair
+//! ([`vbsim_delay_pair`], [`vbsim_delay_pair_cached`]), a size sweep of
+//! one transition ([`degradation_sweep_cached`]), the screen
+//! ([`screen_vectors_par_quarantined`]) and sizing to a target
+//! ([`size_for_target_cached`]).
 
-use crate::health::{
-    fold_item_reports, FailurePolicy, FaultPlan, ItemReport, RunHealth, SweepHealth,
-    RETRY_BUDGET_FACTOR,
-};
-use crate::par::{try_parallel_map_with, ItemPanic, WorkerStats};
-use crate::vbsim::{latest_crossing, Engine, SleepNetwork, VbsimOptions, VbsimScratch};
+use crate::health::{charge_overflow, fold_item_reports, retry_item, FailurePolicy, FaultPlan};
+use crate::health::{RunHealth, SweepHealth};
+use crate::par::{try_parallel_map_with, WorkerStats};
+use crate::vbsim::{latest_crossing, mtcmos_delay, Engine, RunSummary, SleepNetwork};
+use crate::vbsim::{VbsimOptions, VbsimScratch};
 use crate::CoreError;
 use mtk_netlist::logic::Logic;
 use mtk_netlist::netlist::{NetId, Netlist};
 use mtk_netlist::tech::Technology;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// One input-vector transition, as primary-input logic levels.
@@ -82,49 +86,117 @@ pub fn vbsim_delay_pair(
     sleep: SleepNetwork,
     base: &VbsimOptions,
 ) -> Result<Option<DelayPair>, CoreError> {
-    vbsim_delay_pair_health_with(engine, tr, probes, sleep, base, &mut VbsimScratch::new())
-        .map(|(pair, _)| pair)
+    delay_pair(
+        engine,
+        tr,
+        probes,
+        sleep,
+        base,
+        None,
+        &mut VbsimScratch::new(),
+    )
+    .map(|(p, _)| p)
 }
 
-/// [`vbsim_delay_pair`] plus the summed [`RunHealth`] of the CMOS and
-/// MTCMOS runs — the telemetry the quarantining sweeps aggregate into
-/// [`SweepHealth`] — with caller-owned simulator scratch (see
-/// [`Engine::run_with`]): a sweep measuring many transitions reuses one
-/// scratch so the warm simulator loop allocates nothing. Results are
-/// bit-identical to a fresh scratch.
+/// [`vbsim_delay_pair`] through a [`ScreeningCache`]: each of the two
+/// legs is served from the cache when an identical leg was measured
+/// before. The returned pair is bit-identical to the uncached call; the
+/// returned health is the summed [`RunHealth`] of both legs plus
+/// [`RunHealth::cache_hits`] / [`RunHealth::cache_misses`] for the legs
+/// this call needed.
 ///
 /// # Errors
 ///
 /// As [`vbsim_delay_pair`].
-pub fn vbsim_delay_pair_health_with(
+pub fn vbsim_delay_pair_cached(
     engine: &Engine<'_>,
     tr: &Transition,
     probes: Option<&[NetId]>,
     sleep: SleepNetwork,
     base: &VbsimOptions,
-    scratch: &mut VbsimScratch,
+    cache: &ScreeningCache,
 ) -> Result<(Option<DelayPair>, RunHealth), CoreError> {
-    let outputs = resolve_probes(engine, probes);
-    let cmos = run_leg(
+    delay_pair(
         engine,
         tr,
-        &outputs,
-        &leg_options(SleepNetwork::Cmos, base),
-        scratch,
-    )?;
-    if latest_crossing(&cmos.crossings).is_none() {
-        return Ok((None, cmos.health));
-    }
-    let mt = run_leg(engine, tr, &outputs, &leg_options(sleep, base), scratch)?;
-    Ok(pair_from_legs(&cmos, &mt))
+        probes,
+        sleep,
+        base,
+        Some(cache),
+        &mut VbsimScratch::new(),
+    )
 }
 
-/// The probed nets of a delay measurement (`None` = primary outputs).
-fn resolve_probes(engine: &Engine<'_>, probes: Option<&[NetId]>) -> Vec<NetId> {
-    match probes {
-        Some(p) => p.to_vec(),
-        None => engine.netlist().primary_outputs().to_vec(),
+/// The delay pair of one transition plus the summed [`RunHealth`] of its
+/// legs, with caller-owned simulator scratch (see [`Engine::run_with`])
+/// so a sweep allocates nothing per measurement. The legs come from
+/// `cache` when there is one — its per-leg hit/miss counts then join the
+/// health — and straight from the simulator otherwise. The pair is
+/// bit-identical either way, and to a fresh scratch.
+pub(crate) fn delay_pair(
+    engine: &Engine<'_>,
+    tr: &Transition,
+    probes: Option<&[NetId]>,
+    sleep: SleepNetwork,
+    base: &VbsimOptions,
+    cache: Option<&ScreeningCache>,
+    scratch: &mut VbsimScratch,
+) -> Result<(Option<DelayPair>, RunHealth), CoreError> {
+    let outputs = probe_nets(engine.netlist(), probes);
+    let mut counts = RunHealth::default();
+    let mut leg = |sleep: SleepNetwork, scratch: &mut VbsimScratch| match cache {
+        None => run_leg(engine, tr, &outputs, &leg_options(sleep, base), scratch),
+        Some(cache) => {
+            let (leg, hit) = cache.leg(engine, tr, &outputs, sleep, base, scratch)?;
+            if hit {
+                counts.cache_hits += 1;
+            } else {
+                counts.cache_misses += 1;
+            }
+            Ok(leg)
+        }
+    };
+    let cmos = leg(SleepNetwork::Cmos, scratch)?;
+    let mut health = cmos.health;
+    let pair = match latest_crossing(&cmos.crossings) {
+        None => None,
+        Some(d_cmos) => {
+            // Probes that crossed in the baseline but never under MTCMOS
+            // stalled: `mtcmos_delay` scores them infinite.
+            let mt = leg(sleep, scratch)?;
+            health.absorb(&mt.health);
+            Some(DelayPair {
+                cmos: d_cmos,
+                mtcmos: mtcmos_delay(
+                    d_cmos,
+                    &cmos.crossings,
+                    &mt.crossings,
+                    mt.stalled,
+                    mt.truncated,
+                ),
+            })
+        }
+    };
+    health.absorb(&counts);
+    Ok((pair, health))
+}
+
+/// The degradation of one MTCMOS leg summary against its CMOS baseline
+/// crossings, whose latest is `d_cmos`, scored as every delay pair is
+/// ([`mtcmos_delay`], [`DelayPair::degradation`]).
+pub(crate) fn leg_degradation(d_cmos: f64, baseline: &[Option<f64>], mt: &RunSummary) -> f64 {
+    let d_mt = mtcmos_delay(d_cmos, baseline, &mt.crossings, mt.stalled, mt.truncated);
+    DelayPair {
+        cmos: d_cmos,
+        mtcmos: d_mt,
     }
+    .degradation()
+}
+
+/// The nets a delay measurement probes: `probes`, or the netlist's
+/// primary outputs when `None`.
+pub(crate) fn probe_nets(netlist: &Netlist, probes: Option<&[NetId]>) -> Vec<NetId> {
+    probes.unwrap_or(netlist.primary_outputs()).to_vec()
 }
 
 /// The caller's base options with one leg's sleep network swapped in.
@@ -170,30 +242,6 @@ fn run_leg(
         truncated: run.truncated,
         health: run.health,
     })
-}
-
-/// Combines a CMOS and an MTCMOS leg into a [`DelayPair`] plus summed
-/// health. Probes that crossed in the baseline but never crossed under
-/// MTCMOS report an infinite delay (the gate stalled) rather than being
-/// silently dropped — see [`crate::vbsim::worst_delay_vs_baseline`].
-fn pair_from_legs(cmos: &LegResult, mt: &LegResult) -> (Option<DelayPair>, RunHealth) {
-    let mut health = cmos.health;
-    let Some(d_cmos) = latest_crossing(&cmos.crossings) else {
-        return (None, health);
-    };
-    health.absorb(&mt.health);
-    let d_mt = if mt.stalled || mt.truncated {
-        f64::INFINITY
-    } else {
-        crate::vbsim::worst_delay_vs_baseline(&cmos.crossings, &mt.crossings).unwrap_or(d_cmos)
-    };
-    (
-        Some(DelayPair {
-            cmos: d_cmos,
-            mtcmos: d_mt,
-        }),
-        health,
-    )
 }
 
 /// The exact inputs that determine one leg's result: netlist and
@@ -342,8 +390,7 @@ impl LegResult {
 
 impl LegKey {
     fn new(
-        fingerprint: u64,
-        tech: u64,
+        engine: &Engine<'_>,
         outputs: &[NetId],
         tr: &Transition,
         sleep: SleepNetwork,
@@ -359,8 +406,8 @@ impl LegKey {
                 .collect()
         }
         LegKey {
-            fingerprint,
-            tech,
+            fingerprint: engine.fingerprint(),
+            tech: engine.tech().fingerprint(),
             probes: outputs.iter().map(|n| n.index()).collect(),
             from: levels(&tr.from),
             to: levels(&tr.to),
@@ -518,53 +565,84 @@ impl ScreeningCache {
         scratch: &mut VbsimScratch,
     ) -> Result<(LegResult, bool), CoreError> {
         use std::sync::atomic::Ordering::Relaxed;
-        let key = LegKey::new(
-            engine.fingerprint(),
-            engine.tech().fingerprint(),
-            outputs,
-            tr,
-            sleep,
-            base,
-        );
+        let key = LegKey::new(engine, outputs, tr, sleep, base);
         if let Some(found) = self.legs.lock().unwrap().get(&key).cloned() {
             self.hits.fetch_add(1, Relaxed);
             return Ok((found, true));
         }
-        // Second tier: the persistent store. A decodable record replays
-        // exactly like a memory hit (stored health included); a missing
-        // or malformed one falls through to simulation.
-        if let Some(store) = &self.store {
-            if let Some(leg) = store
-                .get(&key.store_key())
-                .and_then(|bytes| LegResult::decode(&bytes))
-            {
-                self.store_hits.fetch_add(1, Relaxed);
-                self.hits.fetch_add(1, Relaxed);
-                self.legs.lock().unwrap().insert(key, leg.clone());
-                return Ok((leg, true));
-            }
-            self.store_misses.fetch_add(1, Relaxed);
+        // Then the persistent store, then the simulator — without
+        // holding the lock: concurrent misses on the same key both
+        // compute (identical results, so last-write-wins is harmless).
+        let found = store_tier(self.store.as_ref(), &key, || {
+            run_leg(engine, tr, outputs, &leg_options(sleep, base), scratch)
+        });
+        let from_store = matches!(found, Ok((_, Tier::Store)));
+        if self.store.is_some() {
+            let tier = if from_store {
+                &self.store_hits
+            } else {
+                &self.store_misses
+            };
+            tier.fetch_add(1, Relaxed);
         }
-        // Simulate without holding the lock; concurrent misses on the
-        // same key both compute (identical results, so last-write-wins
-        // is harmless).
-        let leg = run_leg(engine, tr, outputs, &leg_options(sleep, base), scratch)?;
-        self.misses.fetch_add(1, Relaxed);
-        if let Some(store) = &self.store {
-            if store.put(&key.store_key(), &leg.encode()).is_err() {
+        let (leg, tier) = found?;
+        match tier {
+            Tier::Store => &self.hits,
+            Tier::Simulated => &self.misses,
+            Tier::PutFailed => {
                 self.store_put_errors.fetch_add(1, Relaxed);
+                &self.misses
             }
         }
+        .fetch_add(1, Relaxed);
         self.legs.lock().unwrap().insert(key, leg.clone());
-        Ok((leg, false))
+        Ok((leg, from_store))
     }
 }
 
+/// Where [`store_tier`] found a leg.
+#[derive(Debug, PartialEq)]
+enum Tier {
+    /// Decoded from a store record.
+    Store,
+    /// Simulated, and written through when there is a store.
+    Simulated,
+    /// Simulated, and the write-through failed.
+    PutFailed,
+}
+
+/// The store tier of a leg lookup, shared by [`ScreeningCache`] and
+/// [`stored_leg`]: with a store, a decodable `leg1` record under `key`
+/// replays (stored health included); anything else is simulated and,
+/// with a store, written through. A failed write is reported, never
+/// raised: it degrades to recompute-on-rerun.
+fn store_tier(
+    store: Option<&mtk_store::Store>,
+    key: &LegKey,
+    simulate: impl FnOnce() -> Result<LegResult, CoreError>,
+) -> Result<(LegResult, Tier), CoreError> {
+    let Some(store) = store else {
+        return Ok((simulate()?, Tier::Simulated));
+    };
+    let key = key.store_key();
+    if let Some(leg) = store.get(&key).and_then(|b| LegResult::decode(&b)) {
+        return Ok((leg, Tier::Store));
+    }
+    let leg = simulate()?;
+    let put_failed = store.put(&key, &leg.encode()).is_err();
+    Ok((
+        leg,
+        if put_failed {
+            Tier::PutFailed
+        } else {
+            Tier::Simulated
+        },
+    ))
+}
+
 /// One leg through an optional borrowed store, under the same `leg1`
-/// records a store-backed [`ScreeningCache`] keeps: a decodable record
-/// replays (stored health included), anything else is simulated and
-/// written through, a failed write degrading to recompute-on-rerun. The
-/// boolean reports a store hit.
+/// records a store-backed [`ScreeningCache`] keeps ([`store_tier`]).
+/// The boolean reports a store hit.
 pub(crate) fn stored_leg(
     engine: &Engine<'_>,
     tr: &Transition,
@@ -574,95 +652,11 @@ pub(crate) fn stored_leg(
     store: Option<&mtk_store::Store>,
     scratch: &mut VbsimScratch,
 ) -> Result<(LegResult, bool), CoreError> {
-    let key = store.map(|_| {
-        LegKey::new(
-            engine.fingerprint(),
-            engine.tech().fingerprint(),
-            outputs,
-            tr,
-            sleep,
-            base,
-        )
-        .store_key()
-    });
-    if let (Some(store), Some(key)) = (store, &key) {
-        if let Some(leg) = store.get(key).and_then(|b| LegResult::decode(&b)) {
-            return Ok((leg, true));
-        }
-    }
-    let leg = run_leg(engine, tr, outputs, &leg_options(sleep, base), scratch)?;
-    if let (Some(store), Some(key)) = (store, &key) {
-        let _ = store.put(key, &leg.encode());
-    }
-    Ok((leg, false))
-}
-
-/// Adds per-leg cache hit/miss counts to a measurement's health.
-fn count_cache_legs(health: &mut RunHealth, leg_hits: &[bool]) {
-    for &hit in leg_hits {
-        if hit {
-            health.cache_hits += 1;
-        } else {
-            health.cache_misses += 1;
-        }
-    }
-}
-
-/// [`vbsim_delay_pair_health_with`] through a [`ScreeningCache`]: each of the
-/// two legs is served from the cache when an identical leg was measured
-/// before. The returned pair is bit-identical to the uncached call; the
-/// returned health additionally carries [`RunHealth::cache_hits`] /
-/// [`RunHealth::cache_misses`] for the legs this call needed.
-///
-/// # Errors
-///
-/// As [`vbsim_delay_pair`].
-pub fn vbsim_delay_pair_cached(
-    engine: &Engine<'_>,
-    tr: &Transition,
-    probes: Option<&[NetId]>,
-    sleep: SleepNetwork,
-    base: &VbsimOptions,
-    cache: &ScreeningCache,
-) -> Result<(Option<DelayPair>, RunHealth), CoreError> {
-    vbsim_delay_pair_cached_with(
-        engine,
-        tr,
-        probes,
-        sleep,
-        base,
-        cache,
-        &mut VbsimScratch::new(),
-    )
-}
-
-/// [`vbsim_delay_pair_cached`] with caller-owned simulator scratch, so a
-/// bisection or sweep pays no per-measurement allocation on cache
-/// misses. Results are bit-identical to the scratch-free call.
-///
-/// # Errors
-///
-/// As [`vbsim_delay_pair`].
-pub fn vbsim_delay_pair_cached_with(
-    engine: &Engine<'_>,
-    tr: &Transition,
-    probes: Option<&[NetId]>,
-    sleep: SleepNetwork,
-    base: &VbsimOptions,
-    cache: &ScreeningCache,
-    scratch: &mut VbsimScratch,
-) -> Result<(Option<DelayPair>, RunHealth), CoreError> {
-    let outputs = resolve_probes(engine, probes);
-    let (cmos, cmos_hit) = cache.leg(engine, tr, &outputs, SleepNetwork::Cmos, base, scratch)?;
-    if latest_crossing(&cmos.crossings).is_none() {
-        let mut health = cmos.health;
-        count_cache_legs(&mut health, &[cmos_hit]);
-        return Ok((None, health));
-    }
-    let (mt, mt_hit) = cache.leg(engine, tr, &outputs, sleep, base, scratch)?;
-    let (pair, mut health) = pair_from_legs(&cmos, &mt);
-    count_cache_legs(&mut health, &[cmos_hit, mt_hit]);
-    Ok((pair, health))
+    let key = LegKey::new(engine, outputs, tr, sleep, base);
+    let (leg, tier) = store_tier(store, &key, || {
+        run_leg(engine, tr, outputs, &leg_options(sleep, base), scratch)
+    })?;
+    Ok((leg, tier == Tier::Store))
 }
 
 /// One point of a sizing sweep.
@@ -675,29 +669,11 @@ pub struct SweepPoint {
 }
 
 /// Sweeps sleep-transistor sizes for one transition (the Fig 7 / Fig 10 /
-/// Fig 13 x-axis).
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn degradation_sweep(
-    engine: &Engine<'_>,
-    tr: &Transition,
-    probes: Option<&[NetId]>,
-    sizes: &[f64],
-    base: &VbsimOptions,
-) -> Result<Vec<SweepPoint>, CoreError> {
-    // A throwaway cache still pays off within one call: the CMOS
-    // baseline leg is shared by every size.
-    let cache = ScreeningCache::new();
-    degradation_sweep_cached(engine, tr, probes, sizes, base, &cache).map(|(out, _)| out)
-}
-
-/// [`degradation_sweep`] through a caller-owned [`ScreeningCache`]:
-/// sweep points are bit-identical to the uncached call, the CMOS
+/// Fig 13 x-axis) through a caller-owned [`ScreeningCache`]: the CMOS
 /// baseline is simulated at most once, and legs already in the cache
 /// (e.g. from a previous sweep of the same transition) are not rerun.
-/// The summed [`RunHealth`] reports the per-leg cache traffic.
+/// Sweep points are bit-identical to per-size [`vbsim_delay_pair`]
+/// calls; the summed [`RunHealth`] reports the per-leg cache traffic.
 ///
 /// # Errors
 ///
@@ -714,15 +690,8 @@ pub fn degradation_sweep_cached(
     let mut out = Vec::with_capacity(sizes.len());
     let mut scratch = VbsimScratch::new();
     for &wl in sizes {
-        let (pair, h) = vbsim_delay_pair_cached_with(
-            engine,
-            tr,
-            probes,
-            SleepNetwork::Transistor { w_over_l: wl },
-            base,
-            cache,
-            &mut scratch,
-        )?;
+        let sleep = SleepNetwork::Transistor { w_over_l: wl };
+        let (pair, h) = delay_pair(engine, tr, probes, sleep, base, Some(cache), &mut scratch)?;
         health.absorb(&h);
         if let Some(delays) = pair {
             out.push(SweepPoint {
@@ -738,190 +707,14 @@ pub fn degradation_sweep_cached(
 /// measured delays.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScreenedVector {
-    /// Index into the transition slice passed to [`screen_vectors`].
+    /// Index into the transition slice passed to
+    /// [`screen_vectors_par_quarantined`].
     pub index: usize,
     /// Delays at the screening size.
     pub delays: DelayPair,
 }
 
-/// The screening tool (§5, §7): runs every transition through the
-/// switch-level simulator at a fixed sleep size and returns those that
-/// switch the probes, sorted worst-degradation first. The top of this
-/// list is what one then verifies "with a more detailed simulator like
-/// SPICE".
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn screen_vectors(
-    engine: &Engine<'_>,
-    transitions: &[Transition],
-    probes: Option<&[NetId]>,
-    w_over_l: f64,
-    base: &VbsimOptions,
-) -> Result<Vec<ScreenedVector>, CoreError> {
-    screen_vectors_quarantined(
-        engine,
-        transitions,
-        probes,
-        w_over_l,
-        base,
-        FailurePolicy::FailFast,
-        &FaultPlan::none(),
-    )
-    .map(|(screened, _)| screened)
-}
-
-/// One screening attempt of one transition: fault-injection check, then
-/// the CMOS/MTCMOS delay pair, with health and worker counters updated.
-#[allow(clippy::too_many_arguments)]
-fn screen_attempt(
-    engine: &Engine<'_>,
-    scratch: &mut VbsimScratch,
-    index: usize,
-    tr: &Transition,
-    probes: Option<&[NetId]>,
-    w_over_l: f64,
-    opts: &VbsimOptions,
-    fault: &FaultPlan,
-    attempt: usize,
-    run: &mut RunHealth,
-    stats: &mut WorkerStats,
-) -> Result<Option<ScreenedVector>, CoreError> {
-    fault.check(index, attempt)?;
-    let result = vbsim_delay_pair_health_with(
-        engine,
-        tr,
-        probes,
-        SleepNetwork::Transistor { w_over_l },
-        opts,
-        scratch,
-    );
-    match result {
-        Ok((pair, health)) => {
-            run.absorb(&health);
-            stats.breakpoints += health.breakpoints as u64;
-            Ok(pair.map(|delays| ScreenedVector { index, delays }))
-        }
-        Err(e) => {
-            if let CoreError::EventOverflow { events, .. } = e {
-                // The overflowing run's cost is real — count it.
-                run.breakpoints += events;
-                run.max_events = run.max_events.max(opts.max_events);
-                stats.breakpoints += events as u64;
-            }
-            Err(e)
-        }
-    }
-}
-
-/// One screening work item under the retry policy: a first attempt at
-/// the caller's budget, then — only for [`CoreError::EventOverflow`] —
-/// one retry at a budget relaxed by [`RETRY_BUDGET_FACTOR`].
-#[allow(clippy::too_many_arguments)]
-fn screen_item(
-    engine: &Engine<'_>,
-    scratch: &mut VbsimScratch,
-    index: usize,
-    tr: &Transition,
-    probes: Option<&[NetId]>,
-    w_over_l: f64,
-    base: &VbsimOptions,
-    fault: &FaultPlan,
-    stats: &mut WorkerStats,
-) -> ItemReport<Option<ScreenedVector>> {
-    stats.vectors += 1;
-    let mut run = RunHealth::default();
-    let mut value = screen_attempt(
-        engine, scratch, index, tr, probes, w_over_l, base, fault, 0, &mut run, stats,
-    );
-    let mut retried = false;
-    if matches!(value, Err(CoreError::EventOverflow { .. })) {
-        retried = true;
-        let relaxed = VbsimOptions {
-            max_events: base.max_events.saturating_mul(RETRY_BUDGET_FACTOR),
-            ..base.clone()
-        };
-        value = screen_attempt(
-            engine, scratch, index, tr, probes, w_over_l, &relaxed, fault, 1, &mut run, stats,
-        );
-    }
-    ItemReport {
-        value,
-        retried,
-        run,
-    }
-}
-
-/// [`screen_vectors`] with quarantine semantics: per-transition failures
-/// (including panics, caught at the item boundary) are collected
-/// index-ordered in the returned [`SweepHealth`] under
-/// [`FailurePolicy::Quarantine`] instead of aborting the sweep, and
-/// `EventOverflow` transitions get one automatic retry at a relaxed
-/// breakpoint budget before being quarantined. `fault` injects
-/// deterministic failures for testing ([`FaultPlan::none`] in
-/// production).
-///
-/// # Errors
-///
-/// * Under [`FailurePolicy::FailFast`], the error of the lowest-indexed
-///   failing transition.
-/// * Under [`FailurePolicy::Quarantine`],
-///   [`CoreError::TooManyFailures`] when more than `max_failures`
-///   transitions fail.
-pub fn screen_vectors_quarantined(
-    engine: &Engine<'_>,
-    transitions: &[Transition],
-    probes: Option<&[NetId]>,
-    w_over_l: f64,
-    base: &VbsimOptions,
-    policy: FailurePolicy,
-    fault: &FaultPlan,
-) -> Result<(Vec<ScreenedVector>, SweepHealth), CoreError> {
-    let mut stats = WorkerStats::default();
-    let mut scratch = VbsimScratch::new();
-    let reports: Vec<Result<ItemReport<Option<ScreenedVector>>, ItemPanic>> = transitions
-        .iter()
-        .enumerate()
-        .map(|(index, tr)| {
-            catch_unwind(AssertUnwindSafe(|| {
-                screen_item(
-                    engine,
-                    &mut scratch,
-                    index,
-                    tr,
-                    probes,
-                    w_over_l,
-                    base,
-                    fault,
-                    &mut stats,
-                )
-            }))
-            .map_err(|payload| ItemPanic {
-                index,
-                message: crate::par::panic_message(payload),
-            })
-        })
-        .collect();
-    let (values, health) = fold_item_reports(reports, policy)?;
-    let mut out: Vec<ScreenedVector> = values.into_iter().flatten().flatten().collect();
-    sort_worst_first(&mut out);
-    Ok((out, health))
-}
-
-/// Worst-degradation-first ordering shared by the serial and parallel
-/// screeners. The sort is stable, so ties keep transition-index order and
-/// the result is identical however the measurements were scheduled.
-fn sort_worst_first(screened: &mut [ScreenedVector]) {
-    screened.sort_by(|a, b| {
-        b.delays
-            .degradation()
-            .partial_cmp(&a.delays.degradation())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-}
-
-/// Execution report of one [`screen_vectors_par`] call.
+/// Execution report of one [`screen_vectors_par_quarantined`] call.
 #[derive(Debug)]
 pub struct ScreenReport {
     /// Per-worker counters (vectors simulated, breakpoints solved, busy
@@ -945,48 +738,31 @@ impl ScreenReport {
     }
 }
 
-/// Parallel [`screen_vectors`]: shards the transitions across worker
-/// threads, each owning its own [`Engine`] over the shared
-/// netlist/technology (engine setup is paid once per worker, not per
-/// vector). The returned ranking is bit-identical to the serial screener
-/// at any thread count.
+/// The screening tool (§5, §7): runs every transition through the
+/// switch-level simulator at a fixed sleep size and returns those that
+/// switch the probes, sorted worst-degradation first (stable, so ties
+/// keep transition-index order). The top of this list is what one then
+/// verifies "with a more detailed simulator like SPICE".
+///
+/// The transitions are sharded across `threads` workers (`1` runs
+/// inline), each owning its own [`Engine`] over the shared
+/// netlist/technology. Each transition is one work item under the
+/// retry ladder: an `EventOverflow` gets one retry at a relaxed
+/// breakpoint budget. Failures — panics included, caught at the item
+/// boundary — land index-ordered in `report.health` under `policy`, so
+/// the ranking *and* the quarantine set are bit-identical at any thread
+/// count. `fault` injects deterministic failures for testing
+/// ([`FaultPlan::none`] in production).
 ///
 /// # Errors
 ///
-/// Propagates simulator errors (the error of the lowest-indexed failing
-/// transition, deterministically).
-pub fn screen_vectors_par(
-    netlist: &Netlist,
-    tech: &Technology,
-    transitions: &[Transition],
-    probes: Option<&[NetId]>,
-    w_over_l: f64,
-    base: &VbsimOptions,
-    threads: usize,
-) -> Result<(Vec<ScreenedVector>, ScreenReport), CoreError> {
-    screen_vectors_par_quarantined(
-        netlist,
-        tech,
-        transitions,
-        probes,
-        w_over_l,
-        base,
-        threads,
-        FailurePolicy::FailFast,
-        &FaultPlan::none(),
-    )
-}
-
-/// [`screen_vectors_par`] with quarantine semantics — the parallel
-/// counterpart of [`screen_vectors_quarantined`]. Worker panics are
-/// caught at the item boundary by the executor; failures, retries and
-/// fallback counters land index-ordered in `report.health`, so both the
-/// ranking *and* the quarantine set are bit-identical at any thread
-/// count.
-///
-/// # Errors
-///
-/// As [`screen_vectors_quarantined`].
+/// * [`CoreError::InvalidOptions`] when `w_over_l` is not finite and
+///   positive, before any transition runs.
+/// * Under [`FailurePolicy::FailFast`], the error of the lowest-indexed
+///   failing transition.
+/// * Under [`FailurePolicy::Quarantine`],
+///   [`CoreError::TooManyFailures`] when more than `max_failures`
+///   transitions fail.
 #[allow(clippy::too_many_arguments)]
 pub fn screen_vectors_par_quarantined(
     netlist: &Netlist,
@@ -999,6 +775,8 @@ pub fn screen_vectors_par_quarantined(
     policy: FailurePolicy,
     fault: &FaultPlan,
 ) -> Result<(Vec<ScreenedVector>, ScreenReport), CoreError> {
+    require_sleep_size(w_over_l)?;
+    let sleep = SleepNetwork::Transistor { w_over_l };
     let t0 = Instant::now();
     let (reports, workers) = try_parallel_map_with(
         threads,
@@ -1006,14 +784,24 @@ pub fn screen_vectors_par_quarantined(
         transitions,
         || (Engine::new(netlist, tech), VbsimScratch::new()),
         |(engine, scratch), index, tr, stats| {
-            screen_item(
-                engine, scratch, index, tr, probes, w_over_l, base, fault, stats,
-            )
+            stats.vectors += 1;
+            retry_item(index, fault, base, |_, opts, run| {
+                let (pair, health) = delay_pair(engine, tr, probes, sleep, opts, None, scratch)
+                    .inspect_err(|e| charge_overflow(e, opts.max_events, run, stats))?;
+                run.absorb(&health);
+                stats.breakpoints += health.breakpoints as u64;
+                Ok(pair.map(|delays| ScreenedVector { index, delays }))
+            })
         },
     );
     let (values, health) = fold_item_reports(reports, policy)?;
     let mut out: Vec<ScreenedVector> = values.into_iter().flatten().flatten().collect();
-    sort_worst_first(&mut out);
+    out.sort_by(|a, b| {
+        b.delays
+            .degradation()
+            .partial_cmp(&a.delays.degradation())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
     Ok((
         out,
         ScreenReport {
@@ -1022,33 +810,6 @@ pub fn screen_vectors_par_quarantined(
             health,
         },
     ))
-}
-
-/// Binary-searches the smallest sleep W/L whose worst degradation over
-/// the given transitions is at most `target` (e.g. `0.05` for the
-/// paper's 5 % criterion), within `[lo, hi]`.
-///
-/// # Errors
-///
-/// * [`CoreError::SizingInfeasible`] when even `hi` misses the target.
-/// * Propagates simulator errors, as [`size_for_target_cached`].
-///
-/// # Panics
-///
-/// Panics unless `0 < lo < hi`.
-pub fn size_for_target(
-    engine: &Engine<'_>,
-    transitions: &[Transition],
-    probes: Option<&[NetId]>,
-    target: f64,
-    (lo, hi): (f64, f64),
-    base: &VbsimOptions,
-) -> Result<f64, CoreError> {
-    // A throwaway cache still pays off within one call: every bisection
-    // probe shares each transition's CMOS baseline leg.
-    let cache = ScreeningCache::new();
-    size_for_target_cached(engine, transitions, probes, target, (lo, hi), base, &cache)
-        .map(|(wl, _)| wl)
 }
 
 /// Log-space bisection of `[lo, hi]` for the smallest size `exceeds`
@@ -1086,6 +847,28 @@ pub(crate) fn move_to_front(order: &mut [usize], k: usize) {
     order[..=k].rotate_right(1);
 }
 
+/// The sweep entry points' rejection of a sleep W/L the device model
+/// cannot build: anything not finite and positive.
+pub(crate) fn require_sleep_size(w_over_l: f64) -> Result<(), CoreError> {
+    if !(w_over_l.is_finite() && w_over_l > 0.0) {
+        return Err(CoreError::InvalidOptions(format!(
+            "sleep W/L must be finite and positive, got {w_over_l}"
+        )));
+    }
+    Ok(())
+}
+
+/// The sizing entry points' rejection of an empty transition list: with
+/// nothing to simulate, any size would "meet" the target.
+pub(crate) fn require_transitions(transitions: &[Transition]) -> Result<(), CoreError> {
+    if transitions.is_empty() {
+        return Err(CoreError::InvalidOptions(
+            "sizing needs at least one transition".into(),
+        ));
+    }
+    Ok(())
+}
+
 /// One bisection probe as the decision the bisection reads: does the
 /// worst degradation over `transitions` at `w_over_l` exceed `target`?
 ///
@@ -1110,16 +893,10 @@ fn probe_exceeds(
     if 0.0 > target {
         return Ok(true);
     }
+    let sleep = SleepNetwork::Transistor { w_over_l };
     for k in 0..order.len() {
-        let (pair, h) = vbsim_delay_pair_cached_with(
-            engine,
-            &transitions[order[k]],
-            probes,
-            SleepNetwork::Transistor { w_over_l },
-            base,
-            cache,
-            scratch,
-        )?;
+        let tr = &transitions[order[k]];
+        let (pair, h) = delay_pair(engine, tr, probes, sleep, base, Some(cache), scratch)?;
         health.absorb(&h);
         if pair.is_some_and(|p| p.degradation() > target) {
             move_to_front(order, k);
@@ -1129,11 +906,13 @@ fn probe_exceeds(
     Ok(false)
 }
 
-/// [`size_for_target`] through a caller-owned [`ScreeningCache`]: the
-/// returned size is bit-identical to the uncached call, each
-/// transition's CMOS baseline is simulated at most once across the whole
-/// bisection, and a repeated run with the same cache re-simulates
-/// nothing. The summed [`RunHealth`] reports the per-leg cache traffic.
+/// Binary-searches the smallest sleep W/L whose worst degradation over
+/// the given transitions is at most `target` (e.g. `0.05` for the
+/// paper's 5 % criterion), within `[lo, hi]`, through a caller-owned
+/// [`ScreeningCache`]: each transition's CMOS baseline is simulated at
+/// most once across the whole bisection, and a repeated run with the
+/// same cache re-simulates nothing. The summed [`RunHealth`] reports the
+/// per-leg cache traffic.
 ///
 /// Each probe stops at its first over-target transition, trying the
 /// most recent failer first (`probe_exceeds`): the answer is the one
@@ -1143,6 +922,7 @@ fn probe_exceeds(
 ///
 /// # Errors
 ///
+/// * [`CoreError::InvalidOptions`] when `transitions` is empty.
 /// * [`CoreError::SizingInfeasible`] when even `hi` misses the target
 ///   (at once, simulating nothing, when `target < 0`).
 /// * Propagates simulator errors of the legs the search runs. A leg
@@ -1164,6 +944,7 @@ pub fn size_for_target_cached(
     cache: &ScreeningCache,
 ) -> Result<(f64, RunHealth), CoreError> {
     assert!(lo > 0.0 && hi > lo, "invalid sizing bracket");
+    require_transitions(transitions)?;
     let mut health = RunHealth::default();
     let mut scratch = VbsimScratch::new();
     let mut order: Vec<usize> = (0..transitions.len()).collect();
@@ -1256,7 +1037,18 @@ mod tests {
         let base = VbsimOptions::default();
         let sizes = [20.0, 11.0, 5.0];
 
-        let plain = degradation_sweep(&engine, &tr, None, &sizes, &base).unwrap();
+        // The uncached reference: one fresh delay pair per size.
+        let plain: Vec<SweepPoint> = sizes
+            .iter()
+            .map(|&w_over_l| {
+                let sleep = SleepNetwork::Transistor { w_over_l };
+                let delays = vbsim_delay_pair(&engine, &tr, None, sleep, &base);
+                SweepPoint {
+                    w_over_l,
+                    delays: delays.unwrap().unwrap(),
+                }
+            })
+            .collect();
         let cache = ScreeningCache::new();
         let (cold, cold_health) =
             degradation_sweep_cached(&engine, &tr, None, &sizes, &base, &cache).unwrap();
@@ -1368,12 +1160,13 @@ mod tests {
         let tech = Technology::l07();
         let engine = Engine::new(&tree.netlist, &tech);
         let tr = tree_transition(&tree);
-        let sweep = degradation_sweep(
+        let (sweep, _) = degradation_sweep_cached(
             &engine,
             &tr,
             None,
             &[20.0, 11.0, 5.0, 2.0],
             &VbsimOptions::default(),
+            &ScreeningCache::new(),
         )
         .unwrap();
         assert_eq!(sweep.len(), 4);
@@ -1393,13 +1186,14 @@ mod tests {
         let engine = Engine::new(&tree.netlist, &tech);
         let tr = tree_transition(&tree);
         let base = VbsimOptions::default();
-        let wl = size_for_target(
+        let (wl, _) = size_for_target_cached(
             &engine,
             std::slice::from_ref(&tr),
             None,
             0.30,
             (1.0, 5000.0),
             &base,
+            &ScreeningCache::new(),
         )
         .unwrap();
         let p = vbsim_delay_pair(
@@ -1432,16 +1226,29 @@ mod tests {
         let tech = Technology::l07();
         let engine = Engine::new(&tree.netlist, &tech);
         let tr = tree_transition(&tree);
-        let err = size_for_target(
+        let err = size_for_target_cached(
             &engine,
             &[tr],
             None,
             1e-9, // impossible within the tiny bracket below
             (0.1, 0.2),
             &VbsimOptions::default(),
+            &ScreeningCache::new(),
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::SizingInfeasible { .. }));
+    }
+
+    #[test]
+    fn sizing_over_no_transitions_is_rejected() {
+        let tree = InverterTree::paper();
+        let tech = Technology::l07();
+        let engine = Engine::new(&tree.netlist, &tech);
+        let cache = ScreeningCache::new();
+        let base = VbsimOptions::default();
+        let err = size_for_target_cached(&engine, &[], None, 0.05, (1.0, 2000.0), &base, &cache);
+        assert!(matches!(err, Err(CoreError::InvalidOptions(_))), "{err:?}");
+        assert_eq!(cache.misses(), 0, "nothing simulated");
     }
 
     /// The full-evaluation reference the early-exit search must match
@@ -1460,15 +1267,9 @@ mod tests {
         let mut worst_degradation = |wl: f64| -> Result<f64, CoreError> {
             let mut worst = 0.0f64;
             for tr in transitions {
-                let (pair, _) = vbsim_delay_pair_cached_with(
-                    engine,
-                    tr,
-                    None,
-                    SleepNetwork::Transistor { w_over_l: wl },
-                    base,
-                    &cache,
-                    &mut scratch,
-                )?;
+                let sleep = SleepNetwork::Transistor { w_over_l: wl };
+                let (pair, _) =
+                    delay_pair(engine, tr, None, sleep, base, Some(&cache), &mut scratch)?;
                 if let Some(p) = pair {
                     worst = worst.max(p.degradation());
                 }
@@ -1613,7 +1414,7 @@ mod tests {
         let add = RippleAdder::paper();
         let tech = Technology::l07();
         let engine = Engine::new(&add.netlist, &tech);
-        let outputs = resolve_probes(&engine, None);
+        let outputs = probe_nets(&add.netlist, None);
         let wl = 5.0;
         let generous = VbsimOptions::default();
         // The larger breakpoint count of a transition's two legs.
@@ -1715,7 +1516,6 @@ mod tests {
 
         let add = RippleAdder::paper();
         let tech = Technology::l07();
-        let engine = Engine::new(&add.netlist, &tech);
         // A slice of the exhaustive space keeps the test fast while still
         // exercising chunked sharding.
         let transitions: Vec<Transition> = exhaustive_transitions(6)
@@ -1724,9 +1524,8 @@ mod tests {
             .map(|p| Transition::new(bits_lsb_first(p.from, 6), bits_lsb_first(p.to, 6)))
             .collect();
         let base = VbsimOptions::default();
-        let serial = screen_vectors(&engine, &transitions, None, 10.0, &base).unwrap();
-        for threads in [1usize, 3, 8] {
-            let (par, report) = screen_vectors_par(
+        let screen = |threads: usize| {
+            screen_vectors_par_quarantined(
                 &add.netlist,
                 &tech,
                 &transitions,
@@ -1734,8 +1533,14 @@ mod tests {
                 10.0,
                 &base,
                 threads,
+                FailurePolicy::FailFast,
+                &FaultPlan::none(),
             )
-            .unwrap();
+            .unwrap()
+        };
+        let (serial, _) = screen(1);
+        for threads in [1usize, 3, 8] {
+            let (par, report) = screen(threads);
             assert_eq!(par, serial, "threads={threads}");
             let vectors: u64 = report.workers.iter().map(|w| w.vectors).sum();
             assert_eq!(vectors as usize, transitions.len());
@@ -1743,18 +1548,44 @@ mod tests {
         }
     }
 
-    #[test]
-    fn screen_sorts_worst_first() {
+    /// The screen over the Fig 4 tree's two transitions at `w_over_l`,
+    /// inline.
+    fn screen_tree(w_over_l: f64) -> Result<Vec<ScreenedVector>, CoreError> {
         let tree = InverterTree::paper();
-        let tech = Technology::l07();
-        let engine = Engine::new(&tree.netlist, &tech);
         // 0->1 discharges all nine leaves (bad); 1->0 charges them (good:
         // the NMOS sleep device does not slow pull-ups).
         let trs = vec![
             Transition::new(vec![Logic::One], vec![Logic::Zero]),
             Transition::new(vec![Logic::Zero], vec![Logic::One]),
         ];
-        let screened = screen_vectors(&engine, &trs, None, 5.0, &VbsimOptions::default()).unwrap();
+        screen_vectors_par_quarantined(
+            &tree.netlist,
+            &Technology::l07(),
+            &trs,
+            None,
+            w_over_l,
+            &VbsimOptions::default(),
+            1,
+            FailurePolicy::quarantine(32),
+            &FaultPlan::none(),
+        )
+        .map(|(screened, _)| screened)
+    }
+
+    #[test]
+    fn a_non_positive_sleep_size_is_rejected_before_any_item_runs() {
+        for w_over_l in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = screen_tree(w_over_l);
+            assert!(
+                matches!(err, Err(CoreError::InvalidOptions(_))),
+                "W/L {w_over_l}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn screen_sorts_worst_first() {
+        let screened = screen_tree(5.0).unwrap();
         assert_eq!(screened.len(), 2);
         assert_eq!(screened[0].index, 1, "rising input must be worse");
         assert!(screened[0].delays.degradation() > screened[1].delays.degradation());

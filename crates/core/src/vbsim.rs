@@ -52,7 +52,7 @@ impl SleepNetwork {
 
 /// A per-module sleep assignment: each cell belongs to one module, and
 /// each module has its own sleep network (the paper's future-work
-/// hierarchical structure; see [`crate::modules`]).
+/// hierarchical structure; see [`crate::cluster`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionedSleep {
     /// Module index per cell (parallel to `Netlist::cells()`).
@@ -1762,27 +1762,14 @@ impl VbsimRun {
     ///
     /// A net that never crosses V<sub>dd</sub>/2 drops out of the
     /// max-fold entirely — which is correct only when that net was not
-    /// supposed to switch. When a CMOS baseline run is available, use
-    /// [`VbsimRun::delay_over_baseline`] instead so a gate stalled by
+    /// supposed to switch. When a CMOS baseline run is available, score
+    /// the run with [`mtcmos_delay`] instead so a gate stalled by
     /// virtual-ground bounce is reported as infinite delay rather than
     /// silently vanishing.
     pub fn delay_over(&self, nets: &[NetId]) -> Option<f64> {
         nets.iter()
             .filter_map(|&n| self.last_crossing_time(n))
             .fold(None, |acc, t| Some(acc.map_or(t, |a: f64| a.max(t))))
-    }
-
-    /// [`VbsimRun::delay_over`] measured against a baseline run:
-    /// a net that crossed V<sub>dd</sub>/2 in `baseline` but never
-    /// crosses here stalled (sleep device too small) and reports
-    /// `f64::INFINITY`; a net that crosses in neither run is skipped.
-    pub fn delay_over_baseline(&self, nets: &[NetId], baseline: &VbsimRun) -> Option<f64> {
-        let base: Vec<Option<f64>> = nets
-            .iter()
-            .map(|&n| baseline.last_crossing_time(n))
-            .collect();
-        let here: Vec<Option<f64>> = nets.iter().map(|&n| self.last_crossing_time(n)).collect();
-        worst_delay_vs_baseline(&base, &here)
     }
 
     /// The measurements [`Engine::run_summary_with`] returns, read off
@@ -1853,6 +1840,27 @@ pub fn worst_delay_vs_baseline(baseline: &[Option<f64>], observed: &[Option<f64>
             (None, None) => None,
         })
         .fold(None, |acc, t| Some(acc.map_or(t, |a: f64| a.max(t))))
+}
+
+/// The delay of one MTCMOS leg — its per-probe `crossings` and whether
+/// it `stalled` or was `truncated` at its breakpoint budget — scored
+/// against the CMOS `baseline` crossings, whose latest is `d_cmos`: a
+/// stalled or truncated run is infinitely slow; otherwise the leg's
+/// [`worst_delay_vs_baseline`], or `d_cmos` when no probe switched in
+/// either run. The one leg score of screening, sizing, cluster
+/// evaluation and Monte Carlo.
+pub fn mtcmos_delay(
+    d_cmos: f64,
+    baseline: &[Option<f64>],
+    crossings: &[Option<f64>],
+    stalled: bool,
+    truncated: bool,
+) -> f64 {
+    if stalled || truncated {
+        f64::INFINITY
+    } else {
+        worst_delay_vs_baseline(baseline, crossings).unwrap_or(d_cmos)
+    }
 }
 
 #[cfg(test)]

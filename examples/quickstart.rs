@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use mtcmos_suite::circuits::tree::InverterTree;
-use mtcmos_suite::core::sizing::{degradation_sweep, Transition};
+use mtcmos_suite::core::sizing::{degradation_sweep_cached, ScreeningCache, Transition};
 use mtcmos_suite::core::vbsim::{Engine, VbsimOptions};
 use mtcmos_suite::netlist::logic::Logic;
 use mtcmos_suite::netlist::tech::Technology;
@@ -29,13 +29,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = Engine::new(&tree.netlist, &tech);
     let rising_input = Transition::new(vec![Logic::Zero], vec![Logic::One]);
 
-    // Sweep the paper's Fig 5 sizes.
-    let sweep = degradation_sweep(
+    // Sweep the paper's Fig 5 sizes; the cache simulates the shared
+    // CMOS baseline once.
+    let (sweep, _) = degradation_sweep_cached(
         &engine,
         &rising_input,
         None,
         &[20.0, 17.0, 14.0, 11.0, 8.0, 5.0, 2.0],
         &VbsimOptions::default(),
+        &ScreeningCache::new(),
     )?;
 
     println!("\n W/L   delay [ns]   degradation   peak bounce [V]");

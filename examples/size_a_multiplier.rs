@@ -11,9 +11,10 @@
 //! Run with: `cargo run --release --example size_a_multiplier`
 
 use mtcmos_suite::circuits::multiplier::{ArrayMultiplier, MultiplierSpec};
-use mtcmos_suite::core::sizing::{
-    peak_current_w_over_l, screen_vectors_par, size_for_target, sum_of_widths_w_over_l, Transition,
-};
+use mtcmos_suite::core::health::{FailurePolicy, FaultPlan};
+use mtcmos_suite::core::sizing::{peak_current_w_over_l, sum_of_widths_w_over_l};
+use mtcmos_suite::core::sizing::{screen_vectors_par_quarantined, size_for_target_cached};
+use mtcmos_suite::core::sizing::{ScreeningCache, Transition};
 use mtcmos_suite::core::vbsim::{Engine, VbsimOptions};
 use mtcmos_suite::netlist::logic::bits_lsb_first;
 use mtcmos_suite::netlist::tech::Technology;
@@ -47,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             )
         })
         .collect();
-    let (screened, report) = screen_vectors_par(
+    let (screened, report) = screen_vectors_par_quarantined(
         &m.netlist,
         &tech,
         &transitions,
@@ -55,6 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         100.0,
         &VbsimOptions::default(),
         0, // all cores
+        FailurePolicy::FailFast,
+        &FaultPlan::none(),
     )?;
     println!(
         "screened {} random transitions across {} worker(s) in {:.2} s; {} exercise the outputs",
@@ -80,13 +83,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .take(10)
         .map(|e| transitions[e.index].clone())
         .collect();
-    let wl = size_for_target(
+    let (wl, _) = size_for_target_cached(
         &engine,
         &worst,
         None,
         0.05,
         (10.0, 5000.0),
         &VbsimOptions::default(),
+        &ScreeningCache::new(),
     )?;
     println!("\nsized for <=5% worst-case degradation: sleep W/L = {wl:.0}");
 

@@ -62,10 +62,22 @@ cargo run --release -p mtk-bench --bin mtk -- screen examples/adder3.mtk \
   --stride 16 --threads 2 --trace-deterministic --trace-json "$mtk_trace"
 
 # A malformed numeric flag is a usage error (exit 2), never a silent
-# fallback to the default.
-rc=0
-target/release/mtk screen examples/adder3.mtk --threads garbage >/dev/null 2>&1 || rc=$?
-[ "$rc" -eq 2 ] || { echo "ci: 'mtk screen --threads garbage' exited $rc, want 2"; exit 1; }
+# fallback to the default; so are a non-positive sleep size and a sizing
+# run over no transitions — rejected up front, with no panic on stderr.
+usage_err="$(mktemp /tmp/ci_usage_err.XXXXXX)"
+for args in "screen examples/adder3.mtk --threads garbage" \
+  "screen examples/adder3.mtk --w-over-l 0" \
+  "hybrid examples/invtree.mtk --w-over-l 0" \
+  "size examples/rand8x40.mtk --samples 0"; do
+  rc=0
+  # shellcheck disable=SC2086 # word-split the argument list on purpose
+  target/release/mtk $args >/dev/null 2>"$usage_err" || rc=$?
+  [ "$rc" -eq 2 ] || { echo "ci: 'mtk $args' exited $rc, want 2"; exit 1; }
+  if grep -q panicked "$usage_err"; then
+    echo "ci: 'mtk $args' panicked:"; cat "$usage_err"; exit 1
+  fi
+done
+rm -f "$usage_err"
 
 echo "== mtk smoke trace validates against the documented schema =="
 cargo run --release -p mtk-bench --bin trace_check -- "$mtk_trace"

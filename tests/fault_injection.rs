@@ -7,15 +7,16 @@
 
 use mtcmos_suite::circuits::adder::RippleAdder;
 use mtcmos_suite::circuits::vectors::exhaustive_transitions;
-use mtcmos_suite::core::health::{FailurePolicy, FaultPlan};
+use mtcmos_suite::core::cluster::{exclusive_partition, size_clusters_for_target};
+use mtcmos_suite::core::health::{FailurePolicy, FaultPlan, SweepHealth};
+use mtcmos_suite::core::mc::{run_mc, McOptions};
 use mtcmos_suite::core::search::{search_worst_vector, SearchOptions};
-use mtcmos_suite::core::sizing::{
-    screen_vectors_par_quarantined, screen_vectors_quarantined, ScreenedVector, Transition,
-};
+use mtcmos_suite::core::sizing::{screen_vectors_par_quarantined, ScreenedVector, Transition};
 use mtcmos_suite::core::vbsim::{Engine, SleepNetwork, VbsimOptions};
 use mtcmos_suite::core::CoreError;
 use mtcmos_suite::netlist::logic::bits_lsb_first;
 use mtcmos_suite::netlist::tech::Technology;
+use mtcmos_suite::trace::{PhaseTrace, TraceMode, TraceReport};
 
 const W_OVER_L: f64 = 10.0;
 
@@ -67,18 +68,19 @@ fn quarantine_set_and_survivors_are_thread_count_invariant() {
     let base = VbsimOptions::default();
 
     // Fault-free reference, minus the indices the plan will condemn.
-    let engine = Engine::new(&add.netlist, &tech);
-    let (clean, clean_health) = screen_vectors_quarantined(
-        &engine,
+    let (clean, clean_report) = screen_vectors_par_quarantined(
+        &add.netlist,
+        &tech,
         &transitions,
         None,
         W_OVER_L,
         &base,
+        1,
         FailurePolicy::FailFast,
         &FaultPlan::none(),
     )
     .expect("fault-free screen");
-    assert!(clean_health.is_clean());
+    assert!(clean_report.health.is_clean());
     let reference: Vec<ScreenedVector> = clean
         .into_iter()
         .filter(|e| ![3usize, 5, 9].contains(&e.index))
@@ -126,20 +128,6 @@ fn quarantine_set_and_survivors_are_thread_count_invariant() {
 
         assert_same_survivors(&screened, &reference, &ctx);
     }
-
-    // The serial quarantining screener agrees with the parallel one.
-    let (serial, serial_health) = screen_vectors_quarantined(
-        &engine,
-        &transitions,
-        None,
-        W_OVER_L,
-        &base,
-        FailurePolicy::quarantine(8),
-        &faults(),
-    )
-    .expect("serial quarantining screen");
-    assert_eq!(serial_health.quarantined_indices(), vec![3, 5, 9]);
-    assert_same_survivors(&serial, &reference, "serial");
 }
 
 #[test]
@@ -247,4 +235,139 @@ fn faulted_search_is_thread_count_invariant() {
             "threads={threads}"
         );
     }
+}
+
+/// FNV-1a of a string: one number pins a whole trace.
+fn fnv(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x1000_0000_01b3)
+    })
+}
+
+/// The FNV-1a of one phase's deterministic trace JSON.
+fn trace_fnv(phase: PhaseTrace) -> u64 {
+    let mut trace = TraceReport::new("fault_injection");
+    trace.push_phase(phase);
+    fnv(&trace.to_json(TraceMode::Deterministic))
+}
+
+/// Default options with a breakpoint budget small enough that some
+/// items overflow for real, on top of the injected overflows.
+fn tight(max_events: usize) -> VbsimOptions {
+    VbsimOptions {
+        max_events,
+        ..VbsimOptions::default()
+    }
+}
+
+/// `(retries, retry successes, quarantined indices)` of a sweep.
+fn degraded(health: &SweepHealth) -> (usize, usize, Vec<usize>) {
+    (
+        health.retries,
+        health.retry_successes,
+        health.quarantined_indices(),
+    )
+}
+
+/// Golden deterministic traces of the four quarantining sweeps — the
+/// screen, the worst-vector search, the cluster co-optimisation and
+/// Monte Carlo — each under `faults()` and a budget that some items
+/// overflow for real. The retry counts show the real overflows on top
+/// of the injected ones; the FNVs pin every counter of the trace, so a
+/// charge counted twice or dropped in `breakpoints`, `max_events`,
+/// `retries` or `retry_successes` fails here, which comparing thread
+/// counts with each other cannot catch.
+#[test]
+fn faulted_sweep_traces_match_their_goldens() {
+    let add = RippleAdder::paper();
+    let tech = Technology::l07();
+    let (_, screen) = screen_vectors_par_quarantined(
+        &add.netlist,
+        &tech,
+        &adder_transitions(32),
+        None,
+        W_OVER_L,
+        &tight(20),
+        2,
+        FailurePolicy::quarantine(32),
+        &faults(),
+    )
+    .expect("faulted screen");
+    assert_eq!(degraded(&screen.health), (7, 6, vec![3, 5, 9]));
+    assert_eq!(trace_fnv(screen.to_phase("screen")), 0x18d1_944f_752d_b3af);
+
+    let engine = Engine::new(&add.netlist, &tech);
+    let search = search_worst_vector(
+        &engine,
+        &SearchOptions {
+            random_samples: 16,
+            restarts: 1,
+            max_passes: 2,
+            threads: 2,
+            policy: FailurePolicy::quarantine(32),
+            fault: faults(),
+            base: tight(20),
+            ..SearchOptions::at_sleep(SleepNetwork::Transistor { w_over_l: W_OVER_L })
+        },
+    )
+    .expect("faulted search");
+    assert_eq!(degraded(&search.health), (5, 4, vec![3, 5, 9]));
+    assert_eq!(trace_fnv(search.to_phase("search")), 0x5dc1_b5ba_d5a9_2c8d);
+
+    // Every 61st transition of the exhaustive space: glitchy enough that
+    // a mid-bisection MTCMOS leg outgrows every CMOS baseline.
+    let spread: Vec<Transition> = exhaustive_transitions(6)
+        .into_iter()
+        .step_by(61)
+        .take(32)
+        .map(|p| Transition::new(bits_lsb_first(p.from, 6), bits_lsb_first(p.to, 6)))
+        .collect();
+    let partition = exclusive_partition(&add.netlist, &spread, 12).expect("partition");
+    let (sizing, cluster) = size_clusters_for_target(
+        &add.netlist,
+        &tech,
+        &spread,
+        None,
+        &partition,
+        0.05,
+        (0.5, 2000.0),
+        &tight(36),
+        2,
+        FailurePolicy::quarantine(32),
+        &faults(),
+        None,
+    )
+    .expect("faulted cluster sizing");
+    assert_eq!(degraded(&cluster.health), (1, 1, vec![3, 5]));
+    assert_eq!(
+        trace_fnv(cluster.to_phase("cluster", &sizing)),
+        0xb1b3_c326_12ff_ff74
+    );
+
+    let varied = Technology {
+        sigma_vt: 0.03,
+        sigma_kp: 0.05,
+        sigma_w: 0.04,
+        ..Technology::l07()
+    };
+    let mc = run_mc(
+        &add.netlist,
+        &varied,
+        &spread[..8],
+        None,
+        &McOptions {
+            trials: 16,
+            threads: 2,
+            widths: vec![10.0, 40.0],
+            target: 0.25,
+            policy: FailurePolicy::quarantine(32),
+            base: tight(25),
+            ..McOptions::default()
+        },
+        None,
+        &faults(),
+    )
+    .expect("faulted mc");
+    assert_eq!(degraded(&mc.health), (9, 8, vec![3, 5, 9]));
+    assert_eq!(trace_fnv(mc.to_phase("mc")), 0xd8c0_d03d_5053_9a72);
 }
