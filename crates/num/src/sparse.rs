@@ -16,6 +16,11 @@
 //! largest `|a_ik|` among rows not yet eliminated, ties going to the
 //! lowest elimination position.
 //!
+//! [`LuWorkspace`] records each elimination it runs and replays the
+//! recording on later matrices of the same pattern, for as long as every
+//! pivot and every cancellation comes out the same; otherwise it runs
+//! the general kernel again. Either way the bits are the kernel's.
+//!
 //! [`StampMap`] serves Newton loops that re-stamp the same triplet
 //! sequence with new values: it sorts once, then scatters each new set of
 //! values straight into the permuted, assembled matrix.
@@ -303,6 +308,7 @@ impl SparseRows {
             &mut row_of,
             &mut LeadIndex::default(),
             &mut scratch,
+            None,
         )?;
 
         // Collect U rows in elimination order.
@@ -399,11 +405,11 @@ impl SparseLu {
 /// applied to each original row in application order, and `row_of[k]`
 /// the original row at elimination position `k`.
 ///
-/// This is the single numeric kernel behind both [`SparseRows::factor`]
-/// and [`LuWorkspace::factor_solve`], so the two paths are
-/// arithmetic-identical by construction. The pivot *search* runs on
-/// every call — reusing a previously recorded pivot order would change
-/// rounding whenever values move enough to select a different pivot.
+/// This is the single general numeric kernel behind both
+/// [`SparseRows::factor`] and [`LuWorkspace::factor_solve`], so the two
+/// paths are arithmetic-identical by construction. The pivot *search*
+/// runs on every call. Given `rec`, it also records the run as a
+/// [`Plan`] that [`replay`] can repeat (see [`LuWorkspace`]).
 ///
 /// `row_of` must be a permutation on entry (both callers pass the
 /// identity). Before step `k` no row at position >= k holds a column
@@ -417,14 +423,15 @@ fn eliminate(
     row_of: &mut [usize],
     index: &mut LeadIndex,
     scratch: &mut Vec<(usize, f64)>,
+    rec: Option<&mut Recorder>,
 ) -> Result<()> {
     let n = rows.len();
     index.reset(rows, row_of);
+    let mut rec = rec.and_then(|r| r.begin(rows).then_some(r));
     let LeadIndex { head, next, pos_of } = index;
     for k in 0..n {
         // Find the pivot: the largest |a_ik| among rows at position >= k,
-        // ties going to the lowest position — the row a strict-`>` scan
-        // in position order keeps. Zero and NaN magnitudes never win.
+        // ties going to the lowest position (see `beats`).
         let mut pivot_pos = usize::MAX;
         let mut pivot_mag = 0.0f64;
         let mut ri = head[k];
@@ -432,14 +439,20 @@ fn eliminate(
             debug_assert_eq!(rows[ri][0].0, k, "row {ri} is in the wrong bucket");
             let p = pos_of[ri];
             let mag = rows[ri][0].1.abs();
-            if mag > pivot_mag || (mag == pivot_mag && mag > 0.0 && p < pivot_pos) {
+            if beats(mag, p, pivot_mag, pivot_pos) {
                 pivot_mag = mag;
                 pivot_pos = p;
             }
+            if let Some(r) = rec.as_deref_mut() {
+                r.candidate(ri, p);
+            }
             ri = next[ri];
         }
-        if pivot_pos == usize::MAX || pivot_mag < f64::MIN_POSITIVE * 1e4 {
+        if is_singular(pivot_mag, pivot_pos) {
             return Err(NumError::SingularMatrix { step: k });
+        }
+        if let Some(r) = rec.as_deref_mut() {
+            r.pivot(pivot_pos);
         }
         row_of.swap(k, pivot_pos);
         pos_of[row_of[k]] = k;
@@ -480,25 +493,40 @@ fn eliminate(
                 if tc < pc {
                     if tc > k {
                         scratch.push(target[ti]);
+                        if let Some(r) = rec.as_deref_mut() {
+                            r.carry(ri, ti);
+                        }
                     }
                     ti += 1;
                 } else if pc < tc {
                     if pc > k {
                         scratch.push((pc, -factor * pivot_row[pi].1));
+                        if let Some(r) = rec.as_deref_mut() {
+                            r.fill();
+                        }
                     }
                     pi += 1;
                 } else {
                     if tc > k {
                         let v = target[ti].1 - factor * pivot_row[pi].1;
-                        if v != 0.0 {
+                        let keep = kept(v);
+                        if keep {
                             scratch.push((tc, v));
+                        }
+                        if let Some(r) = rec.as_deref_mut() {
+                            r.combine(ri, ti, keep);
                         }
                     }
                     ti += 1;
                     pi += 1;
                 }
             }
-            std::mem::swap(target, scratch);
+            replace_row(target, scratch);
+            // A recording that outgrows the budget is dropped here; the
+            // elimination goes on without it.
+            if rec.as_deref_mut().is_some_and(|r| !r.end_update(ri)) {
+                rec = None;
+            }
             // Re-bucket under the new leading column. A row left empty
             // holds no column and will surface as a singular step.
             if let Some(&(lead, _)) = target.first() {
@@ -508,7 +536,45 @@ fn eliminate(
             ri = following;
         }
     }
+    if let Some(r) = rec {
+        r.finish(rows, row_of);
+    }
     Ok(())
+}
+
+/// Moves the row an update built in `scratch` into `row`. Swapping the
+/// buffers is free, but it would hand a long row's buffer on to the next
+/// row updated, and over an elimination every row would come to hold a
+/// buffer as long as the longest. So a result much shorter than the
+/// scratch buffer is copied instead, and long buffers stay with long
+/// rows.
+fn replace_row<T: Copy>(row: &mut Vec<T>, scratch: &mut Vec<T>) {
+    if scratch.capacity() > 2 * scratch.len() + 8 {
+        row.clear();
+        row.extend_from_slice(scratch);
+    } else {
+        std::mem::swap(row, scratch);
+    }
+}
+
+/// The pivot rule: whether a candidate of magnitude `mag` at elimination
+/// position `pos` beats the best so far. The largest magnitude wins,
+/// ties going to the lowest position — the row a strict-`>` scan in
+/// position order keeps. Zero and NaN magnitudes never win.
+fn beats(mag: f64, pos: usize, best_mag: f64, best_pos: usize) -> bool {
+    mag > best_mag || (mag == best_mag && mag > 0.0 && pos < best_pos)
+}
+
+/// Whether the pivot search found no usable pivot: no candidate won, or
+/// the winner is too small to divide by.
+fn is_singular(pivot_mag: f64, pivot_pos: usize) -> bool {
+    pivot_pos == usize::MAX || pivot_mag < f64::MIN_POSITIVE * 1e4
+}
+
+/// Whether an updated entry `t − factor·p` stays in its row: an exact
+/// zero (either sign) is dropped, anything else, NaN included, is kept.
+fn kept(v: f64) -> bool {
+    v != 0.0
 }
 
 /// End of a bucket list in [`LeadIndex`].
@@ -569,13 +635,29 @@ impl LeadIndex {
 /// symbolic/numeric LU split.
 ///
 /// A Newton loop factors a matrix with an unchanged sparsity pattern at
-/// every iteration; [`SparseRows::factor`] allocates fresh `Vec`s for
-/// the factors each time and [`SparseLu::solve`] more for the solution.
-/// `LuWorkspace::factor_solve` performs the *same arithmetic* (pivot
-/// search included, see `eliminate`) entirely inside recycled buffers:
-/// results are bitwise-identical to `factor()` + `solve()`, only the
-/// allocations (the pivot-search index included) disappear after the
-/// first call.
+/// every iteration. `LuWorkspace::factor_solve` produces exactly the bits
+/// of [`SparseRows::factor`] + [`SparseLu::solve`], inside recycled
+/// buffers, and mostly without rerunning the general kernel:
+///
+/// * Each general elimination (`eliminate`) also records a *plan*: the
+///   input pattern, every pivot search's candidates and winner, and every
+///   row update as operations over numbered value slots, with the
+///   kept/dropped outcome of each exact-zero test.
+/// * A later call on the same pattern *replays* a cached plan: the same
+///   operations on the same operands in the same order. It reruns each
+///   pivot search over the recorded candidates and requires the recorded
+///   winner to win again and to pass the singularity test, and it
+///   requires every kept/dropped outcome to repeat. Those are all the
+///   branches the general kernel takes on values, so a replay that
+///   passes every check *is* the general kernel's run, bit for bit.
+/// * On the first mismatch the replay's partial result is thrown away
+///   and the next cached plan for the pattern is tried, then the general
+///   kernel, which records a fresh plan.
+///
+/// At most four plans are kept, most recently used first, within a
+/// fixed 1 MiB budget. A recording that outgrows the budget is dropped
+/// as soon as it does (the elimination goes on unrecorded), so matrices
+/// with heavy fill stay on the general kernel at flat memory.
 ///
 /// ```
 /// use mtk_num::sparse::{LuWorkspace, Triplets};
@@ -587,6 +669,10 @@ impl LeadIndex {
 /// let mut x = Vec::new();
 /// ws.factor_solve(&t.to_rows(), &[2.0, 8.0], &mut x).unwrap();
 /// assert_eq!(x, vec![1.0, 2.0]);
+/// // Same pattern, new values: served by the recorded plan.
+/// t.add(0, 0, 2.0);
+/// ws.factor_solve(&t.to_rows(), &[2.0, 8.0], &mut x).unwrap();
+/// assert_eq!(x, vec![0.5, 2.0]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LuWorkspace {
@@ -596,6 +682,36 @@ pub struct LuWorkspace {
     index: LeadIndex,
     scratch: Vec<(usize, f64)>,
     y: Vec<f64>,
+    /// Recorded eliminations, most recently used first.
+    plans: Vec<Plan>,
+    recorder: Recorder,
+    /// A replay's value slots.
+    vals: Vec<f64>,
+    #[cfg(test)]
+    stats: ReplayStats,
+}
+
+/// Most plans one [`LuWorkspace`] keeps. Newton iterations on one
+/// pattern move between a few cancellation outcomes as devices cross
+/// cutoff, so a handful of plans serves nearly every factorization.
+const PLAN_CACHE_LEN: usize = 4;
+
+/// Bytes the plans of one [`LuWorkspace`] may hold together. A plan
+/// costs about 4 bytes per multiply-subtract of its elimination: the
+/// 167-unknown ALU slice records 20–35 KB, the 8×8 multiplier's 1,125
+/// unknowns about 28 MB, which stays on the general kernel.
+const PLAN_BUDGET_BYTES: usize = 1 << 20;
+
+/// How a workspace's factorizations went, for the unit tests.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct ReplayStats {
+    /// Factorizations served by a replay.
+    replayed: usize,
+    /// Replays of a pattern-matching plan that hit a mismatch.
+    diverged: usize,
+    /// Factorizations the general kernel ran.
+    general: usize,
 }
 
 impl LuWorkspace {
@@ -621,6 +737,39 @@ impl LuWorkspace {
                 actual: b.len(),
             });
         }
+        for i in 0..self.plans.len() {
+            let plan = &self.plans[i];
+            if !plan.fits(a) {
+                continue;
+            }
+            self.vals.clear();
+            self.vals.extend(a.rows.iter().flatten().map(|&(_, v)| v));
+            self.vals.resize(plan.slots as usize, 0.0);
+            if replay(plan, &mut self.vals, b, &mut self.y) {
+                plan.back_substitute(&self.vals, &self.y, x);
+                self.plans[..=i].rotate_right(1);
+                #[cfg(test)]
+                {
+                    self.stats.replayed += 1;
+                }
+                return Ok(());
+            }
+            #[cfg(test)]
+            {
+                self.stats.diverged += 1;
+            }
+        }
+        #[cfg(test)]
+        {
+            self.stats.general += 1;
+        }
+
+        // A full cache gives up its least recently used plan now, so the
+        // recording reuses its buffers instead of growing a fifth plan.
+        if self.plans.len() == PLAN_CACHE_LEN {
+            self.recorder.plan = self.plans.pop().expect("the cache is full");
+        }
+
         // Copy the matrix into the recycled row buffers.
         if self.rows.len() < n {
             self.rows.resize_with(n, Vec::new);
@@ -642,7 +791,9 @@ impl LuWorkspace {
             &mut self.row_of,
             &mut self.index,
             &mut self.scratch,
+            Some(&mut self.recorder),
         )?;
+        self.keep_recorded_plan();
 
         // Forward-substitute b (permuted into elimination order) through L.
         self.y.clear();
@@ -672,6 +823,344 @@ impl LuWorkspace {
             x[i] = s / diag;
         }
         Ok(())
+    }
+
+    /// Caches the plan the last general elimination recorded, unless it
+    /// outgrew the budget, and evicts least recently used plans until
+    /// the cache is back within [`PLAN_BUDGET_BYTES`]. (`factor_solve`
+    /// made room for it under [`PLAN_CACHE_LEN`] before recording.)
+    fn keep_recorded_plan(&mut self) {
+        if !self.recorder.live {
+            return;
+        }
+        let mut plan = std::mem::take(&mut self.recorder.plan);
+        plan.shrink_to_fit();
+        self.plans.insert(0, plan);
+        let mut total = 0;
+        let keep = self
+            .plans
+            .iter()
+            .take_while(|p| {
+                total += p.bytes();
+                total <= PLAN_BUDGET_BYTES
+            })
+            .count();
+        self.plans.truncate(keep);
+    }
+}
+
+/// One recorded run of `eliminate` on one input pattern.
+///
+/// Values live in numbered *slots*: input entry `j` (row-major) is slot
+/// `j`, and each fill entry gets the next free slot. An entry that an
+/// update keeps stays in its slot, so a row update records one operation
+/// per pivot-row entry right of the pivot, in column order: an in-place
+/// `t − factor·p` kept as nonzero ([`OP_KEEP`]), the same dropped as an
+/// exact zero ([`OP_DROP`]), or a fill `(−factor)·p` into a new slot
+/// ([`OP_FILL`]). The pivot row of step `k` is final by then, so its
+/// slots are U row `k`'s and the operations need not repeat them.
+///
+/// Step `k` updates every candidate but the winner, in candidate order,
+/// so the candidates also stand for the row updates and for L: the
+/// multiplier of a candidate's update is its L entry in column `k`.
+#[derive(Debug, Clone, Default)]
+struct Plan {
+    /// The input pattern: row `r` holds columns
+    /// `cols[starts[r]..starts[r + 1]]`.
+    starts: Vec<u32>,
+    cols: Vec<u32>,
+    /// Value slots used: the input entries plus one per fill.
+    slots: u32,
+    /// One per elimination step.
+    steps: Vec<Step>,
+    /// Every step's pivot candidates, in the order the search visited
+    /// them.
+    cands: Vec<Cand>,
+    /// Every row update's operations: an `OP_*` kind or'ed with a slot.
+    ops: Vec<u32>,
+    /// `row_of[k]`: the original row at elimination position `k`.
+    row_of: Vec<u32>,
+    /// U rows in elimination order, `(col, slot)`; row `k` starts at its
+    /// pivot `(k, _)`.
+    u_starts: Vec<u32>,
+    u: Vec<(u32, u32)>,
+}
+
+/// One elimination step of a [`Plan`].
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    /// End of the step's candidates in [`Plan::cands`].
+    cands_end: u32,
+    /// Index of the winning candidate within the step's candidates.
+    winner: u32,
+}
+
+/// One pivot candidate.
+#[derive(Debug, Clone, Copy)]
+struct Cand {
+    /// Its leading entry's slot.
+    slot: u32,
+    /// Its elimination position when the search ran.
+    pos: u32,
+    /// Its final elimination position (the original row while
+    /// recording).
+    dest: u32,
+}
+
+/// Plan operation kinds, in the top two bits of an operation.
+const OP_KEEP: u32 = 0;
+const OP_DROP: u32 = 1 << 30;
+const OP_FILL: u32 = 2 << 30;
+/// The slot bits of an operation.
+const SLOT_MASK: u32 = (1 << 30) - 1;
+
+impl Plan {
+    /// Whether `a` has exactly the recorded input pattern.
+    fn fits(&self, a: &SparseRows) -> bool {
+        self.starts.len() == a.n + 1
+            && a.rows.iter().zip(self.starts.windows(2)).all(|(row, w)| {
+                let cols = &self.cols[w[0] as usize..w[1] as usize];
+                cols.len() == row.len()
+                    && cols.iter().zip(row).all(|(&c, &(rc, _))| c as usize == rc)
+            })
+    }
+
+    /// Heap bytes in use.
+    fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        let words = self.starts.len()
+            + self.cols.len()
+            + self.ops.len()
+            + self.row_of.len()
+            + self.u_starts.len();
+        words * size_of::<u32>()
+            + self.steps.len() * size_of::<Step>()
+            + self.cands.len() * size_of::<Cand>()
+            + self.u.len() * size_of::<(u32, u32)>()
+    }
+
+    fn shrink_to_fit(&mut self) {
+        for v in [
+            &mut self.starts,
+            &mut self.cols,
+            &mut self.ops,
+            &mut self.row_of,
+            &mut self.u_starts,
+        ] {
+            v.shrink_to_fit();
+        }
+        self.steps.shrink_to_fit();
+        self.cands.shrink_to_fit();
+        self.u.shrink_to_fit();
+    }
+
+    /// Back-substitutes `y` through the U factor a successful [`replay`]
+    /// left in `vals`, with `LuWorkspace::factor_solve`'s arithmetic in
+    /// its order.
+    fn back_substitute(&self, vals: &[f64], y: &[f64], x: &mut Vec<f64>) {
+        let n = self.row_of.len();
+        x.clear();
+        x.resize(n, 0.0);
+        for i in (0..n).rev() {
+            let row = &self.u[self.u_starts[i] as usize..self.u_starts[i + 1] as usize];
+            let mut s = y[i];
+            for &(c, slot) in &row[1..] {
+                s -= vals[slot as usize] * x[c as usize];
+            }
+            x[i] = s / vals[row[0].1 as usize];
+        }
+    }
+}
+
+/// Replays `plan` over `vals`, which holds the input values in their
+/// slots, and forward-substitutes `b` into `y` along the way. Returns
+/// false at the first pivot search or kept/dropped outcome that differs
+/// from the recording, or at a winner that fails the singularity test;
+/// `vals` and `y` are then garbage.
+///
+/// The forward substitution runs by columns: step `k` subtracts
+/// `factor·y[k]` from each updated row's `y` as soon as the factor is
+/// known. Each `y[i]` still receives its subtractions in increasing `k`,
+/// and `y[k]` is final by step `k`, so this is the row-wise loop's
+/// arithmetic in the row-wise order.
+fn replay(plan: &Plan, vals: &mut [f64], b: &[f64], y: &mut Vec<f64>) -> bool {
+    y.clear();
+    y.extend(plan.row_of.iter().map(|&r| b[r as usize]));
+    let (mut cands_at, mut ops_at) = (0, 0);
+    for (k, step) in plan.steps.iter().enumerate() {
+        let cands = &plan.cands[cands_at..step.cands_end as usize];
+        cands_at = step.cands_end as usize;
+        let (mut pivot_mag, mut pivot_pos, mut winner) = (0.0f64, usize::MAX, usize::MAX);
+        for (i, c) in cands.iter().enumerate() {
+            let mag = vals[c.slot as usize].abs();
+            if beats(mag, c.pos as usize, pivot_mag, pivot_pos) {
+                pivot_mag = mag;
+                pivot_pos = c.pos as usize;
+                winner = i;
+            }
+        }
+        if winner != step.winner as usize || is_singular(pivot_mag, pivot_pos) {
+            return false;
+        }
+        let pivot_val = vals[cands[winner].slot as usize];
+        let pivot_row = &plan.u[plan.u_starts[k] as usize + 1..plan.u_starts[k + 1] as usize];
+        let y_k = y[k];
+        for (i, c) in cands.iter().enumerate() {
+            if i == winner {
+                continue;
+            }
+            let factor = vals[c.slot as usize] / pivot_val;
+            y[c.dest as usize] -= factor * y_k;
+            let ops = &plan.ops[ops_at..ops_at + pivot_row.len()];
+            ops_at += pivot_row.len();
+            for (&op, &(_, p)) in ops.iter().zip(pivot_row) {
+                let p = vals[p as usize];
+                let slot = (op & SLOT_MASK) as usize;
+                if op & !SLOT_MASK == OP_FILL {
+                    vals[slot] = -factor * p;
+                } else {
+                    let v = vals[slot] - factor * p;
+                    if kept(v) != (op & !SLOT_MASK == OP_KEEP) {
+                        return false;
+                    }
+                    vals[slot] = v;
+                }
+            }
+        }
+    }
+    true
+}
+
+/// Builds a [`Plan`] while `eliminate` runs: it mirrors every row with
+/// the slots of its entries and logs each search and operation. Its
+/// buffers persist across recordings.
+#[derive(Debug, Clone, Default)]
+struct Recorder {
+    plan: Plan,
+    /// `slots[row]`: the slot of each entry of the row, in step with it.
+    slots: Vec<Vec<u32>>,
+    /// The slots of the row an update is building.
+    scratch: Vec<u32>,
+    /// Whether the plan is complete and within budget so far.
+    live: bool,
+}
+
+impl Recorder {
+    /// Starts a plan for the input `rows`. Returns false, recording
+    /// nothing, when the pattern alone outgrows the budget.
+    fn begin(&mut self, rows: &[Vec<(usize, f64)>]) -> bool {
+        let n = rows.len();
+        let nnz: usize = rows.iter().map(Vec::len).sum();
+        self.live = (n + 1 + nnz) * std::mem::size_of::<u32>() <= PLAN_BUDGET_BYTES;
+        if !self.live {
+            return false;
+        }
+        let plan = &mut self.plan;
+        for v in [
+            &mut plan.starts,
+            &mut plan.cols,
+            &mut plan.ops,
+            &mut plan.row_of,
+            &mut plan.u_starts,
+        ] {
+            v.clear();
+        }
+        plan.steps.clear();
+        plan.cands.clear();
+        plan.u.clear();
+        if self.slots.len() < n {
+            self.slots.resize_with(n, Vec::new);
+        }
+        plan.starts.push(0);
+        for (row, slots) in rows.iter().zip(&mut self.slots) {
+            let start = plan.cols.len() as u32;
+            plan.cols.extend(row.iter().map(|&(c, _)| c as u32));
+            plan.starts.push(plan.cols.len() as u32);
+            slots.clear();
+            slots.extend(start..plan.cols.len() as u32);
+        }
+        plan.slots = nnz as u32;
+        self.scratch.clear();
+        true
+    }
+
+    /// Row `ri`, at position `pos`, is the next pivot candidate.
+    fn candidate(&mut self, ri: usize, pos: usize) {
+        self.plan.cands.push(Cand {
+            slot: self.slots[ri][0],
+            pos: pos as u32,
+            dest: ri as u32,
+        });
+    }
+
+    /// The candidate at `pos` won this step's search.
+    fn pivot(&mut self, pos: usize) {
+        let from = self.plan.steps.last().map_or(0, |s| s.cands_end as usize);
+        let winner = self.plan.cands[from..]
+            .iter()
+            .position(|c| c.pos as usize == pos)
+            .expect("the winner is a candidate");
+        self.plan.steps.push(Step {
+            cands_end: self.plan.cands.len() as u32,
+            winner: winner as u32,
+        });
+    }
+
+    /// Entry `ti` of row `ri` moves to the updated row unchanged.
+    fn carry(&mut self, ri: usize, ti: usize) {
+        self.scratch.push(self.slots[ri][ti]);
+    }
+
+    /// A pivot-row entry fills a new slot of the updated row.
+    fn fill(&mut self) {
+        let slot = self.plan.slots;
+        self.plan.slots += 1;
+        self.plan.ops.push(OP_FILL | slot);
+        self.scratch.push(slot);
+    }
+
+    /// Entry `ti` of row `ri` is updated in place and kept or dropped.
+    fn combine(&mut self, ri: usize, ti: usize, keep: bool) {
+        let slot = self.slots[ri][ti];
+        self.plan
+            .ops
+            .push(if keep { OP_KEEP } else { OP_DROP } | slot);
+        if keep {
+            self.scratch.push(slot);
+        }
+    }
+
+    /// Row `ri`'s update is done. Returns whether the recording is still
+    /// within budget; once it is not, the plan is dropped.
+    fn end_update(&mut self, ri: usize) -> bool {
+        replace_row(&mut self.slots[ri], &mut self.scratch);
+        self.scratch.clear();
+        self.live = self.plan.bytes() <= PLAN_BUDGET_BYTES;
+        self.live
+    }
+
+    /// Completes the plan with U in elimination order and each
+    /// candidate's final position.
+    fn finish(&mut self, rows: &[Vec<(usize, f64)>], row_of: &[usize]) {
+        let plan = &mut self.plan;
+        plan.row_of.extend(row_of.iter().map(|&r| r as u32));
+        plan.u_starts.push(0);
+        for &r in row_of {
+            let u = rows[r].iter().zip(&self.slots[r]);
+            plan.u.extend(u.map(|(&(c, _), &slot)| (c as u32, slot)));
+            plan.u_starts.push(plan.u.len() as u32);
+        }
+        // The update scratch holds the inverse permutation.
+        let pos_of = &mut self.scratch;
+        pos_of.clear();
+        pos_of.resize(row_of.len(), 0);
+        for (k, &r) in row_of.iter().enumerate() {
+            pos_of[r] = k as u32;
+        }
+        for c in &mut plan.cands {
+            c.dest = pos_of[c.dest as usize];
+        }
+        self.live = plan.bytes() <= PLAN_BUDGET_BYTES;
     }
 }
 
@@ -1456,6 +1945,212 @@ mod tests {
                 "singular"
             ));
         }
+    }
+
+    /// A fixed random pattern of up to `n × n` distinct slots: each
+    /// diagonal slot unless `with_diag` is false, and roughly `density`
+    /// of the off-diagonal ones.
+    fn random_pattern(
+        rng: &mut Xoshiro256pp,
+        n: usize,
+        density: f64,
+        with_diag: bool,
+    ) -> Vec<(usize, usize)> {
+        let mut keys = Vec::new();
+        for r in 0..n {
+            for c in 0..n {
+                if (r == c && with_diag) || (r != c && rng.next_f64() < density) {
+                    keys.push((r, c));
+                }
+            }
+        }
+        keys
+    }
+
+    /// The value generators of the replay tests, by name.
+    const GENERATORS: [&str; 3] = ["dominant", "ties", "zeros"];
+
+    /// `keys` with fresh values from generator `gen` (see [`GENERATORS`]):
+    /// diagonally dominant; ties, cancellations and refills from
+    /// {±0, ±1, ±2}; or uniform values of which about a third are exact
+    /// zeros. Every call assembles to the same pattern.
+    fn pattern_values(
+        rng: &mut Xoshiro256pp,
+        n: usize,
+        keys: &[(usize, usize)],
+        gen: usize,
+    ) -> SparseRows {
+        let mut t = Triplets::new(n);
+        let mut row_abs = vec![0.0f64; n];
+        let mut diag = Vec::new();
+        for &(r, c) in keys {
+            let v = match gen {
+                0 => rng.next_f64_in(-2.0, 2.0),
+                1 => match rng.next_index(10) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    i => [1.0, -1.0, 2.0, -2.0][i % 4],
+                },
+                _ => match rng.next_index(3) {
+                    0 => 0.0,
+                    _ => rng.next_f64_in(-2.0, 2.0),
+                },
+            };
+            if gen == 0 && r == c {
+                diag.push(r);
+                continue;
+            }
+            row_abs[r] += v.abs();
+            t.add(r, c, v);
+        }
+        for r in diag {
+            t.add(r, r, row_abs[r] + 1.0);
+        }
+        t.to_rows()
+    }
+
+    /// Recorded eliminations replayed on fresh values of the same pattern
+    /// stay bit-identical to the oracle: one workspace across patterns of
+    /// 1 to 24 unknowns, each refactored with values from every
+    /// generator, so plans replay, diverge, get evicted and re-recorded.
+    #[test]
+    fn replayed_elimination_matches_oracle_on_repeated_patterns() {
+        let mut rng = Xoshiro256pp::seed_from_u64(0x0EAC_1E05);
+        let mut ws = LuWorkspace::new();
+        let mut singular = 0;
+        for trial in 0..150 {
+            let n = 1 + rng.next_index(24);
+            let density = rng.next_f64_in(0.05, 0.5);
+            let with_diag = rng.next_index(5) != 0;
+            let keys = random_pattern(&mut rng, n, density, with_diag);
+            for call in 0..12 {
+                let gen = if call < 4 { 0 } else { rng.next_index(3) };
+                let a = pattern_values(&mut rng, n, &keys, gen);
+                let b = random_rhs(&mut rng, n);
+                let label = format!("trial {trial} call {call} ({})", GENERATORS[gen]);
+                singular += usize::from(!assert_matches_oracle(&mut ws, &a, &b, &label));
+                assert!(ws.plans.len() <= PLAN_CACHE_LEN);
+                let bytes: usize = ws.plans.iter().map(Plan::bytes).sum();
+                assert!(bytes <= PLAN_BUDGET_BYTES, "{label}: {bytes} plan bytes");
+            }
+        }
+        let stats = ws.stats;
+        assert!(
+            stats.replayed > 300 && stats.diverged > 300 && stats.general > 300 && singular > 20,
+            "{stats:?}, {singular} singular"
+        );
+    }
+
+    /// A singular matrix on a cached pattern fails at the oracle's step
+    /// (the replay diverges, the general kernel reports it), and the
+    /// plan still serves the nonsingular matrix after it.
+    #[test]
+    fn singular_matrix_on_a_cached_pattern_falls_back_and_the_plan_survives() {
+        let full: Vec<_> = (0..3).flat_map(|r| (0..3).map(move |c| (r, c))).collect();
+        let with = |v: [f64; 9]| {
+            let entries: Vec<_> = full.iter().zip(v).map(|(&(r, c), v)| (r, c, v)).collect();
+            triplets(3, &entries).to_rows()
+        };
+        let good = with([4.0, 1.0, 0.5, 1.0, 3.0, 1.0, 0.5, 1.0, 5.0]);
+        let rank_two = with([4.0, 1.0, 0.5, 8.0, 2.0, 1.0, 0.5, 1.0, 5.0]);
+        let b = [1.0, 2.0, 3.0];
+        let mut ws = LuWorkspace::new();
+        assert!(assert_matches_oracle(&mut ws, &good, &b, "record"));
+        assert!(!assert_matches_oracle(&mut ws, &rank_two, &b, "singular"));
+        let scaled = with([5.0, 1.0, 0.5, 1.0, 3.5, 1.0, 0.5, 1.0, 6.0]);
+        assert!(assert_matches_oracle(&mut ws, &scaled, &b, "after"));
+        assert_eq!(
+            ws.stats,
+            ReplayStats {
+                replayed: 1,
+                diverged: 1,
+                general: 2,
+            }
+        );
+        assert_eq!(ws.plans.len(), 1);
+    }
+
+    /// A pivot tie the recording did not have goes to the lowest
+    /// position, as in the general kernel, although the search visits
+    /// row 1 first: the replay then disagrees with the recorded winner
+    /// (row 1) and falls back. The tie's own plan serves the next tie,
+    /// and the first plan the last call.
+    #[test]
+    fn replayed_pivot_tie_goes_to_the_lowest_position() {
+        let with = |a10: f64| triplets(2, &[(0, 0, 2.0), (0, 1, 1.0), (1, 0, a10), (1, 1, 3.0)]);
+        let mut ws = LuWorkspace::new();
+        let b = [1.0, 2.0];
+        for (a10, label) in [
+            (4.0, "row 1 wins"),
+            (2.0, "tie"),
+            (-2.0, "signed tie"),
+            (4.0, "row 1 again"),
+        ] {
+            assert!(assert_matches_oracle(
+                &mut ws,
+                &with(a10).to_rows(),
+                &b,
+                label
+            ));
+        }
+        assert_eq!(
+            ws.stats,
+            ReplayStats {
+                replayed: 2,
+                diverged: 2,
+                general: 2,
+            }
+        );
+    }
+
+    /// A plan over the budget is dropped while it is being recorded: the
+    /// matrix still factors bit-identically, nothing is cached, and the
+    /// next call on its pattern runs the general kernel again.
+    #[test]
+    fn plan_over_the_budget_is_not_cached() {
+        let n = 100;
+        let mut rng = Xoshiro256pp::seed_from_u64(0x0EAC_1E06);
+        let keys = random_pattern(&mut rng, n, 1.0, true);
+        let mut ws = LuWorkspace::new();
+        for call in 0..2 {
+            let a = pattern_values(&mut rng, n, &keys, 0);
+            let b = random_rhs(&mut rng, n);
+            assert!(assert_matches_oracle(&mut ws, &a, &b, "dense"));
+            assert!(ws.plans.is_empty() && !ws.recorder.live, "call {call}");
+            let recorded = ws.recorder.plan.bytes();
+            assert!(
+                recorded <= PLAN_BUDGET_BYTES + 16 * n,
+                "recording ran on to {recorded} bytes"
+            );
+        }
+        assert_eq!(ws.stats.general, 2);
+        // The same workspace still records and replays small patterns.
+        let small = random_pattern(&mut rng, 6, 0.4, true);
+        let a = pattern_values(&mut rng, 6, &small, 0);
+        for call in 0..2 {
+            let b = random_rhs(&mut rng, 6);
+            assert!(assert_matches_oracle(
+                &mut ws,
+                &a,
+                &b,
+                &format!("small {call}")
+            ));
+        }
+        assert_eq!((ws.stats.general, ws.stats.replayed), (3, 1));
+        // A pattern that alone outgrows the budget is not recorded at
+        // all (too large for the quadratic oracle: checked on factor()).
+        let n = 150_000;
+        let mut t = Triplets::new(n);
+        for i in 0..n {
+            t.add(i, i, 2.0 + i as f64);
+        }
+        let a = t.to_rows();
+        let b = vec![1.0; n];
+        let mut x = Vec::new();
+        ws.factor_solve(&a, &b, &mut x).unwrap();
+        let want = a.clone().factor().unwrap().solve(&b).unwrap();
+        assert_eq!(bits(&x), bits(&want));
+        assert!(!ws.recorder.live && ws.plans.iter().all(|p| !p.fits(&a)));
     }
 
     /// `StampMap` reproduces `assemble_into` + `permute_symmetric_into` on

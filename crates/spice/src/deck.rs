@@ -179,9 +179,10 @@ fn wave_text(wave: &SourceWave) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`SpiceError::InvalidParameter`] for malformed numbers and
-/// for non-alphabetic trailing garbage after the number (`1.5k3`,
-/// `2p%`): a suffix must be letters only.
+/// Returns [`SpiceError::InvalidParameter`] for malformed numbers; for
+/// non-alphabetic trailing garbage after the number (`1.5k3`, `2p%`),
+/// since a suffix must be letters only; and for values that are not
+/// finite (`nan`, `inf`, `1e308meg`).
 pub fn parse_value(token: &str) -> Result<f64> {
     let (base, scale) = parse_value_parts(token)?;
     Ok(base * scale)
@@ -226,6 +227,13 @@ pub fn parse_value_parts(token: &str) -> Result<(f64, f64)> {
             Some(_) => 1.0, // unit letter like 'v', 'a', 's'
         }
     };
+    // `f64::from_str` accepts `nan` and `inf`, and a scale can overflow
+    // a finite mantissa; neither is a value a circuit can carry.
+    if !(base * scale).is_finite() {
+        return Err(SpiceError::InvalidParameter(format!(
+            "non-finite numeric value '{token}'"
+        )));
+    }
     Ok((base, scale))
 }
 
@@ -880,6 +888,21 @@ mod tests {
         assert_eq!(parse_value("50fF").unwrap(), 50e-15);
         assert_eq!(parse_value("3.3v").unwrap(), 3.3);
         assert!(parse_value("abc").is_err());
+    }
+
+    /// `f64::from_str` takes `nan` and `inf`, and a scale can overflow a
+    /// finite mantissa: all three are rejected, not imported.
+    #[test]
+    fn non_finite_values_are_rejected() {
+        for token in ["nan", "inf", "1e308meg"] {
+            match parse_value(token) {
+                Err(SpiceError::InvalidParameter(msg)) => {
+                    assert!(msg.contains("non-finite"), "{token}: {msg}")
+                }
+                other => panic!("{token}: {other:?}"),
+            }
+        }
+        assert!(parse_value("1e302meg").unwrap().is_finite());
     }
 
     #[test]

@@ -475,7 +475,9 @@ impl NewtonSolver {
                 } else {
                     opts.iabstol + opts.reltol * x_new[i].abs().max(x[i].abs())
                 };
-                if dx.abs() > tol {
+                // `>` is false for NaN, so a non-finite iterate is
+                // rejected on its own.
+                if dx.abs() > tol || !x_new[i].is_finite() {
                     converged = false;
                 }
                 // The first step is taken undamped so linear parts of the
@@ -563,7 +565,10 @@ impl NewtonSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dc::{operating_point, DcOptions};
     use crate::mos::MosModel;
+    use crate::source::SourceWave;
+    use crate::tran::{transient, TranOptions};
 
     #[test]
     fn branch_indices_follow_device_order() {
@@ -734,6 +739,46 @@ mod tests {
         let (_, n_tran) = s.solve(&c, &x, tran, &opts, "tran").unwrap();
         assert_eq!(s.lu_pattern_reuses(), n_dc - 1 + n_ic + n_tran - 1);
         assert!(n_ic > 0 && n_tran > 1, "{n_ic} {n_tran}");
+    }
+
+    /// A divider fed by `wave`; where the source reads NaN, so does
+    /// every Newton iterate.
+    fn nan_divider(wave: SourceWave) -> Circuit {
+        let mut c = Circuit::new();
+        let top = c.node("top");
+        let mid = c.node("mid");
+        c.vsource("v1", top, Circuit::GND, wave);
+        c.resistor("r1", top, mid, 1000.0);
+        c.resistor("r2", mid, Circuit::GND, 4000.0);
+        c.capacitor("c1", mid, Circuit::GND, 1e-15);
+        c
+    }
+
+    /// A NaN update used to pass the `dx > tol` test, so the operating
+    /// point returned `Ok` with NaN node voltages after one iteration.
+    #[test]
+    fn nan_iterate_never_converges_at_dc() {
+        let c = nan_divider(SourceWave::Dc(f64::NAN));
+        match operating_point(&c, &DcOptions::default()) {
+            Err(SpiceError::NewtonFailed { context, .. }) => {
+                assert!(context.contains("gmin stage"), "{context}")
+            }
+            other => panic!("expected NewtonFailed, got {other:?}"),
+        }
+    }
+
+    /// A source that turns NaN mid-run: the transient halves its step
+    /// down to the floor and then fails, instead of recording NaN samples
+    /// that `TranResult::waveform` would panic on.
+    #[test]
+    fn nan_iterate_fails_a_transient_step() {
+        let c = nan_divider(SourceWave::pulse(1.0, f64::NAN, 1e-9, 0.0, 0.0, 1e-9, 0.0));
+        match transient(&c, &TranOptions::to(4e-9)) {
+            Err(SpiceError::NewtonFailed { context, .. }) => {
+                assert!(context.contains("transient"), "{context}")
+            }
+            other => panic!("expected NewtonFailed, got {other:?}"),
+        }
     }
 
     #[test]
