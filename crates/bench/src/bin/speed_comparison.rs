@@ -24,7 +24,9 @@
 //! `Engine::run_summary_with` — the crossings-only recording every
 //! sizing, screening, clustering and Monte Carlo leg uses — so the gap
 //! between it and the waveform-recording event run is the cost of
-//! building waveforms.
+//! building waveforms. A third probe times that summary path on the
+//! 16×16 multiplier (1536 cells) at the W/L its sizing solve lands on:
+//! 16 seeded transitions, the legs `size_for_target_cached` runs.
 //!
 //! Flags:
 //!
@@ -50,12 +52,14 @@ use mtk_bench::speedfile::{check_regressions, SpeedFile};
 use mtk_bench::timing::{human, measure};
 use mtk_bench::transition_of;
 use mtk_circuits::adder::RippleAdder;
-use mtk_circuits::multiplier::ArrayMultiplier;
+use mtk_circuits::multiplier::{ArrayMultiplier, MultiplierSpec};
 use mtk_circuits::vectors::exhaustive_transitions;
 use mtk_core::hybrid::{spice_transition, SpiceRunConfig};
 use mtk_core::vbsim::{Engine, VbsimKernel, VbsimOptions, VbsimScratch};
 use mtk_netlist::expand::SleepImpl;
+use mtk_netlist::logic::Logic;
 use mtk_netlist::tech::Technology;
+use mtk_num::prng::Xoshiro256pp;
 
 fn main() {
     let full_spice = cli::bool_flag("--full-spice");
@@ -157,6 +161,32 @@ fn main() {
     let bit_event = time_mult(&bit_pairs, MultRun::Event);
     let bit_dense = time_mult(&bit_pairs, MultRun::Dense);
 
+    // The sizing legs' path on the 16×16 multiplier: 16 seeded
+    // transitions, crossings only, at W/L 2947.
+    let mul16 = ArrayMultiplier::new(&MultiplierSpec {
+        bits: 16,
+        ..MultiplierSpec::default()
+    })
+    .expect("16x16 multiplier");
+    let tech03 = Technology::l03();
+    let eng16 = Engine::new(&mul16.netlist, &tech03);
+    let probes16 = mul16.netlist.primary_outputs().to_vec();
+    let mut rng = Xoshiro256pp::seed_from_u64(1);
+    let mut side = || -> Vec<Logic> {
+        (0..mul16.netlist.primary_inputs().len())
+            .map(|_| Logic::from_bool(rng.next_bool()))
+            .collect()
+    };
+    let legs16: Vec<_> = (0..16).map(|_| (side(), side())).collect();
+    let opts16 = VbsimOptions::mtcmos(2947.0);
+    let mul16_summary = measure(warmup, samples, || {
+        for (from, to) in &legs16 {
+            eng16
+                .run_summary_with(from, to, None, &probes16, &opts16, &mut scratch)
+                .expect("mul16 summary run");
+        }
+    });
+
     // SPICE: sample (or full), extrapolated to the 4096-vector total.
     let spice_total = if no_spice {
         None
@@ -225,6 +255,11 @@ fn main() {
             "-".into(),
         ],
         vec![
+            "mult 16x16, 16 vectors at W/L 2947: crossings-only summary".into(),
+            format!("{:.3} s", mul16_summary.median),
+            "-".into(),
+        ],
+        vec![
             "mult 8x8, 64 one-bit toggles: event / dense".into(),
             format!(
                 "{:.3} s / {:.3} s ({:.1}x)",
@@ -272,6 +307,7 @@ fn main() {
     file.push("mult8x8_64vec_summary", mult_summary);
     file.push("mult8x8_1bit_event", bit_event);
     file.push("mult8x8_1bit_dense", bit_dense);
+    file.push("mult16x16_16vec_summary", mul16_summary);
     file.push_derived("event_vs_dense_speedup", speedup);
     if let Some((t_spice, _)) = spice_total {
         file.push_derived("spice_vs_switch_ratio", t_spice / event.median);

@@ -176,6 +176,37 @@ mod tests {
         }
     }
 
+    /// The one-pass [`Netlist::net_loads`] lists the same readers as the
+    /// per-net `fanout_of` (repeats dropped), for every committed example
+    /// design.
+    ///
+    /// [`Netlist::net_loads`]: mtk_netlist::netlist::Netlist::net_loads
+    #[test]
+    fn net_loads_readers_match_fanout_of_on_every_example() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(&dir).expect("examples dir") {
+            let path = entry.expect("dir entry").path();
+            if path.extension().and_then(|e| e.to_str()) != Some("mtk") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("read example");
+            let name = path.display().to_string();
+            let design = mtk_fe::parse_str(&text, &name).expect("example parses");
+            let (nl, tech) = (&design.netlist, &design.tech);
+            let loads = nl.net_loads(tech);
+            assert_eq!(loads.readers.len(), nl.nets().len(), "{name}");
+            assert_eq!(loads.cap.len(), nl.nets().len(), "{name}");
+            for net in nl.net_ids() {
+                let mut readers: Vec<_> = nl.fanout_of(net).into_iter().map(|(c, _)| c).collect();
+                readers.dedup();
+                assert_eq!(loads.readers[net.index()], readers, "{name}: readers");
+            }
+            seen += 1;
+        }
+        assert_eq!(seen, golden_designs().len(), "every golden has an example");
+    }
+
     #[test]
     fn catalog_matches_designs_exactly() {
         // The catalog drives `mtk gen` help and the docs; if it drifts

@@ -41,12 +41,13 @@ impl Sta {
     /// Computes per-cell delays from the equivalent-inverter model at
     /// V<sub>x</sub> = 0 (the conventional-CMOS assumption).
     pub fn cell_delays(netlist: &Netlist, tech: &Technology) -> Vec<CellDelays> {
+        let loads = netlist.net_loads(tech);
         netlist
             .cells()
             .iter()
             .map(|cell| {
                 let eq = equivalent_inverter(cell.kind, cell.drive, tech);
-                let cl = netlist.load_cap(cell.output, tech).max(1e-18);
+                let cl = loads.cap[cell.output.index()].max(1e-18);
                 let i_n = model::discharge_current(tech, eq.beta_n, 0.0, false);
                 let i_p = model::charge_current(tech, eq.beta_p);
                 CellDelays {

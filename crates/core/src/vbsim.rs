@@ -71,13 +71,18 @@ pub struct PartitionedSleep {
 /// against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VbsimKernel {
-    /// Event-driven loop: a deterministic min-reduction over breakpoint
-    /// candidates (`f64::total_cmp` on the time — insertion-order free,
-    /// exactly a one-pop binary-heap queue), an active-gate list instead
-    /// of whole-netlist scans, incremental V<sub>x</sub> re-solves
-    /// touching only sleep groups whose drive set changed, one overdrive
-    /// power per sleep group instead of one per gate, and per-run
-    /// scratch reuse so the warm loop allocates nothing.
+    /// Event-driven loop with deferred advance: a lower-bound calendar
+    /// (rising gates keyed in time, falling gates in their sleep group's
+    /// accumulated drive) picks the few gates that could set the next
+    /// breakpoint or fire at it, and only those are evaluated; every
+    /// other gate's `v += s·dt` steps are replayed later from the run's
+    /// step log, in order and with the same operands. The breakpoint is
+    /// a deterministic min-reduction over the evaluated candidates
+    /// (`f64::total_cmp`, insertion-order free). V<sub>x</sub> re-solves
+    /// touch only sleep groups whose drive set changed, the falling list
+    /// is kept sorted incrementally, one overdrive power is taken per
+    /// sleep group instead of one per gate, and per-run scratch reuse
+    /// keeps the warm loop allocation-free.
     #[default]
     EventDriven,
     /// The original dense loop: every breakpoint rescans all gates and
@@ -180,43 +185,25 @@ pub struct Engine<'a> {
 impl<'a> Engine<'a> {
     /// Prepares an engine for a netlist under a technology.
     pub fn new(netlist: &'a Netlist, tech: &'a Technology) -> Self {
-        let beta_n;
-        let beta_p;
-        let cl;
-        let out_of;
-        let rise_slope;
-        let disch_scale;
-        {
-            let mut bn = Vec::with_capacity(netlist.cells().len());
-            let mut bp = Vec::with_capacity(netlist.cells().len());
-            let mut c = Vec::with_capacity(netlist.cells().len());
-            let mut outs = Vec::with_capacity(netlist.cells().len());
-            let mut rise = Vec::with_capacity(netlist.cells().len());
-            let mut ds = Vec::with_capacity(netlist.cells().len());
-            for cell in netlist.cells() {
-                let eq = equivalent_inverter(cell.kind, cell.drive, tech);
-                bn.push(eq.beta_n);
-                bp.push(eq.beta_p);
-                let load = netlist.load_cap(cell.output, tech).max(1e-18);
-                c.push(load);
-                outs.push(cell.output.index());
-                rise.push(model::charge_current(tech, eq.beta_p) / load);
-                ds.push(model::discharge_scale(tech, eq.beta_n));
-            }
-            beta_n = bn;
-            beta_p = bp;
-            cl = c;
-            out_of = outs;
-            rise_slope = rise;
-            disch_scale = ds;
+        let loads = netlist.net_loads(tech);
+        let n_cells = netlist.cells().len();
+        let mut beta_n = Vec::with_capacity(n_cells);
+        let mut beta_p = Vec::with_capacity(n_cells);
+        let mut cl = Vec::with_capacity(n_cells);
+        let mut out_of = Vec::with_capacity(n_cells);
+        let mut rise_slope = Vec::with_capacity(n_cells);
+        let mut disch_scale = Vec::with_capacity(n_cells);
+        for cell in netlist.cells() {
+            let eq = equivalent_inverter(cell.kind, cell.drive, tech);
+            beta_n.push(eq.beta_n);
+            beta_p.push(eq.beta_p);
+            let load = loads.cap[cell.output.index()].max(1e-18);
+            cl.push(load);
+            out_of.push(cell.output.index());
+            rise_slope.push(model::charge_current(tech, eq.beta_p) / load);
+            disch_scale.push(model::discharge_scale(tech, eq.beta_n));
         }
-        let mut fanout: Vec<Vec<CellId>> = vec![Vec::new(); netlist.nets().len()];
-        for ni in netlist.net_ids() {
-            let mut cells: Vec<CellId> =
-                netlist.fanout_of(ni).into_iter().map(|(c, _)| c).collect();
-            cells.dedup();
-            fanout[ni.index()] = cells;
-        }
+        let fanout = loads.readers;
         Engine {
             netlist,
             tech,
@@ -797,27 +784,47 @@ impl<'a> Engine<'a> {
     /// [`SummaryRecorder`] only what delay measurement reads. Both see the
     /// identical point sequence, so the choice changes no result.
     ///
-    /// Bit-identity with the dense kernel rests on five invariants:
+    /// A breakpoint evaluates only the switching cells the [`Calendar`]
+    /// says could set it or fire at it; every other cell's `v += s·dt`
+    /// steps wait in the run's step log and are replayed later, in order,
+    /// with the operands the dense kernel uses. Bit-identity with the
+    /// dense kernel rests on these invariants:
     ///
-    /// * The breakpoint queue is rebuilt from fresh candidate times
-    ///   every iteration — candidates are *relative* times
-    ///   computed from the current voltages, so the popped minimum is
-    ///   the same value the dense kernel's `min`-fold produces
-    ///   (persisting absolute times across breakpoints would round
-    ///   differently).
-    /// * The active list is kept sorted by cell index, so scale lists,
-    ///   current sums, and fire events happen in the same
-    ///   ascending-index order as the dense whole-netlist scans.
+    /// * A cell is replayed up to now ([`Calendar::replay`]) before
+    ///   anything reads or changes its voltage: when the calendar pops
+    ///   it, before a reversal, before it is re-keyed and at run end. Each
+    ///   replayed step uses the slope that breakpoint gave the cell —
+    ///   `rise_slope`, or `−(scale·drive)/C` with the drive logged for its
+    ///   group at that step — and a zero-slope step advances nothing and
+    ///   emits no point, exactly as the dense kernel skips it. So every
+    ///   net receives the dense kernel's point sequence.
+    /// * Calendar keys are lower bounds ([`Calendar::file`]): a cell left
+    ///   in the calendar has every candidate later than the chosen
+    ///   breakpoint and fires nothing at it. The breakpoint is a
+    ///   `total_cmp` min-reduction over the evaluated cells' candidates,
+    ///   which performs no arithmetic and is order-free, so it is the
+    ///   dense kernel's fold over every cell.
+    /// * Candidates are *relative* times computed from the replayed
+    ///   voltages, as in the dense kernel; keys only decide who is
+    ///   evaluated, never a time that is used.
+    /// * The falling list is kept sorted by cell index, so scale lists and
+    ///   the sleep-current sum add the same terms in the same order as the
+    ///   dense whole-netlist scans. The sum is recomputed whenever the
+    ///   falling set or a group's drive changes.
     /// * A group's equilibrium is replayed from its cached solution only
     ///   while its falling-drive set is unchanged — and
     ///   [`model::solve_vx_scaled`] (bit-identical to the dense kernel's
     ///   [`model::solve_vx_tracked`] on the βs) is a pure function of
     ///   `(tech, r, scales, body_effect)`, which is exactly the memo key.
-    /// * Only `Ok` solutions are memoized, so error paths re-execute.
+    ///   Only `Ok` solutions are memoized, so error paths re-execute.
     /// * A discharge current is [`model::discharge_scale`] (per cell,
     ///   precomputed) times [`model::discharge_drive`] (per group, taken
     ///   once per distinct V<sub>x</sub>): the expression tree
     ///   [`model::discharge_current`] evaluates.
+    ///
+    /// Every exit, the overflow error included, first replays every
+    /// switching cell, so a point the dense kernel's recorder would reject
+    /// is rejected here too.
     fn run_event<R: Recorder>(
         &self,
         from: &[Logic],
@@ -919,11 +926,11 @@ impl<'a> Engine<'a> {
             }));
         }
 
-        scratch.slope.clear();
-        scratch.slope.resize(n_nets, 0.0);
         scratch.dir.clear();
         scratch.dir.resize(n_cells, None);
-        scratch.active.clear();
+        scratch.n_active = 0;
+        scratch.falling.clear();
+        scratch.sum_dirty = true;
         scratch.reeval.clear();
         scratch.vx.clear();
         scratch.vx.resize(n_groups, 0.0);
@@ -933,15 +940,17 @@ impl<'a> Engine<'a> {
         scratch.vx_fell.resize(n_groups, false);
         scratch.dirty.clear();
         scratch.dirty.resize(n_groups, true);
-        scratch.falling_count.clear();
-        scratch.falling_count.resize(n_groups, 0);
         if scratch.scales.len() < n_groups {
             scratch.scales.resize_with(n_groups, Vec::new);
         }
-        scratch.drive_bits.clear();
-        scratch.drive_bits.resize(n_groups, u64::MAX);
         scratch.drive.clear();
-        scratch.drive.resize(n_groups, None);
+        scratch.drive.resize(
+            n_groups,
+            model::discharge_drive(tech, 0.0, opts.body_effect),
+        );
+        scratch
+            .cal
+            .reset(n_cells, &scratch.drive, Keys::new(tech, opts));
 
         rec.vgnd(0.0, 0.0);
         rec.sleep_current(0.0, 0.0);
@@ -976,7 +985,7 @@ impl<'a> Engine<'a> {
         let mut truncated = false;
         let mut max_falling = 0usize;
 
-        loop {
+        let ended = 'run: loop {
             // (1) Gate re-evaluation from threshold crossings. Most
             // breakpoints wake zero or one gate, where a sort is a
             // no-op not worth its dispatch cost.
@@ -986,7 +995,7 @@ impl<'a> Engine<'a> {
             }
             for k in 0..scratch.reeval.len() {
                 let ci = scratch.reeval[k];
-                if self.update_gate_event(ci, scratch, vdd) {
+                if self.update_gate_event(ci, scratch, rec) {
                     glitch_reversals += 1;
                 }
             }
@@ -999,8 +1008,7 @@ impl<'a> Engine<'a> {
             // on replays too).
             if scratch.dirty[..n_groups].iter().any(|&d| d) {
                 let VbsimScratch {
-                    active,
-                    dir,
+                    falling,
                     group_of,
                     dirty,
                     scales,
@@ -1011,21 +1019,21 @@ impl<'a> Engine<'a> {
                         b.clear();
                     }
                 }
-                for &ci in active.iter() {
-                    if dir[ci] == Some(Dir::Falling) {
-                        let g = group_of[ci];
-                        if dirty[g] {
-                            scales[g].push(self.disch_scale[ci]);
-                        }
+                for &ci in falling.iter() {
+                    let g = group_of[ci];
+                    if dirty[g] {
+                        scales[g].push(self.disch_scale[ci]);
                     }
                 }
             }
-            let n_falling: usize = scratch.falling_count[..n_groups].iter().sum();
-            max_falling = max_falling.max(n_falling);
+            max_falling = max_falling.max(scratch.falling.len());
             let mut any_vx_change = false;
             for g in 0..n_groups {
                 let (new_vx, fell_back) = if scratch.dirty[g] {
-                    let sol = self.solve_group_memoized(g, opts, vx_opts, scratch)?;
+                    let sol = match self.solve_group_memoized(g, opts, vx_opts, scratch) {
+                        Ok(sol) => sol,
+                        Err(e) => break 'run Err(e),
+                    };
                     scratch.vx_sol[g] = sol.0;
                     scratch.vx_fell[g] = sol.1;
                     scratch.dirty[g] = false;
@@ -1043,6 +1051,12 @@ impl<'a> Engine<'a> {
                     }
                     scratch.vx[g] = new_vx;
                     any_vx_change = true;
+                    // Vx moves only at breakpoints, so the overdrive power
+                    // is taken once per group per distinct Vx.
+                    let drive = model::discharge_drive(tech, new_vx, opts.body_effect);
+                    scratch.drive[g] = drive;
+                    scratch.cal.log_drive(g, drive);
+                    scratch.sum_dirty = true;
                 }
             }
             if any_vx_change && opts.reverse_conduction {
@@ -1069,181 +1083,73 @@ impl<'a> Engine<'a> {
                 }
             }
 
-            // (3) Update slopes and pick the next breakpoint: a
-            // deterministic min-reduction over the candidate times under
-            // `f64::total_cmp`. Min-selection performs no arithmetic and
-            // equal candidates carry equal bits, so the result is
-            // insertion-order free — exactly what a binary-heap queue
-            // would pop.
-            let mut i_total = 0.0f64;
-            let mut dt_min = f64::INFINITY;
-            let any_switching = !scratch.active.is_empty();
-            {
+            // (3) The sleep current, then the next breakpoint from the
+            // cells the calendar pops.
+            if scratch.sum_dirty {
                 let VbsimScratch {
-                    active,
-                    dir,
+                    falling,
                     group_of,
-                    vx,
-                    v,
-                    slope,
-                    drive_bits,
                     drive,
                     ..
-                } = &mut *scratch;
-                let mut consider = |dt: f64| {
-                    if dt.total_cmp(&dt_min).is_lt() {
-                        dt_min = dt;
-                    }
-                };
-                for &ci in active.iter() {
-                    let Some(d) = dir[ci] else { continue };
-                    let g = group_of[ci];
-                    let vxg = vx[g];
-                    let floor = if opts.reverse_conduction { vxg } else { 0.0 };
-                    let out = self.out_of[ci];
-                    let (s, target) = match d {
-                        Dir::Falling => {
-                            // Per-group overdrive memo: Vx moves only at
-                            // breakpoints, so the power is taken once
-                            // per group per distinct Vx.
-                            let bits = vxg.to_bits();
-                            if drive_bits[g] != bits {
-                                drive[g] = model::discharge_drive(tech, vxg, opts.body_effect);
-                                drive_bits[g] = bits;
-                            }
-                            let i = model::discharge_current_with(self.disch_scale[ci], drive[g]);
-                            i_total += i;
-                            (-i / self.cl[ci], floor)
-                        }
-                        Dir::Rising => (self.rise_slope[ci], vdd),
-                    };
-                    slope[out] = s;
-                    if s == 0.0 {
-                        continue; // stalled: waits for vx to drop
-                    }
-                    // Threshold crossing still ahead? When the swing's
-                    // target lies beyond the threshold, the finish time
-                    // is the same division with a numerator no smaller
-                    // in magnitude, so (rounding being monotone) it can
-                    // never undercut the crossing candidate: skip it.
-                    let (crossing_ahead, target_beyond) = match d {
-                        Dir::Falling => (v[out] > vth_sw, target < vth_sw),
-                        Dir::Rising => (v[out] < vth_sw, target > vth_sw),
-                    };
-                    if crossing_ahead {
-                        let dt = (vth_sw - v[out]) / s;
-                        if dt >= 0.0 {
-                            consider(dt);
-                            if target_beyond {
-                                continue;
-                            }
-                        }
-                    }
-                    // Finish.
-                    let dt_fin = (target - v[out]) / s;
-                    if dt_fin >= 0.0 {
-                        consider(dt_fin);
-                    }
+                } = &*scratch;
+                let mut i_total = 0.0f64;
+                for &ci in falling {
+                    i_total +=
+                        model::discharge_current_with(self.disch_scale[ci], drive[group_of[ci]]);
                 }
+                scratch.i_total = i_total;
+                scratch.sum_dirty = false;
             }
-            rec.sleep_current(t, i_total);
+            rec.sleep_current(t, scratch.i_total);
 
-            if !any_switching {
-                break; // settled
+            if scratch.n_active == 0 {
+                break Ok(()); // settled
             }
+            let dt_min = self.next_breakpoint(opts, scratch, rec);
             if !dt_min.is_finite() {
                 // Every active gate is stalled and nothing can unstick
                 // them: the circuit has logically failed at this sizing.
                 stalled = true;
-                break;
+                break Ok(());
             }
             let t_next = t + dt_min;
             if t_next > opts.t_stop {
                 truncated = true;
-                break;
+                break Ok(());
             }
             breakpoints += 1;
             if breakpoints > opts.max_events {
-                return Err(CoreError::EventOverflow {
+                break Err(CoreError::EventOverflow {
                     events: breakpoints,
                     t: t_next,
                 });
             }
-
-            // (4+5) Advance all moving nets to the breakpoint and fire
-            // the events that landed on it — one pass over the active
-            // list. Per-cell effects are disjoint (each active cell
-            // owns its output net), so interleaving fire of cell A with
-            // advance of cell B is observably identical to the dense
-            // kernel's two whole-list passes.
             t = t_next;
-            let eps = 1e-15 + vdd * 1e-12;
-            let mut any_finished = false;
-            {
-                let VbsimScratch {
-                    active,
-                    dir,
-                    group_of,
-                    vx,
-                    v,
-                    slope,
-                    digital,
-                    reeval,
-                    falling_count,
-                    dirty,
-                    ..
-                } = &mut *scratch;
-                for &ci in active.iter() {
-                    let Some(d) = dir[ci] else { continue };
-                    let out = self.out_of[ci];
-                    if slope[out] == 0.0 {
-                        continue;
-                    }
-                    v[out] += slope[out] * dt_min;
-                    rec.net(out, t, v[out]);
-                    let floor = if opts.reverse_conduction {
-                        vx[group_of[ci]]
-                    } else {
-                        0.0
-                    };
-                    let (target, rail_digital) = match d {
-                        Dir::Falling => (floor, false),
-                        Dir::Rising => (vdd, true),
-                    };
-                    // Threshold event.
-                    let crossed_now = match d {
-                        Dir::Falling => v[out] <= vth_sw + eps && digital[out],
-                        Dir::Rising => v[out] >= vth_sw - eps && !digital[out],
-                    };
-                    if crossed_now {
-                        digital[out] = rail_digital;
-                        reeval.extend(self.fanout[out].iter().copied());
-                    }
-                    // Finish event.
-                    let finished = match d {
-                        Dir::Falling => v[out] <= target + eps,
-                        Dir::Rising => v[out] >= target - eps,
-                    };
-                    if finished {
-                        v[out] = target;
-                        // Re-emit the clamped endpoint to kill rounding drift.
-                        rec.net(out, t, v[out]);
-                        dir[ci] = None;
-                        slope[out] = 0.0;
-                        any_finished = true;
-                        if d == Dir::Falling {
-                            let g = group_of[ci];
-                            falling_count[g] -= 1;
-                            dirty[g] = true;
-                        }
-                    }
+            scratch.cal.commit(t, dt_min, &scratch.drive);
+
+            // (4+5) Advance the evaluated cells to the breakpoint and fire
+            // the events that landed on it. Per-cell effects are disjoint
+            // (each cell owns its output net), and wake-ups are sorted
+            // before use, so the order is immaterial.
+            self.fire_due(opts, scratch, rec);
+        };
+
+        // Replay every switching cell's deferred steps, on every exit.
+        {
+            let VbsimScratch {
+                cal,
+                dir,
+                group_of,
+                v,
+                ..
+            } = &mut *scratch;
+            for (ci, d) in dir.iter().enumerate() {
+                if let Some(d) = *d {
+                    cal.replay(self, ci, d, group_of[ci], &mut v[self.out_of[ci]], rec);
                 }
             }
-            if any_finished {
-                let VbsimScratch { active, dir, .. } = &mut *scratch;
-                active.retain(|&ci| dir[ci].is_some());
-            }
         }
+        ended?;
 
         // Final flat segment so every series spans [0, t].
         for idx in 0..n_nets {
@@ -1267,6 +1173,160 @@ impl<'a> Engine<'a> {
                 ..RunHealth::default()
             },
         })
+    }
+
+    /// Evaluates the cells the calendar pops for the next breakpoint:
+    /// each is replayed up to now, and its crossing and finish candidates
+    /// (relative times from its current voltage, exactly the dense
+    /// kernel's) enter a `total_cmp` min-reduction. Popping stops when no
+    /// calendar source is due against the smallest candidate so far.
+    /// Returns that candidate, `∞` when no popped cell has a finite one;
+    /// the popped cells and their slopes are left in `cal.due`.
+    fn next_breakpoint<R: Recorder>(
+        &self,
+        opts: &VbsimOptions,
+        scratch: &mut VbsimScratch,
+        rec: &mut R,
+    ) -> f64 {
+        let VbsimScratch {
+            cal,
+            dir,
+            group_of,
+            vx,
+            v,
+            drive,
+            ..
+        } = &mut *scratch;
+        let Keys {
+            vdd, vth: vth_sw, ..
+        } = cal.keys;
+        cal.due.clear();
+        let mut dt_min = f64::INFINITY;
+        let consider = |dt_min: &mut f64, dt: f64| {
+            if dt.total_cmp(dt_min).is_lt() {
+                *dt_min = dt;
+            }
+        };
+        while let Some(ci) = cal.pop_due(dt_min, drive) {
+            let d = dir[ci].expect("the calendar holds switching cells only");
+            let g = group_of[ci];
+            let out = self.out_of[ci];
+            cal.replay(self, ci, d, g, &mut v[out], rec);
+            let floor = if opts.reverse_conduction { vx[g] } else { 0.0 };
+            let (s, target) = match d {
+                Dir::Falling => {
+                    let i = model::discharge_current_with(self.disch_scale[ci], drive[g]);
+                    (-i / self.cl[ci], floor)
+                }
+                Dir::Rising => (self.rise_slope[ci], vdd),
+            };
+            cal.due.push((ci, s));
+            if s == 0.0 {
+                continue; // stalled: waits for vx to drop
+            }
+            let vo = v[out];
+            // Threshold crossing still ahead? When the swing's target
+            // lies beyond the threshold, the finish time is the same
+            // division with a numerator no smaller in magnitude, so
+            // (rounding being monotone) it can never undercut the
+            // crossing candidate: skip it.
+            let (crossing_ahead, target_beyond) = match d {
+                Dir::Falling => (vo > vth_sw, target < vth_sw),
+                Dir::Rising => (vo < vth_sw, target > vth_sw),
+            };
+            if crossing_ahead {
+                let dt = (vth_sw - vo) / s;
+                if dt >= 0.0 {
+                    consider(&mut dt_min, dt);
+                    if target_beyond {
+                        continue;
+                    }
+                }
+            }
+            // Finish.
+            let dt_fin = (target - vo) / s;
+            if dt_fin >= 0.0 {
+                consider(&mut dt_min, dt_fin);
+            }
+        }
+        #[cfg(test)]
+        {
+            cal.stats.evaluated += cal.due.len();
+        }
+        dt_min
+    }
+
+    /// Advances the cells [`Engine::next_breakpoint`] evaluated to the
+    /// breakpoint just committed and fires the threshold and finish
+    /// events that landed on it; cells still switching are re-keyed.
+    fn fire_due<R: Recorder>(&self, opts: &VbsimOptions, scratch: &mut VbsimScratch, rec: &mut R) {
+        let VbsimScratch {
+            cal,
+            dir,
+            group_of,
+            vx,
+            v,
+            digital,
+            reeval,
+            falling,
+            dirty,
+            n_active,
+            sum_dirty,
+            ..
+        } = &mut *scratch;
+        #[cfg(test)]
+        {
+            cal.stats.breakpoints += 1;
+        }
+        let Keys {
+            vdd,
+            vth: vth_sw,
+            eps,
+            ..
+        } = cal.keys;
+        let t = cal.now();
+        for j in 0..cal.due.len() {
+            let (ci, s) = cal.due[j];
+            let d = dir[ci].expect("popped cells are switching");
+            let g = group_of[ci];
+            let out = self.out_of[ci];
+            cal.replay(self, ci, d, g, &mut v[out], rec);
+            if s != 0.0 {
+                let floor = if opts.reverse_conduction { vx[g] } else { 0.0 };
+                let (target, rail_digital) = match d {
+                    Dir::Falling => (floor, false),
+                    Dir::Rising => (vdd, true),
+                };
+                // Threshold event.
+                let crossed_now = match d {
+                    Dir::Falling => v[out] <= vth_sw + eps && digital[out],
+                    Dir::Rising => v[out] >= vth_sw - eps && !digital[out],
+                };
+                if crossed_now {
+                    digital[out] = rail_digital;
+                    reeval.extend(self.fanout[out].iter().copied());
+                }
+                // Finish event.
+                let finished = match d {
+                    Dir::Falling => v[out] <= target + eps,
+                    Dir::Rising => v[out] >= target - eps,
+                };
+                if finished {
+                    v[out] = target;
+                    // Re-emit the clamped endpoint to kill rounding drift.
+                    rec.net(out, t, v[out]);
+                    dir[ci] = None;
+                    *n_active -= 1;
+                    if d == Dir::Falling {
+                        remove_sorted(falling, ci);
+                        dirty[g] = true;
+                        *sum_dirty = true;
+                    }
+                    continue;
+                }
+            }
+            cal.file(self, ci, d, g, v[out], digital[out]);
+        }
     }
 
     /// [`Netlist::evaluate`] over the engine's precomputed topological
@@ -1348,9 +1408,15 @@ impl<'a> Engine<'a> {
 
     /// [`Engine::update_gate`] for the event kernel: the same decision
     /// logic, backed by scratch buffers and charged with maintaining the
-    /// kernel's incremental state (sorted active list, per-group falling
-    /// counts, dirty flags).
-    fn update_gate_event(&self, ci: CellId, scratch: &mut VbsimScratch, vdd: f64) -> bool {
+    /// kernel's incremental state (switching count, sorted falling list,
+    /// dirty flags, calendar keys). A reversing cell is replayed up to now
+    /// before its direction changes.
+    fn update_gate_event<R: Recorder>(
+        &self,
+        ci: CellId,
+        scratch: &mut VbsimScratch,
+        rec: &mut R,
+    ) -> bool {
         let cell = &self.netlist.cells()[ci.index()];
         {
             let VbsimScratch { ins, digital, .. } = &mut *scratch;
@@ -1369,21 +1435,28 @@ impl<'a> Engine<'a> {
         let out = cell.output.index();
         let want = if target { Dir::Rising } else { Dir::Falling };
         let idx = ci.index();
+        let g = scratch.group_of[idx];
         match scratch.dir[idx] {
             Some(current) => {
-                if current != want {
-                    scratch.dir[idx] = Some(want); // reverse mid-swing
-                    let g = scratch.group_of[idx];
-                    match want {
-                        Dir::Falling => scratch.falling_count[g] += 1,
-                        Dir::Rising => scratch.falling_count[g] -= 1,
-                    }
-                    scratch.dirty[g] = true;
-                    return true;
+                if current == want {
+                    return false;
                 }
-                false
+                scratch
+                    .cal
+                    .replay(self, idx, current, g, &mut scratch.v[out], rec);
+                scratch.dir[idx] = Some(want); // reverse mid-swing
+                match want {
+                    Dir::Falling => insert_sorted(&mut scratch.falling, idx),
+                    Dir::Rising => remove_sorted(&mut scratch.falling, idx),
+                }
+                scratch.dirty[g] = true;
+                scratch.sum_dirty = true;
+                let (v, digital) = (scratch.v[out], scratch.digital[out]);
+                scratch.cal.file(self, idx, want, g, v, digital);
+                true
             }
             None => {
+                let vdd = self.tech.vdd;
                 let at_target_rail = if target {
                     scratch.v[out] >= vdd * 0.999
                 } else {
@@ -1391,19 +1464,350 @@ impl<'a> Engine<'a> {
                 };
                 if target != scratch.digital[out] || !at_target_rail {
                     scratch.dir[idx] = Some(want);
-                    if let Err(pos) = scratch.active.binary_search(&idx) {
-                        scratch.active.insert(pos, idx);
-                    }
+                    scratch.n_active += 1;
+                    scratch.cal.start(idx);
                     if want == Dir::Falling {
-                        let g = scratch.group_of[idx];
-                        scratch.falling_count[g] += 1;
+                        insert_sorted(&mut scratch.falling, idx);
                         scratch.dirty[g] = true;
+                        scratch.sum_dirty = true;
                     }
+                    let (v, digital) = (scratch.v[out], scratch.digital[out]);
+                    scratch.cal.file(self, idx, want, g, v, digital);
                 }
                 false
             }
         }
     }
+}
+
+/// Inserts `ci` into an ascending list that does not hold it.
+fn insert_sorted(list: &mut Vec<usize>, ci: usize) {
+    if let Err(pos) = list.binary_search(&ci) {
+        list.insert(pos, ci);
+    }
+}
+
+/// Removes `ci` from an ascending list, if present.
+fn remove_sorted(list: &mut Vec<usize>, ci: usize) {
+    if let Ok(pos) = list.binary_search(&ci) {
+        list.remove(pos);
+    }
+}
+
+/// Machine epsilons of horizon widening per breakpoint a run may take;
+/// see [`Keys::rel`].
+const CALENDAR_ULPS: f64 = 16.0;
+
+/// The constants [`Calendar::file`] keys cells against and
+/// [`Calendar::pop_due`] compares keys with.
+#[derive(Debug, Clone, Copy, Default)]
+struct Keys {
+    vdd: f64,
+    /// The switching threshold.
+    vth: f64,
+    /// The tolerance within which a threshold or finish event fires, in
+    /// volts.
+    eps: f64,
+    /// Relative widening of every horizon a key is compared with.
+    ///
+    /// A key is an estimate from a linear model: a rising cell's voltage
+    /// grows as `rise_slope · t`, a falling cell's drops as
+    /// `(scale/C) · Φ_g`. What the kernel computes differs from that model
+    /// only by rounding, and over `K` breakpoints that rounding is at most
+    /// about `K` units of roundoff relative to `t` (each `t + dt` rounds
+    /// once), to `Φ_g` (each `Φ + drive·dt` rounds once), and to `Vdd`
+    /// for the replayed voltage (each `v + s·dt` rounds once, and the
+    /// per-step products add a few units over the whole swing). `K` is at
+    /// most `max_events + 1`, about 2e-11 relative at the default 200 k.
+    /// `rel` is [`CALENDAR_ULPS`] machine epsilons (two units of
+    /// roundoff each) per possible breakpoint, about 7e-10 at 200 k, so
+    /// it dominates that bound 32-fold; the cost is that a cell is popped
+    /// that fraction of the run early.
+    rel: f64,
+    /// `rel · Vdd`: the voltage a key's distance is shortened by.
+    margin_v: f64,
+    /// Falling finish targets ride V<sub>x</sub>, so falling keys are
+    /// always due.
+    reverse_conduction: bool,
+}
+
+impl Keys {
+    fn new(tech: &Technology, opts: &VbsimOptions) -> Self {
+        let vdd = tech.vdd;
+        let rel = CALENDAR_ULPS * (opts.max_events as f64 + 2.0) * f64::EPSILON;
+        Keys {
+            vdd,
+            vth: tech.v_switch(),
+            eps: 1e-15 + vdd * 1e-12,
+            rel,
+            margin_v: rel * vdd,
+            reverse_conduction: opts.reverse_conduction,
+        }
+    }
+}
+
+/// A calendar entry: a key's bit pattern (keys are non-negative, so the
+/// bits order like the values), the cell, and the generation the cell
+/// was filed under. `Reverse` makes the heap pop the earliest key.
+type Entry = std::cmp::Reverse<(u64, u32, u32)>;
+
+/// The deferred-advance state of one event-kernel run: the log every
+/// deferred step is replayed from, and the lower-bound calendar that
+/// decides which switching cells a breakpoint evaluates.
+///
+/// A cell's key never lies later than the moment it could produce the
+/// next breakpoint or fire at one: the time (rising cells, whose slope is
+/// constant) or the group's accumulated drive Φ<sub>g</sub> (falling
+/// cells) at which its voltage comes within the fire tolerance, less a
+/// margin, of the nearer of
+///
+/// * the threshold, while the voltage is on its pre-threshold side (a
+///   crossing candidate exists) or the crossing has not fired yet — the
+///   rule reads the voltage, not the digital state, because a rising
+///   output left one ulp under the threshold after its crossing fired
+///   still yields a (zero-length) breakpoint;
+/// * otherwise, the rail the swing finishes on.
+///
+/// Every falling cell of a group shares Φ<sub>g</sub>, so a
+/// V<sub>x</sub> change re-keys nothing, and a starved group (drive
+/// `None`: its cells have zero slope, no candidate and no event) is
+/// skipped whole.
+#[derive(Debug, Clone, Default)]
+struct Calendar {
+    /// `(t, dt)` of every breakpoint taken; step `k` (from 1) is at `k − 1`.
+    steps: Vec<(f64, f64)>,
+    /// Per sleep group, `(first step, drive)` at every drive change; the
+    /// first entry covers step 1. One entry per change, not per step, so
+    /// many-group and long runs stay small.
+    drives: Vec<Vec<(usize, Option<f64>)>>,
+    /// Per group, Φ<sub>g</sub> = Σ drive·dt over the steps taken.
+    phi: Vec<f64>,
+    /// Per cell, how many steps its output has had applied.
+    applied: Vec<usize>,
+    /// Per cell, the generation of its live entry; entries filed under an
+    /// older generation are stale and skipped.
+    gen: Vec<u32>,
+    /// Rising cells, keyed in time.
+    rising: std::collections::BinaryHeap<Entry>,
+    /// Per group, falling cells keyed in Φ<sub>g</sub>.
+    falling: Vec<std::collections::BinaryHeap<Entry>>,
+    /// The cells popped for the breakpoint being chosen, with the slope
+    /// it gives each.
+    due: Vec<(usize, f64)>,
+    /// The run's keying constants.
+    keys: Keys,
+    #[cfg(test)]
+    stats: CalendarStats,
+}
+
+/// How much work the calendar saved, for the unit tests.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct CalendarStats {
+    /// Breakpoints taken.
+    breakpoints: usize,
+    /// Cells evaluated, summed over breakpoints.
+    evaluated: usize,
+    /// Steps applied to outputs by replay.
+    replayed: usize,
+}
+
+impl Calendar {
+    /// Empties the calendar for a run of `n_cells` cells whose groups
+    /// start at `drive`, keyed against `keys`.
+    fn reset(&mut self, n_cells: usize, drive: &[Option<f64>], keys: Keys) {
+        let n_groups = drive.len();
+        self.steps.clear();
+        if self.drives.len() < n_groups {
+            self.drives.resize_with(n_groups, Vec::new);
+            self.falling
+                .resize_with(n_groups, std::collections::BinaryHeap::new);
+        }
+        for (g, &d) in drive.iter().enumerate() {
+            self.drives[g].clear();
+            self.drives[g].push((1, d));
+            self.falling[g].clear();
+        }
+        self.phi.clear();
+        self.phi.resize(n_groups, 0.0);
+        self.applied.resize(n_cells, 0);
+        self.gen.resize(n_cells, 0);
+        self.rising.clear();
+        self.due.clear();
+        self.keys = keys;
+    }
+
+    /// Marks cell `ci` as starting to switch now: no step is owed to it.
+    fn start(&mut self, ci: usize) {
+        self.applied[ci] = self.steps.len();
+    }
+
+    /// The time of the last breakpoint taken (0 before the first).
+    fn now(&self) -> f64 {
+        self.steps.last().map_or(0.0, |&(t, _)| t)
+    }
+
+    /// Logs group `g`'s drive for the steps from the next one on.
+    fn log_drive(&mut self, g: usize, drive: Option<f64>) {
+        let next = self.steps.len() + 1;
+        let log = &mut self.drives[g];
+        match log.last_mut() {
+            Some(last) if last.0 == next => last.1 = drive,
+            _ => log.push((next, drive)),
+        }
+    }
+
+    /// Logs a breakpoint taken at `t` after `dt`, advancing every
+    /// non-starved group's Φ<sub>g</sub> by its current `drive`.
+    fn commit(&mut self, t: f64, dt: f64, drive: &[Option<f64>]) {
+        self.steps.push((t, dt));
+        for (phi, d) in self.phi.iter_mut().zip(drive) {
+            if let Some(d) = *d {
+                *phi += d * dt;
+            }
+        }
+    }
+
+    /// Applies every step cell `ci` (switching in direction `d`, in
+    /// group `g`) has not had yet to its output voltage `v`, recording
+    /// each point: `v += s·dt` with the slope each step gave it, skipping
+    /// zero-slope steps as the dense kernel does.
+    fn replay<R: Recorder>(
+        &mut self,
+        eng: &Engine,
+        ci: usize,
+        d: Dir,
+        g: usize,
+        v: &mut f64,
+        rec: &mut R,
+    ) {
+        let (from, to) = (self.applied[ci], self.steps.len());
+        if from == to {
+            return;
+        }
+        self.applied[ci] = to;
+        let out = eng.out_of[ci];
+        let mut apply = |s: f64, steps: &[(f64, f64)]| {
+            if s != 0.0 {
+                for &(t, dt) in steps {
+                    *v += s * dt;
+                    rec.net(out, t, *v);
+                }
+            }
+        };
+        match d {
+            Dir::Rising => apply(eng.rise_slope[ci], &self.steps[from..to]),
+            Dir::Falling => {
+                let log = &self.drives[g];
+                let mut i = log.partition_point(|&(first, _)| first <= from + 1) - 1;
+                let mut k = from;
+                while k < to {
+                    let end = log.get(i + 1).map_or(to, |&(first, _)| (first - 1).min(to));
+                    let current = model::discharge_current_with(eng.disch_scale[ci], log[i].1);
+                    apply(-current / eng.cl[ci], &self.steps[k..end]);
+                    k = end;
+                    i += 1;
+                }
+            }
+        }
+        #[cfg(test)]
+        {
+            self.stats.replayed += to - from;
+        }
+    }
+
+    /// Files cell `ci` — switching in direction `d` in group `g`, with
+    /// output voltage `v` and digital state `digital` now — under its
+    /// lower-bound key (see [`Calendar`]), dropping any entry it had. A
+    /// cell whose slope is always zero is not filed: it never moves and
+    /// never fires. Slopes are otherwise positive (rising) or negative
+    /// (falling) by construction.
+    fn file(&mut self, eng: &Engine, ci: usize, d: Dir, g: usize, v: f64, digital: bool) {
+        self.gen[ci] = self.gen[ci].wrapping_add(1);
+        let k = self.keys;
+        let key = match d {
+            Dir::Rising => {
+                let s = eng.rise_slope[ci];
+                if s == 0.0 {
+                    return;
+                }
+                let target = if v < k.vth || !digital {
+                    k.vth - k.eps
+                } else {
+                    k.vdd - k.eps
+                };
+                self.now() + (target - v - k.margin_v).max(0.0) / s
+            }
+            Dir::Falling => {
+                let scale = eng.disch_scale[ci];
+                if scale == 0.0 {
+                    return;
+                }
+                if k.reverse_conduction {
+                    0.0
+                } else {
+                    let target = if v > k.vth || digital {
+                        k.vth + k.eps
+                    } else {
+                        k.eps
+                    };
+                    self.phi[g] + (v - target - k.margin_v).max(0.0) * (eng.cl[ci] / scale)
+                }
+            }
+        };
+        let entry = std::cmp::Reverse((key.to_bits(), ci as u32, self.gen[ci]));
+        match d {
+            Dir::Rising => self.rising.push(entry),
+            Dir::Falling => self.falling[g].push(entry),
+        }
+    }
+
+    /// Pops the cell with the earliest estimated time among the sources
+    /// (the rising heap, each non-starved group's heap) whose top key is
+    /// due: inside the horizon `now + dt_min` — in Φ<sub>g</sub>, the
+    /// group's Φ advanced by its current `drive` over `dt_min` — widened
+    /// by [`Keys::rel`]. With no candidate yet (`dt_min` infinite) every
+    /// filed cell is due. `None` once no source is due.
+    fn pop_due(&mut self, dt_min: f64, drive: &[Option<f64>]) -> Option<usize> {
+        let (t, rel) = (self.now(), self.keys.rel);
+        let due = |key: f64, base: f64, rate: f64| {
+            dt_min == f64::INFINITY || key <= (base + rate * dt_min) * (1.0 + rel)
+        };
+        let mut best: Option<(f64, Option<usize>)> = None;
+        if let Some(key) = live_top(&mut self.rising, &self.gen) {
+            if due(key, t, 1.0) {
+                best = Some((key, None));
+            }
+        }
+        for (g, heap) in self.falling.iter_mut().enumerate().take(drive.len()) {
+            let Some(d) = drive[g] else { continue };
+            let Some(key) = live_top(heap, &self.gen) else {
+                continue;
+            };
+            if due(key, self.phi[g], d) {
+                let est = t + (key - self.phi[g]) / d;
+                if best.is_none_or(|(b, _)| est.total_cmp(&b).is_lt()) {
+                    best = Some((est, Some(g)));
+                }
+            }
+        }
+        let heap = match best?.1 {
+            None => &mut self.rising,
+            Some(g) => &mut self.falling[g],
+        };
+        heap.pop().map(|std::cmp::Reverse((_, ci, _))| ci as usize)
+    }
+}
+
+/// The key of a heap's earliest live entry, discarding stale ones.
+fn live_top(heap: &mut std::collections::BinaryHeap<Entry>, gen: &[u32]) -> Option<f64> {
+    while let Some(&std::cmp::Reverse((key, ci, g))) = heap.peek() {
+        if gen[ci as usize] == g {
+            return Some(f64::from_bits(key));
+        }
+        heap.pop();
+    }
+    None
 }
 
 /// Upper bound on the cross-run V<sub>x</sub> memo's key storage, in
@@ -1424,13 +1828,22 @@ const VX_MEMO_WORDS: usize = 1 << 16;
 #[derive(Debug, Clone, Default)]
 pub struct VbsimScratch {
     digital: Vec<bool>,
+    /// Net voltages; a switching cell's output may lag behind by the
+    /// steps its calendar entry defers.
     v: Vec<f64>,
-    slope: Vec<f64>,
     dir: Vec<Option<Dir>>,
-    /// Cells currently switching, sorted by index — the event kernel's
-    /// replacement for the dense whole-netlist scans. Invariant outside
-    /// the fire step: holds exactly the cells whose `dir` is set.
-    active: Vec<usize>,
+    /// How many cells are switching (`dir` set).
+    n_active: usize,
+    /// Cells currently discharging, sorted by index: the scale lists and
+    /// the sleep-current sum walk it in the dense kernel's scan order.
+    falling: Vec<usize>,
+    /// Whether `i_total` must be re-summed (the falling set or a drive
+    /// changed since).
+    sum_dirty: bool,
+    /// The sleep current: every falling cell's discharge current.
+    i_total: f64,
+    /// The deferred-advance log and lower-bound calendar.
+    cal: Calendar,
     reeval: Vec<CellId>,
     ins: Vec<Logic>,
     group_of: Vec<usize>,
@@ -1441,13 +1854,10 @@ pub struct VbsimScratch {
     vx_fell: Vec<bool>,
     /// Whether a group's falling-drive set changed since its last solve.
     dirty: Vec<bool>,
-    falling_count: Vec<usize>,
     /// Per group, the [`model::discharge_scale`] of each falling cell in
     /// ascending cell order: the solver input and the memo key.
     scales: Vec<Vec<f64>>,
-    /// Per-group overdrive memo: the `vx` bit pattern the drive was last
-    /// taken at (`u64::MAX` = never) and [`model::discharge_drive`] there.
-    drive_bits: Vec<u64>,
+    /// Per group, [`model::discharge_drive`] at its current `vx`.
     drive: Vec<Option<f64>>,
     key_buf: Vec<u64>,
     vx_memo: std::collections::HashMap<Vec<u64>, (f64, bool), FnvBuild>,
@@ -2344,6 +2754,48 @@ mod tests {
                 let warm = engine.run_with(&from, &to, opts, &mut scratch).unwrap();
                 assert_runs_identical(&dense, &warm, &format!("warm {what}"));
             }
+        }
+    }
+
+    /// The calendar prunes: on 16×16 multiplier legs — the sizing
+    /// workload — a breakpoint evaluates a handful of the ~100 switching
+    /// cells and the rest advance by replay. A calendar that degenerated
+    /// to a full scan would stay bit-identical, so only this catches it.
+    #[test]
+    fn calendar_evaluates_few_cells_per_breakpoint_on_mul16() {
+        let m = ArrayMultiplier::new(&MultiplierSpec {
+            bits: 16,
+            ..MultiplierSpec::default()
+        })
+        .unwrap();
+        let tech = Technology::l03();
+        let engine = Engine::new(&m.netlist, &tech);
+        let probes = m.netlist.primary_outputs().to_vec();
+        let inputs = m.netlist.primary_inputs().len();
+        let mut rng = mtk_num::prng::Xoshiro256pp::seed_from_u64(0xCA1E);
+        let mut side = || -> Vec<Logic> {
+            (0..inputs)
+                .map(|_| Logic::from_bool(rng.next_bool()))
+                .collect()
+        };
+        let legs: Vec<_> = (0..3).map(|_| (side(), side())).collect();
+        for wl in [2947.0, 10.0] {
+            let mut scratch = VbsimScratch::new();
+            let opts = VbsimOptions::mtcmos(wl);
+            for (from, to) in &legs {
+                let s = engine
+                    .run_summary_with(from, to, None, &probes, &opts, &mut scratch)
+                    .unwrap();
+                assert!(!s.stalled && !s.truncated, "W/L {wl}");
+            }
+            let stats = scratch.cal.stats;
+            assert!(stats.breakpoints > 1000, "W/L {wl}: {stats:?}");
+            let per_bp = stats.evaluated as f64 / stats.breakpoints as f64;
+            assert!(per_bp <= 4.0, "W/L {wl}: {per_bp} cells per breakpoint");
+            assert!(
+                stats.replayed > 10 * stats.evaluated,
+                "W/L {wl}: most steps are deferred: {stats:?}"
+            );
         }
     }
 

@@ -391,11 +391,12 @@ fn expand_inner(
     }
 
     // Per-net lumped loads (gate + drain + wire capacitance).
+    let loads = netlist.net_loads(tech);
     for (idx, net) in netlist.nets().iter().enumerate() {
         if net.tie.is_some() {
             continue;
         }
-        let cap = netlist.load_cap(NetId(idx), tech);
+        let cap = loads.cap[idx];
         if cap > 0.0 {
             c.capacitor(
                 &format!("cl_{}", net.name),

@@ -62,6 +62,18 @@ pub struct Cell {
     pub drive: f64,
 }
 
+/// Per-net fanout and load capacitance ([`Netlist::net_loads`]),
+/// indexed by `NetId::index()`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NetLoads {
+    /// The cells reading each net, ascending, each once.
+    pub readers: Vec<Vec<CellId>>,
+    /// Each net's total load capacitance: its extra (wire/explicit)
+    /// cap, the gate capacitance of every cell input it feeds, and the
+    /// drain junction capacitance of its driver.
+    pub cap: Vec<f64>,
+}
+
 /// A combinational gate-level netlist.
 ///
 /// # Examples
@@ -362,22 +374,39 @@ impl Netlist {
         Ok(values)
     }
 
-    /// Total load capacitance on a net: its extra (wire/explicit) cap,
-    /// the gate capacitance of every cell input it feeds, and the drain
-    /// junction capacitance of its driver. Both simulation engines use
-    /// this same number.
+    /// Total load capacitance on a net, [`NetLoads::cap`]. Both
+    /// simulation engines use this same number; to read it for many
+    /// nets, call [`Netlist::net_loads`] once.
     pub fn load_cap(&self, net: NetId, tech: &Technology) -> f64 {
-        let mut c = self.nets[net.0].extra_cap;
-        for (ci, pos) in self.fanout_of(net) {
-            let cell = &self.cells[ci.0];
+        self.net_loads(tech).cap[net.0]
+    }
+
+    /// Every net's readers and load capacitance in one pass over the
+    /// pins. Pins are visited in ascending (cell, pin) order, the order
+    /// [`Netlist::fanout_of`] lists them, so `readers[n]` is
+    /// `fanout_of(n)`'s cells with repeats dropped and every `cap[n]`
+    /// adds its gate terms in that same order. Calling `fanout_of` per
+    /// net scans every pin once per net.
+    pub fn net_loads(&self, tech: &Technology) -> NetLoads {
+        let mut readers: Vec<Vec<CellId>> = vec![Vec::new(); self.nets.len()];
+        let mut cap: Vec<f64> = self.nets.iter().map(|n| n.extra_cap).collect();
+        for (ci, cell) in self.cells.iter().enumerate() {
             let units = cell.kind.input_load_units(tech);
-            c += units[pos] * cell.drive * tech.c_gate;
+            for (pos, &inp) in cell.inputs.iter().enumerate() {
+                cap[inp.0] += units[pos] * cell.drive * tech.c_gate;
+                let r = &mut readers[inp.0];
+                if r.last() != Some(&CellId(ci)) {
+                    r.push(CellId(ci));
+                }
+            }
         }
-        if let Some(drv) = self.driver[net.0] {
-            let cell = &self.cells[drv.0];
-            c += (tech.unit_wn + tech.unit_wp) * cell.drive * tech.c_drain;
+        for (c, drv) in cap.iter_mut().zip(&self.driver) {
+            if let Some(drv) = drv {
+                let cell = &self.cells[drv.0];
+                *c += (tech.unit_wn + tech.unit_wp) * cell.drive * tech.c_drain;
+            }
         }
-        c
+        NetLoads { readers, cap }
     }
 
     /// Total transistor count over all cells.

@@ -21,9 +21,11 @@ use mtcmos_suite::core::vbsim::{
     VbsimScratch,
 };
 use mtcmos_suite::core::CoreError;
+use mtcmos_suite::fe::parse_str;
 use mtcmos_suite::netlist::logic::{bits_lsb_first, Logic};
 use mtcmos_suite::netlist::netlist::{NetId, Netlist};
 use mtcmos_suite::netlist::tech::Technology;
+use mtcmos_suite::num::prng::Xoshiro256pp;
 use mtcmos_suite::num::waveform::Pwl;
 use mtcmos_suite::trace::{TraceMode, TraceReport};
 
@@ -196,6 +198,105 @@ fn multiplier_runs_are_bit_identical_across_kernels() {
     .map(|&(x0, y0, x1, y1)| (mult.input_values(x0, y0), mult.input_values(x1, y1)))
     .collect();
     assert_kernels_agree(&mult.netlist, &Technology::l07(), &transitions);
+}
+
+/// The 16×16 multiplier of `examples/mul16.mtk` — the sizing workload,
+/// where a breakpoint evaluates about two of its ~100 switching cells and
+/// replays the rest later. Two seeded transitions at CMOS, at the
+/// solve's W/L (2947) and starved (W/L 10), and under a two-group
+/// partition of different W/L, so the per-group calendar keys run side
+/// by side: waveform and summary runs match the dense kernel on bits.
+/// A `t_stop` cut and an overflow half-way through a run end identically
+/// too, and the case set includes mid-swing reversals.
+#[test]
+fn mul16_runs_are_bit_identical_across_kernels() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/mul16.mtk");
+    let text = std::fs::read_to_string(&path).expect("read examples/mul16.mtk");
+    let design = parse_str(&text, "mul16.mtk").expect("mul16 parses");
+    let (nl, tech) = (&design.netlist, &design.tech);
+    let engine = Engine::new(nl, tech);
+    let probes = nl.primary_outputs().to_vec();
+    let inputs = nl.primary_inputs().len();
+    let mut rng = Xoshiro256pp::seed_from_u64(0x1616);
+    let mut side = || -> Vec<Logic> {
+        (0..inputs)
+            .map(|_| Logic::from_bool(rng.next_bool()))
+            .collect()
+    };
+    let transitions: Vec<_> = (0..2).map(|_| (side(), side())).collect();
+    let partition = PartitionedSleep {
+        assignment: (0..nl.cells().len()).map(|c| c % 2).collect(),
+        networks: vec![
+            SleepNetwork::Transistor { w_over_l: 2947.0 },
+            SleepNetwork::Transistor { w_over_l: 10.0 },
+        ],
+    };
+    let cases = [
+        ("CMOS", None, VbsimOptions::cmos()),
+        ("W/L 2947", None, VbsimOptions::mtcmos(2947.0)),
+        ("W/L 10", None, VbsimOptions::mtcmos(10.0)),
+        ("partitioned", Some(&partition), VbsimOptions::default()),
+    ];
+    let dense_of = |opts: &VbsimOptions| VbsimOptions {
+        kernel: VbsimKernel::DenseScan,
+        ..opts.clone()
+    };
+    let mut scratch = VbsimScratch::new();
+    let mut reversals = 0usize;
+    for (what, part, opts) in &cases {
+        for (i, (from, to)) in transitions.iter().enumerate() {
+            let ctx = format!("mul16 {what} transition {i}");
+            let dense = engine
+                .run_partitioned(from, to, *part, &dense_of(opts))
+                .expect("dense run");
+            let event = engine
+                .run_partitioned_with(from, to, *part, opts, &mut scratch)
+                .expect("event run");
+            assert_runs_identical(&dense, &event, &ctx);
+            scratch.recycle(event);
+            let summary = engine
+                .run_summary_with(from, to, *part, &probes, opts, &mut scratch)
+                .expect("summary run");
+            assert_summary_matches(&dense, &summary, &probes, &format!("summary {ctx}"));
+            assert!(dense.breakpoints > 1000, "{ctx}: {}", dense.breakpoints);
+            reversals += dense.health.glitch_reversals;
+        }
+    }
+    assert!(reversals > 0, "no mid-swing reversal in the mul16 cases");
+
+    // Cut short half-way: by `t_stop`, and by the breakpoint budget.
+    let (from, to) = &transitions[0];
+    let opts = VbsimOptions::mtcmos(10.0);
+    let full = engine
+        .run(from, to, &dense_of(&opts))
+        .expect("full dense run");
+    let cut = VbsimOptions {
+        t_stop: full.t_end / 2.0,
+        ..opts.clone()
+    };
+    let dense = engine.run(from, to, &dense_of(&cut)).expect("dense cut");
+    assert!(dense.truncated && dense.breakpoints > 100, "t_stop cut");
+    let event = engine
+        .run_with(from, to, &cut, &mut scratch)
+        .expect("event cut");
+    assert_runs_identical(&dense, &event, "mul16 t_stop cut");
+    let summary = engine
+        .run_summary_with(from, to, None, &probes, &cut, &mut scratch)
+        .expect("summary cut");
+    assert_summary_matches(&dense, &summary, &probes, "summary mul16 t_stop cut");
+    let budget = VbsimOptions {
+        max_events: full.breakpoints / 2,
+        ..opts
+    };
+    let dense = outcome(engine.run(from, to, &dense_of(&budget)));
+    assert!(
+        matches!(dense, Err(ref e) if e.starts_with("EventOverflow")),
+        "{dense:?}"
+    );
+    let event = outcome(engine.run_with(from, to, &budget, &mut scratch));
+    assert_eq!(event.map(|_| ()), dense.clone().map(|_| ()), "overflow");
+    let summary = outcome(engine.run_summary_with(from, to, None, &probes, &budget, &mut scratch));
+    assert_eq!(summary.map(|_| ()), dense.map(|_| ()), "summary overflow");
 }
 
 /// A per-module sleep partition: the summary run matches the
