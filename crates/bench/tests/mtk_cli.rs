@@ -17,6 +17,9 @@
 //! * `mtk size` records a top-level `size` span around the actual run.
 //! * `mtk repro --list` prints every registered experiment id, and an
 //!   unknown id exits 2.
+//! * `mtk hybrid` screens and verifies in SPICE end to end; its trace
+//!   passes `trace_check`, and its deterministic trace is byte-identical
+//!   at 1 and 2 threads on the 3-bit adder and the ALU slice.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -375,4 +378,77 @@ fn repro_unknown_id_exits_two() {
         "stderr: {}",
         stderr(&out)
     );
+}
+
+/// A per-process temp path for a test artifact.
+fn temp_json(tag: &str) -> String {
+    std::env::temp_dir()
+        .join(format!("mtk_cli_{}_{tag}.json", std::process::id()))
+        .to_string_lossy()
+        .into_owned()
+}
+
+#[test]
+fn hybrid_smoke_trace_validates_against_the_schema() {
+    let path = golden("adder3");
+    let json = temp_json("hybrid_smoke");
+    let out = mtk(&[
+        "hybrid",
+        path.to_str().unwrap(),
+        "--stride",
+        "64",
+        "--top-k",
+        "2",
+        "--threads",
+        "2",
+        "--trace-json",
+        &json,
+    ]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let check = Command::new(env!("CARGO_BIN_EXE_trace_check"))
+        .arg(&json)
+        .output()
+        .expect("spawn trace_check");
+    let _ = std::fs::remove_file(&json);
+    assert_eq!(
+        check.status.code(),
+        Some(0),
+        "trace_check: {}{}",
+        stdout(&check),
+        stderr(&check)
+    );
+}
+
+/// Each verify worker owns its SPICE solvers, and with them the LU
+/// workspaces' caches of recorded eliminations: which worker verifies
+/// which candidate, and so which plans are cached, must change no byte.
+#[test]
+fn hybrid_deterministic_trace_is_byte_identical_across_threads() {
+    for (stem, stride) in [("adder3", "64"), ("alu4", "4096")] {
+        let path = golden(stem);
+        let mut traces = Vec::new();
+        for threads in ["1", "2"] {
+            let json = temp_json(&format!("hybrid_{stem}_t{threads}"));
+            let out = mtk(&[
+                "hybrid",
+                path.to_str().unwrap(),
+                "--stride",
+                stride,
+                "--top-k",
+                "2",
+                "--threads",
+                threads,
+                "--trace-deterministic",
+                "--trace-json",
+                &json,
+            ]);
+            assert_eq!(out.status.code(), Some(0), "{stem}: {}", stderr(&out));
+            traces.push(std::fs::read(&json).expect("trace artifact"));
+            let _ = std::fs::remove_file(&json);
+        }
+        assert!(
+            traces[0] == traces[1],
+            "{stem}: hybrid trace differs at threads=2"
+        );
+    }
 }

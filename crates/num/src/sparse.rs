@@ -22,7 +22,7 @@
 //! the general kernel again. Either way the bits are the kernel's.
 //!
 //! [`StampMap`] serves Newton loops that re-stamp the same triplet
-//! sequence with new values: it sorts once, then scatters each new set of
+//! sequence with new values: it sorts once, then gathers each new set of
 //! values straight into the permuted, assembled matrix.
 
 use crate::{NumError, Result};
@@ -89,6 +89,11 @@ impl Triplets {
     pub fn add(&mut self, row: usize, col: usize, value: f64) {
         assert!(row < self.n && col < self.n, "triplet index out of bounds");
         self.entries.push((row, col, value));
+    }
+
+    /// The raw `(row, col, value)` entries in the order they were added.
+    pub fn entries(&self) -> &[(usize, usize, f64)] {
+        &self.entries
     }
 
     /// Removes all entries while keeping the dimension, so the allocation
@@ -1170,12 +1175,15 @@ impl Recorder {
 ///
 /// A Newton loop stamps the same `(row, col)` sequence at every
 /// iteration; only the values change. [`StampMap::new`] sorts once, and
-/// [`StampMap::scatter`] then fills the permuted matrix in one pass over
-/// the triplets. The result is bitwise what [`Triplets::assemble_into`]
-/// followed by [`SparseRows::permute_symmetric_into`] produces:
-/// duplicates are summed in the order the assembly sort leaves them,
-/// starting from the first value rather than from `0.0` (so a lone
-/// `-0.0` survives), and exact zeros stay structural.
+/// [`StampMap::scatter_values`] then fills the permuted matrix from the
+/// values alone, in one pass. The caller knows when its sequence
+/// changes; the map keeps no keys to check. The result is bitwise what
+/// [`Triplets::assemble_into`] followed by
+/// [`SparseRows::permute_symmetric_into`] produces: duplicates are
+/// summed in the order the assembly sort leaves them, starting from the
+/// first value rather than from `0.0` (so a lone `-0.0` survives), and
+/// exact zeros stay structural. Summing in stamp order instead could
+/// differ, because that sort is not stable.
 ///
 /// ```
 /// use mtk_num::sparse::{StampMap, Triplets};
@@ -1188,19 +1196,16 @@ impl Recorder {
 /// let (map, mut perm) = StampMap::new(&t, &pos);
 /// assert_eq!(perm, t.to_rows().permute_symmetric(&[1, 0]));
 ///
-/// // The same stamps with new values: scatter instead of re-sorting.
+/// // The same stamps with new values: gather instead of re-sorting.
+/// map.scatter_values(&[3.0, 4.0, -4.0], &mut perm);
 /// let mut next = Triplets::new(2);
 /// next.add(0, 1, 3.0);
 /// next.add(1, 1, 4.0);
 /// next.add(1, 1, -4.0);
-/// assert!(map.matches(&next));
-/// map.scatter(&next, &mut perm);
 /// assert_eq!(perm, next.to_rows().permute_symmetric(&[1, 0]));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct StampMap {
-    /// The `(row, col)` sequence the map was built for.
-    keys: Vec<(u32, u32)>,
     /// Triplet indices grouped by slot of the permuted matrix (slots in
     /// row-major order), each group in summation order.
     gather: Vec<u32>,
@@ -1242,11 +1247,6 @@ impl StampMap {
             cursor[pos[r]] += 1;
         }
         let mut map = StampMap {
-            keys: t
-                .entries
-                .iter()
-                .map(|&(r, c, _)| (r as u32, c as u32))
-                .collect(),
             gather: Vec::with_capacity(t.entries.len()),
             ends: Vec::new(),
         };
@@ -1272,40 +1272,39 @@ impl StampMap {
                 out_row.push((c, 0.0));
             }
         }
-        map.scatter(t, &mut out);
+        map.fill(|i| t.entries[i].2, &mut out);
         (map, out)
     }
 
-    /// Whether `t` has exactly the `(row, col)` sequence this map was
-    /// built for, so [`StampMap::scatter`] applies to it.
-    pub fn matches(&self, t: &Triplets) -> bool {
-        self.keys.len() == t.entries.len()
-            && self
-                .keys
-                .iter()
-                .zip(&t.entries)
-                .all(|(&(r, c), &(tr, tc, _))| r as usize == tr && c as usize == tc)
-    }
-
-    /// Writes `t`'s assembled, permuted values into `out`, which must hold
-    /// the pattern [`StampMap::new`] returned. `t` must
-    /// [match](StampMap::matches) the map.
+    /// Writes the assembled, permuted matrix of one stamp sequence's
+    /// values into `out`, which must hold the pattern [`StampMap::new`]
+    /// returned: `values[k]` is the value of triplet `k` of a sequence
+    /// with the `(row, col)` keys the map was built for.
     ///
     /// # Panics
     ///
-    /// Panics if `out` has a different number of entries than the map
-    /// has slots.
-    pub fn scatter(&self, t: &Triplets, out: &mut SparseRows) {
-        debug_assert!(self.matches(t), "scatter on a different stamp sequence");
-        let values = &t.entries;
+    /// Panics if `values` has a different length than that sequence, or
+    /// `out` a different number of entries than the map has slots.
+    pub fn scatter_values(&self, values: &[f64], out: &mut SparseRows) {
+        assert_eq!(
+            values.len(),
+            self.gather.len(),
+            "scatter_values on a different stamp count"
+        );
+        self.fill(|i| values[i], out);
+    }
+
+    /// Writes each slot's sum of `value(triplet index)` into `out`, slots
+    /// in row-major order.
+    fn fill(&self, value: impl Fn(usize) -> f64, out: &mut SparseRows) {
         let mut slots = self.ends.iter();
         let mut start = 0;
         for entry in out.rows.iter_mut().flatten() {
             let end = *slots.next().expect("out has more entries than the map") as usize;
             let run = &self.gather[start..end];
-            let mut v = values[run[0] as usize].2;
+            let mut v = value(run[0] as usize);
             for &i in &run[1..] {
-                v += values[i as usize].2;
+                v += value(i as usize);
             }
             entry.1 = v;
             start = end;
@@ -2155,7 +2154,7 @@ mod tests {
 
     /// `StampMap` reproduces `assemble_into` + `permute_symmetric_into` on
     /// `to_bits` for random stamp sequences with heavy duplication and
-    /// signed zeros, both when built and when scattering new values.
+    /// signed zeros, both when built and when gathering new values.
     #[test]
     fn stamp_map_matches_assemble_then_permute() {
         let mut rng = Xoshiro256pp::seed_from_u64(0x57A3);
@@ -2198,24 +2197,22 @@ mod tests {
             assert_eq!(build, rows_bits(&want.rows), "trial {trial}: build");
             for _ in 0..3 {
                 let next = stamp(&mut rng);
-                assert!(map.matches(&next));
-                map.scatter(&next, &mut perm);
+                let values: Vec<f64> = next.entries().iter().map(|e| e.2).collect();
+                map.scatter_values(&values, &mut perm);
                 let want = next.to_rows().permute_symmetric(&order);
                 let scattered = rows_bits(&perm.rows);
                 assert_eq!(scattered, rows_bits(&want.rows), "trial {trial}: scatter");
             }
-            let mut longer = stamp(&mut rng);
-            longer.add(0, 0, 1.0);
-            assert!(!map.matches(&longer), "trial {trial}: extra stamp");
-            if n > 1 {
-                let mut moved = Triplets::new(n);
-                moved.add(keys[0].0, (keys[0].1 + 1) % n, 1.0);
-                for &(r, c) in &keys[1..] {
-                    moved.add(r, c, 1.0);
-                }
-                assert!(!map.matches(&moved), "trial {trial}: moved stamp");
-            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "different stamp count")]
+    fn scatter_values_rejects_a_different_stamp_count() {
+        let mut t = Triplets::new(1);
+        t.add(0, 0, 1.0);
+        let (map, mut perm) = StampMap::new(&t, &[0]);
+        map.scatter_values(&[1.0, 2.0], &mut perm);
     }
 
     #[test]

@@ -115,7 +115,6 @@ pub fn operating_point(circuit: &Circuit, opts: &DcOptions) -> Result<DcResult> 
     // Fast path: most circuits converge directly at the final gmin from
     // a cold start, skipping the whole continuation ladder.
     let direct = solver.solve(
-        circuit,
         &vec![0.0; solver.unknowns()],
         StampMode::Dc {
             gmin: final_gmin,
@@ -137,7 +136,7 @@ pub fn operating_point(circuit: &Circuit, opts: &DcOptions) -> Result<DcResult> 
                     force_ics: opts.force_ics,
                 };
                 let ctx = format!("dc operating point (gmin stage {stage}: {gmin:.1e})");
-                let (x_new, _) = solver.solve(circuit, &x, mode, &opts.newton, &ctx)?;
+                let (x_new, _) = solver.solve(&x, mode, &opts.newton, &ctx)?;
                 x = x_new;
             }
             (x, steps.len())

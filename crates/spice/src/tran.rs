@@ -100,6 +100,14 @@ impl TranOptions {
                 self.dt
             )));
         }
+        // Step halving stops at `dt_min`: at zero or below it never
+        // stops, because `0.0 * 0.5 >= 0.0`.
+        if !(self.dt_min > 0.0 && self.dt_min.is_finite()) {
+            return Err(SpiceError::InvalidParameter(format!(
+                "dt_min must be positive, got {}",
+                self.dt_min
+            )));
+        }
         Ok(())
     }
 }
@@ -362,7 +370,7 @@ pub fn transient(circuit: &Circuit, opts: &TranOptions) -> Result<TranResult> {
             cap_states: &cap_states,
         };
         let ctx = format_args!("transient @ t={target:.4e}");
-        match solver.solve(circuit, &x, mode, &opts.newton, ctx) {
+        match solver.solve(&x, mode, &opts.newton, ctx) {
             Ok((x_new, iters)) => {
                 result.total_newton_iterations += iters;
                 result.steps += 1;
@@ -420,6 +428,29 @@ mod tests {
         let b = c.node("b");
         let opts = TranOptions::to(1e-6).with_probes([a, b, a, b, b]);
         assert_eq!(opts.record, RecordMode::Nodes(vec![a, b]));
+    }
+
+    /// A step that never converges used to halve `dt` to zero and then
+    /// loop forever when `dt_min` was not positive.
+    #[test]
+    fn non_positive_or_nan_dt_min_is_rejected() {
+        let mut c = Circuit::new();
+        let n1 = c.node("n1");
+        let wave = SourceWave::pulse(1.0, f64::NAN, 1e-9, 0.0, 0.0, 1e-9, 0.0);
+        c.vsource("v1", n1, Circuit::GND, wave);
+        c.resistor("r", n1, Circuit::GND, 1000.0);
+        for dt_min in [0.0, -1.0, f64::NAN] {
+            let opts = TranOptions {
+                dt_min,
+                ..TranOptions::to(4e-9)
+            };
+            match transient(&c, &opts) {
+                Err(SpiceError::InvalidParameter(msg)) => {
+                    assert!(msg.contains("dt_min"), "{dt_min}: {msg}")
+                }
+                other => panic!("dt_min {dt_min}: expected InvalidParameter, got {other:?}"),
+            }
+        }
     }
 
     /// The symbolic LU phase must actually be reused while stepping: a

@@ -170,28 +170,6 @@ rc=0
 target/release/mtk size examples/invtree.mtk --lo 0 >/dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] || { echo "ci: 'mtk size --lo 0' exited $rc, want 2"; exit 1; }
 
-echo "== hybrid pipeline smoke (3-bit adder screen + top-2 SPICE verify) =="
-trace_json="$(mktemp /tmp/ci_trace.XXXXXX.json)"
-trap 'rm -rf "$golden_dir" "$mtk_trace" "$mc_store" "$mc_store.lock" "$mc_trace" "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$size_store" "$size_store.lock" "$size_a" "$size_b" "$trace_json"' EXIT
-cargo run --release -p mtk-bench --bin mtk -- hybrid examples/adder3.mtk \
-  --stride 64 --top-k 2 --threads 2 --trace-json "$trace_json"
-
-echo "== smoke trace validates against the documented schema =="
-cargo run --release -p mtk-bench --bin trace_check -- "$trace_json"
-
-echo "== hybrid thread invariance: deterministic trace at 1 and 2 threads =="
-# Each verify worker owns its SPICE solvers, and with them the LU
-# workspaces' caches of recorded eliminations: which worker verifies
-# which candidate, and so which plans are cached, must change no byte.
-hyb_a="$(mktemp /tmp/ci_hyb_a.XXXXXX.json)"
-hyb_b="$(mktemp /tmp/ci_hyb_b.XXXXXX.json)"
-trap 'rm -rf "$golden_dir" "$mtk_trace" "$mc_store" "$mc_store.lock" "$mc_trace" "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$size_store" "$size_store.lock" "$size_a" "$size_b" "$trace_json" "$hyb_a" "$hyb_b"' EXIT
-target/release/mtk hybrid examples/adder3.mtk --stride 64 --top-k 2 --threads 1 \
-  --trace-deterministic --trace-json "$hyb_a" >/dev/null
-target/release/mtk hybrid examples/adder3.mtk --stride 64 --top-k 2 --threads 2 \
-  --trace-deterministic --trace-json "$hyb_b" >/dev/null
-cmp "$hyb_a" "$hyb_b" || { echo "ci: hybrid trace differs at threads=2"; exit 1; }
-
 echo "== paper reproduction: every experiment runs and its claims hold =="
 # Runs every experiment of the mtk_bench::repro ledger and prints its
 # tables and a check table; exits 1 when any claim leaves its committed
@@ -211,7 +189,7 @@ echo "== serve smoke: store-backed replay + graceful SIGTERM drain =="
 serve_log="$(mktemp /tmp/ci_serve.XXXXXX.log)"
 serve_store="$(mktemp /tmp/ci_serve_store.XXXXXX.bin)"
 serve2_log="$(mktemp /tmp/ci_serve2.XXXXXX.log)"
-trap 'rm -rf "$golden_dir" "$mtk_trace" "$mc_store" "$mc_store.lock" "$mc_trace" "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$size_store" "$size_store.lock" "$size_a" "$size_b" "$trace_json" "$hyb_a" "$hyb_b" "$serve_log" "$serve_store" "$serve_store.lock" "$serve2_log"' EXIT
+trap 'rm -rf "$golden_dir" "$mtk_trace" "$mc_store" "$mc_store.lock" "$mc_trace" "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$size_store" "$size_store.lock" "$size_a" "$size_b" "$serve_log" "$serve_store" "$serve_store.lock" "$serve2_log"' EXIT
 # await_addr LOG: waits for the server logging to LOG to print its
 # address, and prints it.
 await_addr() {
@@ -273,7 +251,7 @@ echo "== interop smoke: deck export/import identity + waveform exports =="
 # (structural gate recognition), and demand the canonical .mtk comes
 # back byte-identical to the committed golden.
 interop_dir="$(mktemp -d /tmp/ci_interop.XXXXXX)"
-trap 'rm -rf "$golden_dir" "$mtk_trace" "$mc_store" "$mc_store.lock" "$mc_trace" "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$size_store" "$size_store.lock" "$size_a" "$size_b" "$trace_json" "$hyb_a" "$hyb_b" "$serve_log" "$serve_store" "$serve_store.lock" "$serve2_log" "$interop_dir"' EXIT
+trap 'rm -rf "$golden_dir" "$mtk_trace" "$mc_store" "$mc_store.lock" "$mc_trace" "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$size_store" "$size_store.lock" "$size_a" "$size_b" "$serve_log" "$serve_store" "$serve_store.lock" "$serve2_log" "$interop_dir"' EXIT
 target/release/mtk export examples/adder3.mtk --w-over-l 8 --out "$interop_dir/adder3.ckt"
 target/release/mtk import "$interop_dir/adder3.ckt" --out "$interop_dir/adder3_back.mtk" >/dev/null
 cmp "$interop_dir/adder3_back.mtk" examples/adder3.mtk || {
@@ -323,7 +301,7 @@ if [[ "${MTK_SKIP_BENCH:-0}" == "1" ]]; then
   echo "bench smoke skipped (MTK_SKIP_BENCH=1)"
 else
   bench_json="$(mktemp /tmp/ci_bench.XXXXXX.json)"
-  trap 'rm -rf "$golden_dir" "$mtk_trace" "$mc_store" "$mc_store.lock" "$mc_trace" "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$size_store" "$size_store.lock" "$size_a" "$size_b" "$trace_json" "$hyb_a" "$hyb_b" "$serve_log" "$serve_store" "$serve_store.lock" "$serve2_log" "$interop_dir" "$bench_json"' EXIT
+  trap 'rm -rf "$golden_dir" "$mtk_trace" "$mc_store" "$mc_store.lock" "$mc_trace" "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$size_store" "$size_store.lock" "$size_a" "$size_b" "$serve_log" "$serve_store" "$serve_store.lock" "$serve2_log" "$interop_dir" "$bench_json"' EXIT
   cargo run --release -p mtk-bench --bin speed_comparison -- \
     --no-spice --samples 3 --warmup 1 \
     --json "$bench_json" --check-against BENCH_speed.json
