@@ -11,6 +11,7 @@ use mtk_core::cluster::{
 };
 use mtk_core::health::{FailurePolicy, FaultPlan, RunHealth};
 use mtk_core::hybrid::{run_hybrid, HybridOptions, HybridReport, SpiceRunConfig};
+use mtk_core::par;
 use mtk_core::sizing::{
     screen_vectors_par_quarantined, size_for_target_cached, ScreenReport, ScreenedVector,
     ScreeningCache, Transition,
@@ -148,6 +149,38 @@ impl JobOpts {
         }
     }
 
+    /// The options of a serve request: each numeric field of the same
+    /// name over the defaults, `threads` defaulting to `default_threads`
+    /// and capped at the host's cores ([`par::num_threads`]`(0)`), so a
+    /// request cannot make the server spawn a thread per transition.
+    /// The cap is exact: results are thread-count invariant and `threads`
+    /// does not key the store.
+    ///
+    /// # Errors
+    ///
+    /// The message of the first malformed field.
+    fn from_json(req: &JsonValue, default_threads: usize) -> Result<JobOpts, String> {
+        let defaults = JobOpts {
+            threads: default_threads,
+            ..JobOpts::default()
+        };
+        let num = |key: &str, default: f64| match req.get(key) {
+            None => Ok(default),
+            Some(v) => (v.as_f64().filter(|x| x.is_finite()))
+                .ok_or_else(|| format!("field `{key}` must be a finite number")),
+        };
+        let int = |key: &str, default: usize| match req.get(key) {
+            None => Ok(default),
+            Some(v) => (v.as_u64().map(|x| x as usize))
+                .ok_or_else(|| format!("field `{key}` must be a non-negative integer")),
+        };
+        let opts = JobOpts::read(defaults, num, int)?;
+        Ok(JobOpts {
+            threads: opts.threads.min(par::num_threads(0)),
+            ..opts
+        })
+    }
+
     /// Checks the options a job of `kind` reads. Size, cluster and hybrid
     /// jobs (a hybrid job passes its bracket to the cluster job
     /// `--clusters` composes) need a finite bracket with `0 < lo < hi`.
@@ -184,6 +217,64 @@ fn object<'a>(fields: impl IntoIterator<Item = (&'a str, JsonValue)>) -> JsonVal
     JsonValue::Object(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
 
+/// `cmd`, the design text, optionally `threads`, then the nine keyed
+/// fields in store-key order.
+fn request_fields(kind: JobKind, design: &str, o: &JobOpts, threads: bool) -> JsonValue {
+    let n = JsonValue::Number;
+    let mut fields = vec![
+        ("cmd", JsonValue::String(kind.name().into())),
+        ("design", JsonValue::String(design.into())),
+    ];
+    fields.extend(threads.then(|| ("threads", n(o.threads as f64))));
+    fields.extend([
+        ("w_over_l", n(o.w_over_l)),
+        ("top_k", n(o.top_k as f64)),
+        ("target", n(o.target)),
+        ("lo", n(o.lo)),
+        ("hi", n(o.hi)),
+        ("stride", n(o.stride as f64)),
+        ("samples", n(o.samples as f64)),
+        ("top", n(o.top as f64)),
+        ("clusters", n(o.clusters as f64)),
+    ]);
+    object(fields)
+}
+
+/// The store key of a job of `kind` over the design text `design`: tag +
+/// compact JSON of the text and every result-determining option,
+/// `threads` deliberately excluded (results are thread-count invariant).
+fn request_key(kind: JobKind, design: &str, opts: &JobOpts) -> Vec<u8> {
+    let fields = request_fields(kind, design, opts, false).to_compact();
+    [&REQUEST_RECORD_TAG[..], fields.as_bytes()].concat()
+}
+
+/// The job kind a serve request names.
+fn request_kind(req: &JsonValue) -> Option<JobKind> {
+    req.get("cmd")
+        .and_then(JsonValue::as_str)
+        .and_then(JobKind::parse)
+}
+
+/// The `design` text of a serve request, as sent.
+fn request_design(req: &JsonValue) -> Option<&str> {
+    req.get("design").and_then(JsonValue::as_str)
+}
+
+/// The store key a serve request has if its design text is canonical,
+/// built from the text as sent without parsing it. Every stored request
+/// key is built from canonical text, and canonical text is a
+/// parse→write fixpoint, so a store hit on this key is exactly the hit
+/// [`Job::store_key`] would get; a non-canonical text only misses.
+/// `None` when the request is not a job, has no design, or carries
+/// options [`Job::from_json`] rejects.
+pub fn presumed_key(req: &JsonValue) -> Option<Vec<u8>> {
+    let kind = request_kind(req)?;
+    let design = request_design(req)?;
+    let opts = JobOpts::from_json(req, JobOpts::default().threads).ok()?;
+    opts.check(kind).ok()?;
+    Some(request_key(kind, design, &opts))
+}
+
 impl Job {
     /// A job over `design`; the canonical text is derived from it.
     fn new(kind: JobKind, design: Design, opts: JobOpts) -> Job {
@@ -197,7 +288,7 @@ impl Job {
     }
 
     /// The job of a serve request: `cmd`, the `design` text, and the
-    /// optional numeric fields; `threads` defaults to the server's.
+    /// optional numeric fields (`JobOpts::from_json`).
     ///
     /// # Errors
     ///
@@ -205,31 +296,10 @@ impl Job {
     /// the first malformed numeric field, or options [`JobOpts::check`]
     /// rejects.
     pub fn from_json(req: &JsonValue, default_threads: usize) -> Result<Job, String> {
-        let kind = req
-            .get("cmd")
-            .and_then(JsonValue::as_str)
-            .and_then(JobKind::parse)
-            .ok_or("not a job (want screen|size|cluster|hybrid)")?;
-        let text = req
-            .get("design")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing `design` (the .mtk netlist text)")?;
+        let kind = request_kind(req).ok_or("not a job (want screen|size|cluster|hybrid)")?;
+        let text = request_design(req).ok_or("missing `design` (the .mtk netlist text)")?;
         let design = mtk_fe::parse_str(text, "<request>").map_err(|e| e.to_string())?;
-        let defaults = JobOpts {
-            threads: default_threads,
-            ..JobOpts::default()
-        };
-        let num = |key: &str, default: f64| match req.get(key) {
-            None => Ok(default),
-            Some(v) => (v.as_f64().filter(|x| x.is_finite()))
-                .ok_or_else(|| format!("field `{key}` must be a finite number")),
-        };
-        let int = |key: &str, default: usize| match req.get(key) {
-            None => Ok(default),
-            Some(v) => (v.as_u64().map(|x| x as usize))
-                .ok_or_else(|| format!("field `{key}` must be a non-negative integer")),
-        };
-        let opts = JobOpts::read(defaults, num, int)?;
+        let opts = JobOpts::from_json(req, default_threads)?;
         opts.check(kind)?;
         Ok(Job::new(kind, design, opts))
     }
@@ -258,41 +328,16 @@ impl Job {
         Job::new(kind, design, opts)
     }
 
-    /// `cmd`, the canonical design, optionally `threads`, then the nine
-    /// keyed fields in store-key order.
-    fn fields(&self, threads: bool) -> JsonValue {
-        let (o, n) = (&self.opts, JsonValue::Number);
-        let mut fields = vec![
-            ("cmd", JsonValue::String(self.kind.name().into())),
-            ("design", JsonValue::String(self.canonical.clone())),
-        ];
-        fields.extend(threads.then(|| ("threads", n(o.threads as f64))));
-        fields.extend([
-            ("w_over_l", n(o.w_over_l)),
-            ("top_k", n(o.top_k as f64)),
-            ("target", n(o.target)),
-            ("lo", n(o.lo)),
-            ("hi", n(o.hi)),
-            ("stride", n(o.stride as f64)),
-            ("samples", n(o.samples as f64)),
-            ("top", n(o.top as f64)),
-            ("clusters", n(o.clusters as f64)),
-        ]);
-        object(fields)
-    }
-
     /// Content-addressed request fingerprint: tag + compact JSON of the
     /// canonical design and every result-determining option, `threads`
-    /// deliberately excluded (results are thread-count invariant).
+    /// excluded. [`presumed_key`] builds it from a request's text.
     pub fn store_key(&self) -> Vec<u8> {
-        let mut key = REQUEST_RECORD_TAG.to_vec();
-        key.extend_from_slice(self.fields(false).to_compact().as_bytes());
-        key
+        request_key(self.kind, &self.canonical, &self.opts)
     }
 
     /// The serve request line of this job (what `mtk client` sends).
     pub fn to_request(&self) -> String {
-        self.fields(true).to_compact()
+        request_fields(self.kind, &self.canonical, &self.opts, true).to_compact()
     }
 
     /// The parsed design.
@@ -520,6 +565,131 @@ mod tests {
              net y\\ninput a\\noutput y\\ncell i1 inv a -> y\\nend\\n\",\"w_over_l\":10,\
              \"top_k\":10,\"target\":0.05,\"lo\":1,\"hi\":2000,\"stride\":1,\"samples\":256,\
              \"top\":3,\"clusters\":8}"
+        );
+    }
+
+    const KINDS: [JobKind; 4] = [
+        JobKind::Screen,
+        JobKind::Size,
+        JobKind::Cluster,
+        JobKind::Hybrid,
+    ];
+
+    /// The request a client sends for `job`, parsed as the server reads it.
+    fn request_of(job: &Job) -> JsonValue {
+        mtk_trace::json::parse(&job.to_request()).unwrap()
+    }
+
+    #[test]
+    fn a_canonical_request_presumes_its_store_key() {
+        let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples");
+        // Every keyed option off its default.
+        let moved = JobOpts {
+            w_over_l: 7.5,
+            top_k: 3,
+            target: 0.08,
+            lo: 2.0,
+            hi: 900.0,
+            stride: 5,
+            samples: 17,
+            top: 4,
+            clusters: 3,
+            ..JobOpts::default()
+        };
+        let mut goldens = 0;
+        for entry in std::fs::read_dir(examples).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().and_then(|e| e.to_str()) != Some("mtk") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let design = mtk_fe::parse_str(&text, &path.display().to_string()).unwrap();
+            for (kind, opts) in KINDS
+                .into_iter()
+                .flat_map(|k| [(k, JobOpts::default()), (k, moved)])
+            {
+                let job = Job::new(kind, design.clone(), opts);
+                let req = request_of(&job);
+                assert_eq!(
+                    presumed_key(&req),
+                    Some(job.store_key()),
+                    "{} {}",
+                    path.display(),
+                    kind.name()
+                );
+                let served = Job::from_json(&req, 1).unwrap();
+                assert_eq!(served.store_key(), job.store_key());
+            }
+            goldens += 1;
+        }
+        assert!(goldens >= 8, "only {goldens} goldens under {examples}");
+    }
+
+    #[test]
+    fn a_non_canonical_text_presumes_another_key_but_keys_the_same_job() {
+        let job = Job::new(
+            JobKind::Size,
+            mtk_fe::parse_str(CHAIN, "chain").unwrap(),
+            JobOpts::default(),
+        );
+        assert_eq!(job.canonical, CHAIN, "CHAIN is canonical");
+        for variant in [
+            CHAIN.replace("net a\n", "# a comment line\nnet a\n"),
+            CHAIN.replace("net a\n", "net   a  \n"),
+            CHAIN.replace("tech l07\n", "tech l07\ncorner typ\n"),
+        ] {
+            let design = JsonValue::String(variant.clone()).to_compact();
+            let req = mtk_trace::json::parse(&format!("{{\"cmd\":\"size\",\"design\":{design}}}"))
+                .unwrap();
+            let presumed = presumed_key(&req).unwrap();
+            assert_ne!(presumed, job.store_key(), "{variant:?}");
+            assert_eq!(
+                Job::from_json(&req, 1).unwrap().store_key(),
+                job.store_key()
+            );
+        }
+    }
+
+    #[test]
+    fn a_rejected_request_presumes_no_key() {
+        let design = JsonValue::String(CHAIN.into()).to_compact();
+        for fields in [
+            "\"cmd\":\"status\"".to_string(),
+            "\"cmd\":\"size\"".to_string(),
+            format!("\"cmd\":\"size\",\"design\":{design},\"target\":\"x\""),
+            format!("\"cmd\":\"size\",\"design\":{design},\"threads\":-1"),
+            format!("\"cmd\":\"size\",\"design\":{design},\"lo\":0"),
+        ] {
+            let req = mtk_trace::json::parse(&format!("{{{fields}}}")).unwrap();
+            assert_eq!(presumed_key(&req), None, "{fields}");
+            assert!(Job::from_json(&req, 1).is_err(), "{fields}");
+        }
+    }
+
+    #[test]
+    fn a_served_job_runs_at_most_one_thread_per_core() {
+        let cores = par::num_threads(0);
+        let design = JsonValue::String(CHAIN.into()).to_compact();
+        for (threads, want) in [(1, 1), (cores, cores), (cores + 1, cores), (1 << 40, cores)] {
+            let req = mtk_trace::json::parse(&format!(
+                "{{\"cmd\":\"screen\",\"design\":{design},\"threads\":{threads}}}"
+            ))
+            .unwrap();
+            let job = Job::from_json(&req, 1).unwrap();
+            assert_eq!(job.opts.threads, want, "threads {threads}");
+            assert_eq!(
+                presumed_key(&req),
+                Some(job.store_key()),
+                "threads is not keyed"
+            );
+        }
+        let req =
+            mtk_trace::json::parse(&format!("{{\"cmd\":\"screen\",\"design\":{design}}}")).unwrap();
+        assert_eq!(Job::from_json(&req, 1 << 20).unwrap().opts.threads, cores);
+        assert_eq!(
+            Job::from_json(&req, 0).unwrap().opts.threads,
+            0,
+            "0 = all cores"
         );
     }
 }

@@ -33,7 +33,8 @@
 //! Per-connection read *and* write timeouts (a stalled or half-open
 //! client costs one `conn_timeouts` tick, never a hung worker), a
 //! max-request-size bound (`requests_rejected`), bounded worker
-//! backpressure (explicit `busy`), in-flight dedup of identical
+//! backpressure (explicit `busy`), a job's `threads` capped at the
+//! host's cores, in-flight dedup of identical
 //! requests (concurrent duplicates wait for the one execution and
 //! replay it), and graceful drain (stop accepting, finish in-flight
 //! work, exit cleanly). Every failure path is an `mtk_trace` counter —
@@ -42,9 +43,10 @@
 //! The request fingerprint (and store key) excludes `threads`: results
 //! are thread-count invariant by the workspace determinism contract, so
 //! the same design+options served at any parallelism dedups to one
-//! record.
+//! record. A job request is looked up by its design text as sent before
+//! the design is parsed ([`presumed_key`]); only a miss parses it.
 
-use crate::job::{Job, JobOutput};
+use crate::job::{presumed_key, Job, JobOutput};
 use mtk_core::sizing::ScreeningCache;
 use mtk_store::{Store, StoreStats};
 use mtk_trace::json::{parse, JsonValue};
@@ -64,7 +66,7 @@ pub struct ServeConfig {
     /// [`Server::local_addr`]).
     pub addr: String,
     /// Default worker threads per job (a request's `threads` field
-    /// overrides; 0 means all cores).
+    /// overrides; 0 means all cores; either is capped at the cores).
     pub threads: usize,
     /// Maximum concurrently executing jobs; further job requests get an
     /// explicit `busy` instead of queueing.
@@ -479,8 +481,17 @@ fn handle_request(state: &Arc<ServerState>, line: &str) -> (String, bool) {
             (r#"{"status":"ok","draining":true}"#.to_string(), true)
         }
         Some("screen" | "size" | "cluster" | "hybrid") => {
+            // Warm path: a canonical design keys the store as sent, so a
+            // hit needs no `.mtk` parse (DESIGN.md §13.2). While draining,
+            // the slow path below answers as it always did.
+            let presumed = (!state.draining() && state.cache.store().is_some())
+                .then(|| presumed_key(&request))
+                .flatten();
+            if let Some(payload) = presumed.as_deref().and_then(|k| state.store_lookup(k)) {
+                return (ok_line(true, &payload), false);
+            }
             match Job::from_json(&request, state.default_threads) {
-                Ok(job) => (handle_job(state, &job), false),
+                Ok(job) => (handle_job(state, &job, presumed.as_deref()), false),
                 Err(msg) => {
                     state.count(CounterId::RequestsRejected, 1);
                     (error_line(&msg), false)
@@ -551,14 +562,18 @@ fn handle_import(state: &Arc<ServerState>, request: &JsonValue) -> String {
 }
 
 /// Store tier → in-flight dedup → bounded execution, in that order.
-fn handle_job(state: &Arc<ServerState>, job: &Job) -> String {
+/// `looked_up` is a key the store already missed for this request; the
+/// store tier is skipped when the job's own key is that one.
+fn handle_job(state: &Arc<ServerState>, job: &Job, looked_up: Option<&[u8]>) -> String {
     if state.draining() {
         state.count(CounterId::RequestsRejected, 1);
         return r#"{"status":"busy"}"#.to_string();
     }
     let key = job.store_key();
-    if let Some(payload) = state.store_lookup(&key) {
-        return ok_line(true, &payload);
+    if looked_up != Some(key.as_slice()) {
+        if let Some(payload) = state.store_lookup(&key) {
+            return ok_line(true, &payload);
+        }
     }
     enum Role<'a> {
         Leader(SlotGuard<'a>, FlightGuard<'a>),

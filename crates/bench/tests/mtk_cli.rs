@@ -20,9 +20,14 @@
 //! * `mtk hybrid` screens and verifies in SPICE end to end; its trace
 //!   passes `trace_check`, and its deterministic trace is byte-identical
 //!   at 1 and 2 threads on the 3-bit adder and the ALU slice.
+//! * `mtk serve` with a store replays a repeated `mtk client` job
+//!   byte-identically (visible in its `status` counters), runs `size
+//!   --clusters` as the cluster job, and drains cleanly on SIGTERM; a
+//!   second server stops on a `shutdown` request.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Child, Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn mtk(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_mtk"))
@@ -380,12 +385,17 @@ fn repro_unknown_id_exits_two() {
     );
 }
 
-/// A per-process temp path for a test artifact.
-fn temp_json(tag: &str) -> String {
+/// A per-process temp path for a test artifact named `name`.
+fn temp_path(name: &str) -> String {
     std::env::temp_dir()
-        .join(format!("mtk_cli_{}_{tag}.json", std::process::id()))
+        .join(format!("mtk_cli_{}_{name}", std::process::id()))
         .to_string_lossy()
         .into_owned()
+}
+
+/// A per-process temp path for a JSON test artifact.
+fn temp_json(tag: &str) -> String {
+    temp_path(&format!("{tag}.json"))
 }
 
 #[test]
@@ -451,4 +461,141 @@ fn hybrid_deterministic_trace_is_byte_identical_across_threads() {
             "{stem}: hybrid trace differs at threads=2"
         );
     }
+}
+
+/// A running `mtk serve` on an ephemeral loopback port, its stdout
+/// logged to a file. Killed on drop, so a failing test leaves no server
+/// behind.
+struct Serve {
+    child: Child,
+    log: String,
+    addr: String,
+}
+
+impl Serve {
+    /// Starts `mtk serve --addr 127.0.0.1:0 <args>` and waits up to 10 s
+    /// for it to print its address.
+    fn start(tag: &str, args: &[&str]) -> Serve {
+        let log = temp_path(&format!("serve_{tag}.log"));
+        let child = Command::new(env!("CARGO_BIN_EXE_mtk"))
+            .args(["serve", "--addr", "127.0.0.1:0"])
+            .args(args)
+            .stdout(std::fs::File::create(&log).expect("create log"))
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn mtk serve");
+        let mut serve = Serve {
+            child,
+            log,
+            addr: String::new(),
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let text = std::fs::read_to_string(&serve.log).unwrap_or_default();
+            if let Some(addr) = text
+                .lines()
+                .find_map(|l| l.strip_prefix("mtk serve: listening on "))
+            {
+                serve.addr = addr.to_string();
+                return serve;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "mtk serve never reported its address"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
+    /// `mtk client <addr> <args>`.
+    fn client(&self, args: &[&str]) -> Output {
+        mtk(&[&["client", &self.addr], args].concat())
+    }
+
+    /// The server must exit 0 within 30 s of being asked to drain, and
+    /// report the drain. The accept loop blocks, so a drain that fails
+    /// to wake it fails here instead of hanging the suite.
+    fn drained(mut self) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let status = loop {
+            if let Some(status) = self.child.try_wait().expect("wait") {
+                break status;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "mtk serve did not exit within 30 s of the drain request"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        assert!(status.success(), "drain exit: {status}");
+        let log = std::fs::read_to_string(&self.log).expect("log");
+        assert!(log.contains("drained"), "no graceful drain reported: {log}");
+    }
+}
+
+impl Drop for Serve {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        let _ = std::fs::remove_file(&self.log);
+    }
+}
+
+/// Sends SIGTERM to `pid` through the libc `kill(2)` symbol (std links
+/// libc; no crate dependency).
+fn sigterm(pid: u32) {
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGTERM: i32 = 15;
+    // SAFETY: `kill` only reads its two integer arguments.
+    let rc = unsafe { kill(pid as i32, SIGTERM) };
+    assert_eq!(rc, 0, "kill -TERM {pid}");
+}
+
+#[test]
+fn serve_replays_a_repeated_job_from_its_store_and_drains_on_sigterm() {
+    let store = temp_path("serve.store");
+    let serve = Serve::start("store", &["--store", &store]);
+    let invtree = golden("invtree");
+    let job = ["hybrid", invtree.to_str().unwrap(), "--top-k", "2"];
+    let (first, second) = (serve.client(&job), serve.client(&job));
+    assert_eq!(first.status.code(), Some(0), "stderr: {}", stderr(&first));
+    let (first, second) = (stdout(&first), stdout(&second));
+    assert!(
+        first.contains("\"cached\":false"),
+        "not computed fresh: {first}"
+    );
+    assert!(
+        second.contains("\"cached\":true"),
+        "missed the store: {second}"
+    );
+    assert_eq!(
+        second.replacen("\"cached\":true", "\"cached\":false", 1),
+        first,
+        "the store replay is byte-identical to the computed response"
+    );
+    let status = stdout(&serve.client(&["status"]));
+    assert!(
+        status.contains("\"store_hits\":1"),
+        "the trace counters show the store hit: {status}"
+    );
+    // The client builds the CLI's job: `size --clusters N` is a cluster job.
+    let cluster = stdout(&serve.client(&["size", invtree.to_str().unwrap(), "--clusters", "2"]));
+    assert!(
+        cluster.contains("\"clustered_width\""),
+        "size --clusters ran the cluster job: {cluster}"
+    );
+    sigterm(serve.child.id());
+    serve.drained();
+    let _ = std::fs::remove_file(&store);
+    let _ = std::fs::remove_file(format!("{store}.lock"));
+}
+
+#[test]
+fn serve_stops_on_a_shutdown_request() {
+    let serve = Serve::start("shutdown", &[]);
+    let bye = stdout(&serve.client(&["shutdown"]));
+    assert!(bye.contains("\"draining\":true"), "not acknowledged: {bye}");
+    serve.drained();
 }

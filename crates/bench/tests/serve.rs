@@ -125,6 +125,163 @@ fn identical_requests_replay_byte_identical_from_the_store() {
     shutdown(&addr2, handle2);
 }
 
+/// `CHAIN` spelled differently, parsing to the same design: the server
+/// must key it by its canonical text.
+fn non_canonical(design: &str) -> String {
+    let text = design.replace("net a\n", "# the input\nnet   a\n");
+    assert_ne!(text, design);
+    text
+}
+
+/// A job request over an explicit design text.
+fn job_line_for(cmd: &str, design: &str, extra: &str) -> String {
+    let design = JsonValue::String(design.into()).to_compact();
+    format!("{{\"cmd\":\"{cmd}\",\"design\":{design}{extra}}}")
+}
+
+/// The canonical text of `CHAIN`, as `mtk client` would send it.
+fn canonical_chain() -> String {
+    mtk_fe::parse_str(CHAIN, "chain").expect("parses").to_mtk()
+}
+
+#[test]
+fn a_non_canonical_warm_request_replays_through_the_slow_path() {
+    let path = scratch("noncanonical");
+    let _c = Cleanup(path.clone());
+    let (addr, _state, handle) = start(ServeConfig {
+        store_path: Some(path.clone()),
+        ..ServeConfig::default()
+    });
+    let canonical = canonical_chain();
+    let first = request(
+        &addr,
+        &job_line_for("screen", &canonical, ""),
+        CLIENT_TIMEOUT,
+    )
+    .expect("first");
+    assert!(first.contains("\"cached\":false"), "{first}");
+    let line = job_line_for("screen", &non_canonical(&canonical), "");
+    let warm = request(&addr, &line, CLIENT_TIMEOUT).expect("warm");
+    let cached = first.replacen("\"cached\":false", "\"cached\":true", 1);
+    assert_eq!(
+        warm, cached,
+        "a non-canonical text of a stored design replays the stored bytes"
+    );
+    shutdown(&addr, handle);
+    // The store tier comes before the job slots on both paths: a server
+    // with no free slot still replays either spelling.
+    let (addr, _state, handle) = start(ServeConfig {
+        job_slots: 0,
+        store_path: Some(path),
+        ..ServeConfig::default()
+    });
+    for design in [canonical.clone(), non_canonical(&canonical)] {
+        let line = job_line_for("screen", &design, "");
+        let resp = request(&addr, &line, CLIENT_TIMEOUT).expect("replay");
+        assert_eq!(resp, cached, "no slot is needed for a store hit");
+    }
+    shutdown(&addr, handle);
+}
+
+#[test]
+fn store_counters_match_the_slow_path_for_cold_warm_and_non_canonical_requests() {
+    let path = scratch("counts");
+    let _c = Cleanup(path.clone());
+    let (addr, _state, handle) = start(ServeConfig {
+        store_path: Some(path),
+        ..ServeConfig::default()
+    });
+    let canonical = canonical_chain();
+    let counts = |addr: &str| {
+        let status = request(addr, r#"{"cmd":"status"}"#, CLIENT_TIMEOUT).expect("status");
+        (
+            counter(&status, "store_hits"),
+            counter(&status, "store_misses"),
+        )
+    };
+    // (design, options, cached, store hits and misses after it) — the
+    // counts a server that parses every request reports.
+    let steps = [
+        (canonical.clone(), ",\"target\":0.08", false, (0, 1)),
+        (canonical.clone(), ",\"target\":0.08", true, (1, 1)),
+        (non_canonical(&canonical), ",\"target\":0.08", true, (2, 1)),
+        (non_canonical(&canonical), ",\"target\":0.09", false, (2, 2)),
+        (canonical.clone(), ",\"target\":0.09", true, (3, 2)),
+        (non_canonical(&canonical), ",\"target\":0.09", true, (4, 2)),
+    ];
+    for (design, extra, cached, want) in steps {
+        let resp =
+            request(&addr, &job_line_for("size", &design, extra), CLIENT_TIMEOUT).expect("size");
+        assert!(
+            resp.contains(&format!("\"cached\":{cached}")),
+            "{extra}: {resp}"
+        );
+        assert_eq!(counts(&addr), want, "{extra}, cached {cached}");
+    }
+    shutdown(&addr, handle);
+}
+
+#[test]
+fn a_malformed_design_with_a_bad_option_answers_the_design_error() {
+    let path = scratch("malformed");
+    let _c = Cleanup(path.clone());
+    let (addr, _state, handle) = start(ServeConfig {
+        store_path: Some(path),
+        ..ServeConfig::default()
+    });
+    for (line, want) in [
+        (
+            r#"{"cmd":"size","design":"mtk 1\nnot a design\nend\n","target":"x","threads":-3}"#,
+            r#"{"status":"error","error":"<request>:2:1: error[E003]: unknown directive `not`; did you mean `net`?"}"#,
+        ),
+        (
+            r#"{"cmd":"hybrid","design":"mtk 1\ncircuit c\nnet a\ncell x bogus a -> a\nend\n","lo":0}"#,
+            r#"{"status":"error","error":"<request>:4:8: error[E007]: unknown cell kind `bogus`"}"#,
+        ),
+    ] {
+        assert_eq!(
+            request(&addr, line, CLIENT_TIMEOUT).expect("responds"),
+            want
+        );
+    }
+    let status = request(&addr, r#"{"cmd":"status"}"#, CLIENT_TIMEOUT).expect("status");
+    assert_eq!(counter(&status, "requests_rejected"), 2);
+    assert_eq!(counter(&status, "store_hits"), 0);
+    shutdown(&addr, handle);
+}
+
+#[test]
+fn a_draining_server_answers_a_warm_request_busy() {
+    let path = scratch("drainwarm");
+    let _c = Cleanup(path.clone());
+    let (addr, state, handle) = start(ServeConfig {
+        store_path: Some(path),
+        ..ServeConfig::default()
+    });
+    let line = job_line_for("screen", &canonical_chain(), "");
+    let first = request(&addr, &line, CLIENT_TIMEOUT).expect("first");
+    assert!(first.contains("\"cached\":false"), "{first}");
+    // A connection opened before the drain is still served, and a job
+    // on it is refused even when the store holds its answer.
+    let conn = TcpStream::connect(&addr).expect("connect");
+    conn.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
+    let mut reader = std::io::BufReader::new(conn.try_clone().expect("clone"));
+    let mut ask = |line: &str| {
+        (&conn)
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
+        let mut resp = String::new();
+        std::io::BufRead::read_line(&mut reader, &mut resp).expect("response");
+        resp.trim_end().to_string()
+    };
+    assert!(ask(r#"{"cmd":"status"}"#).starts_with(r#"{"status":"ok""#));
+    state.request_drain();
+    assert_eq!(ask(&line), r#"{"status":"busy"}"#);
+    drop(reader);
+    drop(conn);
+    handle.join().expect("drained cleanly");
+}
+
 #[test]
 fn trace_is_byte_identical_at_any_thread_count() {
     // Three independent stores, same request at threads 1/2/8: each

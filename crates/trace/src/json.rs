@@ -191,21 +191,31 @@ fn write_number(out: &mut String, n: f64) {
     }
 }
 
+/// Writes `s` as a JSON string literal. Runs of bytes that need no
+/// escape are copied whole: every escaped character is ASCII, so a run
+/// ends on a character boundary, and the output is the per-`char`
+/// escaping byte for byte (the `write_string_per_char` oracle below).
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -746,5 +756,65 @@ mod tests {
         let text = v.to_pretty();
         assert_eq!(parse(&text).unwrap(), v);
         assert_eq!(parse("\"\\u00b5\"").unwrap().as_str().unwrap(), "µ");
+    }
+
+    /// The per-`char` escaping [`write_string`] replaced: the oracle its
+    /// output must match byte for byte.
+    fn write_string_per_char(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn run_copying_writer_matches_the_per_char_oracle() {
+        // Every control byte, the two escaped printables, DEL and
+        // multibyte UTF-8, alone, at both ends and inside long unescaped
+        // runs.
+        let mut alphabet: Vec<char> = (0u8..0x20).map(char::from).collect();
+        alphabet.extend(['"', '\\', '\u{7f}', 'a', ' ', 'µ', '→', '😀', '\u{2028}']);
+        let mut cases: Vec<String> = alphabet.iter().map(|c| c.to_string()).collect();
+        let run = "mtk 1\ncircuit x".repeat(4096).replace('\n', " ");
+        cases.push(run.clone());
+        cases.push(format!("\"{run}\\"));
+        cases.push(format!("µ{run}\u{1f}{run}😀"));
+        // Seeded random strings (SplitMix64), mostly unescaped runs.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for _ in 0..500 {
+            let len = (next() % 300) as usize;
+            let s: String = (0..len)
+                .map(|_| match next() % 4 {
+                    0 => alphabet[(next() % alphabet.len() as u64) as usize],
+                    _ => char::from(b'a' + (next() % 26) as u8),
+                })
+                .collect();
+            cases.push(s);
+        }
+        for s in &cases {
+            let (mut got, mut want) = (String::from("x"), String::from("x"));
+            write_string(&mut got, s);
+            write_string_per_char(&mut want, s);
+            assert_eq!(got, want, "{s:?}");
+            assert_eq!(parse(&got[1..]).unwrap().as_str(), Some(s.as_str()));
+        }
     }
 }

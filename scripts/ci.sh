@@ -176,82 +176,12 @@ echo "== paper reproduction: every experiment runs and its claims hold =="
 # band (a check marked as a known defect must keep missing).
 target/release/mtk repro --all
 
-echo "== serve smoke: store-backed replay + graceful SIGTERM drain =="
-# Starts `mtk serve` with a persistent store on an ephemeral port, runs
-# the same hybrid job twice (the second must be a byte-identical store
-# replay, visible in the trace counters), checks that the client routes
-# `size --clusters` to the cluster job, then TERMs the server and
-# requires a clean drain (exit 0). A second server is stopped by a
-# `shutdown` request instead. The accept loop blocks, so a drain that
-# fails to wake it would hang: each exit is awaited under a timeout.
-# Corruption recovery is covered by `cargo test`
-# (crates/store/tests/corruption.rs, tests/store_persistence.rs).
-serve_log="$(mktemp /tmp/ci_serve.XXXXXX.log)"
-serve_store="$(mktemp /tmp/ci_serve_store.XXXXXX.bin)"
-serve2_log="$(mktemp /tmp/ci_serve2.XXXXXX.log)"
-trap 'rm -rf "$golden_dir" "$mtk_trace" "$mc_store" "$mc_store.lock" "$mc_trace" "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$size_store" "$size_store.lock" "$size_a" "$size_b" "$serve_log" "$serve_store" "$serve_store.lock" "$serve2_log"' EXIT
-# await_addr LOG: waits for the server logging to LOG to print its
-# address, and prints it.
-await_addr() {
-  for _ in $(seq 1 100); do
-    grep -q "listening on" "$1" 2>/dev/null && break
-    sleep 0.1
-  done
-  sed -n 's/^mtk serve: listening on //p' "$1" | head -1
-}
-# serve_drained PID LOG: the server must exit 0 within 30 s of being
-# asked to drain, and report the drain.
-serve_drained() {
-  timeout 30 tail --pid="$1" -f /dev/null || {
-    echo "ci: mtk serve did not exit within 30 s of the drain request"
-    kill -KILL "$1"
-    exit 1
-  }
-  wait "$1" # non-zero drain exit fails the script (set -e)
-  grep -q "drained" "$2" || { echo "ci: serve did not report a graceful drain"; exit 1; }
-}
-target/release/mtk serve --addr 127.0.0.1:0 --store "$serve_store" >"$serve_log" &
-serve_pid=$!
-serve_addr="$(await_addr "$serve_log")"
-[ -n "$serve_addr" ] || { echo "ci: mtk serve never reported its address"; exit 1; }
-first="$(target/release/mtk client "$serve_addr" hybrid examples/invtree.mtk --top-k 2)"
-second="$(target/release/mtk client "$serve_addr" hybrid examples/invtree.mtk --top-k 2)"
-grep -q '"cached":false' <<<"$first" || { echo "ci: first serve response not computed fresh"; exit 1; }
-grep -q '"cached":true' <<<"$second" || { echo "ci: second serve response missed the store"; exit 1; }
-if [ "${second/\"cached\":true/\"cached\":false}" != "$first" ]; then
-  echo "ci: store replay is not byte-identical to the computed response"
-  exit 1
-fi
-serve_status="$(target/release/mtk client "$serve_addr" status)"
-grep -q '"store_hits":1' <<<"$serve_status" || {
-  echo "ci: serve trace counters do not show the store hit: $serve_status"
-  exit 1
-}
-# The client builds the CLI's job: `size --clusters N` is a cluster job.
-clu_resp="$(target/release/mtk client "$serve_addr" size examples/invtree.mtk --clusters 2)"
-grep -q '"clustered_width"' <<<"$clu_resp" || {
-  echo "ci: client size --clusters did not run the cluster job: $clu_resp"
-  exit 1
-}
-kill -TERM "$serve_pid"
-serve_drained "$serve_pid" "$serve_log"
-target/release/mtk serve --addr 127.0.0.1:0 >"$serve2_log" &
-serve2_pid=$!
-serve2_addr="$(await_addr "$serve2_log")"
-[ -n "$serve2_addr" ] || { echo "ci: second mtk serve never reported its address"; exit 1; }
-bye="$(target/release/mtk client "$serve2_addr" shutdown)"
-grep -q '"draining":true' <<<"$bye" || {
-  echo "ci: shutdown request was not acknowledged: $bye"
-  exit 1
-}
-serve_drained "$serve2_pid" "$serve2_log"
-
 echo "== interop smoke: deck export/import identity + waveform exports =="
 # Export a golden design as a hint-carrying SPICE deck, re-import it
 # (structural gate recognition), and demand the canonical .mtk comes
 # back byte-identical to the committed golden.
 interop_dir="$(mktemp -d /tmp/ci_interop.XXXXXX)"
-trap 'rm -rf "$golden_dir" "$mtk_trace" "$mc_store" "$mc_store.lock" "$mc_trace" "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$size_store" "$size_store.lock" "$size_a" "$size_b" "$serve_log" "$serve_store" "$serve_store.lock" "$serve2_log" "$interop_dir"' EXIT
+trap 'rm -rf "$golden_dir" "$mtk_trace" "$mc_store" "$mc_store.lock" "$mc_trace" "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$size_store" "$size_store.lock" "$size_a" "$size_b" "$interop_dir"' EXIT
 target/release/mtk export examples/adder3.mtk --w-over-l 8 --out "$interop_dir/adder3.ckt"
 target/release/mtk import "$interop_dir/adder3.ckt" --out "$interop_dir/adder3_back.mtk" >/dev/null
 cmp "$interop_dir/adder3_back.mtk" examples/adder3.mtk || {
@@ -301,7 +231,7 @@ if [[ "${MTK_SKIP_BENCH:-0}" == "1" ]]; then
   echo "bench smoke skipped (MTK_SKIP_BENCH=1)"
 else
   bench_json="$(mktemp /tmp/ci_bench.XXXXXX.json)"
-  trap 'rm -rf "$golden_dir" "$mtk_trace" "$mc_store" "$mc_store.lock" "$mc_trace" "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$size_store" "$size_store.lock" "$size_a" "$size_b" "$serve_log" "$serve_store" "$serve_store.lock" "$serve2_log" "$interop_dir" "$bench_json"' EXIT
+  trap 'rm -rf "$golden_dir" "$mtk_trace" "$mc_store" "$mc_store.lock" "$mc_trace" "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$size_store" "$size_store.lock" "$size_a" "$size_b" "$interop_dir" "$bench_json"' EXIT
   cargo run --release -p mtk-bench --bin speed_comparison -- \
     --no-spice --samples 3 --warmup 1 \
     --json "$bench_json" --check-against BENCH_speed.json
