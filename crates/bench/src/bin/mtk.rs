@@ -42,7 +42,7 @@
 //!   `MISS`, or on a `PASS` of a check marked as a known defect; 2 on an
 //!   unknown id. `--full`
 //!   adds the long variants: Table 1 SPICE rows, every FIG14 S2 vector,
-//!   and the FIG5/FIG11 CSV series.
+//!   all 4096 SEC6-2 SPICE runs, and the FIG5/FIG11 CSV series.
 //! * `mtk gen [--list | --all [--dir D] | <stem>]` — export the
 //!   built-in generators as golden `.mtk` files (the `examples/`
 //!   directory; CI regenerates and diffs them).
@@ -77,7 +77,7 @@
 //! `--trace-json PATH` / `--trace-deterministic` (DESIGN.md §10).
 
 use mtk_bench::cli::{
-    bool_flag, emit_trace, f64_flag, flag, str_flag, threads_label, trace_config,
+    bool_flag, die, emit_trace, f64_flag, flag, str_flag, threads_label, trace_config,
 };
 use mtk_bench::design_transitions;
 use mtk_bench::job::{Job, JobKind, JobOpts, JobOutput};
@@ -110,11 +110,6 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn die(msg: impl std::fmt::Display) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
-}
-
 /// A `--w-over-l` sleep size, held to the core screen's rule: one that
 /// is not finite and positive is a usage error.
 fn positive_w_over_l(w_over_l: f64) -> f64 {
@@ -129,6 +124,8 @@ fn positive_w_over_l(w_over_l: f64) -> f64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    // A `--trace-json` with no path is a usage error before any work runs.
+    str_flag("--trace-json");
     let cmd = args.get(1).map(String::as_str).unwrap_or("");
     if cmd == "gen" {
         return cmd_gen(&args[2..]);

@@ -1,15 +1,13 @@
-//! §6.2 — CPU-time comparison on the exhaustive 4096-vector adder sweep.
+//! The switch-level kernels' speed gate: the exhaustive 4096-vector
+//! adder sweep of §6.2 and the multiplier scaling probes, written to and
+//! gated against the committed `BENCH_speed.json`. The paper's CPU-time
+//! ratio against SPICE is `mtk repro sec6-2`.
 //!
-//! The paper: SPICE needed 4.78 h on a Sparc 5; the (unoptimized)
-//! switch-level simulator needed 13.5 s — a ≈1275× ratio. Here both
-//! engines run on the same host, and both switch-level kernels are
-//! measured: the legacy dense-scan kernel and the event-driven kernel
-//! (the default), which must agree bit-for-bit
-//! (`tests/vbsim_kernel_equivalence.rs`) while skipping the dense
-//! kernel's whole-netlist scans, per-breakpoint equilibrium re-solves,
-//! and per-run allocations. The SPICE total is measured on a sample and
-//! extrapolated (pass `--full-spice` to really run all 4096 — expect
-//! ~10 minutes).
+//! Both switch-level kernels are measured: the legacy dense-scan kernel
+//! and the event-driven kernel (the default), which must agree
+//! bit-for-bit (`tests/vbsim_kernel_equivalence.rs`) while skipping the
+//! dense kernel's whole-netlist scans, per-breakpoint equilibrium
+//! re-solves, and per-run allocations.
 //!
 //! Every timing is median-of-N with warm-up runs excluded
 //! ([`mtk_bench::timing::measure`]); earlier versions reported a single
@@ -32,43 +30,45 @@
 //!
 //! * `--samples N` / `--warmup N` — timed / untimed sweep repetitions
 //!   (default 5 / 1).
-//! * `--spice-samples N` — SPICE transitions per timed sample
-//!   (default 16; ignored with `--full-spice`).
-//! * `--no-spice` — skip the SPICE leg entirely (fast CI smoke).
 //! * `--json PATH` — write the measurements as a versioned
 //!   `BENCH_speed.json` ([`mtk_bench::speedfile`]).
-//! * `--check-against PATH` — load a committed baseline and exit
-//!   non-zero if any shared bench regressed beyond `--tolerance`
-//!   (default 4.0×, generous because hosts differ) or the
-//!   event-vs-dense speedup fell below `--min-speedup` (default 1.5 —
-//!   a floor under the ~2–2.5× median this sweep actually measures;
-//!   the kernels share the bit-pinned Vₓ solver and must emit identical
-//!   waveforms, which bounds the gap on a 12-cell netlist — see the
-//!   speed table notes in `EXPERIMENTS.md`).
+//! * `--check-against PATH` — load a committed baseline (before any
+//!   timing, so a bad path fails at once) and exit 1 if any shared
+//!   bench regressed beyond `--tolerance` (default 4.0×, generous
+//!   because hosts differ) or the event-vs-dense speedup fell below
+//!   `--min-speedup` (default 1.5 — a floor under the ~2–2.5× median
+//!   this sweep actually measures; the kernels share the bit-pinned Vₓ
+//!   solver and must emit identical waveforms, which bounds the gap on
+//!   a 12-cell netlist — see the speed table notes in `EXPERIMENTS.md`).
+//!
+//! An unreadable or invalid baseline, or an unwritable `--json` path,
+//! exits 2 with an `error:` line.
 
-use mtk_bench::cli;
+use mtk_bench::cli::{self, die};
 use mtk_bench::report::print_table;
+use mtk_bench::repro::adder_event_sweep;
 use mtk_bench::speedfile::{check_regressions, SpeedFile};
 use mtk_bench::timing::{human, measure};
 use mtk_bench::transition_of;
 use mtk_circuits::adder::RippleAdder;
 use mtk_circuits::multiplier::{ArrayMultiplier, MultiplierSpec};
 use mtk_circuits::vectors::exhaustive_transitions;
-use mtk_core::hybrid::{spice_transition, SpiceRunConfig};
 use mtk_core::vbsim::{Engine, VbsimKernel, VbsimOptions, VbsimScratch};
-use mtk_netlist::expand::SleepImpl;
 use mtk_netlist::logic::Logic;
 use mtk_netlist::tech::Technology;
 use mtk_num::prng::Xoshiro256pp;
 
 fn main() {
-    let full_spice = cli::bool_flag("--full-spice");
-    let no_spice = cli::bool_flag("--no-spice");
     let samples = cli::flag("--samples", 5);
     let warmup = cli::flag("--warmup", 1);
-    let spice_samples = cli::flag("--spice-samples", 16).max(1);
     let json_path = cli::str_flag("--json");
-    let baseline_path = cli::str_flag("--check-against");
+    let baseline = cli::str_flag("--check-against").map(|path| {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| die(format!("read baseline {path}: {e}")));
+        let file =
+            SpeedFile::parse(&text).unwrap_or_else(|e| die(format!("parse baseline {path}: {e}")));
+        (path, file)
+    });
     let tolerance = cli::f64_flag("--tolerance", 4.0);
     let min_speedup = cli::f64_flag("--min-speedup", 1.5);
 
@@ -91,15 +91,7 @@ fn main() {
     let mut total_breakpoints = 0usize;
     let mut scratch = VbsimScratch::new();
     let event = measure(warmup, samples, || {
-        total_breakpoints = 0;
-        for pair in &all {
-            let tr = transition_of(*pair, 6);
-            let run = engine
-                .run_with(&tr.from, &tr.to, &opts, &mut scratch)
-                .expect("vbsim event run");
-            total_breakpoints += run.breakpoints;
-            scratch.recycle(run);
-        }
+        total_breakpoints = adder_event_sweep(&engine, &all, &opts, &mut scratch);
     });
     let dense = measure(warmup, samples, || {
         for pair in &all {
@@ -187,39 +179,7 @@ fn main() {
         }
     });
 
-    // SPICE: sample (or full), extrapolated to the 4096-vector total.
-    let spice_total = if no_spice {
-        None
-    } else {
-        let cfg = SpiceRunConfig::window(80e-9);
-        let sample: Vec<_> = if full_spice {
-            all.clone()
-        } else {
-            let step = (all.len() / spice_samples).max(1);
-            all.iter().step_by(step).copied().collect()
-        };
-        // One SPICE sample set is minutes of work; never repeat it.
-        let stats = measure(0, 1, || {
-            for pair in &sample {
-                let tr = transition_of(*pair, 6);
-                spice_transition(
-                    &add.netlist,
-                    &tech,
-                    &tr,
-                    None,
-                    SleepImpl::Transistor { w_over_l: 10.0 },
-                    &cfg,
-                )
-                .expect("spice run");
-            }
-        });
-        Some((
-            stats.median / sample.len() as f64 * all.len() as f64,
-            sample.len(),
-        ))
-    };
-
-    let mut rows = vec![
+    let rows = vec![
         vec![
             "switch-level, event kernel (default)".into(),
             format!("{:.3} s", event.median),
@@ -270,24 +230,8 @@ fn main() {
             "-".into(),
         ],
     ];
-    if let Some((t_spice, n)) = spice_total {
-        rows.push(vec![
-            if full_spice {
-                "SPICE engine (measured, all 4096)".into()
-            } else {
-                format!("SPICE engine (extrapolated from {n})")
-            },
-            format!("{t_spice:.0} s"),
-            "17208 s = 4.78 h (Sparc 5)".into(),
-        ]);
-        rows.push(vec![
-            "SPICE / switch-level ratio".into(),
-            format!("{:.0}x", t_spice / event.median),
-            "~1275x".into(),
-        ]);
-    }
     print_table(
-        "CPU time, 4096 vectors (medians)",
+        "switch-level CPU time (medians)",
         &["engine", "this host", "paper"],
         &rows,
     );
@@ -309,21 +253,14 @@ fn main() {
     file.push("mult8x8_1bit_dense", bit_dense);
     file.push("mult16x16_16vec_summary", mul16_summary);
     file.push_derived("event_vs_dense_speedup", speedup);
-    if let Some((t_spice, _)) = spice_total {
-        file.push_derived("spice_vs_switch_ratio", t_spice / event.median);
-    }
     if let Some(path) = &json_path {
         let text = file.to_json();
         SpeedFile::parse(&text).expect("self-written speed file must validate");
-        std::fs::write(path, text).expect("write --json file");
+        std::fs::write(path, text).unwrap_or_else(|e| die(format!("write {path}: {e}")));
         println!("wrote {path}");
     }
-    if let Some(path) = &baseline_path {
-        let text =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-        let baseline =
-            SpeedFile::parse(&text).unwrap_or_else(|e| panic!("parse baseline {path}: {e}"));
-        let violations = check_regressions(&baseline, &file, tolerance, min_speedup);
+    if let Some((path, baseline)) = &baseline {
+        let violations = check_regressions(baseline, &file, tolerance, min_speedup);
         if violations.is_empty() {
             println!(
                 "regression gate vs {path}: PASS (tolerance {tolerance}x, min speedup {min_speedup}x)"

@@ -1,7 +1,7 @@
 //! Shared command-line plumbing for the `mtk` driver and
-//! `speed_comparison`: flag parsing, the failure-policy knob, and the
-//! `--trace-json` export, so flags and telemetry behave identically
-//! across tools.
+//! `speed_comparison`: flag parsing, usage errors, the failure-policy
+//! knob, and the `--trace-json` export, so flags and telemetry behave
+//! identically across tools.
 
 use mtk_core::health::FailurePolicy;
 use mtk_trace::{TraceConfig, TraceReport};
@@ -32,28 +32,39 @@ pub fn f64_flag(name: &str, default: f64) -> f64 {
 /// missing or unparsable value exits 2 with
 /// ``error: --<name>: `<value>` is not <what>``.
 fn parsed_flag<T>(name: &str, what: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
-    if !bool_flag(name) {
-        return None;
-    }
-    let value = str_flag(name);
+    let value = flag_value(name)?;
     let parsed = value.as_deref().and_then(parse);
     if parsed.is_none() {
         match value {
-            Some(v) => eprintln!("error: {name}: `{v}` is not {what}"),
-            None => eprintln!("error: {name}: missing value (want {what})"),
+            Some(v) => die(format!("{name}: `{v}` is not {what}")),
+            None => die(format!("{name}: missing value (want {what})")),
         }
-        std::process::exit(2);
     }
     parsed
 }
 
-/// Value of `--<name> <string>`, when present.
+/// Value of `--<name> <string>`, when present. A present flag whose
+/// value is missing (it is the last argument, or the next one is
+/// another `--flag`) exits 2 with `error: --<name>: missing value`.
 pub fn str_flag(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    let value = flag_value(name)?;
+    Some(value.unwrap_or_else(|| die(format!("{name}: missing value"))))
+}
+
+/// The token after `--<name>`: `None` when the flag is absent,
+/// `Some(None)` when nothing but another `--flag` follows it. A value
+/// with one leading dash, such as `-inf`, is still a value.
+fn flag_value(name: &str) -> Option<Option<String>> {
+    let mut args = std::env::args().skip_while(|a| a != name);
+    args.next()?;
+    Some(args.next().filter(|v| !v.starts_with("--")))
+}
+
+/// Prints `error: <msg>` on stderr and exits 2, the usage-error status
+/// of every binary.
+pub fn die(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
 }
 
 /// The failure policy shared by every sweep-running binary:

@@ -4,9 +4,8 @@
 //! the ablations and extensions of `DESIGN.md` §5, as one table of typed
 //! experiments that `mtk repro` runs and gates. The crate also holds the
 //! `mtk` driver's job model and server, plain-text table reporting, the
-//! statistics used to compare the two engines, and the timing harness of
-//! the self-timed benchmarks (run with
-//! `cargo bench -p mtk-bench --features bench-harness`).
+//! statistics used to compare the two engines, and the median-of-N
+//! timing that `mtk repro sec6-2` and the `speed_comparison` gate share.
 
 pub mod cli;
 pub mod job;

@@ -7,11 +7,14 @@
 //! gate the paper's claims against a committed band. The bands live next
 //! to the code that measures them; `mtk repro --all` exits 1 when a check
 //! misses. [`Ctx::full`] turns on the long variants (Table 1 SPICE rows,
-//! every FIG14 S2 vector, the FIG5/FIG11 CSV series).
+//! every FIG14 S2 vector, all 4096 SEC6-2 SPICE runs, the FIG5/FIG11 CSV
+//! series).
 
 mod ablations;
 mod extensions;
 mod paper;
+
+pub use paper::adder_event_sweep;
 
 use crate::report::{ns, render_table};
 use crate::stats;
@@ -144,6 +147,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     exp("fig11", "Fig 11: vgnd bounce, SPICE vs sim", paper::fig11),
     exp("fig13", "Fig 13: adder delay, SPICE vs sim", paper::fig13),
     exp("fig14", "Fig 14: S2 degradation scatter", paper::fig14),
+    exp("sec6-2", "§6.2: SPICE vs sim CPU time", paper::sec6_2),
     exp("abl-body", "§5.3: body effect in Vx", ablations::body),
     exp("abl-alpha", "§1 Eq. 2: alpha-power law", ablations::alpha),
     exp("abl-revcond", "§2.3: low-output ride", ablations::revcond),

@@ -3,6 +3,7 @@
 use super::{Bench, Ctx, Output};
 use crate::report::{ns, pct, series};
 use crate::stats::{mean_abs_rel_error, pearson, spearman};
+use crate::timing::{human, measure};
 use crate::transition_of;
 use mtk_circuits::adder::RippleAdder;
 use mtk_circuits::multiplier::ArrayMultiplier;
@@ -11,7 +12,7 @@ use mtk_circuits::vectors::{exhaustive_transitions, multiplier_vector_a, multipl
 use mtk_core::hybrid::{spice_delay_pair, spice_transition, SpiceRunConfig};
 use mtk_core::sizing::{peak_current_w_over_l, sum_of_widths_w_over_l};
 use mtk_core::sizing::{size_for_target_cached, vbsim_delay_pair, ScreeningCache, Transition};
-use mtk_core::vbsim::{Engine, SleepNetwork, VbsimOptions};
+use mtk_core::vbsim::{Engine, SleepNetwork, VbsimOptions, VbsimScratch};
 use mtk_netlist::expand::SleepImpl;
 use mtk_netlist::tech::Technology;
 use std::cmp::Ordering;
@@ -430,4 +431,94 @@ pub fn fig14(ctx: &Ctx) -> Output {
     };
     out.check("spearman, SPICE vs sim", "> 0 (trend)", rho, band);
     out
+}
+
+/// SEC6-2: the headline CPU-time claim. On the adder's 4096-vector
+/// sweep the paper's SPICE took 4.78 h and its switch-level simulator
+/// 13.5 s, about 1275×. The switch-level time is the median of 5 event
+/// sweeps after one warm-up, reusing one scratch; the SPICE time is one
+/// pass over every 64th transition, extrapolated to 4096 (`--full` runs
+/// all of them, about a minute). Both run on one thread, whatever
+/// `ctx.threads` is, as the paper compares single-CPU times.
+pub fn sec6_2(ctx: &Ctx) -> Output {
+    const W_OVER_L: f64 = 10.0;
+    let add = RippleAdder::paper();
+    let tech = Technology::l07();
+    let engine = Engine::new(&add.netlist, &tech);
+    let all = exhaustive_transitions(6);
+    let opts = VbsimOptions::mtcmos(W_OVER_L);
+    let mut scratch = VbsimScratch::new();
+    let switch = measure(1, 5, || {
+        adder_event_sweep(&engine, &all, &opts, &mut scratch);
+    });
+
+    let sample: Vec<_> = all.iter().step_by(if ctx.full { 1 } else { 64 }).collect();
+    let sleep = SleepImpl::Transistor { w_over_l: W_OVER_L };
+    let cfg = SpiceRunConfig::window(80e-9);
+    let spice_sample = measure(0, 1, || {
+        for pair in &sample {
+            let tr = transition_of(**pair, 6);
+            let res = spice_transition(&add.netlist, &tech, &tr, None, sleep, &cfg);
+            res.expect("spice run");
+        }
+    });
+    let per_vector = spice_sample.median / sample.len() as f64;
+    let spice = per_vector * all.len() as f64;
+    let ratio = spice / switch.median;
+
+    let mut out = Output::default();
+    out.line(format!(
+        "SEC6-2: CPU time on the 3-bit adder's {} transitions, MTCMOS W/L={W_OVER_L}, one thread",
+        all.len()
+    ));
+    let how = if ctx.full { "measured" } else { "extrapolated" };
+    let rows = vec![
+        vec![
+            "switch-level, event kernel".into(),
+            format!("{:.3} s", switch.median),
+            "13.5 s".into(),
+        ],
+        vec![
+            format!("SPICE per vector ({} run)", sample.len()),
+            human(per_vector),
+            "4.20 s".into(),
+        ],
+        vec![
+            format!("SPICE, {how}"),
+            format!("{spice:.0} s"),
+            "17208 s = 4.78 h".into(),
+        ],
+        vec![
+            "SPICE / switch-level".into(),
+            format!("{ratio:.0}x"),
+            "~1275x".into(),
+        ],
+    ];
+    let title = "Sec 6.2: CPU time, 4096 vectors";
+    out.table(title, "engine, this host, paper (Sparc 5)", rows);
+    let claim = "SPICE / switch-level CPU ratio";
+    out.check(claim, "≈1275×", ratio, (1000.0, f64::INFINITY));
+    out
+}
+
+/// The §6.2 switch-level sweep: every packed 6-bit adder transition
+/// in `all` through the event kernel under `opts`, reusing one scratch.
+/// Returns the breakpoints processed. `sec6-2` times it, and so does
+/// `speed_comparison` for its `adder4096_event` row.
+pub fn adder_event_sweep(
+    engine: &Engine,
+    all: &[VectorPair],
+    opts: &VbsimOptions,
+    scratch: &mut VbsimScratch,
+) -> usize {
+    let mut breakpoints = 0;
+    for pair in all {
+        let tr = transition_of(*pair, 6);
+        let run = engine
+            .run_with(&tr.from, &tr.to, opts, scratch)
+            .expect("vbsim");
+        breakpoints += run.breakpoints;
+        scratch.recycle(run);
+    }
+    breakpoints
 }

@@ -1,14 +1,13 @@
-//! Minimal self-timing harness for the `bench-harness` benchmark
-//! targets. Replaces the external Criterion dependency so the workspace
-//! builds with zero network access: each benchmark warms up, then runs a
-//! fixed number of timed samples and reports min / median / mean.
+//! Minimal self-timing: [`measure`] warms up, then runs a fixed number
+//! of timed samples and reports min / median / mean. It needs no
+//! external dependency, so the workspace builds with zero network
+//! access. `speed_comparison` and `mtk repro sec6-2` time with it.
 //!
-//! The statistics come from [`measure`], which the speed binaries use
-//! directly: earlier versions timed a *single* wall-clock pass that
-//! included one-time setup, so a cold cache or an unlucky scheduler
-//! quantum landed straight in the reported number. Warm-up runs are
-//! excluded and the headline statistic is the median, which is robust
-//! to one slow outlier sample.
+//! Earlier versions timed a *single* wall-clock pass that included
+//! one-time setup, so a cold cache or an unlucky scheduler quantum
+//! landed straight in the reported number. Warm-up runs are excluded
+//! and the headline statistic is the median, which is robust to one
+//! slow outlier sample.
 
 use std::time::Instant;
 
@@ -47,21 +46,6 @@ pub fn measure<F: FnMut()>(warmup: usize, samples: usize, mut f: F) -> Stats {
     }
 }
 
-/// One measured benchmark: `samples` timed runs after `warmup` untimed
-/// ones. Prints a single aligned line with min/median/mean per
-/// iteration and returns the statistics.
-pub fn bench<F: FnMut()>(name: &str, warmup: usize, samples: usize, f: F) -> Stats {
-    let stats = measure(warmup, samples, f);
-    println!(
-        "{name:<40} min {:>12}  median {:>12}  mean {:>12}  ({} samples)",
-        human(stats.min),
-        human(stats.median),
-        human(stats.mean),
-        stats.samples
-    );
-    stats
-}
-
 /// Formats a duration in seconds with an auto-selected unit.
 pub fn human(secs: f64) -> String {
     if secs < 1e-6 {
@@ -85,13 +69,6 @@ mod tests {
         assert!(human(5e-6).ends_with("us"));
         assert!(human(5e-3).ends_with("ms"));
         assert!(human(5.0).ends_with('s'));
-    }
-
-    #[test]
-    fn bench_runs_closure() {
-        let mut count = 0u32;
-        bench("noop", 1, 3, || count += 1);
-        assert_eq!(count, 4);
     }
 
     #[test]

@@ -1,18 +1,21 @@
 //! End-to-end contract of the `mtk` driver binary, through real
 //! process invocations:
 //!
-//! * `mtk lint` exit codes: 0 clean, 1 on findings (0 with
-//!   `--warn-only`), 2 on parse errors — with every `LintIssue`
-//!   variant exercised through the file-based path and findings
-//!   pointing at the offending `.mtk` source line.
+//! * `mtk lint` exit codes: 0 clean (a fixture and a golden), 1 on
+//!   findings (0 with `--warn-only`), 2 on parse errors — with every
+//!   `LintIssue` variant exercised through the file-based path and
+//!   findings pointing at the offending `.mtk` source line.
 //! * Malformed input yields a `file:line:col: error[E0xx]` diagnostic
 //!   and exit 2, never a panic.
 //! * `mtk screen --trace-deterministic` writes byte-identical JSON at
-//!   thread counts 1, 2 and 8 on a golden example.
-//! * `mtk gen <stem>` reproduces the checked-in golden file exactly.
+//!   thread counts 1, 2 and 8 on a golden example, and it passes
+//!   `trace_check`.
+//! * `mtk gen <stem>` and `mtk gen --all --dir D` reproduce the
+//!   checked-in golden files exactly.
 //! * A malformed or missing numeric flag value exits 2 with a message —
 //!   on the flow commands and on `mtk client` alike — instead of
-//!   silently running with the default.
+//!   silently running with the default; so does a string flag with no
+//!   value, which is never taken from the next `--flag`.
 //! * A sizing bracket outside `0 < lo < hi` exits 2 with a message.
 //! * `mtk size` records a top-level `size` span around the actual run.
 //! * `mtk repro --list` prints every registered experiment id, and an
@@ -20,6 +23,10 @@
 //! * `mtk hybrid` screens and verifies in SPICE end to end; its trace
 //!   passes `trace_check`, and its deterministic trace is byte-identical
 //!   at 1 and 2 threads on the 3-bit adder and the ALU slice.
+//! * `mtk mc --smoke` with a store passes `trace_check` cold and warm,
+//!   and the warm rerun simulates nothing.
+//! * `speed_comparison` rejects a missing baseline with exit 2 before
+//!   it times anything.
 //! * `mtk serve` with a store replays a repeated `mtk client` job
 //!   byte-identically (visible in its `status` counters), runs `size
 //!   --clusters` as the cluster job, and drains cleanly on SIGTERM; a
@@ -68,6 +75,9 @@ fn lint_clean_file_exits_zero() {
     let out = mtk(&["lint", &path]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     assert!(stdout(&out).contains("clean"));
+    let adder = golden("adder3");
+    let out = mtk(&["lint", adder.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
 }
 
 #[test]
@@ -171,11 +181,7 @@ fn deterministic_screen_trace_is_byte_identical_across_threads() {
     let path = path.to_str().unwrap();
     let mut traces = Vec::new();
     for threads in ["1", "2", "8"] {
-        let json = std::env::temp_dir().join(format!(
-            "mtk_cli_{}_trace_t{threads}.json",
-            std::process::id()
-        ));
-        let json = json.to_str().unwrap().to_string();
+        let json = temp_json(&format!("trace_t{threads}"));
         let out = mtk(&[
             "screen",
             path,
@@ -189,6 +195,7 @@ fn deterministic_screen_trace_is_byte_identical_across_threads() {
         ]);
         assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
         traces.push(std::fs::read(&json).expect("trace artifact"));
+        assert_trace_checks(&json);
     }
     assert_eq!(traces[0], traces[1], "threads 1 vs 2");
     assert_eq!(traces[0], traces[2], "threads 1 vs 8");
@@ -216,6 +223,16 @@ fn gen_reproduces_the_checked_in_goldens() {
             "{stem}: `mtk gen` and examples/{stem}.mtk diverged — regenerate with `mtk gen --all`"
         );
     }
+    // `gen --all --dir` writes the same bytes as the per-stem path.
+    let dir = temp_path("gen_all");
+    let out = mtk(&["gen", "--all", "--dir", &dir]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    for stem in &stems {
+        let written = std::fs::read(format!("{dir}/{stem}.mtk")).expect("written golden");
+        let on_disk = std::fs::read(golden(stem)).expect("golden file");
+        assert!(written == on_disk, "{stem}: `mtk gen --all` diverged");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
     let out = mtk(&["gen", "nope"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("unknown golden design"));
@@ -269,6 +286,38 @@ fn malformed_numeric_flags_exit_two_with_a_message() {
         "stderr: {}",
         stderr(&out)
     );
+}
+
+#[test]
+fn a_string_flag_without_a_value_exits_two() {
+    let (invtree, adder) = (golden("invtree"), golden("adder3"));
+    let (invtree, adder) = (invtree.to_str().unwrap(), adder.to_str().unwrap());
+    for (args, flag) in [
+        (vec!["size", invtree, "--store"], "--store"),
+        (vec!["export", adder, "--out", "--cmos"], "--out"),
+    ] {
+        let out = mtk(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let message = format!("error: {flag}: missing value");
+        assert!(
+            stderr(&out).contains(&message),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
+    // A flag is never taken for a path, so no file named after it appears.
+    let dir = temp_path("dangling_trace");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_mtk"))
+        .args(["size", invtree, "--trace-json", "--trace-deterministic"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn mtk");
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    assert!(stderr(&out).contains("error: --trace-json: missing value"));
+    let left = std::fs::read_dir(&dir).expect("temp dir").count();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(left, 0, "a dangling --trace-json wrote a file");
 }
 
 #[test]
@@ -415,17 +464,85 @@ fn hybrid_smoke_trace_validates_against_the_schema() {
         &json,
     ]);
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert_trace_checks(&json);
+    let _ = std::fs::remove_file(&json);
+}
+
+/// `trace_check` accepts the trace at `path`.
+fn assert_trace_checks(path: &str) {
     let check = Command::new(env!("CARGO_BIN_EXE_trace_check"))
-        .arg(&json)
+        .arg(path)
         .output()
         .expect("spawn trace_check");
-    let _ = std::fs::remove_file(&json);
     assert_eq!(
         check.status.code(),
         Some(0),
-        "trace_check: {}{}",
+        "trace_check {path}: {}{}",
         stdout(&check),
         stderr(&check)
+    );
+}
+
+/// A cold Monte Carlo smoke writes every trial through to the store; a
+/// warm rerun at another thread count replays all of them without
+/// touching the simulator. Both deterministic traces validate.
+#[test]
+fn mc_smoke_traces_validate_and_a_warm_rerun_simulates_nothing() {
+    let path = golden("adder3");
+    let (store, json) = (temp_path("mc.store"), temp_json("mc"));
+    let run = |threads: &str| {
+        let out = mtk(&[
+            "mc",
+            path.to_str().unwrap(),
+            "--smoke",
+            "--sigma-vt",
+            "0.03",
+            "--sigma-kp",
+            "0.05",
+            "--sigma-w",
+            "0.04",
+            "--target",
+            "0.25",
+            "--threads",
+            threads,
+            "--store",
+            &store,
+            "--trace-deterministic",
+            "--trace-json",
+            &json,
+        ]);
+        assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+        assert_trace_checks(&json);
+        stdout(&out)
+    };
+    run("2");
+    let warm = run("8");
+    for f in [&store, &format!("{store}.lock"), &json] {
+        let _ = std::fs::remove_file(f);
+    }
+    assert!(
+        warm.contains(", 0 simulated"),
+        "warm mc rerun did simulator work: {warm}"
+    );
+}
+
+/// The speed gate loads its baseline before it times anything, so a
+/// missing one is a usage error at once, not a panic after the sweep.
+#[test]
+fn speed_comparison_rejects_a_missing_baseline_before_timing() {
+    let out = Command::new(env!("CARGO_BIN_EXE_speed_comparison"))
+        .args(["--check-against", "/nonexistent", "--samples", "1"])
+        .args(["--warmup", "0"])
+        .output()
+        .expect("spawn speed_comparison");
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+    assert!(err.contains("error: read baseline /nonexistent"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(
+        stdout(&out).is_empty(),
+        "timed before validating: {}",
+        stdout(&out)
     );
 }
 
