@@ -39,8 +39,10 @@ pub struct Ctx {
 impl Ctx {
     /// A context using every available core.
     pub fn new(full: bool) -> Ctx {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        Ctx { full, threads }
+        Ctx {
+            full,
+            threads: mtk_core::par::num_threads(0),
+        }
     }
 }
 

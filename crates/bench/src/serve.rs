@@ -383,18 +383,44 @@ enum ReadOutcome {
 /// Reads newline-terminated requests with a size cap; leftover bytes
 /// after a newline stay buffered for the next request on the same
 /// connection.
+///
+/// Each byte is searched for the newline once: `scanned` marks how far
+/// the buffer has been searched, so a long line read in 4 KiB pieces
+/// costs one pass, not one pass per piece. A line whose bytes before
+/// its newline number more than the cap is [`ReadOutcome::TooLarge`]
+/// wherever the reads split it.
 struct LineReader {
     stream: TcpStream,
     buf: Vec<u8>,
+    /// Leading bytes of `buf` already searched for a newline.
+    scanned: usize,
 }
 
 impl LineReader {
+    fn new(stream: TcpStream) -> LineReader {
+        LineReader {
+            stream,
+            buf: Vec::new(),
+            scanned: 0,
+        }
+    }
+
     fn read_line(&mut self, cap: usize) -> ReadOutcome {
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = self.buf.drain(..=pos).collect();
-                return ReadOutcome::Line(String::from_utf8_lossy(&line).into_owned());
+            if let Some(i) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+                let end = self.scanned + i;
+                if end > cap {
+                    return ReadOutcome::TooLarge;
+                }
+                let rest = self.buf.split_off(end + 1);
+                let line = std::mem::replace(&mut self.buf, rest);
+                self.scanned = 0;
+                return ReadOutcome::Line(
+                    String::from_utf8(line)
+                        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()),
+                );
             }
+            self.scanned = self.buf.len();
             if self.buf.len() > cap {
                 return ReadOutcome::TooLarge;
             }
@@ -434,10 +460,7 @@ fn handle_conn(state: &Arc<ServerState>, stream: TcpStream, cfg: &ServeConfig) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    let mut reader = LineReader {
-        stream,
-        buf: Vec::new(),
-    };
+    let mut reader = LineReader::new(stream);
     loop {
         match reader.read_line(cfg.max_request_bytes) {
             ReadOutcome::Line(line) => {
@@ -786,10 +809,7 @@ pub fn request(addr: &str, line: &str, timeout: Duration) -> std::io::Result<Str
     out.extend_from_slice(line.as_bytes());
     out.push(b'\n');
     (&mut (&stream)).write_all(&out)?;
-    let mut reader = LineReader {
-        stream,
-        buf: Vec::new(),
-    };
+    let mut reader = LineReader::new(stream);
     match reader.read_line(64 * 1024 * 1024) {
         ReadOutcome::Line(l) => Ok(l.trim_end().to_string()),
         ReadOutcome::Eof => Err(std::io::Error::new(
@@ -813,6 +833,73 @@ mod tests {
 
     fn state() -> Arc<ServerState> {
         Server::bind(ServeConfig::default()).expect("bind").state()
+    }
+
+    /// A reader over one end of a loopback connection, and the other end.
+    fn reader_pair() -> (LineReader, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client.set_nodelay(true).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        (LineReader::new(server), client)
+    }
+
+    fn line(outcome: ReadOutcome) -> String {
+        match outcome {
+            ReadOutcome::Line(l) => l,
+            _ => panic!("expected a line"),
+        }
+    }
+
+    #[test]
+    fn a_line_split_across_many_small_writes_reads_whole() {
+        let (mut reader, mut client) = reader_pair();
+        let sent: String = (0..3000)
+            .map(|i| char::from(b'a' + (i % 26) as u8))
+            .collect();
+        let bytes = format!("{sent}\n").into_bytes();
+        let writer = std::thread::spawn(move || {
+            for piece in bytes.chunks(97) {
+                client.write_all(piece).unwrap();
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            client
+        });
+        assert_eq!(line(reader.read_line(4000)), format!("{sent}\n"));
+        drop(writer.join().unwrap());
+        assert!(matches!(reader.read_line(4000), ReadOutcome::Eof));
+    }
+
+    #[test]
+    fn two_requests_in_one_write_are_two_lines() {
+        let (mut reader, mut client) = reader_pair();
+        // The first line's read leaves the second, and part of a third,
+        // buffered; each is searched from its own start.
+        client
+            .write_all(b"{\"cmd\":\"status\"}\nsecond\nthi")
+            .unwrap();
+        assert_eq!(line(reader.read_line(64)), "{\"cmd\":\"status\"}\n");
+        assert_eq!(line(reader.read_line(64)), "second\n");
+        client.write_all(b"rd\n").unwrap();
+        assert_eq!(line(reader.read_line(64)), "third\n");
+        drop(client);
+        assert!(matches!(reader.read_line(64), ReadOutcome::Eof));
+    }
+
+    #[test]
+    fn invalid_utf8_reads_as_its_lossy_form() {
+        let (mut reader, mut client) = reader_pair();
+        let sent = b"ok \xff\xfe bad \xe2\x82 end\n";
+        client.write_all(sent).unwrap();
+        client.write_all("\u{20ac}\n".as_bytes()).unwrap();
+        assert_eq!(
+            line(reader.read_line(64)),
+            String::from_utf8_lossy(sent).into_owned()
+        );
+        assert_eq!(line(reader.read_line(64)), "\u{20ac}\n");
     }
 
     #[test]

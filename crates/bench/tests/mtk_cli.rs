@@ -25,6 +25,10 @@
 //!   at 1 and 2 threads on the 3-bit adder and the ALU slice.
 //! * `mtk mc --smoke` with a store passes `trace_check` cold and warm,
 //!   and the warm rerun simulates nothing.
+//! * `mtk size`'s deterministic trace is byte-identical at 1 and 8
+//!   threads on the 16x16 multiplier and the 3-bit adder, and passes
+//!   `trace_check`; a rerun over a store another process filled
+//!   simulates nothing.
 //! * `speed_comparison` rejects a missing baseline with exit 2 before
 //!   it times anything.
 //! * `mtk serve` with a store replays a repeated `mtk client` job
@@ -523,6 +527,67 @@ fn mc_smoke_traces_validate_and_a_warm_rerun_simulates_nothing() {
     assert!(
         warm.contains(", 0 simulated"),
         "warm mc rerun did simulator work: {warm}"
+    );
+}
+
+/// The early-exit bisection's deterministic trace (the legs it ran, in
+/// the order it ran them) is byte-identical at any thread count.
+#[test]
+fn size_deterministic_trace_is_byte_identical_at_1_and_8_threads() {
+    for stem in ["mul16", "adder3"] {
+        let path = golden(stem);
+        let mut traces = Vec::new();
+        for threads in ["1", "8"] {
+            let json = temp_json(&format!("size_{stem}_t{threads}"));
+            let out = mtk(&[
+                "size",
+                path.to_str().unwrap(),
+                "--samples",
+                "16",
+                "--threads",
+                threads,
+                "--trace-deterministic",
+                "--trace-json",
+                &json,
+            ]);
+            assert_eq!(out.status.code(), Some(0), "{stem}: {}", stderr(&out));
+            assert_trace_checks(&json);
+            traces.push(std::fs::read(&json).expect("trace artifact"));
+            let _ = std::fs::remove_file(&json);
+        }
+        assert!(
+            traces[0] == traces[1],
+            "{stem}: size trace differs at threads=8"
+        );
+    }
+}
+
+/// A warm rerun reopens a store that an earlier process appended to and
+/// replays every leg the cold run used.
+#[test]
+fn size_warm_store_rerun_simulates_nothing() {
+    let path = golden("mul16");
+    let store = temp_path("size.store");
+    let run = || {
+        let out = mtk(&[
+            "size",
+            path.to_str().unwrap(),
+            "--samples",
+            "16",
+            "--store",
+            &store,
+        ]);
+        assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+        stdout(&out)
+    };
+    run();
+    let warm = run();
+    for f in [&store, &format!("{store}.lock")] {
+        let _ = std::fs::remove_file(f);
+    }
+    assert!(
+        warm.contains(", 0 simulated"),
+        "warm size rerun did simulator work: {warm}"
     );
 }
 

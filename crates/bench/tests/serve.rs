@@ -503,6 +503,73 @@ fn oversized_request_is_rejected_and_the_connection_closed() {
     shutdown(&addr, handle);
 }
 
+/// A `status` request line of exactly `len` bytes, newline excluded.
+fn status_of_len(len: usize) -> String {
+    let bare = r#"{"cmd":"status","pad":""}"#;
+    format!(
+        r#"{{"cmd":"status","pad":"{}"}}"#,
+        "x".repeat(len - bare.len())
+    )
+}
+
+/// Sends `line` and its newline on a new connection, split into writes
+/// at the byte offsets `cuts`, and returns the response line. A server
+/// may answer an oversized line before its end arrives and close the
+/// connection, so a failed write ends the sending.
+fn send_in_pieces(addr: &str, line: &str, cuts: &[usize]) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
+    let bytes = format!("{line}\n").into_bytes();
+    let mut from = 0;
+    for &cut in cuts.iter().chain([&bytes.len()]) {
+        if stream.write_all(&bytes[from..cut]).is_err() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        from = cut;
+    }
+    let mut response = Vec::new();
+    let mut byte = [0u8; 1];
+    while matches!(stream.read(&mut byte), Ok(1)) && byte[0] != b'\n' {
+        response.push(byte[0]);
+    }
+    String::from_utf8(response).expect("utf-8 response")
+}
+
+#[test]
+fn a_request_over_the_cap_is_rejected_wherever_the_reads_split_it() {
+    const CAP: usize = 1024;
+    let (addr, _state, handle) = start(ServeConfig {
+        max_request_bytes: CAP,
+        ..ServeConfig::default()
+    });
+    let small_pieces: Vec<usize> = (1..20).map(|i| i * 100).collect();
+    let splits: [&[usize]; 5] = [&[], &[1000], &[CAP], &[CAP + 1], &small_pieces];
+    let mut rejected = 0;
+    for len in [CAP - 1, CAP, CAP + 1, 2025] {
+        for cuts in splits {
+            let cuts: Vec<usize> = cuts.iter().copied().filter(|&c| c < len).collect();
+            let resp = send_in_pieces(&addr, &status_of_len(len), &cuts);
+            if len > CAP {
+                assert!(
+                    resp.contains("request too large"),
+                    "{len} bytes cut at {cuts:?}: {resp}"
+                );
+                rejected += 1;
+            } else {
+                assert!(
+                    resp.starts_with(r#"{"status":"ok","server""#),
+                    "{len} bytes cut at {cuts:?}: {resp}"
+                );
+            }
+        }
+    }
+    let status = request(&addr, r#"{"cmd":"status"}"#, CLIENT_TIMEOUT).expect("status");
+    assert_eq!(counter(&status, "requests_rejected"), rejected);
+    shutdown(&addr, handle);
+}
+
 #[test]
 fn half_open_connection_times_out_and_is_counted() {
     let (addr, _state, handle) = start(ServeConfig {

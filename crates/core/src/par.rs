@@ -19,6 +19,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// A work item whose closure panicked. The panic was caught at the
@@ -87,13 +88,22 @@ pub fn worker_traces(workers: &[WorkerStats]) -> Vec<mtk_trace::WorkerTrace> {
 }
 
 /// Resolves a `threads` knob: `0` means "all available cores".
+///
+/// The core count is looked up once per process
+/// ([`std::thread::available_parallelism`] reads cgroup files on every
+/// call) and cached, so a later change of the process's CPU quota or
+/// affinity is not seen. Results never depend on the thread count, so
+/// a stale count costs speed only.
 pub fn num_threads(requested: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
     if requested > 0 {
         requested
     } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        *CORES.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
     }
 }
 

@@ -55,14 +55,27 @@
 //!
 //! # Memory
 //!
-//! A handle's in-memory form is the log itself: one buffer holding the
-//! file's valid prefix byte for byte, plus an index from each live
-//! key's hash (the handle's own [`RandomState`]) to the offset of the
-//! key's first record. Lookups compare the full key against the buffer;
-//! live keys whose hashes collide go to a small spill map. A record
-//! costs its log bytes and one index slot. Dead and conflicting records
-//! stay in the buffer, unindexed, until [`Store::compact`] drops them.
-//! Open one handle per log per process: two handles each hold a copy.
+//! A handle keeps a key directory in memory (after Bitcask: Sheehy &
+//! Smith, 2010): an index from each live key's hash (the handle's own
+//! [`RandomState`]) to the offset and length of the key's first record.
+//! Live keys whose hashes collide go to a small spill map.
+//!
+//! Record bytes are resident only as far as the last full read loaded
+//! them: the image that [`Store::open`], a rescan after another handle's
+//! compaction, or [`Store::compact`] read. Every record indexed after
+//! that, whether this handle's own [`Store::put`] appended it or a
+//! resync adopted it from another writer, stays on disk. A lookup of
+//! such a record reads it back with one positioned read on the held log
+//! file and re-checks its length, checksum and key; a short read, an
+//! I/O error or a mismatch is a miss, never a panic and never bad
+//! bytes. A long-running writer thus grows by one index slot per record,
+//! not by the record. The open-time image stays resident because warm
+//! reruns read it: a get from memory costs a hash probe and a copy,
+//! where a positioned read costs a system call.
+//!
+//! Dead and conflicting records in the image stay there, unindexed,
+//! until [`Store::compact`] drops them. Open one handle per log per
+//! process: two handles each hold an image.
 //!
 //! # Maintenance
 //!
@@ -73,6 +86,7 @@
 
 #![warn(missing_docs)]
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions, TryLockError};
@@ -205,18 +219,20 @@ fn valid_record_len(rest: &[u8]) -> Option<usize> {
     (key_len <= body_len - 4).then_some(4 + body_len + 8)
 }
 
-/// The record at `off` of a log whose records up to there were already
-/// validated: its key, its value, and the offset just past it.
-fn record_at(log: &[u8], off: usize) -> (&[u8], &[u8], usize) {
-    let field = |at: usize| u32::from_le_bytes(log[at..at + 4].try_into().unwrap()) as usize;
-    let (body_len, key_len) = (field(off), field(off + 4));
-    let key_end = off + 8 + key_len;
-    let body_end = off + 4 + body_len;
-    (
-        &log[off + 8..key_end],
-        &log[key_end..body_end],
-        body_end + 8,
-    )
+/// The key and value of one whole record that [`valid_record_len`]
+/// accepted.
+fn parts(record: &[u8]) -> (&[u8], &[u8]) {
+    let key_len = u32::from_le_bytes(record[4..8].try_into().unwrap()) as usize;
+    let key_end = 8 + key_len;
+    (&record[8..key_end], &record[key_end..record.len() - 8])
+}
+
+/// Where a valid record lies in the log: its offset and its total
+/// length (length prefix, body and checksum).
+#[derive(Debug, Clone, Copy)]
+struct Loc {
+    off: u64,
+    len: u32,
 }
 
 /// Serializes one record (length prefix + body + checksum).
@@ -255,25 +271,47 @@ fn file_id(meta: &std::fs::Metadata) -> FileId {
 }
 
 /// Without inode numbers a replaced log is detected only when it is
-/// shorter than the mirror.
+/// shorter than the handle's valid prefix.
 #[cfg(not(unix))]
 fn file_id(_meta: &std::fs::Metadata) -> FileId {
     (0, 0)
 }
 
-/// The log file a mirror was read from, and its identity. The handle is
+/// The log file an image was read from, and its identity. The handle is
 /// held open so that no later file can be given its inode number: equal
-/// identities then mean the same file.
+/// identities then mean the same file. It is also where records past
+/// the image are read back from, so it must be readable.
 struct LogFile {
-    _held: File,
+    file: File,
     id: FileId,
 }
 
 impl LogFile {
     fn new(file: File) -> std::io::Result<LogFile> {
         let id = file_id(&file.metadata()?);
-        Ok(LogFile { _held: file, id })
+        Ok(LogFile { file, id })
     }
+
+    /// The `len` bytes at `off`, in one positioned read; `None` on a
+    /// short read or an I/O error.
+    fn read_at(&self, off: u64, len: usize) -> Option<Vec<u8>> {
+        let mut buf = vec![0; len];
+        read_exact_at(&self.file, &mut buf, off).ok()?;
+        Some(buf)
+    }
+}
+
+#[cfg(unix)]
+fn read_exact_at(file: &File, buf: &mut [u8], off: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, off)
+}
+
+/// Without positioned reads, seek the held handle: nothing else uses
+/// its cursor.
+#[cfg(not(unix))]
+fn read_exact_at(mut file: &File, buf: &mut [u8], off: u64) -> std::io::Result<()> {
+    file.seek(SeekFrom::Start(off))?;
+    file.read_exact(buf)
 }
 
 /// Reads the whole log at `path` and the file it read, through one
@@ -308,34 +346,113 @@ impl KeyHasher {
     }
 }
 
-/// In-memory state behind the store's mutex: the log itself and an
-/// index into it.
-///
-/// `log` is the file's valid prefix byte for byte, header included
-/// (empty until the header exists). Each live key is found by its hash
-/// at the offset of its first record, and confirmed by comparing the
-/// full key against the bytes there. Dead and conflicting records stay
-/// in `log`, unindexed, until [`Store::compact`] drops them.
-struct Inner {
-    log: Vec<u8>,
-    /// Hash of a live key → offset of the key's first record.
-    index: HashMap<u64, usize>,
-    /// Live keys whose hash another live key already holds in `index`:
-    /// hash → offsets of their first records.
-    spill: HashMap<u64, Vec<usize>>,
-    hasher: KeyHasher,
-    /// The file `log` mirrors; `None` until it exists.
+/// The log as a handle sees it: the valid prefix's length, the part of
+/// it the last full read loaded, and the file the rest is read from.
+struct Log {
+    /// The file's valid prefix as the last full read (open, rescan,
+    /// compact) loaded it, header included; records past its end stay
+    /// on disk.
+    image: Vec<u8>,
+    /// Length of the file's valid prefix; `0` until the header exists.
+    len: u64,
+    /// The file `image` was read from; `None` until it exists.
     file: Option<LogFile>,
-    /// Health counters; `log_bytes` is read off `log` by
+}
+
+impl Log {
+    /// The bytes of the record at `loc`: borrowed from the image, or
+    /// read back from the file and re-validated. `None` when the read
+    /// fails or the bytes on disk are no longer that record.
+    fn record(&self, loc: Loc) -> Option<Cow<'_, [u8]>> {
+        let (off, len) = (loc.off as usize, loc.len as usize);
+        if let Some(bytes) = self.image.get(off..off + len) {
+            return Some(Cow::Borrowed(bytes));
+        }
+        let bytes = self.file.as_ref()?.read_at(loc.off, len)?;
+        (valid_record_len(&bytes) == Some(len)).then_some(Cow::Owned(bytes))
+    }
+}
+
+/// The key directory: hash of each live key → location of its first
+/// record, and the health counters a scan of the log gives.
+struct KeyDir {
+    /// Hash of a live key → its first record.
+    index: HashMap<u64, Loc>,
+    /// Live keys whose hash another live key already holds in `index`:
+    /// hash → their first records.
+    spill: HashMap<u64, Vec<Loc>>,
+    hasher: KeyHasher,
+    /// Health counters; `log_bytes` is read off [`Log::len`] by
     /// [`Inner::stats`].
     stats: StoreStats,
 }
 
+impl KeyDir {
+    /// The first record under `key`, whose hash is `h`, confirmed by
+    /// comparing the full key.
+    fn find<'l>(&self, log: &'l Log, key: &[u8], h: u64) -> Option<Cow<'l, [u8]>> {
+        let first = self.index.get(&h)?;
+        let spilled = self.spill.get(&h).into_iter().flatten();
+        std::iter::once(first)
+            .chain(spilled)
+            .find_map(|&loc| log.record(loc).filter(|rec| parts(rec).0 == key))
+    }
+
+    /// Validates and indexes the records in `bytes`, which start at
+    /// offset `base` of the log. The first invalid byte ends the valid
+    /// prefix, whose end offset is returned, and counts one corrupt
+    /// record.
+    fn index_from(&mut self, log: &Log, base: u64, bytes: &[u8]) -> u64 {
+        let mut pos = 0;
+        while pos < bytes.len() {
+            let Some(len) = valid_record_len(&bytes[pos..]) else {
+                self.stats.corrupt_records += 1;
+                break;
+            };
+            let loc = Loc {
+                off: base + pos as u64,
+                len: len as u32,
+            };
+            let (key, value) = parts(&bytes[pos..pos + len]);
+            self.index_record(log, loc, key, value);
+            pos += len;
+        }
+        base + pos as u64
+    }
+
+    /// Indexes the valid record at `loc`: a new key goes live, a known
+    /// one is a dead record (same payload) or a conflict (first writer
+    /// wins).
+    fn index_record(&mut self, log: &Log, loc: Loc, key: &[u8], value: &[u8]) {
+        let h = self.hasher.hash(key);
+        match self.find(log, key, h).map(|first| parts(&first).1 == value) {
+            Some(true) => self.stats.dead_records += 1,
+            Some(false) => self.stats.conflicting_records += 1,
+            None => {
+                match self.index.entry(h) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(loc);
+                    }
+                    Entry::Occupied(_) => self.spill.entry(h).or_default().push(loc),
+                }
+                self.stats.live_records += 1;
+            }
+        }
+    }
+}
+
+/// In-memory state behind the store's mutex: the log and the key
+/// directory over it.
+struct Inner {
+    log: Log,
+    dir: KeyDir,
+}
+
 impl Inner {
-    /// Scans a full file image (header + records) into an index over it,
-    /// keeping `bytes` as the mirror. A torn tail is cut off the mirror
-    /// and counted as one corrupt record; a torn header leaves an empty
-    /// store. Never panics.
+    /// Scans a full file image (header + records) into a key directory
+    /// over it, keeping `bytes` as the image. A torn tail is cut off the
+    /// image and counted as one corrupt record; a torn header leaves an
+    /// empty store. Never panics.
     fn scan(
         path: &Path,
         bytes: Vec<u8>,
@@ -343,12 +460,17 @@ impl Inner {
         file: Option<LogFile>,
     ) -> Result<Inner, StoreError> {
         let mut inner = Inner {
-            log: Vec::new(),
-            index: HashMap::new(),
-            spill: HashMap::new(),
-            hasher,
-            file,
-            stats: StoreStats::default(),
+            log: Log {
+                image: Vec::new(),
+                len: 0,
+                file,
+            },
+            dir: KeyDir {
+                index: HashMap::new(),
+                spill: HashMap::new(),
+                hasher,
+                stats: StoreStats::default(),
+            },
         };
         if bytes.is_empty() {
             // Missing or empty file: an empty store whose header is
@@ -358,7 +480,7 @@ impl Inner {
         if bytes.len() < HEADER_LEN as usize {
             // A crash during initial creation tore the header itself:
             // nothing is recoverable, but nothing was stored either.
-            inner.stats.corrupt_records = 1;
+            inner.dir.stats.corrupt_records = 1;
             return Ok(inner);
         }
         if &bytes[..8] != MAGIC {
@@ -370,95 +492,55 @@ impl Inner {
         if found != STORE_VERSION {
             return Err(StoreError::VersionMismatch { found });
         }
-        inner.log = bytes;
-        inner.index_from(HEADER_LEN as usize);
+        inner.log.image = bytes;
+        let records = &inner.log.image[HEADER_LEN as usize..];
+        let valid = inner.dir.index_from(&inner.log, HEADER_LEN, records);
+        inner.log.image.truncate(valid as usize);
+        inner.log.len = valid;
         Ok(inner)
     }
 
     fn stats(&self) -> StoreStats {
         StoreStats {
-            log_bytes: self.log.len() as u64,
-            ..self.stats
+            log_bytes: self.log.len,
+            ..self.dir.stats
         }
     }
 
-    /// Offset of the first record under `key`, whose hash is `h`.
-    fn find(&self, key: &[u8], h: u64) -> Option<usize> {
-        let first = *self.index.get(&h)?;
-        let holds_key = |&off: &usize| record_at(&self.log, off).0 == key;
-        if holds_key(&first) {
-            return Some(first);
-        }
-        self.spill.get(&h)?.iter().copied().find(holds_key)
+    /// The first record ever written under `key`.
+    fn find(&self, key: &[u8]) -> Option<Cow<'_, [u8]>> {
+        self.dir.find(&self.log, key, self.dir.hasher.hash(key))
     }
 
     /// The payload of the first record ever written under `key`.
-    fn value(&self, key: &[u8]) -> Option<&[u8]> {
-        let off = self.find(key, self.hasher.hash(key))?;
-        Some(record_at(&self.log, off).1)
+    fn value(&self, key: &[u8]) -> Option<Vec<u8>> {
+        Some(parts(&self.find(key)?).1.to_vec())
     }
 
     /// First writer wins: true when `key` is already stored, counting a
     /// conflict if its payload differs from `value`.
     fn settled(&mut self, key: &[u8], value: &[u8]) -> bool {
-        match self.value(key) {
-            Some(stored) => {
-                if stored != value {
-                    self.stats.conflicting_records += 1;
-                }
-                true
-            }
-            None => false,
+        let Some(same) = self.find(key).map(|stored| parts(&stored).1 == value) else {
+            return false;
+        };
+        if !same {
+            self.dir.stats.conflicting_records += 1;
         }
-    }
-
-    /// Validates and indexes the records of `log` from byte `off` on. The
-    /// first invalid byte ends the valid prefix: the mirror is cut there
-    /// and one corrupt record is counted.
-    fn index_from(&mut self, mut off: usize) {
-        while off < self.log.len() {
-            let Some(len) = valid_record_len(&self.log[off..]) else {
-                self.log.truncate(off);
-                self.stats.corrupt_records += 1;
-                return;
-            };
-            self.index_record(off);
-            off += len;
-        }
-    }
-
-    /// Indexes the valid record at `off`: a new key goes live, a known
-    /// one is a dead record (same payload) or a conflict (first writer
-    /// wins).
-    fn index_record(&mut self, off: usize) {
-        let (key, value, _) = record_at(&self.log, off);
-        let h = self.hasher.hash(key);
-        match self.find(key, h) {
-            Some(first) if record_at(&self.log, first).1 == value => {
-                self.stats.dead_records += 1;
-            }
-            Some(_) => self.stats.conflicting_records += 1,
-            None => {
-                match self.index.entry(h) {
-                    Entry::Vacant(slot) => {
-                        slot.insert(off);
-                    }
-                    Entry::Occupied(_) => self.spill.entry(h).or_default().push(off),
-                }
-                self.stats.live_records += 1;
-            }
-        }
+        true
     }
 
     /// The live records' bytes in log order, which is first-written
-    /// order: the body of a compacted log.
+    /// order: the body of a compacted log. A record that no longer
+    /// reads back is left out.
     fn live_records(&self) -> Vec<u8> {
-        let mut offsets: Vec<usize> = self.index.values().copied().collect();
-        offsets.extend(self.spill.values().flatten());
-        offsets.sort_unstable();
+        let mut locs: Vec<Loc> = self.dir.index.values().copied().collect();
+        locs.extend(self.dir.spill.values().flatten());
+        locs.sort_unstable_by_key(|loc| loc.off);
         let mut out = Vec::new();
-        for off in offsets {
-            out.extend_from_slice(&self.log[off..record_at(&self.log, off).2]);
+        for loc in locs {
+            if let Some(record) = self.log.record(loc) {
+                out.extend_from_slice(&record);
+            }
         }
         out
     }
@@ -537,8 +619,8 @@ fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
 /// crate docs for the format and recovery rules).
 ///
 /// The store is `Sync`: in-process readers and the writer share one
-/// mutex (cheap — lookups are a hash probe and a key compare). The
-/// *file* lock only
+/// mutex (cheap — a lookup is a hash probe and a key compare, plus one
+/// positioned read for a record past the image). The *file* lock only
 /// serializes writers across processes; in-process and cross-process
 /// readers never take it.
 pub struct Store {
@@ -593,7 +675,7 @@ impl Store {
 
     /// Number of distinct keys currently served.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().stats.live_records
+        self.inner.lock().unwrap().dir.stats.live_records
     }
 
     /// True when no key is stored.
@@ -608,13 +690,15 @@ impl Store {
     }
 
     /// Looks up a key, returning the payload of the *first* record ever
-    /// written under it.
+    /// written under it. A record past the open-time image is read back
+    /// from disk; one that no longer reads back intact is a miss.
     pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.inner.lock().unwrap().value(key).map(<[u8]>::to_vec)
+        self.inner.lock().unwrap().value(key)
     }
 
     /// Appends one record durably (the data is flushed before the call
-    /// returns). First writer wins: a key that already exists with an
+    /// returns); the record stays on disk, and only its index slot is
+    /// kept in memory. First writer wins: a key that already exists with an
     /// identical payload is a no-op; one that exists with a *different*
     /// payload is rejected and counted as a conflict, and the stored
     /// payload is left untouched.
@@ -649,33 +733,38 @@ impl Store {
         if inner.settled(key, value) {
             return Ok(());
         }
-        let off = inner.log.len();
-        file.seek(SeekFrom::Start(off as u64))?;
+        let loc = Loc {
+            off: inner.log.len,
+            len: record.len() as u32,
+        };
+        file.seek(SeekFrom::Start(loc.off))?;
         file.write_all(&record)?;
         file.sync_data()?;
-        inner.log.extend_from_slice(&record);
-        inner.index_record(off);
+        inner.log.len += record.len() as u64;
+        let Inner { log, dir } = &mut *inner;
+        dir.index_record(log, loc, key, value);
         Ok(())
     }
 
     /// With the writer lock held: bring `inner` up to date with the file
-    /// (adopting records other processes appended), write the header if
+    /// (indexing records other processes appended, which stay on disk,
+    /// or rescanning a replaced file into a new image), write the header if
     /// the file is new, and physically truncate any torn tail so the
     /// next append lands on a valid boundary.
     fn resync_locked(&self, inner: &mut Inner, file: &mut File) -> Result<(), StoreError> {
         let meta = file.metadata()?;
         let (disk_len, id) = (meta.len(), file_id(&meta));
-        let valid_len = inner.log.len() as u64;
+        let valid_len = inner.log.len;
         if disk_len == 0 && valid_len == 0 {
             file.write_all(&header_bytes())?;
             file.sync_data()?;
             // Make the just-created log's directory entry durable too.
             sync_parent_dir(&self.path)?;
-            inner.log.extend_from_slice(&header_bytes());
-            inner.file = Some(LogFile::new(file.try_clone()?)?);
+            inner.log.len = HEADER_LEN;
+            inner.log.file = Some(LogFile::new(file.try_clone()?)?);
             return Ok(());
         }
-        let same_file = inner.file.as_ref().is_some_and(|f| f.id == id);
+        let same_file = inner.log.file.as_ref().is_some_and(|f| f.id == id);
         if valid_len < HEADER_LEN || !same_file || disk_len < valid_len {
             // Full rescan, three causes: we opened on a torn/absent
             // header but the file is nonempty (a concurrent writer may
@@ -689,37 +778,32 @@ impl Store {
             let mut bytes = Vec::new();
             file.seek(SeekFrom::Start(0))?;
             file.read_to_end(&mut bytes)?;
-            let prior_corrupt = inner.stats.corrupt_records;
+            let prior_corrupt = inner.dir.stats.corrupt_records;
             let held = Some(LogFile::new(file.try_clone()?)?);
-            let mut fresh = Inner::scan(&self.path, bytes, inner.hasher.clone(), held)?;
-            if fresh.log.len() < HEADER_LEN as usize {
+            let mut fresh = Inner::scan(&self.path, bytes, inner.dir.hasher.clone(), held)?;
+            if fresh.log.len < HEADER_LEN {
                 // Still torn: reset to an empty, well-formed log.
                 file.set_len(0)?;
                 file.seek(SeekFrom::Start(0))?;
                 file.write_all(&header_bytes())?;
                 file.sync_data()?;
-                fresh.log = header_bytes().to_vec();
+                fresh.log.len = HEADER_LEN;
             }
-            fresh.stats.corrupt_records += prior_corrupt;
+            fresh.dir.stats.corrupt_records += prior_corrupt;
             *inner = fresh;
         } else if disk_len > valid_len {
-            // Another process appended (or the tail is torn). Read just
-            // the new bytes into the mirror and index what parses.
-            let old = inner.log.len();
-            inner.log.resize(disk_len as usize, 0);
-            let read = file
-                .seek(SeekFrom::Start(valid_len))
-                .and_then(|_| file.read_exact(&mut inner.log[old..]));
-            if let Err(e) = read {
-                inner.log.truncate(old);
-                return Err(StoreError::Io(e));
-            }
-            inner.index_from(old);
+            // Another process appended (or the tail is torn). Index what
+            // parses of the new bytes; they are not kept.
+            let mut appended = vec![0; (disk_len - valid_len) as usize];
+            file.seek(SeekFrom::Start(valid_len))?;
+            file.read_exact(&mut appended)?;
+            let Inner { log, dir } = inner;
+            log.len = dir.index_from(log, valid_len, &appended);
         }
-        if file.metadata()?.len() > inner.log.len() as u64 {
+        if file.metadata()?.len() > inner.log.len {
             // Whatever is left past the valid prefix is torn: cut it so
             // the next append does not bury a corrupt region.
-            file.set_len(inner.log.len() as u64)?;
+            file.set_len(inner.log.len)?;
             file.sync_data()?;
         }
         Ok(())
@@ -739,7 +823,9 @@ impl Store {
 
     /// Rewrites the log atomically with only the live records (in
     /// first-written order), dropping dead, conflicting, and corrupt
-    /// bytes. Returns the stats of the compacted log.
+    /// bytes, and a record that no longer reads back intact. The
+    /// compacted log becomes the handle's image. Returns the stats of the
+    /// compacted log.
     ///
     /// # Errors
     ///
@@ -761,7 +847,14 @@ impl Store {
         let mut tmp_path = self.path.clone().into_os_string();
         tmp_path.push(".tmp");
         let tmp_path = PathBuf::from(tmp_path);
-        let mut tmp = File::create(&tmp_path)?;
+        // Read and write: the temp file becomes the held handle, which
+        // later appends are read back from.
+        let mut tmp = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp_path)?;
         tmp.write_all(&log)?;
         tmp.sync_all()?;
         std::fs::rename(&tmp_path, &self.path)?;
@@ -769,7 +862,7 @@ impl Store {
         // parent so it survives power loss.
         sync_parent_dir(&self.path)?;
         let held = Some(LogFile::new(tmp)?);
-        *inner = Inner::scan(&self.path, log, inner.hasher.clone(), held)?;
+        *inner = Inner::scan(&self.path, log, inner.dir.hasher.clone(), held)?;
         Ok(inner.stats())
     }
 }
@@ -1039,11 +1132,11 @@ mod tests {
         bytes.extend_from_slice(&encode_record(b"k", b"v1").unwrap()); // dead
         bytes.extend_from_slice(&encode_record(b"j", b"v2").unwrap());
         std::fs::write(&path, &bytes).unwrap();
-        let b = Store::open(&path).unwrap(); // mirror spans all 3 records
+        let b = Store::open(&path).unwrap(); // image spans all 3 records
         let a = Store::open(&path).unwrap();
         a.compact().unwrap(); // a new, shorter file
         a.put(b"a1", &[1; 40]).unwrap();
-        a.put(b"a2", &[2; 40]).unwrap(); // now longer than B's mirror
+        a.put(b"a2", &[2; 40]).unwrap(); // now longer than B's prefix
         assert!(std::fs::metadata(&path).unwrap().len() > b.stats().log_bytes);
         b.put(b"new", b"v3").unwrap();
         let fresh = Store::open(&path).unwrap();
@@ -1102,8 +1195,8 @@ mod tests {
         store.put(&key(7), b"other").unwrap(); // a spilled key still wins
         {
             let inner = store.inner.lock().unwrap();
-            assert_eq!(inner.index.len(), 1, "every key hashes to 0");
-            assert_eq!(inner.spill[&0].len(), 19);
+            assert_eq!(inner.dir.index.len(), 1, "every key hashes to 0");
+            assert_eq!(inner.dir.spill[&0].len(), 19);
         }
         for i in 0..20u8 {
             assert_eq!(store.get(&key(i)).unwrap(), [i; 5]);
@@ -1326,6 +1419,112 @@ mod tests {
         for seed in 5..=7 {
             check_against_model(seed, colliding());
         }
+    }
+
+    fn image_len(store: &Store) -> usize {
+        store.inner.lock().unwrap().log.image.len()
+    }
+
+    #[test]
+    fn put_leaves_the_image_unchanged() {
+        let path = scratch("image_flat");
+        let _c = Cleanup(path.clone());
+        let fresh = Store::open(&path).unwrap();
+        fresh.put(b"a", &[1; 300]).unwrap();
+        assert_eq!(image_len(&fresh), 0, "a new log loads no image");
+        assert_eq!(fresh.get(b"a").unwrap(), [1; 300]);
+        drop(fresh);
+        let store = Store::open(&path).unwrap();
+        let loaded = image_len(&store);
+        assert_eq!(loaded as u64, store.stats().log_bytes);
+        for i in 0..20u8 {
+            store.put(&[b'k', i], &[i; 700]).unwrap();
+            assert_eq!(image_len(&store), loaded, "put {i}");
+        }
+        assert_eq!(
+            store.stats().log_bytes,
+            std::fs::metadata(&path).unwrap().len()
+        );
+        assert_eq!(store.get(b"a").unwrap(), [1; 300], "from the image");
+        for i in 0..20u8 {
+            assert_eq!(store.get(&[b'k', i]).unwrap(), [i; 700], "from disk");
+        }
+        assert_eq!(image_len(&store), loaded);
+    }
+
+    #[test]
+    fn records_another_handle_appended_are_read_back_from_disk() {
+        let path = scratch("adopted");
+        let _c = Cleanup(path.clone());
+        let a = Store::open(&path).unwrap();
+        a.put(b"first", b"1").unwrap();
+        let b = Store::open(&path).unwrap();
+        let loaded = image_len(&b);
+        a.put(b"ka", &[7; 900]).unwrap();
+        a.put(b"kb", &[8; 90]).unwrap();
+        assert_eq!(b.get(b"ka"), None, "not adopted before B resyncs");
+        b.put(b"own", b"2").unwrap(); // resyncs: adopts ka and kb
+        assert_eq!(image_len(&b), loaded, "adopted records stay on disk");
+        assert_eq!(b.get(b"ka").unwrap(), [7; 900]);
+        assert_eq!(b.get(b"kb").unwrap(), [8; 90]);
+        assert_eq!(b.get(b"first").unwrap(), b"1");
+        b.put(b"ka", b"other").unwrap(); // first writer wins, read from disk
+        assert_eq!(b.stats().conflicting_records, 1);
+        let mut fresh = Store::open(&path).unwrap().stats();
+        fresh.conflicting_records += 1; // B's rejected put is not on disk
+        assert_eq!(b.stats(), fresh);
+        // Compaction reads the on-disk records back into its new image.
+        let stats = b.compact().unwrap();
+        assert_eq!(stats.live_records, 4);
+        assert_eq!(image_len(&b) as u64, stats.log_bytes);
+        assert_eq!(b.get(b"ka").unwrap(), [7; 900]);
+    }
+
+    #[test]
+    fn an_appended_record_changed_on_disk_reads_as_a_miss() {
+        let path = scratch("changed_on_disk");
+        let _c = Cleanup(path.clone());
+        Store::open(&path).unwrap().put(b"k1", b"kept").unwrap();
+        let store = Store::open(&path).unwrap();
+        let at = store.stats().log_bytes;
+        store.put(b"k2", b"value-2").unwrap();
+        let overwrite = |bytes: &[u8]| {
+            let mut file = OpenOptions::new().write(true).open(&path).unwrap();
+            file.seek(SeekFrom::Start(at)).unwrap();
+            file.write_all(bytes).unwrap();
+        };
+        // A valid record of the same length under another key: length
+        // and checksum hold, the key check catches it.
+        overwrite(&encode_record(b"k9", b"value-9").unwrap());
+        assert_eq!(store.get(b"k2"), None);
+        assert_eq!(store.get(b"k9"), None, "never indexed");
+        // Garbage: the checksum catches it.
+        overwrite(&[0xA5; 8]);
+        assert_eq!(store.get(b"k2"), None);
+        assert_eq!(store.get(b"k1").unwrap(), b"kept");
+        // A put of the lost key appends it again, and compaction keeps
+        // what still reads back.
+        store.put(b"k2", b"value-2").unwrap();
+        assert_eq!(store.get(b"k2").unwrap(), b"value-2");
+        let stats = store.compact().unwrap();
+        assert_eq!((stats.live_records, stats.corrupt_records), (2, 0));
+        assert_eq!(store.get(b"k2").unwrap(), b"value-2");
+
+        // An out-of-band truncation through an appended record: a short
+        // read, then a rescan on the next put.
+        let at = store.stats().log_bytes;
+        store.put(b"k3", &[3; 64]).unwrap();
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(at + 10).unwrap();
+        assert_eq!(store.get(b"k3"), None);
+        store.put(b"k4", b"after").unwrap();
+        assert_eq!(store.get(b"k3"), None);
+        assert_eq!(store.get(b"k4").unwrap(), b"after");
+        assert_eq!(store.get(b"k1").unwrap(), b"kept");
+        assert_eq!(store.stats().corrupt_records, 1, "the cut record");
+        let fresh = Store::open(&path).unwrap();
+        assert_eq!(fresh.len(), 3);
+        assert_eq!(fresh.stats().corrupt_records, 0, "the put cut the tail");
     }
 
     #[test]

@@ -81,29 +81,6 @@ grep -q ", 0 simulated" <<<"$clu_warm" || {
   exit 1
 }
 
-echo "== mtk size smoke: thread invariance, warm replay =="
-size_store="$(mktemp /tmp/ci_size_store.XXXXXX.bin)"
-size_a="$(mktemp /tmp/ci_size_a.XXXXXX.json)"
-size_b="$(mktemp /tmp/ci_size_b.XXXXXX.json)"
-trap 'rm -rf "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$size_store" "$size_store.lock" "$size_a" "$size_b"' EXIT
-# The early-exit bisection's deterministic trace (the legs it ran, in
-# the order it ran them) must be byte-identical at any thread count.
-for design in mul16 adder3; do
-  target/release/mtk size "examples/$design.mtk" --samples 16 --threads 1 \
-    --trace-deterministic --trace-json "$size_a" >/dev/null
-  target/release/mtk size "examples/$design.mtk" --samples 16 --threads 8 \
-    --trace-deterministic --trace-json "$size_b" >/dev/null
-  cmp "$size_a" "$size_b" || { echo "ci: $design size trace differs at threads=8"; exit 1; }
-done
-cargo run --release -p mtk-bench --bin trace_check -- "$size_a"
-# A warm rerun over the store must replay every leg the cold run used.
-target/release/mtk size examples/mul16.mtk --samples 16 --store "$size_store" >/dev/null
-size_warm="$(target/release/mtk size examples/mul16.mtk --samples 16 --store "$size_store")"
-grep -q ", 0 simulated" <<<"$size_warm" || {
-  echo "ci: warm size rerun did simulator work: $size_warm"
-  exit 1
-}
-
 echo "== paper reproduction: every experiment runs and its claims hold =="
 # Runs every experiment of the mtk_bench::repro ledger and prints its
 # tables and a check table; exits 1 when any claim leaves its committed
@@ -115,7 +92,7 @@ echo "== interop smoke: deck export/import identity + waveform exports =="
 # (structural gate recognition), and demand the canonical .mtk comes
 # back byte-identical to the committed golden.
 interop_dir="$(mktemp -d /tmp/ci_interop.XXXXXX)"
-trap 'rm -rf "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$size_store" "$size_store.lock" "$size_a" "$size_b" "$interop_dir"' EXIT
+trap 'rm -rf "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$interop_dir"' EXIT
 target/release/mtk export examples/adder3.mtk --w-over-l 8 --out "$interop_dir/adder3.ckt"
 target/release/mtk import "$interop_dir/adder3.ckt" --out "$interop_dir/adder3_back.mtk" >/dev/null
 cmp "$interop_dir/adder3_back.mtk" examples/adder3.mtk || {
@@ -165,7 +142,7 @@ if [[ "${MTK_SKIP_BENCH:-0}" == "1" ]]; then
   echo "bench smoke skipped (MTK_SKIP_BENCH=1)"
 else
   bench_json="$(mktemp /tmp/ci_bench.XXXXXX.json)"
-  trap 'rm -rf "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$size_store" "$size_store.lock" "$size_a" "$size_b" "$interop_dir" "$bench_json"' EXIT
+  trap 'rm -rf "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$interop_dir" "$bench_json"' EXIT
   cargo run --release -p mtk-bench --bin speed_comparison -- \
     --samples 3 --warmup 1 \
     --json "$bench_json" --check-against BENCH_speed.json
