@@ -10,6 +10,7 @@ use mtk_circuits::multiplier::ArrayMultiplier;
 use mtk_circuits::vectors::VectorPair;
 use mtk_circuits::vectors::{exhaustive_transitions, multiplier_vector_a, multiplier_vector_b};
 use mtk_core::hybrid::{spice_delay_pair, spice_transition, SpiceRunConfig};
+use mtk_core::par::parallel_map;
 use mtk_core::sizing::{peak_current_w_over_l, sum_of_widths_w_over_l};
 use mtk_core::sizing::{size_for_target_cached, vbsim_delay_pair, ScreeningCache, Transition};
 use mtk_core::vbsim::{Engine, SleepNetwork, VbsimOptions, VbsimScratch};
@@ -132,21 +133,29 @@ pub fn tab1(ctx: &Ctx) -> Output {
     let mut spice_cmos_a = None;
     if ctx.full {
         let cfg = SpiceRunConfig::window(25e-9);
-        let run = |sleep| {
-            let res = spice_transition(&m.netlist, &tech, &tr_a, None, sleep, &cfg);
-            res.expect("spice run").delay.expect("outputs switch")
-        };
-        let d_cmos = run(SleepImpl::AlwaysOn);
-        spice_cmos_a = Some(d_cmos);
-        let mut t1 = Vec::new();
         // Paper value and the committed band per row.
         let paper = [
             (60.0, "18.1%", 8.09, 11.0),
             (170.0, "4.8%", 3.32, 4.5),
             (500.0, "1.7%", 1.18, 1.61),
         ];
-        for (wl, paper, lo, hi) in paper {
-            let d = run(SleepImpl::Transistor { w_over_l: wl });
+        // The CMOS baseline and each row's transient are independent, so
+        // they run in parallel; results come back in index order.
+        let sleeps: Vec<SleepImpl> = std::iter::once(SleepImpl::AlwaysOn)
+            .chain(
+                paper
+                    .iter()
+                    .map(|&(wl, ..)| SleepImpl::Transistor { w_over_l: wl }),
+            )
+            .collect();
+        let (delays, _) = parallel_map(ctx.threads, 1, &sleeps, |_, &sleep, _| {
+            let res = spice_transition(&m.netlist, &tech, &tr_a, None, sleep, &cfg);
+            res.expect("spice run").delay.expect("outputs switch")
+        });
+        let d_cmos = delays[0];
+        spice_cmos_a = Some(d_cmos);
+        let mut t1 = Vec::new();
+        for ((wl, paper, lo, hi), &d) in paper.into_iter().zip(&delays[1..]) {
             let degr = (d - d_cmos) / d_cmos;
             t1.push(vec![
                 format!("{wl}"),

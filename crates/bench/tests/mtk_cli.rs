@@ -23,6 +23,11 @@
 //! * `mtk hybrid` screens and verifies in SPICE end to end; its trace
 //!   passes `trace_check`, and its deterministic trace is byte-identical
 //!   at 1 and 2 threads on the 3-bit adder and the ALU slice.
+//! * A golden design exported as a SPICE deck imports back to the same
+//!   bytes; a hand-written `.subckt` deck imports and sizes; a screen's
+//!   rawfile, VCD and deterministic trace are byte-identical at 1 and 8
+//!   threads, the rawfile holds points and the trace passes
+//!   `trace_check`.
 //! * `mtk mc --smoke` with a store passes `trace_check` cold and warm,
 //!   and the warm rerun simulates nothing.
 //! * `mtk size`'s deterministic trace is byte-identical at 1 and 8
@@ -642,6 +647,112 @@ fn hybrid_deterministic_trace_is_byte_identical_across_threads() {
             traces[0] == traces[1],
             "{stem}: hybrid trace differs at threads=2"
         );
+    }
+}
+
+/// Exporting a golden design as a hint-carrying SPICE deck and
+/// importing it again (structural gate recognition) gives back the
+/// committed canonical `.mtk`, byte for byte.
+#[test]
+fn deck_export_import_round_trip_is_byte_identical() {
+    let path = golden("adder3");
+    let (deck, back) = (temp_path("adder3.ckt"), temp_path("adder3_back.mtk"));
+    let out = mtk(&[
+        "export",
+        path.to_str().unwrap(),
+        "--w-over-l",
+        "8",
+        "--out",
+        &deck,
+    ]);
+    assert_eq!(out.status.code(), Some(0), "export: {}", stderr(&out));
+    let out = mtk(&["import", &deck, "--out", &back]);
+    assert_eq!(out.status.code(), Some(0), "import: {}", stderr(&out));
+    let want = std::fs::read(&path).expect("golden");
+    assert!(
+        std::fs::read(&back).expect("imported design") == want,
+        "deck export/import round trip is not byte-identical"
+    );
+    let _ = std::fs::remove_file(&deck);
+    let _ = std::fs::remove_file(&back);
+}
+
+/// A hand-written deck with a `.subckt` and an MTCMOS footer flattens,
+/// is recognized, and runs through the sizing flow end to end.
+#[test]
+fn a_subckt_deck_imports_and_sizes() {
+    const DECK: &str = "\
+* two-stage buffer from a subckt, mtcmos footer
+.model mn nmos level=1 vto=0.55 kp=110u gamma=0.4 phi=0.8 lambda=0.04
+.model mp pmos level=1 vto=-0.55 kp=55u gamma=0.4 phi=0.8 lambda=0.04
+.model msleep nmos level=1 vto=0.8 kp=110u gamma=0.4 phi=0.8 lambda=0.04
+.subckt inv in out vss
+m_n out in vss vss mn w=1u l=1u
+m_p out in vdd vdd mp w=2u l=1u
+.ends
+.global vdd
+vdd vdd 0 dc 3.3
+vsleep sleep 0 dc 3.3
+msl vgnd sleep 0 0 msleep w=12u l=1u
+vin_a a 0 dc 0
+xu1 a m vgnd inv
+xu2 m y vgnd inv
+";
+    let (deck, design) = (temp_path("subckt.ckt"), temp_path("subckt.mtk"));
+    std::fs::write(&deck, DECK).expect("write deck");
+    let out = mtk(&["import", &deck, "--out", &design]);
+    assert_eq!(out.status.code(), Some(0), "import: {}", stderr(&out));
+    let out = mtk(&["size", &design, "--target", "0.05"]);
+    assert_eq!(out.status.code(), Some(0), "size: {}", stderr(&out));
+    let _ = std::fs::remove_file(&deck);
+    let _ = std::fs::remove_file(&design);
+}
+
+/// A deterministic screen with waveform exports writes the same
+/// rawfile, VCD and trace at 1 and 8 threads; the rawfile holds points
+/// (the trace's `wave_raw_points` is not 0) and the trace validates.
+#[test]
+fn screen_waveform_exports_are_byte_identical_across_threads() {
+    let path = golden("adder3");
+    let mut runs = Vec::new();
+    for threads in ["1", "8"] {
+        let files = ["raw", "vcd", "json"].map(|ext| temp_path(&format!("s{threads}.{ext}")));
+        let out = mtk(&[
+            "screen",
+            path.to_str().unwrap(),
+            "--stride",
+            "16",
+            "--threads",
+            threads,
+            "--raw",
+            &files[0],
+            "--vcd",
+            &files[1],
+            "--trace-deterministic",
+            "--trace-json",
+            &files[2],
+        ]);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "threads {threads}: {}",
+            stderr(&out)
+        );
+        runs.push(files);
+    }
+    for (i, what) in ["rawfile", "VCD", "screen trace"].iter().enumerate() {
+        let one = std::fs::read(&runs[0][i]).expect("1-thread artifact");
+        let eight = std::fs::read(&runs[1][i]).expect("8-thread artifact");
+        assert!(one == eight, "{what} differs across threads");
+    }
+    let trace = std::fs::read_to_string(&runs[0][2]).expect("trace");
+    assert!(
+        !trace.contains("\"wave_raw_points\": 0"),
+        "screen --raw recorded no points"
+    );
+    assert_trace_checks(&runs[0][2]);
+    for file in runs.iter().flatten() {
+        let _ = std::fs::remove_file(file);
     }
 }
 

@@ -14,7 +14,9 @@
 //! the pivot search and the elimination sweep visit only them, instead of
 //! probing all `n` rows per step. The pivot rule is the plain one: the
 //! largest `|a_ik|` among rows not yet eliminated, ties going to the
-//! lowest elimination position.
+//! lowest elimination position. Each step marks the pivot row's columns
+//! once, and every row update finds them in one pass over the updated
+//! row, which it changes in place.
 //!
 //! [`LuWorkspace`] records each elimination it runs and replays the
 //! recording on later matrices of the same pattern, for as long as every
@@ -23,7 +25,8 @@
 //!
 //! [`StampMap`] serves Newton loops that re-stamp the same triplet
 //! sequence with new values: it sorts once, then gathers each new set of
-//! values straight into the permuted, assembled matrix.
+//! values straight into the permuted matrix's entries in flat
+//! ([`CsrPattern`]) form, which is the form a recorded elimination reads.
 
 use crate::{NumError, Result};
 
@@ -194,21 +197,12 @@ impl SparseRows {
         self.n
     }
 
-    /// The column pattern of each row (values discarded), for callers
-    /// that cache a pivot order and must detect pattern changes.
+    /// The column pattern of each row (values discarded).
     pub fn pattern(&self) -> Vec<Vec<usize>> {
         self.rows
             .iter()
             .map(|row| row.iter().map(|&(c, _)| c).collect())
             .collect()
-    }
-
-    /// Whether this matrix has exactly the given column pattern.
-    pub fn same_pattern(&self, pattern: &[Vec<usize>]) -> bool {
-        self.n == pattern.len()
-            && self.rows.iter().zip(pattern).all(|(row, cols)| {
-                row.len() == cols.len() && row.iter().map(|&(c, _)| c).eq(cols.iter().copied())
-            })
     }
 
     /// Total number of stored nonzeros.
@@ -291,6 +285,50 @@ impl SparseRows {
         }
     }
 
+    /// The matrix whose pattern is `pattern` and whose entries, in
+    /// row-major order, are `values`: the inverse of the flat form
+    /// [`StampMap::gather`] writes and [`LuWorkspace::factor_solve_csr`]
+    /// reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len() != pattern.nnz()`.
+    pub fn from_csr(pattern: &CsrPattern, values: &[f64]) -> SparseRows {
+        assert_eq!(values.len(), pattern.nnz(), "one value per pattern entry");
+        SparseRows {
+            n: pattern.n(),
+            rows: pattern
+                .starts
+                .windows(2)
+                .map(|w| {
+                    let span = w[0] as usize..w[1] as usize;
+                    let cols = pattern.cols[span.clone()].iter();
+                    cols.zip(&values[span])
+                        .map(|(&c, &v)| (c as usize, v))
+                        .collect()
+                })
+                .collect(),
+        }
+    }
+
+    /// Writes the matrix in flat form: its pattern into `pattern` and its
+    /// entries, row-major, into `values`, reusing both allocations.
+    fn to_csr(&self, pattern: &mut CsrPattern, values: &mut Vec<f64>) {
+        assert!(
+            u32::try_from(self.n.max(self.nnz())).is_ok(),
+            "a flat pattern's indices must fit in u32"
+        );
+        pattern.starts.clear();
+        pattern.cols.clear();
+        values.clear();
+        pattern.starts.push(0);
+        for row in &self.rows {
+            pattern.cols.extend(row.iter().map(|&(c, _)| c as u32));
+            values.extend(row.iter().map(|&(_, v)| v));
+            pattern.starts.push(pattern.cols.len() as u32);
+        }
+    }
+
     /// Factors the matrix as `P A = L U` with partial pivoting over sparse
     /// rows.
     ///
@@ -300,41 +338,86 @@ impl SparseRows {
     /// usable entry.
     pub fn factor(self) -> Result<SparseLu> {
         let n = self.n;
-        let mut rows = self.rows;
+        let mut rows = kernel_rows(&self.rows);
         // l_rows[i] holds the multipliers applied to row i, as (col, factor).
         let mut l_rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
         // row_of[k] = which original row currently sits at elimination
         // position k (row swaps are done on this indirection).
         let mut row_of: Vec<usize> = (0..n).collect();
-        let mut scratch: Vec<(usize, f64)> = Vec::new();
         eliminate(
             &mut rows,
             &mut l_rows,
             &mut row_of,
-            &mut LeadIndex::default(),
-            &mut scratch,
+            &mut Scratch::default(),
             None,
         )?;
 
-        // Collect U rows in elimination order.
-        let mut u_rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n);
-        for &ri in &row_of {
-            let row = std::mem::take(&mut rows[ri]);
-            u_rows.push(row);
-        }
-        // Reindex l_rows into elimination order; each l_rows entry was
-        // recorded against the original row index.
-        let mut l_in_order: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n);
-        for &ri in &row_of {
-            l_in_order.push(std::mem::take(&mut l_rows[ri]));
-        }
-
+        // U and L rows in elimination order; both were built against the
+        // original row index.
+        let u_rows = row_of.iter().map(|&r| std::mem::take(&mut rows[r]));
+        let l_in_order = row_of.iter().map(|&r| std::mem::take(&mut l_rows[r]));
         Ok(SparseLu {
             n,
-            u_rows,
-            l_rows: l_in_order,
+            u_rows: u_rows.collect(),
+            l_rows: l_in_order.collect(),
             row_of,
         })
+    }
+}
+
+/// `rows` as the general kernel's input: every entry in the slot its
+/// row-major position numbers.
+fn kernel_rows(rows: &[Vec<(usize, f64)>]) -> Vec<Vec<Entry>> {
+    assert!(
+        u32::try_from(rows.len()).is_ok(),
+        "column indices must fit in u32"
+    );
+    let mut slot = 0u32;
+    let mut entry = |(col, val): (usize, f64)| {
+        let e = Entry {
+            col: col as u32,
+            slot,
+            val,
+        };
+        slot = slot.wrapping_add(1);
+        e
+    };
+    rows.iter()
+        .map(|row| row.iter().map(|&cv| entry(cv)).collect())
+        .collect()
+}
+
+/// A square sparsity pattern in compressed sparse row form: row `r`
+/// holds the sorted columns `cols[starts[r]..starts[r + 1]]`. Together
+/// with one value per entry, in the same row-major order, it is the flat
+/// form in which [`StampMap::gather`] hands a Newton iteration's matrix to
+/// [`LuWorkspace::factor_solve_csr`]. Two patterns are equal when both
+/// arrays are, which takes two slice compares.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CsrPattern {
+    starts: Vec<u32>,
+    cols: Vec<u32>,
+}
+
+impl CsrPattern {
+    /// Matrix dimension.
+    pub fn n(&self) -> usize {
+        self.starts.len().saturating_sub(1)
+    }
+
+    /// Number of entries.
+    pub fn nnz(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// Heap bytes in use.
+    fn bytes(&self) -> usize {
+        (self.starts.len() + self.cols.len()) * std::mem::size_of::<u32>()
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.starts.shrink_to_fit();
+        self.cols.shrink_to_fit();
     }
 }
 
@@ -343,8 +426,9 @@ impl SparseRows {
 #[derive(Debug, Clone)]
 pub struct SparseLu {
     n: usize,
-    /// Upper-triangular rows in elimination order (col >= row position).
-    u_rows: Vec<Vec<(usize, f64)>>,
+    /// Upper-triangular rows in elimination order: the pivot first, then
+    /// the columns right of it in order.
+    u_rows: Vec<Vec<Entry>>,
     /// Multipliers applied to the row now at each elimination position,
     /// in the order they were applied.
     l_rows: Vec<Vec<(usize, f64)>>,
@@ -375,34 +459,56 @@ impl SparseLu {
                 actual: b.len(),
             });
         }
-        let n = self.n;
-        // Permute b into elimination order and forward-substitute.
         let mut y: Vec<f64> = self.row_of.iter().map(|&r| b[r]).collect();
-        for i in 0..n {
-            let mut s = y[i];
-            for &(col, factor) in &self.l_rows[i] {
-                s -= factor * y[col];
-            }
-            y[i] = s;
-        }
-        // Back-substitute through U.
-        let mut x = vec![0.0; n];
-        for i in (0..n).rev() {
-            let row = &self.u_rows[i];
-            let mut s = y[i];
-            let mut diag = 0.0;
-            for &(c, v) in row {
-                if c == i {
-                    diag = v;
-                } else if c > i {
-                    s -= v * x[c];
-                }
-            }
-            debug_assert!(diag != 0.0, "zero diagonal slipped through factor()");
-            x[i] = s / diag;
-        }
+        let mut x = Vec::new();
+        substitute(&mut y, &mut x, |i| &self.l_rows[i], |i| &self.u_rows[i]);
         Ok(x)
     }
+}
+
+/// Solves through the factors of a general elimination: forward through
+/// L, where `y` holds `b` in elimination order on entry, then back
+/// through U into `x`. `l(i)` is elimination position `i`'s multipliers
+/// in application order, `u(i)` its U row with the pivot first.
+///
+/// This is the one substitution behind [`SparseLu::solve`] and the
+/// general path of [`LuWorkspace::factor_solve_csr`]; a replay
+/// substitutes with the same arithmetic in the same order.
+fn substitute<'a>(
+    y: &mut [f64],
+    x: &mut Vec<f64>,
+    l: impl Fn(usize) -> &'a [(usize, f64)],
+    u: impl Fn(usize) -> &'a [Entry],
+) {
+    let n = y.len();
+    for i in 0..n {
+        let mut s = y[i];
+        for &(col, factor) in l(i) {
+            s -= factor * y[col];
+        }
+        y[i] = s;
+    }
+    x.clear();
+    x.resize(n, 0.0);
+    for i in (0..n).rev() {
+        let row = u(i);
+        debug_assert_eq!(row[0].col as usize, i, "U row {i} must start at its pivot");
+        let mut s = y[i];
+        for e in &row[1..] {
+            s -= e.val * x[e.col as usize];
+        }
+        x[i] = s / row[0].val;
+    }
+}
+
+/// One entry of a row while the general kernel eliminates: its column,
+/// the numbered value slot a [`Plan`] keeps it in, and its value. Input
+/// entry `j` (row-major) is slot `j`; each fill takes the next free slot.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    col: u32,
+    slot: u32,
+    val: f64,
 }
 
 /// In-place LU elimination with partial pivoting: on success `rows`
@@ -411,29 +517,40 @@ impl SparseLu {
 /// the original row at elimination position `k`.
 ///
 /// This is the single general numeric kernel behind both
-/// [`SparseRows::factor`] and [`LuWorkspace::factor_solve`], so the two
-/// paths are arithmetic-identical by construction. The pivot *search*
-/// runs on every call. Given `rec`, it also records the run as a
-/// [`Plan`] that [`replay`] can repeat (see [`LuWorkspace`]).
+/// [`SparseRows::factor`] and [`LuWorkspace::factor_solve_csr`], so the
+/// two paths are arithmetic-identical by construction. The pivot
+/// *search* runs on every call. Given `rec` (already begun on the input
+/// pattern), it also records the run as a [`Plan`] that [`replay`] can
+/// repeat (see [`LuWorkspace`]).
 ///
 /// `row_of` must be a permutation on entry (both callers pass the
-/// identity). Before step `k` no row at position >= k holds a column
-/// below `k`, so the rows holding column `k` are exactly those whose
-/// *first* entry is in column `k`. `index` keeps the rows bucketed by
-/// that leading column, and step `k` visits only its bucket: a step
-/// costs the rows holding column `k`, not `n` probes.
+/// identity), and each input row must start with its lowest column.
+/// Before step `k` no row at position >= k holds a column below `k`, so
+/// the rows holding column `k` are exactly those whose *leading* entry
+/// is in column `k`. Every row not yet a pivot keeps that leading entry
+/// first and the rest in no particular order; `scratch` keeps the rows
+/// bucketed by leading column, and step `k` visits only its bucket. A
+/// row is put in column order once, when it becomes the pivot row, and
+/// its columns are marked so that each update finds them in one pass
+/// over the updated row (see [`update_row`]).
 fn eliminate(
-    rows: &mut [Vec<(usize, f64)>],
+    rows: &mut [Vec<Entry>],
     l_rows: &mut [Vec<(usize, f64)>],
     row_of: &mut [usize],
-    index: &mut LeadIndex,
-    scratch: &mut Vec<(usize, f64)>,
-    rec: Option<&mut Recorder>,
+    scratch: &mut Scratch,
+    mut rec: Option<&mut Recorder>,
 ) -> Result<()> {
     let n = rows.len();
-    index.reset(rows, row_of);
-    let mut rec = rec.and_then(|r| r.begin(rows).then_some(r));
-    let LeadIndex { head, next, pos_of } = index;
+    scratch.reset(rows, row_of);
+    // Slot numbers only matter while a plan is being recorded, and a
+    // plan's budget keeps them far below `u32::MAX`; past that they wrap.
+    let mut slots = rows.iter().map(Vec::len).sum::<usize>() as u32;
+    let Scratch {
+        head,
+        next,
+        pos_of,
+        marks,
+    } = scratch;
     for k in 0..n {
         // Find the pivot: the largest |a_ik| among rows at position >= k,
         // ties going to the lowest position (see `beats`).
@@ -441,15 +558,16 @@ fn eliminate(
         let mut pivot_mag = 0.0f64;
         let mut ri = head[k];
         while ri != NONE {
-            debug_assert_eq!(rows[ri][0].0, k, "row {ri} is in the wrong bucket");
+            let lead = rows[ri][0];
+            debug_assert_eq!(lead.col as usize, k, "row {ri} is in the wrong bucket");
             let p = pos_of[ri];
-            let mag = rows[ri][0].1.abs();
+            let mag = lead.val.abs();
             if beats(mag, p, pivot_mag, pivot_pos) {
                 pivot_mag = mag;
                 pivot_pos = p;
             }
             if let Some(r) = rec.as_deref_mut() {
-                r.candidate(ri, p);
+                r.candidate(lead.slot, p, ri);
             }
             ri = next[ri];
         }
@@ -463,7 +581,15 @@ fn eliminate(
         pos_of[row_of[k]] = k;
         pos_of[row_of[pivot_pos]] = pivot_pos;
         let pivot_row_idx = row_of[k];
-        let pivot_val = rows[pivot_row_idx][0].1;
+
+        // The pivot row is final from here on: U row k. Put it in column
+        // order and mark where each of its columns sits.
+        let pivot_row = &mut rows[pivot_row_idx];
+        pivot_row[1..].sort_unstable_by_key(|e| e.col);
+        for (j, e) in pivot_row[1..].iter().enumerate() {
+            marks.mark[e.col as usize] = j as u32;
+        }
+        let pivot_val = pivot_row[0].val;
 
         // Eliminate column k from every other row in the bucket. A row's
         // update reads only itself and the pivot row, so visiting rows in
@@ -475,66 +601,28 @@ fn eliminate(
                 ri = following;
                 continue;
             }
-            let factor = rows[ri][0].1 / pivot_val;
-            l_rows[ri].push((k, factor));
-            // rows[ri] -= factor * rows[pivot]; merge the two sorted rows.
-            scratch.clear();
-            let (target, pivot_row) = {
-                // Split borrows: pivot_row_idx != ri is guaranteed.
-                let (a, b) = if pivot_row_idx < ri {
-                    let (lo, hi) = rows.split_at_mut(ri);
-                    (&mut hi[0], &lo[pivot_row_idx])
-                } else {
-                    let (lo, hi) = rows.split_at_mut(pivot_row_idx);
-                    (&mut lo[ri], &hi[0])
-                };
-                (a, b)
+            // Split borrows: pivot_row_idx != ri is guaranteed.
+            let (target, pivot_row) = if pivot_row_idx < ri {
+                let (lo, hi) = rows.split_at_mut(ri);
+                (&mut hi[0], &lo[pivot_row_idx])
+            } else {
+                let (lo, hi) = rows.split_at_mut(pivot_row_idx);
+                (&mut lo[ri], &hi[0])
             };
-            let mut ti = 0usize;
-            let mut pi = 0usize;
-            while ti < target.len() || pi < pivot_row.len() {
-                let tc = target.get(ti).map(|&(c, _)| c).unwrap_or(usize::MAX);
-                let pc = pivot_row.get(pi).map(|&(c, _)| c).unwrap_or(usize::MAX);
-                if tc < pc {
-                    if tc > k {
-                        scratch.push(target[ti]);
-                        if let Some(r) = rec.as_deref_mut() {
-                            r.carry(ri, ti);
-                        }
-                    }
-                    ti += 1;
-                } else if pc < tc {
-                    if pc > k {
-                        scratch.push((pc, -factor * pivot_row[pi].1));
-                        if let Some(r) = rec.as_deref_mut() {
-                            r.fill();
-                        }
-                    }
-                    pi += 1;
-                } else {
-                    if tc > k {
-                        let v = target[ti].1 - factor * pivot_row[pi].1;
-                        let keep = kept(v);
-                        if keep {
-                            scratch.push((tc, v));
-                        }
-                        if let Some(r) = rec.as_deref_mut() {
-                            r.combine(ri, ti, keep);
-                        }
-                    }
-                    ti += 1;
-                    pi += 1;
-                }
-            }
-            replace_row(target, scratch);
+            let factor = target[0].val / pivot_val;
+            l_rows[ri].push((k, factor));
+            let pivot_row = &pivot_row[1..];
+            let ops = rec.as_deref_mut().map(|r| r.ops(pivot_row.len()));
+            update_row(target, pivot_row, factor, marks, &mut slots, ops);
             // A recording that outgrows the budget is dropped here; the
             // elimination goes on without it.
-            if rec.as_deref_mut().is_some_and(|r| !r.end_update(ri)) {
+            if rec.as_deref_mut().is_some_and(|r| !r.end_update()) {
                 rec = None;
             }
             // Re-bucket under the new leading column. A row left empty
             // holds no column and will surface as a singular step.
-            if let Some(&(lead, _)) = target.first() {
+            if let Some(lead) = target.first() {
+                let lead = lead.col as usize;
                 next[ri] = head[lead];
                 head[lead] = ri;
             }
@@ -542,23 +630,90 @@ fn eliminate(
         }
     }
     if let Some(r) = rec {
-        r.finish(rows, row_of);
+        r.finish(rows, row_of, pos_of, slots);
     }
     Ok(())
 }
 
-/// Moves the row an update built in `scratch` into `row`. Swapping the
-/// buffers is free, but it would hand a long row's buffer on to the next
-/// row updated, and over an elimination every row would come to hold a
-/// buffer as long as the longest. So a result much shorter than the
-/// scratch buffer is copied instead, and long buffers stay with long
-/// rows.
-fn replace_row<T: Copy>(row: &mut Vec<T>, scratch: &mut Vec<T>) {
-    if scratch.capacity() > 2 * scratch.len() + 8 {
-        row.clear();
-        row.extend_from_slice(scratch);
+/// `target −= factor · pivot`, in place, where `target` starts with the
+/// entry being eliminated and `pivot` is the pivot row right of its
+/// pivot, in column order, whose columns `marks` holds. Given `ops`, one
+/// per pivot entry, it writes each entry's plan operation there.
+///
+/// One pass over `target` updates each entry the pivot row also holds,
+/// `t − factor·p`, kept unless it is an exact zero, and closes the gaps
+/// the dropped ones leave. If the pivot row holds columns the target
+/// lacks, a pass over the pivot row then appends each as a fill
+/// `(−factor)·p`, taking free slots in column order. Each pivot entry's
+/// operation is the one a sorted merge of the two rows performs, on the
+/// same operands, and sits at its index in `ops`, so the operations come
+/// out in the pivot row's column order, the order [`replay`] repeats
+/// them in. Last, the lowest remaining column takes the eliminated
+/// entry's place at the front.
+fn update_row(
+    target: &mut Vec<Entry>,
+    pivot: &[Entry],
+    factor: f64,
+    marks: &mut Marks,
+    slots: &mut u32,
+    mut ops: Option<&mut [u32]>,
+) {
+    let update = marks.next_update();
+    let Marks { mark, hit, .. } = marks;
+    // The lowest column that survives, as (col, index in target).
+    let mut lead = (u32::MAX, 0usize);
+    // Survivors are compacted behind the entry being eliminated.
+    let (mut hits, mut kept_to) = (0, 1);
+    for ti in 1..target.len() {
+        let mut e = target[ti];
+        // A mark left over from an earlier step points at a pivot entry
+        // of another column, or past the row.
+        let j = mark[e.col as usize] as usize;
+        if let Some(p) = pivot.get(j).filter(|p| p.col == e.col) {
+            hits += 1;
+            hit[j] = update;
+            e.val -= factor * p.val;
+            let keep = kept(e.val);
+            if let Some(ops) = ops.as_deref_mut() {
+                ops[j] = if keep { OP_KEEP } else { OP_DROP } | e.slot;
+            }
+            if !keep {
+                continue;
+            }
+        }
+        if e.col < lead.0 {
+            lead = (e.col, kept_to);
+        }
+        target[kept_to] = e;
+        kept_to += 1;
+    }
+    target.truncate(kept_to);
+    if hits < pivot.len() {
+        for (j, p) in pivot.iter().enumerate() {
+            if hit[j] == update {
+                continue;
+            }
+            let slot = *slots;
+            *slots = slot.wrapping_add(1);
+            if p.col < lead.0 {
+                lead = (p.col, target.len());
+            }
+            target.push(Entry {
+                col: p.col,
+                slot,
+                val: -factor * p.val,
+            });
+            if let Some(ops) = ops.as_deref_mut() {
+                ops[j] = OP_FILL | slot;
+            }
+        }
+    }
+    if lead.0 == u32::MAX {
+        // Only the eliminated entry was left.
+        target.clear();
     } else {
-        std::mem::swap(row, scratch);
+        target.swap(0, lead.1);
+        target.swap_remove(lead.1);
     }
 }
 
@@ -582,7 +737,7 @@ fn kept(v: f64) -> bool {
     v != 0.0
 }
 
-/// End of a bucket list in [`LeadIndex`].
+/// End of a bucket list in [`Scratch`].
 const NONE: usize = usize::MAX;
 
 /// Sorts one row's `(col, value)` pairs by column. Every assembly path
@@ -595,13 +750,15 @@ fn sort_by_col(row: &mut [(usize, f64)]) {
     row.sort_unstable_by_key(|&(c, _)| c);
 }
 
-/// The rows not yet used as pivots, bucketed by leading column, as
+/// The general kernel's index and marks, reused across eliminations.
+///
+/// The rows not yet used as pivots are bucketed by leading column, as
 /// intrusive singly linked lists: `eliminate` walks one bucket per step
 /// instead of scanning every row. Each row sits in exactly one bucket
 /// (none once it is a pivot or empty), so the index is `O(n)` whatever
 /// the fill, and keeping it costs one relink per row update.
 #[derive(Debug, Clone, Default)]
-struct LeadIndex {
+struct Scratch {
     /// `head[c]`: first row whose leading entry is in column `c`, or
     /// [`NONE`].
     head: Vec<usize>,
@@ -610,21 +767,57 @@ struct LeadIndex {
     /// `pos_of[row]`: the row's current elimination position, the
     /// inverse of `row_of`.
     pos_of: Vec<usize>,
+    marks: Marks,
 }
 
-impl LeadIndex {
+/// Where the current pivot row's columns sit, for [`update_row`].
+#[derive(Debug, Clone, Default)]
+struct Marks {
+    /// `mark[c]`: the index of column `c` in the current pivot row right
+    /// of the pivot. Marks are never cleared; [`update_row`] checks the
+    /// column a mark points at.
+    mark: Vec<u32>,
+    /// `hit[j] == update`: the current row update found the pivot row's
+    /// entry `j` in its target.
+    hit: Vec<u32>,
+    /// The current row update's number.
+    update: u32,
+}
+
+impl Marks {
+    fn reset(&mut self, n: usize) {
+        self.mark.clear();
+        self.mark.resize(n, 0);
+        self.hit.clear();
+        self.hit.resize(n, 0);
+        self.update = 0;
+    }
+
+    /// Numbers the next row update, never 0, so no `hit` entry holds it
+    /// yet.
+    fn next_update(&mut self) -> u32 {
+        self.update = self.update.wrapping_add(1);
+        if self.update == 0 {
+            self.hit.fill(0);
+            self.update = 1;
+        }
+        self.update
+    }
+}
+
+impl Scratch {
     /// Buckets `rows` (reusing the allocations) with positions taken
     /// from `row_of`.
-    fn reset(&mut self, rows: &[Vec<(usize, f64)>], row_of: &[usize]) {
+    fn reset(&mut self, rows: &[Vec<Entry>], row_of: &[usize]) {
         let n = rows.len();
         self.head.clear();
         self.head.resize(n, NONE);
         self.next.clear();
         self.next.resize(n, NONE);
         for (ri, row) in rows.iter().enumerate() {
-            if let Some(&(lead, _)) = row.first() {
-                self.next[ri] = self.head[lead];
-                self.head[lead] = ri;
+            if let Some(lead) = row.first() {
+                self.next[ri] = self.head[lead.col as usize];
+                self.head[lead.col as usize] = ri;
             }
         }
         self.pos_of.clear();
@@ -632,6 +825,7 @@ impl LeadIndex {
         for (p, &ri) in row_of.iter().enumerate() {
             self.pos_of[ri] = p;
         }
+        self.marks.reset(n);
     }
 }
 
@@ -640,8 +834,10 @@ impl LeadIndex {
 /// symbolic/numeric LU split.
 ///
 /// A Newton loop factors a matrix with an unchanged sparsity pattern at
-/// every iteration. `LuWorkspace::factor_solve` produces exactly the bits
-/// of [`SparseRows::factor`] + [`SparseLu::solve`], inside recycled
+/// every iteration. It hands the matrix over in flat form, a
+/// [`CsrPattern`] and one value per entry (see [`StampMap::gather`]), to
+/// [`LuWorkspace::factor_solve_csr`], which produces exactly the bits of
+/// [`SparseRows::factor`] + [`SparseLu::solve`], inside recycled
 /// buffers, and mostly without rerunning the general kernel:
 ///
 /// * Each general elimination (`eliminate`) also records a *plan*: the
@@ -655,9 +851,14 @@ impl LeadIndex {
 ///   requires every kept/dropped outcome to repeat. Those are all the
 ///   branches the general kernel takes on values, so a replay that
 ///   passes every check *is* the general kernel's run, bit for bit.
+///   The flat values are the plan's input slots as they stand, so a
+///   plan fits by two slice compares and loads by one copy.
 /// * On the first mismatch the replay's partial result is thrown away
 ///   and the next cached plan for the pattern is tried, then the general
 ///   kernel, which records a fresh plan.
+///
+/// [`LuWorkspace::factor_solve`] takes a [`SparseRows`] and runs the
+/// same path on its flat copy.
 ///
 /// At most four plans are kept, most recently used first, within a
 /// fixed 1 MiB budget. A recording that outgrows the budget is dropped
@@ -678,21 +879,23 @@ impl LeadIndex {
 /// t.add(0, 0, 2.0);
 /// ws.factor_solve(&t.to_rows(), &[2.0, 8.0], &mut x).unwrap();
 /// assert_eq!(x, vec![0.5, 2.0]);
+/// let stats = ws.stats();
+/// assert_eq!((stats.general, stats.replayed, stats.diverged), (1, 1, 0));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LuWorkspace {
-    rows: Vec<Vec<(usize, f64)>>,
+    rows: Vec<Vec<Entry>>,
     l_rows: Vec<Vec<(usize, f64)>>,
     row_of: Vec<usize>,
-    index: LeadIndex,
-    scratch: Vec<(usize, f64)>,
+    scratch: Scratch,
     y: Vec<f64>,
     /// Recorded eliminations, most recently used first.
     plans: Vec<Plan>,
     recorder: Recorder,
     /// A replay's value slots.
     vals: Vec<f64>,
-    #[cfg(test)]
+    /// The flat copy [`LuWorkspace::factor_solve`] makes of its input.
+    input: (CsrPattern, Vec<f64>),
     stats: ReplayStats,
 }
 
@@ -707,16 +910,15 @@ const PLAN_CACHE_LEN: usize = 4;
 /// unknowns about 28 MB, which stays on the general kernel.
 const PLAN_BUDGET_BYTES: usize = 1 << 20;
 
-/// How a workspace's factorizations went, for the unit tests.
-#[cfg(test)]
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct ReplayStats {
+/// How a [`LuWorkspace`]'s factorizations went, over its lifetime.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReplayStats {
     /// Factorizations served by a replay.
-    replayed: usize,
+    pub replayed: usize,
     /// Replays of a pattern-matching plan that hit a mismatch.
-    diverged: usize,
+    pub diverged: usize,
     /// Factorizations the general kernel ran.
-    general: usize,
+    pub general: usize,
 }
 
 impl LuWorkspace {
@@ -725,9 +927,16 @@ impl LuWorkspace {
         LuWorkspace::default()
     }
 
+    /// How the factorizations so far went: replayed, diverged replay
+    /// attempts, and general eliminations.
+    pub fn stats(&self) -> ReplayStats {
+        self.stats
+    }
+
     /// Factors `a` and solves `A x = b` in one pass, writing the solution
     /// into `x` (resized as needed). Bitwise-identical to
-    /// `a.clone().factor()?.solve(b)`.
+    /// `a.clone().factor()?.solve(b)`: this is
+    /// [`LuWorkspace::factor_solve_csr`] on `a`'s flat form.
     ///
     /// # Errors
     ///
@@ -735,39 +944,56 @@ impl LuWorkspace {
     /// and [`NumError::SingularMatrix`] when elimination hits an empty
     /// pivot column. The workspace stays reusable after either error.
     pub fn factor_solve(&mut self, a: &SparseRows, b: &[f64], x: &mut Vec<f64>) -> Result<()> {
-        let n = a.n;
+        let (mut pattern, mut values) = std::mem::take(&mut self.input);
+        a.to_csr(&mut pattern, &mut values);
+        let result = self.factor_solve_csr(&pattern, &values, b, x);
+        self.input = (pattern, values);
+        result
+    }
+
+    /// Factors the matrix with pattern `pattern` and row-major entries
+    /// `values`, and solves `A x = b` into `x` (resized as needed).
+    /// Bitwise-identical to factoring and solving
+    /// [`SparseRows::from_csr`]`(pattern, values)`.
+    ///
+    /// # Errors
+    ///
+    /// As [`LuWorkspace::factor_solve`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len() != pattern.nnz()`.
+    pub fn factor_solve_csr(
+        &mut self,
+        pattern: &CsrPattern,
+        values: &[f64],
+        b: &[f64],
+        x: &mut Vec<f64>,
+    ) -> Result<()> {
+        let n = pattern.n();
         if b.len() != n {
             return Err(NumError::DimensionMismatch {
                 expected: n,
                 actual: b.len(),
             });
         }
+        assert_eq!(values.len(), pattern.nnz(), "one value per pattern entry");
         for i in 0..self.plans.len() {
             let plan = &self.plans[i];
-            if !plan.fits(a) {
+            if plan.input != *pattern {
                 continue;
             }
-            self.vals.clear();
-            self.vals.extend(a.rows.iter().flatten().map(|&(_, v)| v));
             self.vals.resize(plan.slots as usize, 0.0);
+            self.vals[..values.len()].copy_from_slice(values);
             if replay(plan, &mut self.vals, b, &mut self.y) {
                 plan.back_substitute(&self.vals, &self.y, x);
                 self.plans[..=i].rotate_right(1);
-                #[cfg(test)]
-                {
-                    self.stats.replayed += 1;
-                }
+                self.stats.replayed += 1;
                 return Ok(());
             }
-            #[cfg(test)]
-            {
-                self.stats.diverged += 1;
-            }
+            self.stats.diverged += 1;
         }
-        #[cfg(test)]
-        {
-            self.stats.general += 1;
-        }
+        self.stats.general += 1;
 
         // A full cache gives up its least recently used plan now, so the
         // recording reuses its buffers instead of growing a fifth plan.
@@ -775,64 +1001,46 @@ impl LuWorkspace {
             self.recorder.plan = self.plans.pop().expect("the cache is full");
         }
 
-        // Copy the matrix into the recycled row buffers.
+        // The general kernel's rows, each entry in the slot its flat
+        // position numbers.
         if self.rows.len() < n {
             self.rows.resize_with(n, Vec::new);
             self.l_rows.resize_with(n, Vec::new);
         }
-        for (dst, src) in self.rows.iter_mut().zip(&a.rows) {
-            dst.clear();
-            dst.extend_from_slice(src);
-        }
-        for l in self.l_rows.iter_mut().take(n) {
+        let spans = pattern.starts.windows(2);
+        for ((row, l), w) in self.rows.iter_mut().zip(&mut self.l_rows).zip(spans) {
+            let span = w[0]..w[1];
+            row.clear();
+            row.extend(span.map(|j| Entry {
+                col: pattern.cols[j as usize],
+                slot: j,
+                val: values[j as usize],
+            }));
             l.clear();
         }
         self.row_of.clear();
         self.row_of.extend(0..n);
 
+        let rec = self.recorder.begin(pattern).then_some(&mut self.recorder);
         eliminate(
             &mut self.rows[..n],
             &mut self.l_rows[..n],
             &mut self.row_of,
-            &mut self.index,
             &mut self.scratch,
-            Some(&mut self.recorder),
+            rec,
         )?;
         self.keep_recorded_plan();
 
-        // Forward-substitute b (permuted into elimination order) through L.
+        let (rows, l_rows, row_of) = (&self.rows, &self.l_rows, &self.row_of);
         self.y.clear();
-        self.y.extend(self.row_of.iter().map(|&r| b[r]));
-        for i in 0..n {
-            let mut s = self.y[i];
-            for &(col, factor) in &self.l_rows[self.row_of[i]] {
-                s -= factor * self.y[col];
-            }
-            self.y[i] = s;
-        }
-        // Back-substitute through U.
-        x.clear();
-        x.resize(n, 0.0);
-        for i in (0..n).rev() {
-            let row = &self.rows[self.row_of[i]];
-            let mut s = self.y[i];
-            let mut diag = 0.0;
-            for &(c, v) in row {
-                if c == i {
-                    diag = v;
-                } else if c > i {
-                    s -= v * x[c];
-                }
-            }
-            debug_assert!(diag != 0.0, "zero diagonal slipped through eliminate()");
-            x[i] = s / diag;
-        }
+        self.y.extend(row_of.iter().map(|&r| b[r]));
+        substitute(&mut self.y, x, |i| &l_rows[row_of[i]], |i| &rows[row_of[i]]);
         Ok(())
     }
 
     /// Caches the plan the last general elimination recorded, unless it
     /// outgrew the budget, and evicts least recently used plans until
-    /// the cache is back within [`PLAN_BUDGET_BYTES`]. (`factor_solve`
+    /// the cache is back within [`PLAN_BUDGET_BYTES`]. (`factor_solve_csr`
     /// made room for it under [`PLAN_CACHE_LEN`] before recording.)
     fn keep_recorded_plan(&mut self) {
         if !self.recorder.live {
@@ -868,12 +1076,10 @@ impl LuWorkspace {
 /// Step `k` updates every candidate but the winner, in candidate order,
 /// so the candidates also stand for the row updates and for L: the
 /// multiplier of a candidate's update is its L entry in column `k`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Plan {
-    /// The input pattern: row `r` holds columns
-    /// `cols[starts[r]..starts[r + 1]]`.
-    starts: Vec<u32>,
-    cols: Vec<u32>,
+    /// The input pattern.
+    input: CsrPattern,
     /// Value slots used: the input entries plus one per fill.
     slots: u32,
     /// One per elimination step.
@@ -892,7 +1098,7 @@ struct Plan {
 }
 
 /// One elimination step of a [`Plan`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Step {
     /// End of the step's candidates in [`Plan::cands`].
     cands_end: u32,
@@ -901,7 +1107,7 @@ struct Step {
 }
 
 /// One pivot candidate.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Cand {
     /// Its leading entry's slot.
     slot: u32,
@@ -920,38 +1126,20 @@ const OP_FILL: u32 = 2 << 30;
 const SLOT_MASK: u32 = (1 << 30) - 1;
 
 impl Plan {
-    /// Whether `a` has exactly the recorded input pattern.
-    fn fits(&self, a: &SparseRows) -> bool {
-        self.starts.len() == a.n + 1
-            && a.rows.iter().zip(self.starts.windows(2)).all(|(row, w)| {
-                let cols = &self.cols[w[0] as usize..w[1] as usize];
-                cols.len() == row.len()
-                    && cols.iter().zip(row).all(|(&c, &(rc, _))| c as usize == rc)
-            })
-    }
-
     /// Heap bytes in use.
     fn bytes(&self) -> usize {
         use std::mem::size_of;
-        let words = self.starts.len()
-            + self.cols.len()
-            + self.ops.len()
-            + self.row_of.len()
-            + self.u_starts.len();
-        words * size_of::<u32>()
+        let words = self.ops.len() + self.row_of.len() + self.u_starts.len();
+        self.input.bytes()
+            + words * size_of::<u32>()
             + self.steps.len() * size_of::<Step>()
             + self.cands.len() * size_of::<Cand>()
             + self.u.len() * size_of::<(u32, u32)>()
     }
 
     fn shrink_to_fit(&mut self) {
-        for v in [
-            &mut self.starts,
-            &mut self.cols,
-            &mut self.ops,
-            &mut self.row_of,
-            &mut self.u_starts,
-        ] {
+        self.input.shrink_to_fit();
+        for v in [&mut self.ops, &mut self.row_of, &mut self.u_starts] {
             v.shrink_to_fit();
         }
         self.steps.shrink_to_fit();
@@ -960,8 +1148,7 @@ impl Plan {
     }
 
     /// Back-substitutes `y` through the U factor a successful [`replay`]
-    /// left in `vals`, with `LuWorkspace::factor_solve`'s arithmetic in
-    /// its order.
+    /// left in `vals`, with [`substitute`]'s arithmetic in its order.
     fn back_substitute(&self, vals: &[f64], y: &[f64], x: &mut Vec<f64>) {
         let n = self.row_of.len();
         x.clear();
@@ -1036,65 +1223,42 @@ fn replay(plan: &Plan, vals: &mut [f64], b: &[f64], y: &mut Vec<f64>) -> bool {
     true
 }
 
-/// Builds a [`Plan`] while `eliminate` runs: it mirrors every row with
-/// the slots of its entries and logs each search and operation. Its
-/// buffers persist across recordings.
+/// Builds a [`Plan`] while `eliminate` runs, from the searches and
+/// operations the kernel reports. Its buffers persist across recordings.
 #[derive(Debug, Clone, Default)]
 struct Recorder {
     plan: Plan,
-    /// `slots[row]`: the slot of each entry of the row, in step with it.
-    slots: Vec<Vec<u32>>,
-    /// The slots of the row an update is building.
-    scratch: Vec<u32>,
     /// Whether the plan is complete and within budget so far.
     live: bool,
 }
 
 impl Recorder {
-    /// Starts a plan for the input `rows`. Returns false, recording
-    /// nothing, when the pattern alone outgrows the budget.
-    fn begin(&mut self, rows: &[Vec<(usize, f64)>]) -> bool {
-        let n = rows.len();
-        let nnz: usize = rows.iter().map(Vec::len).sum();
-        self.live = (n + 1 + nnz) * std::mem::size_of::<u32>() <= PLAN_BUDGET_BYTES;
+    /// Starts a plan for an input of pattern `input`. Returns false,
+    /// recording nothing, when the pattern alone outgrows the budget.
+    fn begin(&mut self, input: &CsrPattern) -> bool {
+        self.live = input.bytes() <= PLAN_BUDGET_BYTES;
         if !self.live {
             return false;
         }
         let plan = &mut self.plan;
-        for v in [
-            &mut plan.starts,
-            &mut plan.cols,
-            &mut plan.ops,
-            &mut plan.row_of,
-            &mut plan.u_starts,
-        ] {
+        plan.input.clone_from(input);
+        plan.slots = input.nnz() as u32;
+        for v in [&mut plan.ops, &mut plan.row_of, &mut plan.u_starts] {
             v.clear();
         }
         plan.steps.clear();
         plan.cands.clear();
         plan.u.clear();
-        if self.slots.len() < n {
-            self.slots.resize_with(n, Vec::new);
-        }
-        plan.starts.push(0);
-        for (row, slots) in rows.iter().zip(&mut self.slots) {
-            let start = plan.cols.len() as u32;
-            plan.cols.extend(row.iter().map(|&(c, _)| c as u32));
-            plan.starts.push(plan.cols.len() as u32);
-            slots.clear();
-            slots.extend(start..plan.cols.len() as u32);
-        }
-        plan.slots = nnz as u32;
-        self.scratch.clear();
         true
     }
 
-    /// Row `ri`, at position `pos`, is the next pivot candidate.
-    fn candidate(&mut self, ri: usize, pos: usize) {
+    /// Row `row`, at position `pos`, with its leading entry in `slot`,
+    /// is the next pivot candidate.
+    fn candidate(&mut self, slot: u32, pos: usize, row: usize) {
         self.plan.cands.push(Cand {
-            slot: self.slots[ri][0],
+            slot,
             pos: pos as u32,
-            dest: ri as u32,
+            dest: row as u32,
         });
     }
 
@@ -1111,59 +1275,34 @@ impl Recorder {
         });
     }
 
-    /// Entry `ti` of row `ri` moves to the updated row unchanged.
-    fn carry(&mut self, ri: usize, ti: usize) {
-        self.scratch.push(self.slots[ri][ti]);
+    /// Room for the `len` operations of the next row update.
+    fn ops(&mut self, len: usize) -> &mut [u32] {
+        let start = self.plan.ops.len();
+        self.plan.ops.resize(start + len, 0);
+        &mut self.plan.ops[start..]
     }
 
-    /// A pivot-row entry fills a new slot of the updated row.
-    fn fill(&mut self) {
-        let slot = self.plan.slots;
-        self.plan.slots += 1;
-        self.plan.ops.push(OP_FILL | slot);
-        self.scratch.push(slot);
-    }
-
-    /// Entry `ti` of row `ri` is updated in place and kept or dropped.
-    fn combine(&mut self, ri: usize, ti: usize, keep: bool) {
-        let slot = self.slots[ri][ti];
-        self.plan
-            .ops
-            .push(if keep { OP_KEEP } else { OP_DROP } | slot);
-        if keep {
-            self.scratch.push(slot);
-        }
-    }
-
-    /// Row `ri`'s update is done. Returns whether the recording is still
+    /// A row update is done. Returns whether the recording is still
     /// within budget; once it is not, the plan is dropped.
-    fn end_update(&mut self, ri: usize) -> bool {
-        replace_row(&mut self.slots[ri], &mut self.scratch);
-        self.scratch.clear();
+    fn end_update(&mut self) -> bool {
         self.live = self.plan.bytes() <= PLAN_BUDGET_BYTES;
         self.live
     }
 
-    /// Completes the plan with U in elimination order and each
-    /// candidate's final position.
-    fn finish(&mut self, rows: &[Vec<(usize, f64)>], row_of: &[usize]) {
+    /// Completes the plan with U in elimination order, each candidate's
+    /// final position (`pos_of` is the inverse of `row_of`) and the
+    /// number of slots used.
+    fn finish(&mut self, rows: &[Vec<Entry>], row_of: &[usize], pos_of: &[usize], slots: u32) {
         let plan = &mut self.plan;
+        plan.slots = slots;
         plan.row_of.extend(row_of.iter().map(|&r| r as u32));
         plan.u_starts.push(0);
         for &r in row_of {
-            let u = rows[r].iter().zip(&self.slots[r]);
-            plan.u.extend(u.map(|(&(c, _), &slot)| (c as u32, slot)));
+            plan.u.extend(rows[r].iter().map(|e| (e.col, e.slot)));
             plan.u_starts.push(plan.u.len() as u32);
         }
-        // The update scratch holds the inverse permutation.
-        let pos_of = &mut self.scratch;
-        pos_of.clear();
-        pos_of.resize(row_of.len(), 0);
-        for (k, &r) in row_of.iter().enumerate() {
-            pos_of[r] = k as u32;
-        }
         for c in &mut plan.cands {
-            c.dest = pos_of[c.dest as usize];
+            c.dest = pos_of[c.dest as usize] as u32;
         }
         self.live = plan.bytes() <= PLAN_BUDGET_BYTES;
     }
@@ -1174,35 +1313,37 @@ impl Recorder {
 /// matrix, and in which order duplicates are summed.
 ///
 /// A Newton loop stamps the same `(row, col)` sequence at every
-/// iteration; only the values change. [`StampMap::new`] sorts once, and
-/// [`StampMap::scatter_values`] then fills the permuted matrix from the
-/// values alone, in one pass. The caller knows when its sequence
-/// changes; the map keeps no keys to check. The result is bitwise what
-/// [`Triplets::assemble_into`] followed by
-/// [`SparseRows::permute_symmetric_into`] produces: duplicates are
-/// summed in the order the assembly sort leaves them, starting from the
-/// first value rather than from `0.0` (so a lone `-0.0` survives), and
-/// exact zeros stay structural. Summing in stamp order instead could
-/// differ, because that sort is not stable.
+/// iteration; only the values change. [`StampMap::new`] sorts once and
+/// keeps the permuted matrix's [`CsrPattern`]; [`StampMap::gather`] then
+/// writes each iteration's entries, row-major, from the values alone, in
+/// one pass. That flat form is what [`LuWorkspace::factor_solve_csr`]
+/// takes. The caller knows when its sequence changes; the map keeps no
+/// keys to check. The result is bitwise what [`Triplets::assemble_into`]
+/// followed by [`SparseRows::permute_symmetric_into`] produces:
+/// duplicates are summed in the order the assembly sort leaves them,
+/// starting from the first value rather than from `0.0` (so a lone
+/// `-0.0` survives), and exact zeros stay structural. Summing in stamp
+/// order instead could differ, because that sort is not stable.
 ///
 /// ```
-/// use mtk_num::sparse::{StampMap, Triplets};
+/// use mtk_num::sparse::{LuWorkspace, SparseRows, StampMap, Triplets};
 ///
 /// let mut t = Triplets::new(2);
 /// t.add(0, 1, 1.0);
 /// t.add(1, 1, 2.0);
 /// t.add(1, 1, 0.5);
+/// t.add(1, 0, 4.0);
 /// let pos = [1, 0]; // the two unknowns trade places
-/// let (map, mut perm) = StampMap::new(&t, &pos);
-/// assert_eq!(perm, t.to_rows().permute_symmetric(&[1, 0]));
+/// let map = StampMap::new(&t, &pos);
+/// let mut values = Vec::new();
+/// map.gather(&[1.0, 2.0, 0.5, 4.0], &mut values);
+/// let want = t.to_rows().permute_symmetric(&[1, 0]);
+/// assert_eq!(SparseRows::from_csr(map.pattern(), &values), want);
 ///
-/// // The same stamps with new values: gather instead of re-sorting.
-/// map.scatter_values(&[3.0, 4.0, -4.0], &mut perm);
-/// let mut next = Triplets::new(2);
-/// next.add(0, 1, 3.0);
-/// next.add(1, 1, 4.0);
-/// next.add(1, 1, -4.0);
-/// assert_eq!(perm, next.to_rows().permute_symmetric(&[1, 0]));
+/// // The flat form goes to the LU as it is.
+/// let (mut ws, mut x) = (LuWorkspace::new(), Vec::new());
+/// ws.factor_solve_csr(map.pattern(), &values, &[2.5, 1.0], &mut x).unwrap();
+/// assert_eq!(x, want.factor().unwrap().solve(&[2.5, 1.0]).unwrap());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct StampMap {
@@ -1211,18 +1352,19 @@ pub struct StampMap {
     gather: Vec<u32>,
     /// `ends[s]`: where slot `s`'s group ends in `gather`.
     ends: Vec<u32>,
+    /// The permuted matrix's pattern.
+    pattern: CsrPattern,
 }
 
 impl StampMap {
     /// Builds the map for `t` under the inverse permutation `pos`
-    /// (`pos[orig] = new position`, a permutation of `0..n`), and returns
-    /// it with the permuted, assembled matrix of `t`'s values.
+    /// (`pos[orig] = new position`, a permutation of `0..n`).
     ///
     /// # Panics
     ///
     /// Panics if `pos.len() != t.n()`, or if the dimension or the number
     /// of triplets does not fit in `u32`.
-    pub fn new(t: &Triplets, pos: &[usize]) -> (StampMap, SparseRows) {
+    pub fn new(t: &Triplets, pos: &[usize]) -> StampMap {
         let n = t.n;
         assert_eq!(pos.len(), n, "pos must have length n");
         assert!(
@@ -1249,11 +1391,12 @@ impl StampMap {
         let mut map = StampMap {
             gather: Vec::with_capacity(t.entries.len()),
             ends: Vec::new(),
+            pattern: CsrPattern::default(),
         };
-        let mut out = SparseRows::empty(n);
+        map.pattern.starts.push(0);
         // Per row: (permuted col, start, end) of each run of duplicates.
         let mut runs = Vec::new();
-        for (p, out_row) in out.rows.iter_mut().enumerate() {
+        for p in 0..n {
             let row = &mut flat[starts[p]..starts[p + 1]];
             sort_by_col(row);
             runs.clear();
@@ -1269,47 +1412,43 @@ impl StampMap {
                 let indices = row[start..end].iter().map(|&(_, i)| i.to_bits() as u32);
                 map.gather.extend(indices);
                 map.ends.push(map.gather.len() as u32);
-                out_row.push((c, 0.0));
+                map.pattern.cols.push(c as u32);
             }
+            map.pattern.starts.push(map.pattern.cols.len() as u32);
         }
-        map.fill(|i| t.entries[i].2, &mut out);
-        (map, out)
+        map
     }
 
-    /// Writes the assembled, permuted matrix of one stamp sequence's
-    /// values into `out`, which must hold the pattern [`StampMap::new`]
-    /// returned: `values[k]` is the value of triplet `k` of a sequence
-    /// with the `(row, col)` keys the map was built for.
+    /// The permuted, assembled matrix's pattern.
+    pub fn pattern(&self) -> &CsrPattern {
+        &self.pattern
+    }
+
+    /// Writes the entries of the assembled, permuted matrix of one stamp
+    /// sequence's values into `out`, row-major in the order of
+    /// [`StampMap::pattern`]: `values[k]` is the value of triplet `k` of
+    /// a sequence with the `(row, col)` keys the map was built for.
     ///
     /// # Panics
     ///
-    /// Panics if `values` has a different length than that sequence, or
-    /// `out` a different number of entries than the map has slots.
-    pub fn scatter_values(&self, values: &[f64], out: &mut SparseRows) {
+    /// Panics if `values` has a different length than that sequence.
+    pub fn gather(&self, values: &[f64], out: &mut Vec<f64>) {
         assert_eq!(
             values.len(),
             self.gather.len(),
-            "scatter_values on a different stamp count"
+            "gather on a different stamp count"
         );
-        self.fill(|i| values[i], out);
-    }
-
-    /// Writes each slot's sum of `value(triplet index)` into `out`, slots
-    /// in row-major order.
-    fn fill(&self, value: impl Fn(usize) -> f64, out: &mut SparseRows) {
-        let mut slots = self.ends.iter();
+        out.resize(self.ends.len(), 0.0);
         let mut start = 0;
-        for entry in out.rows.iter_mut().flatten() {
-            let end = *slots.next().expect("out has more entries than the map") as usize;
-            let run = &self.gather[start..end];
-            let mut v = value(run[0] as usize);
+        for (entry, &end) in out.iter_mut().zip(&self.ends) {
+            let run = &self.gather[start..end as usize];
+            let mut v = values[run[0] as usize];
             for &i in &run[1..] {
-                v += value(i as usize);
+                v += values[i as usize];
             }
-            entry.1 = v;
-            start = end;
+            *entry = v;
+            start = end as usize;
         }
-        assert!(slots.next().is_none(), "out has fewer entries than the map");
     }
 }
 
@@ -1401,9 +1540,9 @@ mod tests {
         };
         let cutoff = stamp(0.0);
         let conducting = stamp(0.5);
-        let pattern = conducting.pattern();
-        assert!(
-            cutoff.same_pattern(&pattern),
+        assert_eq!(
+            cutoff.pattern(),
+            conducting.pattern(),
             "zero-valued stamp changed the sparsity pattern"
         );
         assert_eq!(cutoff.nnz(), conducting.nnz());
@@ -1692,12 +1831,13 @@ mod tests {
         let mut l_rows = vec![Vec::new(); n];
         let mut row_of: Vec<usize> = (0..n).collect();
         eliminate_dense_scan(n, &mut rows, &mut l_rows, &mut row_of, &mut Vec::new())?;
+        let u_rows: Vec<_> = row_of
+            .iter()
+            .map(|&r| std::mem::take(&mut rows[r]))
+            .collect();
         Ok(SparseLu {
             n,
-            u_rows: row_of
-                .iter()
-                .map(|&r| std::mem::take(&mut rows[r]))
-                .collect(),
+            u_rows: kernel_rows(&u_rows),
             l_rows: row_of
                 .iter()
                 .map(|&r| std::mem::take(&mut l_rows[r]))
@@ -1718,8 +1858,25 @@ mod tests {
             .collect()
     }
 
+    fn entries_bits(rows: &[Vec<Entry>]) -> RowBits {
+        rows.iter()
+            .map(|r| {
+                r.iter()
+                    .map(|e| (e.col as usize, e.val.to_bits()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `a` in flat form.
+    fn flat(a: &SparseRows) -> (CsrPattern, Vec<f64>) {
+        let (mut pattern, mut values) = (CsrPattern::default(), Vec::new());
+        a.to_csr(&mut pattern, &mut values);
+        (pattern, values)
+    }
+
     fn factor_bits(lu: &SparseLu) -> (RowBits, RowBits, &[usize]) {
-        (rows_bits(&lu.u_rows), rows_bits(&lu.l_rows), &lu.row_of)
+        (entries_bits(&lu.u_rows), rows_bits(&lu.l_rows), &lu.row_of)
     }
 
     fn triplets(n: usize, entries: &[(usize, usize, f64)]) -> Triplets {
@@ -1967,12 +2124,13 @@ mod tests {
     }
 
     /// The value generators of the replay tests, by name.
-    const GENERATORS: [&str; 3] = ["dominant", "ties", "zeros"];
+    const GENERATORS: [&str; 4] = ["dominant", "ties", "zeros", "non-finite"];
 
     /// `keys` with fresh values from generator `gen` (see [`GENERATORS`]):
     /// diagonally dominant; ties, cancellations and refills from
-    /// {±0, ±1, ±2}; or uniform values of which about a third are exact
-    /// zeros. Every call assembles to the same pattern.
+    /// {±0, ±1, ±2}; uniform values of which about a third are exact
+    /// zeros; or the ties with the odd NaN or infinity among them. Every
+    /// call assembles to the same pattern.
     fn pattern_values(
         rng: &mut Xoshiro256pp,
         n: usize,
@@ -1990,9 +2148,16 @@ mod tests {
                     1 => -0.0,
                     i => [1.0, -1.0, 2.0, -2.0][i % 4],
                 },
-                _ => match rng.next_index(3) {
+                2 => match rng.next_index(3) {
                     0 => 0.0,
                     _ => rng.next_f64_in(-2.0, 2.0),
+                },
+                _ => match rng.next_index(24) {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    3 => -0.0,
+                    i => [1.0, -1.0, 2.0, -2.0][i % 4],
                 },
             };
             if gen == 0 && r == c {
@@ -2149,7 +2314,338 @@ mod tests {
         ws.factor_solve(&a, &b, &mut x).unwrap();
         let want = a.clone().factor().unwrap().solve(&b).unwrap();
         assert_eq!(bits(&x), bits(&want));
-        assert!(!ws.recorder.live && ws.plans.iter().all(|p| !p.fits(&a)));
+        let (pattern, _) = flat(&a);
+        assert!(!ws.recorder.live && ws.plans.iter().all(|p| p.input != pattern));
+    }
+
+    /// The general kernel as it was before the dense scatter: every row
+    /// kept in column order, and each update a merge of the target and
+    /// pivot rows into a new row. Kept as the oracle the in-place kernel
+    /// must match bit for bit, slots and recorded plans included.
+    fn eliminate_merge(
+        rows: &mut [Vec<Entry>],
+        l_rows: &mut [Vec<(usize, f64)>],
+        row_of: &mut [usize],
+        mut rec: Option<&mut Recorder>,
+    ) -> Result<()> {
+        let n = rows.len();
+        let mut scratch = Scratch::default();
+        scratch.reset(rows, row_of);
+        let Scratch {
+            head, next, pos_of, ..
+        } = &mut scratch;
+        let mut slots = rows.iter().map(Vec::len).sum::<usize>() as u32;
+        let mut merged = Vec::new();
+        for k in 0..n {
+            let mut pivot_pos = usize::MAX;
+            let mut pivot_mag = 0.0f64;
+            let mut ri = head[k];
+            while ri != NONE {
+                let (lead, p) = (rows[ri][0], pos_of[ri]);
+                if beats(lead.val.abs(), p, pivot_mag, pivot_pos) {
+                    pivot_mag = lead.val.abs();
+                    pivot_pos = p;
+                }
+                if let Some(r) = rec.as_deref_mut() {
+                    r.candidate(lead.slot, p, ri);
+                }
+                ri = next[ri];
+            }
+            if is_singular(pivot_mag, pivot_pos) {
+                return Err(NumError::SingularMatrix { step: k });
+            }
+            if let Some(r) = rec.as_deref_mut() {
+                r.pivot(pivot_pos);
+            }
+            row_of.swap(k, pivot_pos);
+            pos_of[row_of[k]] = k;
+            pos_of[row_of[pivot_pos]] = pivot_pos;
+            let pivot_row_idx = row_of[k];
+            let pivot_val = rows[pivot_row_idx][0].val;
+            let mut ri = std::mem::replace(&mut head[k], NONE);
+            while ri != NONE {
+                let following = next[ri];
+                if ri == pivot_row_idx {
+                    ri = following;
+                    continue;
+                }
+                let factor = rows[ri][0].val / pivot_val;
+                l_rows[ri].push((k, factor));
+                // Both rows start at column k; merge what lies right of it.
+                let (target, pivot_row) = (&rows[ri], &rows[pivot_row_idx]);
+                let mut ops = rec.as_deref_mut().map(|r| r.ops(pivot_row.len() - 1));
+                merged.clear();
+                let (mut ti, mut pi) = (1, 1);
+                while ti < target.len() || pi < pivot_row.len() {
+                    let tc = target.get(ti).map_or(u32::MAX, |e| e.col);
+                    let pc = pivot_row.get(pi).map_or(u32::MAX, |e| e.col);
+                    let op = if tc < pc {
+                        merged.push(target[ti]);
+                        ti += 1;
+                        continue;
+                    } else if pc < tc {
+                        let slot = slots;
+                        slots = slots.wrapping_add(1);
+                        merged.push(Entry {
+                            col: pc,
+                            slot,
+                            val: -factor * pivot_row[pi].val,
+                        });
+                        OP_FILL | slot
+                    } else {
+                        let t = target[ti];
+                        let v = t.val - factor * pivot_row[pi].val;
+                        ti += 1;
+                        if kept(v) {
+                            merged.push(Entry { val: v, ..t });
+                            OP_KEEP | t.slot
+                        } else {
+                            OP_DROP | t.slot
+                        }
+                    };
+                    if let Some(ops) = ops.as_deref_mut() {
+                        ops[pi - 1] = op;
+                    }
+                    pi += 1;
+                }
+                std::mem::swap(&mut rows[ri], &mut merged);
+                if rec.as_deref_mut().is_some_and(|r| !r.end_update()) {
+                    rec = None;
+                }
+                if let Some(lead) = rows[ri].first() {
+                    let lead = lead.col as usize;
+                    next[ri] = head[lead];
+                    head[lead] = ri;
+                }
+                ri = following;
+            }
+        }
+        if let Some(r) = rec {
+            r.finish(rows, row_of, pos_of, slots);
+        }
+        Ok(())
+    }
+
+    /// Everything one recorded elimination of `a` leaves: the outcome,
+    /// U in elimination order as `(col, slot, bits)`, L's bits, `row_of`,
+    /// and the plan (`None` when the recording was dropped).
+    type Recorded = (
+        Result<()>,
+        Vec<Vec<(u32, u32, u64)>>,
+        RowBits,
+        Vec<usize>,
+        Option<Plan>,
+    );
+
+    fn record(a: &SparseRows, merge: bool) -> Recorded {
+        let n = a.n;
+        let mut rows = kernel_rows(&a.rows);
+        let mut l_rows = vec![Vec::new(); n];
+        let mut row_of: Vec<usize> = (0..n).collect();
+        let mut rec = Recorder::default();
+        assert!(rec.begin(&flat(a).0));
+        let result = if merge {
+            eliminate_merge(&mut rows, &mut l_rows, &mut row_of, Some(&mut rec))
+        } else {
+            eliminate(
+                &mut rows,
+                &mut l_rows,
+                &mut row_of,
+                &mut Scratch::default(),
+                Some(&mut rec),
+            )
+        };
+        if result.is_err() {
+            return (result, Vec::new(), Vec::new(), Vec::new(), None);
+        }
+        let u = row_of
+            .iter()
+            .map(|&r| {
+                let row = rows[r].iter();
+                row.map(|e| (e.col, e.slot, e.val.to_bits())).collect()
+            })
+            .collect();
+        let l: Vec<_> = row_of.iter().map(|&r| l_rows[r].clone()).collect();
+        let plan = rec.live.then_some(rec.plan);
+        (result, u, rows_bits(&l), row_of, plan)
+    }
+
+    /// The in-place dense-scatter kernel against the merge oracle on
+    /// `to_bits`, slots and recorded plans included: random patterns of
+    /// 1 to 30 unknowns with every value generator (pivot ties, exact
+    /// cancellations that refill, signed zeros, NaN and infinities,
+    /// singular matrices), plus the hand-built cancel-then-refill.
+    #[test]
+    fn dense_scatter_matches_the_merge_oracle_and_records_the_same_plans() {
+        let mut rng = Xoshiro256pp::seed_from_u64(0x0EAC_1E07);
+        let mut cases = vec![triplets(
+            4,
+            &[
+                (0, 0, 1.0),
+                (0, 2, 1.0),
+                (1, 0, 1.0),
+                (1, 1, 1.0),
+                (1, 2, 1.0),
+                (2, 2, 1.0),
+                (2, 3, 2.0),
+                (3, 1, 2.0),
+                (3, 2, 1.0),
+                (3, 3, 1.0),
+            ],
+        )
+        .to_rows()];
+        for _ in 0..300 {
+            let n = 1 + rng.next_index(30);
+            let density = rng.next_f64_in(0.05, 0.6);
+            let with_diag = rng.next_index(6) != 0;
+            let keys = random_pattern(&mut rng, n, density, with_diag);
+            let gen = rng.next_index(GENERATORS.len());
+            cases.push(pattern_values(&mut rng, n, &keys, gen));
+        }
+        let (mut factored, mut singular, mut cancelled) = (0, 0, 0);
+        for (i, a) in cases.iter().enumerate() {
+            let want = record(a, true);
+            let got = record(a, false);
+            assert_eq!(got.0, want.0, "case {i}: outcome");
+            assert_eq!(got.1, want.1, "case {i}: U");
+            assert_eq!(got.2, want.2, "case {i}: L");
+            assert_eq!(got.3, want.3, "case {i}: row_of");
+            assert_eq!(got.4, want.4, "case {i}: plan");
+            match &got.4 {
+                Some(plan) => {
+                    factored += 1;
+                    cancelled += usize::from(plan.ops.iter().any(|&op| op & !SLOT_MASK == OP_DROP));
+                }
+                None => singular += usize::from(got.0.is_err()),
+            }
+        }
+        assert!(
+            factored > 150 && singular > 30 && cancelled > 20,
+            "{factored} factored ({cancelled} with a cancellation), {singular} singular"
+        );
+    }
+
+    /// The flat path, `factor_solve_csr` on a pattern and its values,
+    /// against `SparseRows::factor` + `SparseLu::solve` on `to_bits`,
+    /// with one workspace over repeated random patterns and every value
+    /// generator, so plans record, replay, diverge and get evicted.
+    #[test]
+    fn flat_path_matches_factor_then_solve() {
+        let mut rng = Xoshiro256pp::seed_from_u64(0x0EAC_1E08);
+        let mut ws = LuWorkspace::new();
+        let mut x = Vec::new();
+        let mut singular = 0;
+        for trial in 0..120 {
+            let n = 1 + rng.next_index(24);
+            let density = rng.next_f64_in(0.05, 0.5);
+            let keys = random_pattern(&mut rng, n, density, true);
+            for call in 0..10 {
+                let gen = if call < 3 {
+                    0
+                } else {
+                    rng.next_index(GENERATORS.len())
+                };
+                let a = pattern_values(&mut rng, n, &keys, gen);
+                let b = random_rhs(&mut rng, n);
+                let (pattern, values) = flat(&a);
+                let got = ws.factor_solve_csr(&pattern, &values, &b, &mut x);
+                let label = format!("trial {trial} call {call} ({})", GENERATORS[gen]);
+                let back = SparseRows::from_csr(&pattern, &values);
+                assert_eq!(rows_bits(&back.rows), rows_bits(&a.rows), "{label}");
+                match a.clone().factor() {
+                    Ok(lu) => {
+                        got.unwrap_or_else(|e| panic!("{label}: {e}"));
+                        assert_eq!(bits(&x), bits(&lu.solve(&b).unwrap()), "{label}");
+                    }
+                    Err(want) => {
+                        assert_eq!(got.unwrap_err(), want, "{label}");
+                        singular += 1;
+                    }
+                }
+            }
+        }
+        let stats = ws.stats();
+        assert!(
+            stats.replayed > 300 && stats.diverged > 100 && stats.general > 300 && singular > 10,
+            "{stats:?}, {singular} singular"
+        );
+    }
+
+    /// A plan fits only the pattern it was recorded on: a pattern one
+    /// column or one row length away runs the general kernel without
+    /// trying the plan, even when its flat column list is the same, and
+    /// the recorded pattern still replays afterwards.
+    #[test]
+    fn a_plan_never_replays_on_a_pattern_one_column_or_row_length_away() {
+        // Both `moved_boundary` and `recorded` list columns 0 1 2 0 2;
+        // only where row 0 ends differs.
+        let recorded = [(0, 0), (0, 1), (1, 2), (2, 0), (2, 2)];
+        let moved_boundary = [(0, 0), (1, 1), (1, 2), (2, 0), (2, 2)];
+        let moved_column = [(0, 0), (0, 1), (1, 2), (2, 1), (2, 2)];
+        let with = |keys: &[(usize, usize)], scale: f64| {
+            let entries: Vec<_> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, &(r, c))| (r, c, scale * (i + 2) as f64))
+                .collect();
+            triplets(3, &entries).to_rows()
+        };
+        assert_eq!(
+            flat(&with(&recorded, 1.0)).0.cols,
+            flat(&with(&moved_boundary, 1.0)).0.cols
+        );
+        let mut ws = LuWorkspace::new();
+        let b = [1.0, -2.0, 3.0];
+        let mut want = ReplayStats::default();
+        for (keys, label, replays) in [
+            (&recorded, "record", false),
+            (&moved_boundary, "row length", false),
+            (&moved_column, "column", false),
+            (&recorded, "replay", true),
+        ] {
+            assert!(assert_matches_oracle(&mut ws, &with(keys, 1.5), &b, label));
+            if replays {
+                want.replayed += 1;
+            } else {
+                want.general += 1;
+            }
+            assert_eq!(ws.stats(), want, "{label}");
+        }
+        // The same on random patterns: move one entry to a column its row
+        // lacks, or to the end of another row.
+        let mut rng = Xoshiro256pp::seed_from_u64(0x0EAC_1E09);
+        for trial in 0..100 {
+            let n = 2 + rng.next_index(14);
+            let density = rng.next_f64_in(0.1, 0.5);
+            let keys = random_pattern(&mut rng, n, density, true);
+            let mut ws = LuWorkspace::new();
+            let a = pattern_values(&mut rng, n, &keys, 0);
+            let b = random_rhs(&mut rng, n);
+            assert!(assert_matches_oracle(&mut ws, &a, &b, "record"));
+            let mut moved = keys.clone();
+            let i = rng.next_index(moved.len());
+            let (r, _) = moved[i];
+            let free: Vec<_> = (0..n).filter(|&c| !keys.contains(&(r, c))).collect();
+            if trial % 2 == 0 && !free.is_empty() {
+                moved[i].1 = free[rng.next_index(free.len())];
+            } else {
+                let to = (r + 1 + rng.next_index(n - 1)) % n;
+                let Some(c) = (0..n).find(|&c| !keys.contains(&(to, c))) else {
+                    continue;
+                };
+                moved[i] = (to, c);
+            }
+            let label = format!("trial {trial}");
+            let before = ws.stats();
+            let a = pattern_values(&mut rng, n, &moved, 2);
+            assert_matches_oracle(&mut ws, &a, &b, &label);
+            let after = ws.stats();
+            assert_eq!(
+                (after.replayed, after.diverged, after.general),
+                (before.replayed, before.diverged, before.general + 1),
+                "{label}"
+            );
+        }
     }
 
     /// `StampMap` reproduces `assemble_into` + `permute_symmetric_into` on
@@ -2191,35 +2687,44 @@ mod tests {
                 t
             };
             let first = stamp(&mut rng);
-            let (map, mut perm) = StampMap::new(&first, &pos);
-            let want = first.to_rows().permute_symmetric(&order);
-            let build = rows_bits(&perm.rows);
-            assert_eq!(build, rows_bits(&want.rows), "trial {trial}: build");
-            for _ in 0..3 {
-                let next = stamp(&mut rng);
-                let values: Vec<f64> = next.entries().iter().map(|e| e.2).collect();
-                map.scatter_values(&values, &mut perm);
+            let map = StampMap::new(&first, &pos);
+            let mut values = Vec::new();
+            for call in 0..4 {
+                let next = if call == 0 {
+                    first.clone()
+                } else {
+                    stamp(&mut rng)
+                };
+                let stamps: Vec<f64> = next.entries().iter().map(|e| e.2).collect();
+                map.gather(&stamps, &mut values);
                 let want = next.to_rows().permute_symmetric(&order);
-                let scattered = rows_bits(&perm.rows);
-                assert_eq!(scattered, rows_bits(&want.rows), "trial {trial}: scatter");
+                let (want_pattern, want_values) = flat(&want);
+                assert_eq!(*map.pattern(), want_pattern, "trial {trial}: pattern");
+                assert_eq!(bits(&values), bits(&want_values), "trial {trial}: gather");
+                let rows = SparseRows::from_csr(map.pattern(), &values);
+                assert_eq!(
+                    rows_bits(&rows.rows),
+                    rows_bits(&want.rows),
+                    "trial {trial}"
+                );
             }
         }
     }
 
     #[test]
     #[should_panic(expected = "different stamp count")]
-    fn scatter_values_rejects_a_different_stamp_count() {
+    fn gather_rejects_a_different_stamp_count() {
         let mut t = Triplets::new(1);
         t.add(0, 0, 1.0);
-        let (map, mut perm) = StampMap::new(&t, &[0]);
-        map.scatter_values(&[1.0, 2.0], &mut perm);
+        StampMap::new(&t, &[0]).gather(&[1.0, 2.0], &mut Vec::new());
     }
 
     #[test]
     fn lone_negative_zero_survives_the_stamp_map() {
         let mut t = Triplets::new(1);
         t.add(0, 0, -0.0);
-        let (_, perm) = StampMap::new(&t, &[0]);
-        assert_eq!(perm.get(0, 0).to_bits(), (-0.0f64).to_bits());
+        let mut values = Vec::new();
+        StampMap::new(&t, &[0]).gather(&[-0.0], &mut values);
+        assert_eq!(bits(&values), bits(&[-0.0]));
     }
 }

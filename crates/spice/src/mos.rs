@@ -201,12 +201,51 @@ pub struct MosEval {
     pub d_vb: f64,
 }
 
+/// The terms of a MOSFET's evaluation that depend only on its model card
+/// and W/L, so a device evaluated many times can compute them once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct MosConsts {
+    /// √φ.
+    sqrt_phi: f64,
+    /// β = k′·(W/L).
+    beta: f64,
+}
+
+impl MosConsts {
+    pub(crate) fn new(model: &MosModel, w_over_l: f64) -> Self {
+        MosConsts {
+            sqrt_phi: model.phi.sqrt(),
+            beta: model.kp * w_over_l,
+        }
+    }
+}
+
 /// Evaluates the model at absolute terminal voltages `(vg, vd, vs, vb)`
 /// with aspect ratio `w_over_l`.
 ///
 /// Handles both polarities and drain/source inversion internally, so the
 /// caller stamps the result uniformly.
 pub fn mos_eval(model: &MosModel, w_over_l: f64, vg: f64, vd: f64, vs: f64, vb: f64) -> MosEval {
+    let consts = MosConsts::new(model, w_over_l);
+    mos_eval_with(model, w_over_l, consts, vg, vd, vs, vb)
+}
+
+/// [`mos_eval`] with `consts` computed beforehand: the same operations
+/// on the same operands, so the same bits.
+///
+/// Inlined into the Newton emitter, which calls it once per MOSFET per
+/// iteration: left to itself the compiler keeps it out of line, and the
+/// alu4 emission then runs about 10 % slower.
+#[inline(always)]
+pub(crate) fn mos_eval_with(
+    model: &MosModel,
+    w_over_l: f64,
+    consts: MosConsts,
+    vg: f64,
+    vd: f64,
+    vs: f64,
+    vb: f64,
+) -> MosEval {
     let s = model.polarity.sign();
     // Reflect to the normalized (NMOS-like) frame: nv = s * v. The
     // physical current is id = s * J(nv...), where J is the normalized
@@ -218,7 +257,7 @@ pub fn mos_eval(model: &MosModel, w_over_l: f64, vg: f64, vd: f64, vs: f64, vb: 
     let vgs = nvg - role_s;
     let vds = role_d - role_s;
     let vbs = nvb - role_s;
-    let (i, gm, gds, gmb) = eval_normalized(model, w_over_l, vgs, vds, vbs);
+    let (i, gm, gds, gmb) = eval_normalized(model, w_over_l, consts, vgs, vds, vbs);
     // In role coordinates: ∂i/∂nvg = gm, ∂i/∂role_d = gds,
     // ∂i/∂role_s = -(gm + gds + gmb), ∂i/∂nvb = gmb.
     let (j, d_vg, d_vd, d_vs, d_vb);
@@ -247,9 +286,11 @@ pub fn mos_eval(model: &MosModel, w_over_l: f64, vg: f64, vd: f64, vs: f64, vb: 
 
 /// Level-1 evaluation in the normalized frame (`vds >= 0`).
 /// Returns `(id, gm, gds, gmb)`, all ≥ 0 in strong inversion.
+#[inline(always)]
 fn eval_normalized(
     model: &MosModel,
     w_over_l: f64,
+    consts: MosConsts,
     vgs: f64,
     vds: f64,
     vbs: f64,
@@ -260,7 +301,7 @@ fn eval_normalized(
     let clamped = vsb_raw < clamp;
     let vsb = vsb_raw.max(clamp);
     let sqrt_term = (model.phi + vsb).sqrt();
-    let vth = model.vt0 + model.gamma * (sqrt_term - model.phi.sqrt());
+    let vth = model.vt0 + model.gamma * (sqrt_term - consts.sqrt_phi);
     // dVth/dVsb = gamma / (2 sqrt(phi + vsb)); zero while the forward-bias
     // clamp is active (vth is constant there).
     let dvth_dvsb = if !clamped && sqrt_term > 0.0 {
@@ -269,7 +310,7 @@ fn eval_normalized(
         0.0
     };
     let vov = vgs - vth;
-    let beta = model.kp * w_over_l;
+    let beta = consts.beta;
     let lam = model.lambda;
 
     let (mut id, mut gm, mut gds);

@@ -18,17 +18,19 @@
 //! or transient with its capacitor list. A [`NewtonSolver`] therefore
 //! sorts the sequence into a [`StampMap`] once per shape, checking the
 //! shape once per [`NewtonSolver::solve`] call. Each iteration then
-//! gathers the values straight into the RCM-permuted matrix, summing
-//! every slot's duplicates in the order [`Triplets::assemble_into`]
-//! would. Only the value emission, the gather and the numeric LU (pivot
+//! gathers the values straight into the RCM-permuted matrix's entries in
+//! flat form (the map's [`CsrPattern`](mtk_num::sparse::CsrPattern) plus
+//! one value per entry), summing every slot's duplicates in the order
+//! [`Triplets::assemble_into`] would, and hands that form to the LU as it
+//! is. Only the value emission, the gather and the numeric LU (pivot
 //! search included) run per iteration.
 
 use crate::circuit::{Circuit, DeviceKind, NodeId};
-use crate::mos::{mos_eval, MosModel};
+use crate::mos::{mos_eval_with, MosConsts, MosModel};
 use crate::source::SourceWave;
 use crate::{Result, SpiceError};
 use mtk_num::ordering::reverse_cuthill_mckee;
-use mtk_num::sparse::{LuWorkspace, SparseRows, StampMap, Triplets};
+use mtk_num::sparse::{LuWorkspace, ReplayStats, SparseRows, StampMap, Triplets};
 use std::fmt;
 
 /// Integration method for the capacitor companion model.
@@ -240,6 +242,7 @@ enum Dev<'c> {
         to: Slot,
         wave: &'c SourceWave,
     },
+    /// `consts` are the model card's and W/L's, computed at lowering.
     Mosfet {
         d: Slot,
         g: Slot,
@@ -247,6 +250,7 @@ enum Dev<'c> {
         b: Slot,
         model: &'c MosModel,
         w_over_l: f64,
+        consts: MosConsts,
     },
 }
 
@@ -271,10 +275,13 @@ impl Sink for Triplets {
     }
 }
 
-/// The values-only sink: stamp `k` of the sequence is `values[k]`.
-impl Sink for Vec<f64> {
+/// The values-only sink: stamp `k` of the sequence goes to slot `k` of
+/// a buffer that holds one slot per stamp.
+struct Values<'a>(std::slice::IterMut<'a, f64>);
+
+impl Sink for Values<'_> {
     fn add(&mut self, _row: Slot, _col: Slot, value: f64) {
-        self.push(value);
+        *self.0.next().expect("one slot per stamp") = value;
     }
 }
 
@@ -321,14 +328,18 @@ impl<'c> Lowered<'c> {
                         b,
                         model,
                         w_over_l,
-                    } => Dev::Mosfet {
-                        d: slot(d),
-                        g: slot(g),
-                        s: slot(s),
-                        b: slot(b),
-                        model: circuit.model(model),
-                        w_over_l,
-                    },
+                    } => {
+                        let model = circuit.model(model);
+                        Dev::Mosfet {
+                            d: slot(d),
+                            g: slot(g),
+                            s: slot(s),
+                            b: slot(b),
+                            model,
+                            w_over_l,
+                            consts: MosConsts::new(model, w_over_l),
+                        }
+                    }
                 })
             })
             .collect();
@@ -433,9 +444,10 @@ impl<'c> Lowered<'c> {
                     b,
                     model,
                     w_over_l,
+                    consts,
                 } => {
                     let (vg, vd, vs, vb) = (v(g), v(d), v(s), v(b));
-                    let ev = mos_eval(model, w_over_l, vg, vd, vs, vb);
+                    let ev = mos_eval_with(model, w_over_l, consts, vg, vd, vs, vb);
                     // Linearized drain current:
                     //   id ≈ ev.id + Σ ∂id/∂vt · (vt_next − vt_now)
                     // KCL: +id leaves node d, enters node s.
@@ -527,9 +539,11 @@ impl Default for NewtonOptions {
 /// Factorization is split into a *symbolic* phase and a *numeric*
 /// phase. The symbolic phase derives the RCM ordering from the first
 /// assembled pattern ever seen, and builds the [`StampMap`] of the
-/// current shape. Every later iteration gathers the new values straight
-/// into the permuted matrix, summing each slot's duplicates in the order
-/// [`Triplets::assemble_into`] would. The partial-pivot *search* still
+/// current shape, which holds the permuted matrix's pattern. Every later
+/// iteration gathers the new values straight into the permuted matrix's
+/// entries, summing each slot's duplicates in the order
+/// [`Triplets::assemble_into`] would, and the [`LuWorkspace`] factors
+/// that flat form as it is. The partial-pivot *search* still
 /// runs inside every numeric factorization — freezing the pivot sequence
 /// would change rounding the moment values drift — so the results are
 /// bitwise-identical to assembling, permuting and factoring from
@@ -545,11 +559,14 @@ pub struct NewtonSolver<'c> {
     circuit: &'c Circuit,
     stamps: Lowered<'c>,
     n: usize,
-    /// The shape `map` was built for; `None` while there is no map.
+    /// The shape of the current mode; `None` before the first load.
     shape: Option<Shape>,
+    /// Whether `map` was built for another shape than `shape`.
+    stale: bool,
     /// The lowered capacitance list of the current transient shape.
     caps: Vec<Cap>,
-    /// One iteration's stamp values, in emission order.
+    /// One iteration's stamp values, in emission order: one slot per
+    /// stamp of the current shape.
     values: Vec<f64>,
     rhs: Vec<f64>,
     order: Option<Vec<usize>>,
@@ -559,11 +576,13 @@ pub struct NewtonSolver<'c> {
     /// converged or not — the raw material of the
     /// `newton_iterations` trace counter.
     total_iterations: usize,
-    /// Where each stamp of the current shape lands in `perm`.
+    /// Where each stamp of the last shape loaded lands in the permuted
+    /// matrix, and that matrix's pattern; `None` before the first load.
     map: Option<StampMap>,
-    /// The assembled matrix under the symmetric RCM permutation, buffers
-    /// reused while the shape is unchanged.
-    perm: SparseRows,
+    /// The permuted matrix's entries, row-major in `map`'s pattern.
+    entries: Vec<f64>,
+    /// The last [`NewtonSolver::linearize`]'s matrix.
+    linearized: SparseRows,
     /// Reusable numeric factor-and-solve buffers.
     lu: LuWorkspace,
     rhs_perm: Vec<f64>,
@@ -593,6 +612,7 @@ impl<'c> NewtonSolver<'c> {
             stamps: Lowered::new(circuit, &branch_indices(circuit)),
             n,
             shape: None,
+            stale: true,
             caps: Vec::new(),
             values: Vec::new(),
             rhs: vec![0.0; n],
@@ -600,7 +620,8 @@ impl<'c> NewtonSolver<'c> {
             pos: Vec::new(),
             total_iterations: 0,
             map: None,
-            perm: SparseRows::empty(n),
+            entries: Vec::new(),
+            linearized: SparseRows::empty(n),
             lu: LuWorkspace::new(),
             rhs_perm: Vec::new(),
             y: Vec::new(),
@@ -636,6 +657,13 @@ impl<'c> NewtonSolver<'c> {
     /// iteration emits values only.
     pub fn stamp_map_builds(&self) -> usize {
         self.map_builds
+    }
+
+    /// How this solver's factorizations went: replays of a recorded
+    /// elimination, diverged replay attempts, and general eliminations
+    /// (see [`LuWorkspace`]).
+    pub fn lu_stats(&self) -> ReplayStats {
+        self.lu.stats()
     }
 
     /// Runs Newton iteration from `x0` for the given stamp mode.
@@ -711,12 +739,14 @@ impl<'c> NewtonSolver<'c> {
     pub fn linearize(&mut self, x: &[f64], mode: StampMode<'_>) -> (&SparseRows, &[f64], &[usize]) {
         self.set_shape(mode);
         self.load(x, mode);
-        (&self.perm, &self.rhs, &self.pos)
+        let map = self.map.as_ref().expect("a load builds the map");
+        self.linearized = SparseRows::from_csr(map.pattern(), &self.entries);
+        (&self.linearized, &self.rhs, &self.pos)
     }
 
-    /// Drops the stamp map when `mode`'s shape differs from the one the
-    /// map was built for, lowering a transient's new capacitance list.
-    /// The list is compared whole, farads by their bits.
+    /// Marks the stamp map stale when `mode`'s shape differs from the one
+    /// the map was built for, lowering a transient's new capacitance
+    /// list. The list is compared whole, farads by their bits.
     fn set_shape(&mut self, mode: StampMode<'_>) {
         let (shape, caps) = match mode {
             StampMode::Dc {
@@ -740,26 +770,27 @@ impl<'c> NewtonSolver<'c> {
             self.caps = lower_caps(caps);
         }
         self.shape = Some(shape);
-        self.map = None;
+        self.stale = true;
     }
 
-    /// Stamps the linearization about `x` into `self.perm` and
+    /// Stamps the linearization about `x` into `self.entries` and
     /// `self.rhs`: values only through the stamp map of the current
-    /// shape, or, when there is none, keyed stamps that build it (and,
-    /// the first time, the ordering). Returns whether the assembled
+    /// shape, or, when it is stale, keyed stamps that build a new one
+    /// (and, the first time, the ordering). Returns whether the assembled
     /// pattern equals the previous call's.
     fn load(&mut self, x: &[f64], mode: StampMode<'_>) -> bool {
-        if let Some(map) = &self.map {
-            self.values.clear();
+        if !self.stale {
+            let map = self.map.as_ref().expect("a fresh map exists");
+            let mut values = Values(self.values.iter_mut());
             self.stamps
-                .emit(x, mode, &self.caps, &mut self.values, &mut self.rhs);
-            map.scatter_values(&self.values, &mut self.perm);
+                .emit(x, mode, &self.caps, &mut values, &mut self.rhs);
+            debug_assert!(values.0.next().is_none(), "one value per stamp");
+            map.gather(&self.values, &mut self.entries);
             return true;
         }
         let mut a = Triplets::new(self.n);
         self.stamps.emit(x, mode, &self.caps, &mut a, &mut self.rhs);
-        let first = self.order.is_none();
-        if first {
+        if self.order.is_none() {
             // Derive the ordering from the first pattern ever seen (stamp
             // modes that add entries, e.g. transient cap companions, keep
             // the original ordering — RCM quality barely changes and the
@@ -773,21 +804,28 @@ impl<'c> NewtonSolver<'c> {
             self.order = Some(order);
             self.pos = pos;
         }
-        let (map, perm) = StampMap::new(&a, &self.pos);
+        let map = StampMap::new(&a, &self.pos);
         self.map_builds += 1;
-        let same = !first && self.perm.same_pattern(&perm.pattern());
+        self.values.clear();
+        self.values.extend(a.entries().iter().map(|&(_, _, v)| v));
+        map.gather(&self.values, &mut self.entries);
+        let same = self
+            .map
+            .as_ref()
+            .is_some_and(|old| old.pattern() == map.pattern());
         self.map = Some(map);
-        self.perm = perm;
+        self.stale = false;
         same
     }
 
     /// Factors and solves the loaded linearization into `self.x_new`.
     fn factor_and_solve(&mut self, context: &dyn fmt::Display) -> Result<()> {
         let order = self.order.as_ref().expect("order fixed by the first load");
+        let map = self.map.as_ref().expect("a load builds the map");
         self.rhs_perm.clear();
         self.rhs_perm.extend(order.iter().map(|&i| self.rhs[i]));
         self.lu
-            .factor_solve(&self.perm, &self.rhs_perm, &mut self.y)
+            .factor_solve_csr(map.pattern(), &self.entries, &self.rhs_perm, &mut self.y)
             .map_err(|e| match e {
                 mtk_num::NumError::SingularMatrix { step } => SpiceError::Singular {
                     unknown: self.describe_unknown(order.get(step).copied().unwrap_or(step)),
@@ -817,6 +855,7 @@ impl<'c> NewtonSolver<'c> {
 #[cfg(test)]
 mod reference {
     use super::*;
+    use crate::mos::mos_eval;
 
     /// Index of a node voltage in the unknown vector, or `None` for ground.
     fn node_index(n: NodeId) -> Option<usize> {
@@ -1174,7 +1213,8 @@ mod tests {
 
     /// One shape builds one stamp map however many `solve` calls and
     /// iterations run under it, and switching the integrator keeps the
-    /// map: every other iteration takes the values-only path.
+    /// map: every other iteration takes the values-only path. The LU
+    /// counters account for every iteration.
     #[test]
     fn one_shape_builds_one_stamp_map() {
         let c = inverter_with_ic();
@@ -1204,6 +1244,10 @@ mod tests {
         s.solve(&x, trap, &opts, "trap again").unwrap();
         assert_eq!(s.stamp_map_builds(), 2, "backward Euler then trapezoidal");
         assert!(s.total_iterations() > 5, "{}", s.total_iterations());
+        // Every iteration factors once, by a replay or the general kernel.
+        let lu = s.lu_stats();
+        assert_eq!(lu.replayed + lu.general, s.total_iterations(), "{lu:?}");
+        assert!(lu.replayed > 0 && lu.general > 0, "{lu:?}");
     }
 
     /// Every stamp kind the emitter lowers, each terminal of each kind

@@ -87,52 +87,6 @@ echo "== paper reproduction: every experiment runs and its claims hold =="
 # band (a check marked as a known defect must keep missing).
 target/release/mtk repro --all
 
-echo "== interop smoke: deck export/import identity + waveform exports =="
-# Export a golden design as a hint-carrying SPICE deck, re-import it
-# (structural gate recognition), and demand the canonical .mtk comes
-# back byte-identical to the committed golden.
-interop_dir="$(mktemp -d /tmp/ci_interop.XXXXXX)"
-trap 'rm -rf "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$interop_dir"' EXIT
-target/release/mtk export examples/adder3.mtk --w-over-l 8 --out "$interop_dir/adder3.ckt"
-target/release/mtk import "$interop_dir/adder3.ckt" --out "$interop_dir/adder3_back.mtk" >/dev/null
-cmp "$interop_dir/adder3_back.mtk" examples/adder3.mtk || {
-  echo "ci: deck export/import round trip is not byte-identical"; exit 1; }
-# A hand-written .subckt deck must flatten, recognize, and run through
-# the sizing flow end to end.
-cat > "$interop_dir/subckt.ckt" <<'DECK'
-* two-stage buffer from a subckt, mtcmos footer
-.model mn nmos level=1 vto=0.55 kp=110u gamma=0.4 phi=0.8 lambda=0.04
-.model mp pmos level=1 vto=-0.55 kp=55u gamma=0.4 phi=0.8 lambda=0.04
-.model msleep nmos level=1 vto=0.8 kp=110u gamma=0.4 phi=0.8 lambda=0.04
-.subckt inv in out vss
-m_n out in vss vss mn w=1u l=1u
-m_p out in vdd vdd mp w=2u l=1u
-.ends
-.global vdd
-vdd vdd 0 dc 3.3
-vsleep sleep 0 dc 3.3
-msl vgnd sleep 0 0 msleep w=12u l=1u
-vin_a a 0 dc 0
-xu1 a m vgnd inv
-xu2 m y vgnd inv
-DECK
-target/release/mtk import "$interop_dir/subckt.ckt" --out "$interop_dir/subckt.mtk" >/dev/null
-target/release/mtk size "$interop_dir/subckt.mtk" --target 0.05 >/dev/null
-# Deterministic screen with waveform exports: the rawfile, the VCD, and
-# the trace must be byte-identical across thread counts, and the trace
-# (schema v6, with the wave counters) must validate.
-for t in 1 8; do
-  target/release/mtk screen examples/adder3.mtk --stride 16 --threads "$t" \
-    --raw "$interop_dir/s$t.raw" --vcd "$interop_dir/s$t.vcd" \
-    --trace-deterministic --trace-json "$interop_dir/s$t.json" >/dev/null
-done
-cmp "$interop_dir/s1.raw" "$interop_dir/s8.raw" || { echo "ci: rawfile differs across threads"; exit 1; }
-cmp "$interop_dir/s1.vcd" "$interop_dir/s8.vcd" || { echo "ci: VCD differs across threads"; exit 1; }
-cmp "$interop_dir/s1.json" "$interop_dir/s8.json" || { echo "ci: screen trace differs across threads"; exit 1; }
-grep -q '"wave_raw_points": 0' "$interop_dir/s1.json" && {
-  echo "ci: screen --raw recorded no points"; exit 1; }
-cargo run --release -p mtk-bench --bin trace_check -- "$interop_dir/s1.json"
-
 echo "== bench smoke: kernel speed file regenerates, validates, and gates =="
 # Regenerates BENCH_speed.json (schema-validated by the writer itself),
 # then fails on any regression beyond the tolerance vs the committed
@@ -142,7 +96,7 @@ if [[ "${MTK_SKIP_BENCH:-0}" == "1" ]]; then
   echo "bench smoke skipped (MTK_SKIP_BENCH=1)"
 else
   bench_json="$(mktemp /tmp/ci_bench.XXXXXX.json)"
-  trap 'rm -rf "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$interop_dir" "$bench_json"' EXIT
+  trap 'rm -rf "$clu_store" "$clu_store.lock" "$clu_a" "$clu_b" "$bench_json"' EXIT
   cargo run --release -p mtk-bench --bin speed_comparison -- \
     --samples 3 --warmup 1 \
     --json "$bench_json" --check-against BENCH_speed.json
