@@ -75,9 +75,12 @@
 //! print a `file:line:col: error[E0xx]` diagnostic and exit 2 — never a
 //! panic. The flow commands take `--max-failures N` / `--fail-fast` and
 //! `--trace-json PATH` / `--trace-deterministic` (DESIGN.md §10).
+//! `screen`, `size`, `cluster` and `hybrid` exit 2 on a `--flag` they do
+//! not declare, naming it.
 
 use mtk_bench::cli::{
-    bool_flag, die, emit_trace, f64_flag, flag, str_flag, threads_label, trace_config,
+    bool_flag, die, emit_trace, f64_flag, flag, reject_unknown_flags, str_flag, threads_label,
+    trace_config,
 };
 use mtk_bench::design_transitions;
 use mtk_bench::job::{Job, JobKind, JobOpts, JobOutput};
@@ -316,6 +319,21 @@ fn open_store() -> Option<Store> {
     })
 }
 
+/// The flags every job command takes besides [`JobOpts::flag_names`]:
+/// the trace export and the waveform export.
+const JOB_FLAGS: [&str; 5] = [
+    "--trace-json",
+    "--trace-deterministic",
+    "--raw",
+    "--vcd",
+    "--t-stop",
+];
+
+/// The flags of the job commands that run cluster or size jobs (`size`,
+/// `cluster`, and `hybrid`, whose `--clusters` composes a cluster job):
+/// the store and the cluster smoke.
+const STORE_FLAGS: [&str; 2] = ["--store", "--smoke"];
+
 /// `mtk screen|size|cluster|hybrid`: one [`Job`] from the flags (the
 /// same one `mtk client` sends and `mtk serve` runs), rendered as text
 /// plus the §10 footer/JSON. `hybrid --clusters N` is composed as a
@@ -324,6 +342,12 @@ fn open_store() -> Option<Store> {
 /// current of the split devices), so the verification stays meaningful
 /// without teaching the SPICE netlister about partitions.
 fn cmd_job(kind: JobKind, design: Design) {
+    let mut known = JobOpts::flag_names();
+    known.extend(JOB_FLAGS.map(String::from));
+    if kind != JobKind::Screen {
+        known.extend(STORE_FLAGS.map(String::from));
+    }
+    reject_unknown_flags(&format!("mtk {}", kind.name()), &known);
     warn_lint(&design);
     let mut job = Job::from_flags(kind, design);
     let mut spans = SpanRecorder::new(trace_config().spans);

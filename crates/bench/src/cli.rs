@@ -60,6 +60,17 @@ fn flag_value(name: &str) -> Option<Option<String>> {
     Some(args.next().filter(|v| !v.starts_with("--")))
 }
 
+/// Exits 2 on the first `--flag` among the process arguments that
+/// `known` does not list, naming it and the command `cmd`.
+pub fn reject_unknown_flags(cmd: &str, known: &[String]) {
+    let unknown = std::env::args()
+        .skip(1)
+        .find(|a| a.starts_with("--") && !known.contains(a));
+    if let Some(flag) = unknown {
+        die(format!("{cmd}: unknown flag {flag}"));
+    }
+}
+
 /// Prints `error: <msg>` on stderr and exits 2, the usage-error status
 /// of every binary.
 pub fn die(msg: impl std::fmt::Display) -> ! {

@@ -61,6 +61,12 @@ impl JobKind {
     }
 }
 
+/// The CLI flag of the option field `field`: `--<field>` with `_`
+/// spelled `-`.
+fn flag_name(field: &str) -> String {
+    format!("--{}", field.replace('_', "-"))
+}
+
 /// Every option of a job. The first nine key the result (and the store);
 /// `threads` and `policy` only affect execution. Each keyed field is the
 /// request field of the same name and the CLI flag `--<name>` with `_`
@@ -137,7 +143,6 @@ impl JobOpts {
     /// `--fail-fast` policy. A malformed numeric flag exits 2
     /// ([`crate::cli::flag`]).
     pub fn from_flags(defaults: JobOpts) -> JobOpts {
-        let flag_name = |k: &str| format!("--{}", k.replace('_', "-"));
         let Ok(opts) = JobOpts::read::<std::convert::Infallible>(
             defaults,
             |k, d| Ok(f64_flag(&flag_name(k), d)),
@@ -147,6 +152,28 @@ impl JobOpts {
             policy: failure_policy(),
             ..opts
         }
+    }
+
+    /// The flags [`JobOpts::from_flags`] reads: one per numeric field,
+    /// and the failure policy's two.
+    pub fn flag_names() -> Vec<String> {
+        let names = std::cell::RefCell::new(vec![
+            "--max-failures".to_string(),
+            "--fail-fast".to_string(),
+        ]);
+        let note = |k: &str| names.borrow_mut().push(flag_name(k));
+        let Ok(_) = JobOpts::read::<std::convert::Infallible>(
+            JobOpts::default(),
+            |k, d| {
+                note(k);
+                Ok(d)
+            },
+            |k, d| {
+                note(k);
+                Ok(d)
+            },
+        );
+        names.into_inner()
     }
 
     /// The options of a serve request: each numeric field of the same

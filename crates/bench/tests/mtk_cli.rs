@@ -34,6 +34,12 @@
 //!   threads on the 16x16 multiplier and the 3-bit adder, and passes
 //!   `trace_check`; a rerun over a store another process filled
 //!   simulates nothing.
+//! * `mtk cluster --smoke` on the 16x16 multiplier: its deterministic
+//!   trace is byte-identical at 1, 2 and 8 threads and passes
+//!   `trace_check`, the returned width obeys the never-worse rule, and a
+//!   warm `--store` rerun simulates nothing.
+//! * `mtk screen|size|cluster|hybrid` exit 2 on an unknown `--flag`,
+//!   naming it, and accept every flag they declare.
 //! * `speed_comparison` rejects a missing baseline with exit 2 before
 //!   it times anything.
 //! * `mtk serve` with a store replays a repeated `mtk client` job
@@ -330,6 +336,90 @@ fn a_string_flag_without_a_value_exits_two() {
 }
 
 #[test]
+fn job_commands_exit_two_on_an_unknown_flag_and_name_it() {
+    let adder = golden("adder3");
+    let adder = adder.to_str().unwrap();
+    for (args, flag) in [
+        (
+            vec!["screen", adder, "--stride", "512", "--thread", "2"],
+            "--thread",
+        ),
+        (
+            vec!["size", adder, "--trace-determinstic"],
+            "--trace-determinstic",
+        ),
+        (vec!["cluster", adder, "--cluster", "2"], "--cluster"),
+        (vec!["hybrid", adder, "--topk", "2"], "--topk"),
+        // The store and the cluster smoke are not screen flags.
+        (vec!["screen", adder, "--store", "s"], "--store"),
+    ] {
+        let out = mtk(&args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?} stderr: {err}");
+        assert!(
+            err.contains(&format!("unknown flag {flag}")),
+            "{args:?}: {err}"
+        );
+        assert!(stdout(&out).is_empty(), "{args:?} ran: {}", stdout(&out));
+    }
+    // Every flag this suite, the examples and the docs pass is declared:
+    // with a bad sizing size each command exits 2 on that, not on a flag,
+    // before it runs or writes anything.
+    let file = |name: &str| temp_path(&format!("all_flags.{name}"));
+    let (json, raw, vcd, store) = (file("json"), file("raw"), file("vcd"), file("store"));
+    let common = [
+        "--stride",
+        "512",
+        "--samples",
+        "16",
+        "--threads",
+        "2",
+        "--top-k",
+        "2",
+        "--top",
+        "3",
+        "--target",
+        "0.05",
+        "--clusters",
+        "4",
+        "--max-failures",
+        "4",
+        "--fail-fast",
+        "--trace-deterministic",
+        "--trace-json",
+        &json,
+        "--raw",
+        &raw,
+        "--vcd",
+        &vcd,
+        "--t-stop",
+        "8e-8",
+    ];
+    for cmd in ["screen", "size", "cluster", "hybrid"] {
+        let mut args = vec![cmd, adder];
+        args.extend(common);
+        if cmd == "screen" {
+            args.extend(["--w-over-l", "0"]);
+        } else {
+            args.extend(["--store", &store, "--smoke", "--lo", "50", "--hi", "10"]);
+        }
+        let out = mtk(&args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{cmd} stderr: {err}");
+        assert!(!err.contains("unknown flag"), "{cmd}: {err}");
+        let bad = if cmd == "screen" {
+            "finite and positive"
+        } else {
+            "sizing bracket"
+        };
+        assert!(err.contains(bad), "{cmd}: {err}");
+    }
+    for path in [&json, &raw, &vcd, &store] {
+        assert!(!std::path::Path::new(path).exists(), "{path} written");
+    }
+}
+
+#[test]
 fn a_bad_sizing_bracket_exits_two_with_a_message() {
     let path = golden("invtree");
     let path = path.to_str().unwrap();
@@ -593,6 +683,81 @@ fn size_warm_store_rerun_simulates_nothing() {
     assert!(
         warm.contains(", 0 simulated"),
         "warm size rerun did simulator work: {warm}"
+    );
+}
+
+/// The cluster co-optimizer on the 16x16 multiplier (`--smoke`, 4
+/// clusters): its deterministic trace is byte-identical at 1, 2 and 8
+/// threads and passes `trace_check`; the solution it returns uses no more
+/// total sleep width than the single shared device (the never-worse rule,
+/// DESIGN.md §15.3); and a warm `--store` rerun at another thread count
+/// replays every evaluation.
+#[test]
+fn cluster_smoke_is_thread_invariant_never_worse_and_replays_warm() {
+    let path = golden("mul16");
+    let path = path.to_str().unwrap();
+    let cluster = |threads: &str, extra: &[&str]| {
+        let mut args = vec![
+            "cluster",
+            path,
+            "--smoke",
+            "--clusters",
+            "4",
+            "--threads",
+            threads,
+        ];
+        args.extend(extra);
+        let out = mtk(&args);
+        assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+        stdout(&out)
+    };
+    let mut traces = Vec::new();
+    for threads in ["1", "2", "8"] {
+        let json = temp_json(&format!("cluster_t{threads}"));
+        cluster(threads, &["--trace-deterministic", "--trace-json", &json]);
+        if threads == "1" {
+            assert_trace_checks(&json);
+        }
+        traces.push(std::fs::read(&json).expect("trace artifact"));
+        let _ = std::fs::remove_file(&json);
+    }
+    for (threads, trace) in ["2", "8"].iter().zip(&traces[1..]) {
+        assert!(
+            *trace == traces[0],
+            "cluster trace differs at threads={threads}"
+        );
+    }
+
+    let store = temp_path("cluster.store");
+    let cold = cluster("2", &["--store", &store]);
+    let summary = cold
+        .lines()
+        .find(|l| l.contains("single-device W/L"))
+        .unwrap_or_else(|| panic!("no never-worse summary: {cold}"));
+    let number_after = |label: &str| -> Option<f64> {
+        let rest = &summary[summary.find(label)? + label.len()..];
+        let end = rest.find(|c: char| !(c.is_ascii_digit() || c == '.'));
+        rest[..end.unwrap_or(rest.len())].parse().ok()
+    };
+    let total = number_after("clustered total W/L = ").expect("clustered total");
+    let single = number_after("single-device W/L = ")
+        .unwrap_or_else(|| panic!("single-device solution infeasible: {summary}"));
+    let returned = if summary.contains("returned the single-device solution") {
+        single
+    } else {
+        total
+    };
+    assert!(
+        returned <= single + 1e-9,
+        "never-worse rule violated: returned {returned} vs single {single}"
+    );
+    let warm = cluster("8", &["--store", &store]);
+    for f in [&store, &format!("{store}.lock")] {
+        let _ = std::fs::remove_file(f);
+    }
+    assert!(
+        warm.contains(", 0 simulated"),
+        "warm cluster rerun did simulator work: {warm}"
     );
 }
 

@@ -244,61 +244,11 @@ fn run_leg(
     })
 }
 
-/// The exact inputs that determine one leg's result: netlist and
-/// technology fingerprints, probes, transition, sleep network, and
-/// every [`VbsimOptions`] field the simulator reads. Two legs with
-/// equal keys produce bit-identical [`LegResult`]s, so a cache lookup
-/// can stand in for a re-simulation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct LegKey {
-    fingerprint: u64,
-    /// [`Technology::fingerprint`] of the engine's technology — the
-    /// same netlist under different process parameters must not share
-    /// cached legs.
-    tech: u64,
-    probes: Vec<usize>,
-    from: Vec<u8>,
-    to: Vec<u8>,
-    /// Discriminant plus bit pattern of the parameter (0 for CMOS).
-    sleep: (u8, u64),
-    body_effect: bool,
-    reverse_conduction: bool,
-    t_stop_bits: u64,
-    max_events: usize,
-}
-
 /// Tag prefix of leg records in a persistent store, versioned
 /// separately from the store container format: bump when the key or
 /// value encoding below changes so stale records read as misses (the
 /// key no longer matches), never as wrong answers.
 const LEG_RECORD_TAG: &[u8; 4] = b"leg1";
-
-impl LegKey {
-    /// Canonical byte encoding of the key for the persistent store:
-    /// tag, then every field little-endian with length-prefixed
-    /// variable parts. Equal keys encode to equal bytes and vice versa.
-    fn store_key(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.probes.len() * 8);
-        out.extend_from_slice(LEG_RECORD_TAG);
-        out.extend_from_slice(&self.fingerprint.to_le_bytes());
-        out.extend_from_slice(&self.tech.to_le_bytes());
-        out.extend_from_slice(&(self.probes.len() as u32).to_le_bytes());
-        for &p in &self.probes {
-            out.extend_from_slice(&(p as u64).to_le_bytes());
-        }
-        out.extend_from_slice(&(self.from.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.from);
-        out.extend_from_slice(&(self.to.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.to);
-        out.push(self.sleep.0);
-        out.extend_from_slice(&self.sleep.1.to_le_bytes());
-        out.push(self.body_effect as u8);
-        out.push(self.reverse_conduction as u8);
-        out.extend_from_slice(&self.t_stop_bits.to_le_bytes());
-        out.extend_from_slice(&(self.max_events as u64).to_le_bytes());
-        out
-    }
-}
 
 impl LegResult {
     /// Byte encoding of one stored leg: crossings (presence byte +
@@ -388,44 +338,62 @@ impl LegResult {
     }
 }
 
-impl LegKey {
-    fn new(
-        engine: &Engine<'_>,
-        outputs: &[NetId],
-        tr: &Transition,
-        sleep: SleepNetwork,
-        base: &VbsimOptions,
-    ) -> Self {
-        fn levels(side: &[Logic]) -> Vec<u8> {
-            side.iter()
-                .map(|l| match l {
-                    Logic::Zero => 0,
-                    Logic::One => 1,
-                    Logic::X => 2,
-                })
-                .collect()
-        }
-        LegKey {
-            fingerprint: engine.fingerprint(),
-            tech: engine.tech().fingerprint(),
-            probes: outputs.iter().map(|n| n.index()).collect(),
-            from: levels(&tr.from),
-            to: levels(&tr.to),
-            sleep: match sleep {
-                SleepNetwork::Cmos => (0, 0),
-                SleepNetwork::Resistance(r) => (1, r.to_bits()),
-                SleepNetwork::Transistor { w_over_l } => (2, w_over_l.to_bits()),
-            },
-            body_effect: base.body_effect,
-            reverse_conduction: base.reverse_conduction,
-            t_stop_bits: base.t_stop.to_bits(),
-            max_events: base.max_events,
-        }
+/// The exact inputs that determine one leg's result, as the bytes that
+/// key it in a [`ScreeningCache`] and in a persistent store: the tag,
+/// the netlist and technology fingerprints (the engine's
+/// [`Engine::tech_stamp`] — the same netlist under different process
+/// parameters must not share legs), the probes, the transition, the
+/// sleep network (discriminant plus the parameter's bits, 0 for CMOS),
+/// and every [`VbsimOptions`] field the simulator reads, little-endian
+/// with length-prefixed variable parts. Two legs with equal keys produce
+/// bit-identical [`LegResult`]s, so a lookup can stand in for a
+/// re-simulation.
+fn leg_key(
+    engine: &Engine<'_>,
+    outputs: &[NetId],
+    tr: &Transition,
+    sleep: SleepNetwork,
+    base: &VbsimOptions,
+) -> Vec<u8> {
+    fn levels(out: &mut Vec<u8>, side: &[Logic]) {
+        out.extend_from_slice(&(side.len() as u32).to_le_bytes());
+        out.extend(side.iter().map(|l| match l {
+            Logic::Zero => 0u8,
+            Logic::One => 1,
+            Logic::X => 2,
+        }));
     }
+    let (tag, param) = match sleep {
+        SleepNetwork::Cmos => (0u8, 0),
+        SleepNetwork::Resistance(r) => (1, r.to_bits()),
+        SleepNetwork::Transistor { w_over_l } => (2, w_over_l.to_bits()),
+    };
+    // Fixed fields: tag 4, fingerprints 16, three lengths 12, sleep 9,
+    // flags 2, `t_stop` and the budget 16.
+    let len = 59 + 8 * outputs.len() + tr.from.len() + tr.to.len();
+    let mut out = Vec::with_capacity(len);
+    out.extend_from_slice(LEG_RECORD_TAG);
+    out.extend_from_slice(&engine.fingerprint().to_le_bytes());
+    out.extend_from_slice(&engine.tech_stamp().to_le_bytes());
+    out.extend_from_slice(&(outputs.len() as u32).to_le_bytes());
+    for n in outputs {
+        out.extend_from_slice(&(n.index() as u64).to_le_bytes());
+    }
+    levels(&mut out, &tr.from);
+    levels(&mut out, &tr.to);
+    out.push(tag);
+    out.extend_from_slice(&param.to_le_bytes());
+    out.push(base.body_effect as u8);
+    out.push(base.reverse_conduction as u8);
+    out.extend_from_slice(&base.t_stop.to_bits().to_le_bytes());
+    out.extend_from_slice(&(base.max_events as u64).to_le_bytes());
+    debug_assert_eq!(out.len(), len);
+    out
 }
 
 /// A deterministic memo of switch-level simulator legs, keyed by
-/// everything that determines a leg's result (`LegKey`). The sizing
+/// everything that determines a leg's result (the bytes of its `leg1`
+/// store key, hashed with [`mtk_store::word_hash`]). The sizing
 /// entry points (`*_cached`) consult it before simulating, so a
 /// bisection that probes the same transition at many sleep sizes pays
 /// for its CMOS baseline once, and a repeated sweep pays for nothing.
@@ -452,7 +420,7 @@ impl LegKey {
 /// not fail sizing.
 #[derive(Debug, Default)]
 pub struct ScreeningCache {
-    legs: std::sync::Mutex<std::collections::HashMap<LegKey, LegResult>>,
+    legs: std::sync::Mutex<std::collections::HashMap<Vec<u8>, LegResult, mtk_store::WordState>>,
     hits: std::sync::atomic::AtomicUsize,
     misses: std::sync::atomic::AtomicUsize,
     store: Option<mtk_store::Store>,
@@ -565,7 +533,7 @@ impl ScreeningCache {
         scratch: &mut VbsimScratch,
     ) -> Result<(LegResult, bool), CoreError> {
         use std::sync::atomic::Ordering::Relaxed;
-        let key = LegKey::new(engine, outputs, tr, sleep, base);
+        let key = leg_key(engine, outputs, tr, sleep, base);
         if let Some(found) = self.legs.lock().unwrap().get(&key).cloned() {
             self.hits.fetch_add(1, Relaxed);
             return Ok((found, true));
@@ -618,18 +586,17 @@ enum Tier {
 /// raised: it degrades to recompute-on-rerun.
 fn store_tier(
     store: Option<&mtk_store::Store>,
-    key: &LegKey,
+    key: &[u8],
     simulate: impl FnOnce() -> Result<LegResult, CoreError>,
 ) -> Result<(LegResult, Tier), CoreError> {
     let Some(store) = store else {
         return Ok((simulate()?, Tier::Simulated));
     };
-    let key = key.store_key();
-    if let Some(leg) = store.get(&key).and_then(|b| LegResult::decode(&b)) {
+    if let Some(leg) = store.get(key).and_then(|b| LegResult::decode(&b)) {
         return Ok((leg, Tier::Store));
     }
     let leg = simulate()?;
-    let put_failed = store.put(&key, &leg.encode()).is_err();
+    let put_failed = store.put(key, &leg.encode()).is_err();
     Ok((
         leg,
         if put_failed {
@@ -652,7 +619,7 @@ pub(crate) fn stored_leg(
     store: Option<&mtk_store::Store>,
     scratch: &mut VbsimScratch,
 ) -> Result<(LegResult, bool), CoreError> {
-    let key = LegKey::new(engine, outputs, tr, sleep, base);
+    let key = leg_key(engine, outputs, tr, sleep, base);
     let (leg, tier) = store_tier(store, &key, || {
         run_leg(engine, tr, outputs, &leg_options(sleep, base), scratch)
     })?;
@@ -1081,7 +1048,7 @@ mod tests {
     /// Satellite regression for the `.mtk` frontend: every field the
     /// parser can set — technology parameters, primary-output markers,
     /// per-cell drive overrides — must produce distinct cache keys.
-    /// Before the technology fingerprint joined `LegKey`, two engines
+    /// Before the technology fingerprint joined the leg key, two engines
     /// over the same netlist under different processes shared legs.
     #[test]
     fn cache_keys_distinguish_parser_settable_fields() {

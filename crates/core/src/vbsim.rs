@@ -230,6 +230,12 @@ impl<'a> Engine<'a> {
         self.tech
     }
 
+    /// The technology's fingerprint ([`Technology::fingerprint`]),
+    /// hashed once when the engine was built.
+    pub fn tech_stamp(&self) -> u64 {
+        self.tech_stamp
+    }
+
     /// The netlist's structural fingerprint
     /// ([`Netlist::fingerprint`]), computed on first use and cached for
     /// the engine's lifetime.

@@ -12,10 +12,17 @@
 //! One append-only log file:
 //!
 //! ```text
-//! header:  "MTKSTORE" (8 bytes) | u32 LE STORE_VERSION
-//! record:  u32 LE body_len | body | u64 LE fnv1a(body)
+//! header:  "MTKSTORE" (8 bytes) | u32 LE version
+//! record:  u32 LE body_len | body | u64 LE checksum(body)
 //! body:    u32 LE key_len | key bytes | value bytes
 //! ```
+//!
+//! The checksum is the version's: [`word_hash`] of the body from a fixed
+//! seed in a version 2 log ([`STORE_VERSION`]), [`fnv1a`] of the body in
+//! a version 1 log. Each log keeps the version its header names. A
+//! version 1 log opens, serves and takes appends in version 1 form; a
+//! new log and the output of [`Store::compact`] are version 2. Any other
+//! version is refused.
 //!
 //! Records are content-addressed: the key is caller-chosen bytes
 //! (typically a fingerprint tuple) and the value is an opaque payload.
@@ -56,9 +63,11 @@
 //! # Memory
 //!
 //! A handle keeps a key directory in memory (after Bitcask: Sheehy &
-//! Smith, 2010): an index from each live key's hash (the handle's own
-//! [`RandomState`]) to the offset and length of the key's first record.
-//! Live keys whose hashes collide go to a small spill map.
+//! Smith, 2010): an index from each live key's hash to the offset and
+//! length of the key's first record. The hash is [`word_hash`] under a
+//! seed drawn once per handle from a [`RandomState`], so the index
+//! differs per handle; the index uses that hash as its own. Live keys
+//! whose hashes collide go to a small spill map.
 //!
 //! Record bytes are resident only as far as the last full read loaded
 //! them: the image that [`Store::open`], a rescan after another handle's
@@ -90,16 +99,19 @@ use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions, TryLockError};
-use std::hash::{BuildHasher, RandomState};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher, RandomState};
 use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Version number embedded in the log header. Bump on any change to the
-/// record layout; [`Store::open`] refuses files written by a different
-/// version rather than guessing.
-pub const STORE_VERSION: u32 = 1;
+/// Version number a new log's header carries. Bump on any change to the
+/// record layout; [`Store::open`] reads this version and version 1, and
+/// refuses any other rather than guessing.
+pub const STORE_VERSION: u32 = 2;
+
+/// The first version, whose records carry an [`fnv1a`] checksum.
+const FNV_VERSION: u32 = 1;
 
 /// Magic bytes opening every store file.
 const MAGIC: &[u8; 8] = b"MTKSTORE";
@@ -114,8 +126,8 @@ const MAX_BODY_BYTES: u32 = 64 * 1024 * 1024;
 /// How long [`Store::put`] waits for the writer lock before giving up.
 const LOCK_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// FNV-1a over a byte slice — the checksum primitive of the record log
-/// (the same hash family the netlist/technology fingerprints use).
+/// FNV-1a over a byte slice — the checksum of a version 1 log (the same
+/// hash family the netlist/technology fingerprints use).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -123,6 +135,106 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// The odd multiplier of [`word_hash`]'s step (2⁶⁴ / φ).
+const WORD_K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One step of [`word_hash`]: `h = (h ^ word)·K`, then `h ^= h >> 32`.
+/// Both halves are bijections of the state.
+#[inline]
+fn word_step(h: u64, word: u64) -> u64 {
+    let h = (h ^ word).wrapping_mul(WORD_K);
+    h ^ (h >> 32)
+}
+
+/// A word-at-a-time hash of `bytes` from `seed`: one step `h = (h ^
+/// word)·K`, `h ^= h >> 32` per little-endian 8-byte word, the tail
+/// zero-padded to a word, and a last step over the length. It is the checksum of a version 2 log (from a
+/// fixed seed), the key directory's hash (from a per-handle seed), and,
+/// through [`WordState`], the hash of byte-keyed maps.
+///
+/// Every step is a bijection of the state, so two inputs of one length
+/// that differ inside a single word always hash apart. The xor-shift
+/// also spreads a flip of bit 63 into bit 31, so a second flip of bit
+/// 63 in the next word does not cancel it, as it would under a
+/// multiply-only step. The step is not a keyed hash: bit 63 goes
+/// through the multiply unmixed, so flipping bit 63 of one word and bits
+/// 63 and 31 of the next gives the same hash under every seed. The key
+/// directory stays exact under such collisions (it compares full keys),
+/// and a checksum misses that one three-bit pattern.
+pub fn word_hash(seed: u64, bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    let mut h = seed;
+    for word in &mut words {
+        h = word_step(h, u64::from_le_bytes(word.try_into().unwrap()));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut padded = [0u8; 8];
+        padded[..tail.len()].copy_from_slice(tail);
+        h = word_step(h, u64::from_le_bytes(padded));
+    }
+    word_step(h, bytes.len() as u64)
+}
+
+/// A [`BuildHasher`] of [`WordHasher`]s, seeded once from a
+/// [`RandomState`]: [`word_hash`] for maps keyed by byte strings.
+#[derive(Debug, Clone)]
+pub struct WordState {
+    seed: u64,
+}
+
+impl Default for WordState {
+    fn default() -> Self {
+        WordState {
+            seed: RandomState::new().hash_one(WORD_K),
+        }
+    }
+}
+
+impl BuildHasher for WordState {
+    type Hasher = WordHasher;
+
+    fn build_hasher(&self) -> WordHasher {
+        WordHasher(self.seed)
+    }
+}
+
+/// The [`Hasher`] of [`WordState`]: a byte write is one [`word_hash`]
+/// from the running state, and an integer write one step.
+#[derive(Debug, Clone)]
+pub struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = word_hash(self.0, bytes);
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = word_step(self.0, n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The seed of a version 2 checksum: fixed, and nonzero so that leading
+/// zero words move the state.
+const CHECKSUM_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The checksum of a record body in a log of `version`.
+fn checksum(version: u32, body: &[u8]) -> u64 {
+    if version == FNV_VERSION {
+        fnv1a(body)
+    } else {
+        word_hash(CHECKSUM_SEED, body)
+    }
 }
 
 /// Everything that can go wrong opening or writing a store.
@@ -162,7 +274,7 @@ impl std::fmt::Display for StoreError {
             }
             StoreError::VersionMismatch { found } => write!(
                 f,
-                "store version {found} is not the supported {STORE_VERSION}"
+                "store version {found} is not one this build reads ({FNV_VERSION} or {STORE_VERSION})"
             ),
             StoreError::LockTimeout { path } => {
                 write!(f, "timed out waiting for writer lock {}", path.display())
@@ -202,16 +314,16 @@ pub struct StoreStats {
 }
 
 /// Total length (length prefix, body and checksum) of the record at the
-/// start of `rest`, or `None` when its length prefix, body bytes,
-/// checksum or key length is invalid. Never panics.
-fn valid_record_len(rest: &[u8]) -> Option<usize> {
+/// start of `rest` in a log of `version`, or `None` when its length
+/// prefix, body bytes, checksum or key length is invalid. Never panics.
+fn valid_record_len(version: u32, rest: &[u8]) -> Option<usize> {
     let body_len = u32::from_le_bytes(rest.get(0..4)?.try_into().unwrap()) as usize;
     if body_len < 4 || body_len > MAX_BODY_BYTES as usize {
         return None;
     }
     let body = rest.get(4..4 + body_len)?;
     let sum = rest.get(4 + body_len..4 + body_len + 8)?;
-    if u64::from_le_bytes(sum.try_into().unwrap()) != fnv1a(body) {
+    if u64::from_le_bytes(sum.try_into().unwrap()) != checksum(version, body) {
         return None;
     }
     // Body: key_len | key | value.
@@ -235,28 +347,35 @@ struct Loc {
     len: u32,
 }
 
-/// Serializes one record (length prefix + body + checksum).
-fn encode_record(key: &[u8], value: &[u8]) -> Result<Vec<u8>, StoreError> {
+/// The body length of a record of `key` and `value`, or
+/// [`StoreError::RecordTooLarge`].
+fn body_len(key: &[u8], value: &[u8]) -> Result<usize, StoreError> {
     let body_len = 4 + key.len() + value.len();
     if body_len > MAX_BODY_BYTES as usize {
         return Err(StoreError::RecordTooLarge { bytes: body_len });
     }
+    Ok(body_len)
+}
+
+/// Serializes one record (length prefix + body + checksum) for a log of
+/// `version`.
+fn encode_record(version: u32, key: &[u8], value: &[u8]) -> Result<Vec<u8>, StoreError> {
+    let body_len = body_len(key, value)?;
     let mut out = Vec::with_capacity(4 + body_len + 8);
     out.extend_from_slice(&(body_len as u32).to_le_bytes());
     out.extend_from_slice(&(key.len() as u32).to_le_bytes());
     out.extend_from_slice(key);
     out.extend_from_slice(value);
-    let body_start = 4;
-    let sum = fnv1a(&out[body_start..]);
+    let sum = checksum(version, &out[4..]);
     out.extend_from_slice(&sum.to_le_bytes());
     Ok(out)
 }
 
-/// The store header bytes.
-fn header_bytes() -> [u8; HEADER_LEN as usize] {
+/// The header bytes of a log of `version`.
+fn header_bytes(version: u32) -> [u8; HEADER_LEN as usize] {
     let mut h = [0u8; HEADER_LEN as usize];
     h[..8].copy_from_slice(MAGIC);
-    h[8..].copy_from_slice(&STORE_VERSION.to_le_bytes());
+    h[8..].copy_from_slice(&version.to_le_bytes());
     h
 }
 
@@ -327,11 +446,11 @@ fn read_log(path: &Path) -> Result<(Vec<u8>, Option<LogFile>), StoreError> {
     Ok((bytes, Some(LogFile::new(file)?)))
 }
 
-/// Hashes keys for the index with the store's own [`RandomState`]. A
+/// Hashes keys for the index: [`word_hash`] under the handle's seed. A
 /// test build can send every key to one hash, to drive the spill path.
 #[derive(Clone, Default)]
 struct KeyHasher {
-    state: RandomState,
+    state: WordState,
     #[cfg(test)]
     collide_all: bool,
 }
@@ -342,9 +461,31 @@ impl KeyHasher {
         if self.collide_all {
             return 0;
         }
-        self.state.hash_one(key)
+        word_hash(self.state.seed, key)
     }
 }
+
+/// The index's hasher: its keys are [`KeyHasher`] hashes already, so a
+/// key is its own hash.
+#[derive(Clone, Copy, Default)]
+struct HashedKey(u64);
+
+impl Hasher for HashedKey {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("the index hashes u64 keys only")
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by [`KeyHasher`] hashes.
+type HashIndex<V> = HashMap<u64, V, BuildHasherDefault<HashedKey>>;
 
 /// The log as a handle sees it: the valid prefix's length, the part of
 /// it the last full read loaded, and the file the rest is read from.
@@ -355,6 +496,9 @@ struct Log {
     image: Vec<u8>,
     /// Length of the file's valid prefix; `0` until the header exists.
     len: u64,
+    /// The header's version, which sets the checksum of every record;
+    /// [`STORE_VERSION`] until the header exists.
+    version: u32,
     /// The file `image` was read from; `None` until it exists.
     file: Option<LogFile>,
 }
@@ -369,7 +513,7 @@ impl Log {
             return Some(Cow::Borrowed(bytes));
         }
         let bytes = self.file.as_ref()?.read_at(loc.off, len)?;
-        (valid_record_len(&bytes) == Some(len)).then_some(Cow::Owned(bytes))
+        (valid_record_len(self.version, &bytes) == Some(len)).then_some(Cow::Owned(bytes))
     }
 }
 
@@ -377,10 +521,10 @@ impl Log {
 /// record, and the health counters a scan of the log gives.
 struct KeyDir {
     /// Hash of a live key → its first record.
-    index: HashMap<u64, Loc>,
+    index: HashIndex<Loc>,
     /// Live keys whose hash another live key already holds in `index`:
     /// hash → their first records.
-    spill: HashMap<u64, Vec<Loc>>,
+    spill: HashIndex<Vec<Loc>>,
     hasher: KeyHasher,
     /// Health counters; `log_bytes` is read off [`Log::len`] by
     /// [`Inner::stats`].
@@ -405,7 +549,7 @@ impl KeyDir {
     fn index_from(&mut self, log: &Log, base: u64, bytes: &[u8]) -> u64 {
         let mut pos = 0;
         while pos < bytes.len() {
-            let Some(len) = valid_record_len(&bytes[pos..]) else {
+            let Some(len) = valid_record_len(log.version, &bytes[pos..]) else {
                 self.stats.corrupt_records += 1;
                 break;
             };
@@ -463,11 +607,12 @@ impl Inner {
             log: Log {
                 image: Vec::new(),
                 len: 0,
+                version: STORE_VERSION,
                 file,
             },
             dir: KeyDir {
-                index: HashMap::new(),
-                spill: HashMap::new(),
+                index: HashIndex::default(),
+                spill: HashIndex::default(),
                 hasher,
                 stats: StoreStats::default(),
             },
@@ -489,9 +634,10 @@ impl Inner {
             });
         }
         let found = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if found != STORE_VERSION {
+        if found != STORE_VERSION && found != FNV_VERSION {
             return Err(StoreError::VersionMismatch { found });
         }
+        inner.log.version = found;
         inner.log.image = bytes;
         let records = &inner.log.image[HEADER_LEN as usize..];
         let valid = inner.dir.index_from(&inner.log, HEADER_LEN, records);
@@ -529,16 +675,19 @@ impl Inner {
         true
     }
 
-    /// The live records' bytes in log order, which is first-written
-    /// order: the body of a compacted log. A record that no longer
-    /// reads back is left out.
-    fn live_records(&self) -> Vec<u8> {
+    /// A compacted log: a [`STORE_VERSION`] header and the live records
+    /// in log order, which is first-written order, each encoded in that
+    /// version. A record that no longer reads back is left out.
+    fn compacted(&self) -> Vec<u8> {
         let mut locs: Vec<Loc> = self.dir.index.values().copied().collect();
         locs.extend(self.dir.spill.values().flatten());
         locs.sort_unstable_by_key(|loc| loc.off);
-        let mut out = Vec::new();
+        let mut out = header_bytes(STORE_VERSION).to_vec();
         for loc in locs {
             if let Some(record) = self.log.record(loc) {
+                let (key, value) = parts(&record);
+                let record = encode_record(STORE_VERSION, key, value)
+                    .expect("a stored record is within the size bound");
                 out.extend_from_slice(&record);
             }
         }
@@ -714,7 +863,7 @@ impl Store {
     /// [`StoreError::Io`], [`StoreError::LockTimeout`],
     /// [`StoreError::RecordTooLarge`].
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        let record = encode_record(key, value)?;
+        body_len(key, value)?;
         let mut inner = self.inner.lock().unwrap();
         if inner.settled(key, value) {
             return Ok(());
@@ -733,6 +882,8 @@ impl Store {
         if inner.settled(key, value) {
             return Ok(());
         }
+        // In the form of the log's version, which the resync settled.
+        let record = encode_record(inner.log.version, key, value)?;
         let loc = Loc {
             off: inner.log.len,
             len: record.len() as u32,
@@ -756,11 +907,12 @@ impl Store {
         let (disk_len, id) = (meta.len(), file_id(&meta));
         let valid_len = inner.log.len;
         if disk_len == 0 && valid_len == 0 {
-            file.write_all(&header_bytes())?;
+            file.write_all(&header_bytes(STORE_VERSION))?;
             file.sync_data()?;
             // Make the just-created log's directory entry durable too.
             sync_parent_dir(&self.path)?;
             inner.log.len = HEADER_LEN;
+            inner.log.version = STORE_VERSION;
             inner.log.file = Some(LogFile::new(file.try_clone()?)?);
             return Ok(());
         }
@@ -785,9 +937,10 @@ impl Store {
                 // Still torn: reset to an empty, well-formed log.
                 file.set_len(0)?;
                 file.seek(SeekFrom::Start(0))?;
-                file.write_all(&header_bytes())?;
+                file.write_all(&header_bytes(STORE_VERSION))?;
                 file.sync_data()?;
                 fresh.log.len = HEADER_LEN;
+                fresh.log.version = STORE_VERSION;
             }
             fresh.dir.stats.corrupt_records += prior_corrupt;
             *inner = fresh;
@@ -842,8 +995,7 @@ impl Store {
                 .open(&self.path)?;
             self.resync_locked(&mut inner, &mut file)?;
         }
-        let mut log = header_bytes().to_vec();
-        log.extend_from_slice(&inner.live_records());
+        let log = inner.compacted();
         let mut tmp_path = self.path.clone().into_os_string();
         tmp_path.push(".tmp");
         let tmp_path = PathBuf::from(tmp_path);
@@ -928,9 +1080,9 @@ mod tests {
         let _c = Cleanup(path.clone());
         // Hand-craft a log with key "k" written twice with different
         // payloads and once redundantly.
-        let mut bytes = header_bytes().to_vec();
+        let mut bytes = header_bytes(STORE_VERSION).to_vec();
         for value in [&b"first"[..], b"second", b"first"] {
-            bytes.extend_from_slice(&encode_record(b"k", value).unwrap());
+            bytes.extend_from_slice(&encode_record(STORE_VERSION, b"k", value).unwrap());
         }
         std::fs::write(&path, &bytes).unwrap();
         let store = Store::open(&path).unwrap();
@@ -980,11 +1132,11 @@ mod tests {
     fn compact_drops_dead_and_corrupt_bytes() {
         let path = scratch("compact");
         let _c = Cleanup(path.clone());
-        let mut bytes = header_bytes().to_vec();
-        bytes.extend_from_slice(&encode_record(b"a", b"1").unwrap());
-        bytes.extend_from_slice(&encode_record(b"a", b"1").unwrap()); // dead
-        bytes.extend_from_slice(&encode_record(b"b", b"2").unwrap());
-        bytes.extend_from_slice(&encode_record(b"a", b"X").unwrap()); // conflict
+        let mut bytes = header_bytes(STORE_VERSION).to_vec();
+        bytes.extend_from_slice(&encode_record(STORE_VERSION, b"a", b"1").unwrap());
+        bytes.extend_from_slice(&encode_record(STORE_VERSION, b"a", b"1").unwrap()); // dead
+        bytes.extend_from_slice(&encode_record(STORE_VERSION, b"b", b"2").unwrap());
+        bytes.extend_from_slice(&encode_record(STORE_VERSION, b"a", b"X").unwrap()); // conflict
         bytes.extend_from_slice(&[9, 9, 9]); // torn tail
         std::fs::write(&path, &bytes).unwrap();
         let store = Store::open(&path).unwrap();
@@ -1100,10 +1252,10 @@ mod tests {
         // orphan the appended record).
         let path = scratch("shrunk_by_compact");
         let _c = Cleanup(path.clone());
-        let mut bytes = header_bytes().to_vec();
-        bytes.extend_from_slice(&encode_record(b"k", b"v1").unwrap());
-        bytes.extend_from_slice(&encode_record(b"k", b"v1").unwrap()); // dead
-        bytes.extend_from_slice(&encode_record(b"j", b"v2").unwrap());
+        let mut bytes = header_bytes(STORE_VERSION).to_vec();
+        bytes.extend_from_slice(&encode_record(STORE_VERSION, b"k", b"v1").unwrap());
+        bytes.extend_from_slice(&encode_record(STORE_VERSION, b"k", b"v1").unwrap()); // dead
+        bytes.extend_from_slice(&encode_record(STORE_VERSION, b"j", b"v2").unwrap());
         std::fs::write(&path, &bytes).unwrap();
         let b = Store::open(&path).unwrap(); // valid_len spans all 3 records
         let a = Store::open(&path).unwrap();
@@ -1127,10 +1279,10 @@ mod tests {
         // that cuts A's fsynced records and B's own).
         let path = scratch("regrown_by_compact");
         let _c = Cleanup(path.clone());
-        let mut bytes = header_bytes().to_vec();
-        bytes.extend_from_slice(&encode_record(b"k", b"v1").unwrap());
-        bytes.extend_from_slice(&encode_record(b"k", b"v1").unwrap()); // dead
-        bytes.extend_from_slice(&encode_record(b"j", b"v2").unwrap());
+        let mut bytes = header_bytes(STORE_VERSION).to_vec();
+        bytes.extend_from_slice(&encode_record(STORE_VERSION, b"k", b"v1").unwrap());
+        bytes.extend_from_slice(&encode_record(STORE_VERSION, b"k", b"v1").unwrap()); // dead
+        bytes.extend_from_slice(&encode_record(STORE_VERSION, b"j", b"v2").unwrap());
         std::fs::write(&path, &bytes).unwrap();
         let b = Store::open(&path).unwrap(); // image spans all 3 records
         let a = Store::open(&path).unwrap();
@@ -1167,9 +1319,9 @@ mod tests {
         }
         a.put(&records[0].0, b"conflict").unwrap(); // counted, not written
         let stats = a.compact().unwrap();
-        let mut want = header_bytes().to_vec();
+        let mut want = header_bytes(STORE_VERSION).to_vec();
         for (key, value) in &records {
-            want.extend_from_slice(&encode_record(key, value).unwrap());
+            want.extend_from_slice(&encode_record(STORE_VERSION, key, value).unwrap());
         }
         assert_eq!(std::fs::read(&path).unwrap(), want);
         assert_eq!(stats.live_records, records.len());
@@ -1231,22 +1383,29 @@ mod tests {
         (live, dead, conflicting)
     }
 
-    fn log_image(records: &[(Vec<u8>, Vec<u8>)]) -> Vec<u8> {
-        let mut out = header_bytes().to_vec();
+    fn log_image(version: u32, records: &[(Vec<u8>, Vec<u8>)]) -> Vec<u8> {
+        let mut out = header_bytes(version).to_vec();
         for (key, value) in records {
-            out.extend_from_slice(&encode_record(key, value).unwrap());
+            out.extend_from_slice(&encode_record(version, key, value).unwrap());
         }
         out
     }
 
     /// Drives handle A through a seeded mix of puts, gets, reopens,
     /// foreign appends and puts, torn tails, and compactions by A and by
-    /// another handle. After every step A's answers, A's `stats()` and
-    /// the file's bytes must match a model: the file as a record list
-    /// plus a torn tail, and A's mirror as the record list it scanned.
-    fn check_against_model(seed: u64, hasher: KeyHasher) {
+    /// another handle, on a log that starts at `version`. After every
+    /// step A's answers, A's `stats()` and the file's bytes must match a
+    /// model: the file as a record list plus a torn tail in the file's
+    /// version (a compaction makes it [`STORE_VERSION`]), and A's mirror
+    /// as the record list it scanned.
+    fn check_against_model(seed: u64, hasher: KeyHasher, version: u32) {
         let path = scratch("model");
         let _c = Cleanup(path.clone());
+        if version != STORE_VERSION {
+            // A new log is a current one: an older one starts as a header.
+            std::fs::write(&path, header_bytes(version)).unwrap();
+        }
+        let mut version = version;
         let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
         let mut draw = move |n: u64| {
             rng ^= rng << 13;
@@ -1324,7 +1483,7 @@ mod tests {
                 58..=69 => {
                     // A writer that neither locks nor resyncs: dead and
                     // conflicting records reach the log this way.
-                    let record = encode_record(&key(k), &value(k, v)).unwrap();
+                    let record = encode_record(version, &key(k), &value(k, v)).unwrap();
                     let mut file = OpenOptions::new().append(true).open(&path).unwrap();
                     file.write_all(&record).unwrap();
                     if torn.is_empty() {
@@ -1343,7 +1502,7 @@ mod tests {
                 }
                 80..=85 => {
                     // A crash mid-append.
-                    let record = encode_record(&key(k), &value(k, v)).unwrap();
+                    let record = encode_record(version, &key(k), &value(k, v)).unwrap();
                     let cut = 1 + draw(record.len() as u64 - 1) as usize;
                     let mut file = OpenOptions::new().append(true).open(&path).unwrap();
                     file.write_all(&record[..cut]).unwrap();
@@ -1364,6 +1523,7 @@ mod tests {
                     disk.retain(|(key, value)| live[key] == *value && seen.insert(key.clone()));
                     mirror = disk.clone();
                     (put_conflicts, corrupt) = (0, 0);
+                    version = STORE_VERSION;
                 }
                 _ => {
                     Store::open(&path).unwrap().compact().unwrap();
@@ -1372,6 +1532,7 @@ mod tests {
                     disk.retain(|(key, value)| live[key] == *value && seen.insert(key.clone()));
                     torn.clear();
                     same_file = false;
+                    version = STORE_VERSION;
                 }
             }
             let (live, dead, conflicting) = tally(&mirror);
@@ -1380,13 +1541,13 @@ mod tests {
                 dead_records: dead,
                 conflicting_records: conflicting + put_conflicts,
                 corrupt_records: corrupt,
-                log_bytes: log_image(&mirror).len() as u64,
+                log_bytes: log_image(version, &mirror).len() as u64,
             };
             assert_eq!(a.stats(), want, "seed {seed} step {step} op {op}");
             for k in 0..KEYS {
                 assert_eq!(a.get(&key(k)).as_ref(), live.get(&key(k)), "step {step}");
             }
-            let mut image = log_image(&disk);
+            let mut image = log_image(version, &disk);
             image.extend_from_slice(&torn);
             assert!(std::fs::read(&path).unwrap() == image, "step {step} file");
         }
@@ -1410,14 +1571,21 @@ mod tests {
     #[test]
     fn seeded_operations_match_a_first_writer_wins_model() {
         for seed in 1..=4 {
-            check_against_model(seed, KeyHasher::default());
+            check_against_model(seed, KeyHasher::default(), STORE_VERSION);
+        }
+    }
+
+    #[test]
+    fn seeded_operations_on_a_version_1_log_match_the_model() {
+        for seed in 8..=10 {
+            check_against_model(seed, KeyHasher::default(), FNV_VERSION);
         }
     }
 
     #[test]
     fn seeded_operations_match_the_model_when_every_hash_collides() {
         for seed in 5..=7 {
-            check_against_model(seed, colliding());
+            check_against_model(seed, colliding(), STORE_VERSION);
         }
     }
 
@@ -1495,7 +1663,7 @@ mod tests {
         };
         // A valid record of the same length under another key: length
         // and checksum hold, the key check catches it.
-        overwrite(&encode_record(b"k9", b"value-9").unwrap());
+        overwrite(&encode_record(STORE_VERSION, b"k9", b"value-9").unwrap());
         assert_eq!(store.get(b"k2"), None);
         assert_eq!(store.get(b"k9"), None, "never indexed");
         // Garbage: the checksum catches it.
@@ -1534,7 +1702,8 @@ mod tests {
         let store = Store::open(&path).unwrap();
         // Construct the error without allocating 64 MiB: key_len alone
         // cannot exceed the bound, so check encode_record directly.
-        let err = encode_record(&[0u8; (MAX_BODY_BYTES as usize) + 1], b"").unwrap_err();
+        let err =
+            encode_record(STORE_VERSION, &[0u8; (MAX_BODY_BYTES as usize) + 1], b"").unwrap_err();
         assert!(matches!(err, StoreError::RecordTooLarge { .. }));
         drop(store);
     }

@@ -182,3 +182,68 @@ fn store_tier_is_transparent_to_in_memory_callers() {
         0
     );
 }
+
+/// `data/legs_v1.log` is the version 1 log that a store-backed sizing
+/// solve wrote before store format 2 (commit 2edca5b): the solve of
+/// [`solve_tree`] under `l07`, 22 `leg1` records. The leg keys did not
+/// change with the format, so a rerun over that log simulates nothing and
+/// returns the cold W/L to the bit, appending nothing; a technology that
+/// differs in one parameter keys every leg apart, so all of them miss.
+#[test]
+fn leg_records_of_a_version_1_log_replay_and_stay_keyed_by_technology() {
+    let path = scratch("legs_v1");
+    let _c = Cleanup(path.clone());
+    let fixture = include_bytes!("data/legs_v1.log");
+    assert_eq!(fixture[8..12], 1u32.to_le_bytes(), "a version 1 log");
+    std::fs::write(&path, fixture).unwrap();
+    let tree = InverterTree::paper();
+    let tech = Technology::l07();
+
+    let cold = solve_tree(&tree, &tech, &ScreeningCache::new()).0;
+    let replay = ScreeningCache::persistent(&path).unwrap();
+    let (warm, snap) = solve_tree(&tree, &tech, &replay);
+    assert_eq!(warm.to_bits(), cold.to_bits(), "the cold W/L bits");
+    assert_eq!(snap.misses, 0, "0 legs simulated");
+    assert_eq!(snap.store_hits, 22, "every stored leg replayed");
+    drop(replay);
+    assert_eq!(std::fs::read(&path).unwrap(), fixture, "nothing appended");
+
+    let mut other = Technology::l07();
+    other.vt_high += 0.01;
+    let moved = ScreeningCache::persistent(&path).unwrap();
+    let snap = solve_tree(&tree, &other, &moved).1;
+    assert_eq!(snap.store_hits, 0, "no leg of another technology hits");
+    assert!(snap.misses > 0);
+    drop(moved);
+    // Its legs were appended in the log's own version 1 form.
+    let log = Store::open(&path).unwrap();
+    assert_eq!(std::fs::read(&path).unwrap()[8..12], 1u32.to_le_bytes());
+    assert_eq!(log.verify().unwrap(), log.stats());
+    assert_eq!(log.stats().live_records, 22 + snap.misses);
+}
+
+/// Sizes the paper's inverter tree over both input edges to 105 % in
+/// [0.5, 200] through `cache`: the W/L and the cache's snapshot.
+fn solve_tree(
+    tree: &InverterTree,
+    tech: &Technology,
+    cache: &ScreeningCache,
+) -> (f64, mtcmos_suite::core::sizing::CacheSnapshot) {
+    let engine = Engine::new(&tree.netlist, tech);
+    let transitions = [
+        Transition::new(vec![Logic::Zero], vec![Logic::One]),
+        Transition::new(vec![Logic::One], vec![Logic::Zero]),
+    ];
+    let base = VbsimOptions::default();
+    let (wl, _) = size_for_target_cached(
+        &engine,
+        &transitions,
+        None,
+        1.05,
+        (0.5, 200.0),
+        &base,
+        cache,
+    )
+    .unwrap();
+    (wl, cache.snapshot())
+}
