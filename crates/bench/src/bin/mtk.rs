@@ -7,55 +7,11 @@
 //! same flow — and, under `--trace-deterministic`, the byte-identical
 //! JSON trace — as a programmatically built one.
 //!
-//! Usage: `mtk <command> <file.mtk> [flags]`
-//!
-//! * `mtk lint <file>` — parse and lint; findings one per line with the
-//!   source line of the offending declaration. Exits 1 on findings
-//!   (`--warn-only` downgrades to 0), 2 on parse errors.
-//! * `mtk sta <file>` — static timing: critical-path delay and the path
-//!   itself.
-//! * `mtk screen <file>` — parallel switch-level screening of the
-//!   vector space (`--threads`, `--w-over-l`, `--top`).
-//! * `mtk size <file>` — bisect the sleep-transistor W/L to a target
-//!   degradation (`--target`, `--lo`, `--hi`). With `--clusters N` the
-//!   run routes through the cluster co-optimizer instead (same flags as
-//!   `mtk cluster`).
-//! * `mtk cluster <file>` — partition gates into mutually-exclusive
-//!   clusters inferred from the vector set, give each cluster its own
-//!   virtual-ground sleep device, and co-optimize the widths to the
-//!   target (`--clusters`, `--target`, `--lo`, `--hi`, `--threads`,
-//!   `--store`; `--smoke` thins the vector set for CI). The
-//!   single-device solution is always computed too and returned when it
-//!   uses no more total width (the never-worse rule).
-//! * `mtk hybrid <file>` — screen, then SPICE-verify the top-k
-//!   survivors (`--threads`, `--top-k`, `--w-over-l`).
-//! * `mtk mc <file>` — Monte Carlo yield analysis under process
-//!   variation (`--trials`, `--seed`, `--corner`, `--widths`,
-//!   `--target`, `--store`; `--smoke` shrinks the sweep for CI). The
-//!   technology's `tech.sigma_*` fields set the variation; trial `i`
-//!   draws from PRNG stream `(seed, i)`, so results are bit-identical
-//!   at any `--threads` and a `--store` rerun replays every trial.
-//! * `mtk repro [--list | --all | <id>…] [--full]` — run the paper's
-//!   tables and figures, the ablations and the extensions (the
-//!   `mtk_bench::repro` ledger): each prints its tables, then a check
-//!   table of the paper's claims against committed bands. Exits 1 on a
-//!   `MISS`, or on a `PASS` of a check marked as a known defect; 2 on an
-//!   unknown id. `--full`
-//!   adds the long variants: Table 1 SPICE rows, every FIG14 S2 vector,
-//!   all 4096 SEC6-2 SPICE runs, and the FIG5/FIG11 CSV series.
-//! * `mtk gen [--list | --all [--dir D] | <stem>]` — export the
-//!   built-in generators as golden `.mtk` files (the `examples/`
-//!   directory; CI regenerates and diffs them).
-//! * `mtk export <file.mtk>` — serialize the transistor-level expansion
-//!   as a SPICE deck with embedded `* mtk:` hints (`--w-over-l`,
-//!   `--cmos` for no footer, `--out PATH`). Importing the result
-//!   reproduces the design byte-exactly.
-//! * `mtk import <file.ckt>` — read a SPICE deck (subcircuits are
-//!   flattened), recover the gate-level design by structural
-//!   recognition, and print/write canonical `.mtk` (`--out PATH`,
-//!   `--tech PRESET` for hint-less decks). When recognition fails the
-//!   command reports the reason and — with `--raw PATH` — still runs a
-//!   SPICE-only transient and writes the rawfile; otherwise exits 1.
+//! [`COMMANDS`] declares every command: the positionals and flags it
+//! takes, and its line of the usage text `mtk` prints with no arguments
+//! (DESIGN.md §11.4). A command's arguments are parsed once, before any
+//! work runs: an undeclared, repeated or malformed flag, or a stray
+//! positional, exits 2 with a message naming it.
 //!
 //! `sta`, `screen`, `size` and `hybrid` take `--raw PATH` / `--vcd
 //! PATH` to export deterministic waveforms of the most interesting
@@ -75,13 +31,9 @@
 //! print a `file:line:col: error[E0xx]` diagnostic and exit 2 — never a
 //! panic. The flow commands take `--max-failures N` / `--fail-fast` and
 //! `--trace-json PATH` / `--trace-deterministic` (DESIGN.md §10).
-//! `screen`, `size`, `cluster` and `hybrid` exit 2 on a `--flag` they do
-//! not declare, naming it.
 
-use mtk_bench::cli::{
-    bool_flag, die, emit_trace, f64_flag, flag, reject_unknown_flags, str_flag, threads_label,
-    trace_config,
-};
+use mtk_bench::cli::Kind::{Int, Num, Str, Switch};
+use mtk_bench::cli::{die, emit_trace, threads_label, trace_config, Args, Flag};
 use mtk_bench::design_transitions;
 use mtk_bench::job::{Job, JobKind, JobOpts, JobOutput};
 use mtk_bench::report::{ns, pct, print_table, verified_cell};
@@ -94,21 +46,94 @@ use mtk_core::mc::{run_mc, McOptions};
 use mtk_core::sizing::{ScreeningCache, Transition};
 use mtk_core::sta::Sta;
 use mtk_core::vbsim::{Engine, VbsimOptions};
-use mtk_fe::interop::{export_deck, import_deck, Imported};
+use mtk_fe::interop::{export_deck, Imported};
 use mtk_fe::Design;
 use mtk_store::Store;
 use mtk_trace::{CounterId, PhaseTrace, SpanRecorder, TraceReport};
 use std::time::Duration;
 
+/// The trace export of the commands that end in the §10 footer.
+const TRACE: &[Flag] = &[("--trace-json", Str), ("--trace-deterministic", Switch)];
+/// The waveform export of `sta` and the job commands.
+const WAVES: &[Flag] = &[("--raw", Str), ("--vcd", Str), ("--t-stop", Num)];
+/// The store of the commands that write through one, and the smoke sweep.
+const STORE: &[Flag] = &[("--store", Str), ("--smoke", Switch)];
+/// The synopsis of the commands that take one `.mtk` file.
+const FILE: &str = "<file.mtk> [flags]";
+
+/// One `mtk` command: its name, the usage synopsis of its arguments, the
+/// least and most positionals it takes, the flag groups it declares, and
+/// the function that runs it on the parsed arguments.
+struct Command {
+    name: &'static str,
+    synopsis: &'static str,
+    positionals: (usize, usize),
+    flags: &'static [&'static [Flag]],
+    run: fn(&Args),
+}
+
+/// Every command, in usage order.
+#[rustfmt::skip]
+const COMMANDS: [Command; 13] = [
+    Command { name: "lint", synopsis: FILE, positionals: (1, 1),
+        flags: &[&[("--warn-only", Switch)]], run: cmd_lint },
+    Command { name: "sta", synopsis: FILE, positionals: (1, 1),
+        flags: &[WAVES, &[("--stride", Int), ("--samples", Int), ("--w-over-l", Num)]],
+        run: cmd_sta },
+    Command { name: "screen", synopsis: FILE, positionals: (1, 1),
+        flags: &[JobOpts::FLAGS, TRACE, WAVES], run: |a| cmd_job(a, JobKind::Screen) },
+    Command { name: "size", synopsis: FILE, positionals: (1, 1),
+        flags: &[JobOpts::FLAGS, TRACE, WAVES, STORE], run: |a| cmd_job(a, JobKind::Size) },
+    Command { name: "cluster", synopsis: FILE, positionals: (1, 1),
+        flags: &[JobOpts::FLAGS, TRACE, WAVES, STORE], run: |a| cmd_job(a, JobKind::Cluster) },
+    Command { name: "hybrid", synopsis: FILE, positionals: (1, 1),
+        flags: &[JobOpts::FLAGS, TRACE, WAVES, STORE], run: |a| cmd_job(a, JobKind::Hybrid) },
+    Command { name: "mc", synopsis: FILE, positionals: (1, 1),
+        flags: &[JobOpts::FLAGS, TRACE, STORE, &[("--trials", Int), ("--seed", Int),
+            ("--widths", Str), ("--corner", Str), ("--sigma-vt", Num), ("--sigma-kp", Num),
+            ("--sigma-w", Num)]],
+        run: cmd_mc },
+    Command { name: "export", synopsis: FILE, positionals: (1, 1),
+        flags: &[&[("--cmos", Switch), ("--w-over-l", Num), ("--out", Str)]],
+        run: cmd_export },
+    Command { name: "import", synopsis: "<file.ckt> [--out F] [--tech PRESET] [--raw F]",
+        positionals: (1, 1),
+        flags: &[TRACE, &[("--out", Str), ("--tech", Str), ("--raw", Str), ("--t-stop", Num)]],
+        run: cmd_import },
+    Command { name: "gen", synopsis: "[--list | --all [--dir D] | <stem>]", positionals: (0, 1),
+        flags: &[&[("--list", Switch), ("--all", Switch), ("--dir", Str)]], run: cmd_gen },
+    Command { name: "repro", synopsis: "[--list | --all | <id>...] [--full]",
+        positionals: (0, usize::MAX),
+        flags: &[&[("--list", Switch), ("--all", Switch), ("--full", Switch)]], run: cmd_repro },
+    Command { name: "serve", synopsis: "[--addr H:P] [--store PATH] [--threads N] [--job-slots N]",
+        positionals: (0, 0),
+        flags: &[&[("--addr", Str), ("--store", Str), ("--threads", Int), ("--job-slots", Int),
+            ("--read-timeout-ms", Int), ("--write-timeout-ms", Int),
+            ("--max-request-bytes", Int)]],
+        run: cmd_serve },
+    Command { name: "client",
+        synopsis: "<host:port> <status|shutdown|import|screen|size|cluster|hybrid> [file] [flags]",
+        positionals: (2, 3),
+        flags: &[JobOpts::FLAGS, &[("--smoke", Switch), ("--timeout-ms", Int)]], run: cmd_client },
+];
+
+/// Prints the usage text, one line per run of commands that share a
+/// synopsis, and exits 2.
 fn usage() -> ! {
+    let mut text = String::from("usage:");
+    let runs = COMMANDS.chunk_by(|a, b| a.synopsis == b.synopsis);
+    for (i, run) in runs.enumerate() {
+        let names = run.iter().map(|c| c.name).collect::<Vec<_>>().join("|");
+        let name = if run.len() > 1 {
+            format!("<{names}>")
+        } else {
+            names
+        };
+        let indent = if i == 0 { " " } else { "       " };
+        text += &format!("{indent}mtk {name} {}\n", run[0].synopsis);
+    }
     eprintln!(
-        "usage: mtk <lint|sta|screen|size|cluster|hybrid|mc|export> <file.mtk> [flags]\n\
-         \x20      mtk import <file.ckt> [--out F] [--tech PRESET] [--raw F]\n\
-         \x20      mtk gen [--list | --all [--dir D] | <stem>]\n\
-         \x20      mtk repro [--list | --all | <id>...] [--full]\n\
-         \x20      mtk serve [--addr H:P] [--store PATH] [--threads N] [--job-slots N]\n\
-         \x20      mtk client <host:port> <status|shutdown|import|screen|size|cluster|hybrid> [file] [flags]\n\
-         run `mtk` on a .mtk netlist; grammar and flags in DESIGN.md §11, protocol in §13"
+        "{text}run `mtk` on a .mtk netlist; grammar and flags in DESIGN.md §11, protocol in §13"
     );
     std::process::exit(2);
 }
@@ -125,54 +150,28 @@ fn positive_w_over_l(w_over_l: f64) -> f64 {
     }
 }
 
+/// Finds the command, parses its arguments against its flag table before
+/// any work runs (an undeclared, repeated or malformed flag, or a stray
+/// positional, exits 2), and runs it.
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    // A `--trace-json` with no path is a usage error before any work runs.
-    str_flag("--trace-json");
-    let cmd = args.get(1).map(String::as_str).unwrap_or("");
-    if cmd == "gen" {
-        return cmd_gen(&args[2..]);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let name = argv.first().map_or("", String::as_str);
+    let cmd = COMMANDS.iter().find(|c| c.name == name);
+    let cmd = cmd.unwrap_or_else(|| usage());
+    let args =
+        Args::parse(&format!("mtk {}", cmd.name), &argv[1..], cmd.flags).unwrap_or_else(|e| die(e));
+    let (least, most) = cmd.positionals;
+    if args.at_most(most).unwrap_or_else(|e| die(e)).len() < least {
+        usage();
     }
-    if cmd == "repro" {
-        return cmd_repro(&args[2..]);
-    }
-    if cmd == "serve" {
-        return cmd_serve();
-    }
-    if cmd == "client" {
-        return cmd_client(&args[2..]);
-    }
-    if cmd == "import" {
-        return cmd_import(&args[2..]);
-    }
-    let path = match args.get(2) {
-        Some(p) if !p.starts_with("--") => p.clone(),
-        _ => usage(),
-    };
-    let design = load(&path);
-    match cmd {
-        "lint" => cmd_lint(&design),
-        "sta" => cmd_sta(&design),
-        "mc" => cmd_mc(&design),
-        "export" => cmd_export(&design),
-        _ => match JobKind::parse(cmd) {
-            Some(kind) => cmd_job(kind, design),
-            None => usage(),
-        },
-    }
+    (cmd.run)(&args);
 }
 
 /// Reads and parses a `.mtk` file; any failure is a diagnostic on
 /// stderr and exit 2, never a panic.
 fn load(path: &str) -> Design {
-    let src = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => die(format!("{path}: {e}")),
-    };
-    match mtk_fe::parse_str(&src, path) {
-        Ok(d) => d,
-        Err(e) => die(e),
-    }
+    let src = std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("{path}: {e}")));
+    mtk_fe::parse_str(&src, path).unwrap_or_else(|e| die(e))
 }
 
 /// Lint-on-load for the flow commands: findings go to stderr as
@@ -183,7 +182,11 @@ fn warn_lint(design: &Design) {
     }
 }
 
-fn cmd_lint(design: &Design) {
+/// `mtk lint`: parse and lint; findings one per line with the source line
+/// of the offending declaration. Exits 1 on findings (`--warn-only`
+/// downgrades to 0), 2 on parse errors.
+fn cmd_lint(args: &Args) {
+    let design = load(&args.positionals[0]);
     let issues = design.lint();
     for line in design.render_lint(&issues) {
         println!("{line}");
@@ -195,17 +198,17 @@ fn cmd_lint(design: &Design) {
             design.netlist.cells().len(),
             design.netlist.nets().len()
         );
-    } else if !bool_flag("--warn-only") {
+    } else if !args.has("--warn-only") {
         std::process::exit(1);
     }
 }
 
-fn cmd_sta(design: &Design) {
+/// `mtk sta`: static timing — the critical-path delay and the path
+/// itself.
+fn cmd_sta(args: &Args) {
+    let design = &load(&args.positionals[0]);
     warn_lint(design);
-    let sta = match Sta::analyze(&design.netlist, &design.tech) {
-        Ok(s) => s,
-        Err(e) => die(e),
-    };
+    let sta = Sta::analyze(&design.netlist, &design.tech).unwrap_or_else(|e| die(e));
     println!(
         "STA of {} ({}): critical delay {}",
         design.netlist.name(),
@@ -228,15 +231,13 @@ fn cmd_sta(design: &Design) {
             })
             .collect::<Vec<_>>(),
     );
-    if str_flag("--raw").is_some() || str_flag("--vcd").is_some() {
+    if args.has("--raw") || args.has("--vcd") {
         // The vector sourcing and sleep size of a screen job.
-        let o = JobOpts::from_flags(JobOpts::default());
-        let (transitions, _) = design_transitions(design, o.stride, o.samples);
-        export_waves(
-            design,
-            transitions.first(),
-            Some(positive_w_over_l(o.w_over_l)),
-        );
+        let o = JobOpts::default();
+        let stride = args.int("--stride", o.stride);
+        let (transitions, _) = design_transitions(design, stride, args.int("--samples", o.samples));
+        let w_over_l = positive_w_over_l(args.num("--w-over-l", o.w_over_l));
+        export_waves(args, design, transitions.first(), Some(w_over_l));
     }
 }
 
@@ -245,9 +246,13 @@ fn cmd_sta(design: &Design) {
 /// rawfile from a transistor-level transient, a VCD dump from a
 /// switch-level run. Returns `(raw points, vcd changes)` written, for
 /// the trace counters.
-fn export_waves(design: &Design, tr: Option<&Transition>, w_over_l: Option<f64>) -> (u64, u64) {
-    let raw_path = str_flag("--raw");
-    let vcd_path = str_flag("--vcd");
+fn export_waves(
+    args: &Args,
+    design: &Design,
+    tr: Option<&Transition>,
+    w_over_l: Option<f64>,
+) -> (u64, u64) {
+    let (raw_path, vcd_path) = (args.str("--raw"), args.str("--vcd"));
     if raw_path.is_none() && vcd_path.is_none() {
         return (0, 0);
     }
@@ -258,18 +263,13 @@ fn export_waves(design: &Design, tr: Option<&Transition>, w_over_l: Option<f64>)
     let mut raw_points = 0u64;
     let mut vcd_changes = 0u64;
     if let Some(path) = raw_path {
-        let cfg = SpiceRunConfig::window(f64_flag("--t-stop", 80e-9));
-        let raw = match mtk_bench::wave::raw_from_transition(design, tr, w_over_l, &cfg) {
-            Ok(r) => r,
-            Err(e) => die(format!("--raw: {e}")),
-        };
-        let bytes = match raw.to_bytes() {
-            Ok(b) => b,
-            Err(e) => die(format!("--raw: {e}")),
-        };
-        if let Err(e) = std::fs::write(&path, &bytes) {
-            die(format!("--raw {path}: {e}"));
-        }
+        let cfg = SpiceRunConfig::window(args.num("--t-stop", 80e-9));
+        let raw = mtk_bench::wave::raw_from_transition(design, tr, w_over_l, &cfg)
+            .unwrap_or_else(|e| die(format!("--raw: {e}")));
+        let bytes = raw
+            .to_bytes()
+            .unwrap_or_else(|e| die(format!("--raw: {e}")));
+        std::fs::write(path, &bytes).unwrap_or_else(|e| die(format!("--raw {path}: {e}")));
         raw_points = raw.points() as u64;
         println!(
             "wrote {path}: {} variable(s), {} point(s)",
@@ -283,18 +283,12 @@ fn export_waves(design: &Design, tr: Option<&Transition>, w_over_l: Option<f64>)
             None => VbsimOptions::cmos(),
         };
         let engine = Engine::new(&design.netlist, &design.tech);
-        let run = match engine.run(&tr.from, &tr.to, &opts) {
-            Ok(r) => r,
-            Err(e) => die(format!("--vcd: {e}")),
-        };
+        let run = engine
+            .run(&tr.from, &tr.to, &opts)
+            .unwrap_or_else(|e| die(format!("--vcd: {e}")));
         let vcd = mtk_bench::wave::vcd_from_run(design, &run);
-        let text = match vcd.render() {
-            Ok(t) => t,
-            Err(e) => die(format!("--vcd: {e}")),
-        };
-        if let Err(e) = std::fs::write(&path, text) {
-            die(format!("--vcd {path}: {e}"));
-        }
+        let text = vcd.render().unwrap_or_else(|e| die(format!("--vcd: {e}")));
+        std::fs::write(path, text).unwrap_or_else(|e| die(format!("--vcd {path}: {e}")));
         vcd_changes = (vcd.initial.len() + vcd.changes.len()) as u64;
         println!(
             "wrote {path}: {} signal(s), {vcd_changes} change(s)",
@@ -312,49 +306,31 @@ fn count_waves(phase: &mut PhaseTrace, raw_points: u64, vcd_changes: u64) {
 
 /// Opens `--store PATH` for the commands that write through it; an
 /// unopenable store is a diagnostic and exit 2.
-fn open_store() -> Option<Store> {
-    str_flag("--store").map(|path| match Store::open(&path) {
-        Ok(s) => s,
-        Err(e) => die(format!("--store {path}: {e}")),
-    })
+fn open_store(args: &Args) -> Option<Store> {
+    let open = |path| Store::open(path).unwrap_or_else(|e| die(format!("--store {path}: {e}")));
+    args.str("--store").map(open)
 }
-
-/// The flags every job command takes besides [`JobOpts::flag_names`]:
-/// the trace export and the waveform export.
-const JOB_FLAGS: [&str; 5] = [
-    "--trace-json",
-    "--trace-deterministic",
-    "--raw",
-    "--vcd",
-    "--t-stop",
-];
-
-/// The flags of the job commands that run cluster or size jobs (`size`,
-/// `cluster`, and `hybrid`, whose `--clusters` composes a cluster job):
-/// the store and the cluster smoke.
-const STORE_FLAGS: [&str; 2] = ["--store", "--smoke"];
 
 /// `mtk screen|size|cluster|hybrid`: one [`Job`] from the flags (the
 /// same one `mtk client` sends and `mtk serve` runs), rendered as text
-/// plus the §10 footer/JSON. `hybrid --clusters N` is composed as a
+/// plus the §10 footer/JSON. `size` bisects one sleep W/L to the target;
+/// `cluster` gives each mutually-exclusive cluster of gates its own
+/// sleep device and co-optimizes the widths, returning the single device
+/// when that uses no more total width (the never-worse rule).
+/// `hybrid --clusters N` is composed as a
 /// cluster job, then a hybrid job at the clustered total width — a
 /// conservative lumping (one device of equal width sinks at least the
 /// current of the split devices), so the verification stays meaningful
 /// without teaching the SPICE netlister about partitions.
-fn cmd_job(kind: JobKind, design: Design) {
-    let mut known = JobOpts::flag_names();
-    known.extend(JOB_FLAGS.map(String::from));
-    if kind != JobKind::Screen {
-        known.extend(STORE_FLAGS.map(String::from));
-    }
-    reject_unknown_flags(&format!("mtk {}", kind.name()), &known);
+fn cmd_job(args: &Args, kind: JobKind) {
+    let design = load(&args.positionals[0]);
     warn_lint(&design);
-    let mut job = Job::from_flags(kind, design);
-    let mut spans = SpanRecorder::new(trace_config().spans);
+    let mut job = Job::from_flags(kind, design, args);
+    let mut spans = SpanRecorder::new(trace_config(args).spans);
     let mut cluster_phases = Vec::new();
-    if job.kind == JobKind::Hybrid && str_flag("--clusters").is_some() {
-        let cluster = Job::from_flags(JobKind::Cluster, job.design().clone());
-        let (out, _) = run_job(&cluster, &mut spans);
+    if job.kind == JobKind::Hybrid && args.has("--clusters") {
+        let cluster = Job::from_flags(JobKind::Cluster, job.design().clone(), args);
+        let (out, _) = run_job(args, &cluster, &mut spans);
         if let JobOutput::Cluster { sizing, .. } = &out {
             let total = sizing.total_width();
             println!("hybrid verifies at the clustered total W/L = {total:.2}");
@@ -362,7 +338,7 @@ fn cmd_job(kind: JobKind, design: Design) {
         }
         cluster_phases = out.trace().phases;
     }
-    let (out, transitions) = run_job(&job, &mut spans);
+    let (out, transitions) = run_job(args, &job, &mut spans);
     let (design, o) = (job.design(), &job.opts);
     let mut trace = out.trace();
     match &out {
@@ -395,11 +371,12 @@ fn cmd_job(kind: JobKind, design: Design) {
                     .collect::<Vec<_>>(),
             );
             let worst = screened.first().map(|e| &transitions[e.index]);
-            let (rp, vc) = export_waves(design, worst.or(transitions.first()), Some(o.w_over_l));
+            let worst = worst.or(transitions.first());
+            let (rp, vc) = export_waves(args, design, worst, Some(o.w_over_l));
             count_waves(&mut trace.phases[0], rp, vc);
         }
         JobOutput::Size { w_over_l, .. } => {
-            let (rp, vc) = export_waves(design, transitions.first(), Some(*w_over_l));
+            let (rp, vc) = export_waves(args, design, transitions.first(), Some(*w_over_l));
             count_waves(&mut trace.phases[0], rp, vc);
         }
         JobOutput::Cluster { sizing, report } => {
@@ -452,7 +429,8 @@ fn cmd_job(kind: JobKind, design: Design) {
                     .collect::<Vec<_>>(),
             );
             let worst = report.findings.first().map(|f| &transitions[f.index]);
-            let (rp, vc) = export_waves(design, worst.or(transitions.first()), Some(o.w_over_l));
+            let worst = worst.or(transitions.first());
+            let (rp, vc) = export_waves(args, design, worst, Some(o.w_over_l));
             if rp + vc > 0 {
                 let mut phase = PhaseTrace::new("wave");
                 count_waves(&mut phase, rp, vc);
@@ -462,14 +440,14 @@ fn cmd_job(kind: JobKind, design: Design) {
     }
     trace.phases.extend(cluster_phases);
     trace.spans = spans.finish();
-    emit_trace(&trace);
+    emit_trace(args, &trace);
 }
 
 /// Prints a job's header, runs it inside a wall-clock span named after
 /// its kind (a failed run is a diagnostic and exit 2), and prints what
 /// the run reports before any table: the size result, the partition, and
 /// the `--store` traffic. Returns the output and the job's transitions.
-fn run_job(job: &Job, spans: &mut SpanRecorder) -> (JobOutput, Vec<Transition>) {
+fn run_job(args: &Args, job: &Job, spans: &mut SpanRecorder) -> (JobOutput, Vec<Transition>) {
     let (design, o) = (job.design(), &job.opts);
     let (name, tech) = (design.netlist.name(), &design.tech.name);
     let (transitions, label) = job.transitions();
@@ -501,13 +479,12 @@ fn run_job(job: &Job, spans: &mut SpanRecorder) -> (JobOutput, Vec<Transition>) 
     // writes every simulated leg through to the crash-safe log, a cluster
     // job every evaluation, and a later run replays them bit-identically.
     let store = matches!(job.kind, JobKind::Size | JobKind::Cluster)
-        .then(open_store)
+        .then(|| open_store(args))
         .flatten();
     let cache = store.map_or_else(ScreeningCache::new, ScreeningCache::with_store);
-    let out = match spans.time(job.kind.name(), || job.run(&cache)) {
-        Ok(out) => out,
-        Err(e) => die(e),
-    };
+    let out = spans
+        .time(job.kind.name(), || job.run(&cache))
+        .unwrap_or_else(|e| die(e));
     match &out {
         JobOutput::Size { w_over_l, wall, .. } => {
             println!("sleep transistor W/L = {w_over_l:.2} ({wall:.2} s wall)");
@@ -544,10 +521,11 @@ fn run_job(job: &Job, spans: &mut SpanRecorder) -> (JobOutput, Vec<Transition>) 
 /// count; `--store PATH` writes every simulated trial through to the
 /// crash-safe log so a warm rerun replays the whole sweep without
 /// touching the simulator.
-fn cmd_mc(design: &Design) {
+fn cmd_mc(args: &Args) {
+    let design = &load(&args.positionals[0]);
     warn_lint(design);
-    let smoke = bool_flag("--smoke");
-    let trials = flag("--trials", if smoke { 64 } else { 256 });
+    let smoke = args.has("--smoke");
+    let trials = args.int("--trials", if smoke { 64 } else { 256 });
     // The job options mc shares (`--threads`, `--w-over-l`, `--target`,
     // `--stride`, `--samples`, the failure policy); `--smoke` thins the
     // exhaustive transition space so the CI sweep stays fast, and an
@@ -556,9 +534,9 @@ fn cmd_mc(design: &Design) {
     if smoke {
         defaults.stride = 256;
     }
-    let o = JobOpts::from_flags(defaults);
+    let o = JobOpts::from_flags(args, defaults);
     let (threads, w_over_l, target) = (o.threads, o.w_over_l, o.target);
-    let widths: Vec<f64> = match str_flag("--widths") {
+    let widths: Vec<f64> = match args.str("--widths") {
         Some(list) => list
             .split(',')
             .map(|w| match w.trim().parse::<f64>() {
@@ -568,7 +546,7 @@ fn cmd_mc(design: &Design) {
             .collect(),
         None => vec![5.0, 10.0, 20.0, 40.0],
     };
-    let corner = str_flag("--corner");
+    let corner = args.str("--corner");
     let mut tech = match &corner {
         Some(name) => match design.tech.at_corner(name) {
             Some(t) => t,
@@ -581,13 +559,13 @@ fn cmd_mc(design: &Design) {
     };
     // The design's `tech.sigma_*` fields set the variation; these flags
     // override them for what-if sweeps without editing the file.
-    tech.sigma_vt = f64_flag("--sigma-vt", tech.sigma_vt);
-    tech.sigma_kp = f64_flag("--sigma-kp", tech.sigma_kp);
-    tech.sigma_w = f64_flag("--sigma-w", tech.sigma_w);
+    tech.sigma_vt = args.num("--sigma-vt", tech.sigma_vt);
+    tech.sigma_kp = args.num("--sigma-kp", tech.sigma_kp);
+    tech.sigma_w = args.num("--sigma-w", tech.sigma_w);
     let (transitions, label) = design_transitions(design, o.stride, o.samples);
     let opts = McOptions {
         trials,
-        seed: flag("--seed", 0x4D43) as u64,
+        seed: args.int("--seed", 0x4D43) as u64,
         w_over_l,
         widths,
         target,
@@ -603,8 +581,8 @@ fn cmd_mc(design: &Design) {
         pct(target),
         threads_label(threads)
     );
-    let store = open_store();
-    let mut spans = SpanRecorder::new(trace_config().spans);
+    let store = open_store(args);
+    let mut spans = SpanRecorder::new(trace_config(args).spans);
     let report = spans.time("mc", || {
         run_mc(
             &design.netlist,
@@ -616,10 +594,7 @@ fn cmd_mc(design: &Design) {
             &FaultPlan::none(),
         )
     });
-    let report = match report {
-        Ok(r) => r,
-        Err(e) => die(e),
-    };
+    let report = report.unwrap_or_else(|e| die(e));
     println!(
         "{} of {} trial(s) within target at W/L={w_over_l} ({:.2} s wall); degradation p50/p95/p99 = {}/{}/{} bp, bounce p99 = {} uV",
         report.passed(),
@@ -649,15 +624,15 @@ fn cmd_mc(design: &Design) {
     let mut trace = TraceReport::new("mtk_mc");
     trace.push_phase(report.to_phase("mc"));
     trace.spans = spans.finish();
-    emit_trace(&trace);
+    emit_trace(args, &trace);
 }
 
 /// `mtk gen`: serialize the golden designs. `--list` prints the stems,
 /// `--all` writes `<dir>/<stem>.mtk` for every design (`--dir`,
 /// default `examples`), a bare stem prints that design to stdout.
-fn cmd_gen(rest: &[String]) {
+fn cmd_gen(args: &Args) {
     let designs = golden_designs();
-    if bool_flag("--list") {
+    if args.has("--list") {
         // The stems and descriptions come from `generator_catalog`, the
         // same single source DESIGN.md §5 renders — a drift-guard test
         // pins it against `golden_designs`.
@@ -666,23 +641,18 @@ fn cmd_gen(rest: &[String]) {
         }
         return;
     }
-    if bool_flag("--all") {
-        let dir = str_flag("--dir").unwrap_or_else(|| "examples".to_string());
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            die(format!("{dir}: {e}"));
-        }
+    if args.has("--all") {
+        let dir = args.str("--dir").unwrap_or("examples");
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| die(format!("{dir}: {e}")));
         for (stem, design) in &designs {
             let path = format!("{dir}/{stem}.mtk");
-            if let Err(e) = std::fs::write(&path, design.to_mtk()) {
-                die(format!("{path}: {e}"));
-            }
+            std::fs::write(&path, design.to_mtk()).unwrap_or_else(|e| die(format!("{path}: {e}")));
             println!("wrote {path}");
         }
         return;
     }
-    let stem = match rest.iter().find(|a| !a.starts_with("--")) {
-        Some(s) => s.as_str(),
-        None => usage(),
+    let Some(stem) = args.positionals.first() else {
+        usage()
     };
     match designs.iter().find(|(s, _)| *s == stem) {
         Some((_, design)) => print!("{}", design.to_mtk()),
@@ -698,9 +668,11 @@ fn cmd_gen(rest: &[String]) {
 
 /// `mtk repro`: run the chosen experiments (`--all`, or ids in order),
 /// printing each one's tables as it finishes, then one check table.
-/// Exits 1 when any check fails the run, 2 on an unknown id.
-fn cmd_repro(rest: &[String]) {
-    if bool_flag("--list") {
+/// Exits 1 when any check fails the run, 2 on an unknown id. `--full`
+/// adds the long variants: Table 1 SPICE rows, every FIG14 S2 vector,
+/// all 4096 SEC6-2 SPICE runs, and the FIG5/FIG11 CSV series.
+fn cmd_repro(args: &Args) {
+    if args.has("--list") {
         for e in EXPERIMENTS {
             println!("{:<12} {}", e.id, e.paper_section);
         }
@@ -711,17 +683,17 @@ fn cmd_repro(rest: &[String]) {
             "unknown experiment `{id}` (see `mtk repro --list`)"
         ))
     };
-    let ids = rest.iter().filter(|a| !a.starts_with("--"));
-    let chosen: Vec<&repro::Experiment> = if bool_flag("--all") {
+    let chosen: Vec<&repro::Experiment> = if args.has("--all") {
         EXPERIMENTS.iter().collect()
     } else {
-        ids.map(|id| repro::find(id).unwrap_or_else(|| unknown(id)))
+        (args.positionals.iter())
+            .map(|id| repro::find(id).unwrap_or_else(|| unknown(id)))
             .collect()
     };
     if chosen.is_empty() {
         usage();
     }
-    let ctx = Ctx::new(bool_flag("--full"));
+    let ctx = Ctx::new(args.has("--full"));
     let mut checks = Vec::new();
     for e in chosen {
         let out = (e.run)(&ctx);
@@ -739,25 +711,19 @@ fn cmd_repro(rest: &[String]) {
 /// deck re-imports byte-exactly (`mtk import` reproduces the canonical
 /// `.mtk`). `--w-over-l` sizes the footer, `--cmos` omits it, `--out`
 /// writes a file instead of stdout.
-fn cmd_export(design: &Design) {
-    warn_lint(design);
-    let sleep = if bool_flag("--cmos") {
+fn cmd_export(args: &Args) {
+    let design = load(&args.positionals[0]);
+    warn_lint(&design);
+    let sleep = if args.has("--cmos") {
         None
     } else {
-        Some(positive_w_over_l(f64_flag(
-            "--w-over-l",
-            JobOpts::default().w_over_l,
-        )))
+        let w_over_l = args.num("--w-over-l", JobOpts::default().w_over_l);
+        Some(positive_w_over_l(w_over_l))
     };
-    let deck = match export_deck(design, sleep) {
-        Ok(d) => d,
-        Err(e) => die(e),
-    };
-    match str_flag("--out") {
+    let deck = export_deck(&design, sleep).unwrap_or_else(|e| die(e));
+    match args.str("--out") {
         Some(path) => {
-            if let Err(e) = std::fs::write(&path, &deck) {
-                die(format!("--out {path}: {e}"));
-            }
+            std::fs::write(path, &deck).unwrap_or_else(|e| die(format!("--out {path}: {e}")));
             println!("wrote {path}: {} line(s)", deck.lines().count());
         }
         None => print!("{deck}"),
@@ -770,46 +736,24 @@ fn cmd_export(design: &Design) {
 /// the reason is reported, `--raw PATH` still runs a transient on the
 /// raw circuit and writes the rawfile, and without `--raw` the exit
 /// code is 1.
-fn cmd_import(rest: &[String]) {
-    let path = match rest.first() {
-        Some(p) if !p.starts_with("--") => p.clone(),
-        _ => usage(),
-    };
-    let text = match std::fs::read_to_string(&path) {
-        Ok(s) => s,
-        Err(e) => die(format!("{path}: {e}")),
-    };
-    let name = std::path::Path::new(&path)
+fn cmd_import(args: &Args) {
+    let path = &args.positionals[0];
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("{path}: {e}")));
+    let name = std::path::Path::new(path)
         .file_stem()
         .and_then(|s| s.to_str())
         .unwrap_or("imported")
         .to_string();
-    let tech_name = str_flag("--tech").unwrap_or_else(|| "l07".to_string());
-    let tech = match mtk_netlist::tech::Technology::preset(&tech_name) {
+    let tech_name = args.str("--tech").unwrap_or("l07");
+    let tech = match mtk_netlist::tech::Technology::preset(tech_name) {
         Some(t) => t,
         None => die(format!("--tech: unknown preset `{tech_name}`")),
     };
-    let imported = match import_deck(&text, &name, &tech) {
-        Ok(i) => i,
-        Err(e) => die(e),
-    };
-    let stats = imported.stats().clone();
     let mut trace = TraceReport::new("mtk_import");
     let mut phase = PhaseTrace::new("import");
-    phase
-        .counters
-        .add(CounterId::ImportCards, stats.deck.cards as u64);
-    phase.counters.add(
-        CounterId::ImportSubcktsFlattened,
-        stats.deck.instances_flattened as u64,
-    );
-    phase.counters.add(
-        CounterId::ImportGatesRecognized,
-        stats.cells_recognized as u64,
-    );
-    phase
-        .counters
-        .add(CounterId::ImportFallbacks, stats.fallback as u64);
+    let count = |id, n| phase.counters.add(id, n);
+    let imported = mtk_bench::import_counted(&text, &name, &tech, count).unwrap_or_else(|e| die(e));
+    let stats = imported.stats().clone();
     match imported {
         Imported::Design {
             design,
@@ -827,41 +771,34 @@ fn cmd_import(rest: &[String]) {
                     .unwrap_or_default()
             );
             let mtk = design.to_mtk();
-            match str_flag("--out") {
+            match args.str("--out") {
                 Some(out) => {
-                    if let Err(e) = std::fs::write(&out, &mtk) {
-                        die(format!("--out {out}: {e}"));
-                    }
+                    std::fs::write(out, &mtk).unwrap_or_else(|e| die(format!("--out {out}: {e}")));
                     println!("wrote {out}: {} line(s)", mtk.lines().count());
                 }
                 None => print!("{mtk}"),
             }
             trace.push_phase(phase);
-            emit_trace(&trace);
+            emit_trace(args, &trace);
         }
         Imported::SpiceOnly {
             circuit, reason, ..
         } => {
             eprintln!("{path}: gate recognition failed ({reason}); SPICE-only analysis available");
-            let raw_path = str_flag("--raw");
+            let raw_path = args.str("--raw");
             let fell_through = raw_path.is_none();
             if let Some(out) = raw_path {
-                let opts = mtk_spice::tran::TranOptions::to(f64_flag("--t-stop", 80e-9));
-                let result = match mtk_spice::tran::transient(&circuit, &opts) {
-                    Ok(r) => r,
-                    Err(e) => die(format!("--raw: {e}")),
-                };
+                let opts = mtk_spice::tran::TranOptions::to(args.num("--t-stop", 80e-9));
+                let result = mtk_spice::tran::transient(&circuit, &opts)
+                    .unwrap_or_else(|e| die(format!("--raw: {e}")));
                 let raw = mtk_bench::wave::raw_from_tran(&result, &name);
                 phase
                     .counters
                     .add(CounterId::WaveRawPoints, raw.points() as u64);
-                let bytes = match raw.to_bytes() {
-                    Ok(b) => b,
-                    Err(e) => die(format!("--raw: {e}")),
-                };
-                if let Err(e) = std::fs::write(&out, &bytes) {
-                    die(format!("--raw {out}: {e}"));
-                }
+                let bytes = raw
+                    .to_bytes()
+                    .unwrap_or_else(|e| die(format!("--raw: {e}")));
+                std::fs::write(out, &bytes).unwrap_or_else(|e| die(format!("--raw {out}: {e}")));
                 println!(
                     "wrote {out}: {} variable(s), {} point(s)",
                     raw.variables.len(),
@@ -869,7 +806,7 @@ fn cmd_import(rest: &[String]) {
                 );
             }
             trace.push_phase(phase);
-            emit_trace(&trace);
+            emit_trace(args, &trace);
             if fell_through {
                 std::process::exit(1);
             }
@@ -901,24 +838,19 @@ fn install_sigterm() {
 /// ephemeral one), accept until SIGTERM or a `shutdown` request, drain
 /// in-flight work, exit 0. Protocol and hardening contract in
 /// DESIGN.md §13.
-fn cmd_serve() {
+fn cmd_serve(args: &Args) {
+    let ms = |name, default| Duration::from_millis(args.int(name, default) as u64);
     let cfg = ServeConfig {
-        addr: str_flag("--addr").unwrap_or_else(|| "127.0.0.1:0".to_string()),
-        threads: flag("--threads", 1),
-        job_slots: flag("--job-slots", 2).max(1),
-        read_timeout: Duration::from_millis(flag("--read-timeout-ms", 5000) as u64),
-        write_timeout: Duration::from_millis(flag("--write-timeout-ms", 5000) as u64),
-        max_request_bytes: flag("--max-request-bytes", 8 * 1024 * 1024),
-        store_path: str_flag("--store").map(std::path::PathBuf::from),
+        addr: args.str("--addr").unwrap_or("127.0.0.1:0").to_string(),
+        threads: args.int("--threads", 1),
+        job_slots: args.int("--job-slots", 2).max(1),
+        read_timeout: ms("--read-timeout-ms", 5000),
+        write_timeout: ms("--write-timeout-ms", 5000),
+        max_request_bytes: args.int("--max-request-bytes", 8 * 1024 * 1024),
+        store_path: args.str("--store").map(std::path::PathBuf::from),
     };
-    let server = match Server::bind(cfg) {
-        Ok(s) => s,
-        Err(e) => die(e),
-    };
-    let addr = match server.local_addr() {
-        Ok(a) => a,
-        Err(e) => die(e),
-    };
+    let server = Server::bind(cfg).unwrap_or_else(|e| die(e));
+    let addr = server.local_addr().unwrap_or_else(|e| die(e));
     install_sigterm();
     let state = server.state();
     {
@@ -952,51 +884,30 @@ fn cmd_serve() {
 /// in canonical `.mtk` form so identical circuits dedup server-side),
 /// prints the response line, exits 0 on `ok`, 3 on `busy`, 1 on
 /// `error`, 2 on transport failures.
-fn cmd_client(rest: &[String]) {
-    let addr = match rest.first() {
-        Some(a) if !a.starts_with("--") => a.clone(),
-        _ => usage(),
-    };
-    let cmd = match rest.get(1) {
-        Some(c) if !c.starts_with("--") => c.as_str(),
-        _ => usage(),
-    };
+fn cmd_client(args: &Args) {
+    let (addr, cmd) = (&args.positionals[0], args.positionals[1].as_str());
+    // `status` and `shutdown` take no file; `import` and the jobs need one.
+    let file = || args.positionals.get(2).unwrap_or_else(|| usage());
     let line = match cmd {
-        "status" | "shutdown" => format!("{{\"cmd\":\"{cmd}\"}}"),
+        "status" | "shutdown" => {
+            args.at_most(2).unwrap_or_else(|e| die(e));
+            format!("{{\"cmd\":\"{cmd}\"}}")
+        }
         "import" => {
-            let path = match rest.get(2) {
-                Some(p) if !p.starts_with("--") => p,
-                _ => usage(),
-            };
-            let deck = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => die(format!("{path}: {e}")),
-            };
-            mtk_trace::json::JsonValue::Object(vec![
-                (
-                    "cmd".to_string(),
-                    mtk_trace::json::JsonValue::String("import".to_string()),
-                ),
-                ("deck".to_string(), mtk_trace::json::JsonValue::String(deck)),
-            ])
-            .to_compact()
+            let path = file();
+            let deck =
+                std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("{path}: {e}")));
+            let deck = mtk_trace::json::JsonValue::String(deck).to_compact();
+            format!("{{\"cmd\":\"import\",\"deck\":{deck}}}")
         }
         cmd => match JobKind::parse(cmd) {
-            Some(kind) => {
-                let path = match rest.get(2) {
-                    Some(p) if !p.starts_with("--") => p,
-                    _ => usage(),
-                };
-                Job::from_flags(kind, load(path)).to_request()
-            }
+            Some(kind) => Job::from_flags(kind, load(file()), args).to_request(),
             None => usage(),
         },
     };
-    let timeout = Duration::from_millis(flag("--timeout-ms", 120_000) as u64);
-    let response = match serve::request(&addr, &line, timeout) {
-        Ok(r) => r,
-        Err(e) => die(format!("{addr}: {e}")),
-    };
+    let timeout = Duration::from_millis(args.int("--timeout-ms", 120_000) as u64);
+    let response =
+        serve::request(addr, &line, timeout).unwrap_or_else(|e| die(format!("{addr}: {e}")));
     println!("{response}");
     let status = mtk_trace::json::parse(&response)
         .ok()

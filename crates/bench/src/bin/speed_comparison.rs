@@ -41,10 +41,12 @@
 //!   solver and must emit identical waveforms, which bounds the gap on
 //!   a 12-cell netlist — see the speed table notes in `EXPERIMENTS.md`).
 //!
-//! An unreadable or invalid baseline, or an unwritable `--json` path,
-//! exits 2 with an `error:` line.
+//! An unreadable or invalid baseline, an unwritable `--json` path, an
+//! undeclared, repeated or malformed flag, or any positional exits 2
+//! with an `error:` line.
 
-use mtk_bench::cli::{self, die};
+use mtk_bench::cli::Kind::{Int, Num, Str};
+use mtk_bench::cli::{die, Args, Flag};
 use mtk_bench::report::print_table;
 use mtk_bench::repro::adder_event_sweep;
 use mtk_bench::speedfile::{check_regressions, SpeedFile};
@@ -58,19 +60,29 @@ use mtk_netlist::logic::Logic;
 use mtk_netlist::tech::Technology;
 use mtk_num::prng::Xoshiro256pp;
 
+/// Every flag this binary takes.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    ("--samples", Int), ("--warmup", Int), ("--json", Str), ("--check-against", Str),
+    ("--tolerance", Num), ("--min-speedup", Num),
+];
+
 fn main() {
-    let samples = cli::flag("--samples", 5);
-    let warmup = cli::flag("--warmup", 1);
-    let json_path = cli::str_flag("--json");
-    let baseline = cli::str_flag("--check-against").map(|path| {
-        let text = std::fs::read_to_string(&path)
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = Args::parse("speed_comparison", &argv, &[FLAGS]).unwrap_or_else(|e| die(e));
+    args.at_most(0).unwrap_or_else(|e| die(e));
+    let samples = args.int("--samples", 5);
+    let warmup = args.int("--warmup", 1);
+    let json_path = args.str("--json");
+    let baseline = args.str("--check-against").map(|path| {
+        let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| die(format!("read baseline {path}: {e}")));
         let file =
             SpeedFile::parse(&text).unwrap_or_else(|e| die(format!("parse baseline {path}: {e}")));
         (path, file)
     });
-    let tolerance = cli::f64_flag("--tolerance", 4.0);
-    let min_speedup = cli::f64_flag("--min-speedup", 1.5);
+    let tolerance = args.num("--tolerance", 4.0);
+    let min_speedup = args.num("--min-speedup", 1.5);
 
     let add = RippleAdder::paper();
     let tech = Technology::l07();

@@ -4,7 +4,8 @@
 //! into a typed [`JobOutput`] that each front end renders — text on the
 //! CLI, the `{"result","trace"}` payload over the wire.
 
-use crate::cli::{bool_flag, f64_flag, failure_policy, flag, str_flag};
+use crate::cli::Kind::{Int, Num, Switch};
+use crate::cli::{die, failure_policy, Args, Flag};
 use crate::design_transitions;
 use mtk_core::cluster::{
     exclusive_partition, size_clusters_for_target, ClusterReport, ClusterSizing,
@@ -138,42 +139,27 @@ impl JobOpts {
         })
     }
 
-    /// The options of a CLI invocation: each `--<field>` flag (`_`
-    /// spelled `-`) over `defaults`, and the `--max-failures` /
-    /// `--fail-fast` policy. A malformed numeric flag exits 2
-    /// ([`crate::cli::flag`]).
-    pub fn from_flags(defaults: JobOpts) -> JobOpts {
+    /// The flags [`JobOpts::from_flags`] reads: `--<field>` (`_` spelled
+    /// `-`) for each numeric field, and the failure policy's two.
+    #[rustfmt::skip]
+    pub const FLAGS: &'static [Flag] = &[
+        ("--threads", Int), ("--w-over-l", Num), ("--top-k", Int), ("--target", Num),
+        ("--lo", Num), ("--hi", Num), ("--stride", Int), ("--samples", Int), ("--top", Int),
+        ("--clusters", Int), ("--max-failures", Int), ("--fail-fast", Switch),
+    ];
+
+    /// The options of a CLI invocation: each `--<field>` flag of `args`
+    /// over `defaults`, and the `--max-failures` / `--fail-fast` policy.
+    pub fn from_flags(args: &Args, defaults: JobOpts) -> JobOpts {
         let Ok(opts) = JobOpts::read::<std::convert::Infallible>(
             defaults,
-            |k, d| Ok(f64_flag(&flag_name(k), d)),
-            |k, d| Ok(flag(&flag_name(k), d)),
+            |k, d| Ok(args.num(&flag_name(k), d)),
+            |k, d| Ok(args.int(&flag_name(k), d)),
         );
         JobOpts {
-            policy: failure_policy(),
+            policy: failure_policy(args),
             ..opts
         }
-    }
-
-    /// The flags [`JobOpts::from_flags`] reads: one per numeric field,
-    /// and the failure policy's two.
-    pub fn flag_names() -> Vec<String> {
-        let names = std::cell::RefCell::new(vec![
-            "--max-failures".to_string(),
-            "--fail-fast".to_string(),
-        ]);
-        let note = |k: &str| names.borrow_mut().push(flag_name(k));
-        let Ok(_) = JobOpts::read::<std::convert::Infallible>(
-            JobOpts::default(),
-            |k, d| {
-                note(k);
-                Ok(d)
-            },
-            |k, d| {
-                note(k);
-                Ok(d)
-            },
-        );
-        names.into_inner()
     }
 
     /// The options of a serve request: each numeric field of the same
@@ -332,25 +318,24 @@ impl Job {
     }
 
     /// The job of a CLI invocation (`mtk <kind>` or `mtk client … <kind>`)
-    /// from the process flags ([`JobOpts::from_flags`]). `size --clusters
+    /// from its flags ([`JobOpts::from_flags`]). `size --clusters
     /// N` is a cluster job, and `--smoke` thins a cluster job's sampled
     /// vector set (stride 64, 8 samples) unless `--stride`/`--samples`
     /// say otherwise. Options [`JobOpts::check`] rejects are a usage
     /// error: message on stderr, exit 2.
-    pub fn from_flags(kind: JobKind, design: Design) -> Job {
+    pub fn from_flags(kind: JobKind, design: Design, args: &Args) -> Job {
         let kind = match kind {
-            JobKind::Size if str_flag("--clusters").is_some() => JobKind::Cluster,
+            JobKind::Size if args.has("--clusters") => JobKind::Cluster,
             k => k,
         };
         let mut defaults = JobOpts::default();
-        if kind == JobKind::Cluster && bool_flag("--smoke") {
+        if kind == JobKind::Cluster && args.has("--smoke") {
             defaults.stride = 64;
             defaults.samples = 8;
         }
-        let opts = JobOpts::from_flags(defaults);
+        let opts = JobOpts::from_flags(args, defaults);
         if let Err(msg) = opts.check(kind) {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
+            die(msg);
         }
         Job::new(kind, design, opts)
     }
@@ -718,5 +703,38 @@ mod tests {
             0,
             "0 = all cores"
         );
+    }
+
+    #[test]
+    fn every_job_flag_is_declared_and_reaches_its_field() {
+        let argv: Vec<String> = "--threads 3 --w-over-l 7.5 --top-k 3 --target 0.08 --lo 2 \
+                                 --hi 900 --stride 5 --samples 17 --top 4 --clusters 3 --fail-fast"
+            .split_whitespace()
+            .map(String::from)
+            .collect();
+        let args = Args::parse("mtk t", &argv, &[JobOpts::FLAGS]).unwrap();
+        let o = JobOpts::from_flags(&args, JobOpts::default());
+        let (kind, design) = (JobKind::Hybrid, mtk_fe::parse_str(CHAIN, "chain").unwrap());
+        let want = JobOpts {
+            w_over_l: 7.5,
+            top_k: 3,
+            target: 0.08,
+            lo: 2.0,
+            hi: 900.0,
+            stride: 5,
+            samples: 17,
+            top: 4,
+            clusters: 3,
+            ..JobOpts::default()
+        };
+        assert_eq!(
+            Job::new(kind, design.clone(), o).to_request(),
+            Job::new(kind, design, JobOpts { threads: 3, ..want }).to_request()
+        );
+        assert_eq!(o.policy, FailurePolicy::FailFast);
+        let argv = ["--max-failures", "4"].map(String::from).to_vec();
+        let args = Args::parse("mtk t", &argv, &[JobOpts::FLAGS]).unwrap();
+        let o = JobOpts::from_flags(&args, JobOpts::default());
+        assert_eq!(o.policy, FailurePolicy::quarantine(4));
     }
 }

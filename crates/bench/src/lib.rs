@@ -19,8 +19,11 @@ pub mod wave;
 
 use mtk_circuits::vectors::VectorPair;
 use mtk_core::sizing::Transition;
+use mtk_fe::interop::{import_deck, Imported, InteropError};
 use mtk_netlist::logic::{bits_lsb_first, Logic};
+use mtk_netlist::tech::Technology;
 use mtk_num::prng::Xoshiro256pp;
+use mtk_trace::CounterId;
 
 /// Stream seed for the seeded random vector sample (`--samples` and the
 /// `samples` request field) — sample *i* comes from PRNG stream
@@ -79,6 +82,32 @@ pub fn design_transitions(
         .collect();
     let label = format!("{samples} seeded random sample(s) over {n} inputs");
     (trs, label)
+}
+
+/// Imports the SPICE deck `text` as `name` ([`import_deck`]) and ticks
+/// the four `Import*` counters through `count`: the one import path of
+/// `mtk import` and serve's `import` request.
+///
+/// # Errors
+///
+/// The deck's parse error.
+pub fn import_counted(
+    text: &str,
+    name: &str,
+    tech: &Technology,
+    mut count: impl FnMut(CounterId, u64),
+) -> Result<Imported, InteropError> {
+    let imported = import_deck(text, name, tech)?;
+    let (stats, deck) = (imported.stats(), &imported.stats().deck);
+    for (id, n) in [
+        (CounterId::ImportCards, deck.cards),
+        (CounterId::ImportSubcktsFlattened, deck.instances_flattened),
+        (CounterId::ImportGatesRecognized, stats.cells_recognized),
+        (CounterId::ImportFallbacks, stats.fallback as usize),
+    ] {
+        count(id, n as u64);
+    }
+    Ok(imported)
 }
 
 /// Converts a packed [`VectorPair`] into a [`Transition`] over a circuit

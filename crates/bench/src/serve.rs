@@ -546,24 +546,14 @@ fn handle_import(state: &Arc<ServerState>, request: &JsonValue) -> String {
         return error_line("missing `deck` (the SPICE netlist text)");
     };
     let tech = mtk_netlist::tech::Technology::l07();
-    let imported = match mtk_fe::interop::import_deck(text, "<request>", &tech) {
+    let count = |id, n| state.count(id, n);
+    let imported = match crate::import_counted(text, "<request>", &tech, count) {
         Ok(i) => i,
         Err(e) => {
             state.count(CounterId::RequestsRejected, 1);
             return error_line(&e.to_string());
         }
     };
-    let stats = imported.stats();
-    state.count(CounterId::ImportCards, stats.deck.cards as u64);
-    state.count(
-        CounterId::ImportSubcktsFlattened,
-        stats.deck.instances_flattened as u64,
-    );
-    state.count(
-        CounterId::ImportGatesRecognized,
-        stats.cells_recognized as u64,
-    );
-    state.count(CounterId::ImportFallbacks, stats.fallback as u64);
     match imported {
         mtk_fe::interop::Imported::Design { design, stats, .. } => JsonValue::Object(vec![
             ("status".into(), JsonValue::String("ok".into())),

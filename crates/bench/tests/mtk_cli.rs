@@ -38,8 +38,14 @@
 //!   trace is byte-identical at 1, 2 and 8 threads and passes
 //!   `trace_check`, the returned width obeys the never-worse rule, and a
 //!   warm `--store` rerun simulates nothing.
-//! * `mtk screen|size|cluster|hybrid` exit 2 on an unknown `--flag`,
-//!   naming it, and accept every flag they declare.
+//! * Every `mtk` command, `speed_comparison` and `trace_check` exit 2
+//!   on an unknown `--flag`, naming it, before they print anything; the
+//!   job commands accept every flag they declare.
+//! * Flags are parsed before any work runs: a malformed typed value
+//!   exits 2 with nothing printed or written. A flag's value is never
+//!   read as a positional, and a stray positional exits 2.
+//! * DESIGN.md §11.4's usage block is the text `mtk` prints with no
+//!   arguments.
 //! * `speed_comparison` rejects a missing baseline with exit 2 before
 //!   it times anything.
 //! * `mtk serve` with a store replays a repeated `mtk client` job
@@ -339,21 +345,50 @@ fn a_string_flag_without_a_value_exits_two() {
 fn job_commands_exit_two_on_an_unknown_flag_and_name_it() {
     let adder = golden("adder3");
     let adder = adder.to_str().unwrap();
-    for (args, flag) in [
+    let (bin, speed, check) = (
+        env!("CARGO_BIN_EXE_mtk"),
+        env!("CARGO_BIN_EXE_speed_comparison"),
+        env!("CARGO_BIN_EXE_trace_check"),
+    );
+    for (exe, args, flag) in [
         (
+            bin,
             vec!["screen", adder, "--stride", "512", "--thread", "2"],
             "--thread",
         ),
         (
+            bin,
             vec!["size", adder, "--trace-determinstic"],
             "--trace-determinstic",
         ),
-        (vec!["cluster", adder, "--cluster", "2"], "--cluster"),
-        (vec!["hybrid", adder, "--topk", "2"], "--topk"),
+        (bin, vec!["cluster", adder, "--cluster", "2"], "--cluster"),
+        (bin, vec!["hybrid", adder, "--topk", "2"], "--topk"),
         // The store and the cluster smoke are not screen flags.
-        (vec!["screen", adder, "--store", "s"], "--store"),
+        (bin, vec!["screen", adder, "--store", "s"], "--store"),
+        // Every other command, each with a flag another command declares.
+        (bin, vec!["lint", adder, "--threads", "2"], "--threads"),
+        (bin, vec!["sta", adder, "--trace-json", "t"], "--trace-json"),
+        (bin, vec!["mc", adder, "--smoke", "--raw", "r"], "--raw"),
+        (bin, vec!["export", adder, "--store", "s"], "--store"),
+        (bin, vec!["import", "deck.ckt", "--vcd", "v"], "--vcd"),
+        (bin, vec!["gen", "--list", "--full"], "--full"),
+        (bin, vec!["repro", "--list", "--dir", "d"], "--dir"),
+        // An address that cannot bind: a server that skipped the flag
+        // check would exit on it instead of serving forever.
+        (
+            bin,
+            vec!["serve", "--addr", "no-such-host", "--top"],
+            "--top",
+        ),
+        (
+            bin,
+            vec!["client", "127.0.0.1:9", "status", "--store"],
+            "--store",
+        ),
+        (speed, vec!["--samples", "1", "--no-spice"], "--no-spice"),
+        (check, vec!["--bogus"], "--bogus"),
     ] {
-        let out = mtk(&args);
+        let out = Command::new(exe).args(&args).output().expect("spawn");
         let err = stderr(&out);
         assert_eq!(out.status.code(), Some(2), "{args:?} stderr: {err}");
         assert!(
@@ -417,6 +452,94 @@ fn job_commands_exit_two_on_an_unknown_flag_and_name_it() {
     for path in [&json, &raw, &vcd, &store] {
         assert!(!std::path::Path::new(path).exists(), "{path} written");
     }
+}
+
+/// A malformed typed value exits 2 before the job runs: nothing is
+/// printed and no waveform file is written.
+#[test]
+fn a_malformed_typed_value_exits_two_before_any_work() {
+    let adder = golden("adder3");
+    let dir = temp_path("typed_first");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_mtk"))
+        .args(["screen", adder.to_str().unwrap(), "--stride", "512"])
+        .args(["--raw", "X", "--t-stop", "abc"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn mtk");
+    let left = std::fs::read_dir(&dir).expect("temp dir").count();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    assert!(
+        stderr(&out).contains("error: --t-stop: `abc` is not a finite number"),
+        "stderr: {}",
+        stderr(&out)
+    );
+    assert!(stdout(&out).is_empty(), "ran: {}", stdout(&out));
+    assert_eq!(left, 0, "a rawfile was written");
+}
+
+#[test]
+fn a_flag_value_is_never_a_positional_and_a_stray_positional_exits_two() {
+    // `D` is the value of `--dir`, so `adder3` is the stem to print.
+    let out = mtk(&["gen", "--dir", "D", "adder3"]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let want = std::fs::read_to_string(golden("adder3")).expect("golden file");
+    assert_eq!(stdout(&out), want);
+    let (adder, invtree) = (golden("adder3"), golden("invtree"));
+    let (adder, invtree) = (adder.to_str().unwrap(), invtree.to_str().unwrap());
+    for (exe, args, extra) in [
+        (
+            env!("CARGO_BIN_EXE_mtk"),
+            vec!["size", adder, invtree],
+            invtree,
+        ),
+        (
+            env!("CARGO_BIN_EXE_mtk"),
+            vec!["lint", adder, "--warn-only", "extra"],
+            "extra",
+        ),
+        (
+            env!("CARGO_BIN_EXE_mtk"),
+            vec!["client", "127.0.0.1:9", "status", "extra"],
+            "extra",
+        ),
+        (env!("CARGO_BIN_EXE_mtk"), vec!["serve", "extra"], "extra"),
+        (
+            env!("CARGO_BIN_EXE_speed_comparison"),
+            vec!["--samples", "1", "extra"],
+            "extra",
+        ),
+    ] {
+        let out = Command::new(exe).args(&args).output().expect("spawn");
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?} stderr: {err}");
+        assert!(
+            err.contains(&format!("unexpected argument `{extra}`")),
+            "{args:?}: {err}"
+        );
+        assert!(stdout(&out).is_empty(), "{args:?} ran: {}", stdout(&out));
+    }
+}
+
+/// The usage block of DESIGN.md §11.4 is what `mtk` prints with no
+/// arguments, byte for byte, so the two cannot drift apart.
+#[test]
+fn design_usage_block_is_the_printed_usage() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md");
+    let design = std::fs::read_to_string(path).expect("DESIGN.md");
+    let section = &design[design.find("### 11.4").expect("DESIGN.md §11.4")..];
+    let block = section
+        .split("```")
+        .nth(1)
+        .expect("a fenced block in §11.4");
+    let out = mtk(&[]);
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(
+        block.strip_prefix('\n').unwrap_or(block),
+        stderr(&out),
+        "DESIGN.md §11.4 and `mtk`'s usage text diverged"
+    );
 }
 
 #[test]
