@@ -33,7 +33,7 @@
 //! `--trace-json PATH` / `--trace-deterministic` (DESIGN.md §10).
 
 use mtk_bench::cli::Kind::{Int, Num, Str, Switch};
-use mtk_bench::cli::{die, emit_trace, threads_label, trace_config, Args, Flag};
+use mtk_bench::cli::{die, emit_trace, failure_policy, threads_label, trace_config, Args, Flag};
 use mtk_bench::design_transitions;
 use mtk_bench::job::{Job, JobKind, JobOpts, JobOutput};
 use mtk_bench::report::{ns, pct, print_table, verified_cell};
@@ -60,6 +60,8 @@ const WAVES: &[Flag] = &[("--raw", Str), ("--vcd", Str), ("--t-stop", Num)];
 const STORE: &[Flag] = &[("--store", Str), ("--smoke", Switch)];
 /// The synopsis of the commands that take one `.mtk` file.
 const FILE: &str = "<file.mtk> [flags]";
+/// The flag of every `client` request.
+const CLIENT: &[Flag] = &[("--timeout-ms", Int)];
 
 /// One `mtk` command: its name, the usage synopsis of its arguments, the
 /// least and most positionals it takes, the flag groups it declares, and
@@ -81,15 +83,19 @@ const COMMANDS: [Command; 13] = [
         flags: &[WAVES, &[("--stride", Int), ("--samples", Int), ("--w-over-l", Num)]],
         run: cmd_sta },
     Command { name: "screen", synopsis: FILE, positionals: (1, 1),
-        flags: &[JobOpts::FLAGS, TRACE, WAVES], run: |a| cmd_job(a, JobKind::Screen) },
+        flags: &[JobOpts::SWEEP_FLAGS, JobOpts::JOB_FLAGS, TRACE, WAVES],
+        run: |a| cmd_job(a, JobKind::Screen) },
     Command { name: "size", synopsis: FILE, positionals: (1, 1),
-        flags: &[JobOpts::FLAGS, TRACE, WAVES, STORE], run: |a| cmd_job(a, JobKind::Size) },
+        flags: &[JobOpts::SWEEP_FLAGS, JobOpts::JOB_FLAGS, TRACE, WAVES, STORE],
+        run: |a| cmd_job(a, JobKind::Size) },
     Command { name: "cluster", synopsis: FILE, positionals: (1, 1),
-        flags: &[JobOpts::FLAGS, TRACE, WAVES, STORE], run: |a| cmd_job(a, JobKind::Cluster) },
+        flags: &[JobOpts::SWEEP_FLAGS, JobOpts::JOB_FLAGS, TRACE, WAVES, STORE],
+        run: |a| cmd_job(a, JobKind::Cluster) },
     Command { name: "hybrid", synopsis: FILE, positionals: (1, 1),
-        flags: &[JobOpts::FLAGS, TRACE, WAVES, STORE], run: |a| cmd_job(a, JobKind::Hybrid) },
+        flags: &[JobOpts::SWEEP_FLAGS, JobOpts::JOB_FLAGS, TRACE, WAVES, STORE],
+        run: |a| cmd_job(a, JobKind::Hybrid) },
     Command { name: "mc", synopsis: FILE, positionals: (1, 1),
-        flags: &[JobOpts::FLAGS, TRACE, STORE, &[("--trials", Int), ("--seed", Int),
+        flags: &[JobOpts::SWEEP_FLAGS, TRACE, STORE, &[("--trials", Int), ("--seed", Int),
             ("--widths", Str), ("--corner", Str), ("--sigma-vt", Num), ("--sigma-kp", Num),
             ("--sigma-w", Num)]],
         run: cmd_mc },
@@ -114,12 +120,18 @@ const COMMANDS: [Command; 13] = [
     Command { name: "client",
         synopsis: "<host:port> <status|shutdown|import|screen|size|cluster|hybrid> [file] [flags]",
         positionals: (2, 3),
-        flags: &[JobOpts::FLAGS, &[("--smoke", Switch), ("--timeout-ms", Int)]], run: cmd_client },
+        flags: &[JobOpts::SWEEP_FLAGS, JobOpts::JOB_FLAGS, &[("--smoke", Switch)], CLIENT],
+        run: cmd_client },
 ];
 
-/// Prints the usage text, one line per run of commands that share a
-/// synopsis, and exits 2.
+/// Prints the usage text on stderr and exits 2.
 fn usage() -> ! {
+    eprint!("{}", usage_text());
+    std::process::exit(2);
+}
+
+/// The usage text: one line per run of commands that share a synopsis.
+fn usage_text() -> String {
     let mut text = String::from("usage:");
     let runs = COMMANDS.chunk_by(|a, b| a.synopsis == b.synopsis);
     for (i, run) in runs.enumerate() {
@@ -132,10 +144,27 @@ fn usage() -> ! {
         let indent = if i == 0 { " " } else { "       " };
         text += &format!("{indent}mtk {name} {}\n", run[0].synopsis);
     }
-    eprintln!(
-        "{text}run `mtk` on a .mtk netlist; grammar and flags in DESIGN.md §11, protocol in §13"
-    );
-    std::process::exit(2);
+    text + "run `mtk` on a .mtk netlist; `mtk <command> --help` lists its flags; \
+            grammar in DESIGN.md §11, protocol in §13\n"
+}
+
+/// `mtk <command> --help`: the command's usage line and every flag it
+/// declares, with the kind of value each takes.
+fn help(cmd: &Command) -> String {
+    let flags = cmd.flags.iter().flat_map(|group| group.iter());
+    let flags = flags.map(|&(name, kind)| match kind {
+        Switch => name.to_string(),
+        Int => format!("{name} N"),
+        Num => format!("{name} X"),
+        Str => format!("{name} S"),
+    });
+    let flags = flags.collect::<Vec<_>>().join(" ");
+    format!(
+        "usage: mtk {} {}\nflags: {}\n",
+        cmd.name,
+        cmd.synopsis,
+        if flags.is_empty() { "none" } else { &flags }
+    )
 }
 
 /// A `--w-over-l` sleep size, held to the core screen's rule: one that
@@ -152,12 +181,21 @@ fn positive_w_over_l(w_over_l: f64) -> f64 {
 
 /// Finds the command, parses its arguments against its flag table before
 /// any work runs (an undeclared, repeated or malformed flag, or a stray
-/// positional, exits 2), and runs it.
+/// positional, exits 2), and runs it. `--help` prints the usage text, or
+/// after a command that command's help, on stdout and exits 0.
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let name = argv.first().map_or("", String::as_str);
+    if name == "--help" {
+        print!("{}", usage_text());
+        return;
+    }
     let cmd = COMMANDS.iter().find(|c| c.name == name);
     let cmd = cmd.unwrap_or_else(|| usage());
+    if argv[1..].iter().any(|a| a == "--help") {
+        print!("{}", help(cmd));
+        return;
+    }
     let args =
         Args::parse(&format!("mtk {}", cmd.name), &argv[1..], cmd.flags).unwrap_or_else(|e| die(e));
     let (least, most) = cmd.positionals;
@@ -526,16 +564,15 @@ fn cmd_mc(args: &Args) {
     warn_lint(design);
     let smoke = args.has("--smoke");
     let trials = args.int("--trials", if smoke { 64 } else { 256 });
-    // The job options mc shares (`--threads`, `--w-over-l`, `--target`,
-    // `--stride`, `--samples`, the failure policy); `--smoke` thins the
-    // exhaustive transition space so the CI sweep stays fast, and an
-    // explicit `--stride` still wins.
-    let mut defaults = JobOpts::default();
-    if smoke {
-        defaults.stride = 256;
-    }
-    let o = JobOpts::from_flags(args, defaults);
-    let (threads, w_over_l, target) = (o.threads, o.w_over_l, o.target);
+    // The job options mc shares (`JobOpts::SWEEP_FLAGS`); `--smoke`
+    // thins the exhaustive transition space so the CI sweep stays fast,
+    // and an explicit `--stride` still wins.
+    let d = JobOpts::default();
+    let threads = args.int("--threads", d.threads);
+    let w_over_l = args.num("--w-over-l", d.w_over_l);
+    let target = args.num("--target", d.target);
+    let stride = args.int("--stride", if smoke { 256 } else { d.stride });
+    let samples = args.int("--samples", d.samples);
     let widths: Vec<f64> = match args.str("--widths") {
         Some(list) => list
             .split(',')
@@ -562,7 +599,7 @@ fn cmd_mc(args: &Args) {
     tech.sigma_vt = args.num("--sigma-vt", tech.sigma_vt);
     tech.sigma_kp = args.num("--sigma-kp", tech.sigma_kp);
     tech.sigma_w = args.num("--sigma-w", tech.sigma_w);
-    let (transitions, label) = design_transitions(design, o.stride, o.samples);
+    let (transitions, label) = design_transitions(design, stride, samples);
     let opts = McOptions {
         trials,
         seed: args.int("--seed", 0x4D43) as u64,
@@ -570,7 +607,7 @@ fn cmd_mc(args: &Args) {
         widths,
         target,
         threads,
-        policy: o.policy,
+        policy: failure_policy(args),
         base: VbsimOptions::default(),
     };
     println!(
@@ -888,12 +925,19 @@ fn cmd_client(args: &Args) {
     let (addr, cmd) = (&args.positionals[0], args.positionals[1].as_str());
     // `status` and `shutdown` take no file; `import` and the jobs need one.
     let file = || args.positionals.get(2).unwrap_or_else(|| usage());
+    // Only the jobs read the job flags.
+    let no_job_flags = || {
+        let name = format!("mtk client {cmd}");
+        args.within(&name, &[CLIENT]).unwrap_or_else(|e| die(e));
+    };
     let line = match cmd {
         "status" | "shutdown" => {
             args.at_most(2).unwrap_or_else(|e| die(e));
+            no_job_flags();
             format!("{{\"cmd\":\"{cmd}\"}}")
         }
         "import" => {
+            no_job_flags();
             let path = file();
             let deck =
                 std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("{path}: {e}")));

@@ -74,6 +74,20 @@ impl Args {
         Ok(args)
     }
 
+    /// Checks that argv gave only flags of `table`, a narrower table than
+    /// the one it was parsed against (that of a subcommand, `cmd`).
+    ///
+    /// # Errors
+    ///
+    /// The usage message naming the first flag outside `table`.
+    pub fn within(&self, cmd: &str, table: &[&[Flag]]) -> Result<(), String> {
+        let declared = |name: &str| table.iter().flat_map(|g| g.iter()).any(|(n, _)| *n == name);
+        match self.values.iter().find(|(name, _)| !declared(name)) {
+            Some((name, _)) => Err(format!("{cmd}: unknown flag {name}")),
+            None => Ok(()),
+        }
+    }
+
     /// The positionals, when there are at most `max` of them.
     ///
     /// # Errors

@@ -139,17 +139,28 @@ impl JobOpts {
         })
     }
 
-    /// The flags [`JobOpts::from_flags`] reads: `--<field>` (`_` spelled
-    /// `-`) for each numeric field, and the failure policy's two.
+    /// The flags of the options every sweep reads, `mtk mc` included:
+    /// `--threads`, `--w-over-l`, `--target`, the vector sourcing
+    /// (`--stride`, `--samples`) and the failure policy's two.
     #[rustfmt::skip]
-    pub const FLAGS: &'static [Flag] = &[
-        ("--threads", Int), ("--w-over-l", Num), ("--top-k", Int), ("--target", Num),
-        ("--lo", Num), ("--hi", Num), ("--stride", Int), ("--samples", Int), ("--top", Int),
-        ("--clusters", Int), ("--max-failures", Int), ("--fail-fast", Switch),
+    pub const SWEEP_FLAGS: &'static [Flag] = &[
+        ("--threads", Int), ("--w-over-l", Num), ("--target", Num), ("--stride", Int),
+        ("--samples", Int), ("--max-failures", Int), ("--fail-fast", Switch),
+    ];
+
+    /// The flags of the numeric fields only jobs read. With
+    /// [`JobOpts::SWEEP_FLAGS`] they make the flags a job command
+    /// declares: `--<field>` (`_` spelled `-`) for each numeric field,
+    /// and the failure policy's two.
+    #[rustfmt::skip]
+    pub const JOB_FLAGS: &'static [Flag] = &[
+        ("--top-k", Int), ("--lo", Num), ("--hi", Num), ("--top", Int), ("--clusters", Int),
     ];
 
     /// The options of a CLI invocation: each `--<field>` flag of `args`
     /// over `defaults`, and the `--max-failures` / `--fail-fast` policy.
+    /// `args` must declare [`JobOpts::SWEEP_FLAGS`] and
+    /// [`JobOpts::JOB_FLAGS`].
     pub fn from_flags(args: &Args, defaults: JobOpts) -> JobOpts {
         let Ok(opts) = JobOpts::read::<std::convert::Infallible>(
             defaults,
@@ -705,6 +716,8 @@ mod tests {
         );
     }
 
+    const JOB_TABLE: &[&[Flag]] = &[JobOpts::SWEEP_FLAGS, JobOpts::JOB_FLAGS];
+
     #[test]
     fn every_job_flag_is_declared_and_reaches_its_field() {
         let argv: Vec<String> = "--threads 3 --w-over-l 7.5 --top-k 3 --target 0.08 --lo 2 \
@@ -712,7 +725,7 @@ mod tests {
             .split_whitespace()
             .map(String::from)
             .collect();
-        let args = Args::parse("mtk t", &argv, &[JobOpts::FLAGS]).unwrap();
+        let args = Args::parse("mtk t", &argv, JOB_TABLE).unwrap();
         let o = JobOpts::from_flags(&args, JobOpts::default());
         let (kind, design) = (JobKind::Hybrid, mtk_fe::parse_str(CHAIN, "chain").unwrap());
         let want = JobOpts {
@@ -733,7 +746,7 @@ mod tests {
         );
         assert_eq!(o.policy, FailurePolicy::FailFast);
         let argv = ["--max-failures", "4"].map(String::from).to_vec();
-        let args = Args::parse("mtk t", &argv, &[JobOpts::FLAGS]).unwrap();
+        let args = Args::parse("mtk t", &argv, JOB_TABLE).unwrap();
         let o = JobOpts::from_flags(&args, JobOpts::default());
         assert_eq!(o.policy, FailurePolicy::quarantine(4));
     }

@@ -385,6 +385,33 @@ fn job_commands_exit_two_on_an_unknown_flag_and_name_it() {
             vec!["client", "127.0.0.1:9", "status", "--store"],
             "--store",
         ),
+        // Job flags where nothing reads them: mc runs no sizing search,
+        // and a status or shutdown request carries no job.
+        (
+            bin,
+            vec![
+                "mc",
+                adder,
+                "--smoke",
+                "--top-k",
+                "3",
+                "--clusters",
+                "2",
+                "--lo",
+                "5",
+            ],
+            "--top-k",
+        ),
+        (
+            bin,
+            vec!["client", "127.0.0.1:9", "status", "--threads", "4"],
+            "--threads",
+        ),
+        (
+            bin,
+            vec!["client", "127.0.0.1:9", "shutdown", "--smoke"],
+            "--smoke",
+        ),
         (speed, vec!["--samples", "1", "--no-spice"], "--no-spice"),
         (check, vec!["--bogus"], "--bogus"),
     ] {
@@ -540,6 +567,53 @@ fn design_usage_block_is_the_printed_usage() {
         stderr(&out),
         "DESIGN.md §11.4 and `mtk`'s usage text diverged"
     );
+}
+
+/// `mtk --help` prints the usage text on stdout and exits 0;
+/// `mtk <command> --help` prints that command's usage line and the flags
+/// it declares, and runs nothing.
+#[test]
+fn help_prints_the_declared_usage_and_exits_zero() {
+    let out = mtk(&["--help"]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert_eq!(stdout(&out), stderr(&mtk(&[])), "--help is the usage text");
+    let adder = golden("adder3");
+    for (args, line, declared, undeclared) in [
+        (
+            vec!["size", "--help"],
+            "usage: mtk size <file.mtk> [flags]",
+            "--top-k N",
+            "--trials",
+        ),
+        (
+            vec!["mc", adder.to_str().unwrap(), "--help"],
+            "usage: mtk mc <file.mtk> [flags]",
+            "--sigma-vt X",
+            "--top-k",
+        ),
+        (
+            vec!["client", "--help"],
+            "usage: mtk client <host:port>",
+            "--timeout-ms N",
+            "--store",
+        ),
+        (
+            vec!["gen", "--help"],
+            "usage: mtk gen [--list | --all [--dir D] | <stem>]",
+            "--dir S",
+            "--threads",
+        ),
+    ] {
+        let out = mtk(&args);
+        let text = stdout(&out);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+        assert!(text.starts_with(line), "{args:?}: {text}");
+        let flags = text.lines().nth(1).unwrap_or_default();
+        assert!(flags.starts_with("flags: "), "{args:?}: {text}");
+        assert!(flags.contains(declared), "{args:?}: {text}");
+        assert!(!flags.contains(undeclared), "{args:?}: {text}");
+        assert_eq!(text.lines().count(), 2, "{args:?} ran: {text}");
+    }
 }
 
 #[test]

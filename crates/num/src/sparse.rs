@@ -18,15 +18,17 @@
 //! once, and every row update finds them in one pass over the updated
 //! row, which it changes in place.
 //!
-//! [`LuWorkspace`] records each elimination it runs and replays the
-//! recording on later matrices of the same pattern, for as long as every
-//! pivot and every cancellation comes out the same; otherwise it runs
-//! the general kernel again. Either way the bits are the kernel's.
+//! [`LuWorkspace`] keeps the pivot order of each elimination it runs as
+//! a symbolic plan and replays it on later matrices of the same pattern:
+//! fast while every cancellation comes out as a cached outcome plan
+//! recorded it, through one live bit per value slot when one flips, and
+//! the general kernel runs again only when a pivot changes. Either way
+//! the bits are the kernel's.
 //!
 //! [`StampMap`] serves Newton loops that re-stamp the same triplet
 //! sequence with new values: it sorts once, then gathers each new set of
 //! values straight into the permuted matrix's entries in flat
-//! ([`CsrPattern`]) form, which is the form a recorded elimination reads.
+//! ([`CsrPattern`]) form, which is the form a plan reads.
 
 use crate::{NumError, Result};
 
@@ -344,13 +346,7 @@ impl SparseRows {
         // row_of[k] = which original row currently sits at elimination
         // position k (row swaps are done on this indirection).
         let mut row_of: Vec<usize> = (0..n).collect();
-        eliminate(
-            &mut rows,
-            &mut l_rows,
-            &mut row_of,
-            &mut Scratch::default(),
-            None,
-        )?;
+        eliminate(&mut rows, &mut l_rows, &mut row_of, &mut Scratch::default())?;
 
         // U and L rows in elimination order; both were built against the
         // original row index.
@@ -365,25 +361,18 @@ impl SparseRows {
     }
 }
 
-/// `rows` as the general kernel's input: every entry in the slot its
-/// row-major position numbers.
+/// `rows` as the general kernel's input.
 fn kernel_rows(rows: &[Vec<(usize, f64)>]) -> Vec<Vec<Entry>> {
     assert!(
         u32::try_from(rows.len()).is_ok(),
         "column indices must fit in u32"
     );
-    let mut slot = 0u32;
-    let mut entry = |(col, val): (usize, f64)| {
-        let e = Entry {
-            col: col as u32,
-            slot,
-            val,
-        };
-        slot = slot.wrapping_add(1);
-        e
+    let entry = |&(col, val): &(usize, f64)| Entry {
+        col: col as u32,
+        val,
     };
     rows.iter()
-        .map(|row| row.iter().map(|&cv| entry(cv)).collect())
+        .map(|row| row.iter().map(entry).collect())
         .collect()
 }
 
@@ -413,11 +402,6 @@ impl CsrPattern {
     /// Heap bytes in use.
     fn bytes(&self) -> usize {
         (self.starts.len() + self.cols.len()) * std::mem::size_of::<u32>()
-    }
-
-    fn shrink_to_fit(&mut self) {
-        self.starts.shrink_to_fit();
-        self.cols.shrink_to_fit();
     }
 }
 
@@ -501,13 +485,10 @@ fn substitute<'a>(
     }
 }
 
-/// One entry of a row while the general kernel eliminates: its column,
-/// the numbered value slot a [`Plan`] keeps it in, and its value. Input
-/// entry `j` (row-major) is slot `j`; each fill takes the next free slot.
+/// One entry of a row while the general kernel eliminates.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     col: u32,
-    slot: u32,
     val: f64,
 }
 
@@ -519,9 +500,9 @@ struct Entry {
 /// This is the single general numeric kernel behind both
 /// [`SparseRows::factor`] and [`LuWorkspace::factor_solve_csr`], so the
 /// two paths are arithmetic-identical by construction. The pivot
-/// *search* runs on every call. Given `rec` (already begun on the input
-/// pattern), it also records the run as a [`Plan`] that [`replay`] can
-/// repeat (see [`LuWorkspace`]).
+/// *search* runs on every call; [`LuWorkspace`] keeps the pivot order it
+/// finds as a symbolic [`Plan`] and replays that instead while the order
+/// holds.
 ///
 /// `row_of` must be a permutation on entry (both callers pass the
 /// identity), and each input row must start with its lowest column.
@@ -538,13 +519,9 @@ fn eliminate(
     l_rows: &mut [Vec<(usize, f64)>],
     row_of: &mut [usize],
     scratch: &mut Scratch,
-    mut rec: Option<&mut Recorder>,
 ) -> Result<()> {
     let n = rows.len();
-    scratch.reset(rows, row_of);
-    // Slot numbers only matter while a plan is being recorded, and a
-    // plan's budget keeps them far below `u32::MAX`; past that they wrap.
-    let mut slots = rows.iter().map(Vec::len).sum::<usize>() as u32;
+    scratch.reset(rows.iter().map(|row| row.first().map(|e| e.col)), row_of);
     let Scratch {
         head,
         next,
@@ -566,30 +543,16 @@ fn eliminate(
                 pivot_mag = mag;
                 pivot_pos = p;
             }
-            if let Some(r) = rec.as_deref_mut() {
-                r.candidate(lead.slot, p, ri);
-            }
             ri = next[ri];
         }
         if is_singular(pivot_mag, pivot_pos) {
             return Err(NumError::SingularMatrix { step: k });
         }
-        if let Some(r) = rec.as_deref_mut() {
-            r.pivot(pivot_pos);
-        }
-        row_of.swap(k, pivot_pos);
-        pos_of[row_of[k]] = k;
-        pos_of[row_of[pivot_pos]] = pivot_pos;
-        let pivot_row_idx = row_of[k];
+        let pivot_row_idx = swap_positions(row_of, pos_of, k, pivot_pos);
 
-        // The pivot row is final from here on: U row k. Put it in column
-        // order and mark where each of its columns sits.
-        let pivot_row = &mut rows[pivot_row_idx];
-        pivot_row[1..].sort_unstable_by_key(|e| e.col);
-        for (j, e) in pivot_row[1..].iter().enumerate() {
-            marks.mark[e.col as usize] = j as u32;
-        }
-        let pivot_val = pivot_row[0].val;
+        // The pivot row is final from here on: U row k.
+        marks.mark_pivot_row(&mut rows[pivot_row_idx], |e| e.col);
+        let pivot_val = rows[pivot_row_idx][0].val;
 
         // Eliminate column k from every other row in the bucket. A row's
         // update reads only itself and the pivot row, so visiting rows in
@@ -597,67 +560,56 @@ fn eliminate(
         let mut ri = std::mem::replace(&mut head[k], NONE);
         while ri != NONE {
             let following = next[ri];
-            if ri == pivot_row_idx {
-                ri = following;
-                continue;
-            }
-            // Split borrows: pivot_row_idx != ri is guaranteed.
-            let (target, pivot_row) = if pivot_row_idx < ri {
-                let (lo, hi) = rows.split_at_mut(ri);
-                (&mut hi[0], &lo[pivot_row_idx])
-            } else {
-                let (lo, hi) = rows.split_at_mut(pivot_row_idx);
-                (&mut lo[ri], &hi[0])
-            };
-            let factor = target[0].val / pivot_val;
-            l_rows[ri].push((k, factor));
-            let pivot_row = &pivot_row[1..];
-            let ops = rec.as_deref_mut().map(|r| r.ops(pivot_row.len()));
-            update_row(target, pivot_row, factor, marks, &mut slots, ops);
-            // A recording that outgrows the budget is dropped here; the
-            // elimination goes on without it.
-            if rec.as_deref_mut().is_some_and(|r| !r.end_update()) {
-                rec = None;
-            }
-            // Re-bucket under the new leading column. A row left empty
-            // holds no column and will surface as a singular step.
-            if let Some(lead) = target.first() {
-                let lead = lead.col as usize;
-                next[ri] = head[lead];
-                head[lead] = ri;
+            if ri != pivot_row_idx {
+                let (target, pivot_row) = target_and_pivot(rows, ri, pivot_row_idx);
+                let factor = target[0].val / pivot_val;
+                l_rows[ri].push((k, factor));
+                update_row(target, &pivot_row[1..], factor, marks);
+                // Re-bucket under the new leading column. A row left empty
+                // holds no column and will surface as a singular step.
+                if let Some(lead) = target.first() {
+                    file_row(head, next, ri, lead.col);
+                }
             }
             ri = following;
         }
     }
-    if let Some(r) = rec {
-        r.finish(rows, row_of, pos_of, slots);
-    }
     Ok(())
+}
+
+/// Moves the row at elimination position `pivot_pos` to position `k`,
+/// trading places with the row there, and returns it.
+fn swap_positions(row_of: &mut [usize], pos_of: &mut [usize], k: usize, pivot_pos: usize) -> usize {
+    row_of.swap(k, pivot_pos);
+    pos_of[row_of[k]] = k;
+    pos_of[row_of[pivot_pos]] = pivot_pos;
+    row_of[k]
+}
+
+/// Row `ri`, to be updated, and pivot row `pi`, borrowed together
+/// (`ri != pi`).
+fn target_and_pivot<T>(rows: &mut [T], ri: usize, pi: usize) -> (&mut T, &T) {
+    if pi < ri {
+        let (lo, hi) = rows.split_at_mut(ri);
+        (&mut hi[0], &lo[pi])
+    } else {
+        let (lo, hi) = rows.split_at_mut(pi);
+        (&mut lo[ri], &hi[0])
+    }
 }
 
 /// `target −= factor · pivot`, in place, where `target` starts with the
 /// entry being eliminated and `pivot` is the pivot row right of its
-/// pivot, in column order, whose columns `marks` holds. Given `ops`, one
-/// per pivot entry, it writes each entry's plan operation there.
+/// pivot, in column order, whose columns `marks` holds.
 ///
 /// One pass over `target` updates each entry the pivot row also holds,
 /// `t − factor·p`, kept unless it is an exact zero, and closes the gaps
 /// the dropped ones leave. If the pivot row holds columns the target
 /// lacks, a pass over the pivot row then appends each as a fill
-/// `(−factor)·p`, taking free slots in column order. Each pivot entry's
-/// operation is the one a sorted merge of the two rows performs, on the
-/// same operands, and sits at its index in `ops`, so the operations come
-/// out in the pivot row's column order, the order [`replay`] repeats
-/// them in. Last, the lowest remaining column takes the eliminated
-/// entry's place at the front.
-fn update_row(
-    target: &mut Vec<Entry>,
-    pivot: &[Entry],
-    factor: f64,
-    marks: &mut Marks,
-    slots: &mut u32,
-    mut ops: Option<&mut [u32]>,
-) {
+/// `(−factor)·p`. These are the operations a sorted merge of the two
+/// rows performs, on the same operands. Last, the lowest remaining
+/// column takes the eliminated entry's place at the front.
+fn update_row(target: &mut Vec<Entry>, pivot: &[Entry], factor: f64, marks: &mut Marks) {
     let update = marks.next_update();
     let Marks { mark, hit, .. } = marks;
     // The lowest column that survives, as (col, index in target).
@@ -673,11 +625,7 @@ fn update_row(
             hits += 1;
             hit[j] = update;
             e.val -= factor * p.val;
-            let keep = kept(e.val);
-            if let Some(ops) = ops.as_deref_mut() {
-                ops[j] = if keep { OP_KEEP } else { OP_DROP } | e.slot;
-            }
-            if !keep {
+            if !kept(e.val) {
                 continue;
             }
         }
@@ -693,27 +641,27 @@ fn update_row(
             if hit[j] == update {
                 continue;
             }
-            let slot = *slots;
-            *slots = slot.wrapping_add(1);
             if p.col < lead.0 {
                 lead = (p.col, target.len());
             }
             target.push(Entry {
                 col: p.col,
-                slot,
                 val: -factor * p.val,
             });
-            if let Some(ops) = ops.as_deref_mut() {
-                ops[j] = OP_FILL | slot;
-            }
         }
     }
+    replace_lead(target, lead);
+}
+
+/// Puts a row's entry at index `lead.1`, of its lowest remaining column
+/// `lead.0`, in place of the eliminated leading entry, or empties the
+/// row when no column remains (`lead.0 == u32::MAX`).
+fn replace_lead<T>(row: &mut Vec<T>, lead: (u32, usize)) {
     if lead.0 == u32::MAX {
-        // Only the eliminated entry was left.
-        target.clear();
+        row.clear();
     } else {
-        target.swap(0, lead.1);
-        target.swap_remove(lead.1);
+        row.swap(0, lead.1);
+        row.swap_remove(lead.1);
     }
 }
 
@@ -750,13 +698,14 @@ fn sort_by_col(row: &mut [(usize, f64)]) {
     row.sort_unstable_by_key(|&(c, _)| c);
 }
 
-/// The general kernel's index and marks, reused across eliminations.
+/// The bucket index and marks of one elimination, numeric or symbolic,
+/// reused across eliminations.
 ///
 /// The rows not yet used as pivots are bucketed by leading column, as
-/// intrusive singly linked lists: `eliminate` walks one bucket per step
-/// instead of scanning every row. Each row sits in exactly one bucket
-/// (none once it is a pivot or empty), so the index is `O(n)` whatever
-/// the fill, and keeping it costs one relink per row update.
+/// intrusive singly linked lists: a step walks one bucket instead of
+/// scanning every row. Each row sits in exactly one bucket (none once it
+/// is a pivot or empty), so the index is `O(n)` whatever the fill, and
+/// keeping it costs one relink per row update.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     /// `head[c]`: first row whose leading entry is in column `c`, or
@@ -770,11 +719,17 @@ struct Scratch {
     marks: Marks,
 }
 
-/// Where the current pivot row's columns sit, for [`update_row`].
+/// Files row `ri` first in the bucket of column `lead`.
+fn file_row(head: &mut [usize], next: &mut [usize], ri: usize, lead: u32) {
+    next[ri] = head[lead as usize];
+    head[lead as usize] = ri;
+}
+
+/// Where the current pivot row's columns sit, for a row update.
 #[derive(Debug, Clone, Default)]
 struct Marks {
     /// `mark[c]`: the index of column `c` in the current pivot row right
-    /// of the pivot. Marks are never cleared; [`update_row`] checks the
+    /// of the pivot. Marks are never cleared; an update checks the
     /// column a mark points at.
     mark: Vec<u32>,
     /// `hit[j] == update`: the current row update found the pivot row's
@@ -793,6 +748,15 @@ impl Marks {
         self.update = 0;
     }
 
+    /// Puts pivot row `row` in column order right of its pivot, once,
+    /// and marks where each of those columns sits.
+    fn mark_pivot_row<T>(&mut self, row: &mut [T], col: impl Fn(&T) -> u32) {
+        row[1..].sort_unstable_by_key(&col);
+        for (j, e) in row[1..].iter().enumerate() {
+            self.mark[col(e) as usize] = j as u32;
+        }
+    }
+
     /// Numbers the next row update, never 0, so no `hit` entry holds it
     /// yet.
     fn next_update(&mut self) -> u32 {
@@ -806,18 +770,17 @@ impl Marks {
 }
 
 impl Scratch {
-    /// Buckets `rows` (reusing the allocations) with positions taken
-    /// from `row_of`.
-    fn reset(&mut self, rows: &[Vec<Entry>], row_of: &[usize]) {
-        let n = rows.len();
+    /// Buckets the rows whose leading columns `leads` lists (reusing the
+    /// allocations), with positions taken from `row_of`.
+    fn reset(&mut self, leads: impl Iterator<Item = Option<u32>>, row_of: &[usize]) {
+        let n = row_of.len();
         self.head.clear();
         self.head.resize(n, NONE);
         self.next.clear();
         self.next.resize(n, NONE);
-        for (ri, row) in rows.iter().enumerate() {
-            if let Some(lead) = row.first() {
-                self.next[ri] = self.head[lead.col as usize];
-                self.head[lead.col as usize] = ri;
+        for (ri, lead) in leads.enumerate() {
+            if let Some(lead) = lead {
+                file_row(&mut self.head, &mut self.next, ri, lead);
             }
         }
         self.pos_of.clear();
@@ -838,32 +801,46 @@ impl Scratch {
 /// [`CsrPattern`] and one value per entry (see [`StampMap::gather`]), to
 /// [`LuWorkspace::factor_solve_csr`], which produces exactly the bits of
 /// [`SparseRows::factor`] + [`SparseLu::solve`], inside recycled
-/// buffers, and mostly without rerunning the general kernel:
+/// buffers, and mostly without rerunning the general kernel. It keeps
+/// two kinds of [`Plan`], both lists of the general kernel's operations
+/// over numbered value slots:
 ///
-/// * Each general elimination (`eliminate`) also records a *plan*: the
-///   input pattern, every pivot search's candidates and winner, and every
-///   row update as operations over numbered value slots, with the
-///   kept/dropped outcome of each exact-zero test.
-/// * A later call on the same pattern *replays* a cached plan: the same
-///   operations on the same operands in the same order. It reruns each
-///   pivot search over the recorded candidates and requires the recorded
-///   winner to win again and to pass the singularity test, and it
-///   requires every kept/dropped outcome to repeat. Those are all the
-///   branches the general kernel takes on values, so a replay that
-///   passes every check *is* the general kernel's run, bit for bit.
-///   The flat values are the plan's input slots as they stand, so a
-///   plan fits by two slice compares and loads by one copy.
-/// * On the first mismatch the replay's partial result is thrown away
-///   and the next cached plan for the pattern is tried, then the general
-///   kernel, which records a fresh plan.
+/// * A *symbolic plan* is the elimination of one pattern under one pivot
+///   order with no exact-zero drops: every entry that could exist. A
+///   general elimination (`eliminate`) finds a pivot order, and one
+///   symbolic pass over the pattern builds its plan (see
+///   [`symbolic_pass`]).
+/// * Its *live-bit replay* keeps one live bit per value slot, which
+///   reproduces the kernel's drop rule exactly (see [`replay_live`]).
+///   It is the general kernel's run under that pivot order, bit for bit,
+///   whatever cancels, and fails only when a pivot search picks another
+///   winner or the winner fails the singularity test. It also writes the
+///   operations it ran as an *outcome plan*, each marked kept, dropped
+///   or filled.
+/// * An outcome plan *replays* (see [`replay`]) the same operations on
+///   the same operands in the same order. It reruns each pivot search
+///   over the recorded candidates and requires the recorded winner to
+///   win again and pass the singularity test, and it requires every
+///   kept/dropped outcome to repeat. Those are all the branches the
+///   general kernel takes on values, so a replay that passes every check
+///   *is* the general kernel's run. It skips the dead entries and the
+///   live bits, so it is the fast tier.
+///
+/// A call tries the cached outcome plans of its pattern, most recently
+/// used first, then the live-bit replay of its symbolic plans (the
+/// fallback, which caches the outcome plan it wrote), and runs
+/// `eliminate` only when no symbolic plan's pivot order holds. The flat
+/// values are the plans' input slots as they stand, so a plan fits by
+/// two slice compares and loads by one copy.
 ///
 /// [`LuWorkspace::factor_solve`] takes a [`SparseRows`] and runs the
 /// same path on its flat copy.
 ///
-/// At most four plans are kept, most recently used first, within a
-/// fixed 1 MiB budget. A recording that outgrows the budget is dropped
-/// as soon as it does (the elimination goes on unrecorded), so matrices
-/// with heavy fill stay on the general kernel at flat memory.
+/// At most two symbolic and four outcome plans are kept, most recently
+/// used first, within one fixed 1 MiB budget. A symbolic pass that
+/// outgrows the budget stops, and its pattern is remembered so later
+/// general runs on it skip the pass: matrices with heavy fill stay on the
+/// general kernel at flat memory.
 ///
 /// ```
 /// use mtk_num::sparse::{LuWorkspace, Triplets};
@@ -875,7 +852,7 @@ impl Scratch {
 /// let mut x = Vec::new();
 /// ws.factor_solve(&t.to_rows(), &[2.0, 8.0], &mut x).unwrap();
 /// assert_eq!(x, vec![1.0, 2.0]);
-/// // Same pattern, new values: served by the recorded plan.
+/// // Same pattern, new values: served by the outcome plan.
 /// t.add(0, 0, 2.0);
 /// ws.factor_solve(&t.to_rows(), &[2.0, 8.0], &mut x).unwrap();
 /// assert_eq!(x, vec![0.5, 2.0]);
@@ -889,36 +866,65 @@ pub struct LuWorkspace {
     row_of: Vec<usize>,
     scratch: Scratch,
     y: Vec<f64>,
-    /// Recorded eliminations, most recently used first.
-    plans: Vec<Plan>,
-    recorder: Recorder,
+    /// Outcome plans, most recently used first.
+    outcomes: Vec<Plan>,
+    /// Symbolic plans, most recently used first.
+    symbolic: Vec<Plan>,
+    /// Patterns whose symbolic pass outgrew the budget, most recent
+    /// first.
+    oversized: Vec<CsrPattern>,
+    /// An evicted plan's buffers, for the next outcome plan.
+    spare: Plan,
+    /// The symbolic pass's rows, `(col, slot)`.
+    pattern_rows: Vec<Vec<(u32, u32)>>,
     /// A replay's value slots.
     vals: Vec<f64>,
+    /// A live-bit replay's live bits, one per slot.
+    live: Vec<bool>,
+    /// A live-bit replay's dropped and filled operations of one update.
+    runs: [Vec<(u32, u32)>; 2],
     /// The flat copy [`LuWorkspace::factor_solve`] makes of its input.
     input: (CsrPattern, Vec<f64>),
     stats: ReplayStats,
 }
 
-/// Most plans one [`LuWorkspace`] keeps. Newton iterations on one
-/// pattern move between a few cancellation outcomes as devices cross
+/// Most outcome plans one [`LuWorkspace`] keeps. Newton iterations on
+/// one pattern move between a few cancellation outcomes as devices cross
 /// cutoff, so a handful of plans serves nearly every factorization.
-const PLAN_CACHE_LEN: usize = 4;
+const OUTCOME_CACHE_LEN: usize = 4;
 
-/// Bytes the plans of one [`LuWorkspace`] may hold together. A plan
-/// costs about 4 bytes per multiply-subtract of its elimination: the
-/// 167-unknown ALU slice records 20–35 KB, the 8×8 multiplier's 1,125
-/// unknowns about 28 MB, which stays on the general kernel.
+/// Most symbolic plans one [`LuWorkspace`] keeps: one per pivot order.
+const SYMBOLIC_CACHE_LEN: usize = 2;
+
+/// Bytes the plans of one [`LuWorkspace`], of both kinds, may hold
+/// together. A plan costs about 8 bytes per multiply-subtract of its
+/// elimination: on the 167-unknown ALU slice a symbolic plan holds about
+/// 3.5 k operations and an outcome plan 1.3 k; the 8×8 multiplier's
+/// symbolic plan would hold 69 M, and its pass stops here.
 const PLAN_BUDGET_BYTES: usize = 1 << 20;
 
 /// How a [`LuWorkspace`]'s factorizations went, over its lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayStats {
-    /// Factorizations served by a replay.
+    /// Factorizations served by the replay of an outcome plan.
     pub replayed: usize,
-    /// Replays of a pattern-matching plan that hit a mismatch.
+    /// Factorizations served by the live-bit replay of a symbolic plan,
+    /// after every outcome plan of the pattern diverged.
+    pub fallback: usize,
+    /// Replays of a pattern-matching plan, of either kind, that hit a
+    /// mismatch.
     pub diverged: usize,
     /// Factorizations the general kernel ran.
     pub general: usize,
+}
+
+impl std::ops::AddAssign for ReplayStats {
+    fn add_assign(&mut self, other: ReplayStats) {
+        self.replayed += other.replayed;
+        self.fallback += other.fallback;
+        self.diverged += other.diverged;
+        self.general += other.general;
+    }
 }
 
 impl LuWorkspace {
@@ -927,8 +933,8 @@ impl LuWorkspace {
         LuWorkspace::default()
     }
 
-    /// How the factorizations so far went: replayed, diverged replay
-    /// attempts, and general eliminations.
+    /// How the factorizations so far went: replayed, served by the
+    /// fallback, diverged replay attempts, and general eliminations.
     pub fn stats(&self) -> ReplayStats {
         self.stats
     }
@@ -978,117 +984,175 @@ impl LuWorkspace {
             });
         }
         assert_eq!(values.len(), pattern.nnz(), "one value per pattern entry");
-        for i in 0..self.plans.len() {
-            let plan = &self.plans[i];
+        for i in 0..self.outcomes.len() {
+            let plan = &self.outcomes[i];
             if plan.input != *pattern {
                 continue;
             }
-            self.vals.resize(plan.slots as usize, 0.0);
-            self.vals[..values.len()].copy_from_slice(values);
+            load(&mut self.vals, plan.slots, values);
             if replay(plan, &mut self.vals, b, &mut self.y) {
                 plan.back_substitute(&self.vals, &self.y, x);
-                self.plans[..=i].rotate_right(1);
+                self.outcomes[..=i].rotate_right(1);
                 self.stats.replayed += 1;
+                return Ok(());
+            }
+            self.stats.diverged += 1;
+        }
+        for i in 0..self.symbolic.len() {
+            if self.symbolic[i].input != *pattern {
+                continue;
+            }
+            if self.replay_symbolic(i, values, b, x) {
+                self.symbolic[..=i].rotate_right(1);
+                self.stats.fallback += 1;
                 return Ok(());
             }
             self.stats.diverged += 1;
         }
         self.stats.general += 1;
 
-        // A full cache gives up its least recently used plan now, so the
-        // recording reuses its buffers instead of growing a fifth plan.
-        if self.plans.len() == PLAN_CACHE_LEN {
-            self.recorder.plan = self.plans.pop().expect("the cache is full");
-        }
-
-        // The general kernel's rows, each entry in the slot its flat
-        // position numbers.
+        // The general kernel's rows.
         if self.rows.len() < n {
             self.rows.resize_with(n, Vec::new);
             self.l_rows.resize_with(n, Vec::new);
         }
         let spans = pattern.starts.windows(2);
         for ((row, l), w) in self.rows.iter_mut().zip(&mut self.l_rows).zip(spans) {
-            let span = w[0]..w[1];
+            let span = w[0] as usize..w[1] as usize;
+            let cols = pattern.cols[span.clone()].iter();
             row.clear();
-            row.extend(span.map(|j| Entry {
-                col: pattern.cols[j as usize],
-                slot: j,
-                val: values[j as usize],
-            }));
+            row.extend(
+                cols.zip(&values[span])
+                    .map(|(&col, &val)| Entry { col, val }),
+            );
             l.clear();
         }
         self.row_of.clear();
         self.row_of.extend(0..n);
-
-        let rec = self.recorder.begin(pattern).then_some(&mut self.recorder);
         eliminate(
             &mut self.rows[..n],
             &mut self.l_rows[..n],
             &mut self.row_of,
             &mut self.scratch,
-            rec,
         )?;
-        self.keep_recorded_plan();
 
         let (rows, l_rows, row_of) = (&self.rows, &self.l_rows, &self.row_of);
         self.y.clear();
         self.y.extend(row_of.iter().map(|&r| b[r]));
         substitute(&mut self.y, x, |i| &l_rows[row_of[i]], |i| &rows[row_of[i]]);
+        self.learn(pattern, values, b, x);
         Ok(())
     }
 
-    /// Caches the plan the last general elimination recorded, unless it
-    /// outgrew the budget, and evicts least recently used plans until
-    /// the cache is back within [`PLAN_BUDGET_BYTES`]. (`factor_solve_csr`
-    /// made room for it under [`PLAN_CACHE_LEN`] before recording.)
-    fn keep_recorded_plan(&mut self) {
-        if !self.recorder.live {
+    /// The live-bit replay of symbolic plan `i` on `values`, solving into
+    /// `x`. On success the outcome plan it wrote heads the outcome cache.
+    fn replay_symbolic(&mut self, i: usize, values: &[f64], b: &[f64], x: &mut Vec<f64>) -> bool {
+        let sym = &self.symbolic[i];
+        load(&mut self.vals, sym.slots, values);
+        self.live.clear();
+        self.live.resize(values.len(), true);
+        self.live.resize(sym.slots as usize, false);
+        let mut out = std::mem::take(&mut self.spare);
+        let (vals, live, y, runs) = (&mut self.vals, &mut self.live, &mut self.y, &mut self.runs);
+        if !replay_live(sym, vals, live, b, y, &mut out, runs) {
+            self.spare = out;
+            return false;
+        }
+        out.back_substitute(&self.vals, &self.y, x);
+        self.outcomes.insert(0, out);
+        if self.outcomes.len() > OUTCOME_CACHE_LEN {
+            self.spare = self.outcomes.pop().expect("the cache is over full");
+        }
+        self.fit_budget();
+        true
+    }
+
+    /// After a general run on `pattern`, whose pivot order `row_of` now
+    /// holds and whose solution is `x`: builds that order's symbolic plan,
+    /// unless the pattern alone outgrows the budget or its pass outgrew it
+    /// before, and replays it once on the same `values` for the first
+    /// outcome plan.
+    fn learn(&mut self, pattern: &CsrPattern, values: &[f64], b: &[f64], x: &[f64]) {
+        if pattern.bytes() > PLAN_BUDGET_BYTES || self.oversized.contains(pattern) {
             return;
         }
-        let mut plan = std::mem::take(&mut self.recorder.plan);
-        plan.shrink_to_fit();
-        self.plans.insert(0, plan);
-        let mut total = 0;
-        let keep = self
-            .plans
+        let mut sym = Plan::default();
+        let (rows, scratch) = (&mut self.pattern_rows, &mut self.scratch);
+        if !symbolic_pass(pattern, &self.row_of, scratch, rows, &mut sym) {
+            self.oversized.insert(0, pattern.clone());
+            self.oversized.truncate(SYMBOLIC_CACHE_LEN);
+            return;
+        }
+        self.symbolic.insert(0, sym);
+        self.symbolic.truncate(SYMBOLIC_CACHE_LEN);
+        self.fit_budget();
+        let mut again = Vec::new();
+        let replayed = self.replay_symbolic(0, values, b, &mut again);
+        debug_assert!(replayed, "the live-bit replay follows its own pivot order");
+        debug_assert!(
+            again
+                .iter()
+                .map(|v| v.to_bits())
+                .eq(x.iter().map(|v| v.to_bits())),
+            "the live-bit replay reproduces the general kernel"
+        );
+    }
+
+    /// Evicts least recently used plans, outcome plans first, until the
+    /// plans of both kinds fit [`PLAN_BUDGET_BYTES`] together. (A symbolic
+    /// plan alone always fits: its pass stops otherwise.)
+    fn fit_budget(&mut self) {
+        let mut total: usize = self
+            .outcomes
             .iter()
-            .take_while(|p| {
-                total += p.bytes();
-                total <= PLAN_BUDGET_BYTES
-            })
-            .count();
-        self.plans.truncate(keep);
+            .chain(&self.symbolic)
+            .map(Plan::bytes)
+            .sum();
+        while total > PLAN_BUDGET_BYTES {
+            let plan = self.outcomes.pop().or_else(|| self.symbolic.pop());
+            total -= plan.expect("plans hold the bytes").bytes();
+        }
     }
 }
 
-/// One recorded run of `eliminate` on one input pattern.
+/// Loads a plan's value slots: `values` into the input slots, the rest
+/// (the fill slots, `slots` in all) left to the replay.
+fn load(vals: &mut Vec<f64>, slots: u32, values: &[f64]) {
+    vals.resize(slots as usize, 0.0);
+    vals[..values.len()].copy_from_slice(values);
+}
+
+/// One elimination of one input pattern under one pivot order, as
+/// operations over numbered value slots: a symbolic plan or an outcome
+/// plan (see [`LuWorkspace`]).
 ///
-/// Values live in numbered *slots*: input entry `j` (row-major) is slot
-/// `j`, and each fill entry gets the next free slot. An entry that an
-/// update keeps stays in its slot, so a row update records one operation
-/// per pivot-row entry right of the pivot, in column order: an in-place
-/// `t − factor·p` kept as nonzero ([`OP_KEEP`]), the same dropped as an
-/// exact zero ([`OP_DROP`]), or a fill `(−factor)·p` into a new slot
-/// ([`OP_FILL`]). The pivot row of step `k` is final by then, so its
-/// slots are U row `k`'s and the operations need not repeat them.
-///
-/// Step `k` updates every candidate but the winner, in candidate order,
-/// so the candidates also stand for the row updates and for L: the
-/// multiplier of a candidate's update is its L entry in column `k`.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Input entry `j` (row-major) is slot `j`; each entry the symbolic pass
+/// creates takes the next free slot, and an outcome plan keeps its
+/// symbolic plan's slots. Step `k` updates every candidate but the
+/// winner, in candidate order, so the candidates also stand for the row
+/// updates and for L: the multiplier of a candidate's update is its L
+/// entry in column `k`. A row update lists one operation per pivot-row
+/// entry right of the pivot that it touches, as a `(target slot, pivot
+/// slot)` pair, in three runs: *keep*, an in-place `t − factor·p` that
+/// stays (in a symbolic plan: whose target entry exists); *drop*, the
+/// same dropped as an exact zero (none in a symbolic plan); and *fill*,
+/// `(−factor)·p` into a slot its row does not hold. The pivot row of step
+/// `k` is final by then, so its slots are U row `k`'s.
+#[derive(Debug, Clone, Default)]
 struct Plan {
     /// The input pattern.
     input: CsrPattern,
-    /// Value slots used: the input entries plus one per fill.
+    /// Value slots used: the input entries plus one per created entry.
     slots: u32,
     /// One per elimination step.
     steps: Vec<Step>,
     /// Every step's pivot candidates, in the order the search visited
     /// them.
     cands: Vec<Cand>,
-    /// Every row update's operations: an `OP_*` kind or'ed with a slot.
-    ops: Vec<u32>,
+    /// One per row update, in step and candidate order.
+    updates: Vec<Update>,
+    /// Every row update's operations, `(target slot, pivot slot)`.
+    ops: Vec<(u32, u32)>,
     /// `row_of[k]`: the original row at elimination position `k`.
     row_of: Vec<u32>,
     /// U rows in elimination order, `(col, slot)`; row `k` starts at its
@@ -1098,7 +1162,7 @@ struct Plan {
 }
 
 /// One elimination step of a [`Plan`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 struct Step {
     /// End of the step's candidates in [`Plan::cands`].
     cands_end: u32,
@@ -1107,48 +1171,56 @@ struct Step {
 }
 
 /// One pivot candidate.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 struct Cand {
     /// Its leading entry's slot.
     slot: u32,
     /// Its elimination position when the search ran.
     pos: u32,
-    /// Its final elimination position (the original row while
-    /// recording).
+    /// Its final elimination position (the original row while the
+    /// symbolic pass runs).
     dest: u32,
 }
 
-/// Plan operation kinds, in the top two bits of an operation.
-const OP_KEEP: u32 = 0;
-const OP_DROP: u32 = 1 << 30;
-const OP_FILL: u32 = 2 << 30;
-/// The slot bits of an operation.
-const SLOT_MASK: u32 = (1 << 30) - 1;
+/// Where one row update's runs end in [`Plan::ops`]: keep, then drop,
+/// then fill, the first starting where the previous update's fill run
+/// ends.
+#[derive(Debug, Clone, Copy)]
+struct Update {
+    keep_end: u32,
+    drop_end: u32,
+    fill_end: u32,
+}
 
 impl Plan {
+    /// Empties the plan, keeping its buffers, for an input of pattern
+    /// `input`.
+    fn begin(&mut self, input: &CsrPattern) {
+        self.input.clone_from(input);
+        self.slots = input.nnz() as u32;
+        self.steps.clear();
+        self.cands.clear();
+        self.updates.clear();
+        self.ops.clear();
+        self.row_of.clear();
+        self.u_starts.clear();
+        self.u.clear();
+    }
+
     /// Heap bytes in use.
     fn bytes(&self) -> usize {
         use std::mem::size_of;
-        let words = self.ops.len() + self.row_of.len() + self.u_starts.len();
         self.input.bytes()
-            + words * size_of::<u32>()
+            + (self.row_of.len() + self.u_starts.len()) * size_of::<u32>()
             + self.steps.len() * size_of::<Step>()
             + self.cands.len() * size_of::<Cand>()
-            + self.u.len() * size_of::<(u32, u32)>()
+            + self.updates.len() * size_of::<Update>()
+            + (self.ops.len() + self.u.len()) * size_of::<(u32, u32)>()
     }
 
-    fn shrink_to_fit(&mut self) {
-        self.input.shrink_to_fit();
-        for v in [&mut self.ops, &mut self.row_of, &mut self.u_starts] {
-            v.shrink_to_fit();
-        }
-        self.steps.shrink_to_fit();
-        self.cands.shrink_to_fit();
-        self.u.shrink_to_fit();
-    }
-
-    /// Back-substitutes `y` through the U factor a successful [`replay`]
-    /// left in `vals`, with [`substitute`]'s arithmetic in its order.
+    /// Back-substitutes `y` through the U factor a successful replay of
+    /// this plan left in `vals`, with [`substitute`]'s arithmetic in its
+    /// order.
     fn back_substitute(&self, vals: &[f64], y: &[f64], x: &mut Vec<f64>) {
         let n = self.row_of.len();
         x.clear();
@@ -1164,11 +1236,154 @@ impl Plan {
     }
 }
 
-/// Replays `plan` over `vals`, which holds the input values in their
-/// slots, and forward-substitutes `b` into `y` along the way. Returns
-/// false at the first pivot search or kept/dropped outcome that differs
-/// from the recording, or at a winner that fails the singularity test;
-/// `vals` and `y` are then garbage.
+/// Builds in `plan` the symbolic plan of `pattern` under the pivot order
+/// `row_of` of a general elimination on it (`row_of[k]`: the original row
+/// at elimination position `k`). Returns false, leaving `plan` partial,
+/// once the plan outgrows [`PLAN_BUDGET_BYTES`].
+///
+/// This is `eliminate` on the structure alone: the same buckets,
+/// position swaps and pivot-row marks, with step `k`'s pivot row taken
+/// from `row_of` rather than searched for, and no entry ever dropped.
+/// The live entries of the general kernel are a subset of these at every
+/// step, so its pivot row holds column `k` here too. Step `k` lists
+/// every row holding column `k` as a candidate, and each other
+/// candidate's update lists one operation per pivot entry right of the
+/// pivot: a keep on the target's entry in that column if it has one,
+/// else a fill into the next free slot (see [`update_pattern`]).
+fn symbolic_pass(
+    pattern: &CsrPattern,
+    row_of: &[usize],
+    scratch: &mut Scratch,
+    rows: &mut Vec<Vec<(u32, u32)>>,
+    plan: &mut Plan,
+) -> bool {
+    let n = pattern.n();
+    plan.begin(pattern);
+    if rows.len() < n {
+        rows.resize_with(n, Vec::new);
+    }
+    let rows = &mut rows[..n];
+    for (row, w) in rows.iter_mut().zip(pattern.starts.windows(2)) {
+        row.clear();
+        row.extend((w[0]..w[1]).map(|j| (pattern.cols[j as usize], j)));
+    }
+    let mut positions: Vec<usize> = (0..n).collect();
+    scratch.reset(rows.iter().map(|row| row.first().map(|e| e.0)), &positions);
+    let Scratch {
+        head,
+        next,
+        pos_of,
+        marks,
+    } = scratch;
+    let mut slots = pattern.nnz() as u32;
+    for (k, &pivot_row_idx) in row_of.iter().enumerate() {
+        let from = plan.cands.len();
+        let mut winner = None;
+        let mut ri = head[k];
+        while ri != NONE {
+            if ri == pivot_row_idx {
+                winner = Some(plan.cands.len() - from);
+            }
+            plan.cands.push(Cand {
+                slot: rows[ri][0].1,
+                pos: pos_of[ri] as u32,
+                dest: ri as u32,
+            });
+            ri = next[ri];
+        }
+        let winner = winner.expect("the general kernel's pivot row holds column k");
+        plan.steps.push(Step {
+            cands_end: plan.cands.len() as u32,
+            winner: winner as u32,
+        });
+        let pivot_pos = pos_of[pivot_row_idx];
+        swap_positions(&mut positions, pos_of, k, pivot_pos);
+        marks.mark_pivot_row(&mut rows[pivot_row_idx], |e| e.0);
+        let mut ri = std::mem::replace(&mut head[k], NONE);
+        while ri != NONE {
+            let following = next[ri];
+            if ri != pivot_row_idx {
+                let (target, pivot_row) = target_and_pivot(rows, ri, pivot_row_idx);
+                let keep_end =
+                    update_pattern(target, &pivot_row[1..], marks, &mut slots, &mut plan.ops);
+                plan.updates.push(Update {
+                    keep_end,
+                    drop_end: keep_end,
+                    fill_end: plan.ops.len() as u32,
+                });
+                if plan.bytes() > PLAN_BUDGET_BYTES {
+                    return false;
+                }
+                if let Some(lead) = target.first() {
+                    file_row(head, next, ri, lead.0);
+                }
+            }
+            ri = following;
+        }
+    }
+    plan.slots = slots;
+    plan.row_of.extend(row_of.iter().map(|&r| r as u32));
+    plan.u_starts.push(0);
+    for &r in row_of {
+        plan.u.extend_from_slice(&rows[r]);
+        plan.u_starts.push(plan.u.len() as u32);
+    }
+    for c in &mut plan.cands {
+        c.dest = pos_of[c.dest as usize] as u32;
+    }
+    plan.bytes() <= PLAN_BUDGET_BYTES
+}
+
+/// [`update_row`] on the structure alone, for [`symbolic_pass`]: the
+/// target row of `(col, slot)` entries takes every column of `pivot`,
+/// and nothing is dropped. Appends the update's operations to `ops`,
+/// keeps first, and returns where the keeps end.
+fn update_pattern(
+    target: &mut Vec<(u32, u32)>,
+    pivot: &[(u32, u32)],
+    marks: &mut Marks,
+    slots: &mut u32,
+    ops: &mut Vec<(u32, u32)>,
+) -> u32 {
+    let update = marks.next_update();
+    let Marks { mark, hit, .. } = marks;
+    let mut lead = (u32::MAX, 0usize);
+    let mut hits = 0;
+    for (ti, &(col, slot)) in target.iter().enumerate().skip(1) {
+        let j = mark[col as usize] as usize;
+        if let Some(p) = pivot.get(j).filter(|p| p.0 == col) {
+            hits += 1;
+            hit[j] = update;
+            ops.push((slot, p.1));
+        }
+        if col < lead.0 {
+            lead = (col, ti);
+        }
+    }
+    let keep_end = ops.len() as u32;
+    if hits < pivot.len() {
+        for (j, &(col, p)) in pivot.iter().enumerate() {
+            if hit[j] == update {
+                continue;
+            }
+            if col < lead.0 {
+                lead = (col, target.len());
+            }
+            target.push((col, *slots));
+            ops.push((*slots, p));
+            *slots += 1;
+        }
+    }
+    replace_lead(target, lead);
+    keep_end
+}
+
+/// Replays outcome plan `plan` over `vals`, which holds the input values
+/// in their slots, and forward-substitutes `b` into `y` along the way.
+/// Returns false at the first pivot search or row update whose outcome
+/// differs from the plan's, or at a winner that fails the singularity
+/// test; `vals` and `y` are then garbage. An update's kept and dropped
+/// outcomes are checked together, after it.
 ///
 /// The forward substitution runs by columns: step `k` subtracts
 /// `factor·y[k]` from each updated row's `y` as soon as the factor is
@@ -1178,7 +1393,7 @@ impl Plan {
 fn replay(plan: &Plan, vals: &mut [f64], b: &[f64], y: &mut Vec<f64>) -> bool {
     y.clear();
     y.extend(plan.row_of.iter().map(|&r| b[r as usize]));
-    let (mut cands_at, mut ops_at) = (0, 0);
+    let (mut cands_at, mut updates, mut ops_at) = (0, plan.updates.iter(), 0);
     for (k, step) in plan.steps.iter().enumerate() {
         let cands = &plan.cands[cands_at..step.cands_end as usize];
         cands_at = step.cands_end as usize;
@@ -1195,7 +1410,6 @@ fn replay(plan: &Plan, vals: &mut [f64], b: &[f64], y: &mut Vec<f64>) -> bool {
             return false;
         }
         let pivot_val = vals[cands[winner].slot as usize];
-        let pivot_row = &plan.u[plan.u_starts[k] as usize + 1..plan.u_starts[k + 1] as usize];
         let y_k = y[k];
         for (i, c) in cands.iter().enumerate() {
             if i == winner {
@@ -1203,109 +1417,155 @@ fn replay(plan: &Plan, vals: &mut [f64], b: &[f64], y: &mut Vec<f64>) -> bool {
             }
             let factor = vals[c.slot as usize] / pivot_val;
             y[c.dest as usize] -= factor * y_k;
-            let ops = &plan.ops[ops_at..ops_at + pivot_row.len()];
-            ops_at += pivot_row.len();
-            for (&op, &(_, p)) in ops.iter().zip(pivot_row) {
-                let p = vals[p as usize];
-                let slot = (op & SLOT_MASK) as usize;
-                if op & !SLOT_MASK == OP_FILL {
-                    vals[slot] = -factor * p;
-                } else {
-                    let v = vals[slot] - factor * p;
-                    if kept(v) != (op & !SLOT_MASK == OP_KEEP) {
-                        return false;
-                    }
-                    vals[slot] = v;
-                }
+            let u = updates
+                .next()
+                .expect("one update per candidate but the winner");
+            let (keep_end, drop_end) = (u.keep_end as usize, u.drop_end as usize);
+            let mut same = true;
+            for &(t, p) in &plan.ops[ops_at..keep_end] {
+                let v = vals[t as usize] - factor * vals[p as usize];
+                vals[t as usize] = v;
+                same &= kept(v);
+            }
+            for &(t, p) in &plan.ops[keep_end..drop_end] {
+                let v = vals[t as usize] - factor * vals[p as usize];
+                vals[t as usize] = v;
+                same &= !kept(v);
+            }
+            ops_at = u.fill_end as usize;
+            for &(t, p) in &plan.ops[drop_end..ops_at] {
+                vals[t as usize] = -factor * vals[p as usize];
+            }
+            if !same {
+                return false;
             }
         }
     }
     true
 }
 
-/// Builds a [`Plan`] while `eliminate` runs, from the searches and
-/// operations the kernel reports. Its buffers persist across recordings.
-#[derive(Debug, Clone, Default)]
-struct Recorder {
-    plan: Plan,
-    /// Whether the plan is complete and within budget so far.
-    live: bool,
-}
-
-impl Recorder {
-    /// Starts a plan for an input of pattern `input`. Returns false,
-    /// recording nothing, when the pattern alone outgrows the budget.
-    fn begin(&mut self, input: &CsrPattern) -> bool {
-        self.live = input.bytes() <= PLAN_BUDGET_BYTES;
-        if !self.live {
+/// The live-bit replay of symbolic plan `sym` over `vals`, which holds
+/// the input values in their slots, with `live[s]` set for exactly the
+/// input slots. It forward-substitutes `b` into `y` as [`replay`] does
+/// and writes into `out` the outcome plan of the operations it ran.
+/// Returns false when a pivot search picks another winner than `sym`
+/// recorded, or the winner fails the singularity test; `vals`, `live`,
+/// `y` and `out` are then garbage.
+///
+/// The live bits are the general kernel's drop rule. After an exact-zero
+/// drop the kernel treats the entry as absent, and:
+///
+/// 1. a candidate whose leading slot is dead does not hold column `k`
+///    in the kernel: it is neither searched nor updated at that step;
+/// 2. a dead pivot-row slot is no pivot-row entry: it updates nothing;
+/// 3. a live pivot slot `p` updates its target `t`. A dead `t` takes the
+///    fill `(−factor)·p` and becomes live; a live `t` becomes
+///    `t − factor·p` and dies exactly when [`kept`] drops the result.
+///
+/// Input slots start live and fill slots dead, so at every step the live
+/// slots are the entries the kernel's rows hold, with their values, and
+/// the live candidates are its bucket. Zero magnitudes never win
+/// ([`beats`]), so they either pick `sym`'s winner or the replay fails.
+/// U rows are its live slots in column order. So live slots get exactly
+/// the general kernel's operations, in its order.
+fn replay_live(
+    sym: &Plan,
+    vals: &mut [f64],
+    live: &mut [bool],
+    b: &[f64],
+    y: &mut Vec<f64>,
+    out: &mut Plan,
+    [drops, fills]: &mut [Vec<(u32, u32)>; 2],
+) -> bool {
+    out.begin(&sym.input);
+    out.slots = sym.slots;
+    y.clear();
+    y.extend(sym.row_of.iter().map(|&r| b[r as usize]));
+    let (mut cands_at, mut updates, mut ops_at) = (0, sym.updates.iter(), 0);
+    for (k, step) in sym.steps.iter().enumerate() {
+        let cands = &sym.cands[cands_at..step.cands_end as usize];
+        cands_at = step.cands_end as usize;
+        let (mut pivot_mag, mut pivot_pos, mut winner) = (0.0f64, usize::MAX, usize::MAX);
+        let mut live_winner = 0;
+        for (i, c) in cands.iter().enumerate() {
+            if !live[c.slot as usize] {
+                continue;
+            }
+            let mag = vals[c.slot as usize].abs();
+            if beats(mag, c.pos as usize, pivot_mag, pivot_pos) {
+                pivot_mag = mag;
+                pivot_pos = c.pos as usize;
+                winner = i;
+                live_winner = out.cands.len();
+            }
+            out.cands.push(*c);
+        }
+        if winner != step.winner as usize || is_singular(pivot_mag, pivot_pos) {
             return false;
         }
-        let plan = &mut self.plan;
-        plan.input.clone_from(input);
-        plan.slots = input.nnz() as u32;
-        for v in [&mut plan.ops, &mut plan.row_of, &mut plan.u_starts] {
-            v.clear();
-        }
-        plan.steps.clear();
-        plan.cands.clear();
-        plan.u.clear();
-        true
-    }
-
-    /// Row `row`, at position `pos`, with its leading entry in `slot`,
-    /// is the next pivot candidate.
-    fn candidate(&mut self, slot: u32, pos: usize, row: usize) {
-        self.plan.cands.push(Cand {
-            slot,
-            pos: pos as u32,
-            dest: row as u32,
+        let from = out.steps.last().map_or(0, |s| s.cands_end as usize);
+        out.steps.push(Step {
+            cands_end: out.cands.len() as u32,
+            winner: (live_winner - from) as u32,
         });
-    }
-
-    /// The candidate at `pos` won this step's search.
-    fn pivot(&mut self, pos: usize) {
-        let from = self.plan.steps.last().map_or(0, |s| s.cands_end as usize);
-        let winner = self.plan.cands[from..]
-            .iter()
-            .position(|c| c.pos as usize == pos)
-            .expect("the winner is a candidate");
-        self.plan.steps.push(Step {
-            cands_end: self.plan.cands.len() as u32,
-            winner: winner as u32,
-        });
-    }
-
-    /// Room for the `len` operations of the next row update.
-    fn ops(&mut self, len: usize) -> &mut [u32] {
-        let start = self.plan.ops.len();
-        self.plan.ops.resize(start + len, 0);
-        &mut self.plan.ops[start..]
-    }
-
-    /// A row update is done. Returns whether the recording is still
-    /// within budget; once it is not, the plan is dropped.
-    fn end_update(&mut self) -> bool {
-        self.live = self.plan.bytes() <= PLAN_BUDGET_BYTES;
-        self.live
-    }
-
-    /// Completes the plan with U in elimination order, each candidate's
-    /// final position (`pos_of` is the inverse of `row_of`) and the
-    /// number of slots used.
-    fn finish(&mut self, rows: &[Vec<Entry>], row_of: &[usize], pos_of: &[usize], slots: u32) {
-        let plan = &mut self.plan;
-        plan.slots = slots;
-        plan.row_of.extend(row_of.iter().map(|&r| r as u32));
-        plan.u_starts.push(0);
-        for &r in row_of {
-            plan.u.extend(rows[r].iter().map(|e| (e.col, e.slot)));
-            plan.u_starts.push(plan.u.len() as u32);
+        let pivot_val = vals[cands[winner].slot as usize];
+        let y_k = y[k];
+        for (i, c) in cands.iter().enumerate() {
+            if i == winner {
+                continue;
+            }
+            let u = updates
+                .next()
+                .expect("one update per candidate but the winner");
+            let ops = &sym.ops[ops_at..u.fill_end as usize];
+            ops_at = u.fill_end as usize;
+            if !live[c.slot as usize] {
+                continue;
+            }
+            let factor = vals[c.slot as usize] / pivot_val;
+            y[c.dest as usize] -= factor * y_k;
+            drops.clear();
+            fills.clear();
+            for &(t, p) in ops {
+                if !live[p as usize] {
+                    continue;
+                }
+                let (ti, p_val) = (t as usize, vals[p as usize]);
+                if live[ti] {
+                    let v = vals[ti] - factor * p_val;
+                    vals[ti] = v;
+                    if kept(v) {
+                        out.ops.push((t, p));
+                    } else {
+                        live[ti] = false;
+                        drops.push((t, p));
+                    }
+                } else {
+                    vals[ti] = -factor * p_val;
+                    live[ti] = true;
+                    fills.push((t, p));
+                }
+            }
+            let keep_end = out.ops.len() as u32;
+            out.ops.extend_from_slice(drops);
+            let drop_end = out.ops.len() as u32;
+            out.ops.extend_from_slice(fills);
+            out.updates.push(Update {
+                keep_end,
+                drop_end,
+                fill_end: out.ops.len() as u32,
+            });
         }
-        for c in &mut plan.cands {
-            c.dest = pos_of[c.dest as usize] as u32;
-        }
-        self.live = plan.bytes() <= PLAN_BUDGET_BYTES;
     }
+    out.row_of.extend_from_slice(&sym.row_of);
+    out.u_starts.push(0);
+    for w in sym.u_starts.windows(2) {
+        let row = &sym.u[w[0] as usize..w[1] as usize];
+        out.u
+            .extend(row.iter().filter(|&&(_, slot)| live[slot as usize]));
+        out.u_starts.push(out.u.len() as u32);
+    }
+    true
 }
 
 /// A cached assembly plan for one triplet `(row, col)` sequence: where
@@ -2173,10 +2433,10 @@ mod tests {
         t.to_rows()
     }
 
-    /// Recorded eliminations replayed on fresh values of the same pattern
-    /// stay bit-identical to the oracle: one workspace across patterns of
-    /// 1 to 24 unknowns, each refactored with values from every
-    /// generator, so plans replay, diverge, get evicted and re-recorded.
+    /// Plans replayed on fresh values of the same pattern stay
+    /// bit-identical to the oracle: one workspace across patterns of 1 to
+    /// 24 unknowns, each refactored with values from every generator, so
+    /// plans replay, diverge, get evicted and are learned again.
     #[test]
     fn replayed_elimination_matches_oracle_on_repeated_patterns() {
         let mut rng = Xoshiro256pp::seed_from_u64(0x0EAC_1E05);
@@ -2193,8 +2453,14 @@ mod tests {
                 let b = random_rhs(&mut rng, n);
                 let label = format!("trial {trial} call {call} ({})", GENERATORS[gen]);
                 singular += usize::from(!assert_matches_oracle(&mut ws, &a, &b, &label));
-                assert!(ws.plans.len() <= PLAN_CACHE_LEN);
-                let bytes: usize = ws.plans.iter().map(Plan::bytes).sum();
+                assert!(ws.outcomes.len() <= OUTCOME_CACHE_LEN);
+                assert!(ws.symbolic.len() <= SYMBOLIC_CACHE_LEN);
+                let bytes: usize = ws
+                    .outcomes
+                    .iter()
+                    .chain(&ws.symbolic)
+                    .map(Plan::bytes)
+                    .sum();
                 assert!(bytes <= PLAN_BUDGET_BYTES, "{label}: {bytes} plan bytes");
             }
         }
@@ -2206,8 +2472,9 @@ mod tests {
     }
 
     /// A singular matrix on a cached pattern fails at the oracle's step
-    /// (the replay diverges, the general kernel reports it), and the
-    /// plan still serves the nonsingular matrix after it.
+    /// (the outcome plan and the live-bit replay diverge, the general
+    /// kernel reports it), and the outcome plan still serves the
+    /// nonsingular matrix after it.
     #[test]
     fn singular_matrix_on_a_cached_pattern_falls_back_and_the_plan_survives() {
         let full: Vec<_> = (0..3).flat_map(|r| (0..3).map(move |c| (r, c))).collect();
@@ -2227,18 +2494,20 @@ mod tests {
             ws.stats,
             ReplayStats {
                 replayed: 1,
-                diverged: 1,
+                fallback: 0,
+                diverged: 2,
                 general: 2,
             }
         );
-        assert_eq!(ws.plans.len(), 1);
+        assert_eq!((ws.outcomes.len(), ws.symbolic.len()), (1, 1));
     }
 
-    /// A pivot tie the recording did not have goes to the lowest
+    /// A pivot tie the symbolic plan did not have goes to the lowest
     /// position, as in the general kernel, although the search visits
-    /// row 1 first: the replay then disagrees with the recorded winner
-    /// (row 1) and falls back. The tie's own plan serves the next tie,
-    /// and the first plan the last call.
+    /// row 1 first: the outcome plan and the live-bit replay then
+    /// disagree with the recorded winner (row 1), and the general kernel
+    /// runs. The tie's own outcome plan serves the next tie, and the
+    /// first one the last call.
     #[test]
     fn replayed_pivot_tie_goes_to_the_lowest_position() {
         let with = |a10: f64| triplets(2, &[(0, 0, 2.0), (0, 1, 1.0), (1, 0, a10), (1, 1, 3.0)]);
@@ -2261,18 +2530,87 @@ mod tests {
             ws.stats,
             ReplayStats {
                 replayed: 2,
-                diverged: 2,
+                fallback: 0,
+                diverged: 3,
                 general: 2,
             }
         );
+        assert_eq!(ws.symbolic.len(), 2);
     }
 
-    /// A plan over the budget is dropped while it is being recorded: the
-    /// matrix still factors bit-identically, nothing is cached, and the
-    /// next call on its pattern runs the general kernel again.
+    /// Values that flip cancellations under a fixed pivot order. A
+    /// diagonal of 1024 keeps every pivot on the diagonal, while
+    /// off-diagonal entries from {±0, ±1, ±32} make updates that do or do
+    /// not cancel to an exact zero (`1 − (32/1024)·32`, `±0 − (±0)·p`).
+    /// The odd diagonal of 1 moves a pivot off the diagonal, and the odd
+    /// NaN spreads until no pivot is left.
+    /// Every call is pinned to the oracle on `to_bits`; the live-bit
+    /// replay serves the flips, and `eliminate` runs exactly when the
+    /// oracle's pivot order is none of the cached plans' or the matrix is
+    /// singular.
     #[test]
-    fn plan_over_the_budget_is_not_cached() {
-        let n = 100;
+    fn fallback_replays_cancellation_flips_under_a_fixed_pivot_order() {
+        let mut rng = Xoshiro256pp::seed_from_u64(0x0EAC_1E0A);
+        let mut ws = LuWorkspace::new();
+        let (mut moved, mut singular) = (0, 0);
+        for trial in 0..60 {
+            let n = 2 + rng.next_index(20);
+            let density = rng.next_f64_in(0.1, 0.5);
+            let keys = random_pattern(&mut rng, n, density, true);
+            for call in 0..16 {
+                let mut t = Triplets::new(n);
+                for &(r, c) in &keys {
+                    let v = match rng.next_index(256) {
+                        i if r == c => [1024.0, 1.0][usize::from(i < 3)],
+                        0 => f64::NAN,
+                        i => [0.0, -0.0, 1.0, -1.0, 32.0, -32.0, 1.0, 32.0][i % 8],
+                    };
+                    t.add(r, c, v);
+                }
+                let a = t.to_rows();
+                let b = random_rhs(&mut rng, n);
+                let pattern = flat(&a).0;
+                // The pivot orders of the pattern's cached symbolic and
+                // outcome plans.
+                let orders = |plans: &[Plan]| -> Vec<Vec<u32>> {
+                    let plans = plans.iter().filter(|p| p.input == pattern);
+                    plans.map(|p| p.row_of.clone()).collect()
+                };
+                let (symbolic, outcomes) = (orders(&ws.symbolic), orders(&ws.outcomes));
+                let before = ws.stats;
+                let label = format!("trial {trial} call {call}");
+                let general = if assert_matches_oracle(&mut ws, &a, &b, &label) {
+                    ws.stats.general - before.general
+                } else {
+                    singular += 1;
+                    assert_eq!(ws.stats.general, before.general + 1, "{label}");
+                    continue;
+                };
+                let lu = oracle_factor(&a).expect("factored");
+                let order: Vec<u32> = lu.row_of.iter().map(|&r| r as u32).collect();
+                moved += usize::from(order.iter().enumerate().any(|(k, &r)| r as usize != k));
+                // An outcome plan whose order holds may or may not replay.
+                if symbolic.contains(&order) {
+                    assert_eq!(general, 0, "{label}: the live-bit replay must hold");
+                } else if !outcomes.contains(&order) {
+                    assert_eq!(general, 1, "{label}: a new pivot order");
+                }
+            }
+        }
+        let stats = ws.stats;
+        assert!(
+            stats.fallback > 250 && stats.replayed > 300 && moved > 10 && singular > 20,
+            "{stats:?}, {moved} moved pivot orders, {singular} singular"
+        );
+    }
+
+    /// A symbolic pass over the budget stops within one row update of
+    /// it, and its pattern is remembered: the matrix still factors
+    /// bit-identically, no plan is cached, and the next call on the
+    /// pattern runs the general kernel without a second pass.
+    #[test]
+    fn symbolic_pass_over_the_budget_stops_and_is_remembered() {
+        let n = 180;
         let mut rng = Xoshiro256pp::seed_from_u64(0x0EAC_1E06);
         let keys = random_pattern(&mut rng, n, 1.0, true);
         let mut ws = LuWorkspace::new();
@@ -2280,15 +2618,32 @@ mod tests {
             let a = pattern_values(&mut rng, n, &keys, 0);
             let b = random_rhs(&mut rng, n);
             assert!(assert_matches_oracle(&mut ws, &a, &b, "dense"));
-            assert!(ws.plans.is_empty() && !ws.recorder.live, "call {call}");
-            let recorded = ws.recorder.plan.bytes();
             assert!(
-                recorded <= PLAN_BUDGET_BYTES + 16 * n,
-                "recording ran on to {recorded} bytes"
+                ws.outcomes.is_empty() && ws.symbolic.is_empty(),
+                "call {call}"
             );
+            assert_eq!(ws.oversized, vec![flat(&a).0], "call {call}");
         }
         assert_eq!(ws.stats.general, 2);
-        // The same workspace still records and replays small patterns.
+        // The pass itself stops as soon as it is over.
+        let a = pattern_values(&mut rng, n, &keys, 0);
+        let (pattern, values) = flat(&a);
+        let mut row_of = Vec::new();
+        ws.factor_solve_csr(&pattern, &values, &random_rhs(&mut rng, n), &mut Vec::new())
+            .unwrap();
+        row_of.clone_from(&ws.row_of);
+        let mut plan = Plan::default();
+        let mut rows = Vec::new();
+        assert!(!symbolic_pass(
+            &pattern,
+            &row_of,
+            &mut Scratch::default(),
+            &mut rows,
+            &mut plan
+        ));
+        let over = plan.bytes() - PLAN_BUDGET_BYTES;
+        assert!(over <= 8 * n + 12, "the pass ran {over} bytes over");
+        // The same workspace still learns and replays small patterns.
         let small = random_pattern(&mut rng, 6, 0.4, true);
         let a = pattern_values(&mut rng, 6, &small, 0);
         for call in 0..2 {
@@ -2300,9 +2655,10 @@ mod tests {
                 &format!("small {call}")
             ));
         }
-        assert_eq!((ws.stats.general, ws.stats.replayed), (3, 1));
-        // A pattern that alone outgrows the budget is not recorded at
-        // all (too large for the quadratic oracle: checked on factor()).
+        assert_eq!((ws.stats.general, ws.stats.replayed), (4, 1));
+        assert_eq!(ws.oversized.len(), 1);
+        // A pattern that alone outgrows the budget is not passed at all
+        // (too large for the quadratic oracle: checked on factor()).
         let n = 150_000;
         let mut t = Triplets::new(n);
         for i in 0..n {
@@ -2315,26 +2671,30 @@ mod tests {
         let want = a.clone().factor().unwrap().solve(&b).unwrap();
         assert_eq!(bits(&x), bits(&want));
         let (pattern, _) = flat(&a);
-        assert!(!ws.recorder.live && ws.plans.iter().all(|p| p.input != pattern));
+        assert!(ws.symbolic.iter().all(|p| p.input != pattern));
+        assert!(
+            !ws.oversized.contains(&pattern),
+            "never passed, so not kept"
+        );
     }
 
     /// The general kernel as it was before the dense scatter: every row
     /// kept in column order, and each update a merge of the target and
     /// pivot rows into a new row. Kept as the oracle the in-place kernel
-    /// must match bit for bit, slots and recorded plans included.
+    /// must match bit for bit. Returns how many updated entries it
+    /// dropped as exact zeros.
     fn eliminate_merge(
         rows: &mut [Vec<Entry>],
         l_rows: &mut [Vec<(usize, f64)>],
         row_of: &mut [usize],
-        mut rec: Option<&mut Recorder>,
-    ) -> Result<()> {
+    ) -> Result<usize> {
         let n = rows.len();
         let mut scratch = Scratch::default();
-        scratch.reset(rows, row_of);
+        scratch.reset(rows.iter().map(|row| row.first().map(|e| e.col)), row_of);
         let Scratch {
             head, next, pos_of, ..
         } = &mut scratch;
-        let mut slots = rows.iter().map(Vec::len).sum::<usize>() as u32;
+        let mut dropped = 0;
         let mut merged = Vec::new();
         for k in 0..n {
             let mut pivot_pos = usize::MAX;
@@ -2346,16 +2706,10 @@ mod tests {
                     pivot_mag = lead.val.abs();
                     pivot_pos = p;
                 }
-                if let Some(r) = rec.as_deref_mut() {
-                    r.candidate(lead.slot, p, ri);
-                }
                 ri = next[ri];
             }
             if is_singular(pivot_mag, pivot_pos) {
                 return Err(NumError::SingularMatrix { step: k });
-            }
-            if let Some(r) = rec.as_deref_mut() {
-                r.pivot(pivot_pos);
             }
             row_of.swap(k, pivot_pos);
             pos_of[row_of[k]] = k;
@@ -2373,45 +2727,32 @@ mod tests {
                 l_rows[ri].push((k, factor));
                 // Both rows start at column k; merge what lies right of it.
                 let (target, pivot_row) = (&rows[ri], &rows[pivot_row_idx]);
-                let mut ops = rec.as_deref_mut().map(|r| r.ops(pivot_row.len() - 1));
                 merged.clear();
                 let (mut ti, mut pi) = (1, 1);
                 while ti < target.len() || pi < pivot_row.len() {
                     let tc = target.get(ti).map_or(u32::MAX, |e| e.col);
                     let pc = pivot_row.get(pi).map_or(u32::MAX, |e| e.col);
-                    let op = if tc < pc {
+                    if tc < pc {
                         merged.push(target[ti]);
                         ti += 1;
                         continue;
                     } else if pc < tc {
-                        let slot = slots;
-                        slots = slots.wrapping_add(1);
                         merged.push(Entry {
                             col: pc,
-                            slot,
                             val: -factor * pivot_row[pi].val,
                         });
-                        OP_FILL | slot
                     } else {
-                        let t = target[ti];
-                        let v = t.val - factor * pivot_row[pi].val;
+                        let v = target[ti].val - factor * pivot_row[pi].val;
                         ti += 1;
                         if kept(v) {
-                            merged.push(Entry { val: v, ..t });
-                            OP_KEEP | t.slot
+                            merged.push(Entry { col: tc, val: v });
                         } else {
-                            OP_DROP | t.slot
+                            dropped += 1;
                         }
-                    };
-                    if let Some(ops) = ops.as_deref_mut() {
-                        ops[pi - 1] = op;
                     }
                     pi += 1;
                 }
                 std::mem::swap(&mut rows[ri], &mut merged);
-                if rec.as_deref_mut().is_some_and(|r| !r.end_update()) {
-                    rec = None;
-                }
                 if let Some(lead) = rows[ri].first() {
                     let lead = lead.col as usize;
                     next[ri] = head[lead];
@@ -2420,63 +2761,39 @@ mod tests {
                 ri = following;
             }
         }
-        if let Some(r) = rec {
-            r.finish(rows, row_of, pos_of, slots);
-        }
-        Ok(())
+        Ok(dropped)
     }
 
-    /// Everything one recorded elimination of `a` leaves: the outcome,
-    /// U in elimination order as `(col, slot, bits)`, L's bits, `row_of`,
-    /// and the plan (`None` when the recording was dropped).
-    type Recorded = (
-        Result<()>,
-        Vec<Vec<(u32, u32, u64)>>,
-        RowBits,
-        Vec<usize>,
-        Option<Plan>,
-    );
+    /// Everything one elimination of `a` leaves: the outcome (with the
+    /// merge oracle's drop count), U in elimination order as
+    /// `(col, bits)`, L's bits and `row_of`.
+    type Eliminated = (Result<usize>, RowBits, RowBits, Vec<usize>);
 
-    fn record(a: &SparseRows, merge: bool) -> Recorded {
+    fn eliminated(a: &SparseRows, merge: bool) -> Eliminated {
         let n = a.n;
         let mut rows = kernel_rows(&a.rows);
         let mut l_rows = vec![Vec::new(); n];
         let mut row_of: Vec<usize> = (0..n).collect();
-        let mut rec = Recorder::default();
-        assert!(rec.begin(&flat(a).0));
         let result = if merge {
-            eliminate_merge(&mut rows, &mut l_rows, &mut row_of, Some(&mut rec))
+            eliminate_merge(&mut rows, &mut l_rows, &mut row_of)
         } else {
-            eliminate(
-                &mut rows,
-                &mut l_rows,
-                &mut row_of,
-                &mut Scratch::default(),
-                Some(&mut rec),
-            )
+            eliminate(&mut rows, &mut l_rows, &mut row_of, &mut Scratch::default()).map(|()| 0)
         };
         if result.is_err() {
-            return (result, Vec::new(), Vec::new(), Vec::new(), None);
+            return (result, Vec::new(), Vec::new(), Vec::new());
         }
-        let u = row_of
-            .iter()
-            .map(|&r| {
-                let row = rows[r].iter();
-                row.map(|e| (e.col, e.slot, e.val.to_bits())).collect()
-            })
-            .collect();
+        let u: Vec<_> = row_of.iter().map(|&r| rows[r].clone()).collect();
         let l: Vec<_> = row_of.iter().map(|&r| l_rows[r].clone()).collect();
-        let plan = rec.live.then_some(rec.plan);
-        (result, u, rows_bits(&l), row_of, plan)
+        (result, entries_bits(&u), rows_bits(&l), row_of)
     }
 
     /// The in-place dense-scatter kernel against the merge oracle on
-    /// `to_bits`, slots and recorded plans included: random patterns of
-    /// 1 to 30 unknowns with every value generator (pivot ties, exact
-    /// cancellations that refill, signed zeros, NaN and infinities,
-    /// singular matrices), plus the hand-built cancel-then-refill.
+    /// `to_bits`: random patterns of 1 to 30 unknowns with every value
+    /// generator (pivot ties, exact cancellations that refill, signed
+    /// zeros, NaN and infinities, singular matrices), plus the hand-built
+    /// cancel-then-refill.
     #[test]
-    fn dense_scatter_matches_the_merge_oracle_and_records_the_same_plans() {
+    fn dense_scatter_matches_the_merge_oracle() {
         let mut rng = Xoshiro256pp::seed_from_u64(0x0EAC_1E07);
         let mut cases = vec![triplets(
             4,
@@ -2504,19 +2821,23 @@ mod tests {
         }
         let (mut factored, mut singular, mut cancelled) = (0, 0, 0);
         for (i, a) in cases.iter().enumerate() {
-            let want = record(a, true);
-            let got = record(a, false);
-            assert_eq!(got.0, want.0, "case {i}: outcome");
+            let want = eliminated(a, true);
+            let got = eliminated(a, false);
+            assert_eq!(got.0.is_ok(), want.0.is_ok(), "case {i}: outcome");
+            assert_eq!(
+                got.0.as_ref().err(),
+                want.0.as_ref().err(),
+                "case {i}: error"
+            );
             assert_eq!(got.1, want.1, "case {i}: U");
             assert_eq!(got.2, want.2, "case {i}: L");
             assert_eq!(got.3, want.3, "case {i}: row_of");
-            assert_eq!(got.4, want.4, "case {i}: plan");
-            match &got.4 {
-                Some(plan) => {
+            match want.0 {
+                Ok(dropped) => {
                     factored += 1;
-                    cancelled += usize::from(plan.ops.iter().any(|&op| op & !SLOT_MASK == OP_DROP));
+                    cancelled += usize::from(dropped > 0);
                 }
-                None => singular += usize::from(got.0.is_err()),
+                Err(_) => singular += 1,
             }
         }
         assert!(

@@ -3,6 +3,7 @@
 use crate::circuit::{Circuit, DeviceKind, NodeId};
 use crate::solver::{NewtonOptions, NewtonSolver, StampMode};
 use crate::Result;
+use mtk_num::sparse::ReplayStats;
 
 /// Options for the operating-point solve.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,6 +47,10 @@ pub struct DcResult {
     /// (sparsity pattern + ordering), see
     /// [`crate::solver::NewtonSolver::lu_pattern_reuses`].
     pub lu_pattern_reuses: usize,
+    /// How the solve's factorizations went: replayed, served by the
+    /// fallback, diverged replays and general eliminations, see
+    /// [`crate::solver::NewtonSolver::lu_stats`]. Not a trace key.
+    pub lu_stats: ReplayStats,
 }
 
 impl DcResult {
@@ -155,6 +160,7 @@ pub fn operating_point(circuit: &Circuit, opts: &DcOptions) -> Result<DcResult> 
         gmin_fallback_stages,
         newton_iterations: solver.total_iterations(),
         lu_pattern_reuses: solver.lu_pattern_reuses(),
+        lu_stats: solver.lu_stats(),
     })
 }
 

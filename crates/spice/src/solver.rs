@@ -659,9 +659,9 @@ impl<'c> NewtonSolver<'c> {
         self.map_builds
     }
 
-    /// How this solver's factorizations went: replays of a recorded
-    /// elimination, diverged replay attempts, and general eliminations
-    /// (see [`LuWorkspace`]).
+    /// How this solver's factorizations went: replays of an outcome plan,
+    /// live-bit replays of a symbolic plan (the fallback), diverged
+    /// replay attempts, and general eliminations (see [`LuWorkspace`]).
     pub fn lu_stats(&self) -> ReplayStats {
         self.lu.stats()
     }
@@ -1244,9 +1244,11 @@ mod tests {
         s.solve(&x, trap, &opts, "trap again").unwrap();
         assert_eq!(s.stamp_map_builds(), 2, "backward Euler then trapezoidal");
         assert!(s.total_iterations() > 5, "{}", s.total_iterations());
-        // Every iteration factors once, by a replay or the general kernel.
+        // Every iteration factors once, by a replay of either kind or the
+        // general kernel.
         let lu = s.lu_stats();
-        assert_eq!(lu.replayed + lu.general, s.total_iterations(), "{lu:?}");
+        let factored = lu.replayed + lu.fallback + lu.general;
+        assert_eq!(factored, s.total_iterations(), "{lu:?}");
         assert!(lu.replayed > 0 && lu.general > 0, "{lu:?}");
     }
 

@@ -11,6 +11,7 @@ use crate::solver::{
     collect_dyn_caps, CapState, Integrator, NewtonOptions, NewtonSolver, StampMode,
 };
 use crate::{Result, SpiceError};
+use mtk_num::sparse::ReplayStats;
 use mtk_num::waveform::Pwl;
 
 /// Which node voltages a transient run records.
@@ -138,6 +139,11 @@ pub struct TranResult {
     /// a solver's cached symbolic phase, see
     /// [`crate::solver::NewtonSolver::lu_pattern_reuses`].
     pub lu_pattern_reuses: usize,
+    /// How the factorizations (operating point + transient stepping)
+    /// went: replayed, served by the fallback, diverged replays and
+    /// general eliminations, see
+    /// [`crate::solver::NewtonSolver::lu_stats`]. Not a trace key.
+    pub lu_stats: ReplayStats,
 }
 
 impl TranResult {
@@ -314,6 +320,7 @@ pub fn transient(circuit: &Circuit, opts: &TranOptions) -> Result<TranResult> {
         dt_halvings: 0,
         op_gmin_fallback_stages: op.gmin_fallback_stages,
         lu_pattern_reuses: op.lu_pattern_reuses,
+        lu_stats: op.lu_stats,
     };
     result.node_data = vec![Vec::new(); result.nodes.len()];
     result.branch_data = vec![Vec::new(); result.branch_names.len()];
@@ -403,6 +410,7 @@ pub fn transient(circuit: &Circuit, opts: &TranOptions) -> Result<TranResult> {
         }
     }
     result.lu_pattern_reuses += solver.lu_pattern_reuses();
+    result.lu_stats += solver.lu_stats();
     Ok(result)
 }
 
