@@ -40,6 +40,7 @@
 use crate::health::{charge_overflow, fold_item_reports, retry_item, FailurePolicy, FaultPlan};
 use crate::health::{ItemReport, RunHealth, SweepHealth};
 use crate::par::{try_parallel_map_with, WorkerStats};
+use crate::record;
 use crate::sizing::{leg_degradation, log_bisect, move_to_front, probe_nets, stored_leg};
 use crate::sizing::{require_transitions, Transition};
 use crate::vbsim::{latest_crossing, Engine, PartitionedSleep, SleepNetwork};
@@ -313,78 +314,42 @@ pub fn exclusive_partition(
     })
 }
 
-/// Tag prefix of cluster-evaluation records in a persistent store,
-/// versioned separately from the store container format: bump when the
-/// key or value encoding changes so stale records read as misses, never
-/// as wrong answers. Distinct from the screening (`leg1`), serve
-/// (`req2:`) and Monte Carlo (`mct1`) namespaces sharing the same log.
-/// `clu2` records hold a decision against the target the key carries;
-/// `clu1` records held a target-free worst degradation.
-pub const CLUSTER_RECORD_TAG: &[u8; 4] = b"clu2";
-
-/// FNV-1a, the same hash family the netlist fingerprint uses.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-}
-
 /// Byte encoding of one stored decision: the index plus one of the
-/// transition that exceeded the target (0 when none did), then every
-/// [`RunHealth`] counter — the stored health is what makes a warm
-/// rerun's telemetry bit-identical to the cold one, and the stored index
-/// lets a replay reorder the transitions exactly as the simulation did.
-fn encode_eval(failed: Option<usize>, health: &RunHealth) -> Vec<u8> {
-    let mut out = Vec::with_capacity(56);
+/// transition that exceeded the target (0 when none did), then the
+/// [`RunHealth`] counters — the stored index lets a replay reorder the
+/// transitions exactly as the simulation did.
+pub(crate) fn encode_eval(failed: Option<usize>, health: &RunHealth) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 + record::HEALTH_LEN);
     out.extend_from_slice(&failed.map_or(0, |i| i as u64 + 1).to_le_bytes());
-    for v in [
-        health.breakpoints,
-        health.max_events,
-        health.glitch_reversals,
-        health.vx_fallbacks,
-        health.cache_hits,
-        health.cache_misses,
-    ] {
-        out.extend_from_slice(&(v as u64).to_le_bytes());
-    }
+    record::put_health(&mut out, health);
     out
 }
 
 /// Inverse of [`encode_eval`] over `n_transitions` transitions; `None`
 /// on any shape mismatch or out-of-range index — a malformed record is
 /// a miss, never an answer.
-fn decode_eval(bytes: &[u8], n_transitions: usize) -> Option<(Option<usize>, RunHealth)> {
-    if bytes.len() != 56 {
-        return None;
-    }
-    let word = |i: usize| u64::from_le_bytes(bytes[i * 8..(i + 1) * 8].try_into().unwrap());
-    let failed = match word(0) {
+pub(crate) fn decode_eval(
+    bytes: &[u8],
+    n_transitions: usize,
+) -> Option<(Option<usize>, RunHealth)> {
+    let mut r = record::Reader::new(bytes);
+    let failed = match r.u64()? {
         0 => None,
         k if k <= n_transitions as u64 => Some(k as usize - 1),
         _ => return None,
     };
-    Some((
-        failed,
-        RunHealth {
-            breakpoints: word(1) as usize,
-            max_events: word(2) as usize,
-            glitch_reversals: word(3) as usize,
-            vx_fallbacks: word(4) as usize,
-            cache_hits: word(5) as usize,
-            cache_misses: word(6) as usize,
-        },
-    ))
+    let health = r.health()?;
+    r.end((failed, health))
+}
+
+/// The digest in a `clu2` key: FNV-1a's offset basis and byte loop with
+/// the multiplier `0x1000_0000_01b3`, which is not FNV's prime
+/// (`0x100_0000_01b3`). The decisions in existing logs are keyed by it,
+/// so it is not [`mtk_netlist::netlist::Fnv1a`].
+fn clu2_digest(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+    })
 }
 
 /// Each transition's CMOS baseline crossings at `base`'s budget — the
@@ -442,7 +407,7 @@ struct Evaluator<'a> {
     base: &'a VbsimOptions,
     target: f64,
     store: Option<&'a mtk_store::Store>,
-    /// Record tag, netlist and technology fingerprints, a digest over
+    /// The `clu2` tag, netlist and technology fingerprints, a digest over
     /// probes, transitions, assignment and the [`VbsimOptions`] fields
     /// the simulator reads, then the target's bits. The per-evaluation
     /// suffix is the sizes vector itself.
@@ -452,38 +417,29 @@ struct Evaluator<'a> {
 impl Evaluator<'_> {
     /// This evaluator with its store-key prefix computed for `engine`.
     fn keyed(mut self, engine: &Engine<'_>) -> Self {
-        let mut d = Digest::new();
-        d.write_u64(self.outputs.len() as u64);
+        fn word(out: &mut Vec<u8>, v: usize) {
+            out.extend_from_slice(&(v as u64).to_le_bytes());
+        }
+        let mut d = Vec::new();
+        word(&mut d, self.outputs.len());
         for n in self.outputs {
-            d.write_u64(n.index() as u64);
+            word(&mut d, n.index());
         }
-        let level = |l: &Logic| match l {
-            Logic::Zero => 0u8,
-            Logic::One => 1,
-            Logic::X => 2,
-        };
-        d.write_u64(self.transitions.len() as u64);
+        word(&mut d, self.transitions.len());
         for tr in self.transitions {
-            d.write_u64(tr.from.len() as u64);
-            for l in tr.from.iter().chain(&tr.to) {
-                d.write(&[level(l)]);
-            }
+            word(&mut d, tr.from.len());
+            d.extend(tr.from.iter().chain(&tr.to).map(|&l| record::level(l)));
         }
-        d.write_u64(self.assignment.len() as u64);
+        word(&mut d, self.assignment.len());
         for &g in self.assignment {
-            d.write_u64(g as u64);
+            word(&mut d, g);
         }
-        d.write(&[
-            self.base.body_effect as u8,
-            self.base.reverse_conduction as u8,
-        ]);
-        d.write_u64(self.base.t_stop.to_bits());
-        d.write_u64(self.base.max_events as u64);
+        d.extend_from_slice(&record::sim_key(self.base));
         let mut out = Vec::with_capacity(4 + 32);
-        out.extend_from_slice(CLUSTER_RECORD_TAG);
+        out.extend_from_slice(record::CLUSTER_TAG);
         out.extend_from_slice(&engine.fingerprint().to_le_bytes());
-        out.extend_from_slice(&engine.tech().fingerprint().to_le_bytes());
-        out.extend_from_slice(&d.0.to_le_bytes());
+        out.extend_from_slice(&engine.tech_stamp().to_le_bytes());
+        out.extend_from_slice(&clu2_digest(&d).to_le_bytes());
         out.extend_from_slice(&self.target.to_bits().to_le_bytes());
         self.prefix = out;
         self
@@ -726,7 +682,7 @@ impl ClusterReport {
 /// baseline is simulated once per call, not once per evaluation.
 ///
 /// With `store`, every decision is written through a persistent log
-/// under [`CLUSTER_RECORD_TAG`], and every CMOS baseline as a screening
+/// under the `clu2` tag, and every CMOS baseline as a screening
 /// leg; a warm rerun replays all of them — stored health included — so
 /// its deterministic telemetry is bit-identical to the cold run apart
 /// from the hit/miss counters, and nothing is simulated.
@@ -1259,29 +1215,6 @@ mod tests {
         let _ = std::fs::remove_dir(&dir);
     }
 
-    #[test]
-    fn eval_records_roundtrip_and_reject_malformed() {
-        let health = RunHealth {
-            breakpoints: 7,
-            max_events: 4096,
-            glitch_reversals: 2,
-            vx_fallbacks: 1,
-            cache_hits: 0,
-            cache_misses: 3,
-        };
-        for failed in [None, Some(0), Some(5)] {
-            let bytes = encode_eval(failed, &health);
-            assert_eq!(decode_eval(&bytes, 6), Some((failed, health)));
-        }
-        let bytes = encode_eval(Some(5), &health);
-        assert_eq!(decode_eval(&bytes[..55], 6), None);
-        let mut long = bytes.clone();
-        long.push(0);
-        assert_eq!(decode_eval(&long, 6), None);
-        // An index past the transition list is malformed, not served.
-        assert_eq!(decode_eval(&bytes, 5), None);
-    }
-
     fn tree_prefix(assignment: &[usize], target: f64) -> Vec<u8> {
         let tree = InverterTree::paper();
         let tech = Technology::l07();
@@ -1308,7 +1241,7 @@ mod tests {
         let tree = InverterTree::paper();
         let flat = vec![0usize; tree.netlist.cells().len()];
         let prefix = tree_prefix(&flat, 0.2);
-        assert_eq!(&prefix[..4], CLUSTER_RECORD_TAG);
+        assert_eq!(&prefix[..4], record::CLUSTER_TAG);
         for other in [b"leg1" as &[u8], b"req2", b"mct1", b"clu1"] {
             assert_ne!(&prefix[..4], other, "cluster records need their own tag");
         }

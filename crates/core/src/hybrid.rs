@@ -17,7 +17,6 @@ use crate::sizing::{screen_vectors_par_quarantined, DelayPair, ScreenedVector, T
 use crate::vbsim::{worst_delay_vs_baseline, VbsimOptions};
 use crate::CoreError;
 use mtk_netlist::expand::{expand, ExpandOptions, Expanded, SleepImpl};
-use mtk_netlist::logic::Logic;
 use mtk_netlist::netlist::{NetId, Netlist};
 use mtk_netlist::tech::Technology;
 use mtk_num::waveform::{Edge, Pwl};
@@ -516,16 +515,7 @@ pub fn run_hybrid(
             break;
         }
         let tr = &transitions[s.index];
-        let encode = |side: &[Logic]| -> Vec<u8> {
-            side.iter()
-                .map(|l| match l {
-                    Logic::Zero => 0u8,
-                    Logic::One => 1,
-                    Logic::X => 2,
-                })
-                .collect()
-        };
-        if seen.insert((encode(&tr.from), encode(&tr.to))) {
+        if seen.insert((&tr.from[..], &tr.to[..])) {
             candidates.push(*s);
         }
     }

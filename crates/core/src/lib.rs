@@ -70,6 +70,7 @@ pub mod hybrid;
 pub mod mc;
 pub mod model;
 pub mod par;
+mod record;
 pub mod search;
 pub mod sizing;
 pub mod sta;

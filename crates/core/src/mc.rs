@@ -43,12 +43,12 @@
 use crate::health::{charge_overflow, fold_item_reports, retry_item, FailurePolicy, FaultPlan};
 use crate::health::{ItemReport, RunHealth, SweepHealth};
 use crate::par::{try_parallel_map_with, WorkerStats};
+use crate::record;
 use crate::sizing::{leg_degradation, probe_nets, require_sleep_size, Transition};
 use crate::vbsim::{latest_crossing, Engine, RunSummary, SleepNetwork};
 use crate::vbsim::{VbsimOptions, VbsimScratch};
 use crate::CoreError;
-use mtk_netlist::logic::Logic;
-use mtk_netlist::netlist::{NetId, Netlist};
+use mtk_netlist::netlist::{Fnv1a, NetId, Netlist};
 use mtk_netlist::tech::Technology;
 use mtk_num::prng::Xoshiro256pp;
 use mtk_trace::{CounterId, Histogram, PhaseTrace};
@@ -146,160 +146,83 @@ pub fn perturb_technology(tech: &Technology, rng: &mut Xoshiro256pp) -> (Technol
     (t, w_scale)
 }
 
-/// Tag prefix of Monte Carlo trial records in a persistent store,
-/// versioned separately from the store container format: bump when the
-/// key or value encoding changes so stale records read as misses.
-const MC_RECORD_TAG: &[u8; 4] = b"mct1";
-
-/// FNV-1a over a byte stream — digests the (possibly large) transition
-/// set into the store key instead of embedding it.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-fn logic_byte(l: Logic) -> u8 {
-    match l {
-        Logic::Zero => 0,
-        Logic::One => 1,
-        Logic::X => 2,
-    }
-}
-
-/// The shared prefix of every trial's store key: everything a trial's
-/// result depends on except the trial index. Equal prefixes mean equal
-/// sweeps, so a warm rerun of the same sweep hits every record.
-struct McKey {
-    prefix: Vec<u8>,
-}
-
-impl McKey {
-    fn new(
-        netlist: &Netlist,
-        tech: &Technology,
-        transitions: &[Transition],
-        probes: Option<&[NetId]>,
-        opts: &McOptions,
-    ) -> Self {
-        let transitions_digest = fnv1a(transitions.iter().flat_map(|tr| {
-            tr.from
-                .iter()
-                .chain(tr.to.iter())
-                .map(|&l| logic_byte(l))
-                .chain([0xFF])
-        }));
-        let probes_digest = match probes {
-            None => u64::MAX,
-            Some(p) => fnv1a(p.iter().flat_map(|n| (n.index() as u64).to_le_bytes())),
-        };
-        let mut prefix = Vec::with_capacity(96);
-        prefix.extend_from_slice(MC_RECORD_TAG);
-        prefix.extend_from_slice(&netlist.fingerprint().to_le_bytes());
-        prefix.extend_from_slice(&tech.fingerprint().to_le_bytes());
-        prefix.extend_from_slice(&(transitions.len() as u64).to_le_bytes());
-        prefix.extend_from_slice(&transitions_digest.to_le_bytes());
-        prefix.extend_from_slice(&probes_digest.to_le_bytes());
-        prefix.extend_from_slice(&opts.seed.to_le_bytes());
-        prefix.extend_from_slice(&opts.w_over_l.to_bits().to_le_bytes());
-        prefix.extend_from_slice(&opts.target.to_bits().to_le_bytes());
-        prefix.extend_from_slice(&(opts.widths.len() as u32).to_le_bytes());
-        for &w in &opts.widths {
-            prefix.extend_from_slice(&w.to_bits().to_le_bytes());
+/// The shared prefix of every trial's store key: the `mct1` tag and
+/// everything a trial's result depends on except the trial index, which
+/// [`trial_key`] appends. Equal prefixes mean equal sweeps, so a warm
+/// rerun of the same sweep hits every record.
+fn mc_key_prefix(
+    netlist: &Netlist,
+    tech: &Technology,
+    transitions: &[Transition],
+    probes: Option<&[NetId]>,
+    opts: &McOptions,
+) -> Vec<u8> {
+    let mut transitions_digest = Fnv1a::default();
+    for tr in transitions {
+        for &l in tr.from.iter().chain(&tr.to) {
+            transitions_digest.write(&[record::level(l)]);
         }
-        prefix.push(opts.base.body_effect as u8);
-        prefix.push(opts.base.reverse_conduction as u8);
-        prefix.extend_from_slice(&opts.base.t_stop.to_bits().to_le_bytes());
-        prefix.extend_from_slice(&(opts.base.max_events as u64).to_le_bytes());
-        McKey { prefix }
+        transitions_digest.write(&[0xFF]);
     }
+    let probes_digest = probes.map_or(u64::MAX, |p| {
+        let mut h = Fnv1a::default();
+        for n in p {
+            h.write_u64(n.index() as u64);
+        }
+        h.finish()
+    });
+    let mut prefix = Vec::with_capacity(96);
+    prefix.extend_from_slice(record::TRIAL_TAG);
+    prefix.extend_from_slice(&netlist.fingerprint().to_le_bytes());
+    prefix.extend_from_slice(&tech.fingerprint().to_le_bytes());
+    prefix.extend_from_slice(&(transitions.len() as u64).to_le_bytes());
+    prefix.extend_from_slice(&transitions_digest.finish().to_le_bytes());
+    prefix.extend_from_slice(&probes_digest.to_le_bytes());
+    prefix.extend_from_slice(&opts.seed.to_le_bytes());
+    prefix.extend_from_slice(&opts.w_over_l.to_bits().to_le_bytes());
+    prefix.extend_from_slice(&opts.target.to_bits().to_le_bytes());
+    prefix.extend_from_slice(&(opts.widths.len() as u32).to_le_bytes());
+    for &w in &opts.widths {
+        prefix.extend_from_slice(&w.to_bits().to_le_bytes());
+    }
+    prefix.extend_from_slice(&record::sim_key(&opts.base));
+    prefix
+}
 
-    fn trial(&self, index: usize) -> Vec<u8> {
-        let mut key = self.prefix.clone();
-        key.extend_from_slice(&(index as u64).to_le_bytes());
-        key
-    }
+/// The store key of trial `index` of the sweep keyed by `prefix`.
+fn trial_key(prefix: &[u8], index: usize) -> Vec<u8> {
+    [prefix, &(index as u64).to_le_bytes()].concat()
 }
 
 /// Byte encoding of one stored trial: the sample, the retry flag, and
-/// every [`RunHealth`] counter — the stored health is what makes a warm
-/// rerun's deterministic trace byte-identical to the cold one.
-fn encode_trial(sample: &TrialSample, retried: bool, run: &RunHealth) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24 + sample.pass_at_width.len());
+/// the [`RunHealth`] counters.
+pub(crate) fn encode_trial(sample: &TrialSample, retried: bool, run: &RunHealth) -> Vec<u8> {
+    let n = sample.pass_at_width.len();
+    let mut out = Vec::with_capacity(21 + n + record::HEALTH_LEN);
     out.extend_from_slice(&sample.degradation.to_bits().to_le_bytes());
     out.extend_from_slice(&sample.bounce.to_bits().to_le_bytes());
-    out.extend_from_slice(&(sample.pass_at_width.len() as u32).to_le_bytes());
-    for &p in &sample.pass_at_width {
-        out.push(p as u8);
-    }
+    out.extend_from_slice(&(n as u32).to_le_bytes());
+    out.extend(sample.pass_at_width.iter().map(|&p| p as u8));
     out.push(retried as u8);
-    for v in [
-        run.breakpoints,
-        run.max_events,
-        run.glitch_reversals,
-        run.vx_fallbacks,
-        run.cache_hits,
-        run.cache_misses,
-    ] {
-        out.extend_from_slice(&(v as u64).to_le_bytes());
-    }
+    record::put_health(&mut out, run);
     out
 }
 
 /// Inverse of [`encode_trial`], with `from_store` set. `None` on any
 /// length or flag mismatch — a malformed record is a miss, never served.
-fn decode_trial(bytes: &[u8]) -> Option<(TrialSample, bool, RunHealth)> {
-    fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-        if bytes.len() < n {
-            return None;
-        }
-        let (head, tail) = bytes.split_at(n);
-        *bytes = tail;
-        Some(head)
-    }
-    fn take_u64(bytes: &mut &[u8]) -> Option<u64> {
-        Some(u64::from_le_bytes(take(bytes, 8)?.try_into().ok()?))
-    }
-    fn flag(b: u8) -> Option<bool> {
-        match b {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
-    }
-    let mut rest = bytes;
-    let degradation = f64::from_bits(take_u64(&mut rest)?);
-    let bounce = f64::from_bits(take_u64(&mut rest)?);
-    let n = u32::from_le_bytes(take(&mut rest, 4)?.try_into().ok()?) as usize;
-    let mut pass_at_width = Vec::with_capacity(n);
-    for _ in 0..n {
-        pass_at_width.push(flag(take(&mut rest, 1)?[0])?);
-    }
-    let retried = flag(take(&mut rest, 1)?[0])?;
-    let run = RunHealth {
-        breakpoints: take_u64(&mut rest)? as usize,
-        max_events: take_u64(&mut rest)? as usize,
-        glitch_reversals: take_u64(&mut rest)? as usize,
-        vx_fallbacks: take_u64(&mut rest)? as usize,
-        cache_hits: take_u64(&mut rest)? as usize,
-        cache_misses: take_u64(&mut rest)? as usize,
+pub(crate) fn decode_trial(bytes: &[u8]) -> Option<(TrialSample, bool, RunHealth)> {
+    let mut r = record::Reader::new(bytes);
+    let degradation = r.f64()?;
+    let bounce = r.f64()?;
+    let pass_at_width = (0..r.count(1)?).map(|_| r.flag()).collect::<Option<_>>()?;
+    let sample = TrialSample {
+        degradation,
+        bounce,
+        pass_at_width,
+        from_store: true,
     };
-    if !rest.is_empty() {
-        return None;
-    }
-    Some((
-        TrialSample {
-            degradation,
-            bounce,
-            pass_at_width,
-            from_store: true,
-        },
-        retried,
-        run,
-    ))
+    let (retried, run) = (r.flag()?, r.health()?);
+    r.end((sample, retried, run))
 }
 
 /// Runs one leg, accumulating health/worker counters exactly like the
@@ -414,7 +337,7 @@ fn mc_item(
     opts: &McOptions,
     fault: &FaultPlan,
     store: Option<&mtk_store::Store>,
-    key: &McKey,
+    key_prefix: &[u8],
     scratch: &mut VbsimScratch,
     index: usize,
     stats: &mut WorkerStats,
@@ -422,7 +345,7 @@ fn mc_item(
     stats.vectors += 1;
     if let Some(store) = store {
         if let Some((sample, retried, run)) = store
-            .get(&key.trial(index))
+            .get(&trial_key(key_prefix, index))
             .and_then(|bytes| decode_trial(&bytes))
         {
             return ItemReport {
@@ -450,7 +373,7 @@ fn mc_item(
         // A failed write degrades the store to recompute-only; it is
         // never an error for the sweep.
         let record = encode_trial(sample, report.retried, &report.run);
-        let _ = store.put(&key.trial(index), &record);
+        let _ = store.put(&trial_key(key_prefix, index), &record);
     }
     report
 }
@@ -650,7 +573,7 @@ pub fn run_mc(
         require_sleep_size(w)?;
     }
     let t0 = Instant::now();
-    let key = McKey::new(netlist, tech, transitions, probes, opts);
+    let key_prefix = mc_key_prefix(netlist, tech, transitions, probes, opts);
     let items: Vec<usize> = (0..opts.trials).collect();
     let (reports, workers) = try_parallel_map_with(
         opts.threads,
@@ -666,7 +589,7 @@ pub fn run_mc(
                 opts,
                 fault,
                 store,
-                &key,
+                &key_prefix,
                 scratch,
                 index,
                 stats,
@@ -688,6 +611,7 @@ pub fn run_mc(
 mod tests {
     use super::*;
     use mtk_circuits::tree::InverterTree;
+    use mtk_netlist::logic::Logic;
 
     fn tech_with_sigmas() -> Technology {
         Technology {
@@ -743,37 +667,6 @@ mod tests {
         let (p, w_scale) = perturb_technology(&tech, &mut rng);
         assert_eq!(p.fingerprint(), tech.fingerprint());
         assert_eq!(w_scale, 1.0);
-    }
-
-    #[test]
-    fn trial_records_round_trip_through_the_byte_codec() {
-        let sample = TrialSample {
-            degradation: 0.0734,
-            bounce: 0.0521,
-            pass_at_width: vec![false, true, true],
-            from_store: false,
-        };
-        let run = RunHealth {
-            breakpoints: 123,
-            max_events: 200_000,
-            glitch_reversals: 4,
-            vx_fallbacks: 1,
-            cache_hits: 0,
-            cache_misses: 0,
-        };
-        let bytes = encode_trial(&sample, true, &run);
-        let (decoded, retried, run2) = decode_trial(&bytes).unwrap();
-        assert_eq!(decoded.degradation, sample.degradation);
-        assert_eq!(decoded.bounce, sample.bounce);
-        assert_eq!(decoded.pass_at_width, sample.pass_at_width);
-        assert!(decoded.from_store, "replayed samples must say so");
-        assert!(retried);
-        assert_eq!(run2, run);
-        // Truncated or padded records are misses, never wrong answers.
-        assert!(decode_trial(&bytes[..bytes.len() - 1]).is_none());
-        let mut padded = bytes.clone();
-        padded.push(0);
-        assert!(decode_trial(&padded).is_none());
     }
 
     #[test]

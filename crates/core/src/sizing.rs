@@ -17,6 +17,7 @@
 use crate::health::{charge_overflow, fold_item_reports, retry_item, FailurePolicy, FaultPlan};
 use crate::health::{RunHealth, SweepHealth};
 use crate::par::{try_parallel_map_with, WorkerStats};
+use crate::record;
 use crate::vbsim::{latest_crossing, mtcmos_delay, Engine, RunSummary, SleepNetwork};
 use crate::vbsim::{VbsimOptions, VbsimScratch};
 use crate::CoreError;
@@ -218,9 +219,9 @@ pub(crate) struct LegResult {
     /// the probe list; `None` when that probe never switched.
     pub(crate) crossings: Vec<Option<f64>>,
     /// The run stalled (a discharge path was cut off by the sleep device).
-    stalled: bool,
+    pub(crate) stalled: bool,
     /// The run hit its breakpoint budget before settling.
-    truncated: bool,
+    pub(crate) truncated: bool,
     /// The run's own health counters.
     pub(crate) health: RunHealth,
 }
@@ -244,103 +245,45 @@ fn run_leg(
     })
 }
 
-/// Tag prefix of leg records in a persistent store, versioned
-/// separately from the store container format: bump when the key or
-/// value encoding below changes so stale records read as misses (the
-/// key no longer matches), never as wrong answers.
-const LEG_RECORD_TAG: &[u8; 4] = b"leg1";
-
 impl LegResult {
     /// Byte encoding of one stored leg: crossings (presence byte +
-    /// `f64::to_bits`), flags, then every [`RunHealth`] counter — the
-    /// stored health is what makes a cross-process replay bit-identical.
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.crossings.len() * 9);
+    /// `f64::to_bits`), flags, then the [`RunHealth`] counters.
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(6 + self.crossings.len() * 9 + record::HEALTH_LEN);
         out.extend_from_slice(&(self.crossings.len() as u32).to_le_bytes());
         for c in &self.crossings {
-            match c {
-                Some(t) => {
-                    out.push(1);
-                    out.extend_from_slice(&t.to_bits().to_le_bytes());
-                }
-                None => {
-                    out.push(0);
-                    out.extend_from_slice(&0u64.to_le_bytes());
-                }
-            }
+            out.push(c.is_some() as u8);
+            out.extend_from_slice(&c.unwrap_or(0.0).to_bits().to_le_bytes());
         }
         out.push(self.stalled as u8);
         out.push(self.truncated as u8);
-        for v in [
-            self.health.breakpoints,
-            self.health.max_events,
-            self.health.glitch_reversals,
-            self.health.vx_fallbacks,
-            self.health.cache_hits,
-            self.health.cache_misses,
-        ] {
-            out.extend_from_slice(&(v as u64).to_le_bytes());
-        }
+        record::put_health(&mut out, &self.health);
         out
     }
 
     /// Inverse of [`LegResult::encode`]. Returns `None` on any length or
     /// flag mismatch — a malformed record is treated as a cache miss,
     /// never served.
-    fn decode(bytes: &[u8]) -> Option<LegResult> {
-        fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-            if bytes.len() < n {
-                return None;
-            }
-            let (head, tail) = bytes.split_at(n);
-            *bytes = tail;
-            Some(head)
-        }
-        fn take_u64(bytes: &mut &[u8]) -> Option<u64> {
-            Some(u64::from_le_bytes(take(bytes, 8)?.try_into().ok()?))
-        }
-        let mut rest = bytes;
-        let n = u32::from_le_bytes(take(&mut rest, 4)?.try_into().ok()?) as usize;
+    pub(crate) fn decode(bytes: &[u8]) -> Option<LegResult> {
+        let mut r = record::Reader::new(bytes);
+        let n = r.count(9)?;
         let mut crossings = Vec::with_capacity(n);
         for _ in 0..n {
-            let present = take(&mut rest, 1)?[0];
-            let bits = take_u64(&mut rest)?;
-            crossings.push(match present {
-                0 => None,
-                1 => Some(f64::from_bits(bits)),
-                _ => return None,
-            });
+            crossings.push(r.flag()?.then_some(r.f64()?));
         }
-        let flag = |b: u8| match b {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        };
-        let stalled = flag(take(&mut rest, 1)?[0])?;
-        let truncated = flag(take(&mut rest, 1)?[0])?;
-        let health = RunHealth {
-            breakpoints: take_u64(&mut rest)? as usize,
-            max_events: take_u64(&mut rest)? as usize,
-            glitch_reversals: take_u64(&mut rest)? as usize,
-            vx_fallbacks: take_u64(&mut rest)? as usize,
-            cache_hits: take_u64(&mut rest)? as usize,
-            cache_misses: take_u64(&mut rest)? as usize,
-        };
-        if !rest.is_empty() {
-            return None;
-        }
-        Some(LegResult {
+        let leg = LegResult {
             crossings,
-            stalled,
-            truncated,
-            health,
-        })
+            stalled: r.flag()?,
+            truncated: r.flag()?,
+            health: r.health()?,
+        };
+        r.end(leg)
     }
 }
 
 /// The exact inputs that determine one leg's result, as the bytes that
-/// key it in a [`ScreeningCache`] and in a persistent store: the tag,
-/// the netlist and technology fingerprints (the engine's
+/// key it in a [`ScreeningCache`] and in a persistent store: the `leg1`
+/// tag, the netlist and technology fingerprints (the engine's
 /// [`Engine::tech_stamp`] — the same netlist under different process
 /// parameters must not share legs), the probes, the transition, the
 /// sleep network (discriminant plus the parameter's bits, 0 for CMOS),
@@ -357,11 +300,7 @@ fn leg_key(
 ) -> Vec<u8> {
     fn levels(out: &mut Vec<u8>, side: &[Logic]) {
         out.extend_from_slice(&(side.len() as u32).to_le_bytes());
-        out.extend(side.iter().map(|l| match l {
-            Logic::Zero => 0u8,
-            Logic::One => 1,
-            Logic::X => 2,
-        }));
+        out.extend(side.iter().map(|&l| record::level(l)));
     }
     let (tag, param) = match sleep {
         SleepNetwork::Cmos => (0u8, 0),
@@ -369,10 +308,10 @@ fn leg_key(
         SleepNetwork::Transistor { w_over_l } => (2, w_over_l.to_bits()),
     };
     // Fixed fields: tag 4, fingerprints 16, three lengths 12, sleep 9,
-    // flags 2, `t_stop` and the budget 16.
+    // simulator options 18.
     let len = 59 + 8 * outputs.len() + tr.from.len() + tr.to.len();
     let mut out = Vec::with_capacity(len);
-    out.extend_from_slice(LEG_RECORD_TAG);
+    out.extend_from_slice(record::LEG_TAG);
     out.extend_from_slice(&engine.fingerprint().to_le_bytes());
     out.extend_from_slice(&engine.tech_stamp().to_le_bytes());
     out.extend_from_slice(&(outputs.len() as u32).to_le_bytes());
@@ -383,10 +322,7 @@ fn leg_key(
     levels(&mut out, &tr.to);
     out.push(tag);
     out.extend_from_slice(&param.to_le_bytes());
-    out.push(base.body_effect as u8);
-    out.push(base.reverse_conduction as u8);
-    out.extend_from_slice(&base.t_stop.to_bits().to_le_bytes());
-    out.extend_from_slice(&(base.max_events as u64).to_le_bytes());
+    out.extend_from_slice(&record::sim_key(base));
     debug_assert_eq!(out.len(), len);
     out
 }

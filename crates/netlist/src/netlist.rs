@@ -431,7 +431,7 @@ impl Netlist {
     /// key simulation results by circuit identity without holding a
     /// reference to the netlist itself.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
+        let mut h = Fnv1a::default();
         h.write_bytes(self.name.as_bytes());
         h.write_u64(self.nets.len() as u64);
         for net in &self.nets {
@@ -468,31 +468,39 @@ impl Netlist {
 }
 
 /// A minimal FNV-1a 64 hasher (std's `DefaultHasher` makes no cross-
-/// version stability promise; this one is pinned by tests). Variable-
-/// length inputs are length-prefixed by the callers so field boundaries
-/// cannot alias. Shared with [`crate::tech`] so netlist and technology
-/// fingerprints come from the same primitive.
-pub(crate) struct Fnv1a(u64);
+/// version stability promise; this one is pinned by tests). It backs the
+/// netlist and technology fingerprints and the digests in downstream
+/// store keys, so each of them is hashed by the same primitive.
+pub struct Fnv1a(u64);
 
-impl Fnv1a {
-    pub(crate) fn new() -> Self {
+impl Default for Fnv1a {
+    fn default() -> Self {
         Fnv1a(0xcbf2_9ce4_8422_2325)
     }
+}
 
-    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
-        self.write_u64(bytes.len() as u64);
+impl Fnv1a {
+    /// Hashes `bytes` as they are, with no length prefix.
+    pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 
-    pub(crate) fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    /// Hashes a variable-length field: its length as a `u64`, then its
+    /// bytes, so adjacent fields cannot alias.
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        self.write_u64(bytes.len() as u64);
+        self.write(bytes);
     }
 
-    pub(crate) fn finish(&self) -> u64 {
+    /// Hashes `v`'s little-endian bytes.
+    pub fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(&self) -> u64 {
         self.0
     }
 }

@@ -239,7 +239,7 @@ impl Technology {
     /// technologies that would give any engine different numbers hash
     /// differently, so caches can include the technology in their keys.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = crate::netlist::Fnv1a::new();
+        let mut h = crate::netlist::Fnv1a::default();
         h.write_bytes(self.name.as_bytes());
         for v in [
             self.vdd,

@@ -5,6 +5,11 @@
 //! torn final record loses at most that record, visibly.
 
 use mtcmos_suite::circuits::tree::InverterTree;
+use mtcmos_suite::core::cluster::{
+    exclusive_partition, size_clusters_for_target, ClusterReport, ClusterSizing,
+};
+use mtcmos_suite::core::health::{FailurePolicy, FaultPlan};
+use mtcmos_suite::core::mc::{run_mc, McOptions, McReport};
 use mtcmos_suite::core::sizing::{
     degradation_sweep_cached, size_for_target_cached, ScreeningCache, Transition,
 };
@@ -12,6 +17,7 @@ use mtcmos_suite::core::vbsim::{Engine, VbsimOptions};
 use mtcmos_suite::netlist::logic::Logic;
 use mtcmos_suite::netlist::tech::Technology;
 use mtcmos_suite::store::Store;
+use mtcmos_suite::trace::{TraceMode, TraceReport};
 use std::path::PathBuf;
 
 fn scratch(name: &str) -> PathBuf {
@@ -246,4 +252,127 @@ fn solve_tree(
     )
     .unwrap();
     (wl, cache.snapshot())
+}
+
+/// `data/mc_cluster_v2.log` is the version 2 log that [`mc_tree`] and
+/// [`cluster_tree`] wrote, in that order, into one fresh store at commit
+/// c926a9c: 4 `mct1` trial records, then the cluster solve's `leg1` CMOS
+/// baselines and its `clu2` decisions. A rerun over that log simulates
+/// nothing, appends nothing and returns what a store-free run returns;
+/// a cold run into an empty store writes the log again byte for byte, so
+/// the keys and the value encodings of both namespaces stay pinned.
+#[test]
+fn mc_and_cluster_records_of_a_version_2_log_replay_and_are_rewritten_byte_for_byte() {
+    let fixture = include_bytes!("data/mc_cluster_v2.log");
+    assert_eq!(fixture[8..12], 2u32.to_le_bytes(), "a version 2 log");
+    let (free_mc, (free_sizing, free_cluster)) = (mc_tree(None), cluster_tree(None));
+
+    let cold = scratch("mc_cluster_cold");
+    let _cold = Cleanup(cold.clone());
+    {
+        let store = Store::open(&cold).unwrap();
+        mc_tree(Some(&store));
+        cluster_tree(Some(&store));
+    }
+    let written = std::fs::read(&cold).unwrap();
+    assert!(
+        written == fixture,
+        "a cold run rewrites the fixture byte for byte"
+    );
+
+    let path = scratch("mc_cluster_v2");
+    let _c = Cleanup(path.clone());
+    std::fs::write(&path, fixture).unwrap();
+    let store = Store::open(&path).unwrap();
+    let mut mc = mc_tree(Some(&store));
+    let (sizing, mut cluster) = cluster_tree(Some(&store));
+    drop(store);
+    assert_eq!(std::fs::read(&path).unwrap(), fixture, "nothing appended");
+
+    assert_eq!(mc.store_hits(), 4, "every trial replayed");
+    assert_eq!(mc.store_misses(), 0, "0 trials simulated");
+    assert!(cluster.health.runs.cache_hits > 0);
+    assert_eq!(cluster.health.runs.cache_misses, 0, "0 decisions simulated");
+    assert_eq!(sizing, free_sizing);
+    // Replayed records carry their stored health, so once the store
+    // traffic is set aside the traces are those of the store-free runs.
+    for s in mc.samples.iter_mut().flatten() {
+        s.from_store = false;
+    }
+    assert_eq!(mc_trace(&mc), mc_trace(&free_mc));
+    cluster.health.runs.cache_hits = 0;
+    assert_eq!(
+        cluster_trace(&cluster, &sizing),
+        cluster_trace(&free_cluster, &free_sizing)
+    );
+}
+
+/// A four-trial Monte Carlo sweep of the paper's inverter tree over both
+/// input edges at three yield-curve widths, on one thread.
+fn mc_tree(store: Option<&Store>) -> McReport {
+    let tree = InverterTree::paper();
+    let tech = Technology {
+        sigma_vt: 0.03,
+        sigma_kp: 0.05,
+        sigma_w: 0.04,
+        ..Technology::l07()
+    };
+    let opts = McOptions {
+        trials: 4,
+        threads: 1,
+        widths: vec![2.0, 10.0, 50.0],
+        ..McOptions::default()
+    };
+    run_mc(
+        &tree.netlist,
+        &tech,
+        &tree_edges(),
+        None,
+        &opts,
+        store,
+        &FaultPlan::none(),
+    )
+    .unwrap()
+}
+
+/// The paper's inverter tree sized per exclusive cluster to 20 % over
+/// both input edges in [0.5, 800], on one thread.
+fn cluster_tree(store: Option<&Store>) -> (ClusterSizing, ClusterReport) {
+    let tree = InverterTree::paper();
+    let transitions = tree_edges();
+    let partition = exclusive_partition(&tree.netlist, &transitions, 4).unwrap();
+    size_clusters_for_target(
+        &tree.netlist,
+        &Technology::l07(),
+        &transitions,
+        None,
+        &partition,
+        0.2,
+        (0.5, 800.0),
+        &VbsimOptions::default(),
+        1,
+        FailurePolicy::FailFast,
+        &FaultPlan::none(),
+        store,
+    )
+    .unwrap()
+}
+
+fn tree_edges() -> Vec<Transition> {
+    vec![
+        Transition::new(vec![Logic::Zero], vec![Logic::One]),
+        Transition::new(vec![Logic::One], vec![Logic::Zero]),
+    ]
+}
+
+fn mc_trace(report: &McReport) -> String {
+    let mut trace = TraceReport::new("store_persistence");
+    trace.push_phase(report.to_phase("mc"));
+    trace.to_json(TraceMode::Deterministic)
+}
+
+fn cluster_trace(report: &ClusterReport, sizing: &ClusterSizing) -> String {
+    let mut trace = TraceReport::new("store_persistence");
+    trace.push_phase(report.to_phase("cluster", sizing));
+    trace.to_json(TraceMode::Deterministic)
 }
