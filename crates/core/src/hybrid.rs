@@ -14,13 +14,13 @@ use crate::health::{
 };
 use crate::par::{try_parallel_map_with, WorkerStats};
 use crate::sizing::{screen_vectors_par_quarantined, DelayPair, ScreenedVector, Transition};
-use crate::vbsim::{worst_delay_vs_baseline, VbsimOptions};
+use crate::vbsim::{latest_crossing, mtcmos_delay, VbsimOptions};
 use crate::CoreError;
 use mtk_netlist::expand::{expand, ExpandOptions, Expanded, SleepImpl};
 use mtk_netlist::netlist::{NetId, Netlist};
 use mtk_netlist::tech::Technology;
-use mtk_num::waveform::{Edge, Pwl};
-use mtk_spice::tran::{transient, TranOptions};
+use mtk_num::waveform::Pwl;
+use mtk_spice::tran::{transient, TranOptions, TranResult};
 use std::time::Instant;
 
 /// Configuration of a SPICE verification run.
@@ -98,74 +98,32 @@ pub fn spice_transition(
     sleep: SleepImpl,
     cfg: &SpiceRunConfig,
 ) -> Result<SpiceTransition, CoreError> {
-    let opts = ExpandOptions {
-        sleep,
-        vgnd_extra_cap: cfg.vgnd_extra_cap,
-        with_leakage: cfg.with_leakage,
-        vgnd_junction_cap: true,
-    };
-    let mut ex = expand(netlist, tech, &opts).map_err(CoreError::Netlist)?;
-    if tr.from.len() != netlist.primary_inputs().len() {
-        return Err(CoreError::UnknownState(format!(
-            "vector width {} != {} primary inputs",
-            tr.from.len(),
-            netlist.primary_inputs().len()
-        )));
-    }
-    for pos in 0..tr.from.len() {
-        ex.set_input_transition(pos, tr.from[pos], tr.to[pos], cfg.t0)
-            .map_err(CoreError::Netlist)?;
-    }
-    // Seed the operating point with the settled logic state — stacked
-    // MOSFET netlists are fragile to solve from a cold start, and the
-    // gate-level evaluation already knows every rail.
-    let settled = netlist.evaluate(&tr.from).map_err(CoreError::Netlist)?;
-    ex.apply_initial_state(&settled);
+    let mut ex =
+        expand(netlist, tech, &verify_expand_options(sleep, cfg)).map_err(CoreError::Netlist)?;
     let probe_nets = crate::sizing::probe_nets(netlist, probes);
-    let mut probe_nodes: Vec<_> = probe_nets.iter().map(|&n| ex.node_of(n)).collect();
-    if let Some(vg) = ex.vgnd {
-        probe_nodes.push(vg);
-    }
-    let tran_opts = TranOptions::to(cfg.t_stop)
-        .with_dt(cfg.dt)
-        .with_probes(probe_nodes.clone());
-    let res = transient(&ex.circuit, &tran_opts).map_err(CoreError::Spice)?;
-
-    // The input reference edge: the stimulus ramp's 50 % point.
-    let t_ref = cfg.t0 + ex.default_slew / 2.0;
-    let v_half = tech.v_switch();
-    let mut delay: Option<f64> = None;
-    let mut probe_delays = Vec::with_capacity(probe_nets.len());
-    let mut probe_waveforms = Vec::with_capacity(probe_nets.len());
-    for &n in &probe_nets {
-        let w = res.waveform(ex.node_of(n)).map_err(CoreError::Spice)?;
-        let d = w
-            .crossings(v_half)
-            .into_iter()
-            .rfind(|c| c.time >= t_ref)
-            .map(|c| c.time - t_ref);
-        if let Some(d) = d {
-            delay = Some(delay.map_or(d, |cur: f64| cur.max(d)));
-        }
-        probe_delays.push(d);
-        probe_waveforms.push(w);
-    }
-    let vgnd = match ex.vgnd {
-        Some(vg) => Some(res.waveform(vg).map_err(CoreError::Spice)?),
-        None => None,
-    };
+    let (probe_delays, res) = run_reused(&mut ex, netlist, tech, tr, &probe_nets, cfg)?;
+    let probe_waveforms = probe_nets
+        .iter()
+        .map(|&n| res.waveform(ex.node_of(n)))
+        .collect::<Result<_, _>>()
+        .map_err(CoreError::Spice)?;
+    let vgnd = ex
+        .vgnd
+        .map(|vg| res.waveform(vg))
+        .transpose()
+        .map_err(CoreError::Spice)?;
     let supply_current = res.source_current("vdd").map(|w| {
         // Branch current flows into the source's positive terminal;
         // current *drawn from* the supply is its negation.
         w.points().iter().map(|&(t, i)| (t, -i)).collect()
     });
     Ok(SpiceTransition {
-        delay,
+        delay: latest_crossing(&probe_delays),
         probe_delays,
         probe_waveforms,
         vgnd,
         supply_current,
-        t_ref,
+        t_ref: input_ref_time(&ex, cfg),
         op_gmin_fallback_stages: res.op_gmin_fallback_stages,
         dt_halvings: res.dt_halvings,
     })
@@ -173,7 +131,8 @@ pub fn spice_transition(
 
 /// Measures the CMOS-vs-MTCMOS delay pair for one transition entirely in
 /// SPICE (the reference methodology the switch-level tool is validated
-/// against in Figs 10/13/14).
+/// against in Figs 10/13/14). The MTCMOS circuit is expanded only when
+/// the CMOS leg switches.
 ///
 /// Returns `None` when no probe switches.
 ///
@@ -188,40 +147,14 @@ pub fn spice_delay_pair(
     w_over_l: f64,
     cfg: &SpiceRunConfig,
 ) -> Result<Option<DelayPair>, CoreError> {
-    let cmos = spice_transition(netlist, tech, tr, probes, SleepImpl::AlwaysOn, cfg)?;
-    let Some(d_cmos) = cmos.delay else {
-        return Ok(None);
+    let probe_nets = crate::sizing::probe_nets(netlist, probes);
+    let leg = |sleep| {
+        let mut ex = expand(netlist, tech, &verify_expand_options(sleep, cfg))
+            .map_err(CoreError::Netlist)?;
+        run_reused(&mut ex, netlist, tech, tr, &probe_nets, cfg)
     };
-    let mt = spice_transition(
-        netlist,
-        tech,
-        tr,
-        probes,
-        SleepImpl::Transistor { w_over_l },
-        cfg,
-    )?;
-    // Per-probe against the baseline: a probe that crossed in CMOS but
-    // never under MTCMOS is a stalled gate and reports an infinite
-    // delay, not the baseline value.
-    let d_mt = worst_delay_vs_baseline(&cmos.probe_delays, &mt.probe_delays).unwrap_or(d_cmos);
-    Ok(Some(DelayPair {
-        cmos: d_cmos,
-        mtcmos: d_mt,
-    }))
-}
-
-/// Convenience: the last time a waveform crosses `v` after `t_from`, or
-/// `None`.
-pub fn last_crossing_after(w: &Pwl, v: f64, t_from: f64) -> Option<f64> {
-    w.crossings(v)
-        .into_iter()
-        .rfind(|c| c.time >= t_from)
-        .map(|c| c.time)
-}
-
-/// First crossing in a given direction after `t_from`.
-pub fn first_crossing_after(w: &Pwl, v: f64, edge: Edge, t_from: f64) -> Option<f64> {
-    w.first_crossing(v, edge, t_from).map(|c| c.time)
+    let mt = SleepImpl::Transistor { w_over_l };
+    Ok(score_pair(|| leg(SleepImpl::AlwaysOn), || leg(mt))?.pair)
 }
 
 /// Configuration of [`run_hybrid`].
@@ -354,7 +287,7 @@ impl HybridReport {
 }
 
 /// What one SPICE verification of one candidate measured.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct VerifiedDelays {
     pair: Option<DelayPair>,
     op_gmin_fallback_stages: usize,
@@ -369,7 +302,7 @@ struct SpiceVerifier {
     mtcmos: Expanded,
 }
 
-/// Expansion options of one verification leg.
+/// Expansion options of one SPICE leg.
 fn verify_expand_options(sleep: SleepImpl, cfg: &SpiceRunConfig) -> ExpandOptions {
     ExpandOptions {
         sleep,
@@ -379,13 +312,24 @@ fn verify_expand_options(sleep: SleepImpl, cfg: &SpiceRunConfig) -> ExpandOption
     }
 }
 
-/// Reprograms an expanded circuit for one transition and runs the
-/// transient, returning per-probe settling delays plus solver-stress
-/// counters. The circuit is reused across candidates: input waves are
-/// *replaced* and the previous vector's initial conditions are cleared
-/// before the settled state of this vector is applied —
-/// [`mtk_spice::circuit::Circuit::set_ic`] appends, so skipping the
-/// clear would leave stale rails tugging on the operating point.
+/// The input reference edge delays are measured from: the stimulus
+/// ramp's 50 % point.
+fn input_ref_time(ex: &Expanded, cfg: &SpiceRunConfig) -> f64 {
+    cfg.t0 + ex.default_slew / 2.0
+}
+
+/// One SPICE leg: per-probe settling delays (last V<sub>dd</sub>/2
+/// crossing after the input reference edge) and the transient itself.
+type SpiceLeg = (Vec<Option<f64>>, TranResult);
+
+/// The one transistor-level leg: programs an expanded circuit, fresh or
+/// reused, for one transition and runs the transient, recording the
+/// probes and the virtual ground. Input waves are *replaced*, and the
+/// previous vector's initial conditions are cleared before this vector's
+/// settled logic state seeds the operating point (stacked MOSFETs are
+/// fragile to solve from a cold start) —
+/// [`mtk_spice::circuit::Circuit::set_ic`] appends, so stale rails
+/// would otherwise keep tugging on the operating point.
 fn run_reused(
     ex: &mut Expanded,
     netlist: &Netlist,
@@ -393,7 +337,7 @@ fn run_reused(
     tr: &Transition,
     probe_nets: &[NetId],
     cfg: &SpiceRunConfig,
-) -> Result<(Vec<Option<f64>>, usize, usize), CoreError> {
+) -> Result<SpiceLeg, CoreError> {
     if tr.from.len() != netlist.primary_inputs().len() {
         return Err(CoreError::UnknownState(format!(
             "vector width {} != {} primary inputs",
@@ -416,7 +360,7 @@ fn run_reused(
         .with_dt(cfg.dt)
         .with_probes(probe_nodes);
     let res = transient(&ex.circuit, &tran_opts).map_err(CoreError::Spice)?;
-    let t_ref = cfg.t0 + ex.default_slew / 2.0;
+    let t_ref = input_ref_time(ex, cfg);
     let v_half = tech.v_switch();
     let mut delays = Vec::with_capacity(probe_nets.len());
     for &n in probe_nets {
@@ -428,42 +372,36 @@ fn run_reused(
                 .map(|c| c.time - t_ref),
         );
     }
-    Ok((delays, res.op_gmin_fallback_stages, res.dt_halvings))
+    Ok((delays, res))
 }
 
-/// Verifies one candidate on a worker's reusable circuit pair.
-fn verify_candidate(
-    ver: &mut SpiceVerifier,
-    netlist: &Netlist,
-    tech: &Technology,
-    tr: &Transition,
-    probe_nets: &[NetId],
-    cfg: &SpiceRunConfig,
+/// Runs one transition's CMOS leg and, only when a probe switched there,
+/// its MTCMOS leg, and scores the pair with [`mtcmos_delay`], the leg
+/// score of the switch-level tier (a transient neither stalls nor
+/// truncates). The solver-stress counters sum over the legs that ran;
+/// each leg's transient is dropped before the next leg runs.
+fn score_pair(
+    cmos: impl FnOnce() -> Result<SpiceLeg, CoreError>,
+    mtcmos: impl FnOnce() -> Result<SpiceLeg, CoreError>,
 ) -> Result<VerifiedDelays, CoreError> {
-    let (cmos, op_c, halve_c) = run_reused(&mut ver.cmos, netlist, tech, tr, probe_nets, cfg)?;
-    let d_cmos = cmos
-        .iter()
-        .flatten()
-        .copied()
-        .fold(None, |acc: Option<f64>, t| {
-            Some(acc.map_or(t, |a| a.max(t)))
-        });
-    let Some(d_cmos) = d_cmos else {
-        return Ok(VerifiedDelays {
-            pair: None,
-            op_gmin_fallback_stages: op_c,
-            dt_halvings: halve_c,
-        });
+    let stress = |(delays, res): SpiceLeg| (delays, res.op_gmin_fallback_stages, res.dt_halvings);
+    let (baseline, mut op_gmin_fallback_stages, mut dt_halvings) = cmos().map(stress)?;
+    let pair = match latest_crossing(&baseline) {
+        None => None,
+        Some(d_cmos) => {
+            let (crossings, stages, halvings) = mtcmos().map(stress)?;
+            op_gmin_fallback_stages += stages;
+            dt_halvings += halvings;
+            Some(DelayPair {
+                cmos: d_cmos,
+                mtcmos: mtcmos_delay(d_cmos, &baseline, &crossings, false, false),
+            })
+        }
     };
-    let (mt, op_m, halve_m) = run_reused(&mut ver.mtcmos, netlist, tech, tr, probe_nets, cfg)?;
-    let d_mt = worst_delay_vs_baseline(&cmos, &mt).unwrap_or(d_cmos);
     Ok(VerifiedDelays {
-        pair: Some(DelayPair {
-            cmos: d_cmos,
-            mtcmos: d_mt,
-        }),
-        op_gmin_fallback_stages: op_c + op_m,
-        dt_halvings: halve_c + halve_m,
+        pair,
+        op_gmin_fallback_stages,
+        dt_halvings,
     })
 }
 
@@ -544,14 +482,11 @@ pub fn run_hybrid(
         },
         |ver, rank, cand, stats| -> ItemReport<VerifiedDelays> {
             stats.vectors += 1;
+            let (tr, cfg) = (&transitions[cand.index], &opts.spice);
             let value = opts.verify_fault.check(rank, 0).and_then(|()| {
-                verify_candidate(
-                    ver,
-                    netlist,
-                    tech,
-                    &transitions[cand.index],
-                    &probe_nets,
-                    &opts.spice,
+                score_pair(
+                    || run_reused(&mut ver.cmos, netlist, tech, tr, &probe_nets, cfg),
+                    || run_reused(&mut ver.mtcmos, netlist, tech, tr, &probe_nets, cfg),
                 )
             });
             ItemReport {
@@ -568,18 +503,19 @@ pub fn run_hybrid(
         .iter()
         .zip(values)
         .map(|(cand, v)| {
-            let pair = v.as_ref().and_then(|v| v.pair);
-            let delta = pair.and_then(|p| {
+            // A quarantined candidate measured nothing.
+            let v = v.unwrap_or_default();
+            let delta = v.pair.and_then(|p| {
                 let (s, v) = (cand.delays.degradation(), p.degradation());
                 (s.is_finite() && v.is_finite()).then_some(v - s)
             });
             HybridFinding {
                 index: cand.index,
                 screened: cand.delays,
-                verified: pair,
+                verified: v.pair,
                 delta,
-                op_gmin_fallback_stages: v.as_ref().map_or(0, |v| v.op_gmin_fallback_stages),
-                dt_halvings: v.as_ref().map_or(0, |v| v.dt_halvings),
+                op_gmin_fallback_stages: v.op_gmin_fallback_stages,
+                dt_halvings: v.dt_halvings,
             }
         })
         .collect();
@@ -593,43 +529,6 @@ pub fn run_hybrid(
         screen_wall: screen_report.wall,
         verify_wall,
     })
-}
-
-/// Exports one candidate's MTCMOS verification circuit as a runnable
-/// SPICE deck (`.ic` seeding plus a `.tran` card), for checking a
-/// finding in an external simulator.
-///
-/// # Errors
-///
-/// As [`spice_transition`].
-pub fn candidate_deck(
-    netlist: &Netlist,
-    tech: &Technology,
-    tr: &Transition,
-    w_over_l: f64,
-    cfg: &SpiceRunConfig,
-) -> Result<String, CoreError> {
-    let opts = verify_expand_options(SleepImpl::Transistor { w_over_l }, cfg);
-    let mut ex = expand(netlist, tech, &opts).map_err(CoreError::Netlist)?;
-    if tr.from.len() != netlist.primary_inputs().len() {
-        return Err(CoreError::UnknownState(format!(
-            "vector width {} != {} primary inputs",
-            tr.from.len(),
-            netlist.primary_inputs().len()
-        )));
-    }
-    for pos in 0..tr.from.len() {
-        ex.set_input_transition(pos, tr.from[pos], tr.to[pos], cfg.t0)
-            .map_err(CoreError::Netlist)?;
-    }
-    let settled = netlist.evaluate(&tr.from).map_err(CoreError::Netlist)?;
-    ex.apply_initial_state(&settled);
-    Ok(mtk_spice::deck::to_deck_with_tran(
-        &ex.circuit,
-        "mtcmos verification candidate",
-        cfg.dt,
-        cfg.t_stop,
-    ))
 }
 
 #[cfg(test)]

@@ -2244,8 +2244,8 @@ pub fn latest_crossing(crossings: &[Option<f64>]) -> Option<f64> {
 /// contributes `f64::INFINITY` instead of dropping out of the max-fold;
 /// a probe that crossed in neither is skipped (it was never meant to
 /// switch); a crossing only the observed run saw still counts. `None`
-/// when every probe is skipped. Shared by the switch-level and SPICE
-/// delay-pair measurements so both tiers report stalls identically.
+/// when every probe is skipped. Both tiers reach it through
+/// [`mtcmos_delay`], so they report stalls identically.
 pub fn worst_delay_vs_baseline(baseline: &[Option<f64>], observed: &[Option<f64>]) -> Option<f64> {
     baseline
         .iter()
@@ -2263,8 +2263,10 @@ pub fn worst_delay_vs_baseline(baseline: &[Option<f64>], observed: &[Option<f64>
 /// against the CMOS `baseline` crossings, whose latest is `d_cmos`: a
 /// stalled or truncated run is infinitely slow; otherwise the leg's
 /// [`worst_delay_vs_baseline`], or `d_cmos` when no probe switched in
-/// either run. The one leg score of screening, sizing, cluster
-/// evaluation and Monte Carlo.
+/// either run. The one leg score of both tiers: screening, sizing,
+/// cluster evaluation and Monte Carlo, and the SPICE legs of
+/// [`crate::hybrid`] (whose transients pass `false` for both flags),
+/// which all run through its private `run_reused`.
 pub fn mtcmos_delay(
     d_cmos: f64,
     baseline: &[Option<f64>],

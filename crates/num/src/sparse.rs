@@ -802,22 +802,22 @@ impl Scratch {
 /// [`LuWorkspace::factor_solve_csr`], which produces exactly the bits of
 /// [`SparseRows::factor`] + [`SparseLu::solve`], inside recycled
 /// buffers, and mostly without rerunning the general kernel. It keeps
-/// two kinds of [`Plan`], both lists of the general kernel's operations
+/// two kinds of `Plan`, both lists of the general kernel's operations
 /// over numbered value slots:
 ///
 /// * A *symbolic plan* is the elimination of one pattern under one pivot
 ///   order with no exact-zero drops: every entry that could exist. A
 ///   general elimination (`eliminate`) finds a pivot order, and one
 ///   symbolic pass over the pattern builds its plan (see
-///   [`symbolic_pass`]).
+///   `symbolic_pass`).
 /// * Its *live-bit replay* keeps one live bit per value slot, which
-///   reproduces the kernel's drop rule exactly (see [`replay_live`]).
+///   reproduces the kernel's drop rule exactly (see `replay_live`).
 ///   It is the general kernel's run under that pivot order, bit for bit,
 ///   whatever cancels, and fails only when a pivot search picks another
 ///   winner or the winner fails the singularity test. It also writes the
 ///   operations it ran as an *outcome plan*, each marked kept, dropped
 ///   or filled.
-/// * An outcome plan *replays* (see [`replay`]) the same operations on
+/// * An outcome plan *replays* (see `replay`) the same operations on
 ///   the same operands in the same order. It reruns each pivot search
 ///   over the recorded candidates and requires the recorded winner to
 ///   win again and pass the singularity test, and it requires every

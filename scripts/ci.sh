@@ -14,16 +14,9 @@ echo "== tier 1: release build =="
 cargo build --release
 
 echo "== test suite: every crate in the workspace =="
+# The root package is a workspace member, so this also runs its
+# contract tests (fault_injection, trace_determinism, mc_determinism).
 cargo test -q --workspace
-
-echo "== fault-tolerance contract (quarantine/panic isolation) =="
-cargo test -q --test fault_injection
-
-echo "== trace determinism & golden schema contract =="
-cargo test -q --test trace_determinism
-
-echo "== mc determinism contract (thread invariance + warm store) =="
-cargo test -q --test mc_determinism
 
 echo "== numeric edge cases stay hard errors in the release profile =="
 # `next_f64_in` once guarded its interval with debug_assert!, so the

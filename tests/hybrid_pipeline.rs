@@ -9,12 +9,13 @@ use mtcmos_suite::circuits::adder::RippleAdder;
 use mtcmos_suite::circuits::vectors::exhaustive_transitions;
 use mtcmos_suite::core::health::{FailurePolicy, FaultPlan, SweepHealth};
 use mtcmos_suite::core::hybrid::{
-    run_hybrid, spice_delay_pair, HybridOptions, HybridReport, SpiceRunConfig,
+    run_hybrid, spice_delay_pair, spice_transition, HybridOptions, HybridReport, SpiceRunConfig,
 };
 use mtcmos_suite::core::sizing::{
     screen_vectors_par_quarantined, size_for_target_cached, ScreeningCache, Transition,
 };
 use mtcmos_suite::core::vbsim::{Engine, VbsimOptions};
+use mtcmos_suite::netlist::expand::SleepImpl;
 use mtcmos_suite::netlist::logic::bits_lsb_first;
 use mtcmos_suite::netlist::tech::Technology;
 
@@ -133,31 +134,48 @@ fn hybrid_report_is_bit_identical_at_any_thread_count() {
 fn hybrid_verification_matches_fresh_spice_runs() {
     // The per-worker circuits are reprogrammed between candidates
     // (replaced input waves, cleared+reapplied initial conditions); the
-    // measurements must be indistinguishable from building a fresh
-    // circuit per run.
+    // measurements, solver-stress counters included, must be
+    // indistinguishable from building a fresh circuit per run.
     let add = RippleAdder::paper();
     let tech = Technology::l07();
     let transitions = adder_transitions(211);
-    let cfg = test_spice_config();
-    let opts = HybridOptions {
-        top_k: 3,
-        threads: 2,
-        ..HybridOptions::at_size(W_OVER_L, cfg.clone())
-    };
-    let report = run_hybrid(&add.netlist, &tech, &transitions, &opts).expect("hybrid run");
-    assert_eq!(report.findings.len(), 3);
-    for f in &report.findings {
-        let fresh = spice_delay_pair(
-            &add.netlist,
-            &tech,
-            &transitions[f.index],
-            None,
-            W_OVER_L,
-            &cfg,
-        )
-        .expect("fresh spice run");
-        assert_eq!(f.verified, fresh, "candidate {}", f.index);
+    // One nominal step over the whole window makes the integrator halve
+    // its way through the switching, so the counters are not all zero.
+    let mut coarse = test_spice_config();
+    coarse.dt = coarse.t_stop;
+    let mut halvings_seen = 0;
+    for cfg in [test_spice_config(), coarse] {
+        let opts = HybridOptions {
+            top_k: 3,
+            threads: 2,
+            ..HybridOptions::at_size(W_OVER_L, cfg.clone())
+        };
+        let report = run_hybrid(&add.netlist, &tech, &transitions, &opts).expect("hybrid run");
+        assert_eq!(report.findings.len(), 3);
+        for f in &report.findings {
+            let tr = &transitions[f.index];
+            let fresh = spice_delay_pair(&add.netlist, &tech, tr, None, W_OVER_L, &cfg)
+                .expect("fresh spice run");
+            assert_eq!(f.verified, fresh, "candidate {}", f.index);
+            // The counters sum the legs that ran: the MTCMOS leg only
+            // where the CMOS leg switched.
+            let leg = |sleep| {
+                spice_transition(&add.netlist, &tech, tr, None, sleep, &cfg)
+                    .expect("fresh spice leg")
+            };
+            let cmos = leg(SleepImpl::AlwaysOn);
+            let (mut stages, mut halvings) = (cmos.op_gmin_fallback_stages, cmos.dt_halvings);
+            if cmos.delay.is_some() {
+                let mt = leg(SleepImpl::Transistor { w_over_l: W_OVER_L });
+                stages += mt.op_gmin_fallback_stages;
+                halvings += mt.dt_halvings;
+            }
+            assert_eq!(f.op_gmin_fallback_stages, stages, "candidate {}", f.index);
+            assert_eq!(f.dt_halvings, halvings, "candidate {}", f.index);
+            halvings_seen += halvings;
+        }
     }
+    assert!(halvings_seen > 0, "the coarse window must halve steps");
 }
 
 #[test]
