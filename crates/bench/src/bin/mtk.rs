@@ -17,7 +17,8 @@
 //! PATH` to export deterministic waveforms of the most interesting
 //! vector (the worst-ranked one where a ranking exists): a binary SPICE
 //! rawfile from a transistor-level transient, a VCD dump from the
-//! switch-level run.
+//! switch-level run. A cluster job exports none, so `cluster` does not
+//! take them and `size --clusters N` exits 2 on them.
 //!
 //! Vector sourcing for `screen`/`size`/`hybrid`, in precedence order:
 //! `vector` lines from the file; the exhaustive transition space when
@@ -89,7 +90,7 @@ const COMMANDS: [Command; 13] = [
         flags: &[JobOpts::SWEEP_FLAGS, JobOpts::JOB_FLAGS, TRACE, WAVES, STORE],
         run: |a| cmd_job(a, JobKind::Size) },
     Command { name: "cluster", synopsis: FILE, positionals: (1, 1),
-        flags: &[JobOpts::SWEEP_FLAGS, JobOpts::JOB_FLAGS, TRACE, WAVES, STORE],
+        flags: &[JobOpts::SWEEP_FLAGS, JobOpts::JOB_FLAGS, TRACE, STORE],
         run: |a| cmd_job(a, JobKind::Cluster) },
     Command { name: "hybrid", synopsis: FILE, positionals: (1, 1),
         flags: &[JobOpts::SWEEP_FLAGS, JobOpts::JOB_FLAGS, TRACE, WAVES, STORE],
@@ -358,12 +359,23 @@ fn open_store(args: &Args) -> Option<Store> {
 /// `hybrid --clusters N` is composed as a
 /// cluster job, then a hybrid job at the clustered total width — a
 /// conservative lumping (one device of equal width sinks at least the
-/// current of the split devices), so the verification stays meaningful
-/// without teaching the SPICE netlister about partitions.
+/// current of the split devices). It verifies a lumped device because
+/// the hybrid flow screens and verifies at one sleep W/L
+/// (`HybridOptions::w_over_l`): its screening tier has no partitioned
+/// ranking to hand SPICE, although `expand_partitioned` could build the
+/// per-cluster transistor-level circuit.
 fn cmd_job(args: &Args, kind: JobKind) {
     let design = load(&args.positionals[0]);
     warn_lint(&design);
     let mut job = Job::from_flags(kind, design, args);
+    // `size --clusters N` runs a cluster job, which exports no waveform.
+    if kind == JobKind::Size && job.kind == JobKind::Cluster {
+        if let Some((flag, _)) = WAVES.iter().find(|(flag, _)| args.has(flag)) {
+            die(format!(
+                "size --clusters: {flag} is not supported by a cluster job"
+            ));
+        }
+    }
     let mut spans = SpanRecorder::new(trace_config(args).spans);
     let mut cluster_phases = Vec::new();
     if job.kind == JobKind::Hybrid && args.has("--clusters") {
@@ -944,6 +956,13 @@ fn cmd_client(args: &Args) {
             let deck = mtk_trace::json::JsonValue::String(deck).to_compact();
             format!("{{\"cmd\":\"import\",\"deck\":{deck}}}")
         }
+        // Serve answers a hybrid request with a plain hybrid at
+        // `--w-over-l`, not the cluster-then-hybrid composition `mtk
+        // hybrid --clusters N` runs, so the client refuses the flag.
+        "hybrid" if args.has("--clusters") => die(
+            "mtk client hybrid: --clusters is not supported over serve (run `mtk hybrid \
+             --clusters N`, or `client cluster` then `client hybrid --w-over-l` at its total)",
+        ),
         cmd => match JobKind::parse(cmd) {
             Some(kind) => Job::from_flags(kind, load(file()), args).to_request(),
             None => usage(),

@@ -8,7 +8,7 @@ use crate::cli::Kind::{Int, Num, Switch};
 use crate::cli::{die, failure_policy, Args, Flag};
 use crate::design_transitions;
 use mtk_core::cluster::{
-    exclusive_partition, size_clusters_for_target, ClusterReport, ClusterSizing,
+    exclusive_partition, size_clusters_for_target, ClusterOptions, ClusterReport, ClusterSizing,
 };
 use mtk_core::health::{FailurePolicy, FaultPlan, RunHealth};
 use mtk_core::hybrid::{run_hybrid, HybridOptions, HybridReport, SpiceRunConfig};
@@ -425,18 +425,17 @@ impl Job {
             }
             JobKind::Cluster => {
                 let partition = exclusive_partition(netlist, &transitions, o.clusters)?;
+                let opts = ClusterOptions {
+                    threads: o.threads,
+                    policy: o.policy,
+                    ..ClusterOptions::at_target(o.target, (o.lo, o.hi))
+                };
                 let (sizing, report) = size_clusters_for_target(
                     netlist,
                     tech,
                     &transitions,
-                    None,
                     &partition,
-                    o.target,
-                    (o.lo, o.hi),
-                    &base,
-                    o.threads,
-                    o.policy,
-                    &FaultPlan::none(),
+                    &opts,
                     cache.store(),
                 )?;
                 JobOutput::Cluster { sizing, report }

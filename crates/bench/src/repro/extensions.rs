@@ -12,7 +12,7 @@ use mtk_circuits::nand_adder::{NandAdderSpec, NandRippleAdder};
 use mtk_circuits::tree::InverterTree;
 use mtk_circuits::vectors::{exhaustive_transitions, multiplier_vector_a};
 use mtk_core::cluster::ExclusivePartition;
-use mtk_core::cluster::{size_clusters_for_target, worst_degradation_partitioned};
+use mtk_core::cluster::{size_clusters_for_target, worst_degradation_partitioned, ClusterOptions};
 use mtk_core::energy::{break_even_idle_time, gated_leakage_current};
 use mtk_core::energy::{sleep_switching_energy, unguarded_leakage_current};
 use mtk_core::health::{FailurePolicy, FaultPlan, RunHealth, SweepHealth};
@@ -237,9 +237,9 @@ pub fn screen(ctx: &Ctx) -> Output {
     };
     out.line(format!(
         "\nworst SPICE degradation in screened top-10: {}\n\
-         worst SPICE degradation in a blind {}-vector sample: {} (took {t_control:.0} s vs \
-         {t_hybrid:.0} s screen+verify)\n\
-         exhaustive SPICE would need ≈{full_estimate:.0} s; the hybrid flow used {t_hybrid:.0} s \
+         worst SPICE degradation in a blind {}-vector sample: {} (took {t_control:.2} s vs \
+         {t_hybrid:.2} s screen+verify)\n\
+         exhaustive SPICE would need ≈{full_estimate:.0} s; the hybrid flow used {t_hybrid:.2} s \
          ({}x less SPICE time) and found a worst case {verdict} the blind sample's",
         pct(spice_worst),
         sample.len(),
@@ -606,22 +606,12 @@ fn per_tree_sizing(tech: &Technology) -> (Vec<f64>, f64) {
         folded: 0,
     };
     let (exclusive, cmos) = (exclusive_trees(), VbsimOptions::cmos());
-    let (policy, fault) = (FailurePolicy::FailFast, FaultPlan::none());
-    let (sizing, _) = size_clusters_for_target(
-        &nl,
-        tech,
-        &exclusive,
-        None,
-        &per_tree,
-        0.10,
-        (0.5, 2000.0),
-        &cmos,
-        1,
-        policy,
-        &fault,
-        None,
-    )
-    .expect("per-tree sizing");
+    let opts = ClusterOptions {
+        base: cmos.clone(),
+        ..ClusterOptions::at_target(0.10, (0.5, 2000.0))
+    };
+    let (sizing, _) = size_clusters_for_target(&nl, tech, &exclusive, &per_tree, &opts, None)
+        .expect("per-tree sizing");
     let sizes = sizing.clustered_w_over_ls;
     let engine = Engine::new(&nl, tech);
     let groups = &per_tree.assignment;

@@ -44,6 +44,9 @@
 //! * Flags are parsed before any work runs: a malformed typed value
 //!   exits 2 with nothing printed or written. A flag's value is never
 //!   read as a positional, and a stray positional exits 2.
+//! * A flag a composed job would drop exits 2, naming it: `--raw` or
+//!   `--vcd` on `size --clusters N` (a cluster job), and `--clusters` on
+//!   `mtk client … hybrid`.
 //! * DESIGN.md §11.4's usage block is the text `mtk` prints with no
 //!   arguments.
 //! * `speed_comparison` rejects a missing baseline with exit 2 before
@@ -362,6 +365,8 @@ fn job_commands_exit_two_on_an_unknown_flag_and_name_it() {
             "--trace-determinstic",
         ),
         (bin, vec!["cluster", adder, "--cluster", "2"], "--cluster"),
+        // A cluster job exports no waveform.
+        (bin, vec!["cluster", adder, "--raw", "r"], "--raw"),
         (bin, vec!["hybrid", adder, "--topk", "2"], "--topk"),
         // The store and the cluster smoke are not screen flags.
         (bin, vec!["screen", adder, "--store", "s"], "--store"),
@@ -450,16 +455,14 @@ fn job_commands_exit_two_on_an_unknown_flag_and_name_it() {
         "--trace-deterministic",
         "--trace-json",
         &json,
-        "--raw",
-        &raw,
-        "--vcd",
-        &vcd,
-        "--t-stop",
-        "8e-8",
     ];
+    let waves = ["--raw", &raw, "--vcd", &vcd, "--t-stop", "8e-8"];
     for cmd in ["screen", "size", "cluster", "hybrid"] {
         let mut args = vec![cmd, adder];
         args.extend(common);
+        if cmd != "cluster" {
+            args.extend(waves);
+        }
         if cmd == "screen" {
             args.extend(["--w-over-l", "0"]);
         } else {
@@ -478,6 +481,41 @@ fn job_commands_exit_two_on_an_unknown_flag_and_name_it() {
     }
     for path in [&json, &raw, &vcd, &store] {
         assert!(!std::path::Path::new(path).exists(), "{path} written");
+    }
+}
+
+/// The two job compositions whose waveform or cluster flag no front end
+/// honours exit 2, naming the flag, before any work: `size --clusters N`
+/// runs a cluster job, which exports no waveform, and serve answers a
+/// hybrid request with a plain hybrid, not the cluster-then-hybrid
+/// composition of `mtk hybrid --clusters N` (the client exits before it
+/// connects to the unused address).
+#[test]
+fn flags_a_composed_job_would_drop_exit_two_before_any_work() {
+    let adder = golden("adder3");
+    let adder = adder.to_str().unwrap();
+    let path = temp_path("composed.wave");
+    for (args, flag) in [
+        (
+            vec!["size", adder, "--clusters", "2", "--raw", &path],
+            "--raw",
+        ),
+        (
+            vec!["size", adder, "--clusters", "2", "--vcd", &path],
+            "--vcd",
+        ),
+        (
+            vec!["client", "127.0.0.1:9", "hybrid", adder, "--clusters", "2"],
+            "--clusters",
+        ),
+    ] {
+        let out = mtk(&args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?} stderr: {err}");
+        assert!(err.contains(flag), "{args:?}: {err}");
+        assert!(!err.contains("unknown flag"), "{args:?}: {err}");
+        assert!(stdout(&out).is_empty(), "{args:?} ran: {}", stdout(&out));
+        assert!(!std::path::Path::new(&path).exists(), "{path} written");
     }
 }
 

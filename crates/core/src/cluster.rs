@@ -40,7 +40,7 @@
 use crate::health::{charge_overflow, fold_item_reports, retry_item, FailurePolicy, FaultPlan};
 use crate::health::{ItemReport, RunHealth, SweepHealth};
 use crate::par::{try_parallel_map_with, WorkerStats};
-use crate::record;
+use crate::record::{self, Source};
 use crate::sizing::{leg_degradation, log_bisect, move_to_front, probe_nets, stored_leg};
 use crate::sizing::{require_transitions, Transition};
 use crate::vbsim::{latest_crossing, Engine, PartitionedSleep, SleepNetwork};
@@ -352,60 +352,21 @@ fn clu2_digest(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Each transition's CMOS baseline crossings at `base`'s budget — the
-/// legs every evaluation at that budget shares, whatever the sleep
-/// sizes — read from the store's `leg1` records when there is one
-/// (a hit or miss counted per leg) and simulated otherwise. Their
-/// health goes into `run` once, here.
-#[allow(clippy::too_many_arguments)]
-fn cmos_baselines(
-    engine: &Engine<'_>,
-    scratch: &mut VbsimScratch,
-    transitions: &[Transition],
-    outputs: &[NetId],
-    base: &VbsimOptions,
-    store: Option<&mtk_store::Store>,
-    run: &mut RunHealth,
-    stats: &mut WorkerStats,
-) -> Result<Vec<Vec<Option<f64>>>, CoreError> {
-    transitions
-        .iter()
-        .map(|tr| {
-            let (leg, hit) = stored_leg(
-                engine,
-                tr,
-                outputs,
-                SleepNetwork::Cmos,
-                base,
-                store,
-                scratch,
-            )
-            .inspect_err(|e| charge_overflow(e, base.max_events, run, stats))?;
-            run.absorb(&leg.health);
-            stats.breakpoints += leg.health.breakpoints as u64;
-            if store.is_some() {
-                if hit {
-                    run.cache_hits += 1;
-                } else {
-                    run.cache_misses += 1;
-                }
-            }
-            Ok(leg.crossings)
-        })
-        .collect()
-}
-
 /// Everything the evaluations of one co-optimisation share at one
 /// breakpoint budget and one assignment: the transitions with their
-/// CMOS baselines (simulated once, read-only), the probes, the target,
-/// and the store-key prefix.
+/// CMOS baselines (simulated once, read-only), the probes, the cluster
+/// count, the caller's options (target, bracket, fault plan) and the
+/// store with this evaluator's key prefix.
 struct Evaluator<'a> {
     transitions: &'a [Transition],
     baselines: &'a [Vec<Option<f64>>],
     outputs: &'a [NetId],
     assignment: &'a [usize],
+    /// The options at this evaluator's breakpoint budget: `opts.base`,
+    /// or its relaxed copy on a retry.
     base: &'a VbsimOptions,
-    target: f64,
+    n_clusters: usize,
+    opts: &'a ClusterOptions,
     store: Option<&'a mtk_store::Store>,
     /// The `clu2` tag, netlist and technology fingerprints, a digest over
     /// probes, transitions, assignment and the [`VbsimOptions`] fields
@@ -440,15 +401,50 @@ impl Evaluator<'_> {
         out.extend_from_slice(&engine.fingerprint().to_le_bytes());
         out.extend_from_slice(&engine.tech_stamp().to_le_bytes());
         out.extend_from_slice(&clu2_digest(&d).to_le_bytes());
-        out.extend_from_slice(&self.target.to_bits().to_le_bytes());
+        out.extend_from_slice(&self.opts.target.to_bits().to_le_bytes());
         self.prefix = out;
         self
+    }
+
+    /// Each transition's CMOS baseline crossings at `base`'s budget — the
+    /// legs every evaluation at that budget shares, whatever the sleep
+    /// sizes — read from the store's `leg1` records when there is one
+    /// (a hit or miss counted per leg) and simulated otherwise. Their
+    /// health goes into `run` once, here.
+    fn cmos_baselines(
+        &self,
+        engine: &Engine<'_>,
+        scratch: &mut VbsimScratch,
+        base: &VbsimOptions,
+        run: &mut RunHealth,
+        stats: &mut WorkerStats,
+    ) -> Result<Vec<Vec<Option<f64>>>, CoreError> {
+        let cmos = SleepNetwork::Cmos;
+        let (outputs, store) = (self.outputs, self.store);
+        self.transitions
+            .iter()
+            .map(|tr| {
+                let (leg, source) = stored_leg(engine, tr, outputs, cmos, base, store, scratch)
+                    .inspect_err(|e| charge_overflow(e, base.max_events, run, stats))?;
+                run.absorb(&leg.health);
+                stats.breakpoints += leg.health.breakpoints as u64;
+                if store.is_some() {
+                    if source == Source::Stored {
+                        run.cache_hits += 1;
+                    } else {
+                        run.cache_misses += 1;
+                    }
+                }
+                Ok(leg.crossings)
+            })
+            .collect()
     }
 
     /// Whether the worst degradation over the transitions at one
     /// per-cluster sizes vector exceeds the target — served from the
     /// store when the same decision was recorded before (replaying its
-    /// stored health), simulated and written through otherwise.
+    /// stored health), simulated and written through otherwise
+    /// ([`record::through`]).
     ///
     /// The same exact early exit as the single-device bisection: the
     /// answer is `0 > target` or some transition over the target, so the
@@ -464,16 +460,28 @@ impl Evaluator<'_> {
         run: &mut RunHealth,
         stats: &mut WorkerStats,
     ) -> Result<bool, CoreError> {
-        if 0.0 > self.target {
+        if 0.0 > self.opts.target {
             return Ok(true);
         }
         let mut key = self.prefix.clone();
         for &s in sizes {
             key.extend_from_slice(&s.to_bits().to_le_bytes());
         }
-        let stored = self.store.and_then(|store| store.get(&key));
-        if let Some((failed, health)) = stored.and_then(|b| decode_eval(&b, self.transitions.len()))
-        {
+        let ((failed, health), source) = record::through(
+            self.store,
+            &key,
+            |b| decode_eval(b, self.transitions.len()),
+            || {
+                let mut local = RunHealth::default();
+                let result = self.first_failure(engine, scratch, sizes, order, &mut local, stats);
+                run.absorb(&local);
+                result
+                    .map(|failed| (failed, local))
+                    .inspect_err(|e| charge_overflow(e, self.base.max_events, run, stats))
+            },
+            |&(failed, local)| encode_eval(failed, &local),
+        )?;
+        if source == Source::Stored {
             run.absorb(&health);
             run.cache_hits += 1;
             stats.breakpoints += health.breakpoints as u64;
@@ -481,101 +489,96 @@ impl Evaluator<'_> {
                 let k = order.iter().position(|&j| j == i);
                 move_to_front(order, k.expect("order holds every transition"));
             }
-            return Ok(failed.is_some());
-        }
-        let partition = partitioned(self.assignment, sizes);
-        let mut local = RunHealth::default();
-        let mut simulate = || -> Result<Option<usize>, CoreError> {
-            for k in 0..order.len() {
-                let i = order[k];
-                stats.vectors += 1;
-                let cmos = &self.baselines[i];
-                let Some(d_cmos) = latest_crossing(cmos) else {
-                    continue;
-                };
-                let tr = &self.transitions[i];
-                let mt = engine.run_summary_with(
-                    &tr.from,
-                    &tr.to,
-                    Some(&partition),
-                    self.outputs,
-                    self.base,
-                    scratch,
-                )?;
-                local.absorb(&mt.health);
-                stats.breakpoints += mt.health.breakpoints as u64;
-                if leg_degradation(d_cmos, cmos, &mt) > self.target {
-                    move_to_front(order, k);
-                    return Ok(Some(i));
-                }
-            }
-            Ok(None)
-        };
-        let result = simulate();
-        run.absorb(&local);
-        let failed =
-            result.inspect_err(|e| charge_overflow(e, self.base.max_events, run, stats))?;
-        if let Some(store) = self.store {
+        } else if self.store.is_some() {
             run.cache_misses += 1;
-            // A failed write degrades to recompute-on-rerun; it is not
-            // an error.
-            let _ = store.put(&key, &encode_eval(failed, &local));
         }
         Ok(failed.is_some())
     }
-}
 
-/// One bisection attempt for one cluster: a log-space bisection of that
-/// cluster's device with every other cluster pinned at `hi`, under its
-/// own transition order.
-#[allow(clippy::too_many_arguments)]
-fn cluster_attempt(
-    engine: &Engine<'_>,
-    scratch: &mut VbsimScratch,
-    g: usize,
-    n_clusters: usize,
-    ev: &Evaluator<'_>,
-    (lo, hi): (f64, f64),
-    run: &mut RunHealth,
-    stats: &mut WorkerStats,
-) -> Result<f64, CoreError> {
-    let mut order: Vec<usize> = (0..ev.transitions.len()).collect();
-    log_bisect((lo, hi), 24, 1.02, |mid| {
-        let mut trial = vec![hi; n_clusters];
-        trial[g] = mid;
-        ev.exceeds(engine, scratch, &trial, &mut order, run, stats)
-    })
-}
+    /// The simulation behind a decision [`Evaluator::exceeds`] did not
+    /// find stored: the first transition in `order` over the target at
+    /// `sizes`, moved to the front, with every leg's health in `local`.
+    fn first_failure(
+        &self,
+        engine: &Engine<'_>,
+        scratch: &mut VbsimScratch,
+        sizes: &[f64],
+        order: &mut [usize],
+        local: &mut RunHealth,
+        stats: &mut WorkerStats,
+    ) -> Result<Option<usize>, CoreError> {
+        let partition = partitioned(self.assignment, sizes);
+        for k in 0..order.len() {
+            let i = order[k];
+            stats.vectors += 1;
+            let cmos = &self.baselines[i];
+            let Some(d_cmos) = latest_crossing(cmos) else {
+                continue;
+            };
+            let tr = &self.transitions[i];
+            let mt = engine.run_summary_with(
+                &tr.from,
+                &tr.to,
+                Some(&partition),
+                self.outputs,
+                self.base,
+                scratch,
+            )?;
+            local.absorb(&mt.health);
+            stats.breakpoints += mt.health.breakpoints as u64;
+            if leg_degradation(d_cmos, cmos, &mt) > self.opts.target {
+                move_to_front(order, k);
+                return Ok(Some(i));
+            }
+        }
+        Ok(None)
+    }
 
-/// One per-cluster work item under the retry ladder. Its relaxed-budget
-/// attempt recomputes its own CMOS baselines: a run truncated at one
-/// budget can differ under a larger one.
-#[allow(clippy::too_many_arguments)]
-fn cluster_item(
-    engine: &Engine<'_>,
-    scratch: &mut VbsimScratch,
-    g: usize,
-    n_clusters: usize,
-    ev: &Evaluator<'_>,
-    bracket: (f64, f64),
-    fault: &FaultPlan,
-    stats: &mut WorkerStats,
-) -> ItemReport<f64> {
-    retry_item(g, fault, ev.base, |attempt, opts, run| {
-        if attempt == 0 {
-            return cluster_attempt(engine, scratch, g, n_clusters, ev, bracket, run, stats);
-        }
-        let (trs, outputs) = (ev.transitions, ev.outputs);
-        let baselines = cmos_baselines(engine, scratch, trs, outputs, opts, ev.store, run, stats)?;
-        let ev = Evaluator {
-            baselines: &baselines,
-            base: opts,
-            prefix: Vec::new(),
-            ..*ev
-        }
-        .keyed(engine);
-        cluster_attempt(engine, scratch, g, n_clusters, &ev, bracket, run, stats)
-    })
+    /// One bisection attempt for cluster `g`: a log-space bisection of
+    /// that cluster's device with every other cluster pinned at `hi`,
+    /// under its own transition order.
+    fn attempt(
+        &self,
+        engine: &Engine<'_>,
+        scratch: &mut VbsimScratch,
+        g: usize,
+        run: &mut RunHealth,
+        stats: &mut WorkerStats,
+    ) -> Result<f64, CoreError> {
+        let (lo, hi) = (self.opts.lo, self.opts.hi);
+        let mut order: Vec<usize> = (0..self.transitions.len()).collect();
+        log_bisect((lo, hi), 24, 1.02, |mid| {
+            let mut trial = vec![hi; self.n_clusters];
+            trial[g] = mid;
+            self.exceeds(engine, scratch, &trial, &mut order, run, stats)
+        })
+    }
+
+    /// Cluster `g`'s work item under the retry ladder. Its relaxed-budget
+    /// attempt recomputes its own CMOS baselines: a run truncated at one
+    /// budget can differ under a larger one.
+    fn item(
+        &self,
+        engine: &Engine<'_>,
+        scratch: &mut VbsimScratch,
+        g: usize,
+        stats: &mut WorkerStats,
+    ) -> ItemReport<f64> {
+        retry_item(g, &self.opts.fault, self.base, |attempt, opts, run| {
+            if attempt == 0 {
+                return self.attempt(engine, scratch, g, run, stats);
+            }
+            let baselines = self.cmos_baselines(engine, scratch, opts, run, stats)?;
+            let ev = Evaluator {
+                baselines: &baselines,
+                base: opts,
+                prefix: Vec::new(),
+                ..*self
+            }
+            .keyed(engine);
+            ev.attempt(engine, scratch, g, run, stats)
+        })
+    }
 }
 
 /// The chosen sleep configuration of one [`size_clusters_for_target`]
@@ -663,20 +666,64 @@ impl ClusterReport {
     }
 }
 
+/// Configuration of [`size_clusters_for_target`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ClusterOptions {
+    /// Probed nets (`None` = primary outputs).
+    pub probes: Option<Vec<NetId>>,
+    /// Fractional degradation every decision is made against (e.g.
+    /// `0.05` for the paper's 5 % criterion).
+    pub target: f64,
+    /// Lower end of every bisection bracket.
+    pub lo: f64,
+    /// Upper end of every bisection bracket: the size feasibility is
+    /// checked at and a quarantined cluster's device keeps.
+    pub hi: f64,
+    /// Switch-level simulator options; the sleep devices come from the
+    /// partition, and `max_events` is relaxed on a cluster's overflow
+    /// retry.
+    pub base: VbsimOptions,
+    /// Worker threads of the per-cluster bisections.
+    pub threads: usize,
+    /// Failure routing of the per-cluster work items.
+    pub policy: FailurePolicy,
+    /// Deterministic fault injection into the per-cluster work items
+    /// (tests).
+    pub fault: FaultPlan,
+}
+
+impl ClusterOptions {
+    /// Defaults at a given target and bracket `(lo, hi)`: primary-output
+    /// probes, default simulator options, serial, fail-fast, no injected
+    /// faults.
+    pub fn at_target(target: f64, (lo, hi): (f64, f64)) -> Self {
+        ClusterOptions {
+            probes: None,
+            target,
+            lo,
+            hi,
+            base: VbsimOptions::default(),
+            threads: 1,
+            policy: FailurePolicy::FailFast,
+            fault: FaultPlan::none(),
+        }
+    }
+}
+
 /// Sizes one sleep transistor per cluster so the worst degradation over
-/// `transitions` is at most `target`, then applies the never-worse
+/// `transitions` is at most `opts.target`, then applies the never-worse
 /// rule against the single shared device.
 ///
-/// Strategy: feasibility at all-`hi`, per-cluster log-bisection with
-/// the other clusters pinned at `hi` — run as independent
-/// [`crate::par`] work items (deterministic at any `threads`, with
-/// quarantine/retry under `policy` and `fault`) — then joint
-/// verification with uniform ×1.2 scale-up, and finally the
-/// single-device solution for the same target; whichever candidate
-/// uses less total width is returned. A quarantined cluster's device
-/// conservatively stays at `hi`.
+/// Strategy: feasibility at all-`hi`, per-cluster log-bisection in
+/// `[lo, hi]` with the other clusters pinned at `hi` — run as
+/// independent [`crate::par`] work items (deterministic at any
+/// `opts.threads`, with quarantine/retry under `opts.policy` and
+/// `opts.fault`) — then joint verification with uniform ×1.2 scale-up,
+/// and finally the single-device solution for the same target;
+/// whichever candidate uses less total width is returned. A
+/// quarantined cluster's device conservatively stays at `hi`.
 ///
-/// Every evaluation is a decision against `target` that stops at its
+/// Every evaluation is a decision against the target that stops at its
 /// first over-target transition, as in
 /// [`crate::sizing::size_for_target_cached`], and each transition's CMOS
 /// baseline is simulated once per call, not once per evaluation.
@@ -704,53 +751,49 @@ impl ClusterReport {
 ///
 /// Panics on an empty netlist, a partition whose assignment length
 /// disagrees with the cell count, or an invalid bracket.
-#[allow(clippy::too_many_arguments)]
 pub fn size_clusters_for_target(
     netlist: &Netlist,
     tech: &Technology,
     transitions: &[Transition],
-    probes: Option<&[NetId]>,
     partition: &ExclusivePartition,
-    target: f64,
-    (lo, hi): (f64, f64),
-    base: &VbsimOptions,
-    threads: usize,
-    policy: FailurePolicy,
-    fault: &FaultPlan,
+    opts: &ClusterOptions,
     store: Option<&mtk_store::Store>,
 ) -> Result<(ClusterSizing, ClusterReport), CoreError> {
     assert!(
         partition.assignment.len() == netlist.cells().len() && !partition.assignment.is_empty(),
         "partition must cover a non-empty netlist"
     );
+    let (lo, hi, target) = (opts.lo, opts.hi, opts.target);
     assert!(lo > 0.0 && hi > lo, "invalid sizing bracket");
     require_transitions(transitions)?;
     let t0 = Instant::now();
     let n = partition.n_clusters;
-    let outputs = probe_nets(netlist, probes);
+    let outputs = probe_nets(netlist, opts.probes.as_deref());
     let engine = Engine::new(netlist, tech);
     let mut serial_scratch = VbsimScratch::new();
     let mut serial_run = RunHealth::default();
     let mut serial_stats = WorkerStats::default();
-    let baselines = cmos_baselines(
+    let unkeyed = Evaluator {
+        transitions,
+        baselines: &[],
+        outputs: &outputs,
+        assignment: &partition.assignment,
+        base: &opts.base,
+        n_clusters: n,
+        opts,
+        store,
+        prefix: Vec::new(),
+    };
+    let baselines = unkeyed.cmos_baselines(
         &engine,
         &mut serial_scratch,
-        transitions,
-        &outputs,
-        base,
-        store,
+        &opts.base,
         &mut serial_run,
         &mut serial_stats,
     )?;
     let clustered = Evaluator {
-        transitions,
         baselines: &baselines,
-        outputs: &outputs,
-        assignment: &partition.assignment,
-        base,
-        target,
-        store,
-        prefix: Vec::new(),
+        ..unkeyed
     }
     .keyed(&engine);
     // The serial phases each own a transition order, as every parallel
@@ -776,15 +819,13 @@ pub fn size_clusters_for_target(
     // Per-cluster bisection as independent, fault-tolerant work items.
     let items: Vec<usize> = (0..n).collect();
     let (reports, workers) = try_parallel_map_with(
-        threads,
+        opts.threads,
         1,
         &items,
         || (Engine::new(netlist, tech), VbsimScratch::new()),
-        |(engine, scratch), _index, &g, stats| {
-            cluster_item(engine, scratch, g, n, &clustered, (lo, hi), fault, stats)
-        },
+        |(engine, scratch), _index, &g, stats| clustered.item(engine, scratch, g, stats),
     );
-    let (values, mut health) = fold_item_reports(reports, policy)?;
+    let (values, mut health) = fold_item_reports(reports, opts.policy)?;
     let mut sizes: Vec<f64> = values.into_iter().map(|v| v.unwrap_or(hi)).collect();
     // Joint verification with uniform scale-up: the per-cluster
     // bisections assumed everyone else at hi, so cross-cluster logic
@@ -809,6 +850,7 @@ pub fn size_clusters_for_target(
     let single_assignment = vec![0usize; netlist.cells().len()];
     let single = Evaluator {
         assignment: &single_assignment,
+        n_clusters: 1,
         prefix: Vec::new(),
         ..clustered
     }
@@ -1003,21 +1045,12 @@ mod tests {
         let stages = ExclusivePartition::by_depth(&tree.netlist, 3).unwrap();
         let base = VbsimOptions::cmos(); // sleep comes from the partition
         let target = 0.20;
-        let (sizing, _) = size_clusters_for_target(
-            &tree.netlist,
-            &tech,
-            &trs,
-            None,
-            &stages,
-            target,
-            (0.5, 400.0),
-            &base,
-            1,
-            FailurePolicy::FailFast,
-            &FaultPlan::none(),
-            None,
-        )
-        .unwrap();
+        let opts = ClusterOptions {
+            base: base.clone(),
+            ..ClusterOptions::at_target(target, (0.5, 400.0))
+        };
+        let (sizing, _) =
+            size_clusters_for_target(&tree.netlist, &tech, &trs, &stages, &opts, None).unwrap();
         let sizes = &sizing.clustered_w_over_ls;
         let engine = Engine::new(&tree.netlist, &tech);
         let assignment = &stages.assignment;
@@ -1038,6 +1071,28 @@ mod tests {
         assert!(sizing.fell_back && single < sizing.clustered_width());
     }
 
+    /// The constructor's defaults are the values a `cluster` job passed
+    /// positionally before the options struct: primary-output probes,
+    /// default simulator options, no injected faults — and serial,
+    /// fail-fast, where a job sets its own threads and policy.
+    #[test]
+    fn cluster_options_default_to_the_job_values() {
+        let opts = ClusterOptions::at_target(0.05, (1.0, 2000.0));
+        assert_eq!(
+            opts,
+            ClusterOptions {
+                probes: None,
+                target: 0.05,
+                lo: 1.0,
+                hi: 2000.0,
+                base: VbsimOptions::default(),
+                threads: 1,
+                policy: FailurePolicy::FailFast,
+                fault: FaultPlan::none(),
+            }
+        );
+    }
+
     #[test]
     fn bad_transition_width_is_reported() {
         let nl = two_inverters();
@@ -1055,20 +1110,14 @@ mod tests {
         let tech = Technology::l07();
         let trs = [tr(&[Zero], &[One]), tr(&[One], &[Zero])];
         let partition = exclusive_partition(&tree.netlist, &trs, 4).unwrap();
-        size_clusters_for_target(
-            &tree.netlist,
-            &tech,
-            &trs,
-            None,
-            &partition,
-            0.20,
-            (0.5, 400.0),
-            &VbsimOptions::cmos(),
+        let opts = ClusterOptions {
+            base: VbsimOptions::cmos(),
             threads,
             policy,
-            fault,
-            store,
-        )
+            fault: fault.clone(),
+            ..ClusterOptions::at_target(0.20, (0.5, 400.0))
+        };
+        size_clusters_for_target(&tree.netlist, &tech, &trs, &partition, &opts, store)
     }
 
     #[test]
@@ -1143,21 +1192,12 @@ mod tests {
         let tech = Technology::l07();
         let trs = [tr(&[Zero], &[One])];
         let partition = exclusive_partition(&tree.netlist, &trs, 4).unwrap();
-        let err = size_clusters_for_target(
-            &tree.netlist,
-            &tech,
-            &trs,
-            None,
-            &partition,
-            1e-9,
-            (0.1, 0.2),
-            &VbsimOptions::cmos(),
-            1,
-            FailurePolicy::FailFast,
-            &FaultPlan::none(),
-            None,
-        )
-        .unwrap_err();
+        let opts = ClusterOptions {
+            base: VbsimOptions::cmos(),
+            ..ClusterOptions::at_target(1e-9, (0.1, 0.2))
+        };
+        let err = size_clusters_for_target(&tree.netlist, &tech, &trs, &partition, &opts, None)
+            .unwrap_err();
         assert!(matches!(err, CoreError::SizingInfeasible { .. }));
     }
 
@@ -1165,20 +1205,12 @@ mod tests {
     fn sizing_over_no_transitions_is_rejected() {
         let tree = InverterTree::paper();
         let stages = ExclusivePartition::by_depth(&tree.netlist, 2).unwrap();
-        let err = size_clusters_for_target(
-            &tree.netlist,
-            &Technology::l07(),
-            &[],
-            None,
-            &stages,
-            0.20,
-            (0.5, 400.0),
-            &VbsimOptions::cmos(),
-            1,
-            FailurePolicy::FailFast,
-            &FaultPlan::none(),
-            None,
-        );
+        let opts = ClusterOptions {
+            base: VbsimOptions::cmos(),
+            ..ClusterOptions::at_target(0.20, (0.5, 400.0))
+        };
+        let tech = Technology::l07();
+        let err = size_clusters_for_target(&tree.netlist, &tech, &[], &stages, &opts, None);
         assert!(matches!(err, Err(CoreError::InvalidOptions(_))), "{err:?}");
     }
 
@@ -1228,7 +1260,8 @@ mod tests {
             outputs: &outputs,
             assignment,
             base: &base,
-            target,
+            n_clusters: 1,
+            opts: &ClusterOptions::at_target(target, (0.5, 400.0)),
             store: None,
             prefix: Vec::new(),
         }

@@ -45,7 +45,7 @@ use crate::health::{ItemReport, RunHealth, SweepHealth};
 use crate::par::{try_parallel_map_with, WorkerStats};
 use crate::record;
 use crate::sizing::{leg_degradation, probe_nets, require_sleep_size, Transition};
-use crate::vbsim::{latest_crossing, Engine, RunSummary, SleepNetwork};
+use crate::vbsim::{latest_crossing, Engine, SleepNetwork};
 use crate::vbsim::{VbsimOptions, VbsimScratch};
 use crate::CoreError;
 use mtk_netlist::netlist::{Fnv1a, NetId, Netlist};
@@ -225,157 +225,130 @@ pub(crate) fn decode_trial(bytes: &[u8]) -> Option<(TrialSample, bool, RunHealth
     r.end((sample, retried, run))
 }
 
-/// Runs one leg, accumulating health/worker counters exactly like the
-/// screening path (an overflowing run's cost is still counted).
-fn run_trial_leg(
-    engine: &Engine<'_>,
-    tr: &Transition,
-    outputs: &[NetId],
-    opts: &VbsimOptions,
-    scratch: &mut VbsimScratch,
-    run: &mut RunHealth,
-    stats: &mut WorkerStats,
-) -> Result<RunSummary, CoreError> {
-    let leg = engine
-        .run_summary_with(&tr.from, &tr.to, None, outputs, opts, scratch)
-        .inspect_err(|e| charge_overflow(e, opts.max_events, run, stats))?;
-    run.absorb(&leg.health);
-    stats.breakpoints += leg.health.breakpoints as u64;
-    Ok(leg)
+/// Everything the trials of one [`run_mc`] sweep share: the design,
+/// its transitions and probes, the options, the fault plan, and the
+/// store with the sweep's key prefix.
+struct McSweep<'a> {
+    netlist: &'a Netlist,
+    tech: &'a Technology,
+    transitions: &'a [Transition],
+    probes: Option<&'a [NetId]>,
+    opts: &'a McOptions,
+    fault: &'a FaultPlan,
+    store: Option<&'a mtk_store::Store>,
+    key_prefix: Vec<u8>,
 }
 
-/// One Monte Carlo trial attempt under `base`, the trial's simulator
-/// options at this attempt's breakpoint budget.
-#[allow(clippy::too_many_arguments)]
-fn trial_attempt(
-    netlist: &Netlist,
-    tech: &Technology,
-    transitions: &[Transition],
-    probes: Option<&[NetId]>,
-    opts: &McOptions,
-    base: &VbsimOptions,
-    index: usize,
-    scratch: &mut VbsimScratch,
-    run: &mut RunHealth,
-    stats: &mut WorkerStats,
-) -> Result<TrialSample, CoreError> {
-    let mut rng = Xoshiro256pp::stream(opts.seed, index as u64);
-    let (tech_p, w_scale) = perturb_technology(tech, &mut rng);
-    let engine = Engine::new(netlist, &tech_p);
-    let outputs = probe_nets(netlist, probes);
-    let leg_opts = |sleep: SleepNetwork| VbsimOptions {
-        sleep,
-        ..base.clone()
-    };
-    let mt_opts = |w: f64| {
-        leg_opts(SleepNetwork::Transistor {
-            w_over_l: w * w_scale,
-        })
-    };
-    let mut worst_nominal: Option<f64> = None;
-    let mut worst_bounce = 0.0f64;
-    let mut worst_at_width: Vec<Option<f64>> = vec![None; opts.widths.len()];
-    let fold = |acc: &mut Option<f64>, d: f64| {
-        *acc = Some(acc.map_or(d, |a| a.max(d)));
-    };
-    for tr in transitions {
-        let cmos = run_trial_leg(
-            &engine,
-            tr,
-            &outputs,
-            &leg_opts(SleepNetwork::Cmos),
-            scratch,
-            run,
-            stats,
-        )?;
-        let Some(d_cmos) = latest_crossing(&cmos.crossings) else {
-            // The transition never switches a probe; nothing to degrade.
-            continue;
+impl McSweep<'_> {
+    /// One attempt at trial `index` under `base`, the trial's simulator
+    /// options at this attempt's breakpoint budget.
+    fn attempt(
+        &self,
+        base: &VbsimOptions,
+        index: usize,
+        scratch: &mut VbsimScratch,
+        run: &mut RunHealth,
+        stats: &mut WorkerStats,
+    ) -> Result<TrialSample, CoreError> {
+        let opts = self.opts;
+        let mut rng = Xoshiro256pp::stream(opts.seed, index as u64);
+        let (tech_p, w_scale) = perturb_technology(self.tech, &mut rng);
+        let engine = Engine::new(self.netlist, &tech_p);
+        let outputs = probe_nets(self.netlist, self.probes);
+        let leg_opts = |sleep: SleepNetwork| VbsimOptions {
+            sleep,
+            ..base.clone()
         };
-        let nominal = run_trial_leg(
-            &engine,
-            tr,
-            &outputs,
-            &mt_opts(opts.w_over_l),
-            scratch,
-            run,
-            stats,
-        )?;
-        let d_nominal = leg_degradation(d_cmos, &cmos.crossings, &nominal);
-        fold(&mut worst_nominal, d_nominal);
-        worst_bounce = worst_bounce.max(nominal.peak_vgnd);
-        for (i, &w) in opts.widths.iter().enumerate() {
-            // The nominal-width leg doubles as its curve point.
-            let d = if w == opts.w_over_l {
-                d_nominal
-            } else {
-                let leg = run_trial_leg(&engine, tr, &outputs, &mt_opts(w), scratch, run, stats)?;
-                leg_degradation(d_cmos, &cmos.crossings, &leg)
+        let mt_opts = |w: f64| {
+            leg_opts(SleepNetwork::Transistor {
+                w_over_l: w * w_scale,
+            })
+        };
+        let mut worst_nominal: Option<f64> = None;
+        let mut worst_bounce = 0.0f64;
+        let mut worst_at_width: Vec<Option<f64>> = vec![None; opts.widths.len()];
+        let fold = |acc: &mut Option<f64>, d: f64| {
+            *acc = Some(acc.map_or(d, |a| a.max(d)));
+        };
+        // One leg, counted like a screening leg: an overflowing run's
+        // cost still counts.
+        let mut leg = |tr: &Transition, opts: &VbsimOptions| {
+            let leg = engine
+                .run_summary_with(&tr.from, &tr.to, None, &outputs, opts, scratch)
+                .inspect_err(|e| charge_overflow(e, opts.max_events, run, stats))?;
+            run.absorb(&leg.health);
+            stats.breakpoints += leg.health.breakpoints as u64;
+            Ok::<_, CoreError>(leg)
+        };
+        for tr in self.transitions {
+            let cmos = leg(tr, &leg_opts(SleepNetwork::Cmos))?;
+            let Some(d_cmos) = latest_crossing(&cmos.crossings) else {
+                // The transition never switches a probe; nothing to degrade.
+                continue;
             };
-            fold(&mut worst_at_width[i], d);
+            let nominal = leg(tr, &mt_opts(opts.w_over_l))?;
+            let d_nominal = leg_degradation(d_cmos, &cmos.crossings, &nominal);
+            fold(&mut worst_nominal, d_nominal);
+            worst_bounce = worst_bounce.max(nominal.peak_vgnd);
+            for (i, &w) in opts.widths.iter().enumerate() {
+                // The nominal-width leg doubles as its curve point.
+                let d = if w == opts.w_over_l {
+                    d_nominal
+                } else {
+                    leg_degradation(d_cmos, &cmos.crossings, &leg(tr, &mt_opts(w))?)
+                };
+                fold(&mut worst_at_width[i], d);
+            }
         }
+        Ok(TrialSample {
+            degradation: worst_nominal.unwrap_or(0.0),
+            bounce: worst_bounce,
+            pass_at_width: worst_at_width
+                .iter()
+                .map(|d| d.unwrap_or(0.0) <= opts.target)
+                .collect(),
+            from_store: false,
+        })
     }
-    Ok(TrialSample {
-        degradation: worst_nominal.unwrap_or(0.0),
-        bounce: worst_bounce,
-        pass_at_width: worst_at_width
-            .iter()
-            .map(|d| d.unwrap_or(0.0) <= opts.target)
-            .collect(),
-        from_store: false,
-    })
-}
 
-/// One Monte Carlo work item: store lookup, then the trial under the
-/// retry ladder, with write-through of the result.
-#[allow(clippy::too_many_arguments)]
-fn mc_item(
-    netlist: &Netlist,
-    tech: &Technology,
-    transitions: &[Transition],
-    probes: Option<&[NetId]>,
-    opts: &McOptions,
-    fault: &FaultPlan,
-    store: Option<&mtk_store::Store>,
-    key_prefix: &[u8],
-    scratch: &mut VbsimScratch,
-    index: usize,
-    stats: &mut WorkerStats,
-) -> ItemReport<TrialSample> {
-    stats.vectors += 1;
-    if let Some(store) = store {
-        if let Some((sample, retried, run)) = store
-            .get(&trial_key(key_prefix, index))
-            .and_then(|bytes| decode_trial(&bytes))
-        {
-            return ItemReport {
+    /// Trial `index` as one work item: a stored trial replays with its
+    /// retry flag and health; otherwise the trial runs under the retry
+    /// ladder and a completed one is written through
+    /// ([`record::through`]). A failed trial is never stored.
+    fn item(
+        &self,
+        scratch: &mut VbsimScratch,
+        index: usize,
+        stats: &mut WorkerStats,
+    ) -> ItemReport<TrialSample> {
+        stats.vectors += 1;
+        let found = record::through(
+            self.store,
+            &trial_key(&self.key_prefix, index),
+            decode_trial,
+            || {
+                let report = retry_item(index, self.fault, &self.opts.base, |_, base, run| {
+                    self.attempt(base, index, scratch, run, stats)
+                });
+                match report.value {
+                    Ok(sample) => Ok((sample, report.retried, report.run)),
+                    Err(e) => Err(ItemReport {
+                        value: Err(e),
+                        ..report
+                    }),
+                }
+            },
+            |(sample, retried, run)| encode_trial(sample, *retried, run),
+        );
+        match found {
+            Ok(((sample, retried, run), _)) => ItemReport {
                 value: Ok(sample),
                 retried,
                 run,
-            };
+            },
+            Err(failed) => failed,
         }
     }
-    let report = retry_item(index, fault, &opts.base, |_, base, run| {
-        trial_attempt(
-            netlist,
-            tech,
-            transitions,
-            probes,
-            opts,
-            base,
-            index,
-            scratch,
-            run,
-            stats,
-        )
-    });
-    if let (Some(store), Ok(sample)) = (store, &report.value) {
-        // A failed write degrades the store to recompute-only; it is
-        // never an error for the sweep.
-        let record = encode_trial(sample, report.retried, &report.run);
-        let _ = store.put(&trial_key(key_prefix, index), &record);
-    }
-    report
 }
 
 /// Result of one [`run_mc`] sweep.
@@ -398,28 +371,22 @@ pub struct McReport {
 /// A degradation as basis points (`0.05` → 500), saturating: a stalled
 /// trial (infinite degradation) reports `u64::MAX`.
 pub fn degradation_bp(d: f64) -> u64 {
-    if !d.is_finite() {
-        return u64::MAX;
-    }
-    let bp = (d.max(0.0) * 1e4).round();
-    if bp >= u64::MAX as f64 {
-        u64::MAX
-    } else {
-        bp as u64
-    }
+    saturating_units(d, 1e4)
 }
 
 /// A bounce voltage as whole microvolts, saturating like
 /// [`degradation_bp`].
 pub fn bounce_uv(v: f64) -> u64 {
-    if !v.is_finite() {
-        return u64::MAX;
-    }
-    let uv = (v.max(0.0) * 1e6).round();
-    if uv >= u64::MAX as f64 {
-        u64::MAX
+    saturating_units(v, 1e6)
+}
+
+/// `x · scale` rounded to a whole count (negative `x` counts 0), and
+/// `u64::MAX` for a non-finite `x` or a count past it (`as` saturates).
+fn saturating_units(x: f64, scale: f64) -> u64 {
+    if x.is_finite() {
+        (x.max(0.0) * scale).round() as u64
     } else {
-        uv as u64
+        u64::MAX
     }
 }
 
@@ -573,28 +540,23 @@ pub fn run_mc(
         require_sleep_size(w)?;
     }
     let t0 = Instant::now();
-    let key_prefix = mc_key_prefix(netlist, tech, transitions, probes, opts);
+    let sweep = McSweep {
+        netlist,
+        tech,
+        transitions,
+        probes,
+        opts,
+        fault,
+        store,
+        key_prefix: mc_key_prefix(netlist, tech, transitions, probes, opts),
+    };
     let items: Vec<usize> = (0..opts.trials).collect();
     let (reports, workers) = try_parallel_map_with(
         opts.threads,
         4,
         &items,
         VbsimScratch::new,
-        |scratch, index, _trial, stats| {
-            mc_item(
-                netlist,
-                tech,
-                transitions,
-                probes,
-                opts,
-                fault,
-                store,
-                &key_prefix,
-                scratch,
-                index,
-                stats,
-            )
-        },
+        |scratch, index, _trial, stats| sweep.item(scratch, index, stats),
     );
     let (samples, health) = fold_item_reports(reports, opts.policy)?;
     Ok(McReport {
@@ -927,6 +889,11 @@ mod tests {
         assert_eq!(degradation_bp(f64::INFINITY), u64::MAX);
         assert_eq!(degradation_bp(-0.01), 0);
         assert_eq!(bounce_uv(0.0521), 52_100);
+        // A count past `u64::MAX`, and a NaN, saturate too.
+        assert_eq!(degradation_bp(f64::NAN), u64::MAX);
+        assert_eq!(degradation_bp(1e300), u64::MAX);
+        assert_eq!(bounce_uv(f64::MAX), u64::MAX);
+        assert_eq!(bounce_uv(1.8e13), 18_000_000_000_000_000_000);
         assert_eq!(percentile(&[], 99.0), 0);
         assert_eq!(percentile(&[7], 50.0), 7);
         let vals: Vec<u64> = (1..=100).collect();

@@ -4,8 +4,9 @@
 //! trials (`mct1`, [`crate::mc`]) and cluster decisions (`clu2`,
 //! [`crate::cluster`]). Each flow lays out its own fields; the pieces
 //! they share are written once here — the value reader, the
-//! [`RunHealth`] counters, the logic-level byte and the simulator-option
-//! key bytes. A tag is versioned separately from the store container
+//! [`RunHealth`] counters, the logic-level byte, the simulator-option
+//! key bytes, and the write-through ([`through`]) every flow reads and
+//! writes its records by. A tag is versioned separately from the store container
 //! format: bump it when its key or value encoding changes, so stale
 //! records read as misses, never as wrong answers.
 
@@ -60,6 +61,44 @@ pub(crate) fn put_health(out: &mut Vec<u8>, h: &RunHealth) {
     ] {
         out.extend_from_slice(&(v as u64).to_le_bytes());
     }
+}
+
+/// Where [`through`] found a value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Source {
+    /// Decoded from a store record.
+    Stored,
+    /// Computed, and written through when there is a store.
+    Computed,
+    /// Computed, and the write-through failed.
+    PutFailed,
+}
+
+/// The one write-through of the result records: with a store, a record
+/// under `key` that `decode`s is the value; anything else is `compute`d
+/// and, with a store, `encode`d under `key`. A failed write is reported
+/// as [`Source::PutFailed`], never raised — it degrades to
+/// recompute-on-rerun. An error of `compute` propagates and writes
+/// nothing.
+pub(crate) fn through<T, E>(
+    store: Option<&mtk_store::Store>,
+    key: &[u8],
+    decode: impl FnOnce(&[u8]) -> Option<T>,
+    compute: impl FnOnce() -> Result<T, E>,
+    encode: impl FnOnce(&T) -> Vec<u8>,
+) -> Result<(T, Source), E> {
+    let Some(store) = store else {
+        return Ok((compute()?, Source::Computed));
+    };
+    if let Some(value) = store.get(key).and_then(|b| decode(&b)) {
+        return Ok((value, Source::Stored));
+    }
+    let value = compute()?;
+    let source = match store.put(key, &encode(&value)) {
+        Ok(()) => Source::Computed,
+        Err(_) => Source::PutFailed,
+    };
+    Ok((value, source))
 }
 
 /// A cursor over one stored value. Every read past the end, and every
@@ -215,5 +254,130 @@ mod tests {
             mutate(&bytes, &|b| decode_eval(b, 6).is_some(), &mut rng);
         }
         assert_eq!(decode_eval(&encode_eval(Some(5), &health), 5), None);
+    }
+
+    /// One tag's value through [`through`]: under a key whose stored
+    /// bytes do not decode, under a fresh key (computed, then stored), with
+    /// no store, with a failing computation, and — once `break_store` has
+    /// run — with a put that fails.
+    fn write_through<T: Clone + PartialEq + std::fmt::Debug>(
+        store: &mtk_store::Store,
+        tag: &[u8; 4],
+        value: &T,
+        decode: &dyn Fn(&[u8]) -> Option<T>,
+        encode: &dyn Fn(&T) -> Vec<u8>,
+        break_store: &dyn Fn(),
+    ) {
+        let key = |name: &str| [&tag[..], name.as_bytes()].concat();
+        let computes = std::cell::Cell::new(0);
+        let compute = || {
+            computes.set(computes.get() + 1);
+            Ok::<T, &str>(value.clone())
+        };
+        let run = |store, key: &[u8]| through(store, key, decode, compute, encode);
+
+        // A stored record that does not decode is recomputed and reported
+        // as computed; the store keeps its first record.
+        let junk = [0xFFu8; 3];
+        assert_eq!(decode(&junk), None);
+        store.put(&key("junk"), &junk).unwrap();
+        let found = run(Some(store), &key("junk"));
+        assert_eq!(found, Ok((value.clone(), Source::Computed)));
+        assert_eq!(computes.get(), 1);
+
+        // A fresh key is computed and written; the next lookup decodes it.
+        assert_eq!(
+            run(Some(store), &key("fresh")),
+            Ok((value.clone(), Source::Computed))
+        );
+        assert_eq!(
+            run(Some(store), &key("fresh")),
+            Ok((value.clone(), Source::Stored))
+        );
+        assert_eq!(computes.get(), 2);
+        assert_eq!(
+            run(None, &key("fresh")),
+            Ok((value.clone(), Source::Computed))
+        );
+        assert_eq!(computes.get(), 3);
+
+        // A failed computation propagates and writes nothing.
+        let failed = through(Some(store), &key("error"), decode, || Err("no"), encode);
+        assert_eq!(failed, Err("no"));
+        assert_eq!(store.get(&key("error")), None);
+
+        // A failed put still returns the computed value.
+        break_store();
+        assert_eq!(
+            run(Some(store), &key("put")),
+            Ok((value.clone(), Source::PutFailed))
+        );
+        assert_eq!(computes.get(), 4);
+    }
+
+    #[test]
+    fn the_write_through_recomputes_undecodable_records_and_reports_failed_puts() {
+        let health = RunHealth {
+            breakpoints: 77,
+            max_events: 200_000,
+            glitch_reversals: 2,
+            vx_fallbacks: 0,
+            cache_hits: 1,
+            cache_misses: 5,
+        };
+        let leg = LegResult {
+            crossings: vec![Some(2.5e-10), None],
+            stalled: false,
+            truncated: true,
+            health,
+        };
+        // A replayed trial says it came from the store.
+        let trial = (
+            TrialSample {
+                degradation: 0.0612,
+                bounce: 0.0433,
+                pass_at_width: vec![true, false],
+                from_store: true,
+            },
+            true,
+            health,
+        );
+        let decision = (Some(3), health);
+        let root = std::env::temp_dir().join(format!("mtk_record_through_{}", std::process::id()));
+        for tag in [LEG_TAG, TRIAL_TAG, CLUSTER_TAG] {
+            // Each tag gets its own log, whose directory a failed put
+            // needs gone: the writer lock cannot be created there.
+            let dir = root.join(std::str::from_utf8(tag).unwrap());
+            std::fs::create_dir_all(&dir).unwrap();
+            let store = mtk_store::Store::open(dir.join("records.log")).unwrap();
+            let break_store = || std::fs::remove_dir_all(&dir).unwrap();
+            match tag {
+                LEG_TAG => write_through(
+                    &store,
+                    tag,
+                    &leg,
+                    &LegResult::decode,
+                    &LegResult::encode,
+                    &break_store,
+                ),
+                TRIAL_TAG => write_through(
+                    &store,
+                    tag,
+                    &trial,
+                    &decode_trial,
+                    &|(sample, retried, run)| encode_trial(sample, *retried, run),
+                    &break_store,
+                ),
+                _ => write_through(
+                    &store,
+                    tag,
+                    &decision,
+                    &|b| decode_eval(b, 6),
+                    &|&(failed, run)| encode_eval(failed, &run),
+                    &break_store,
+                ),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

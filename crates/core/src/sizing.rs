@@ -17,7 +17,7 @@
 use crate::health::{charge_overflow, fold_item_reports, retry_item, FailurePolicy, FaultPlan};
 use crate::health::{RunHealth, SweepHealth};
 use crate::par::{try_parallel_map_with, WorkerStats};
-use crate::record;
+use crate::record::{self, Source};
 use crate::vbsim::{latest_crossing, mtcmos_delay, Engine, RunSummary, SleepNetwork};
 use crate::vbsim::{VbsimOptions, VbsimScratch};
 use crate::CoreError;
@@ -87,16 +87,8 @@ pub fn vbsim_delay_pair(
     sleep: SleepNetwork,
     base: &VbsimOptions,
 ) -> Result<Option<DelayPair>, CoreError> {
-    delay_pair(
-        engine,
-        tr,
-        probes,
-        sleep,
-        base,
-        None,
-        &mut VbsimScratch::new(),
-    )
-    .map(|(p, _)| p)
+    let mut scratch = VbsimScratch::new();
+    delay_pair(engine, tr, probes, sleep, base, None, &mut scratch).map(|(p, _)| p)
 }
 
 /// [`vbsim_delay_pair`] through a [`ScreeningCache`]: each of the two
@@ -117,15 +109,8 @@ pub fn vbsim_delay_pair_cached(
     base: &VbsimOptions,
     cache: &ScreeningCache,
 ) -> Result<(Option<DelayPair>, RunHealth), CoreError> {
-    delay_pair(
-        engine,
-        tr,
-        probes,
-        sleep,
-        base,
-        Some(cache),
-        &mut VbsimScratch::new(),
-    )
+    let mut scratch = VbsimScratch::new();
+    delay_pair(engine, tr, probes, sleep, base, Some(cache), &mut scratch)
 }
 
 /// The delay pair of one transition plus the summed [`RunHealth`] of its
@@ -477,10 +462,14 @@ impl ScreeningCache {
         // Then the persistent store, then the simulator — without
         // holding the lock: concurrent misses on the same key both
         // compute (identical results, so last-write-wins is harmless).
-        let found = store_tier(self.store.as_ref(), &key, || {
-            run_leg(engine, tr, outputs, &leg_options(sleep, base), scratch)
-        });
-        let from_store = matches!(found, Ok((_, Tier::Store)));
+        let found = record::through(
+            self.store.as_ref(),
+            &key,
+            LegResult::decode,
+            || run_leg(engine, tr, outputs, &leg_options(sleep, base), scratch),
+            LegResult::encode,
+        );
+        let from_store = matches!(found, Ok((_, Source::Stored)));
         if self.store.is_some() {
             let tier = if from_store {
                 &self.store_hits
@@ -489,11 +478,11 @@ impl ScreeningCache {
             };
             tier.fetch_add(1, Relaxed);
         }
-        let (leg, tier) = found?;
-        match tier {
-            Tier::Store => &self.hits,
-            Tier::Simulated => &self.misses,
-            Tier::PutFailed => {
+        let (leg, source) = found?;
+        match source {
+            Source::Stored => &self.hits,
+            Source::Computed => &self.misses,
+            Source::PutFailed => {
                 self.store_put_errors.fetch_add(1, Relaxed);
                 &self.misses
             }
@@ -504,48 +493,10 @@ impl ScreeningCache {
     }
 }
 
-/// Where [`store_tier`] found a leg.
-#[derive(Debug, PartialEq)]
-enum Tier {
-    /// Decoded from a store record.
-    Store,
-    /// Simulated, and written through when there is a store.
-    Simulated,
-    /// Simulated, and the write-through failed.
-    PutFailed,
-}
-
-/// The store tier of a leg lookup, shared by [`ScreeningCache`] and
-/// [`stored_leg`]: with a store, a decodable `leg1` record under `key`
-/// replays (stored health included); anything else is simulated and,
-/// with a store, written through. A failed write is reported, never
-/// raised: it degrades to recompute-on-rerun.
-fn store_tier(
-    store: Option<&mtk_store::Store>,
-    key: &[u8],
-    simulate: impl FnOnce() -> Result<LegResult, CoreError>,
-) -> Result<(LegResult, Tier), CoreError> {
-    let Some(store) = store else {
-        return Ok((simulate()?, Tier::Simulated));
-    };
-    if let Some(leg) = store.get(key).and_then(|b| LegResult::decode(&b)) {
-        return Ok((leg, Tier::Store));
-    }
-    let leg = simulate()?;
-    let put_failed = store.put(key, &leg.encode()).is_err();
-    Ok((
-        leg,
-        if put_failed {
-            Tier::PutFailed
-        } else {
-            Tier::Simulated
-        },
-    ))
-}
-
-/// One leg through an optional borrowed store, under the same `leg1`
-/// records a store-backed [`ScreeningCache`] keeps ([`store_tier`]).
-/// The boolean reports a store hit.
+/// One leg through an optional borrowed store ([`record::through`]),
+/// under the same `leg1` records a store-backed [`ScreeningCache`]
+/// keeps: a stored leg replays with its stored health, a simulated one
+/// is written through.
 pub(crate) fn stored_leg(
     engine: &Engine<'_>,
     tr: &Transition,
@@ -554,12 +505,15 @@ pub(crate) fn stored_leg(
     base: &VbsimOptions,
     store: Option<&mtk_store::Store>,
     scratch: &mut VbsimScratch,
-) -> Result<(LegResult, bool), CoreError> {
+) -> Result<(LegResult, Source), CoreError> {
     let key = leg_key(engine, outputs, tr, sleep, base);
-    let (leg, tier) = store_tier(store, &key, || {
-        run_leg(engine, tr, outputs, &leg_options(sleep, base), scratch)
-    })?;
-    Ok((leg, tier == Tier::Store))
+    record::through(
+        store,
+        &key,
+        LegResult::decode,
+        || run_leg(engine, tr, outputs, &leg_options(sleep, base), scratch),
+        LegResult::encode,
+    )
 }
 
 /// One point of a sizing sweep.
@@ -772,41 +726,53 @@ pub(crate) fn require_transitions(transitions: &[Transition]) -> Result<(), Core
     Ok(())
 }
 
-/// One bisection probe as the decision the bisection reads: does the
-/// worst degradation over `transitions` at `w_over_l` exceed `target`?
-///
-/// Exact early exit: `max(0, d₁, …, dₙ) > target` holds iff `0 > target`
-/// or some `dᵢ > target` (a NaN degradation exceeds nothing, exactly as
-/// `f64::max` skips it), so the probe returns at the first over-target
-/// transition and [`move_to_front`]s it in `order`. A passing probe still
-/// measures every transition.
-#[allow(clippy::too_many_arguments)]
-fn probe_exceeds(
-    engine: &Engine<'_>,
-    transitions: &[Transition],
-    probes: Option<&[NetId]>,
+/// One bisection of [`size_for_target_cached`]: what its probes read,
+/// and the scratch, transition order and summed health they share.
+struct Bisection<'a> {
+    engine: &'a Engine<'a>,
+    transitions: &'a [Transition],
+    probes: Option<&'a [NetId]>,
     target: f64,
-    w_over_l: f64,
-    base: &VbsimOptions,
-    cache: &ScreeningCache,
-    scratch: &mut VbsimScratch,
-    order: &mut [usize],
-    health: &mut RunHealth,
-) -> Result<bool, CoreError> {
-    if 0.0 > target {
-        return Ok(true);
-    }
-    let sleep = SleepNetwork::Transistor { w_over_l };
-    for k in 0..order.len() {
-        let tr = &transitions[order[k]];
-        let (pair, h) = delay_pair(engine, tr, probes, sleep, base, Some(cache), scratch)?;
-        health.absorb(&h);
-        if pair.is_some_and(|p| p.degradation() > target) {
-            move_to_front(order, k);
+    base: &'a VbsimOptions,
+    cache: &'a ScreeningCache,
+    scratch: VbsimScratch,
+    order: Vec<usize>,
+    health: RunHealth,
+}
+
+impl Bisection<'_> {
+    /// One probe as the decision the bisection reads: does the worst
+    /// degradation over the transitions at `w_over_l` exceed the target?
+    ///
+    /// Exact early exit: `max(0, d₁, …, dₙ) > target` holds iff `0 >
+    /// target` or some `dᵢ > target` (a NaN degradation exceeds nothing,
+    /// exactly as `f64::max` skips it), so the probe returns at the first
+    /// over-target transition and [`move_to_front`]s it in the order. A
+    /// passing probe still measures every transition.
+    fn exceeds(&mut self, w_over_l: f64) -> Result<bool, CoreError> {
+        if 0.0 > self.target {
             return Ok(true);
         }
+        let sleep = SleepNetwork::Transistor { w_over_l };
+        for k in 0..self.order.len() {
+            let tr = &self.transitions[self.order[k]];
+            let (pair, h) = delay_pair(
+                self.engine,
+                tr,
+                self.probes,
+                sleep,
+                self.base,
+                Some(self.cache),
+                &mut self.scratch,
+            )?;
+            self.health.absorb(&h);
+            if pair.is_some_and(|p| p.degradation() > self.target) {
+                move_to_front(&mut self.order, k);
+                return Ok(true);
+            }
+        }
+        Ok(false)
     }
-    Ok(false)
 }
 
 /// Binary-searches the smallest sleep W/L whose worst degradation over
@@ -818,7 +784,7 @@ fn probe_exceeds(
 /// per-leg cache traffic.
 ///
 /// Each probe stops at its first over-target transition, trying the
-/// most recent failer first (`probe_exceeds`): the answer is the one
+/// most recent failer first: the answer is the one
 /// a full evaluation of every probe gives, with fewer legs simulated. A
 /// passing probe measures every transition, so the returned size's legs
 /// are all in `cache`.
@@ -848,31 +814,25 @@ pub fn size_for_target_cached(
 ) -> Result<(f64, RunHealth), CoreError> {
     assert!(lo > 0.0 && hi > lo, "invalid sizing bracket");
     require_transitions(transitions)?;
-    let mut health = RunHealth::default();
-    let mut scratch = VbsimScratch::new();
-    let mut order: Vec<usize> = (0..transitions.len()).collect();
-    let mut exceeds = |wl: f64| {
-        probe_exceeds(
-            engine,
-            transitions,
-            probes,
-            target,
-            wl,
-            base,
-            cache,
-            &mut scratch,
-            &mut order,
-            &mut health,
-        )
+    let mut bisection = Bisection {
+        engine,
+        transitions,
+        probes,
+        target,
+        base,
+        cache,
+        scratch: VbsimScratch::new(),
+        order: (0..transitions.len()).collect(),
+        health: RunHealth::default(),
     };
-    if exceeds(hi)? {
+    if bisection.exceeds(hi)? {
         return Err(CoreError::SizingInfeasible {
             target,
             at_w_over_l: hi,
         });
     }
-    let wl = log_bisect((lo, hi), 40, 1.005, exceeds)?;
-    Ok((wl, health))
+    let wl = log_bisect((lo, hi), 40, 1.005, |wl| bisection.exceeds(wl))?;
+    Ok((wl, bisection.health))
 }
 
 /// The peak-current sizing baseline (§4): size the sleep device so a
@@ -1367,20 +1327,18 @@ mod tests {
             "{oracle:?}"
         );
         let cache = ScreeningCache::new();
-        let mut order = vec![0, 1];
-        let mut health = RunHealth::default();
-        let exceeds = probe_exceeds(
-            &engine,
-            &transitions,
-            None,
+        let exceeds = Bisection {
+            engine: &engine,
+            transitions: &transitions,
+            probes: None,
             target,
-            wl,
-            &tight,
-            &cache,
-            &mut VbsimScratch::new(),
-            &mut order,
-            &mut health,
-        );
+            base: &tight,
+            cache: &cache,
+            scratch: VbsimScratch::new(),
+            order: vec![0, 1],
+            health: RunHealth::default(),
+        }
+        .exceeds(wl);
         assert!(matches!(exceeds, Ok(true)), "{exceeds:?}");
         assert_eq!(cache.misses(), 2, "only transition 0's legs ran");
         // The search as a whole reports the target missed, not the

@@ -1866,7 +1866,11 @@ pub struct VbsimScratch {
     /// Per group, [`model::discharge_drive`] at its current `vx`.
     drive: Vec<Option<f64>>,
     key_buf: Vec<u64>,
-    vx_memo: std::collections::HashMap<Vec<u64>, (f64, bool), FnvBuild>,
+    /// Short key-word lists hashed once per breakpoint, a word at a time
+    /// by the leg cache's hasher, where SipHash's per-call setup cost is
+    /// measurable and its DoS resistance buys nothing (the simulator
+    /// makes the keys).
+    vx_memo: std::collections::HashMap<Vec<u64>, (f64, bool), mtk_store::WordState>,
     /// Key words held by `vx_memo` (bounded by [`VX_MEMO_WORDS`]).
     memo_words: usize,
     memo_stamp: Option<u64>,
@@ -2078,53 +2082,6 @@ impl Recorder for SummaryRecorder {
     fn sleep_current(&mut self, t: f64, i: f64) {
         check_push(self.current_end, t, i);
         self.current_end = Some(t);
-    }
-}
-
-/// FNV-1a hashing for the V<sub>x</sub> memo: the keys are short
-/// `Vec<u64>` bit patterns hashed once per breakpoint, where SipHash's
-/// per-call setup cost is measurable and its DoS resistance buys
-/// nothing (keys come from the simulator itself, not from input data).
-#[derive(Debug, Clone, Copy, Default)]
-struct FnvBuild;
-
-impl std::hash::BuildHasher for FnvBuild {
-    type Hasher = FnvHasher;
-
-    fn build_hasher(&self) -> FnvHasher {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct FnvHasher(u64);
-
-impl std::hash::Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // A `[u64]` key arrives here as one byte slice (std hashes
-        // integer slices with a single `write`), so fold it a word at a
-        // time: a byte-wise loop made hashing a 50-gate key cost more
-        // than the equilibrium solve it guards.
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            self.write_u64(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-        }
-        for &b in words.remainder() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, i: u64) {
-        // Whole-word FNV-1a round.
-        self.0 = (self.0 ^ i).wrapping_mul(0x100_0000_01b3);
-    }
-
-    fn write_usize(&mut self, i: usize) {
-        self.write_u64(i as u64);
     }
 }
 

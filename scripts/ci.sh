@@ -30,6 +30,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== docs must build warning-free =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
+echo "== root examples run to completion (release) =="
+# `cargo test` builds the examples but never runs them, so an example
+# that panics would pass every step above. Each finishes in well under
+# a second in release.
+for example in quickstart size_a_multiplier sleep_mode_leakage spice_vs_switch; do
+  cargo run -q --release --example "$example" > /dev/null
+done
+
 echo "== experiment harness (release) =="
 cargo build --release -p mtk-bench
 

@@ -16,11 +16,10 @@
 
 use mtcmos_suite::circuits::alu::{AluOp, AluSlice, AluSpec};
 use mtcmos_suite::core::cluster::{
-    exclusive_partition, size_clusters_for_target, ClusterReport, ClusterSizing,
+    exclusive_partition, size_clusters_for_target, ClusterOptions, ClusterReport, ClusterSizing,
 };
 use mtcmos_suite::core::health::{FailurePolicy, FaultPlan};
 use mtcmos_suite::core::sizing::Transition;
-use mtcmos_suite::core::vbsim::VbsimOptions;
 use mtcmos_suite::netlist::tech::Technology;
 use mtcmos_suite::store::Store;
 use mtcmos_suite::trace::{TraceMode, TraceReport};
@@ -89,21 +88,15 @@ fn size_alu_at(
     let transitions = alu_transitions(&alu);
     let partition = exclusive_partition(&alu.netlist, &transitions, 6).expect("partition");
     assert!(partition.n_clusters > 1, "ALU must yield real clusters");
-    size_clusters_for_target(
-        &alu.netlist,
-        &Technology::l07(),
-        &transitions,
-        None,
-        &partition,
-        target,
-        BRACKET,
-        &VbsimOptions::default(),
+    let opts = ClusterOptions {
         threads,
         policy,
-        fault,
-        store,
-    )
-    .expect("cluster sizing")
+        fault: fault.clone(),
+        ..ClusterOptions::at_target(target, BRACKET)
+    };
+    let tech = Technology::l07();
+    size_clusters_for_target(&alu.netlist, &tech, &transitions, &partition, &opts, store)
+        .expect("cluster sizing")
 }
 
 /// Co-optimises the ALU under an injected fault plan and returns the

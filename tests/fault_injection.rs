@@ -7,7 +7,7 @@
 
 use mtcmos_suite::circuits::adder::RippleAdder;
 use mtcmos_suite::circuits::vectors::exhaustive_transitions;
-use mtcmos_suite::core::cluster::{exclusive_partition, size_clusters_for_target};
+use mtcmos_suite::core::cluster::{exclusive_partition, size_clusters_for_target, ClusterOptions};
 use mtcmos_suite::core::health::{FailurePolicy, FaultPlan, SweepHealth};
 use mtcmos_suite::core::mc::{run_mc, McOptions};
 use mtcmos_suite::core::search::{search_worst_vector, SearchOptions};
@@ -323,21 +323,16 @@ fn faulted_sweep_traces_match_their_goldens() {
         .map(|p| Transition::new(bits_lsb_first(p.from, 6), bits_lsb_first(p.to, 6)))
         .collect();
     let partition = exclusive_partition(&add.netlist, &spread, 12).expect("partition");
-    let (sizing, cluster) = size_clusters_for_target(
-        &add.netlist,
-        &tech,
-        &spread,
-        None,
-        &partition,
-        0.05,
-        (0.5, 2000.0),
-        &tight(36),
-        2,
-        FailurePolicy::quarantine(32),
-        &faults(),
-        None,
-    )
-    .expect("faulted cluster sizing");
+    let opts = ClusterOptions {
+        base: tight(36),
+        threads: 2,
+        policy: FailurePolicy::quarantine(32),
+        fault: faults(),
+        ..ClusterOptions::at_target(0.05, (0.5, 2000.0))
+    };
+    let (sizing, cluster) =
+        size_clusters_for_target(&add.netlist, &tech, &spread, &partition, &opts, None)
+            .expect("faulted cluster sizing");
     assert_eq!(degraded(&cluster.health), (1, 1, vec![3, 5]));
     assert_eq!(
         trace_fnv(cluster.to_phase("cluster", &sizing)),

@@ -6,9 +6,9 @@
 
 use mtcmos_suite::circuits::tree::InverterTree;
 use mtcmos_suite::core::cluster::{
-    exclusive_partition, size_clusters_for_target, ClusterReport, ClusterSizing,
+    exclusive_partition, size_clusters_for_target, ClusterOptions, ClusterReport, ClusterSizing,
 };
-use mtcmos_suite::core::health::{FailurePolicy, FaultPlan};
+use mtcmos_suite::core::health::FaultPlan;
 use mtcmos_suite::core::mc::{run_mc, McOptions, McReport};
 use mtcmos_suite::core::sizing::{
     degradation_sweep_cached, size_for_target_cached, ScreeningCache, Transition,
@@ -341,21 +341,9 @@ fn cluster_tree(store: Option<&Store>) -> (ClusterSizing, ClusterReport) {
     let tree = InverterTree::paper();
     let transitions = tree_edges();
     let partition = exclusive_partition(&tree.netlist, &transitions, 4).unwrap();
-    size_clusters_for_target(
-        &tree.netlist,
-        &Technology::l07(),
-        &transitions,
-        None,
-        &partition,
-        0.2,
-        (0.5, 800.0),
-        &VbsimOptions::default(),
-        1,
-        FailurePolicy::FailFast,
-        &FaultPlan::none(),
-        store,
-    )
-    .unwrap()
+    let opts = ClusterOptions::at_target(0.2, (0.5, 800.0));
+    let tech = Technology::l07();
+    size_clusters_for_target(&tree.netlist, &tech, &transitions, &partition, &opts, store).unwrap()
 }
 
 fn tree_edges() -> Vec<Transition> {
