@@ -18,7 +18,9 @@
 //! vector (the worst-ranked one where a ranking exists): a binary SPICE
 //! rawfile from a transistor-level transient, a VCD dump from the
 //! switch-level run. A cluster job exports none, so `cluster` does not
-//! take them and `size --clusters N` exits 2 on them.
+//! take them and `size --clusters N` exits 2 on them. Likewise a job
+//! without a cluster job exits 2 on `--smoke`, and a plain `hybrid` on
+//! `--store`: only a cluster job reads them.
 //!
 //! Vector sourcing for `screen`/`size`/`hybrid`, in precedence order:
 //! `vector` lines from the file; the exhaustive transition space when
@@ -51,6 +53,8 @@ use mtk_fe::interop::{export_deck, Imported};
 use mtk_fe::Design;
 use mtk_store::Store;
 use mtk_trace::{CounterId, PhaseTrace, SpanRecorder, TraceReport};
+use mtk_wave::rawfile::RawFile;
+use std::io::Write;
 use std::time::Duration;
 
 /// The trace export of the commands that end in the §10 footer.
@@ -305,16 +309,7 @@ fn export_waves(
         let cfg = SpiceRunConfig::window(args.num("--t-stop", 80e-9));
         let raw = mtk_bench::wave::raw_from_transition(design, tr, w_over_l, &cfg)
             .unwrap_or_else(|e| die(format!("--raw: {e}")));
-        let bytes = raw
-            .to_bytes()
-            .unwrap_or_else(|e| die(format!("--raw: {e}")));
-        std::fs::write(path, &bytes).unwrap_or_else(|e| die(format!("--raw {path}: {e}")));
-        raw_points = raw.points() as u64;
-        println!(
-            "wrote {path}: {} variable(s), {} point(s)",
-            raw.variables.len(),
-            raw.points()
-        );
+        raw_points = write_raw(path, &raw, &mut std::io::stdout());
     }
     if let Some(path) = vcd_path {
         let opts = match w_over_l {
@@ -335,6 +330,21 @@ fn export_waves(
         );
     }
     (raw_points, vcd_changes)
+}
+
+/// Writes the `--raw PATH` rawfile, reports it on `say`, and returns its
+/// point count (the `WaveRawPoints` counter).
+fn write_raw(path: &str, raw: &RawFile, say: &mut dyn Write) -> u64 {
+    let bytes = raw
+        .to_bytes()
+        .unwrap_or_else(|e| die(format!("--raw: {e}")));
+    std::fs::write(path, &bytes).unwrap_or_else(|e| die(format!("--raw {path}: {e}")));
+    let (variables, points) = (raw.variables.len(), raw.points());
+    let _ = writeln!(
+        say,
+        "wrote {path}: {variables} variable(s), {points} point(s)"
+    );
+    points as u64
 }
 
 /// Adds the waveform-export counters to a trace phase.
@@ -373,6 +383,21 @@ fn cmd_job(args: &Args, kind: JobKind) {
         if let Some((flag, _)) = WAVES.iter().find(|(flag, _)| args.has(flag)) {
             die(format!(
                 "size --clusters: {flag} is not supported by a cluster job"
+            ));
+        }
+    }
+    // Only a cluster job reads `--smoke`, and of a hybrid only the
+    // cluster leg `--clusters N` composes opens `--store`.
+    let cluster_only: &[&str] = match kind {
+        JobKind::Size => &["--smoke"],
+        JobKind::Hybrid => &["--store", "--smoke"],
+        JobKind::Screen | JobKind::Cluster => &[],
+    };
+    if let Some(flag) = cluster_only.iter().find(|flag| args.has(flag)) {
+        if !args.has("--clusters") {
+            let k = kind.name();
+            die(format!(
+                "{k} without --clusters: {flag} is not read by a plain {k} job"
             ));
         }
     }
@@ -490,7 +515,7 @@ fn cmd_job(args: &Args, kind: JobKind) {
     }
     trace.phases.extend(cluster_phases);
     trace.spans = spans.finish();
-    emit_trace(args, &trace);
+    emit_trace(args, &trace, &mut std::io::stdout());
 }
 
 /// Prints a job's header, runs it inside a wall-clock span named after
@@ -673,7 +698,7 @@ fn cmd_mc(args: &Args) {
     let mut trace = TraceReport::new("mtk_mc");
     trace.push_phase(report.to_phase("mc"));
     trace.spans = spans.finish();
-    emit_trace(args, &trace);
+    emit_trace(args, &trace, &mut std::io::stdout());
 }
 
 /// `mtk gen`: serialize the golden designs. `--list` prints the stems,
@@ -781,10 +806,11 @@ fn cmd_export(args: &Args) {
 
 /// `mtk import`: parse a SPICE deck (flattening subcircuits), recover
 /// the gate-level design by structural recognition, and emit canonical
-/// `.mtk`. Falls back to SPICE-only analysis when recognition fails:
-/// the reason is reported, `--raw PATH` still runs a transient on the
-/// raw circuit and writes the rawfile, and without `--raw` the exit
-/// code is 1.
+/// `.mtk` — on stdout, which then carries nothing else (every report
+/// line goes to stderr), or to `--out F`. `--raw PATH` runs a transient
+/// on the deck circuit and writes the rawfile whichever way recognition
+/// goes. When recognition fails, the reason is reported and SPICE-only
+/// analysis remains: without `--raw` the exit code is 1.
 fn cmd_import(args: &Args) {
     let path = &args.positionals[0];
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("{path}: {e}")));
@@ -803,9 +829,10 @@ fn cmd_import(args: &Args) {
     let count = |id, n| phase.counters.add(id, n);
     let imported = mtk_bench::import_counted(&text, &name, &tech, count).unwrap_or_else(|e| die(e));
     let stats = imported.stats().clone();
-    match imported {
+    let (circuit, mtk_on_stdout) = match imported {
         Imported::Design {
             design,
+            circuit,
             sleep_w_over_l,
             ..
         } => {
@@ -827,39 +854,34 @@ fn cmd_import(args: &Args) {
                 }
                 None => print!("{mtk}"),
             }
-            trace.push_phase(phase);
-            emit_trace(args, &trace);
+            (circuit, args.str("--out").is_none())
         }
         Imported::SpiceOnly {
             circuit, reason, ..
         } => {
             eprintln!("{path}: gate recognition failed ({reason}); SPICE-only analysis available");
-            let raw_path = args.str("--raw");
-            let fell_through = raw_path.is_none();
-            if let Some(out) = raw_path {
-                let opts = mtk_spice::tran::TranOptions::to(args.num("--t-stop", 80e-9));
-                let result = mtk_spice::tran::transient(&circuit, &opts)
-                    .unwrap_or_else(|e| die(format!("--raw: {e}")));
-                let raw = mtk_bench::wave::raw_from_tran(&result, &name);
-                phase
-                    .counters
-                    .add(CounterId::WaveRawPoints, raw.points() as u64);
-                let bytes = raw
-                    .to_bytes()
-                    .unwrap_or_else(|e| die(format!("--raw: {e}")));
-                std::fs::write(out, &bytes).unwrap_or_else(|e| die(format!("--raw {out}: {e}")));
-                println!(
-                    "wrote {out}: {} variable(s), {} point(s)",
-                    raw.variables.len(),
-                    raw.points()
-                );
-            }
-            trace.push_phase(phase);
-            emit_trace(args, &trace);
-            if fell_through {
-                std::process::exit(1);
-            }
+            (circuit, false)
         }
+    };
+    let (mut stdout, mut stderr) = (std::io::stdout(), std::io::stderr());
+    let say: &mut dyn Write = if mtk_on_stdout {
+        &mut stderr
+    } else {
+        &mut stdout
+    };
+    let raw_path = args.str("--raw");
+    if let Some(out) = raw_path {
+        let opts = mtk_spice::tran::TranOptions::to(args.num("--t-stop", 80e-9));
+        let result = mtk_spice::tran::transient(&circuit, &opts)
+            .unwrap_or_else(|e| die(format!("--raw: {e}")));
+        let raw = mtk_bench::wave::raw_from_tran(&result, &name);
+        let points = write_raw(out, &raw, say);
+        phase.counters.add(CounterId::WaveRawPoints, points);
+    }
+    trace.push_phase(phase);
+    emit_trace(args, &trace, say);
+    if stats.fallback && raw_path.is_none() {
+        std::process::exit(1);
     }
 }
 
@@ -913,7 +935,6 @@ fn cmd_serve(args: &Args) {
         });
     }
     println!("mtk serve: listening on {addr}");
-    use std::io::Write as _;
     let _ = std::io::stdout().flush();
     if let Err(e) = server.run() {
         die(e);
@@ -964,7 +985,15 @@ fn cmd_client(args: &Args) {
              --clusters N`, or `client cluster` then `client hybrid --w-over-l` at its total)",
         ),
         cmd => match JobKind::parse(cmd) {
-            Some(kind) => Job::from_flags(kind, load(file()), args).to_request(),
+            Some(kind) => {
+                let job = Job::from_flags(kind, load(file()), args);
+                if job.kind != JobKind::Cluster && args.has("--smoke") {
+                    die(format!(
+                        "mtk client {cmd}: --smoke is not read by a plain {cmd} job"
+                    ));
+                }
+                job.to_request()
+            }
             None => usage(),
         },
     };

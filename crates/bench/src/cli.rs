@@ -6,6 +6,7 @@
 
 use mtk_core::health::FailurePolicy;
 use mtk_trace::{TraceConfig, TraceReport};
+use std::io::Write;
 
 /// How a declared flag takes its value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,15 +192,18 @@ pub fn trace_config(args: &Args) -> TraceConfig {
     }
 }
 
-/// Prints the shared telemetry footer and, when `--trace-json <path>`
-/// was given, writes the versioned JSON trace there (the `BENCH_*.json`
+/// Prints the shared telemetry footer on `out` (stdout, unless stdout
+/// carries the command's product) and, when `--trace-json <path>` was
+/// given, writes the versioned JSON trace there (the `BENCH_*.json`
 /// artifact of a run) under the mode from [`trace_config`].
-pub fn emit_trace(args: &Args, report: &TraceReport) {
-    print!("\n{}", report.render_text());
+pub fn emit_trace(args: &Args, report: &TraceReport, out: &mut dyn Write) {
+    let _ = write!(out, "\n{}", report.render_text());
     if let Some(path) = args.str("--trace-json") {
         let json = report.to_json(trace_config(args).mode);
         match std::fs::write(path, &json) {
-            Ok(()) => println!("trace written to {path}"),
+            Ok(()) => {
+                let _ = writeln!(out, "trace written to {path}");
+            }
             Err(e) => {
                 eprintln!("error: could not write trace to {path}: {e}");
                 std::process::exit(1);

@@ -332,8 +332,9 @@ impl Job {
     /// from its flags ([`JobOpts::from_flags`]). `size --clusters
     /// N` is a cluster job, and `--smoke` thins a cluster job's sampled
     /// vector set (stride 64, 8 samples) unless `--stride`/`--samples`
-    /// say otherwise. Options [`JobOpts::check`] rejects are a usage
-    /// error: message on stderr, exit 2.
+    /// say otherwise; `mtk` and `mtk client` refuse it on any other job.
+    /// Options [`JobOpts::check`] rejects are a usage error: message on
+    /// stderr, exit 2.
     pub fn from_flags(kind: JobKind, design: Design, args: &Args) -> Job {
         let kind = match kind {
             JobKind::Size if args.has("--clusters") => JobKind::Cluster,

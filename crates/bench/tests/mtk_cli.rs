@@ -24,7 +24,9 @@
 //!   passes `trace_check`, and its deterministic trace is byte-identical
 //!   at 1 and 2 threads on the 3-bit adder and the ALU slice.
 //! * A golden design exported as a SPICE deck imports back to the same
-//!   bytes; a hand-written `.subckt` deck imports and sizes; a screen's
+//!   bytes; a hint-stripped deck imported to stdout prints the bytes
+//!   `--out` writes and nothing else, and `--raw` on it writes a
+//!   rawfile; a hand-written `.subckt` deck imports and sizes; a screen's
 //!   rawfile, VCD and deterministic trace are byte-identical at 1 and 8
 //!   threads, the rawfile holds points and the trace passes
 //!   `trace_check`.
@@ -44,9 +46,11 @@
 //! * Flags are parsed before any work runs: a malformed typed value
 //!   exits 2 with nothing printed or written. A flag's value is never
 //!   read as a positional, and a stray positional exits 2.
-//! * A flag a composed job would drop exits 2, naming it: `--raw` or
-//!   `--vcd` on `size --clusters N` (a cluster job), and `--clusters` on
-//!   `mtk client … hybrid`.
+//! * A flag a composed or plain job would drop exits 2, naming it:
+//!   `--raw` or `--vcd` on `size --clusters N` (a cluster job),
+//!   `--clusters` on `mtk client … hybrid`, `--store` on a plain
+//!   `hybrid`, and `--smoke` on a plain `size` or `hybrid`, in `mtk` and
+//!   `mtk client` alike.
 //! * DESIGN.md §11.4's usage block is the text `mtk` prints with no
 //!   arguments.
 //! * `speed_comparison` rejects a missing baseline with exit 2 before
@@ -507,6 +511,20 @@ fn flags_a_composed_job_would_drop_exit_two_before_any_work() {
         (
             vec!["client", "127.0.0.1:9", "hybrid", adder, "--clusters", "2"],
             "--clusters",
+        ),
+        (
+            vec!["hybrid", adder, "--store", &path, "--smoke"],
+            "--store",
+        ),
+        (vec!["hybrid", adder, "--smoke"], "--smoke"),
+        (vec!["size", adder, "--smoke"], "--smoke"),
+        (
+            vec!["client", "127.0.0.1:9", "size", adder, "--smoke"],
+            "--smoke",
+        ),
+        (
+            vec!["client", "127.0.0.1:9", "hybrid", adder, "--smoke"],
+            "--smoke",
         ),
     ] {
         let out = mtk(&args);
@@ -1075,6 +1093,108 @@ fn deck_export_import_round_trip_is_byte_identical() {
     );
     let _ = std::fs::remove_file(&deck);
     let _ = std::fs::remove_file(&back);
+}
+
+/// `invtree` exported as a deck with its `* mtk: ` hint lines removed,
+/// as a foreign tool would write it; returns the deck's path.
+fn foreign_deck(tag: &str) -> String {
+    let (hinted, deck) = (
+        temp_path(&format!("{tag}.ckt")),
+        temp_path(&format!("{tag}_foreign.ckt")),
+    );
+    let out = mtk(&[
+        "export",
+        golden("invtree").to_str().unwrap(),
+        "--out",
+        &hinted,
+    ]);
+    assert_eq!(out.status.code(), Some(0), "export: {}", stderr(&out));
+    let text = std::fs::read_to_string(&hinted).expect("exported deck");
+    let foreign: String = text
+        .lines()
+        .filter(|l| !l.starts_with("* mtk: "))
+        .flat_map(|l| [l, "\n"])
+        .collect();
+    std::fs::write(&deck, foreign).expect("write deck");
+    let _ = std::fs::remove_file(&hinted);
+    deck
+}
+
+/// Without `--out`, stdout carries the imported `.mtk` alone: the same
+/// bytes `--out` writes, which lint clean (the telemetry footer goes to
+/// stderr, as does `--trace-json`'s report line).
+#[test]
+fn import_to_stdout_prints_only_the_mtk() {
+    let deck = foreign_deck("piped");
+    let (file, json, piped) = (
+        temp_path("piped_out.mtk"),
+        temp_path("piped_trace.json"),
+        temp_path("piped.mtk"),
+    );
+    let out = mtk(&["import", &deck, "--out", &file]);
+    assert_eq!(out.status.code(), Some(0), "import --out: {}", stderr(&out));
+    let out = mtk(&["import", &deck, "--trace-json", &json]);
+    assert_eq!(out.status.code(), Some(0), "import: {}", stderr(&out));
+    let want = std::fs::read(&file).expect("imported design");
+    assert!(
+        out.stdout == want,
+        "stdout is not the --out bytes:\n{}",
+        stdout(&out)
+    );
+    assert!(
+        stderr(&out).contains("== telemetry (mtk_import) =="),
+        "{}",
+        stderr(&out)
+    );
+    assert!(
+        std::path::Path::new(&json).exists(),
+        "--trace-json wrote nothing"
+    );
+    std::fs::write(&piped, &out.stdout).expect("write piped design");
+    let out = mtk(&["lint", &piped]);
+    assert_eq!(out.status.code(), Some(0), "lint: {}", stderr(&out));
+    for f in [&deck, &file, &json, &piped] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
+/// `--raw` runs a transient on a deck that recognition turns into a
+/// design, as it does on a SPICE-only one, and writes the rawfile
+/// whether the `.mtk` goes to stdout or to `--out`.
+#[test]
+fn import_raw_writes_a_rawfile_for_a_recognized_deck() {
+    let deck = foreign_deck("raw");
+    let (piped_raw, file, file_raw) = (
+        temp_path("import_piped.raw"),
+        temp_path("import_raw.mtk"),
+        temp_path("import_file.raw"),
+    );
+    let out = mtk(&["import", &deck, "--raw", &piped_raw, "--t-stop", "5e-9"]);
+    assert_eq!(out.status.code(), Some(0), "import: {}", stderr(&out));
+    assert!(stdout(&out).ends_with("end\n"), "stdout: {}", stdout(&out));
+    assert!(
+        stderr(&out).contains(&format!("wrote {piped_raw}:")),
+        "{}",
+        stderr(&out)
+    );
+    let out = mtk(&[
+        "import", &deck, "--out", &file, "--raw", &file_raw, "--t-stop", "5e-9",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "import --out: {}", stderr(&out));
+    assert!(
+        stdout(&out).contains(&format!("wrote {file_raw}:")),
+        "{}",
+        stdout(&out)
+    );
+    let raw = std::fs::read(&piped_raw).expect("rawfile");
+    assert!(!raw.is_empty());
+    assert!(
+        raw == std::fs::read(&file_raw).expect("rawfile"),
+        "rawfiles differ"
+    );
+    for f in [&deck, &piped_raw, &file, &file_raw] {
+        let _ = std::fs::remove_file(f);
+    }
 }
 
 /// A hand-written deck with a `.subckt` and an MTCMOS footer flattens,

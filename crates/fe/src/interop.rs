@@ -16,18 +16,22 @@
 //! against a caller-supplied technology preset, net names are taken
 //! from the deck's node names, and port directions are inferred
 //! structurally (sources drive inputs, unconsumed gate outputs are
-//! outputs). When recognition fails — a non-CMOS topology, resistive
+//! outputs). Either way the recovered design is built through the
+//! netlist builder and checked by one canonical write and re-parse, so
+//! [`crate::write`] stays the only code that spells the `.mtk` format.
+//! When recognition fails — a non-CMOS topology, resistive
 //! devices, partitioned sleep rails — the importer degrades to
 //! [`Imported::SpiceOnly`] carrying the parsed transistor circuit and
 //! the reason, so callers can still run SPICE-level analyses. Fallback
 //! is policy, not a panic or a print.
 
-use crate::write::fmt_num;
-use crate::{parse_str, Design, TECH_PARAMS};
+use crate::{parse_str, Design};
 use mtk_netlist::expand::{expand, ExpandOptions};
 use mtk_netlist::interop::{recognize, RecognizedCircuit};
 use mtk_netlist::logic::Logic;
+use mtk_netlist::netlist::{NetId, Netlist};
 use mtk_netlist::tech::Technology;
+use mtk_netlist::NetlistError;
 use mtk_spice::circuit::{Circuit, NodeId};
 use mtk_spice::deck::{from_deck_with_stats, to_deck, DeckStats};
 use std::collections::HashMap;
@@ -74,6 +78,8 @@ pub enum Imported {
     Design {
         /// The recovered design.
         design: Box<Design>,
+        /// The parsed transistor circuit it was recognized from.
+        circuit: Box<Circuit>,
         /// Footer sleep-transistor W/L recovered from the deck, if a
         /// footer was present.
         sleep_w_over_l: Option<f64>,
@@ -203,72 +209,114 @@ pub fn import_deck(
     };
     stats.cells_recognized = rec.cells.len();
 
-    let assembled = match &hint_design {
-        Some(hinted) => assemble_hinted(&circuit, &rec, hinted, &hints),
-        None => assemble_foreign(&circuit, &rec, &tech, name),
-    };
-    let src = match assembled {
-        Ok(src) => src,
-        Err(reason) => return fall(circuit, stats, reason),
-    };
-    match parse_str(&src, name) {
+    // The canonical writer and the parser are the validation step: a
+    // recovered netlist the grammar cannot carry (say, a node name that
+    // is not a token) falls back instead of importing.
+    let checked = recovered_design(&circuit, &rec, hint_design, &tech, name).and_then(|design| {
+        let mtk = design.try_to_mtk().map_err(|e| e.to_string());
+        let reparsed = mtk.and_then(|mtk| parse_str(&mtk, name).map_err(|e| e.to_string()));
+        reparsed.map_err(|e| format!("recovered netlist rejected: {e}"))
+    });
+    match checked {
         Ok(design) => Ok(Imported::Design {
             design: Box::new(design),
+            circuit: Box::new(circuit),
             sleep_w_over_l: rec.sleep_w_over_l,
             stats,
         }),
-        Err(e) => fall(circuit, stats, format!("recovered netlist rejected: {e}")),
+        Err(reason) => fall(circuit, stats, reason),
     }
 }
 
-/// One canonical `cell` line for a recognized gate, given a node→name
-/// resolver.
-fn cell_line(
-    cell: &mtk_netlist::interop::RecognizedCell,
-    resolve: &dyn Fn(NodeId) -> Result<String, String>,
-) -> Result<String, String> {
-    let mut line = format!("cell {} {}", cell.name, cell.kind.name());
-    for &inp in &cell.inputs {
-        let _ = write!(line, " {}", resolve(inp)?);
-    }
-    let _ = write!(line, " -> {}", resolve(cell.output)?);
-    if cell.drive != 1.0 {
-        let _ = write!(line, " drive={}", fmt_num(cell.drive));
-    }
-    Ok(line)
-}
-
-/// Reassembles canonical `.mtk` text from the hint lines plus the
-/// recognized gates: hint lines stay in order, recovered `cell` lines
-/// slot in before the first `vector` line (or `end`), exactly where the
-/// canonical writer puts them.
-fn assemble_hinted(
+/// Builds the recovered design: the recognized gates, one cell each in
+/// recognition order, on the nets of `hinted` or — for a hint-less
+/// (foreign) deck — on nets named after the deck's nodes.
+///
+/// A hinted deck keeps the hint design's nets, ports, ties, technology
+/// and vectors. Expansion names every non-tied net's node `n_<net>`;
+/// ties collapse onto the rails, so a rail resolves to the (unique) net
+/// tied to its level.
+///
+/// A foreign deck gets a netlist called `name` under `tech` with the
+/// deck's supply voltage. Its nets are the source-driven inputs and the
+/// gate outputs in node order (the deck's first-mention order), then a
+/// `const0`/`const1` tie net for each rail used as a gate input. Its
+/// inputs are the sources' nodes in source order, and its outputs the
+/// unconsumed gate outputs in node order.
+fn recovered_design(
     circuit: &Circuit,
     rec: &RecognizedCircuit,
-    hinted: &Design,
-    hints: &[&str],
-) -> Result<String, String> {
-    // Expansion names every non-tied net's node `n_<net>`; ties
-    // collapse onto the rails, so a rail resolves to the (unique) net
-    // tied to its level.
-    let mut by_node: HashMap<NodeId, String> = HashMap::new();
+    hinted: Option<Design>,
+    tech: &Technology,
+    name: &str,
+) -> Result<Design, String> {
+    let rejected = |e: NetlistError| format!("recovered netlist rejected: {e}");
+    let mut net_of: HashMap<NodeId, NetId> = HashMap::new();
     let mut tied = [Vec::new(), Vec::new()]; // [to 0, to 1]
-    for net in hinted.netlist.nets() {
-        match net.tie {
-            None => {
-                let node = circuit
-                    .find_node(&format!("n_{}", net.name))
-                    .map_err(|_| format!("hint net '{}' has no node in the deck", net.name))?;
-                by_node.insert(node, net.name.clone());
+    let mut design = match hinted {
+        Some(hinted) => {
+            let nl = &hinted.netlist;
+            for id in nl.net_ids() {
+                let net = nl.net(id);
+                match net.tie {
+                    None => {
+                        let node = circuit.find_node(&format!("n_{}", net.name)).map_err(|_| {
+                            format!("hint net '{}' has no node in the deck", net.name)
+                        })?;
+                        net_of.entry(node).or_insert(id);
+                    }
+                    Some(Logic::Zero) => tied[0].push(id),
+                    Some(Logic::One) => tied[1].push(id),
+                    Some(Logic::X) => unreachable!("parser rejects ties to X"),
+                }
             }
-            Some(Logic::Zero) => tied[0].push(net.name.clone()),
-            Some(Logic::One) => tied[1].push(net.name.clone()),
-            Some(Logic::X) => unreachable!("parser rejects ties to X"),
+            hinted
         }
-    }
-    let resolve = |node: NodeId| -> Result<String, String> {
-        if let Some(name) = by_node.get(&node) {
-            return Ok(name.clone());
+        None => {
+            let mut nodes: Vec<NodeId> = rec.inputs.iter().map(|&(_, n)| n).collect();
+            for cell in &rec.cells {
+                if !nodes.contains(&cell.output) {
+                    nodes.push(cell.output);
+                }
+            }
+            nodes.sort_by_key(|n| n.index());
+            let mut nl = Netlist::new(name);
+            for &node in &nodes {
+                let nm = circuit.node_name(node);
+                let id = nl
+                    .add_net(nm)
+                    .map_err(|_| format!("duplicate net name '{nm}'"))?;
+                net_of.insert(node, id);
+            }
+            for (rail, tie_name, level) in [
+                (Circuit::GND, "const0", Logic::Zero),
+                (rec.vdd_node, "const1", Logic::One),
+            ] {
+                if rec.cells.iter().any(|c| c.inputs.contains(&rail)) {
+                    let id = nl
+                        .add_net(tie_name)
+                        .map_err(|_| format!("net name '{tie_name}' collides with a tie net"))?;
+                    nl.tie_net(id, level).map_err(rejected)?;
+                    net_of.entry(rail).or_insert(id);
+                }
+            }
+            for &(_, node) in &rec.inputs {
+                nl.mark_primary_input(net_of[&node]).map_err(rejected)?;
+            }
+            let consumed = |n: &NodeId| rec.cells.iter().any(|c| c.inputs.contains(n));
+            for node in &nodes {
+                if rec.cells.iter().any(|c| c.output == *node) && !consumed(node) {
+                    nl.mark_primary_output(net_of[node]);
+                }
+            }
+            let mut tech = tech.clone();
+            tech.vdd = rec.vdd;
+            Design::new(nl, tech)
+        }
+    };
+    let net = |node: NodeId| -> Result<NetId, String> {
+        if let Some(&id) = net_of.get(&node) {
+            return Ok(id);
         }
         let rail = if node == Circuit::GND {
             Some(&tied[0])
@@ -278,11 +326,11 @@ fn assemble_hinted(
             None
         };
         match rail {
-            Some(names) if names.len() == 1 => Ok(names[0].clone()),
-            Some(names) => Err(format!(
+            Some(ids) if ids.len() == 1 => Ok(ids[0]),
+            Some(ids) => Err(format!(
                 "gate terminal on rail '{}' maps to {} tied nets",
                 circuit.node_name(node),
-                names.len()
+                ids.len()
             )),
             None => Err(format!(
                 "gate terminal on unnamed node '{}'",
@@ -290,139 +338,19 @@ fn assemble_hinted(
             )),
         }
     };
-    let mut cells = Vec::with_capacity(rec.cells.len());
     for cell in &rec.cells {
-        cells.push(cell_line(cell, &resolve)?);
-    }
-    let mut out = String::new();
-    let mut placed = false;
-    for line in hints {
-        if !placed && (line.starts_with("vector ") || *line == "end") {
-            for c in &cells {
-                out.push_str(c);
-                out.push('\n');
-            }
-            placed = true;
-        }
-        out.push_str(line);
-        out.push('\n');
-    }
-    if !placed {
-        return Err("interop hints carry no 'end' line".into());
-    }
-    Ok(out)
-}
-
-/// Builds canonical `.mtk` text for a hint-less (foreign) deck: net
-/// names come from the deck's node names, inputs from its independent
-/// sources, outputs are the unconsumed gate outputs, and rails used as
-/// gate inputs become tied constant nets.
-fn assemble_foreign(
-    circuit: &Circuit,
-    rec: &RecognizedCircuit,
-    tech: &Technology,
-    name: &str,
-) -> Result<String, String> {
-    // Net set: driven inputs and gate outputs, in node order (the
-    // deck's first-mention order, which is deterministic).
-    let mut nodes: Vec<NodeId> = rec.inputs.iter().map(|&(_, n)| n).collect();
-    for cell in &rec.cells {
-        if !nodes.contains(&cell.output) {
-            nodes.push(cell.output);
-        }
-    }
-    nodes.sort_by_key(|n| n.index());
-    let mut names: Vec<String> = Vec::with_capacity(nodes.len());
-    for &n in &nodes {
-        let nm = circuit.node_name(n).to_string();
-        if names.contains(&nm) {
-            return Err(format!("duplicate net name '{nm}'"));
-        }
-        names.push(nm);
-    }
-    // Rails used as gate inputs become tied constant nets.
-    let mut ties: Vec<(String, char)> = Vec::new();
-    let rail_inputs: Vec<NodeId> = rec
-        .cells
-        .iter()
-        .flat_map(|c| c.inputs.iter().copied())
-        .filter(|&n| n == Circuit::GND || n == rec.vdd_node)
-        .collect();
-    for (rail, tie_name, level) in [(Circuit::GND, "const0", '0'), (rec.vdd_node, "const1", '1')] {
-        if rail_inputs.contains(&rail) {
-            if names.iter().any(|n| n == tie_name) {
-                return Err(format!("net name '{tie_name}' collides with a tie net"));
-            }
-            nodes.push(rail);
-            names.push(tie_name.to_string());
-            ties.push((tie_name.to_string(), level));
-        }
-    }
-    let resolve = |node: NodeId| -> Result<String, String> {
-        nodes
+        let inputs = cell
+            .inputs
             .iter()
-            .position(|&n| n == node)
-            .map(|k| names[k].clone())
-            .ok_or_else(|| {
-                format!(
-                    "gate terminal on unnamed node '{}'",
-                    circuit.node_name(node)
-                )
-            })
-    };
-
-    let mut out = String::new();
-    let _ = writeln!(out, "mtk {}", crate::FORMAT_VERSION);
-    let _ = writeln!(out, "circuit {name}");
-    // Mirror the canonical writer's tech section: preset plus diffs,
-    // with the deck's actual supply voltage taken over the preset's.
-    let mut tech = tech.clone();
-    tech.vdd = rec.vdd;
-    let base = Technology::preset(tech.name).unwrap_or_else(Technology::l07);
-    let _ = writeln!(out, "tech {}", base.name);
-    for (pname, get, _) in TECH_PARAMS {
-        let (have, want) = (get(&base), get(&tech));
-        if have.to_bits() != want.to_bits() {
-            let _ = writeln!(out, "tech.{pname} {}", fmt_num(want));
-        }
+            .map(|&n| net(n))
+            .collect::<Result<_, _>>()?;
+        let output = net(cell.output)?;
+        design
+            .netlist
+            .add_cell(&cell.name, cell.kind, inputs, output, cell.drive)
+            .map_err(rejected)?;
     }
-    for nm in &names {
-        let _ = writeln!(out, "net {nm}");
-    }
-    if !rec.inputs.is_empty() {
-        out.push_str("input");
-        for &(_, node) in &rec.inputs {
-            let _ = write!(out, " {}", resolve(node)?);
-        }
-        out.push('\n');
-    }
-    let consumed: Vec<NodeId> = rec
-        .cells
-        .iter()
-        .flat_map(|c| c.inputs.iter().copied())
-        .collect();
-    let outputs: Vec<String> = nodes
-        .iter()
-        .zip(&names)
-        .filter(|&(n, _)| rec.cells.iter().any(|c| c.output == *n) && !consumed.contains(n))
-        .map(|(_, nm)| nm.clone())
-        .collect();
-    if !outputs.is_empty() {
-        out.push_str("output");
-        for nm in &outputs {
-            let _ = write!(out, " {nm}");
-        }
-        out.push('\n');
-    }
-    for (nm, level) in &ties {
-        let _ = writeln!(out, "tie {nm} {level}");
-    }
-    for cell in &rec.cells {
-        out.push_str(&cell_line(cell, &resolve)?);
-        out.push('\n');
-    }
-    out.push_str("end\n");
-    Ok(out)
+    Ok(design)
 }
 
 #[cfg(test)]
@@ -464,6 +392,7 @@ mod tests {
                 design,
                 sleep_w_over_l,
                 stats,
+                ..
             } => {
                 assert_eq!(design.to_mtk(), d.to_mtk());
                 assert_eq!(

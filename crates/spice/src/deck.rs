@@ -716,11 +716,21 @@ fn parse_card(c: &mut Circuit, models: &HashMap<String, ModelId>, line: &str) ->
         'r' => {
             let (a, b, rest) = two_nodes(c, &mut toks, card)?;
             let ohms = parse_value(&rest.ok_or_else(|| missing(card))?)?;
+            if ohms <= 0.0 {
+                return Err(SpiceError::InvalidParameter(format!(
+                    "resistor '{card}' has non-positive resistance"
+                )));
+            }
             c.resistor(&card[1..], a, b, ohms);
         }
         'c' => {
             let (a, b, rest) = two_nodes(c, &mut toks, card)?;
             let farads = parse_value(&rest.ok_or_else(|| missing(card))?)?;
+            if farads < 0.0 {
+                return Err(SpiceError::InvalidParameter(format!(
+                    "capacitor '{card}' has negative capacitance"
+                )));
+            }
             c.capacitor(&card[1..], a, b, farads);
         }
         'v' | 'i' => {
@@ -767,6 +777,11 @@ fn parse_card(c: &mut Circuit, models: &HashMap<String, ModelId>, line: &str) ->
             } else {
                 (w.0 * w.1) / (l.0 * l.1)
             };
+            if !(w_over_l.is_finite() && w_over_l > 0.0) {
+                return Err(SpiceError::InvalidParameter(format!(
+                    "mosfet '{card}' needs a positive finite W/L, got {w_over_l}"
+                )));
+            }
             c.mosfet(&card[1..], d, g, s, b, model, w_over_l);
         }
         'x' => {
@@ -889,6 +904,29 @@ mod tests {
             }
         }
         assert!(parse_value("1e302meg").unwrap().is_finite());
+    }
+
+    /// Device values the circuit builder refuses are card errors, not
+    /// panics: a zero or negative resistance, a negative capacitance,
+    /// and a W/L that is zero or overflows.
+    #[test]
+    fn out_of_range_device_values_are_errors() {
+        const MODEL: &str = ".model mn nmos level=1 vto=0.5 kp=100u\n";
+        for (card, what) in [
+            ("r1 a 0 0", "non-positive resistance"),
+            ("r1 a 0 -1k", "non-positive resistance"),
+            ("c1 a 0 -1p", "negative capacitance"),
+            ("m1 d g 0 0 mn w=0u l=1u", "positive finite W/L"),
+            ("m1 d g 0 0 mn w=1e300 l=1e-300", "positive finite W/L"),
+        ] {
+            match from_deck(&format!("* t\n{MODEL}{card}\n")) {
+                Err(SpiceError::InvalidParameter(msg)) => {
+                    assert!(msg.contains(what), "{card}: {msg}")
+                }
+                other => panic!("{card}: {other:?}"),
+            }
+        }
+        assert!(from_deck(&format!("* t\n{MODEL}c1 a 0 0\n")).is_ok());
     }
 
     #[test]
