@@ -8,19 +8,18 @@
 //! JSON trace — as a programmatically built one.
 //!
 //! [`COMMANDS`] declares every command: the positionals and flags it
-//! takes, and its line of the usage text `mtk` prints with no arguments
-//! (DESIGN.md §11.4). A command's arguments are parsed once, before any
-//! work runs: an undeclared, repeated or malformed flag, or a stray
-//! positional, exits 2 with a message naming it.
+//! takes (a job command those of every job it can resolve to), and its
+//! line of the usage text `mtk` prints with no arguments (DESIGN.md
+//! §11.4). A command's arguments are parsed once, before any work runs:
+//! an undeclared, repeated or malformed flag, a stray positional, or a
+//! flag the resolved job does not read (DESIGN.md §11's read sets) exits
+//! 2 with a message naming it.
 //!
 //! `sta`, `screen`, `size` and `hybrid` take `--raw PATH` / `--vcd
 //! PATH` to export deterministic waveforms of the most interesting
 //! vector (the worst-ranked one where a ranking exists): a binary SPICE
 //! rawfile from a transistor-level transient, a VCD dump from the
-//! switch-level run. A cluster job exports none, so `cluster` does not
-//! take them and `size --clusters N` exits 2 on them. Likewise a job
-//! without a cluster job exits 2 on `--smoke`, and a plain `hybrid` on
-//! `--store`: only a cluster job reads them.
+//! switch-level run. A cluster job exports none.
 //!
 //! Vector sourcing for `screen`/`size`/`hybrid`, in precedence order:
 //! `vector` lines from the file; the exhaustive transition space when
@@ -36,9 +35,10 @@
 //! `--trace-json PATH` / `--trace-deterministic` (DESIGN.md §10).
 
 use mtk_bench::cli::Kind::{Int, Num, Str, Switch};
-use mtk_bench::cli::{die, emit_trace, failure_policy, threads_label, trace_config, Args, Flag};
+use mtk_bench::cli::{die, emit_trace, threads_label, trace_config, Args, Flag};
 use mtk_bench::design_transitions;
-use mtk_bench::job::{Job, JobKind, JobOpts, JobOutput};
+use mtk_bench::job::{declared, Job, JobKind, JobOpts, JobOutput};
+use mtk_bench::job::{POLICY, SOURCING, STORE, TARGET, THREADS, TIMEOUT, TRACE, WAVES, W_OVER_L};
 use mtk_bench::report::{ns, pct, print_table, verified_cell};
 use mtk_bench::repro::{self, Ctx, EXPERIMENTS};
 use mtk_bench::serve::{self, ServeConfig, Server};
@@ -57,25 +57,20 @@ use mtk_wave::rawfile::RawFile;
 use std::io::Write;
 use std::time::Duration;
 
-/// The trace export of the commands that end in the §10 footer.
-const TRACE: &[Flag] = &[("--trace-json", Str), ("--trace-deterministic", Switch)];
-/// The waveform export of `sta` and the job commands.
-const WAVES: &[Flag] = &[("--raw", Str), ("--vcd", Str), ("--t-stop", Num)];
-/// The store of the commands that write through one, and the smoke sweep.
-const STORE: &[Flag] = &[("--store", Str), ("--smoke", Switch)];
 /// The synopsis of the commands that take one `.mtk` file.
 const FILE: &str = "<file.mtk> [flags]";
-/// The flag of every `client` request.
-const CLIENT: &[Flag] = &[("--timeout-ms", Int)];
+/// The job options `mc` reads through [`JobOpts::from_flags`].
+const MC_SWEEP: &[&[Flag]] = &[THREADS, W_OVER_L, TARGET, SOURCING, POLICY];
 
 /// One `mtk` command: its name, the usage synopsis of its arguments, the
-/// least and most positionals it takes, the flag groups it declares, and
+/// least and most positionals it takes, the flag groups it declares (a
+/// job command's from its jobs' read sets, [`declared`]), and
 /// the function that runs it on the parsed arguments.
 struct Command {
     name: &'static str,
     synopsis: &'static str,
     positionals: (usize, usize),
-    flags: &'static [&'static [Flag]],
+    flags: fn() -> Vec<&'static [Flag]>,
     run: fn(&Args),
 }
 
@@ -83,49 +78,50 @@ struct Command {
 #[rustfmt::skip]
 const COMMANDS: [Command; 13] = [
     Command { name: "lint", synopsis: FILE, positionals: (1, 1),
-        flags: &[&[("--warn-only", Switch)]], run: cmd_lint },
+        flags: || vec![&[("--warn-only", Switch)]], run: cmd_lint },
     Command { name: "sta", synopsis: FILE, positionals: (1, 1),
-        flags: &[WAVES, &[("--stride", Int), ("--samples", Int), ("--w-over-l", Num)]],
-        run: cmd_sta },
+        flags: || vec![WAVES, SOURCING, W_OVER_L], run: cmd_sta },
     Command { name: "screen", synopsis: FILE, positionals: (1, 1),
-        flags: &[JobOpts::SWEEP_FLAGS, JobOpts::JOB_FLAGS, TRACE, WAVES],
+        flags: || declared(&[JobKind::Screen], false),
         run: |a| cmd_job(a, JobKind::Screen) },
     Command { name: "size", synopsis: FILE, positionals: (1, 1),
-        flags: &[JobOpts::SWEEP_FLAGS, JobOpts::JOB_FLAGS, TRACE, WAVES, STORE],
+        flags: || declared(&[JobKind::Size], false),
         run: |a| cmd_job(a, JobKind::Size) },
     Command { name: "cluster", synopsis: FILE, positionals: (1, 1),
-        flags: &[JobOpts::SWEEP_FLAGS, JobOpts::JOB_FLAGS, TRACE, STORE],
+        flags: || declared(&[JobKind::Cluster], false),
         run: |a| cmd_job(a, JobKind::Cluster) },
     Command { name: "hybrid", synopsis: FILE, positionals: (1, 1),
-        flags: &[JobOpts::SWEEP_FLAGS, JobOpts::JOB_FLAGS, TRACE, WAVES, STORE],
+        flags: || declared(&[JobKind::Hybrid], false),
         run: |a| cmd_job(a, JobKind::Hybrid) },
     Command { name: "mc", synopsis: FILE, positionals: (1, 1),
-        flags: &[JobOpts::SWEEP_FLAGS, TRACE, STORE, &[("--trials", Int), ("--seed", Int),
-            ("--widths", Str), ("--corner", Str), ("--sigma-vt", Num), ("--sigma-kp", Num),
-            ("--sigma-w", Num)]],
+        flags: || [MC_SWEEP, &[TRACE, STORE, &[("--smoke", Switch), ("--trials", Int),
+            ("--seed", Int), ("--widths", Str), ("--corner", Str), ("--sigma-vt", Num),
+            ("--sigma-kp", Num), ("--sigma-w", Num)]]].concat(),
         run: cmd_mc },
     Command { name: "export", synopsis: FILE, positionals: (1, 1),
-        flags: &[&[("--cmos", Switch), ("--w-over-l", Num), ("--out", Str)]],
+        flags: || vec![&[("--cmos", Switch), ("--w-over-l", Num), ("--out", Str)]],
         run: cmd_export },
     Command { name: "import", synopsis: "<file.ckt> [--out F] [--tech PRESET] [--raw F]",
         positionals: (1, 1),
-        flags: &[TRACE, &[("--out", Str), ("--tech", Str), ("--raw", Str), ("--t-stop", Num)]],
+        flags: || vec![TRACE, &[("--out", Str), ("--tech", Str), ("--raw", Str),
+            ("--t-stop", Num)]],
         run: cmd_import },
     Command { name: "gen", synopsis: "[--list | --all [--dir D] | <stem>]", positionals: (0, 1),
-        flags: &[&[("--list", Switch), ("--all", Switch), ("--dir", Str)]], run: cmd_gen },
+        flags: || vec![&[("--list", Switch), ("--all", Switch), ("--dir", Str)]], run: cmd_gen },
     Command { name: "repro", synopsis: "[--list | --all | <id>...] [--full]",
         positionals: (0, usize::MAX),
-        flags: &[&[("--list", Switch), ("--all", Switch), ("--full", Switch)]], run: cmd_repro },
+        flags: || vec![&[("--list", Switch), ("--all", Switch), ("--full", Switch)]],
+        run: cmd_repro },
     Command { name: "serve", synopsis: "[--addr H:P] [--store PATH] [--threads N] [--job-slots N]",
         positionals: (0, 0),
-        flags: &[&[("--addr", Str), ("--store", Str), ("--threads", Int), ("--job-slots", Int),
-            ("--read-timeout-ms", Int), ("--write-timeout-ms", Int),
+        flags: || vec![&[("--addr", Str), ("--store", Str), ("--threads", Int),
+            ("--job-slots", Int), ("--read-timeout-ms", Int), ("--write-timeout-ms", Int),
             ("--max-request-bytes", Int)]],
         run: cmd_serve },
     Command { name: "client",
         synopsis: "<host:port> <status|shutdown|import|screen|size|cluster|hybrid> [file] [flags]",
         positionals: (2, 3),
-        flags: &[JobOpts::SWEEP_FLAGS, JobOpts::JOB_FLAGS, &[("--smoke", Switch)], CLIENT],
+        flags: || declared(&JobKind::ALL, true),
         run: cmd_client },
 ];
 
@@ -156,7 +152,8 @@ fn usage_text() -> String {
 /// `mtk <command> --help`: the command's usage line and every flag it
 /// declares, with the kind of value each takes.
 fn help(cmd: &Command) -> String {
-    let flags = cmd.flags.iter().flat_map(|group| group.iter());
+    let groups = (cmd.flags)();
+    let flags = groups.iter().flat_map(|group| group.iter());
     let flags = flags.map(|&(name, kind)| match kind {
         Switch => name.to_string(),
         Int => format!("{name} N"),
@@ -201,8 +198,8 @@ fn main() {
         print!("{}", help(cmd));
         return;
     }
-    let args =
-        Args::parse(&format!("mtk {}", cmd.name), &argv[1..], cmd.flags).unwrap_or_else(|e| die(e));
+    let args = Args::parse(&format!("mtk {}", cmd.name), &argv[1..], &(cmd.flags)());
+    let args = args.unwrap_or_else(|e| die(e));
     let (least, most) = cmd.positionals;
     if args.at_most(most).unwrap_or_else(|e| die(e)).len() < least {
         usage();
@@ -249,6 +246,15 @@ fn cmd_lint(args: &Args) {
 /// `mtk sta`: static timing — the critical-path delay and the path
 /// itself.
 fn cmd_sta(args: &Args) {
+    let waves = args.has("--raw") || args.has("--vcd");
+    let need = |flag, partners: &[&str]| args.needs(flag, partners).unwrap_or_else(|e| die(e));
+    for flag in ["--stride", "--samples", "--w-over-l"] {
+        need(flag, &["--raw", "--vcd"]);
+    }
+    need("--t-stop", &["--raw"]);
+    // The vector sourcing and sleep size of a screen job.
+    let o = JobOpts::from_flags(args, &[SOURCING, W_OVER_L], JobOpts::default());
+    let w_over_l = positive_w_over_l(o.w_over_l);
     let design = &load(&args.positionals[0]);
     warn_lint(design);
     let sta = Sta::analyze(&design.netlist, &design.tech).unwrap_or_else(|e| die(e));
@@ -274,13 +280,9 @@ fn cmd_sta(args: &Args) {
             })
             .collect::<Vec<_>>(),
     );
-    if args.has("--raw") || args.has("--vcd") {
-        // The vector sourcing and sleep size of a screen job.
-        let o = JobOpts::default();
-        let stride = args.int("--stride", o.stride);
-        let (transitions, _) = design_transitions(design, stride, args.int("--samples", o.samples));
-        let w_over_l = positive_w_over_l(args.num("--w-over-l", o.w_over_l));
-        export_waves(args, design, transitions.first(), Some(w_over_l));
+    if waves {
+        let (transitions, _) = design_transitions(design, o.stride, o.samples);
+        export_waves(args, design, transitions.first(), w_over_l);
     }
 }
 
@@ -293,7 +295,7 @@ fn export_waves(
     args: &Args,
     design: &Design,
     tr: Option<&Transition>,
-    w_over_l: Option<f64>,
+    w_over_l: f64,
 ) -> (u64, u64) {
     let (raw_path, vcd_path) = (args.str("--raw"), args.str("--vcd"));
     if raw_path.is_none() && vcd_path.is_none() {
@@ -312,10 +314,7 @@ fn export_waves(
         raw_points = write_raw(path, &raw, &mut std::io::stdout());
     }
     if let Some(path) = vcd_path {
-        let opts = match w_over_l {
-            Some(w) => VbsimOptions::mtcmos(w),
-            None => VbsimOptions::cmos(),
-        };
+        let opts = VbsimOptions::mtcmos(w_over_l);
         let engine = Engine::new(&design.netlist, &design.tech);
         let run = engine
             .run(&tr.from, &tr.to, &opts)
@@ -375,36 +374,14 @@ fn open_store(args: &Args) -> Option<Store> {
 /// ranking to hand SPICE, although `expand_partitioned` could build the
 /// per-cluster transistor-level circuit.
 fn cmd_job(args: &Args, kind: JobKind) {
-    let design = load(&args.positionals[0]);
-    warn_lint(&design);
-    let mut job = Job::from_flags(kind, design, args);
-    // `size --clusters N` runs a cluster job, which exports no waveform.
-    if kind == JobKind::Size && job.kind == JobKind::Cluster {
-        if let Some((flag, _)) = WAVES.iter().find(|(flag, _)| args.has(flag)) {
-            die(format!(
-                "size --clusters: {flag} is not supported by a cluster job"
-            ));
-        }
-    }
-    // Only a cluster job reads `--smoke`, and of a hybrid only the
-    // cluster leg `--clusters N` composes opens `--store`.
-    let cluster_only: &[&str] = match kind {
-        JobKind::Size => &["--smoke"],
-        JobKind::Hybrid => &["--store", "--smoke"],
-        JobKind::Screen | JobKind::Cluster => &[],
-    };
-    if let Some(flag) = cluster_only.iter().find(|flag| args.has(flag)) {
-        if !args.has("--clusters") {
-            let k = kind.name();
-            die(format!(
-                "{k} without --clusters: {flag} is not read by a plain {k} job"
-            ));
-        }
-    }
+    let (leg, mut job) = Job::from_flags(kind, false, args, || {
+        let design = load(&args.positionals[0]);
+        warn_lint(&design);
+        design
+    });
     let mut spans = SpanRecorder::new(trace_config(args).spans);
     let mut cluster_phases = Vec::new();
-    if job.kind == JobKind::Hybrid && args.has("--clusters") {
-        let cluster = Job::from_flags(JobKind::Cluster, job.design().clone(), args);
+    if let Some(cluster) = leg {
         let (out, _) = run_job(args, &cluster, &mut spans);
         if let JobOutput::Cluster { sizing, .. } = &out {
             let total = sizing.total_width();
@@ -447,11 +424,11 @@ fn cmd_job(args: &Args, kind: JobKind) {
             );
             let worst = screened.first().map(|e| &transitions[e.index]);
             let worst = worst.or(transitions.first());
-            let (rp, vc) = export_waves(args, design, worst, Some(o.w_over_l));
+            let (rp, vc) = export_waves(args, design, worst, o.w_over_l);
             count_waves(&mut trace.phases[0], rp, vc);
         }
         JobOutput::Size { w_over_l, .. } => {
-            let (rp, vc) = export_waves(args, design, transitions.first(), Some(*w_over_l));
+            let (rp, vc) = export_waves(args, design, transitions.first(), *w_over_l);
             count_waves(&mut trace.phases[0], rp, vc);
         }
         JobOutput::Cluster { sizing, report } => {
@@ -505,7 +482,7 @@ fn cmd_job(args: &Args, kind: JobKind) {
             );
             let worst = report.findings.first().map(|f| &transitions[f.index]);
             let worst = worst.or(transitions.first());
-            let (rp, vc) = export_waves(args, design, worst, Some(o.w_over_l));
+            let (rp, vc) = export_waves(args, design, worst, o.w_over_l);
             if rp + vc > 0 {
                 let mut phase = PhaseTrace::new("wave");
                 count_waves(&mut phase, rp, vc);
@@ -601,15 +578,12 @@ fn cmd_mc(args: &Args) {
     warn_lint(design);
     let smoke = args.has("--smoke");
     let trials = args.int("--trials", if smoke { 64 } else { 256 });
-    // The job options mc shares (`JobOpts::SWEEP_FLAGS`); `--smoke`
-    // thins the exhaustive transition space so the CI sweep stays fast,
-    // and an explicit `--stride` still wins.
+    // `--smoke` thins the exhaustive transition space so the CI sweep
+    // stays fast, and an explicit `--stride` still wins.
     let d = JobOpts::default();
-    let threads = args.int("--threads", d.threads);
-    let w_over_l = args.num("--w-over-l", d.w_over_l);
-    let target = args.num("--target", d.target);
-    let stride = args.int("--stride", if smoke { 256 } else { d.stride });
-    let samples = args.int("--samples", d.samples);
+    let stride = if smoke { 256 } else { d.stride };
+    let o = JobOpts::from_flags(args, MC_SWEEP, JobOpts { stride, ..d });
+    let (threads, w_over_l, target) = (o.threads, o.w_over_l, o.target);
     let widths: Vec<f64> = match args.str("--widths") {
         Some(list) => list
             .split(',')
@@ -636,7 +610,7 @@ fn cmd_mc(args: &Args) {
     tech.sigma_vt = args.num("--sigma-vt", tech.sigma_vt);
     tech.sigma_kp = args.num("--sigma-kp", tech.sigma_kp);
     tech.sigma_w = args.num("--sigma-w", tech.sigma_w);
-    let (transitions, label) = design_transitions(design, stride, samples);
+    let (transitions, label) = design_transitions(design, o.stride, o.samples);
     let opts = McOptions {
         trials,
         seed: args.int("--seed", 0x4D43) as u64,
@@ -644,7 +618,7 @@ fn cmd_mc(args: &Args) {
         widths,
         target,
         threads,
-        policy: failure_policy(args),
+        policy: o.policy,
         base: VbsimOptions::default(),
     };
     println!(
@@ -786,14 +760,15 @@ fn cmd_repro(args: &Args) {
 /// `.mtk`). `--w-over-l` sizes the footer, `--cmos` omits it, `--out`
 /// writes a file instead of stdout.
 fn cmd_export(args: &Args) {
+    let cmos = args.has("--cmos");
+    if cmos {
+        let refused = args.refuse_unread("a CMOS export (--cmos)", |f| f != "--w-over-l");
+        refused.unwrap_or_else(|e| die(e));
+    }
+    let w_over_l = JobOpts::from_flags(args, &[W_OVER_L], JobOpts::default()).w_over_l;
+    let sleep = (!cmos).then(|| positive_w_over_l(w_over_l));
     let design = load(&args.positionals[0]);
     warn_lint(&design);
-    let sleep = if args.has("--cmos") {
-        None
-    } else {
-        let w_over_l = args.num("--w-over-l", JobOpts::default().w_over_l);
-        Some(positive_w_over_l(w_over_l))
-    };
     let deck = export_deck(&design, sleep).unwrap_or_else(|e| die(e));
     match args.str("--out") {
         Some(path) => {
@@ -812,6 +787,8 @@ fn cmd_export(args: &Args) {
 /// goes. When recognition fails, the reason is reported and SPICE-only
 /// analysis remains: without `--raw` the exit code is 1.
 fn cmd_import(args: &Args) {
+    args.needs("--t-stop", &["--raw"])
+        .unwrap_or_else(|e| die(e));
     let path = &args.positionals[0];
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("{path}: {e}")));
     let name = std::path::Path::new(path)
@@ -958,10 +935,10 @@ fn cmd_client(args: &Args) {
     let (addr, cmd) = (&args.positionals[0], args.positionals[1].as_str());
     // `status` and `shutdown` take no file; `import` and the jobs need one.
     let file = || args.positionals.get(2).unwrap_or_else(|| usage());
-    // Only the jobs read the job flags.
+    // A request that is not a job reads no job flag.
     let no_job_flags = || {
-        let name = format!("mtk client {cmd}");
-        args.within(&name, &[CLIENT]).unwrap_or_else(|e| die(e));
+        let refused = args.refuse_unread(&format!("{cmd} requests"), |f| f == TIMEOUT[0].0);
+        refused.unwrap_or_else(|e| die(e));
     };
     let line = match cmd {
         "status" | "shutdown" => {
@@ -977,23 +954,10 @@ fn cmd_client(args: &Args) {
             let deck = mtk_trace::json::JsonValue::String(deck).to_compact();
             format!("{{\"cmd\":\"import\",\"deck\":{deck}}}")
         }
-        // Serve answers a hybrid request with a plain hybrid at
-        // `--w-over-l`, not the cluster-then-hybrid composition `mtk
-        // hybrid --clusters N` runs, so the client refuses the flag.
-        "hybrid" if args.has("--clusters") => die(
-            "mtk client hybrid: --clusters is not supported over serve (run `mtk hybrid \
-             --clusters N`, or `client cluster` then `client hybrid --w-over-l` at its total)",
-        ),
         cmd => match JobKind::parse(cmd) {
-            Some(kind) => {
-                let job = Job::from_flags(kind, load(file()), args);
-                if job.kind != JobKind::Cluster && args.has("--smoke") {
-                    die(format!(
-                        "mtk client {cmd}: --smoke is not read by a plain {cmd} job"
-                    ));
-                }
-                job.to_request()
-            }
+            Some(kind) => Job::from_flags(kind, true, args, || load(file()))
+                .1
+                .to_request(),
             None => usage(),
         },
     };

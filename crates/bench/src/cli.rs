@@ -75,18 +75,35 @@ impl Args {
         Ok(args)
     }
 
-    /// Checks that argv gave only flags of `table`, a narrower table than
-    /// the one it was parsed against (that of a subcommand, `cmd`).
+    /// Refuses the first flag argv gave that `reads` does not read: a
+    /// declared flag the job, request or mode `what` would drop.
     ///
     /// # Errors
     ///
-    /// The usage message naming the first flag outside `table`.
-    pub fn within(&self, cmd: &str, table: &[&[Flag]]) -> Result<(), String> {
-        let declared = |name: &str| table.iter().flat_map(|g| g.iter()).any(|(n, _)| *n == name);
-        match self.values.iter().find(|(name, _)| !declared(name)) {
-            Some((name, _)) => Err(format!("{cmd}: unknown flag {name}")),
+    /// The usage message naming the flag and `what`.
+    pub fn refuse_unread(&self, what: &str, reads: impl Fn(&str) -> bool) -> Result<(), String> {
+        match self.values.iter().find(|(name, _)| !reads(name)) {
+            Some((name, _)) => Err(format!("{}: {name} is not read by {what}", self.cmd)),
             None => Ok(()),
         }
+    }
+
+    /// Refuses `flag` when argv gives it without any of `partners`, the
+    /// flags it is read under.
+    ///
+    /// # Errors
+    ///
+    /// The usage message naming the flag and its partners.
+    pub fn needs(&self, flag: &str, partners: &[&str]) -> Result<(), String> {
+        let given = |name: &str| self.values.iter().any(|(n, _)| *n == name);
+        if !given(flag) || partners.iter().any(|p| given(p)) {
+            return Ok(());
+        }
+        Err(format!(
+            "{}: {flag} is not read without {}",
+            self.cmd,
+            partners.join(" or ")
+        ))
     }
 
     /// The positionals, when there are at most `max` of them.
@@ -324,6 +341,31 @@ mod tests {
             args.at_most(0).unwrap_err(),
             "mtk t: unexpected argument `a.mtk`"
         );
+    }
+
+    #[test]
+    fn a_declared_flag_that_is_not_read_is_named() {
+        let args = parse(&["--fast", "--threads", "2", "--out", "x"]).unwrap();
+        assert_eq!(
+            args.refuse_unread("a t job", |f| f != "--out"),
+            Err("mtk t: --out is not read by a t job".to_string())
+        );
+        assert_eq!(args.refuse_unread("a t job", |_| true), Ok(()));
+        assert_eq!(
+            args.needs("--threads", &["--target", "--fast"]),
+            Ok(()),
+            "a partner is given"
+        );
+        assert_eq!(
+            args.needs("--out", &["--target"]),
+            Err("mtk t: --out is not read without --target".to_string())
+        );
+        let args = parse(&["--threads", "2"]).unwrap();
+        assert_eq!(
+            args.needs("--threads", &["--target", "--fast"]),
+            Err("mtk t: --threads is not read without --target or --fast".to_string())
+        );
+        assert_eq!(args.needs("--out", &["--target"]), Ok(()), "absent");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! into a typed [`JobOutput`] that each front end renders — text on the
 //! CLI, the `{"result","trace"}` payload over the wire.
 
-use crate::cli::Kind::{Int, Num, Switch};
+use crate::cli::Kind::{Int, Num, Str, Switch};
 use crate::cli::{die, failure_policy, Args, Flag};
 use crate::design_transitions;
 use mtk_core::cluster::{
@@ -43,12 +43,12 @@ pub enum JobKind {
 }
 
 impl JobKind {
+    /// Every kind, in usage order.
+    pub const ALL: [JobKind; 4] = [Self::Screen, Self::Size, Self::Cluster, Self::Hybrid];
+
     /// The kind named by a CLI command or request `cmd`.
     pub fn parse(cmd: &str) -> Option<JobKind> {
-        use JobKind::*;
-        [Screen, Size, Cluster, Hybrid]
-            .into_iter()
-            .find(|k| k.name() == cmd)
+        Self::ALL.into_iter().find(|k| k.name() == cmd)
     }
 
     /// The command / request `cmd` name (also the CLI span name).
@@ -66,6 +66,109 @@ impl JobKind {
 /// spelled `-`.
 fn flag_name(field: &str) -> String {
     format!("--{}", field.replace('_', "-"))
+}
+
+// The flag groups of the job read sets (`Resolved::row`).
+/// Worker threads.
+pub const THREADS: &[Flag] = &[("--threads", Int)];
+/// Sleep W/L of screening and hybrid verification.
+pub const W_OVER_L: &[Flag] = &[("--w-over-l", Num)];
+/// Vector sourcing: the stride and the seeded sample count.
+pub const SOURCING: &[Flag] = &[("--stride", Int), ("--samples", Int)];
+/// The failure policy ([`failure_policy`]).
+pub const POLICY: &[Flag] = &[("--max-failures", Int), ("--fail-fast", Switch)];
+/// The degradation target.
+pub const TARGET: &[Flag] = &[("--target", Num)];
+/// The store size and cluster jobs write through.
+pub const STORE: &[Flag] = &[("--store", Str)];
+/// The JSON trace export ([`crate::cli::emit_trace`]).
+pub const TRACE: &[Flag] = &[("--trace-json", Str), ("--trace-deterministic", Switch)];
+/// The waveform export; `--t-stop` stops the `--raw` transient.
+pub const WAVES: &[Flag] = &[("--raw", Str), ("--vcd", Str), ("--t-stop", Num)];
+/// How long `mtk client` waits for the response, on any request.
+pub const TIMEOUT: &[Flag] = &[("--timeout-ms", Int)];
+const BRACKET: &[Flag] = &[("--lo", Num), ("--hi", Num)];
+const TOP: &[Flag] = &[("--top", Int)];
+const TOP_K: &[Flag] = &[("--top-k", Int)];
+/// The cluster cap, and `--smoke`, which thins a cluster job's vectors.
+const CLUSTERS: &[Flag] = &[("--clusters", Int), ("--smoke", Switch)];
+
+/// The groups `mtk client` does not send: serve runs a job under its own
+/// policy, store and trace, and exports no waveform.
+const CLI_ONLY: [&[Flag]; 4] = [POLICY, STORE, TRACE, WAVES];
+
+/// True when one of the groups `reads` holds the flag `name`.
+fn reads_flag(reads: &[&[Flag]], name: &str) -> bool {
+    reads.iter().flat_map(|g| g.iter()).any(|(n, _)| *n == name)
+}
+
+/// A job as the flags of `mtk <kind>` or `mtk client … <kind>` resolve it:
+/// `size --clusters N` is a cluster job, and `mtk hybrid --clusters N` a
+/// cluster leg, then a hybrid job at its total width (serve runs no such
+/// composition).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Resolved {
+    Screen,
+    Size,
+    Cluster,
+    Hybrid,
+    ClusteredHybrid,
+}
+
+impl Resolved {
+    /// The job of `kind` with or without `--clusters`, sent by `mtk
+    /// client` when `client`.
+    fn of(kind: JobKind, clusters: bool, client: bool) -> Resolved {
+        match kind {
+            JobKind::Screen => Resolved::Screen,
+            JobKind::Size if !clusters => Resolved::Size,
+            JobKind::Size | JobKind::Cluster => Resolved::Cluster,
+            JobKind::Hybrid if clusters && !client => Resolved::ClusteredHybrid,
+            JobKind::Hybrid => Resolved::Hybrid,
+        }
+    }
+
+    /// The job's row of DESIGN.md §11's read-set table: its name in a
+    /// refusal and the flag groups it reads on the CLI.
+    #[rustfmt::skip]
+    fn row(self) -> (&'static str, &'static [&'static [Flag]]) {
+        use Resolved::*;
+        match self {
+            Screen => ("a screen job", &[THREADS, W_OVER_L, SOURCING, POLICY, TOP, TRACE, WAVES]),
+            Size => ("a plain size job", &[TARGET, BRACKET, SOURCING, STORE, TRACE, WAVES]),
+            Cluster => ("a cluster job",
+                &[CLUSTERS, TARGET, BRACKET, SOURCING, THREADS, POLICY, STORE, TRACE]),
+            Hybrid => ("a plain hybrid job",
+                &[W_OVER_L, TOP_K, THREADS, SOURCING, POLICY, TRACE, WAVES]),
+            // Both legs', less the `--w-over-l` the clustered total overwrites.
+            ClusteredHybrid => ("a hybrid job after a cluster leg", &[CLUSTERS, TARGET, BRACKET,
+                SOURCING, THREADS, POLICY, STORE, TOP_K, TRACE, WAVES]),
+        }
+    }
+
+    /// The flag groups the job reads; over `mtk client`, less the CLI-only
+    /// groups and with [`TIMEOUT`].
+    fn reads(self, client: bool) -> Vec<&'static [Flag]> {
+        let sent = |g: &&[Flag]| !(client && CLI_ONLY.contains(g));
+        let groups = self.row().1.iter().copied().filter(sent);
+        groups.chain(client.then_some(TIMEOUT)).collect()
+    }
+}
+
+/// The flags `mtk <kind>` declares (`mtk client` when `client`, for each
+/// of `kinds`): the union of the read sets of every job they resolve to
+/// (DESIGN.md §11), so the parse table and `--help` are what runs.
+pub fn declared(kinds: &[JobKind], client: bool) -> Vec<&'static [Flag]> {
+    let jobs = kinds
+        .iter()
+        .flat_map(|&k| [false, true].map(|c| Resolved::of(k, c, client)));
+    let mut union = Vec::new();
+    for group in jobs.flat_map(|job| job.reads(client)) {
+        if !union.contains(&group) {
+            union.push(group);
+        }
+    }
+    union
 }
 
 /// Every option of a job. The first nine key the result (and the store);
@@ -139,36 +242,19 @@ impl JobOpts {
         })
     }
 
-    /// The flags of the options every sweep reads, `mtk mc` included:
-    /// `--threads`, `--w-over-l`, `--target`, the vector sourcing
-    /// (`--stride`, `--samples`) and the failure policy's two.
-    #[rustfmt::skip]
-    pub const SWEEP_FLAGS: &'static [Flag] = &[
-        ("--threads", Int), ("--w-over-l", Num), ("--target", Num), ("--stride", Int),
-        ("--samples", Int), ("--max-failures", Int), ("--fail-fast", Switch),
-    ];
-
-    /// The flags of the numeric fields only jobs read. With
-    /// [`JobOpts::SWEEP_FLAGS`] they make the flags a job command
-    /// declares: `--<field>` (`_` spelled `-`) for each numeric field,
-    /// and the failure policy's two.
-    #[rustfmt::skip]
-    pub const JOB_FLAGS: &'static [Flag] = &[
-        ("--top-k", Int), ("--lo", Num), ("--hi", Num), ("--top", Int), ("--clusters", Int),
-    ];
-
-    /// The options of a CLI invocation: each `--<field>` flag of `args`
-    /// over `defaults`, and the `--max-failures` / `--fail-fast` policy.
-    /// `args` must declare [`JobOpts::SWEEP_FLAGS`] and
-    /// [`JobOpts::JOB_FLAGS`].
-    pub fn from_flags(args: &Args, defaults: JobOpts) -> JobOpts {
+    /// The options of a CLI invocation: each field whose `--<field>` flag
+    /// is in `reads` from `args`, over `defaults`, and the failure policy
+    /// when `reads` holds [`POLICY`]. Every other field keeps its default.
+    pub fn from_flags(args: &Args, reads: &[&[Flag]], defaults: JobOpts) -> JobOpts {
+        let read = |k: &str| Some(flag_name(k)).filter(|f| reads_flag(reads, f));
         let Ok(opts) = JobOpts::read::<std::convert::Infallible>(
             defaults,
-            |k, d| Ok(args.num(&flag_name(k), d)),
-            |k, d| Ok(args.int(&flag_name(k), d)),
+            |k, d| Ok(read(k).map_or(d, |f| args.num(&f, d))),
+            |k, d| Ok(read(k).map_or(d, |f| args.int(&f, d))),
         );
+        let policy = reads.contains(&POLICY).then(|| failure_policy(args));
         JobOpts {
-            policy: failure_policy(args),
+            policy: policy.unwrap_or(defaults.policy),
             ..opts
         }
     }
@@ -328,28 +414,42 @@ impl Job {
         Ok(Job::new(kind, design, opts))
     }
 
-    /// The job of a CLI invocation (`mtk <kind>` or `mtk client … <kind>`)
-    /// from its flags ([`JobOpts::from_flags`]). `size --clusters
-    /// N` is a cluster job, and `--smoke` thins a cluster job's sampled
-    /// vector set (stride 64, 8 samples) unless `--stride`/`--samples`
-    /// say otherwise; `mtk` and `mtk client` refuse it on any other job.
-    /// Options [`JobOpts::check`] rejects are a usage error: message on
-    /// stderr, exit 2.
-    pub fn from_flags(kind: JobKind, design: Design, args: &Args) -> Job {
-        let kind = match kind {
-            JobKind::Size if args.has("--clusters") => JobKind::Cluster,
-            k => k,
+    /// The job of `mtk <kind>` (of `mtk client … <kind>` when `client`),
+    /// after the cluster leg `mtk hybrid --clusters N` runs first. Before
+    /// `design` loads, it exits 2 on the first flag the resolved job does
+    /// not read, on `--t-stop` without `--raw`, and on options
+    /// [`JobOpts::check`] rejects. `--smoke` thins a cluster job's vectors.
+    pub fn from_flags(
+        kind: JobKind,
+        client: bool,
+        args: &Args,
+        design: impl FnOnce() -> Design,
+    ) -> (Option<Job>, Job) {
+        let clusters = matches!(kind, JobKind::Size | JobKind::Hybrid) && args.has("--clusters");
+        let resolved = Resolved::of(kind, clusters, client);
+        let reads = resolved.reads(client);
+        let refused = args.refuse_unread(resolved.row().0, |f| reads_flag(&reads, f));
+        let refused = refused.and_then(|()| args.needs("--t-stop", &["--raw"]));
+        refused.unwrap_or_else(|e| die(e));
+        let read = |kind, reads: &[&[Flag]]| {
+            let mut defaults = JobOpts::default();
+            if kind == JobKind::Cluster && args.has("--smoke") {
+                (defaults.stride, defaults.samples) = (64, 8);
+            }
+            let opts = JobOpts::from_flags(args, reads, defaults);
+            opts.check(kind).unwrap_or_else(|e| die(e));
+            opts
         };
-        let mut defaults = JobOpts::default();
-        if kind == JobKind::Cluster && args.has("--smoke") {
-            defaults.stride = 64;
-            defaults.samples = 8;
-        }
-        let opts = JobOpts::from_flags(args, defaults);
-        if let Err(msg) = opts.check(kind) {
-            die(msg);
-        }
-        Job::new(kind, design, opts)
+        let kind = match resolved {
+            Resolved::Cluster => JobKind::Cluster,
+            _ => kind,
+        };
+        let opts = read(kind, &reads);
+        let leg = (resolved == Resolved::ClusteredHybrid)
+            .then(|| read(JobKind::Cluster, &Resolved::Cluster.reads(false)));
+        let job = Job::new(kind, design(), opts);
+        let leg = leg.map(|opts| Job::new(JobKind::Cluster, job.design.clone(), opts));
+        (leg, job)
     }
 
     /// Content-addressed request fingerprint: tag + compact JSON of the
@@ -716,7 +816,10 @@ mod tests {
         );
     }
 
-    const JOB_TABLE: &[&[Flag]] = &[JobOpts::SWEEP_FLAGS, JobOpts::JOB_FLAGS];
+    /// Every flag a job command declares.
+    fn job_table() -> Vec<&'static [Flag]> {
+        declared(&KINDS, false)
+    }
 
     #[test]
     fn every_job_flag_is_declared_and_reaches_its_field() {
@@ -725,8 +828,9 @@ mod tests {
             .split_whitespace()
             .map(String::from)
             .collect();
-        let args = Args::parse("mtk t", &argv, JOB_TABLE).unwrap();
-        let o = JobOpts::from_flags(&args, JobOpts::default());
+        let table = job_table();
+        let args = Args::parse("mtk t", &argv, &table).unwrap();
+        let o = JobOpts::from_flags(&args, &table, JobOpts::default());
         let (kind, design) = (JobKind::Hybrid, mtk_fe::parse_str(CHAIN, "chain").unwrap());
         let want = JobOpts {
             w_over_l: 7.5,
@@ -742,12 +846,60 @@ mod tests {
         };
         assert_eq!(
             Job::new(kind, design.clone(), o).to_request(),
-            Job::new(kind, design, JobOpts { threads: 3, ..want }).to_request()
+            Job::new(kind, design.clone(), JobOpts { threads: 3, ..want }).to_request()
         );
         assert_eq!(o.policy, FailurePolicy::FailFast);
+        // A read set reads its own fields only; the rest keep the defaults.
+        let o = JobOpts::from_flags(&args, &Resolved::Size.reads(false), JobOpts::default());
+        let size = JobOpts {
+            target: 0.08,
+            lo: 2.0,
+            hi: 900.0,
+            stride: 5,
+            samples: 17,
+            ..JobOpts::default()
+        };
+        assert_eq!(
+            Job::new(kind, design.clone(), o).to_request(),
+            Job::new(kind, design, size).to_request()
+        );
+        assert_eq!(o.policy, JobOpts::default().policy);
         let argv = ["--max-failures", "4"].map(String::from).to_vec();
-        let args = Args::parse("mtk t", &argv, JOB_TABLE).unwrap();
-        let o = JobOpts::from_flags(&args, JobOpts::default());
+        let args = Args::parse("mtk t", &argv, &table).unwrap();
+        let o = JobOpts::from_flags(&args, &table, JobOpts::default());
         assert_eq!(o.policy, FailurePolicy::quarantine(4));
+    }
+
+    /// The read-set table of DESIGN.md §11 is `Resolved::row`, row for
+    /// row, so the documented rule cannot drift from what runs.
+    #[test]
+    fn design_read_set_table_is_the_code() {
+        let names = |groups: Vec<&[Flag]>| {
+            let names: Vec<&str> = groups.iter().flat_map(|g| g.iter()).map(|f| f.0).collect();
+            format!("`{}`", names.join(" "))
+        };
+        let sent: Vec<Resolved> = (KINDS.iter())
+            .flat_map(|&k| [false, true].map(|c| Resolved::of(k, c, true)))
+            .collect();
+        let mut want = String::from("| resolved job | `mtk` reads | `mtk client` reads |\n");
+        want += "|---|---|---|\n";
+        use Resolved::*;
+        for job in [Screen, Size, Cluster, Hybrid, ClusteredHybrid] {
+            let client = match sent.contains(&job) {
+                true => names(job.reads(true)),
+                false => "no such request".to_string(),
+            };
+            let cli = names(job.reads(false));
+            want += &format!("| {} | {cli} | {client} |\n", job.row().0);
+        }
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md");
+        let design = std::fs::read_to_string(path).unwrap();
+        let at = design
+            .find("| resolved job |")
+            .expect("the read-set table in DESIGN.md");
+        assert!(
+            design[at..].starts_with(&want),
+            "DESIGN.md §11's read-set table and `Resolved::row` diverged; the code gives\n{want}"
+        );
     }
 }

@@ -46,7 +46,7 @@
 //! record. A job request is looked up by its design text as sent before
 //! the design is parsed ([`presumed_key`]); only a miss parses it.
 
-use crate::job::{presumed_key, Job, JobOutput};
+use crate::job::{presumed_key, Job, JobKind, JobOutput};
 use mtk_core::sizing::ScreeningCache;
 use mtk_store::{Store, StoreStats};
 use mtk_trace::json::{parse, JsonValue};
@@ -503,7 +503,8 @@ fn handle_request(state: &Arc<ServerState>, line: &str) -> (String, bool) {
             state.request_drain();
             (r#"{"status":"ok","draining":true}"#.to_string(), true)
         }
-        Some("screen" | "size" | "cluster" | "hybrid") => {
+        Some("import") => (handle_import(state, &request), false),
+        Some(cmd) if JobKind::parse(cmd).is_some() => {
             // Warm path: a canonical design keys the store as sent, so a
             // hit needs no `.mtk` parse (DESIGN.md §13.2). While draining,
             // the slow path below answers as it always did.
@@ -521,7 +522,6 @@ fn handle_request(state: &Arc<ServerState>, line: &str) -> (String, bool) {
                 }
             }
         }
-        Some("import") => (handle_import(state, &request), false),
         _ => {
             state.count(CounterId::RequestsRejected, 1);
             (

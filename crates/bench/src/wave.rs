@@ -21,7 +21,8 @@ use mtk_wave::vcd::{Vcd, VcdValue};
 pub const DETERMINISTIC_DATE: &str = "deterministic";
 
 /// Runs one transistor-level transient of the design under the given
-/// vector and packs the analog waveforms as a rawfile: `time`, one
+/// vector, behind a sleep device of `w_over_l`, and packs the analog
+/// waveforms as a rawfile: `time`, one
 /// `v(<output>)` per primary output, `v(vgnd)` and `i(vdd)` when the
 /// run produced them — all sampled on the uniform `cfg.dt` grid.
 ///
@@ -32,13 +33,10 @@ pub const DETERMINISTIC_DATE: &str = "deterministic";
 pub fn raw_from_transition(
     design: &Design,
     tr: &Transition,
-    w_over_l: Option<f64>,
+    w_over_l: f64,
     cfg: &SpiceRunConfig,
 ) -> Result<RawFile, CoreError> {
-    let sleep = match w_over_l {
-        Some(w) => SleepImpl::Transistor { w_over_l: w },
-        None => SleepImpl::AlwaysOn,
-    };
+    let sleep = SleepImpl::Transistor { w_over_l };
     let run = spice_transition(&design.netlist, &design.tech, tr, None, sleep, cfg)?;
     let n = (cfg.t_stop / cfg.dt).round().max(1.0) as usize;
     let times: Vec<f64> = (0..=n).map(|k| k as f64 * cfg.dt).collect();
@@ -182,7 +180,7 @@ mod tests {
             from: vec![Logic::Zero],
             to: vec![Logic::One],
         };
-        let raw = raw_from_transition(&d, &tr, Some(10.0), &SpiceRunConfig::window(20e-9)).unwrap();
+        let raw = raw_from_transition(&d, &tr, 10.0, &SpiceRunConfig::window(20e-9)).unwrap();
         raw.check().unwrap();
         assert_eq!(raw.points(), 1001);
         assert!(raw.series("v(y)").is_some());
